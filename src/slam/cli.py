@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .constraints import (
-    SizeConstraint, encode_3cnf, format_constraint, is_valid,
+    CyclicDefMap, SizeConstraint, encode_3cnf, format_constraint, is_valid,
     parse_cnf_dimacs, parse_constraint_file,
 )
 from .parser import ParseError, SlamFile, parse_slam, parse_term, parse_type
@@ -202,7 +202,10 @@ def _cmd_solve(args) -> int:
     except OSError as e:
         raise CliError(str(e))
     c = parse_constraint_file(src)
-    res = is_valid(c)
+    try:
+        res = is_valid(c)
+    except CyclicDefMap as e:
+        raise CliError(f"{args.constraints}: {e}") from None
     if res.valid:
         print("verdict: valid" if args.porcelain else "valid")
         return 0

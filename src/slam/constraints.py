@@ -6,16 +6,21 @@ respecting U satisfies every inequality.  Validity is decided by
 eliminating infinity, then refuting each inequality separately: the
 conjunction of the U-equalities with the negated inequality is tested for
 satisfiability over the naturals by pushing +1 below min/max, splitting
-min/max away through fresh existential variables, and deciding the
-remaining difference atoms on a shortest-path graph.  A brute-force
-enumeration oracle and the 3-CNF hardness encoder live here too.
+min/max away through fresh existential variables, and searching the
+resulting disjuncts over difference atoms.  The atoms live in one
+incremental shortest-path graph: each disjunct arm adds its few edges
+and is refuted when they close a negative cycle, and a model is read off
+the graph's exact shortest distances.  A brute-force enumeration oracle
+and the 3-CNF hardness encoder live here too.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from heapq import heappop, heappush
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .sizes import (
     INF, ExtNat, SizeValuation, eval_size, normalize_succ, simplify_infty,
@@ -28,8 +33,9 @@ from .syntax import (
 __all__ = [
     "SizeConstraint", "Validity", "CyclicDefMap", "check_acyclic", "expand",
     "expand_type", "is_valid", "VarVar", "VarConst", "DifferenceAtom",
-    "sat_atoms", "brute_force_valid", "completeness_bound", "encode_3cnf",
-    "parse_cnf_dimacs", "parse_constraint_file", "format_constraint",
+    "DifferenceGraph", "sat_atoms", "brute_force_valid", "completeness_bound",
+    "encode_3cnf", "parse_cnf_dimacs", "parse_constraint_file",
+    "format_constraint",
 ]
 
 Pair = tuple[SizeExpr, SizeExpr]
@@ -156,59 +162,126 @@ DifferenceAtom = Union[VarVar, VarConst]
 
 _ZERO_NODE = "$zero"
 
+# undo-trail entry kinds of DifferenceGraph
+_POTENTIAL, _EDGE, _NODE = 0, 1, 2
+
+
+class DifferenceGraph:
+    """Difference atoms over the naturals as an incremental shortest-path
+    graph.
+
+    An atom x + c <= y is an edge y -> x of weight -c; constants are
+    edges to and from a zero node, and every variable has an edge to the
+    zero node of weight 0 (x >= 0).  The potential of a node is its exact
+    shortest distance from a virtual source with a 0-weight edge to every
+    node, so it is unique and a model is read off it directly.
+
+    `extend` adds edges one at a time.  An edge w -> u of weight b that
+    lowers u relaxes only from u, Dijkstra-style over the reduced costs
+    of the potential (Cotton & Maler, SAT 2006); the atoms so far have a
+    negative cycle exactly when that relaxation lowers w.  Every change
+    goes on an undo trail, so a search can try atoms and take them back.
+    """
+
+    def __init__(self) -> None:
+        self._pi: dict[str, int] = {_ZERO_NODE: 0}
+        self._adj: dict[str, list[tuple[str, int]]] = {_ZERO_NODE: []}
+        self._trail: list[tuple[int, str, int]] = []
+
+    def mark(self) -> int:
+        """A point on the undo trail, for `undo`."""
+        return len(self._trail)
+
+    def undo(self, mark: int) -> None:
+        """Take back every change made since `mark` was taken."""
+        pi, adj, trail = self._pi, self._adj, self._trail
+        while len(trail) > mark:
+            kind, x, old = trail.pop()
+            if kind == _POTENTIAL:
+                pi[x] = old
+            elif kind == _EDGE:
+                adj[x].pop()
+            else:
+                del pi[x], adj[x]
+
+    def extend(self, atoms: Iterable[DifferenceAtom]) -> bool:
+        """Add atoms; on a negative cycle leave the graph as it was and
+        return False."""
+        mark = len(self._trail)
+        node = self._node
+        for a in atoms:
+            if isinstance(a, VarVar):
+                ok = self._edge(node(a.y), node(a.x), -a.c)
+            elif a.op == "<=":
+                ok = self._edge(_ZERO_NODE, node(a.x), a.k)
+            else:
+                ok = self._edge(node(a.x), _ZERO_NODE, -a.k)
+            if not ok:
+                self.undo(mark)
+                return False
+        return True
+
+    def admits(self, atoms: Iterable[DifferenceAtom]) -> bool:
+        """Whether the atoms can be added, leaving the graph unchanged."""
+        mark = len(self._trail)
+        if not self.extend(atoms):
+            return False
+        self.undo(mark)
+        return True
+
+    def model(self) -> dict[str, int]:
+        """The shortest-distance model, variables in order of appearance."""
+        base = self._pi[_ZERO_NODE]
+        return {n: d - base for n, d in self._pi.items() if n != _ZERO_NODE}
+
+    def _node(self, x: str) -> str:
+        if x not in self._pi:
+            self._pi[x] = 0  # reached from the source only
+            self._adj[x] = [(_ZERO_NODE, 0)]  # x >= 0
+            self._trail.append((_NODE, x, 0))
+        return x
+
+    def _edge(self, w: str, u: str, b: int) -> bool:
+        pi, adj = self._pi, self._adj
+        du = pi[w] + b
+        if du < pi[u]:
+            if u == w:
+                return False
+            trail = self._trail
+            lowered = {u: du}  # tentative distances below the potential
+            heap = [(du - pi[u], u)]
+            while heap:
+                _, s = heappop(heap)
+                ds = lowered.pop(s, None)
+                if ds is None:
+                    continue  # settled through a shorter entry
+                trail.append((_POTENTIAL, s, pi[s]))
+                pi[s] = ds
+                for t, c in adj[s]:
+                    dt = ds + c
+                    if dt < pi[t]:
+                        if t == w:
+                            return False  # negative cycle through w -> u
+                        if dt < lowered.get(t, dt + 1):
+                            lowered[t] = dt
+                            heappush(heap, (dt - pi[t], t))
+        adj[w].append((u, b))
+        self._trail.append((_EDGE, w, 0))
+        return True
+
 
 def sat_atoms(atoms: Sequence[DifferenceAtom]) -> Optional[dict[str, int]]:
     """Solve difference atoms over the naturals.
 
-    Encoded as a shortest-path problem with a zero node; satisfiable iff
-    the graph has no negative cycle, in which case a minimal-style model
-    is read off the distances.
+    Satisfiable iff their difference graph has no negative cycle, in
+    which case the model is read off the shortest distances.
     """
-    nodes: list[str] = [_ZERO_NODE]
-    seen = {_ZERO_NODE}
-    edges: list[tuple[str, str, int]] = []  # (w, u, b) meaning u - w <= b
-
-    def node(x: str) -> str:
-        if x not in seen:
-            seen.add(x)
-            nodes.append(x)
-            edges.append((x, _ZERO_NODE, 0))  # 0 - x <= 0, i.e. x >= 0
-        return x
-
-    for a in atoms:
-        if isinstance(a, VarVar):
-            edges.append((node(a.y), node(a.x), -a.c))
-        elif a.op == "<=":
-            edges.append((_ZERO_NODE, node(a.x), a.k))
-        else:
-            edges.append((node(a.x), _ZERO_NODE, -a.k))
-
-    dist = {n: 0 for n in nodes}  # virtual source at distance 0 to all
-    for _ in range(len(nodes)):
-        changed = False
-        for w, u, b in edges:
-            if dist[w] + b < dist[u]:
-                dist[u] = dist[w] + b
-                changed = True
-        if not changed:
-            break
-    else:
-        for w, u, b in edges:
-            if dist[w] + b < dist[u]:
-                return None  # negative cycle
-    base = dist[_ZERO_NODE]
-    return {n: dist[n] - base for n in nodes if n != _ZERO_NODE}
+    g = DifferenceGraph()
+    return g.model() if g.extend(atoms) else None
 
 
 # ---------------------------------------------------------------------------
 # Refutation of a single inequality
-
-_fresh_counter = itertools.count(1)
-
-
-def _fresh_existential() -> str:
-    return f"?e{next(_fresh_counter)}"
-
 
 def _leaf(lhs: SizeExpr, rhs: SizeExpr) -> Optional[DifferenceAtom] | bool:
     """Convert x+a <= y+b into a difference atom.
@@ -249,18 +322,20 @@ class _Disj:
 
     kind "le" means arm <= n (from min(arms) <= c, with n <= c already
     recorded); kind "ge" means n <= arm (from c <= max(arms)).  Each
-    arm's absorbed atom/split deltas are cached for reuse.
+    arm's absorbed atom/split deltas are cached for reuse; `fresh` names
+    the existentials they introduce.
     """
     kind: str
     n: str
     arms: tuple[SizeExpr, ...]
     deltas: list
+    fresh: Iterator[str]
 
     def delta(self, i: int):
         if self.deltas[i] == ():
             pend = [(self.arms[i], SVar(self.n))] if self.kind == "le" \
                 else [(SVar(self.n), self.arms[i])]
-            self.deltas[i] = _absorb(pend)
+            self.deltas[i] = _absorb(pend, self.fresh)
         return self.deltas[i]
 
 
@@ -270,7 +345,7 @@ def _flatten(s: SizeExpr, cls) -> list[SizeExpr]:
     return [s]
 
 
-def _absorb(pending: list[Pair]):
+def _absorb(pending: list[Pair], fresh: Iterator[str]):
     """Absorb the conjunctive structure of inequalities.
 
     Returns (atoms, disjs) or None on a trivially false leaf.  Max on
@@ -286,21 +361,21 @@ def _absorb(pending: list[Pair]):
     while work:
         lhs, rhs = work.popleft()
         if isinstance(lhs, SMax):
-            n = SVar(_fresh_existential())
+            n = SVar(next(fresh))
             work.extendleft([(n, rhs), (lhs.right, n), (lhs.left, n)])
         elif isinstance(rhs, SMin):
-            n = SVar(_fresh_existential())
+            n = SVar(next(fresh))
             work.extendleft([(n, rhs.right), (n, rhs.left), (lhs, n)])
         elif isinstance(lhs, SMin):
-            n = _fresh_existential()
+            n = next(fresh)
             work.appendleft((SVar(n), rhs))
             arms = tuple(_flatten(lhs, SMin))
-            disjs.append(_Disj("le", n, arms, [()] * len(arms)))
+            disjs.append(_Disj("le", n, arms, [()] * len(arms), fresh))
         elif isinstance(rhs, SMax):
-            n = _fresh_existential()
+            n = next(fresh)
             work.appendleft((lhs, SVar(n)))
             arms = tuple(_flatten(rhs, SMax))
-            disjs.append(_Disj("ge", n, arms, [()] * len(arms)))
+            disjs.append(_Disj("ge", n, arms, [()] * len(arms), fresh))
         else:
             atom = _leaf(lhs, rhs)
             if atom is False:
@@ -314,42 +389,45 @@ def _sat_conjunction(ineqs: list[Pair]) -> Optional[dict[str, int]]:
     """Satisfiability over the naturals of a conjunction s1 <= s2 of
     oo-free inequalities.
 
-    Min/max are split away through fresh existential variables.  The
-    search over disjuncts prunes arms whose atoms are already infeasible
-    against the committed ones, commits forced (single-arm) splits to a
-    fixpoint, and only then branches, smallest split first.
+    Min/max are split away through fresh existential variables, named
+    ?e1, ?e2, ... afresh in each call.  The atoms without a choice go
+    into one difference graph, and `_solve` searches the disjuncts on it.
     """
+    fresh = (f"?e{k}" for k in itertools.count(1))
     normalized = [(normalize_succ(a), normalize_succ(b)) for a, b in ineqs]
-    state = _absorb(normalized)
+    state = _absorb(normalized, fresh)
     if state is None:
         return None
     atoms, disjs = state
-    return _solve(atoms, disjs)
-
-
-def _solve(atoms: list[DifferenceAtom],
-           disjs: list[_Disj]) -> Optional[dict[str, int]]:
-    model = sat_atoms(atoms)
-    if model is None:
+    g = DifferenceGraph()
+    if not g.extend(atoms):
         return None
-    # propagate: drop infeasible arms, commit forced arms, to a fixpoint
+    return _solve(g, disjs)
+
+
+def _solve(g: DifferenceGraph,
+           disjs: list[_Disj]) -> Optional[dict[str, int]]:
+    """Search the disjuncts over the committed atoms in `g`.
+
+    An arm is feasible when `g` admits its atoms without a negative
+    cycle; the check leaves `g` unchanged.  The search drops infeasible
+    arms and commits forced (single-arm) splits into `g` to a fixpoint,
+    then branches on the smallest split, arms in order.  A model is read
+    off the potential of `g` once no split is left.  On None, `g` may
+    hold commits of this call, which the caller undoes to its own mark.
+    """
     while True:
         changed = False
         remaining: list[tuple[_Disj, list[int]]] = []
         for d in disjs:
-            feasible: list[int] = []
-            for i in range(len(d.arms)):
-                delta = d.delta(i)
-                if delta is None:
-                    continue
-                da, _dd = delta
-                if sat_atoms(atoms + da) is not None:
-                    feasible.append(i)
+            feasible = [i for i in range(len(d.arms))
+                        if (delta := d.delta(i)) is not None
+                        and g.admits(delta[0])]
             if not feasible:
                 return None
             if len(feasible) == 1:
                 da, dd = d.delta(feasible[0])
-                atoms = atoms + da
+                g.extend(da)  # just admitted
                 disjs = [x for x in disjs if x is not d] + dd
                 changed = True
                 break
@@ -357,19 +435,18 @@ def _solve(atoms: list[DifferenceAtom],
         if not changed:
             break
     if not disjs:
-        return sat_atoms(atoms)
-    # branch on the smallest remaining split, arms in order
+        return g.model()
     remaining.sort(key=lambda df: len(df[1]))
     d, feasible = remaining[0]
     rest = [x for x in disjs if x is not d]
     for i in feasible:
-        delta = d.delta(i)
-        if delta is None:
-            continue
-        da, dd = delta
-        model = _solve(atoms + da, rest + dd)
+        da, dd = d.delta(i)
+        mark = g.mark()
+        g.extend(da)  # admitted in the last pass, with g as it is now
+        model = _solve(g, rest + dd)
         if model is not None:
             return model
+        g.undo(mark)
     return None
 
 
@@ -422,8 +499,11 @@ def is_valid(c: SizeConstraint) -> Validity:
             return Validity(False, witness, orig)
         kept.append(((a, b), orig))
 
+    # for each key of u: its position in u and the keys its value uses
+    deps = {i: (k, [j for j in sv(s) if j in u])
+            for k, (i, s) in enumerate(u.items())}
     for (a, b), orig in kept:
-        eqs = _relevant_equalities(u, sv(a) | sv(b))
+        eqs = _relevant_equalities(u, deps, sv(a) | sv(b))
         conj = eqs + [(Succ(b), a)]  # negation: a >= b + 1
         model = _sat_conjunction(conj)
         if model is not None:
@@ -433,8 +513,11 @@ def is_valid(c: SizeConstraint) -> Validity:
 
 
 def _relevant_equalities(u: Mapping[str, SizeExpr],
+                         deps: Mapping[str, tuple[int, list[str]]],
                          start: frozenset[str]) -> list[Pair]:
-    """Equalities i = u(i) for variables reachable from `start` through u.
+    """Equalities i = u(i) for variables reachable from `start` through u,
+    in the order of u's keys; `deps` maps each key of u to its position
+    in u and the keys its value uses.
 
     Unreachable entries cannot affect satisfiability (the map is acyclic,
     so any model extends to them) and would only slow the search down.
@@ -446,12 +529,11 @@ def _relevant_equalities(u: Mapping[str, SizeExpr],
         if i in reach:
             continue
         reach.add(i)
-        work.extend(j for j in sv(u[i]) if j in u and j not in reach)
+        work.extend(j for j in deps[i][1] if j not in reach)
     eqs: list[Pair] = []
-    for i in u:
-        if i in reach:
-            eqs.append((SVar(i), u[i]))
-            eqs.append((u[i], SVar(i)))
+    for i in sorted(reach, key=lambda i: deps[i][0]):
+        eqs.append((SVar(i), u[i]))
+        eqs.append((u[i], SVar(i)))
     return eqs
 
 
@@ -586,15 +668,24 @@ def encode_3cnf(clauses: Sequence[Clause]) -> tuple[SizeExpr, SizeExpr]:
 
 
 def parse_cnf_dimacs(src: str) -> list[list[Literal]]:
-    """Parse DIMACS cnf; variable k becomes name 'xk'."""
+    """Parse DIMACS cnf; variable k becomes name 'xk'.
+
+    Raises ParseError at a token that is not an integer.
+    """
     clauses: list[list[Literal]] = []
     current: list[Literal] = []
-    for line in src.splitlines():
-        line = line.strip()
-        if not line or line.startswith(("c", "p", "%")):
+    for lineno, line in enumerate(src.splitlines(), 1):
+        if line.strip().startswith(("c", "p", "%")):
             continue
-        for tok in line.split():
-            n = int(tok)
+        for m in re.finditer(r"\S+", line):
+            try:
+                n = int(m.group())
+            except ValueError:
+                from .parser import ParseError
+
+                raise ParseError(f"expected an integer literal, got "
+                                 f"{m.group()!r}", lineno,
+                                 m.start() + 1) from None
             if n == 0:
                 if current:
                     clauses.append(current)

@@ -228,6 +228,55 @@ def truth_table_sat(clauses: list[list[Literal]]) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Difference-atom oracle
+
+def sat_atoms_reference(atoms) -> dict[str, int] | None:
+    """From-scratch Bellman-Ford over the difference graph of the atoms.
+
+    The same encoding as `slam.constraints.sat_atoms` (edges y -> x of
+    weight -c for x + c <= y, a zero node, x >= 0 for every variable),
+    solved without any incremental state.
+    """
+    from slam.constraints import VarVar
+
+    zero = "$zero"
+    nodes: list[str] = [zero]
+    seen = {zero}
+    edges: list[tuple[str, str, int]] = []  # (w, u, b) meaning u - w <= b
+
+    def node(x: str) -> str:
+        if x not in seen:
+            seen.add(x)
+            nodes.append(x)
+            edges.append((x, zero, 0))
+        return x
+
+    for a in atoms:
+        if isinstance(a, VarVar):
+            edges.append((node(a.y), node(a.x), -a.c))
+        elif a.op == "<=":
+            edges.append((zero, node(a.x), a.k))
+        else:
+            edges.append((node(a.x), zero, -a.k))
+
+    dist = {n: 0 for n in nodes}  # virtual source at distance 0 to all
+    for _ in range(len(nodes)):
+        changed = False
+        for w, u, b in edges:
+            if dist[w] + b < dist[u]:
+                dist[u] = dist[w] + b
+                changed = True
+        if not changed:
+            break
+    else:
+        for w, u, b in edges:
+            if dist[w] + b < dist[u]:
+                return None  # negative cycle
+    base = dist[zero]
+    return {n: dist[n] - base for n in nodes if n != zero}
+
+
+# ---------------------------------------------------------------------------
 # Term corpus
 
 EXTRA_TERMS = [

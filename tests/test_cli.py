@@ -104,6 +104,11 @@ def test_gen_hard_solve_roundtrip(tmp_path, capsys):
     sc.write_text(out)
     code, out, _ = run(capsys, "solve", str(sc))
     assert code == 1 and out.splitlines()[0] == "invalid"
+    # the witness, pinned: x = 0 reads as true, so x1 = x2 = x3 = true
+    code, out, _ = run(capsys, "--porcelain", "solve", str(sc))
+    assert code == 1 and out.splitlines() == [
+        "verdict: invalid", "witness.x1: 0", "witness.x1': 2",
+        "witness.x2: 0", "witness.x2': 2", "witness.x3: 0", "witness.x3': 2"]
     # an unsatisfiable formula flips the verdict
     cnf = tmp_path / "unsat.cnf"
     cnf.write_text("p cnf 1 2\n1 1 1 0\n-1 -1 -1 0\n")
@@ -126,3 +131,19 @@ def test_validation_error_exit_2(tmp_path, capsys):
                    "coinductive T { mk : (T -> Nat) -> T }\n")
     code, _, err = run(capsys, "infer", str(bad), "zero")
     assert code == 2 and "strictly positive" in err
+
+
+def test_solve_cyclic_exit_2(tmp_path, capsys):
+    cyclic = tmp_path / "cyclic.sc"
+    cyclic.write_text("let i = j;\nlet j = i;\nassert i <= j;\n")
+    code, out, err = run(capsys, "solve", str(cyclic))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "cyclic definition map" in err
+
+
+def test_gen_hard_bad_token_exit_2(tmp_path, capsys):
+    cnf = tmp_path / "bad.cnf"
+    cnf.write_text("p cnf 2 2\n1 -2 0\n1 x2 0\n")
+    code, out, err = run(capsys, "gen-hard", str(cnf))
+    assert code == 2 and out == ""
+    assert err.startswith("error: 3:3: ") and "'x2'" in err

@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from helpers import rand_cnf, rand_size, truth_table_sat
+from helpers import (
+    rand_cnf, rand_size, sat_atoms_reference, truth_table_sat,
+)
 from slam import (
     INFTY, ONE, SMax, SMin, SVar, Succ, ZERO, eval_size,
 )
 from slam.constraints import (
-    CyclicDefMap, SizeConstraint, VarConst, VarVar, brute_force_valid,
-    check_acyclic, completeness_bound, encode_3cnf, expand, format_constraint,
-    is_valid, parse_constraint_file, sat_atoms,
+    CyclicDefMap, DifferenceGraph, SizeConstraint, VarConst, VarVar,
+    brute_force_valid, check_acyclic, completeness_bound, encode_3cnf, expand,
+    format_constraint, is_valid, parse_constraint_file, sat_atoms,
 )
 from slam.sizes import INF, SizeValuation
 from slam.syntax import size_const, smax, smin
@@ -108,6 +110,57 @@ def test_sat_atoms_nonnegative_models():
     assert m is not None and all(v >= 0 for v in m.values())
 
 
+def _rand_atoms(rng: random.Random, n: int) -> list:
+    names = ("x", "y", "z", "w")
+    atoms: list = []
+    while len(atoms) < n:
+        r = rng.random()
+        if r < 0.2:  # a cycle, possibly negative, closed by its last edge
+            vs = rng.sample(names, rng.randint(1, 3))
+            atoms += [VarVar(a, rng.randint(-2, 2), b)
+                      for a, b in zip(vs, vs[1:] + vs[:1])]
+        elif r < 0.6:
+            atoms.append(VarVar(rng.choice(names), rng.randint(-3, 3),
+                                rng.choice(names)))
+        else:
+            atoms.append(VarConst(rng.choice(names), rng.choice(("<=", ">=")),
+                                  rng.randint(0, 4)))
+    return atoms
+
+
+def _items(model):
+    return None if model is None else list(model.items())
+
+
+def test_difference_graph_matches_reference():
+    # a committed prefix extended chunk by chunk must agree with a
+    # from-scratch solve of the concatenation, model and order included;
+    # a refused or undone chunk leaves the graph as it was
+    rng = random.Random(31)
+    for _ in range(2000):
+        atoms = _rand_atoms(rng, rng.randint(0, 12))
+        assert _items(sat_atoms(atoms)) == _items(sat_atoms_reference(atoms))
+        g = DifferenceGraph()
+        done: list = []
+        while atoms:
+            k = rng.randint(1, 4)
+            chunk, atoms = atoms[:k], atoms[k:]
+            before = _items(g.model())
+            expected = _items(sat_atoms_reference(done + chunk))
+            assert g.admits(chunk) == (expected is not None)
+            assert _items(g.model()) == before
+            mark = g.mark()
+            if not g.extend(chunk):
+                assert expected is None and _items(g.model()) == before
+                continue
+            assert _items(g.model()) == expected
+            if rng.random() < 0.25:
+                g.undo(mark)
+                assert _items(g.model()) == before
+            else:
+                done += chunk
+
+
 # -- brute force oracle --------------------------------------------------------
 
 def test_brute_force_examples():
@@ -203,6 +256,16 @@ def test_witness_has_no_existential_variables():
     assert all(not name.startswith("?") for name in res.witness.mapping)
     assert any(eval_size(res.witness, a) > eval_size(res.witness, b)
                for a, b in c.pairs)
+
+
+def test_existential_names_do_not_depend_on_earlier_calls():
+    from slam.constraints import _sat_conjunction
+
+    conj = [(SMax(SMin(I, J), K), SMin(Succ(J), K))]
+    first = _sat_conjunction(conj)
+    assert any(name.startswith("?e") for name in first)
+    is_valid(SizeConstraint({}, [(SMax(I, J), SMin(J, K))]))
+    assert list(_sat_conjunction(conj).items()) == list(first.items())
 
 
 def test_infinity_propagates_through_definitions():
