@@ -9,9 +9,8 @@ harness that witnesses productivity on concrete programs.
 """
 
 from .constraints import (
-    SizeConstraint, Validity, brute_force_valid, check_acyclic,
-    completeness_bound, encode_3cnf, expand, expand_type, is_valid,
-    parse_constraint_file, sat_atoms,
+    SizeConstraint, Validity, check_acyclic, encode_3cnf, expand,
+    expand_type, is_valid, parse_constraint_file, sat_atoms,
 )
 from .parser import (
     ParseError, SlamFile, parse_defs, parse_size, parse_slam, parse_term,
@@ -36,12 +35,12 @@ from .syntax import (
     PCase, PCon, PLam, PVar, PlainTerm, RegistryError,
     SMax, SMin, SVar, SizeApp, SizeExpr, SizeLam, Succ, Term, TyVar, Type,
     Var, ZERO, alpha_eq_plain,  alpha_eq_term, alpha_eq_type, check_term_wf,
-    check_type_wf, free_vars, fsv, node_count, size_const, strictly_positive,
+    check_type_wf, fsv, node_count, size_const, strictly_positive,
     subst_size, subst_term, subst_type, subst_type_size, sv, tv,
     validate_registry,
 )
 from .typecheck import (
-    InferenceTriple, Judgement, check, decompose_constructor_arg, infer,
+    InferenceTriple, check, decompose_constructor_arg, infer,
     minimal_type,
 )
 

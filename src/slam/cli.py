@@ -24,8 +24,10 @@ from .rewrite import (
 )
 from .sizes import INF
 from .syntax import (
-    INFTY, Arrow, Coind, DefRegistry, Forall, PLam, RegistryError, Succ,
-    Term, check_term_wf, check_type_wf, subst_term, tv, validate_registry,
+    INFTY, App, Arrow, Case, Coind, Cofix, Con, DefRegistry, Fix, Forall,
+    Lam, PLam, RegistryError, SizeApp, SizeLam, Succ, Term, Type, Var,
+    check_term_wf, check_type_wf, fsv, fsv_term, subst_term, sv, tv,
+    validate_registry,
 )
 from .typecheck import check, minimal_type
 
@@ -47,14 +49,92 @@ def _load_slam(path: str) -> SlamFile:
     return sf
 
 
-def _resolve_term(sf: SlamFile, src: str) -> Term:
-    t = parse_term(src, sf.registry)
-    for name, body in sf.bindings.items():
-        t = subst_term(t, body, name)
-    diags = check_term_wf(t, sf.registry)
+def _check_wf(t: Term, reg: DefRegistry) -> None:
+    diags = check_term_wf(t, reg)
     if diags:
         raise CliError("\n".join(map(str, diags)))
+
+
+def _resolve_term(sf: SlamFile, src: str) -> Term:
+    """The query with the bindings it reaches linked in."""
+    t = parse_term(src, sf.registry)
+    for name in sf.reached(t):
+        t = subst_term(t, sf.linked(name), name)
+    _check_wf(t, sf.registry)
     return t
+
+
+def _typing_problem(sf: SlamFile, src: str) -> tuple[dict[str, Type], Term]:
+    """A context of the bindings the query reaches, each typed once, and
+    the query with every other reached binding inlined.
+
+    Bindings are visited in file order, with the earlier ones that were
+    inlined substituted into them.  A binding enters the context with its
+    minimal type when its body is well-formed, types in the context built
+    so far, has a type without free size variables, and none of the body's
+    free size variables is named around its uses: in the query or in a
+    binding the query reaches without going through it.  Any other binding
+    (untypable, referring to a later binding, or meant to have a size
+    variable captured where it is used) is inlined, as linking does, so
+    the query gets the minimal type it has with every binding linked in.
+    """
+    reg = sf.registry
+    q = parse_term(src, reg)
+    reached = sf.reached(q)
+    gamma: dict[str, Type] = {}
+    inlined: dict[str, Term] = {}
+    for name in reached:
+        body = sf.bindings[name]
+        for prev in sf.reached(sf.bindings[name]):
+            if prev in inlined:  # earlier in the file, not in the context
+                body = subst_term(body, inlined[prev], prev)
+        free = fsv_term(body)
+        ty = None
+        if not check_term_wf(body, reg) and not (
+                free and free & _names_around(sf, q, name)):
+            ty = minimal_type(reg, gamma, body)
+        if ty is None or fsv(ty):
+            inlined[name] = body
+        else:
+            gamma[name] = ty
+    for name in reached:
+        if name in inlined:
+            q = subst_term(q, inlined[name], name)
+    _check_wf(q, reg)
+    return gamma, q
+
+
+def _names_around(sf: SlamFile, q: Term, name: str) -> set[str]:
+    """The size variables named in the query or in a binding it reaches
+    without going through binding `name`."""
+    return _size_names(q).union(*(
+        _size_names(sf.bindings[n]) for n in sf.reached(q, avoid=name)))
+
+
+def _size_names(t: Term) -> set[str]:
+    """Every size variable a term names: free, bound or binding."""
+    out: set[str] = set()
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, (Lam, Fix, Cofix)):
+            out |= sv(t.ty)
+        if isinstance(t, Cofix):
+            out.add(t.size_var)
+        if isinstance(t, SizeLam):
+            out.add(t.var)
+        if isinstance(t, SizeApp):
+            out |= sv(t.size)
+        if isinstance(t, App):
+            stack += [t.fun, t.arg]
+        elif isinstance(t, SizeApp):
+            stack.append(t.fun)
+        elif isinstance(t, Case):
+            stack.append(t.scrutinee)
+            stack += [b.body for b in t.branches]
+        elif not isinstance(t, (Var, Con)):
+            stack.append(t.body)
+    return out
 
 
 def _parse_checked_type(sf: SlamFile, src: str):
@@ -103,10 +183,13 @@ def render_approximant(a: Approximant, reg: DefRegistry) -> str:
 
 
 def _contains_fuel_limited(a: Approximant) -> bool:
-    if isinstance(a, Bottom):
-        return a.fuel_limited
-    if isinstance(a, Constr):
-        return any(_contains_fuel_limited(k) for k in a.children)
+    stack = [a]
+    while stack:
+        a = stack.pop()
+        if isinstance(a, Bottom) and a.fuel_limited:
+            return True
+        if isinstance(a, Constr):
+            stack.extend(a.children)
     return False
 
 
@@ -117,9 +200,9 @@ def _cmd_check(args) -> int:
     sf = _load_slam(args.file)
     if args.colon != ":":
         raise CliError("usage: check FILE TERM : TYPE")
-    t = _resolve_term(sf, args.term)
+    gamma, t = _typing_problem(sf, args.term)
     ty = _parse_checked_type(sf, args.type)
-    ok = check(sf.registry, {}, t, ty)
+    ok = check(sf.registry, gamma, t, ty)
     if args.porcelain:
         print(f"verdict: {'ok' if ok else 'fail'}")
     else:
@@ -129,8 +212,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_infer(args) -> int:
     sf = _load_slam(args.file)
-    t = _resolve_term(sf, args.term)
-    ty = minimal_type(sf.registry, {}, t)
+    gamma, t = _typing_problem(sf, args.term)
+    ty = minimal_type(sf.registry, gamma, t)
     if ty is None:
         print("verdict: untypable" if args.porcelain else "untypable")
         return 1
@@ -287,9 +370,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, RegistryError, CliError, NonObservableType) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-
-run_cli = main
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

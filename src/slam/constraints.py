@@ -10,8 +10,8 @@ min/max away through fresh existential variables, and searching the
 resulting disjuncts over difference atoms.  The atoms live in one
 incremental shortest-path graph: each disjunct arm adds its few edges
 and is refuted when they close a negative cycle, and a model is read off
-the graph's exact shortest distances.  A brute-force enumeration oracle
-and the 3-CNF hardness encoder live here too.
+the graph's exact shortest distances.  The 3-CNF hardness encoder lives
+here too.
 """
 
 from __future__ import annotations
@@ -26,15 +26,14 @@ from .sizes import (
     INF, ExtNat, SizeValuation, eval_size, normalize_succ, simplify_infty,
 )
 from .syntax import (
-    INFTY, ONE, Arrow, Coind, Forall, Infty, SMax, SMin, SVar, Succ,
+    INFTY, ONE, Arrow, Coind, Forall, SMax, SMin, SVar, Succ,
     SizeExpr, Type, TyVar, Zero, smax, smin, subst_size, sv,
 )
 
 __all__ = [
     "SizeConstraint", "Validity", "CyclicDefMap", "check_acyclic", "expand",
     "expand_type", "is_valid", "VarVar", "VarConst", "DifferenceAtom",
-    "DifferenceGraph", "sat_atoms", "brute_force_valid", "completeness_bound",
-    "encode_3cnf", "parse_cnf_dimacs", "parse_constraint_file",
+    "DifferenceGraph", "sat_atoms", "encode_3cnf", "parse_cnf_dimacs", "parse_constraint_file",
     "format_constraint",
 ]
 
@@ -556,70 +555,6 @@ def _assemble_witness(c: SizeConstraint, model: dict[str, int],
     for i in _topo_order(c.u):
         values[i] = eval_size(SizeValuation(values), c.u[i])
     return SizeValuation(values)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-
-def completeness_bound(c: SizeConstraint) -> int:
-    """Testing bound: variable count times (max constant + 1) over the
-    expanded, +1-normalized inequalities."""
-    vs: set[str] = set()
-    max_c = 0
-    for a, b in c.pairs:
-        for s in (expand(c.u, a), expand(c.u, b)):
-            s = simplify_infty(s)
-            if s == INFTY:
-                continue
-            s = normalize_succ(s)
-            vs |= sv(s)
-            max_c = max(max_c, _max_constant(s))
-    return max(1, len(vs)) * (max_c + 1)
-
-
-def _max_constant(s: SizeExpr) -> int:
-    if isinstance(s, (SMin, SMax)):
-        return max(_max_constant(s.left), _max_constant(s.right))
-    _x, n = _split(s)
-    return n
-
-
-def brute_force_valid(c: SizeConstraint, bound: int) -> bool:
-    """Exhaustively check validity over valuations into {0..bound, oo}.
-
-    Testing oracle only; complete when the bound is at least
-    `completeness_bound(c)`.  Evaluation is vectorised over the whole
-    grid of valuations.
-    """
-    import numpy as np
-
-    if not check_acyclic(c.u):
-        raise CyclicDefMap(f"cyclic definition map: {sorted(c.u)}")
-    pairs = [(expand(c.u, a), expand(c.u, b)) for a, b in c.pairs]
-    vs = sorted(set().union(*[sv(a) | sv(b) for a, b in pairs]) if pairs else set())
-    if not vs:
-        v0 = SizeValuation({})
-        return all(eval_size(v0, a) <= eval_size(v0, b) for a, b in pairs)
-    values = np.array(list(range(bound + 1)) + [np.inf])
-    grids = np.meshgrid(*[values] * len(vs), indexing="ij")
-    env = dict(zip(vs, grids))
-
-    def ev(s: SizeExpr):
-        if isinstance(s, Zero):
-            return 0.0
-        if isinstance(s, Infty):
-            return np.inf
-        if isinstance(s, SVar):
-            return env[s.name]
-        if isinstance(s, Succ):
-            return ev(s.arg) + 1
-        if isinstance(s, SMin):
-            return np.minimum(ev(s.left), ev(s.right))
-        if isinstance(s, SMax):
-            return np.maximum(ev(s.left), ev(s.right))
-        raise TypeError(s)
-
-    return all(bool(np.all(ev(a) <= ev(b))) for a, b in pairs)
 
 
 # ---------------------------------------------------------------------------

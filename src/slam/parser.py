@@ -11,6 +11,10 @@ Grammar sketch (tokens are bit-exact):
   defs    inductive Name(B1,...) { c1 : T; ... }   (coinductive likewise)
   files   definitions, then bindings `name = term;`
 
+Bindings are kept as written: a name bound earlier in the file stays a
+free variable of the terms that use it.  `SlamFile.linked` substitutes
+the bindings a term refers to, for the callers that need a closed term.
+
 Line comments start with `--` or `#`.  `min`/`max` accept two or more
 arguments and nest to the left.
 """
@@ -22,8 +26,8 @@ from dataclasses import dataclass, field
 from .syntax import (
     INFTY, App, Arrow, Branch, Case, Coind, ConstructorSig, Cofix,
     DefRegistry, Definition, Fix, Forall, Lam, SMax, SMin, SVar, SizeApp,
-    SizeExpr, SizeLam, Succ, Term, TyVar, Type, Var, Con, size_const,
-    subst_term,
+    SizeExpr, SizeLam, Succ, Term, TyVar, Type, Var, Con, _term_free_vars,
+    size_const, subst_term,
 )
 
 __all__ = [
@@ -518,14 +522,50 @@ def _parse_defs_prefix(src: str) -> tuple[DefRegistry, _P]:
 
 @dataclass
 class SlamFile:
-    """A parsed .slam file: a registry plus named closed terms.
+    """A parsed .slam file: a registry plus named terms, in file order.
 
-    Bindings are linked: references to earlier bindings are substituted
-    into later terms, so each value in `bindings` stands on its own.
+    Each value in `bindings` is the term as written: references to other
+    bindings are free variables.  `linked(name)` gives the term with the
+    earlier bindings it refers to substituted in, as a closed term when
+    the file has no forward references.
     """
 
     registry: DefRegistry
     bindings: dict[str, Term]
+    _refs: dict[str, list[str]] = field(default_factory=dict, init=False,
+                                        repr=False, compare=False)
+    _linked: dict[str, Term] = field(default_factory=dict, init=False,
+                                     repr=False, compare=False)
+
+    def reached(self, t: Term, avoid: str | None = None) -> list[str]:
+        """The bindings t refers to, directly or through other bindings,
+        in file order.  The binding `avoid` is neither entered nor listed."""
+        seen: set[str] = set()
+        todo = [n for n in _term_free_vars(t) if n in self.bindings]
+        while todo:
+            n = todo.pop()
+            if n in seen or n == avoid:
+                continue
+            seen.add(n)
+            if n not in self._refs:
+                self._refs[n] = [m for m in _term_free_vars(self.bindings[n])
+                                 if m in self.bindings]
+            todo.extend(self._refs[n])
+        return [n for n in self.bindings if n in seen]
+
+    def linked(self, name: str) -> Term:
+        """Binding `name` with every earlier binding it reaches substituted
+        in, capture-avoiding and in file order.  A reference to a later
+        binding (or to itself) stays a free variable."""
+        if name not in self._linked:
+            t = self.bindings[name]
+            names = list(self.bindings)
+            earlier = set(names[:names.index(name)])
+            for prev in self.reached(t):
+                if prev in earlier:
+                    t = subst_term(t, self.linked(prev), prev)
+            self._linked[name] = t
+        return self._linked[name]
 
 
 def parse_slam(src: str) -> SlamFile:
@@ -537,9 +577,6 @@ def parse_slam(src: str) -> SlamFile:
             raise ParseError(f"duplicate binding {name_tok.text}",
                              name_tok.line, name_tok.col)
         p.eat_sym("=")
-        t = p.term(_TermEnv(reg, _TypeEnv(reg)))
+        bindings[name_tok.text] = p.term(_TermEnv(reg, _TypeEnv(reg)))
         p.eat_sym(";")
-        for prev, body in bindings.items():
-            t = subst_term(t, body, prev)
-        bindings[name_tok.text] = t
     return SlamFile(reg, bindings)

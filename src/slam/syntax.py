@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Union
 
 __all__ = [
     "SizeExpr", "Zero", "Infty", "SVar", "Succ", "SMin", "SMax",
-    "ZERO", "INFTY", "ONE", "size_const", "smin", "smax", "succ_n",
+    "ZERO", "INFTY", "ONE", "size_const", "smin", "smax",
     "Type", "TyVar", "Coind", "Arrow", "Forall", "Bot", "BOT",
     "Term", "Var", "Con", "Lam", "App", "SizeApp", "SizeLam",
     "Case", "Branch", "Fix", "Cofix",
@@ -24,7 +24,7 @@ __all__ = [
     "ConstructorSig", "Definition", "DefRegistry",
     "Diagnostic", "RegistryError",
     "sv", "fsv", "tv", "fsv_term",
-    "subst_size", "subst_type_size", "subst_type_sizes",
+    "subst_size", "subst_type_size",
     "subst_type", "subst_type_multi", "subst_term",
     "alpha_eq_type", "alpha_eq_term", "alpha_eq_plain",
     "strictly_positive", "validate_registry", "check_type_wf",
@@ -91,12 +91,6 @@ ONE = Succ(ZERO)
 def size_const(n: int) -> SizeExpr:
     """The n-fold successor of 0."""
     s: SizeExpr = ZERO
-    for _ in range(n):
-        s = Succ(s)
-    return s
-
-
-def succ_n(s: SizeExpr, n: int) -> SizeExpr:
     for _ in range(n):
         s = Succ(s)
     return s
@@ -385,16 +379,6 @@ def fsv_term(t: Term) -> frozenset[str]:
     raise TypeError(t)
 
 
-def free_vars(x: Union[SizeExpr, Type]) -> dict[str, frozenset[str]]:
-    """The three variable sets of a size expression or type."""
-    return {
-        "SV": sv(x),
-        "FSV": fsv(x),
-        "TV": tv(x) if isinstance(x, (TyVar, Coind, Arrow, Forall))
-              else frozenset(),
-    }
-
-
 def fresh_name(base: str, avoid: Iterable[str]) -> str:
     """First of base, base_1, base_2, ... not in avoid."""
     avoid = set(avoid)
@@ -440,18 +424,6 @@ def subst_type_size(t: Type, by: SizeExpr, var: str) -> Type:
             return Forall(nv, subst_type_size(body, by, var))
         return Forall(t.var, subst_type_size(t.body, by, var))
     raise TypeError(t)
-
-
-def subst_type_sizes(t: Type, mapping: dict[str, SizeExpr]) -> Type:
-    """Simultaneous size substitution."""
-    out = t
-    # sequentialize through fresh intermediates to keep it simultaneous
-    temps = {v: SVar(f"${i}#tmp") for i, v in enumerate(mapping)}
-    for v, tmp in temps.items():
-        out = subst_type_size(out, tmp, v)
-    for v, tmp in temps.items():
-        out = subst_type_size(out, mapping[v], tmp.name)
-    return out
 
 
 def subst_type(t: Type, by: Type, var: str) -> Type:

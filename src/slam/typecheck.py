@@ -38,7 +38,7 @@ from .syntax import (
 )
 
 __all__ = [
-    "InferenceTriple", "Judgement", "infer", "minimal_type", "check",
+    "InferenceTriple", "infer", "minimal_type", "check",
     "decompose_constructor_arg", "Decomposed",
 ]
 
@@ -68,17 +68,6 @@ class Decomposed:
     rec_params: Optional[tuple]       # their joined parameters
     param_insts: dict[str, Type]      # joined instance per parameter variable
     sigma_prime: Type                 # the matched shape with holes kept
-
-
-@dataclass(frozen=True)
-class Judgement:
-    """A typing judgement: context, term, candidate type."""
-    gamma: tuple[tuple[str, Type], ...]
-    term: Term
-    tau: Type
-
-    def holds(self, reg: DefRegistry) -> bool:
-        return check(reg, dict(self.gamma), self.term, self.tau)
 
 
 class _Infer:

@@ -8,10 +8,13 @@ from pathlib import Path
 
 from slam import (
     App, Arrow, Coind, Forall, INFTY, SMax, SMin, SVar, SizeExpr, Succ,
-    Type, Var, ZERO, parse_slam, parse_term, parse_type, validate_registry,
+    Type, Var, ZERO, eval_size, normalize_succ, parse_slam, parse_term,
+    parse_type, simplify_infty, sv, validate_registry,
 )
+from slam.constraints import CyclicDefMap, check_acyclic, expand
 from slam.parser import SlamFile
 from slam.sizes import INF, SizeValuation
+from slam.syntax import Infty, Zero
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -228,6 +231,72 @@ def truth_table_sat(clauses: list[list[Literal]]) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Brute-force validity oracle
+
+def completeness_bound(c) -> int:
+    """Testing bound: variable count times (max constant + 1) over the
+    expanded, +1-normalized inequalities."""
+    vs: set[str] = set()
+    max_c = 0
+    for a, b in c.pairs:
+        for s in (expand(c.u, a), expand(c.u, b)):
+            s = simplify_infty(s)
+            if s == INFTY:
+                continue
+            s = normalize_succ(s)
+            vs |= sv(s)
+            max_c = max(max_c, _max_constant(s))
+    return max(1, len(vs)) * (max_c + 1)
+
+
+def _max_constant(s: SizeExpr) -> int:
+    if isinstance(s, (SMin, SMax)):
+        return max(_max_constant(s.left), _max_constant(s.right))
+    n = 0
+    while isinstance(s, Succ):
+        n += 1
+        s = s.arg
+    return n
+
+
+def brute_force_valid(c, bound: int) -> bool:
+    """Exhaustively check validity over valuations into {0..bound, oo}.
+
+    Complete when the bound is at least `completeness_bound(c)`.
+    Evaluation is vectorised over the whole grid of valuations.
+    """
+    import numpy as np
+
+    if not check_acyclic(c.u):
+        raise CyclicDefMap(f"cyclic definition map: {sorted(c.u)}")
+    pairs = [(expand(c.u, a), expand(c.u, b)) for a, b in c.pairs]
+    vs = sorted(set().union(*[sv(a) | sv(b) for a, b in pairs]) if pairs else set())
+    if not vs:
+        v0 = SizeValuation({})
+        return all(eval_size(v0, a) <= eval_size(v0, b) for a, b in pairs)
+    values = np.array(list(range(bound + 1)) + [np.inf])
+    grids = np.meshgrid(*[values] * len(vs), indexing="ij")
+    env = dict(zip(vs, grids))
+
+    def ev(s: SizeExpr):
+        if isinstance(s, Zero):
+            return 0.0
+        if isinstance(s, Infty):
+            return np.inf
+        if isinstance(s, SVar):
+            return env[s.name]
+        if isinstance(s, Succ):
+            return ev(s.arg) + 1
+        if isinstance(s, SMin):
+            return np.minimum(ev(s.left), ev(s.right))
+        if isinstance(s, SMax):
+            return np.maximum(ev(s.left), ev(s.right))
+        raise TypeError(s)
+
+    return all(bool(np.all(ev(a) <= ev(b))) for a, b in pairs)
+
+
+# ---------------------------------------------------------------------------
 # Difference-atom oracle
 
 def sat_atoms_reference(atoms) -> dict[str, int] | None:
@@ -309,19 +378,24 @@ EXTRA_TERMS = [
 ]
 
 
+def link_all(sf: SlamFile, t):
+    """The term with every binding of the file linked in, in file order."""
+    from slam import subst_term
+    for name in sf.bindings:
+        t = subst_term(t, sf.linked(name), name)
+    return t
+
+
 def corpus_terms():
     """(label, registry, term) for every corpus binding and extra term."""
     out = []
     for fname in ("streams", "sp", "trees"):
         sf = load(fname)
-        for name, t in sf.bindings.items():
-            out.append((f"{fname}.{name}", sf.registry, t))
+        for name in sf.bindings:
+            out.append((f"{fname}.{name}", sf.registry, sf.linked(name)))
     for fname, src in EXTRA_TERMS:
         sf = load(fname)
-        t = parse_term(src, sf.registry)
-        from slam import subst_term
-        for name, body in sf.bindings.items():
-            t = subst_term(t, body, name)
+        t = link_all(sf, parse_term(src, sf.registry))
         out.append((f"{fname}:{src}", sf.registry, t))
     return out
 

@@ -8,8 +8,9 @@ import random
 import time
 
 from helpers import (
-    corpus_terms, load, rand_cnf, rand_size, rand_size_ge1, rand_type,
-    reshape_sizes, subtype_of, supertype_of, truth_table_sat,
+    brute_force_valid, completeness_bound, corpus_terms, load, rand_cnf,
+    rand_size, rand_size_ge1, rand_type, reshape_sizes, subtype_of,
+    supertype_of, truth_table_sat,
 )
 from slam import (
     App, Arrow, Coind, SMax, SMin, SVar, Succ, Var, ZERO, alpha_eq_type,
@@ -17,8 +18,7 @@ from slam import (
     subtype, underline,
 )
 from slam.constraints import (
-    SizeConstraint, brute_force_valid, check_acyclic, completeness_bound,
-    encode_3cnf, is_valid,
+    SizeConstraint, check_acyclic, encode_3cnf, is_valid,
 )
 from slam.rewrite import (
     Bottom, Constr, EvalBudget, OMEGA, approximant, erase, member,
@@ -39,9 +39,9 @@ def _report(n: int, ok: bool, desc: str, extra: str = "") -> None:
 def test_criterion_1_golden_typings():
     streams, sp = load("streams"), load("sp")
     cases = [
-        (streams, streams.bindings["tl"], "forall i. Strm^(i+1) -> Strm^i"),
-        (streams, streams.bindings["hd"], "forall i. Strm^(i+1) -> Nat"),
-        (sp, sp.bindings["run"], "SP -> Strm -> Strm"),
+        (streams, streams.linked("tl"), "forall i. Strm^(i+1) -> Strm^i"),
+        (streams, streams.linked("hd"), "forall i. Strm^(i+1) -> Nat"),
+        (sp, sp.linked("run"), "SP -> Strm -> Strm"),
         (streams, parse_term("cofix[j] f : Strm^0 . f", streams.registry),
          "Strm^0"),
     ]
@@ -256,8 +256,8 @@ def test_criterion_7_empirical_soundness():
         if not rep.passed:
             failures.append(label)
     sp = load("sp")
-    run_odd = App(App(sp.bindings["run"], sp.bindings["odd"]),
-                  sp.bindings["nats"])
+    run_odd = App(App(sp.linked("run"), sp.linked("odd")),
+                  sp.linked("nats"))
     rep = productivity_check(erase(run_odd), parse_type("Strm", sp.registry),
                              sp.registry, max_depth=3)
     prefix_ok = rep.passed and rep.verdicts[3].approx == Constr(

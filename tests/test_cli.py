@@ -147,3 +147,17 @@ def test_gen_hard_bad_token_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "gen-hard", str(cnf))
     assert code == 2 and out == ""
     assert err.startswith("error: 3:3: ") and "'x2'" in err
+
+
+def test_too_deep_input_exit_2(capsys):
+    numeral = "succ (" * 1000 + "zero" + ")" * 1000
+    code, out, err = run(capsys, "infer", STREAMS, numeral)
+    assert code == 2 and out == ""
+    assert err == "error: input nested too deeply\n"  # no traceback
+
+
+def test_eval_deep_value(capsys):
+    # the printed value is scanned for fuel-cut branches without recursion
+    code, out, err = run(capsys, "eval", STREAMS, "zeros", "--depth", "450")
+    assert code == 0 and err == ""
+    assert out == "0 :: " * 450 + "_|_\n"

@@ -3,15 +3,16 @@ import random
 import pytest
 
 from helpers import (
-    rand_cnf, rand_size, sat_atoms_reference, truth_table_sat,
+    brute_force_valid, completeness_bound, rand_cnf, rand_size,
+    sat_atoms_reference, truth_table_sat,
 )
 from slam import (
     INFTY, ONE, SMax, SMin, SVar, Succ, ZERO, eval_size,
 )
 from slam.constraints import (
     CyclicDefMap, DifferenceGraph, SizeConstraint, VarConst, VarVar,
-    brute_force_valid, check_acyclic, completeness_bound, encode_3cnf, expand,
-    format_constraint, is_valid, parse_constraint_file, sat_atoms,
+    check_acyclic, encode_3cnf, expand, format_constraint, is_valid,
+    parse_constraint_file, sat_atoms,
 )
 from slam.sizes import INF, SizeValuation
 from slam.syntax import size_const, smax, smin

@@ -29,15 +29,15 @@ def test_erase_examples(streams):
         PBranch("cons", ("x", "t"), PVar("t")),)))
     t2 = parse_term("tl [oo]", reg)
     from slam import subst_term
-    t2 = subst_term(t2, streams.bindings["tl"], "tl")
-    assert alpha_eq_plain(erase(t2), erase(streams.bindings["tl"]))
+    t2 = subst_term(t2, streams.linked("tl"), "tl")
+    assert alpha_eq_plain(erase(t2), erase(streams.linked("tl")))
     cz = erase(parse_term("cofix[j] f : Strm . cons zero f", reg))
     assert cz == PApp(Y_COMBINATOR, PLam("f", PApp(
         PApp(PCon("cons"), PCon("zero")), PVar("f"))))
 
 
 def test_erase_fix_uses_turing_combinator(streams):
-    e = erase(streams.bindings["plus"])
+    e = erase(streams.linked("plus"))
     assert isinstance(e, PApp) and e.fun == Y_COMBINATOR
 
 
@@ -126,7 +126,7 @@ def test_whnf_fuel_accounting():
 
 def test_approximant_zeros(streams):
     reg = streams.registry
-    z = erase(streams.bindings["zeros"])
+    z = erase(streams.linked("zeros"))
     a = approximant(z, EvalBudget(fuel=1000, depth=2), reg)
     assert a == Constr("cons", (Constr("zero"),
                                 Constr("cons", (Constr("zero"), Bottom()))))
@@ -312,7 +312,7 @@ def test_nonstrict_antitone(streams):
 
 def test_productivity_zeros(streams):
     reg = streams.registry
-    rep = productivity_check(erase(streams.bindings["zeros"]),
+    rep = productivity_check(erase(streams.linked("zeros")),
                              parse_type("Strm", reg), reg, max_depth=5)
     assert rep.passed and rep.chain_ok
     assert [d.ok for d in rep.verdicts] == [True] * 6
@@ -328,7 +328,7 @@ def test_productivity_omega(streams):
 
 def test_productivity_run_odd_nats(sp):
     reg = sp.registry
-    t = App(App(sp.bindings["run"], sp.bindings["odd"]), sp.bindings["nats"])
+    t = App(App(sp.linked("run"), sp.linked("odd")), sp.linked("nats"))
     rep = productivity_check(erase(t), parse_type("Strm", reg), reg,
                              max_depth=3)
     assert rep.passed
@@ -338,7 +338,7 @@ def test_productivity_run_odd_nats(sp):
 
 def test_productivity_report_format(streams):
     reg = streams.registry
-    rep = productivity_check(erase(streams.bindings["zeros"]),
+    rep = productivity_check(erase(streams.linked("zeros")),
                              parse_type("Strm", reg), reg, max_depth=2)
     lines = rep.render().splitlines()
     assert lines[0].startswith("0: ok (nodes=")
@@ -355,7 +355,7 @@ def test_unproductive_but_typed_at_size_zero(streams):
     # Strm^0 promises nothing, and the harness shows exactly that: the
     # term types but produces no layer
     reg = streams.registry
-    t = streams.bindings["stuckstream"]
+    t = streams.linked("stuckstream")
     rep = productivity_check(erase(t), parse_type("Strm", reg), reg,
                              max_depth=1,
                              budget=EvalBudget(fuel=300, depth=1))
@@ -364,7 +364,7 @@ def test_unproductive_but_typed_at_size_zero(streams):
 
 def test_member_strict_through_branching(trees):
     reg = trees.registry
-    z = erase(trees.bindings["bzeros"])
+    z = erase(trees.linked("bzeros"))
     a2 = approximant(z, EvalBudget(fuel=2000, depth=2), reg)
     btree = Coind("BTree", SVar("n"), ())
     assert member(a2, btree, reg, {"n": 2}, strict=True)
@@ -377,7 +377,7 @@ def test_member_strict_through_branching(trees):
 def test_member_strict_through_list_parameters(trees):
     # the strict chain runs through the elements of an inductive spine
     reg = trees.registry
-    f = erase(trees.bindings["fpair"])
+    f = erase(trees.linked("fpair"))
     ftree = Coind("FTree", SVar("n"), ())
     a1 = approximant(f, EvalBudget(fuel=2000, depth=1), reg)
     assert member(a1, ftree, reg, {"n": 1}, strict=True)

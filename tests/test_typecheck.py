@@ -1,14 +1,15 @@
 import random
 
 from helpers import (
-    context_terms, corpus_terms, rand_cnf, subtype_of, supertype_of,
-    truth_table_sat,
+    CORPUS_DIR, EXTRA_TERMS, context_terms, corpus_terms, link_all, rand_cnf,
+    subtype_of, supertype_of, truth_table_sat,
 )
 from slam import (
     App, Arrow, Branch, Case, Coind, Con, INFTY, ONE, SMax, SVar, SizeApp,
-    SizeLam, Succ, TyVar, Var, ZERO, alpha_eq_type, node_count, parse_term,
-    parse_type, subtype,
+    SizeLam, Succ, TyVar, Var, ZERO, alpha_eq_type, node_count, parse_slam,
+    parse_term, parse_type, subtype,
 )
+from slam.cli import _render_type, _typing_problem, main
 from slam.constraints import encode_3cnf
 from slam.subtyping import BOT
 from slam.typecheck import (
@@ -20,7 +21,7 @@ I, J, K = SVar("i"), SVar("j"), SVar("k")
 
 def _golden(sf, name, expected_src):
     reg = sf.registry
-    got = minimal_type(reg, {}, sf.bindings[name])
+    got = minimal_type(reg, {}, sf.linked(name))
     assert got is not None, name
     want = parse_type(expected_src, reg)
     assert alpha_eq_type(got, want), (name, got, want)
@@ -232,7 +233,7 @@ def test_context_monotonicity():
 
 def test_inference_deterministic(sp):
     reg = sp.registry
-    t = sp.bindings["run"]
+    t = sp.linked("run")
     t1 = infer(reg, {}, t)
     t2 = infer(reg, {}, t)
     assert t1.u == t2.u and t1.pairs == t2.pairs
@@ -335,7 +336,7 @@ def test_fix_reused_after_linking(streams):
     reg = streams.registry
     t = parse_term("plus (plus (succ zero) zero) (succ zero)", reg)
     from slam import subst_term
-    t = subst_term(t, streams.bindings["plus"], "plus")
+    t = subst_term(t, streams.linked("plus"), "plus")
     m = minimal_type(reg, {}, t)
     assert m is not None and alpha_eq_type(m, parse_type("Nat", reg))
 
@@ -363,7 +364,7 @@ def test_instantiation_specializes_type_not_inequalities(streams):
     from slam import subst_term
     gamma = {"g": parse_type("forall a. Strm^a -> Strm^a", reg)}
     t = parse_term("(/\\i. \\w : Strm^(i+1). g [i] (tl [i] w)) [5]", reg)
-    t = subst_term(t, streams.bindings["tl"], "tl")
+    t = subst_term(t, streams.linked("tl"), "tl")
     m = minimal_type(reg, gamma, t)
     assert m is not None
     assert alpha_eq_type(m, parse_type("Strm^6 -> Strm^5", reg))
@@ -396,3 +397,66 @@ def test_case_bound_quantified_variable_reused(trees):
     m = minimal_type(reg, gamma, t)
     assert m is not None
     assert subtype(m, parse_type("Nat^1", reg), reg)
+
+
+# -- file bindings typed once, in the context ------------------------------------
+
+CHAIN = ["d0 = succ zero;"] + [f"d{k} = plus d{k - 1} d{k - 1};"
+                               for k in range(1, 9)]
+
+
+def _bindings_file(tmp_path, name, bindings):
+    f = tmp_path / name
+    f.write_text((CORPUS_DIR / "streams.slam").read_text() + "\n"
+                 + "".join(f"{b}\n" for b in bindings))
+    return f
+
+
+def test_context_typing_matches_inlining(tmp_path, capsys):
+    # infer and check type the bindings a query reaches once and keep
+    # them in the context; the answer must be the one the query gets
+    # with every binding linked in
+    chain = _bindings_file(tmp_path, "chain.slam", CHAIN)
+    forward = _bindings_file(tmp_path, "forward.slam",
+                             ["f = g;", "g = succ zero;", "h = plus f g;"])
+    streams, sp = CORPUS_DIR / "streams.slam", CORPUS_DIR / "sp.slam"
+    queries = [(CORPUS_DIR / f"{f}.slam", name)
+               for f in ("streams", "sp", "trees")
+               for name in parse_slam((CORPUS_DIR / f"{f}.slam")
+                                      .read_text()).bindings]
+    queries += [(CORPUS_DIR / f"{f}.slam", src) for f, src in EXTRA_TERMS]
+    queries += [(chain, f"d{k}") for k in range(9)]
+    queries += [(streams, "\\g : Nat^k -> Nat. plus"), (streams, "/\\k. plus"),
+                (sp, "runi"), (sp, "run odd nats"), (forward, "f"),
+                (forward, "h")]
+    for path, src in queries:
+        sf = parse_slam(path.read_text())
+        reg = sf.registry
+        m = minimal_type(reg, {}, link_all(sf, parse_term(src, reg)))
+        code = main(["infer", str(path), src])
+        want = (1, "untypable\n") if m is None else (0, _render_type(m) + "\n")
+        assert (code, capsys.readouterr().out) == want, (path.name, src)
+        types = ["Nat", "Nat^1"]
+        if m is not None and "_|_" not in want[1]:
+            types.append(want[1].strip())
+        for ty in types:
+            ok = m is not None and subtype(m, parse_type(ty, reg), reg)
+            code = main(["check", str(path), src, ":", ty])
+            assert (code, capsys.readouterr().out) == \
+                ((0, "yes\n") if ok else (1, "no\n")), (path.name, src, ty)
+
+
+def test_context_typing_keeps_capturing_bindings_inlined(tmp_path):
+    chain = _bindings_file(tmp_path, "chain.slam", CHAIN)
+    gamma, q = _typing_problem(parse_slam(chain.read_text()), "d8")
+    assert set(gamma) == {"plus"} | {f"d{k}" for k in range(9)}
+    assert q == Var("d8")
+    streams = parse_slam((CORPUS_DIR / "streams.slam").read_text())
+    # plus's annotation variable k would be captured or shared
+    for src in ("\\g : Nat^k -> Nat. plus", "/\\k. plus"):
+        gamma, _ = _typing_problem(streams, src)
+        assert "plus" not in gamma, src
+    # runi's j is meant to be bound by run's cofix[j]
+    sp = parse_slam((CORPUS_DIR / "sp.slam").read_text())
+    gamma, _ = _typing_problem(sp, "run odd nats")
+    assert "runi" not in gamma and {"run", "odd", "nats"} <= set(gamma)
