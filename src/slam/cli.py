@@ -24,10 +24,10 @@ from .rewrite import (
 )
 from .sizes import INF
 from .syntax import (
-    INFTY, App, Arrow, Case, Coind, Cofix, Con, DefRegistry, Fix, Forall,
-    Lam, PLam, RegistryError, SizeApp, SizeLam, Succ, Term, Type, Var,
-    check_term_wf, check_type_wf, fsv, fsv_term, subst_term, sv, tv,
-    validate_registry,
+    INFTY, Arrow, Coind, DefRegistry, Forall, PLam, RegistryError, Succ,
+    Term, Type, check_term_wf, check_type_wf, fsv, fsv_term,
+    rename_binders_apart, size_names, subst_term, term_free_vars, tv,
+    uniquify_size_binders, validate_registry,
 )
 from .typecheck import check, minimal_type
 
@@ -65,18 +65,19 @@ def _resolve_term(sf: SlamFile, src: str) -> Term:
 
 
 def _typing_problem(sf: SlamFile, src: str) -> tuple[dict[str, Type], Term]:
-    """A context of the bindings the query reaches, each typed once, and
-    the query with every other reached binding inlined.
+    """The query with the bindings it reaches inlined or typed once, and
+    a context of the typed ones it refers to.
 
     Bindings are visited in file order, with the earlier ones that were
     inlined substituted into them.  A binding enters the context with its
     minimal type when its body is well-formed, types in the context built
     so far, has a type without free size variables, and none of the body's
     free size variables is named around its uses: in the query or in a
-    binding the query reaches without going through it.  Any other binding
-    (untypable, referring to a later binding, or meant to have a size
-    variable captured where it is used) is inlined, as linking does, so
-    the query gets the minimal type it has with every binding linked in.
+    binding the query reaches without going through it.  Any other
+    binding (untypable, referring to a later binding, or meant to have a
+    size variable captured where it is used) is inlined, as linking does,
+    so the query gets the minimal type it has with every binding linked
+    in.
     """
     reg = sf.registry
     q = parse_term(src, reg)
@@ -88,11 +89,12 @@ def _typing_problem(sf: SlamFile, src: str) -> tuple[dict[str, Type], Term]:
         for prev in sf.reached(sf.bindings[name]):
             if prev in inlined:  # earlier in the file, not in the context
                 body = subst_term(body, inlined[prev], prev)
-        free = fsv_term(body)
+        shared = fsv_term(body)
+        if shared:
+            shared &= _names_around(sf, q, name)
         ty = None
-        if not check_term_wf(body, reg) and not (
-                free and free & _names_around(sf, q, name)):
-            ty = minimal_type(reg, gamma, body)
+        if not shared and not check_term_wf(body, reg):
+            ty = minimal_type(reg, *_apart(gamma, body))
         if ty is None or fsv(ty):
             inlined[name] = body
         else:
@@ -101,40 +103,24 @@ def _typing_problem(sf: SlamFile, src: str) -> tuple[dict[str, Type], Term]:
         if name in inlined:
             q = subst_term(q, inlined[name], name)
     _check_wf(q, reg)
-    return gamma, q
+    return _apart(gamma, q)
 
 
-def _names_around(sf: SlamFile, q: Term, name: str) -> set[str]:
+def _names_around(sf: SlamFile, q: Term, name: str) -> frozenset[str]:
     """The size variables named in the query or in a binding it reaches
     without going through binding `name`."""
-    return _size_names(q).union(*(
-        _size_names(sf.bindings[n]) for n in sf.reached(q, avoid=name)))
+    return size_names(q).union(*(
+        size_names(sf.bindings[n]) for n in sf.reached(q, avoid=name)))
 
 
-def _size_names(t: Term) -> set[str]:
-    """Every size variable a term names: free, bound or binding."""
-    out: set[str] = set()
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, (Lam, Fix, Cofix)):
-            out |= sv(t.ty)
-        if isinstance(t, Cofix):
-            out.add(t.size_var)
-        if isinstance(t, SizeLam):
-            out.add(t.var)
-        if isinstance(t, SizeApp):
-            out |= sv(t.size)
-        if isinstance(t, App):
-            stack += [t.fun, t.arg]
-        elif isinstance(t, SizeApp):
-            stack.append(t.fun)
-        elif isinstance(t, Case):
-            stack.append(t.scrutinee)
-            stack += [b.body for b in t.branches]
-        elif not isinstance(t, (Var, Con)):
-            stack.append(t.body)
-    return out
+def _apart(gamma: dict[str, Type], t: Term) -> tuple[dict[str, Type], Term]:
+    """t with unique size binders, and the context entries t refers to
+    with their quantifiers renamed apart from every size variable t
+    names, as linking renames the binders of an inlined body."""
+    t = uniquify_size_binders(t)
+    avoid = size_names(t)
+    return {n: rename_binders_apart(gamma[n], avoid)
+            for n in term_free_vars(t) if n in gamma}, t
 
 
 def _parse_checked_type(sf: SlamFile, src: str):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from .syntax import (
     INFTY, App, Arrow, Branch, Case, Coind, ConstructorSig, Cofix,
     DefRegistry, Definition, Fix, Forall, Lam, SMax, SMin, SVar, SizeApp,
-    SizeExpr, SizeLam, Succ, Term, TyVar, Type, Var, Con, _term_free_vars,
+    SizeExpr, SizeLam, Succ, Term, TyVar, Type, Var, Con, term_free_vars,
     size_const, subst_term,
 )
 
@@ -541,14 +541,14 @@ class SlamFile:
         """The bindings t refers to, directly or through other bindings,
         in file order.  The binding `avoid` is neither entered nor listed."""
         seen: set[str] = set()
-        todo = [n for n in _term_free_vars(t) if n in self.bindings]
+        todo = [n for n in term_free_vars(t) if n in self.bindings]
         while todo:
             n = todo.pop()
             if n in seen or n == avoid:
                 continue
             seen.add(n)
             if n not in self._refs:
-                self._refs[n] = [m for m in _term_free_vars(self.bindings[n])
+                self._refs[n] = [m for m in term_free_vars(self.bindings[n])
                                  if m in self.bindings]
             todo.extend(self._refs[n])
         return [n for n in self.bindings if n in seen]

@@ -23,12 +23,14 @@ __all__ = [
     "PlainTerm", "PVar", "PCon", "PLam", "PApp", "PCase", "PBranch",
     "ConstructorSig", "Definition", "DefRegistry",
     "Diagnostic", "RegistryError",
-    "sv", "fsv", "tv", "fsv_term",
+    "sv", "fsv", "tv", "fsv_term", "term_free_vars", "forall_binders",
+    "size_names",
     "subst_size", "subst_type_size",
     "subst_type", "subst_type_multi", "subst_term",
     "alpha_eq_type", "alpha_eq_term", "alpha_eq_plain",
     "strictly_positive", "validate_registry", "check_type_wf",
     "check_term_wf", "fresh_name", "node_count", "uniquify_size_binders",
+    "rename_binders_apart",
 ]
 
 
@@ -379,6 +381,48 @@ def fsv_term(t: Term) -> frozenset[str]:
     raise TypeError(t)
 
 
+def forall_binders(t: Type) -> frozenset[str]:
+    """The size variables bound by a forall somewhere in a type."""
+    if isinstance(t, Forall):
+        return frozenset({t.var}) | forall_binders(t.body)
+    if isinstance(t, Arrow):
+        return forall_binders(t.dom) | forall_binders(t.cod)
+    if isinstance(t, Coind):
+        acc: frozenset[str] = frozenset()
+        for p in t.params:
+            acc |= forall_binders(p)
+        return acc
+    return frozenset()
+
+
+def size_names(t: Term) -> frozenset[str]:
+    """Every size variable a term names: free, bound or binding,
+    annotations included."""
+    out: set[str] = set()
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, (Var, Con)):
+            continue
+        if isinstance(t, (Lam, Fix, Cofix)):
+            out |= sv(t.ty) | forall_binders(t.ty)
+        if isinstance(t, Cofix):
+            out.add(t.size_var)
+        elif isinstance(t, SizeLam):
+            out.add(t.var)
+        if isinstance(t, App):
+            stack += [t.fun, t.arg]
+        elif isinstance(t, SizeApp):
+            out |= sv(t.size)
+            stack.append(t.fun)
+        elif isinstance(t, Case):
+            stack.append(t.scrutinee)
+            stack += [b.body for b in t.branches]
+        else:
+            stack.append(t.body)
+    return frozenset(out)
+
+
 def fresh_name(base: str, avoid: Iterable[str]) -> str:
     """First of base, base_1, base_2, ... not in avoid."""
     avoid = set(avoid)
@@ -463,7 +507,7 @@ def subst_term(t: Term, replacement: Term, var: str) -> Term:
 
     Used to link file bindings; typing itself never substitutes terms.
     """
-    free = _term_free_vars(replacement)
+    free = term_free_vars(replacement)
 
     def go(t: Term, bound: frozenset[str]) -> Term:
         if isinstance(t, Var):
@@ -474,7 +518,7 @@ def subst_term(t: Term, replacement: Term, var: str) -> Term:
             if t.var == var:
                 return t
             if t.var in free:
-                nv = fresh_name(t.var, free | _term_free_vars(t.body) | {var})
+                nv = fresh_name(t.var, free | term_free_vars(t.body) | {var})
                 body = _rename_term_var(t.body, t.var, nv)
                 return Lam(nv, t.ty, go(body, bound))
             return Lam(t.var, t.ty, go(t.body, bound))
@@ -494,7 +538,7 @@ def subst_term(t: Term, replacement: Term, var: str) -> Term:
                 body = b.body
                 for i, x in enumerate(binders):
                     if x in free:
-                        nv = fresh_name(x, free | _term_free_vars(body) | set(binders) | {var})
+                        nv = fresh_name(x, free | term_free_vars(body) | set(binders) | {var})
                         body = _rename_term_var(body, x, nv)
                         binders[i] = nv
                 brs.append(Branch(b.con, tuple(binders), go(body, bound)))
@@ -503,14 +547,14 @@ def subst_term(t: Term, replacement: Term, var: str) -> Term:
             if t.var == var:
                 return t
             if t.var in free:
-                nv = fresh_name(t.var, free | _term_free_vars(t.body) | {var})
+                nv = fresh_name(t.var, free | term_free_vars(t.body) | {var})
                 return Fix(nv, t.ty, go(_rename_term_var(t.body, t.var, nv), bound))
             return Fix(t.var, t.ty, go(t.body, bound))
         if isinstance(t, Cofix):
             if t.var == var:
                 return t
             if t.var in free:
-                nv = fresh_name(t.var, free | _term_free_vars(t.body) | {var})
+                nv = fresh_name(t.var, free | term_free_vars(t.body) | {var})
                 return Cofix(t.size_var, nv, t.ty,
                              go(_rename_term_var(t.body, t.var, nv), bound))
             return Cofix(t.size_var, t.var, t.ty, go(t.body, bound))
@@ -519,26 +563,26 @@ def subst_term(t: Term, replacement: Term, var: str) -> Term:
     return go(t, frozenset())
 
 
-def _term_free_vars(t: Term) -> frozenset[str]:
+def term_free_vars(t: Term) -> frozenset[str]:
     if isinstance(t, Var):
         return frozenset({t.name})
     if isinstance(t, Con):
         return frozenset()
     if isinstance(t, Lam):
-        return frozenset(_term_free_vars(t.body) - {t.var})
+        return frozenset(term_free_vars(t.body) - {t.var})
     if isinstance(t, App):
-        return _term_free_vars(t.fun) | _term_free_vars(t.arg)
+        return term_free_vars(t.fun) | term_free_vars(t.arg)
     if isinstance(t, SizeApp):
-        return _term_free_vars(t.fun)
+        return term_free_vars(t.fun)
     if isinstance(t, SizeLam):
-        return _term_free_vars(t.body)
+        return term_free_vars(t.body)
     if isinstance(t, Case):
-        acc = _term_free_vars(t.scrutinee)
+        acc = term_free_vars(t.scrutinee)
         for b in t.branches:
-            acc |= _term_free_vars(b.body) - set(b.binders)
+            acc |= term_free_vars(b.body) - set(b.binders)
         return acc
     if isinstance(t, (Fix, Cofix)):
-        return frozenset(_term_free_vars(t.body) - {t.var})
+        return frozenset(term_free_vars(t.body) - {t.var})
     raise TypeError(t)
 
 
@@ -552,8 +596,8 @@ def uniquify_size_binders(t: Term, avoid: Iterable[str] = ()) -> Term:
     Names are kept when already unique, so pretty output is untouched for
     well-named sources.  Free size variables are never renamed; binders
     also avoid the forall-bound names of annotation types (distinct
-    binding sites) and any extra names the caller supplies (typically the
-    free size variables of the typing context).
+    binding sites) and any extra names the caller supplies (typically
+    every size variable the typing context names, bound ones included).
     """
     used: set[str] = set(fsv_term(t)) | _annotation_binders(t) | set(avoid)
 
@@ -596,23 +640,45 @@ def uniquify_size_binders(t: Term, avoid: Iterable[str] = ()) -> Term:
     return go(t, {})
 
 
-def _annotation_binders(t: Term) -> frozenset[str]:
-    def of_type(ty: Type) -> frozenset[str]:
-        if isinstance(ty, Forall):
-            return frozenset({ty.var}) | of_type(ty.body)
-        if isinstance(ty, Arrow):
-            return of_type(ty.dom) | of_type(ty.cod)
-        if isinstance(ty, Coind):
-            acc: frozenset[str] = frozenset()
-            for p in ty.params:
-                acc |= of_type(p)
-            return acc
-        return frozenset()
+def rename_binders_apart(t: Type, avoid: Iterable[str]) -> Type:
+    """The type with its forall binders renamed apart from `avoid` and
+    from each other, as `uniquify_size_binders` renames a term's: a
+    binder keeps its name when no earlier one took it, and otherwise
+    takes the next free name of its family (i, i_1, i_2, ...)."""
+    used = set(avoid) | fsv(t)
 
+    def size(s: SizeExpr, ren: dict[str, str]) -> SizeExpr:
+        if isinstance(s, SVar):
+            return SVar(ren.get(s.name, s.name))
+        if isinstance(s, Succ):
+            return Succ(size(s.arg, ren))
+        if isinstance(s, (SMin, SMax)):
+            return type(s)(size(s.left, ren), size(s.right, ren))
+        return s
+
+    def go(t: Type, ren: dict[str, str]) -> Type:
+        if isinstance(t, Forall):
+            nv = t.var
+            if nv in used:
+                base, _, n = nv.rpartition("_")
+                nv = fresh_name(base if base and n.isdigit() else nv, used)
+            used.add(nv)
+            return Forall(nv, go(t.body, {**ren, t.var: nv}))
+        if isinstance(t, Arrow):
+            return Arrow(go(t.dom, ren), go(t.cod, ren))
+        if isinstance(t, Coind):
+            return Coind(t.defname, size(t.size, ren),
+                         tuple(go(p, ren) for p in t.params))
+        return t
+
+    return go(t, {})
+
+
+def _annotation_binders(t: Term) -> frozenset[str]:
     if isinstance(t, (Var, Con)):
         return frozenset()
     if isinstance(t, Lam):
-        return of_type(t.ty) | _annotation_binders(t.body)
+        return forall_binders(t.ty) | _annotation_binders(t.body)
     if isinstance(t, App):
         return _annotation_binders(t.fun) | _annotation_binders(t.arg)
     if isinstance(t, SizeApp):
@@ -625,7 +691,7 @@ def _annotation_binders(t: Term) -> frozenset[str]:
             acc |= _annotation_binders(b.body)
         return acc
     if isinstance(t, (Fix, Cofix)):
-        return of_type(t.ty) | _annotation_binders(t.body)
+        return forall_binders(t.ty) | _annotation_binders(t.body)
     raise TypeError(t)
 
 

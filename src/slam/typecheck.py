@@ -33,8 +33,8 @@ from .subtyping import (
 from .syntax import (
     INFTY, ONE, ZERO, App, Arrow, Case, Coind, Cofix, DefRegistry, Fix,
     Forall, Lam, SMax, SMin, SVar, SizeApp, SizeExpr, SizeLam, Succ, Term,
-    TyVar, Type, Var, Con, fsv, smax, smin, subst_size, subst_type_multi,
-    subst_type_size, sv, tv, uniquify_size_binders,
+    TyVar, Type, Var, Con, forall_binders, fsv, smax, smin, subst_size,
+    subst_type_multi, subst_type_size, sv, tv, uniquify_size_binders,
 )
 
 __all__ = [
@@ -581,9 +581,12 @@ def infer(reg: DefRegistry, gamma: Context, t: Term,
     Failure to apply any rule yields the sentinel triple with an
     unsatisfiable inequality and a diagnostic trail.
     """
+    # the term's binders avoid the context's bound names too: a context
+    # quantifier of the same name as a linear binder would be consumed
+    # as that binder
     ambient: set[str] = set()
     for ty in gamma.values():
-        ambient |= fsv(ty)
+        ambient |= fsv(ty) | forall_binders(ty)
     for s in (u0 or {}).values():
         ambient |= sv(s)
     t = uniquify_size_binders(t, ambient)

@@ -388,6 +388,21 @@ def test_context_quantifier_instantiated_twice(streams):
     assert minimal_type(reg, gamma, bad) is None
 
 
+def test_context_quantifier_named_like_term_binder(streams):
+    # a context quantifier and a size binder of the term that share a
+    # name are different variables: instantiating the context's must not
+    # bind the term's
+    reg = streams.registry
+    gamma = {"tl": parse_type("forall i. Strm^(i+1) -> Strm^i", reg),
+             "zs": parse_type("Strm", reg)}
+    for size in ("1", "oo"):
+        t = parse_term(f"(\\p : Strm^{size}. /\\i. \\x : Nat^i. x) "
+                       f"(tl [{size}] zs)", reg)
+        m = minimal_type(reg, gamma, t)
+        assert m is not None, size
+        assert alpha_eq_type(m, parse_type("forall i. Nat^i -> Nat^i", reg))
+
+
 def test_case_bound_quantified_variable_reused(trees):
     reg = trees.registry
     gamma = {"hs": parse_type("List^(k+1)(forall i. Nat^(i+1) -> Nat^i)", reg)}
@@ -405,6 +420,11 @@ CHAIN = ["d0 = succ zero;"] + [f"d{k} = plus d{k - 1} d{k - 1};"
                                for k in range(1, 9)]
 
 
+SHADOW = ["g = (\\p : Strm^1. /\\i. \\x : Nat^i. x) (tl [1] zeros);",
+          "h = /\\i. tl;", "h2 = /\\i. h;",
+          "h3 = /\\j. \\x : Nat^j. h2 [j];"]
+
+
 def _bindings_file(tmp_path, name, bindings):
     f = tmp_path / name
     f.write_text((CORPUS_DIR / "streams.slam").read_text() + "\n"
@@ -419,6 +439,8 @@ def test_context_typing_matches_inlining(tmp_path, capsys):
     chain = _bindings_file(tmp_path, "chain.slam", CHAIN)
     forward = _bindings_file(tmp_path, "forward.slam",
                              ["f = g;", "g = succ zero;", "h = plus f g;"])
+    # bindings whose size binders share a name with a context quantifier
+    shadow = _bindings_file(tmp_path, "shadow.slam", SHADOW)
     streams, sp = CORPUS_DIR / "streams.slam", CORPUS_DIR / "sp.slam"
     queries = [(CORPUS_DIR / f"{f}.slam", name)
                for f in ("streams", "sp", "trees")
@@ -428,7 +450,15 @@ def test_context_typing_matches_inlining(tmp_path, capsys):
     queries += [(chain, f"d{k}") for k in range(9)]
     queries += [(streams, "\\g : Nat^k -> Nat. plus"), (streams, "/\\k. plus"),
                 (sp, "runi"), (sp, "run odd nats"), (forward, "f"),
-                (forward, "h")]
+                (forward, "h"), (shadow, "g"), (shadow, "h"),
+                (shadow, "h2"), (shadow, "/\\i. h"), (shadow, "/\\i. h2")]
+    # query size binders beside context quantifiers of the same name
+    queries += [(streams, src) for src in (
+        "(\\p : Strm^1. /\\i. \\x : Nat^i. x) (tl [1] zeros)",
+        "(\\p : Strm^oo. /\\i. \\x : Nat^i. x) (tl [oo] zeros)",
+        "(\\p : Strm^1. /\\i. /\\i. \\x : Nat^i. x) (tl [1] zeros)",
+        "/\\i. tl", "\\s : Strm^i. tl", "/\\i. /\\i. tl",
+        "/\\i_1. /\\i. tl")]
     for path, src in queries:
         sf = parse_slam(path.read_text())
         reg = sf.registry
@@ -446,11 +476,27 @@ def test_context_typing_matches_inlining(tmp_path, capsys):
                 ((0, "yes\n") if ok else (1, "no\n")), (path.name, src, ty)
 
 
+def test_context_typing_names_quantifiers_apart(tmp_path, capsys):
+    # a quantifier of a context type is renamed apart from the query's
+    # size variables and from the type's other quantifiers; its suffix
+    # can differ from full linking's, which also counts binders that
+    # were instantiated inside the binding (here h2's)
+    path = _bindings_file(tmp_path, "shadow.slam", SHADOW)
+    sf = parse_slam(path.read_text())
+    src = "\\x : Nat^i. h3"
+    assert main(["infer", str(path), src]) == 0
+    out = capsys.readouterr().out
+    assert out == ("Nat^i -> forall j. Nat^j -> forall i_1. forall i_2. "
+                   "Strm^(i_2+1) -> Strm^i_2\n")
+    reg = sf.registry
+    m = minimal_type(reg, {}, link_all(sf, parse_term(src, reg)))
+    assert alpha_eq_type(parse_type(out, reg), m)
+
+
 def test_context_typing_keeps_capturing_bindings_inlined(tmp_path):
     chain = _bindings_file(tmp_path, "chain.slam", CHAIN)
     gamma, q = _typing_problem(parse_slam(chain.read_text()), "d8")
-    assert set(gamma) == {"plus"} | {f"d{k}" for k in range(9)}
-    assert q == Var("d8")
+    assert set(gamma) == {"d8"} and q == Var("d8")
     streams = parse_slam((CORPUS_DIR / "streams.slam").read_text())
     # plus's annotation variable k would be captured or shared
     for src in ("\\g : Nat^k -> Nat. plus", "/\\k. plus"):
