@@ -227,11 +227,18 @@ def _render_type(ty) -> str:
     return print_type(go(ty))
 
 
+def _budget(args) -> EvalBudget:
+    try:
+        return EvalBudget(fuel=args.fuel, depth=args.depth)
+    except ValueError as e:
+        raise CliError(str(e)) from None
+
+
 def _cmd_eval(args) -> int:
+    budget = _budget(args)
     sf = _load_slam(args.file)
     t = _resolve_term(sf, args.term)
-    a = approximant(erase(t), EvalBudget(fuel=args.fuel, depth=args.depth),
-                    sf.registry)
+    a = approximant(erase(t), budget, sf.registry)
     rendered = render_approximant(a, sf.registry)
     if args.porcelain:
         print(f"report.0: {rendered}")
@@ -244,6 +251,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_productivity(args) -> int:
+    budget = _budget(args)
     sf = _load_slam(args.file)
     t = _resolve_term(sf, args.term)
     ty = _parse_checked_type(sf, args.type)
@@ -251,8 +259,7 @@ def _cmd_productivity(args) -> int:
         raise CliError("--type must name a coinductive type")
     try:
         report = productivity_check(
-            erase(t), ty, sf.registry, max_depth=args.depth,
-            budget=EvalBudget(fuel=args.fuel, depth=args.depth))
+            erase(t), ty, sf.registry, max_depth=args.depth, budget=budget)
     except NonObservableType as e:
         raise CliError(str(e))
     if args.porcelain:

@@ -8,6 +8,16 @@ off with bottom leaves, where bottom stands for divergence and fuel
 exhaustion is its computable surrogate.  Membership of approximants in
 the finite approximations of observable (co)inductive types gives the
 empirical productivity harness.
+
+Reduction shares work instead of redoing it.  Plain terms cache their
+free variables (`fv`), so `psubst` returns every subterm the variable is
+not free in as the same object and rebuilds only the path to its
+occurrences.  An observation keeps a memo of weak head normal forms
+keyed by subterm identity and fuel limit: `approximant` one per call,
+`productivity_check` one for all depths, since the approximant at depth
+n+1 revisits the subterms of the one at depth n.  The memo saves time
+only; the reduction steps a memo hit stands for are still charged, so
+fuel use and fuel-limited results are those of reducing afresh.
 """
 
 from __future__ import annotations
@@ -19,11 +29,11 @@ from .sizes import INF, ExtNat, SizeValuation, eval_size
 from .syntax import (
     App, Case, Coind, Cofix, DefRegistry, Fix, Lam, PApp, PBranch, PCase,
     PCon, PLam, PVar, PlainTerm, SizeApp, SizeLam, SVar, Term, TyVar, Type,
-    Var, Con, alpha_eq_plain, fresh_name,
+    Var, Con, alpha_eq_plain, fresh_name, tv,
 )
 
 __all__ = [
-    "Y_COMBINATOR", "OMEGA", "erase", "plain_free_vars", "psubst",
+    "Y_COMBINATOR", "OMEGA", "erase", "psubst",
     "step", "StepResult", "whnf", "WhnfResult",
     "Approximant", "Constr", "Bottom", "Opaque", "EvalBudget",
     "approximant", "refines", "member", "NonObservableType", "observable",
@@ -72,36 +82,21 @@ def erase(t: Term) -> PlainTerm:
 # ---------------------------------------------------------------------------
 # Substitution on plain terms
 
-def plain_free_vars(t: PlainTerm) -> frozenset[str]:
-    if isinstance(t, PVar):
-        return frozenset({t.name})
-    if isinstance(t, PCon):
-        return frozenset()
-    if isinstance(t, PLam):
-        return frozenset(plain_free_vars(t.body) - {t.var})
-    if isinstance(t, PApp):
-        return plain_free_vars(t.fun) | plain_free_vars(t.arg)
-    if isinstance(t, PCase):
-        acc = plain_free_vars(t.scrutinee)
-        for b in t.branches:
-            acc |= plain_free_vars(b.body) - set(b.binders)
-        return acc
-    raise TypeError(t)
-
-
 def psubst(t: PlainTerm, var: str, value: PlainTerm) -> PlainTerm:
-    free = plain_free_vars(value)
+    """Capture-avoiding substitution of `value` for `var` in `t`.
+
+    A subterm in which `var` is not free is returned as it is, the same
+    object, so the result shares every untouched part of `t`."""
+    free = value.fv
 
     def go(t: PlainTerm) -> PlainTerm:
-        if isinstance(t, PVar):
-            return value if t.name == var else t
-        if isinstance(t, PCon):
+        if var not in t.fv:
             return t
+        if isinstance(t, PVar):
+            return value
         if isinstance(t, PLam):
-            if t.var == var:
-                return t
             if t.var in free:
-                nv = fresh_name(t.var, free | plain_free_vars(t.body) | {var})
+                nv = fresh_name(t.var, free | t.body.fv | {var})
                 return PLam(nv, go(_prename(t.body, t.var, nv)))
             return PLam(t.var, go(t.body))
         if isinstance(t, PApp):
@@ -109,15 +104,14 @@ def psubst(t: PlainTerm, var: str, value: PlainTerm) -> PlainTerm:
         if isinstance(t, PCase):
             brs = []
             for b in t.branches:
-                if var in b.binders:
+                if var in b.binders or var not in b.body.fv:
                     brs.append(b)
                     continue
                 binders = list(b.binders)
                 body = b.body
                 for i, x in enumerate(binders):
                     if x in free:
-                        nv = fresh_name(
-                            x, free | plain_free_vars(body) | set(binders) | {var})
+                        nv = fresh_name(x, free | body.fv | set(binders) | {var})
                         body = _prename(body, x, nv)
                         binders[i] = nv
                 brs.append(PBranch(b.con, tuple(binders), go(body)))
@@ -343,13 +337,33 @@ def approximant(t: PlainTerm, budget: EvalBudget,
 _FULL_DEPTH = float("inf")
 
 
+# A whnf memo maps (id(t), fuel limit) to (t, whnf(t, limit)); holding t
+# keeps its id from being reused while the entry lives.
+_WhnfMemo = dict[tuple[int, int], tuple[PlainTerm, WhnfResult]]
+
+
 def _approx(t: PlainTerm, depth, fuel: int, reg: Optional[DefRegistry],
-            gas: list[int]) -> tuple[Approximant, int, bool]:
+            gas: list[int], memo: Optional[_WhnfMemo] = None
+            ) -> tuple[Approximant, int, bool]:
+    """The approximant of `t`, the reduction steps it was charged, and
+    whether fuel cut it.  A subterm met again under the same limit reuses
+    its whnf from the memo (a fresh one when none is passed); whnf is a
+    pure function of the term and the limit, so its steps are charged
+    all the same."""
     if reg is None and depth <= 0:
         return Bottom(), 0, False
     if gas[0] <= 0:
         return Bottom(fuel_limited=True), 0, True
-    r = whnf(t, min(fuel, gas[0]))
+    if memo is None:
+        memo = {}
+    limit = min(fuel, gas[0])
+    key = (id(t), limit)
+    hit = memo.get(key)
+    if hit is None:
+        r = whnf(t, limit)
+        memo[key] = (t, r)
+    else:
+        r = hit[1]
     gas[0] -= r.steps
     if r.kind == "fuel":
         return Bottom(fuel_limited=True), r.steps, True
@@ -361,7 +375,7 @@ def _approx(t: PlainTerm, depth, fuel: int, reg: Optional[DefRegistry],
         total = r.steps
         limited = False
         for arg, d in zip(r.args, depths):
-            k, st, lim = _approx(arg, d, fuel, reg, gas)
+            k, st, lim = _approx(arg, d, fuel, reg, gas, memo)
             kids.append(k)
             total += st
             limited = limited or lim
@@ -383,8 +397,6 @@ def _child_depths(con: str, n: int, depth,
     sig = reg.constructor(con)
     if d is None or sig is None or len(sig.arg_types) != n:
         return None if depth <= 0 else [depth - 1] * n
-    from .syntax import tv
-
     if d.coinductive and depth <= 0:
         return None
     out = []
@@ -569,9 +581,10 @@ def productivity_check(t: PlainTerm, tau: Type, reg: DefRegistry,
     chain_ok = True
     fail_at: Optional[int] = None
     prev: Optional[Approximant] = None
+    memo: _WhnfMemo = {}
     for n in range(max_depth + 1):
         gas = [budget.fuel * (n + 2)]
-        a, steps, limited = _approx(t, n, budget.fuel, reg, gas)
+        a, steps, limited = _approx(t, n, budget.fuel, reg, gas, memo)
         ok = member(a, tau_n, reg, SizeValuation({level_var: n}))
         verdicts.append(DepthVerdict(n, ok, approximant_nodes(a), steps,
                                      limited, a))

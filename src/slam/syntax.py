@@ -253,27 +253,59 @@ Term = Union[Var, Con, Lam, App, SizeApp, SizeLam, Case, Fix, Cofix]
 
 # ---------------------------------------------------------------------------
 # Plain (erased) terms
+#
+# Each plain term caches its free variables in `fv`, computed from its
+# children's `fv` when it is built, so reading it costs O(1) and building
+# a node never recurses.  `fv` takes no part in equality, hashing or repr.
+
+_NO_VARS: frozenset[str] = frozenset()
+
+
+def _fv_field():
+    return field(init=False, compare=False, repr=False)
+
+
+def _set_fv(node, fv: frozenset[str]) -> None:
+    object.__setattr__(node, "fv", fv)
+
 
 @dataclass(frozen=True)
 class PVar:
     name: str
+    fv: frozenset[str] = _fv_field()
+
+    def __post_init__(self) -> None:
+        _set_fv(self, frozenset((self.name,)))
 
 
 @dataclass(frozen=True)
 class PCon:
     name: str
+    fv: frozenset[str] = _fv_field()
+
+    def __post_init__(self) -> None:
+        _set_fv(self, _NO_VARS)
 
 
 @dataclass(frozen=True)
 class PLam:
     var: str
     body: "PlainTerm"
+    fv: frozenset[str] = _fv_field()
+
+    def __post_init__(self) -> None:
+        fv = self.body.fv
+        _set_fv(self, fv - {self.var} if self.var in fv else fv)
 
 
 @dataclass(frozen=True)
 class PApp:
     fun: "PlainTerm"
     arg: "PlainTerm"
+    fv: frozenset[str] = _fv_field()
+
+    def __post_init__(self) -> None:
+        _set_fv(self, _union(self.fun.fv, self.arg.fv))
 
 
 @dataclass(frozen=True)
@@ -287,6 +319,26 @@ class PBranch:
 class PCase:
     scrutinee: "PlainTerm"
     branches: tuple[PBranch, ...]
+    fv: frozenset[str] = _fv_field()
+
+    def __post_init__(self) -> None:
+        fv = self.scrutinee.fv
+        for b in self.branches:
+            bfv = b.body.fv
+            if not bfv.isdisjoint(b.binders):
+                bfv = bfv.difference(b.binders)
+            fv = _union(fv, bfv)
+        _set_fv(self, fv)
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    # reuse an operand when it already holds the union, so chains of
+    # applications share one set instead of copying it at every node
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
 
 
 PlainTerm = Union[PVar, PCon, PLam, PApp, PCase]

@@ -14,7 +14,9 @@ from slam import (
 from slam.constraints import CyclicDefMap, check_acyclic, expand
 from slam.parser import SlamFile
 from slam.sizes import INF, SizeValuation
-from slam.syntax import Infty, Zero
+from slam.syntax import (
+    Infty, PApp, PBranch, PCase, PCon, PLam, PVar, Zero, fresh_name,
+)
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -205,6 +207,93 @@ def rand_term(rng: random.Random, reg, depth: int = 3, bound: tuple = ()):
     v = rng.choice(_TERM_VARS)
     return Cofix(rng.choice(("i", "j")), v, rand_type(rng, reg, 2),
                  rand_term(rng, reg, depth - 1, bound + (v,)))
+
+
+# ---------------------------------------------------------------------------
+# Plain-term references and generator
+
+def plain_free_vars_reference(t) -> frozenset[str]:
+    """Free variables of a plain term by a full walk: the reference for
+    the cached `fv` field."""
+    if isinstance(t, PVar):
+        return frozenset({t.name})
+    if isinstance(t, PCon):
+        return frozenset()
+    if isinstance(t, PLam):
+        return frozenset(plain_free_vars_reference(t.body) - {t.var})
+    if isinstance(t, PApp):
+        return plain_free_vars_reference(t.fun) | plain_free_vars_reference(t.arg)
+    if isinstance(t, PCase):
+        acc = plain_free_vars_reference(t.scrutinee)
+        for b in t.branches:
+            acc |= plain_free_vars_reference(b.body) - set(b.binders)
+        return acc
+    raise TypeError(t)
+
+
+def psubst_reference(t, var: str, value):
+    """Capture-avoiding substitution that rebuilds the whole term and
+    renames every binder free in `value`: the reference for the sharing
+    `rewrite.psubst`."""
+    free = plain_free_vars_reference(value)
+
+    def rename(t, old, new):
+        return psubst_reference(t, old, PVar(new))
+
+    def go(t):
+        if isinstance(t, PVar):
+            return value if t.name == var else t
+        if isinstance(t, PCon):
+            return t
+        if isinstance(t, PLam):
+            if t.var == var:
+                return t
+            if t.var in free:
+                nv = fresh_name(t.var, free | plain_free_vars_reference(t.body)
+                                | {var})
+                return PLam(nv, go(rename(t.body, t.var, nv)))
+            return PLam(t.var, go(t.body))
+        if isinstance(t, PApp):
+            return PApp(go(t.fun), go(t.arg))
+        if isinstance(t, PCase):
+            brs = []
+            for b in t.branches:
+                if var in b.binders:
+                    brs.append(b)
+                    continue
+                binders = list(b.binders)
+                body = b.body
+                for i, x in enumerate(binders):
+                    if x in free:
+                        nv = fresh_name(x, free | plain_free_vars_reference(body)
+                                        | set(binders) | {var})
+                        body = rename(body, x, nv)
+                        binders[i] = nv
+                brs.append(PBranch(b.con, tuple(binders), go(body)))
+            return PCase(go(t.scrutinee), tuple(brs))
+        raise TypeError(t)
+
+    return go(t)
+
+
+# few names, one of them what fresh_name picks first for "x", so binders
+# capture, shadow and clash with renamed binders often
+PLAIN_VARS = ("x", "y", "f", "x_1")
+
+
+def rand_plain(rng: random.Random, depth: int = 4):
+    """A random plain term, free variables allowed."""
+    r = rng.random()
+    if depth <= 0 or r < 0.25:
+        return rng.choice([PVar(v) for v in PLAIN_VARS] + [PCon("zero")])
+    if r < 0.5:
+        return PLam(rng.choice(PLAIN_VARS), rand_plain(rng, depth - 1))
+    if r < 0.8:
+        return PApp(rand_plain(rng, depth - 1), rand_plain(rng, depth - 1))
+    return PCase(rand_plain(rng, depth - 1), tuple(
+        PBranch(con, tuple(rng.sample(PLAIN_VARS, arity)),
+                rand_plain(rng, depth - 1))
+        for con, arity in (("zero", 0), ("cons", 2))[:rng.randint(1, 2)]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import pytest
+
 from helpers import CORPUS_DIR
 from slam.cli import main
 
@@ -161,3 +163,15 @@ def test_eval_deep_value(capsys):
     code, out, err = run(capsys, "eval", STREAMS, "zeros", "--depth", "450")
     assert code == 0 and err == ""
     assert out == "0 :: " * 450 + "_|_\n"
+
+
+@pytest.mark.parametrize("budget", [("--fuel", "0"), ("--depth", "-1")])
+@pytest.mark.parametrize("cmd", [("eval", STREAMS, "zeros"),
+                                 ("productivity", STREAMS, "zeros",
+                                  "--type", "Strm")])
+def test_bad_budget_exit_2(capsys, cmd, budget):
+    for porcelain in ((), ("--porcelain",)):
+        code, out, err = run(capsys, *porcelain, *cmd, *budget)
+        assert code == 2 and out == ""
+        assert err == ("error: fuel must be positive "
+                       "and depth non-negative\n")  # no traceback

@@ -2,16 +2,20 @@ import random
 
 import pytest
 
-from helpers import corpus_terms
+from helpers import (
+    PLAIN_VARS, corpus_terms, link_all, load, plain_free_vars_reference,
+    psubst_reference, rand_plain,
+)
 from slam import (
     App, Coind, INFTY, PApp, PBranch, PCase, PCon, PLam, PVar, SVar, ZERO,
     alpha_eq_plain, parse_term, parse_type,
 )
 from slam.rewrite import (
     Bottom, Constr, EvalBudget, NonObservableType, OMEGA, Opaque,
-    Y_COMBINATOR, approximant, erase, member, observable, productivity_check,
-    refines, step, whnf,
+    Y_COMBINATOR, _approx, approximant, erase, member, observable,
+    productivity_check, psubst, refines, step, whnf,
 )
+from slam.sizes import SizeValuation
 
 def _nat_tree(n):
     a = Constr("zero")
@@ -39,6 +43,79 @@ def test_erase_examples(streams):
 def test_erase_fix_uses_turing_combinator(streams):
     e = erase(streams.linked("plus"))
     assert isinstance(e, PApp) and e.fun == Y_COMBINATOR
+
+
+# -- substitution ------------------------------------------------------------
+
+def _subterms(t):
+    stack, out = [t], []
+    while stack:
+        t = stack.pop()
+        out.append(t)
+        if isinstance(t, PLam):
+            stack.append(t.body)
+        elif isinstance(t, PApp):
+            stack += [t.fun, t.arg]
+        elif isinstance(t, PCase):
+            stack.append(t.scrutinee)
+            stack += [b.body for b in t.branches]
+    return out
+
+
+def _binders(t):
+    names = set()
+    for u in _subterms(t):
+        if isinstance(u, PLam):
+            names.add(u.var)
+        elif isinstance(u, PCase):
+            for b in u.branches:
+                names.update(b.binders)
+    return sorted(names)
+
+
+def _check_subst(t, var, value):
+    got = psubst(t, var, value)
+    assert alpha_eq_plain(got, psubst_reference(t, var, value)), (t, var, value)
+    assert got.fv == plain_free_vars_reference(got)
+    if var not in t.fv:
+        assert got is t
+
+
+def test_psubst_and_fv_match_reference():
+    rng = random.Random(4)
+    checked = 0
+    # open subterms of the erased corpus, with values that name the
+    # term's own binders, so substitution has to rename to avoid capture
+    for _label, _reg, term in corpus_terms():
+        e = erase(term)
+        names = _binders(e)
+        for u in _subterms(e):
+            assert u.fv == plain_free_vars_reference(u)
+            for var in sorted(u.fv) + ["unused"]:
+                value = PApp(PVar(rng.choice(names or ["x"])),
+                             rand_plain(rng, 2))
+                _check_subst(u, var, value)
+                checked += 1
+    for _ in range(3000):
+        t = rand_plain(rng, 5)
+        assert t.fv == plain_free_vars_reference(t)
+        for var in PLAIN_VARS:
+            _check_subst(t, var, rand_plain(rng, 2))
+    assert checked > 1000
+
+
+def test_psubst_renames_captured_binders():
+    t = PLam("y", PApp(PVar("x"), PVar("y")))
+    got = psubst(t, "x", PVar("y"))
+    assert got == PLam("y_1", PApp(PVar("y"), PVar("y_1")))
+    case = PCase(PVar("x"), (PBranch("c", ("y", "z"), PApp(PVar("x"), PVar("y"))),))
+    got = psubst(case, "x", PVar("y"))
+    assert got == PCase(PVar("y"), (
+        PBranch("c", ("y_1", "z"), PApp(PVar("y"), PVar("y_1"))),))
+    # a binder that would capture but has nothing to capture stays as is
+    lam = PLam("y", PCon("zero"))
+    t = PApp(PVar("x"), lam)
+    assert psubst(t, "x", PVar("y")).arg is lam
 
 
 # -- single steps -------------------------------------------------------------
@@ -334,6 +411,55 @@ def test_productivity_run_odd_nats(sp):
     assert rep.passed
     assert rep.verdicts[3].approx == Constr("cons", (_nat_tree(1), Constr(
         "cons", (_nat_tree(3), Constr("cons", (_nat_tree(5), Bottom()))))))
+
+
+class _NoMemo(dict):
+    """A whnf memo that never keeps an entry."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+PRODUCTIVITY_CASES = [
+    ("sp", "run odd nats", "Strm"), ("streams", "nats", "Strm"),
+    ("trees", "bzeros", "BTree"), ("trees", "fpair", "FTree"),
+    ("trees", "wtree", "Tree"),
+]
+
+
+def test_whnf_memo_matches_fresh_approximants():
+    # productivity_check shares one whnf memo across all depths, and
+    # approximant one per call; each depth must read exactly as a
+    # memo-free observation of that depth
+    limited = unlimited = 0
+    for fname, src, tyname in PRODUCTIVITY_CASES:
+        sf = load(fname)
+        reg = sf.registry
+        t = erase(link_all(sf, parse_term(src, reg)))
+        tau = parse_type(tyname, reg)
+        for fuel in (20, 60, 200, 10000):
+            fresh = [_approx(t, n, fuel, reg, [fuel * (n + 2)], _NoMemo())
+                     for n in range(9)]
+            for n, (a, _steps, lim) in enumerate(fresh):
+                got = approximant(t, EvalBudget(fuel=fuel, depth=n), reg)
+                assert repr(got) == repr(a), (src, fuel, n)
+                limited += lim
+                unlimited += not lim
+            if not observable(tau, reg):  # wtree: functions inside
+                continue
+            rep = productivity_check(t, tau, reg, max_depth=8,
+                                     budget=EvalBudget(fuel=fuel, depth=8))
+            for v, (a, steps, lim) in zip(rep.verdicts, fresh):
+                ok = member(a, Coind(tau.defname, SVar("n"), tau.params), reg,
+                            SizeValuation({"n": v.depth}))
+                assert (v.ok, v.nodes, v.fuel_used, v.fuel_limited) == \
+                    (ok, _nodes(a), steps, lim), (src, fuel, v.depth)
+                assert v.approx == a and repr(v.approx) == repr(a)
+    assert limited and unlimited
+
+
+def _nodes(a):
+    return 1 + sum(_nodes(k) for k in a.children) if isinstance(a, Constr) else 1
 
 
 def test_productivity_report_format(streams):
