@@ -59,64 +59,86 @@ class CyclicDefMap(Exception):
 
 def check_acyclic(u: Mapping[str, SizeExpr]) -> bool:
     """No cycle in the graph with an edge from i to each variable of u[i]."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {i: WHITE for i in u}
-
-    def visit(i: str) -> bool:
-        color[i] = GRAY
-        for j in sv(u[i]):
-            if j not in color:
-                continue
-            if color[j] == GRAY:
-                return False
-            if color[j] == WHITE and not visit(j):
-                return False
-        color[i] = BLACK
-        return True
-
-    return all(visit(i) for i in u if color[i] == WHITE)
+    return _topo_order(u) is not None
 
 
-def _topo_order(u: Mapping[str, SizeExpr]) -> list[str]:
-    """Definition map keys with dependencies first."""
-    out: list[str] = []
-    seen: set[str] = set()
+def _topo_order(u: Mapping[str, SizeExpr]) -> Optional[list[str]]:
+    """Definition map keys with dependencies first, or None on a cycle.
 
-    def visit(i: str) -> None:
-        if i in seen:
-            return
-        seen.add(i)
-        for j in sv(u[i]):
-            if j in u:
-                visit(j)
-        out.append(i)
-
-    for i in u:
-        visit(i)
-    return out
+    A depth-first search with an explicit stack, so a long chain of
+    definitions needs no deeper Python stack than a short one.
+    """
+    order: list[str] = []
+    done: set[str] = set()
+    open_: set[str] = set()  # on the current search path
+    for root in u:
+        if root in done:
+            continue
+        open_.add(root)
+        stack = [(root, iter(sv(u[root])))]
+        while stack:
+            i, deps = stack[-1]
+            for j in deps:
+                if j not in u or j in done:
+                    continue
+                if j in open_:
+                    return None
+                open_.add(j)
+                stack.append((j, iter(sv(u[j]))))
+                break
+            else:
+                stack.pop()
+                open_.discard(i)
+                done.add(i)
+                order.append(i)
+    return order
 
 
 def expand(u: Mapping[str, SizeExpr], s: SizeExpr) -> SizeExpr:
-    """Substitute away every variable of dom(u), recursively."""
+    """Substitute away every variable of dom(u), recursively.
+
+    Each variable's expansion is built once and shared.  The walk keeps
+    its own stack: work items are expressions to expand, and markers
+    that rebuild a node from the expansions of its children on `out`.
+    """
     memo: dict[str, SizeExpr] = {}
-
-    def var_value(name: str) -> SizeExpr:
-        if name not in memo:
-            memo[name] = go(u[name])
-        return memo[name]
-
-    def go(s: SizeExpr) -> SizeExpr:
-        if isinstance(s, SVar):
-            return var_value(s.name) if s.name in u else s
-        if isinstance(s, Succ):
-            return Succ(go(s.arg))
-        if isinstance(s, SMin):
-            return SMin(go(s.left), go(s.right))
-        if isinstance(s, SMax):
-            return SMax(go(s.left), go(s.right))
-        return s
-
-    return go(s)
+    opened: set[str] = set()
+    out: list[SizeExpr] = []
+    work: list = [s]
+    while work:
+        s = work.pop()
+        if type(s) is tuple:
+            kind, x = s
+            if kind == "succ":
+                v = out.pop()
+                for _ in range(x):
+                    v = Succ(v)
+                out.append(v)
+            elif kind == "var":
+                memo[x] = out[-1]
+            else:
+                r = out.pop()
+                out.append(kind(out.pop(), r))
+            continue
+        n = 0
+        while isinstance(s, Succ):
+            n += 1
+            s = s.arg
+        if n:
+            work.append(("succ", n))
+        if isinstance(s, SVar) and s.name in u:
+            if s.name in memo:
+                out.append(memo[s.name])
+            elif s.name in opened:
+                raise CyclicDefMap(f"cyclic definition map: {sorted(u)}")
+            else:
+                opened.add(s.name)
+                work += [("var", s.name), u[s.name]]
+        elif isinstance(s, (SMin, SMax)):
+            work += [(type(s), None), s.right, s.left]
+        else:
+            out.append(s)
+    return out[0]
 
 
 def expand_type(u: Mapping[str, SizeExpr], t: Type) -> Type:
@@ -465,7 +487,8 @@ class Validity:
 def is_valid(c: SizeConstraint) -> Validity:
     """Decide validity of (U, S); an Invalid result carries a witness
     valuation that respects U and violates `violated`."""
-    if not check_acyclic(c.u):
+    order = _topo_order(c.u)
+    if order is None:
         raise CyclicDefMap(f"cyclic definition map: {sorted(c.u)}")
 
     u = {i: simplify_infty(s) for i, s in c.u.items()}
@@ -494,7 +517,7 @@ def is_valid(c: SizeConstraint) -> Validity:
             continue  # s <= oo always holds
         if a == INFTY:
             # every valuation keeps b finite, so the pair fails at once
-            witness = _assemble_witness(c, {}, inf_vars)
+            witness = _assemble_witness(c, order, {}, inf_vars)
             return Validity(False, witness, orig)
         kept.append(((a, b), orig))
 
@@ -506,7 +529,7 @@ def is_valid(c: SizeConstraint) -> Validity:
         conj = eqs + [(Succ(b), a)]  # negation: a >= b + 1
         model = _sat_conjunction(conj)
         if model is not None:
-            witness = _assemble_witness(c, model, inf_vars)
+            witness = _assemble_witness(c, order, model, inf_vars)
             return Validity(False, witness, orig)
     return Validity(True)
 
@@ -536,7 +559,8 @@ def _relevant_equalities(u: Mapping[str, SizeExpr],
     return eqs
 
 
-def _assemble_witness(c: SizeConstraint, model: dict[str, int],
+def _assemble_witness(c: SizeConstraint, order: list[str],
+                      model: dict[str, int],
                       inf_vars: set[str]) -> SizeValuation:
     values: dict[str, ExtNat] = {}
     for name, v in model.items():
@@ -552,7 +576,7 @@ def _assemble_witness(c: SizeConstraint, model: dict[str, int],
     for name in sorted(mentioned):
         values.setdefault(name, 0)
     # force exact agreement with the original definition map
-    for i in _topo_order(c.u):
+    for i in order:
         values[i] = eval_size(SizeValuation(values), c.u[i])
     return SizeValuation(values)
 

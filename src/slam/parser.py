@@ -1,4 +1,7 @@
-"""Recursive-descent parser for the surface language.
+"""Parser for the surface language.
+
+Sizes and types are parsed by recursive descent.  Terms nest without
+bound, so they are parsed by one loop over an explicit stack (`_P.term`).
 
 Grammar sketch (tokens are bit-exact):
 
@@ -21,7 +24,10 @@ arguments and nest to the left.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Optional
 
 from .syntax import (
     INFTY, App, Arrow, Branch, Case, Coind, ConstructorSig, Cofix,
@@ -40,8 +46,18 @@ _KEYWORDS = {
     "min", "max", "oo", "let", "assert",
 }
 
-_SYMBOLS = ["->", "=>", "/\\", "<=", "(", ")", "{", "}", "[", "]", "^",
-            ",", ";", ":", ".", "=", "\\", "+"]
+# One alternative per token kind, tried in this order: a comment wins
+# over the '-' of '->', and two-character symbols over their prefixes.
+# Identifiers start with a letter or '_' (Unicode letters included) and
+# go on with letters, digits, '_' and "'"; numbers are ASCII digits only.
+_TOKEN = re.compile(r"""
+    (?P<nl>\n)
+  | (?P<ws>[ \t\r]+)
+  | (?P<comment>(?:--|\#)[^\n]*)
+  | (?P<ident>[^\W\d][\w']*)
+  | (?P<num>[0-9]+)
+  | (?P<sym>->|=>|/\\|<=|[(){}\[\]^,;:.=\\+])
+""", re.VERBOSE)
 
 
 class ParseError(Exception):
@@ -62,48 +78,31 @@ class Token:
 
 def tokenize(src: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    pos, n = 0, len(src)
+    end_col = 1  # a trailing comment leaves the column where it starts
+    match = _TOKEN.match
+    while pos < n:
+        m = match(src, pos)
+        kind = m.lastgroup if m is not None else None
+        if kind is None or (kind == "ident" and not (src[pos].isalpha()
+                                                     or src[pos] == "_")):
+            raise ParseError(f"unexpected character {src[pos]!r}", line,
+                             pos - line_start + 1)
+        end = m.end()
+        if kind == "nl":
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if src.startswith("--", i) or ch == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            toks.append(Token("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("num", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if src.startswith(sym, i):
-                toks.append(Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
+            line_start = end
+            end_col = 1
+        elif kind == "comment":
+            end_col = pos - line_start + 1
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+            if kind != "ws":
+                toks.append(Token(kind, m.group(), line,
+                                  pos - line_start + 1))
+            end_col = end - line_start + 1
+        pos = end
+    toks.append(Token("eof", "", line, end_col))
     return toks
 
 
@@ -241,90 +240,144 @@ class _P:
         return env.resolve(self, tok, size, decorated, tuple(args), has_args)
 
     # -- terms ---------------------------------------------------------
+    #
+    # Terms nest without bound (`succ (succ (... zero))`), so one loop
+    # parses them, with a stack of frames for the constructs still open
+    # where a recursive descent would use a Python frame per level.  The
+    # term parsed next finishes the top frame:
+    #   ("bind", build)            the body of \x : T. or /\i. or a fixpoint
+    #   ("paren", fun, env)        ( _ ), an atom applied to fun (or the
+    #                              head of an application when fun is None)
+    #   ("scrutinee", env)         case _ of { ... }
+    #   ("branch", scrut, branches, seen, env, con, binders)
+    # Tokens are read, and errors raised, in the order of the grammar.
 
     def term(self, env: "_TermEnv") -> Term:
-        if self.at_sym("\\"):
-            self.next()
-            x = self.eat_ident("variable").text
-            self.eat_sym(":")
-            ty = self.type_(env.types)
-            self.eat_sym(".")
-            return Lam(x, ty, self.term(env.bind(x)))
-        if self.at_sym("/\\"):
-            self.next()
-            i = self.eat_ident("size variable").text
-            self.eat_sym(".")
-            return SizeLam(i, self.term(env))
-        if self.at_word("fix"):
-            self.next()
-            f = self.eat_ident("variable").text
-            self.eat_sym(":")
-            ty = self.type_(env.types)
-            self.eat_sym(".")
-            return Fix(f, ty, self.term(env.bind(f)))
-        if self.at_word("cofix"):
-            self.next()
-            self.eat_sym("[")
-            j = self.eat_ident("size variable").text
-            self.eat_sym("]")
-            f = self.eat_ident("variable").text
-            self.eat_sym(":")
-            ty = self.type_(env.types)
-            self.eat_sym(".")
-            return Cofix(j, f, ty, self.term(env.bind(f)))
-        if self.at_word("case"):
-            self.next()
-            scrut = self.term(env)
-            self.eat_word("of")
-            self.eat_sym("{")
-            branches: list[Branch] = []
-            seen: set[str] = set()
-            while not self.at_sym("}"):
-                ctok = self.eat_ident("constructor")
-                if ctok.text in seen:
-                    raise ParseError(f"duplicate case branch for {ctok.text}",
-                                     ctok.line, ctok.col)
-                seen.add(ctok.text)
-                binders: list[str] = []
-                while self.peek().kind == "ident" and not self.at_sym("=>"):
-                    binders.append(self.eat_ident("variable").text)
-                self.eat_sym("=>")
-                benv = env
-                for b in binders:
-                    benv = benv.bind(b)
-                branches.append(Branch(ctok.text, tuple(binders),
-                                       self.term(benv)))
-                if self.at_sym(";"):
+        frames: list[tuple] = []
+        while True:
+            # a term starts: open binders, cases and parentheses down to
+            # the identifier that heads an application
+            while True:
+                if self.at_sym("\\"):
                     self.next()
+                    x = self.eat_ident("variable").text
+                    self.eat_sym(":")
+                    ty = self.type_(env.types)
+                    self.eat_sym(".")
+                    frames.append(("bind", partial(Lam, x, ty)))
+                    env = env.bind(x)
+                elif self.at_sym("/\\"):
+                    self.next()
+                    i = self.eat_ident("size variable").text
+                    self.eat_sym(".")
+                    frames.append(("bind", partial(SizeLam, i)))
+                elif self.at_word("fix"):
+                    self.next()
+                    f = self.eat_ident("variable").text
+                    self.eat_sym(":")
+                    ty = self.type_(env.types)
+                    self.eat_sym(".")
+                    frames.append(("bind", partial(Fix, f, ty)))
+                    env = env.bind(f)
+                elif self.at_word("cofix"):
+                    self.next()
+                    self.eat_sym("[")
+                    j = self.eat_ident("size variable").text
+                    self.eat_sym("]")
+                    f = self.eat_ident("variable").text
+                    self.eat_sym(":")
+                    ty = self.type_(env.types)
+                    self.eat_sym(".")
+                    frames.append(("bind", partial(Cofix, j, f, ty)))
+                    env = env.bind(f)
+                elif self.at_word("case"):
+                    self.next()
+                    frames.append(("scrutinee", env))
+                elif self.at_sym("("):
+                    self.next()
+                    frames.append(("paren", None, env))
                 else:
                     break
-            self.eat_sym("}")
-            return Case(scrut, tuple(branches))
-        return self.app_term(env)
+            t = env.resolve(self.eat_ident("term").text)
+            # t heads an application: take its arguments, then close the
+            # frames it finishes, until a new term has to start
+            while True:
+                t = self._app_args(t, env, frames)
+                if t is None:
+                    break  # a parenthesised argument opened
+                t, env = self._close(t, frames)
+                if t is None:
+                    break  # a case branch opened
+                if env is None:
+                    return t
 
-    def app_term(self, env: "_TermEnv") -> Term:
-        t = self.atom_term(env)
+    def _app_args(self, t: Term, env: "_TermEnv",
+                  frames: list) -> Optional[Term]:
+        """t applied to the size and term arguments that follow, or None
+        after opening a frame for a parenthesised argument."""
         while True:
             if self.at_sym("["):
                 self.next()
                 s = self.size()
                 self.eat_sym("]")
                 t = SizeApp(t, s)
-            elif self.at_sym("(") or (self.peek().kind == "ident"
-                                      and self.peek().text not in _KEYWORDS):
-                t = App(t, self.atom_term(env))
+            elif self.at_sym("("):
+                self.next()
+                frames.append(("paren", t, env))
+                return None
+            elif self.peek().kind == "ident" and \
+                    self.peek().text not in _KEYWORDS:
+                t = App(t, env.resolve(self.next().text))
             else:
-                break
-        return t
+                return t
 
-    def atom_term(self, env: "_TermEnv") -> Term:
-        if self.at_sym("("):
-            self.next()
-            t = self.term(env)
-            self.eat_sym(")")
-            return t
-        tok = self.eat_ident("term")
-        return env.resolve(tok.text)
+    def _close(self, t: Term, frames: list
+               ) -> tuple[Optional[Term], Optional["_TermEnv"]]:
+        """Finish the frames that the complete term t ends.  Returns the
+        closed atom and its environment after a parenthesis, (None, env)
+        when a case branch opened whose body is to be parsed in env, and
+        (term, None) when no frame is left."""
+        while frames:
+            frame = frames.pop()
+            kind = frame[0]
+            if kind == "bind":
+                t = frame[1](t)
+                continue
+            if kind == "paren":
+                self.eat_sym(")")
+                return (t if frame[1] is None else App(frame[1], t)), frame[2]
+            if kind == "scrutinee":
+                env = frame[1]
+                self.eat_word("of")
+                self.eat_sym("{")
+                scrut, branches, seen = t, [], set()
+            else:
+                _, scrut, branches, seen, env, con, binders = frame
+                branches.append(Branch(con, binders, t))
+                if not self.at_sym(";"):
+                    self.eat_sym("}")
+                    t = Case(scrut, tuple(branches))
+                    continue
+                self.next()
+            if self.at_sym("}"):
+                self.next()
+                t = Case(scrut, tuple(branches))
+                continue
+            ctok = self.eat_ident("constructor")
+            if ctok.text in seen:
+                raise ParseError(f"duplicate case branch for {ctok.text}",
+                                 ctok.line, ctok.col)
+            seen.add(ctok.text)
+            binders = []
+            while self.peek().kind == "ident" and not self.at_sym("=>"):
+                binders.append(self.eat_ident("variable").text)
+            self.eat_sym("=>")
+            frames.append(("branch", scrut, branches, seen, env, ctok.text,
+                           tuple(binders)))
+            for b in binders:
+                env = env.bind(b)
+            return None, env
+        return t, None
 
 
 @dataclass

@@ -29,7 +29,7 @@ from .sizes import INF, ExtNat, SizeValuation, eval_size
 from .syntax import (
     App, Case, Coind, Cofix, DefRegistry, Fix, Lam, PApp, PBranch, PCase,
     PCon, PLam, PVar, PlainTerm, SizeApp, SizeLam, SVar, Term, TyVar, Type,
-    Var, Con, alpha_eq_plain, fresh_name, tv,
+    Var, Con, alpha_eq_plain, fresh_name,
 )
 
 __all__ = [
@@ -57,26 +57,52 @@ OMEGA: PlainTerm = PApp(PLam("x", PApp(PVar("x"), PVar("x"))),
 # Erasure
 
 def erase(t: Term) -> PlainTerm:
-    """Drop types and size operations; fix/cofix become Y applications."""
-    if isinstance(t, Var):
-        return PVar(t.name)
-    if isinstance(t, Con):
-        return PCon(t.name)
-    if isinstance(t, Lam):
-        return PLam(t.var, erase(t.body))
-    if isinstance(t, App):
-        return PApp(erase(t.fun), erase(t.arg))
-    if isinstance(t, SizeApp):
-        return erase(t.fun)
-    if isinstance(t, SizeLam):
-        return erase(t.body)
-    if isinstance(t, Case):
-        return PCase(erase(t.scrutinee),
-                     tuple(PBranch(b.con, b.binders, erase(b.body))
-                           for b in t.branches))
-    if isinstance(t, (Fix, Cofix)):
-        return PApp(Y_COMBINATOR, PLam(t.var, erase(t.body)))
-    raise TypeError(t)
+    """Drop types and size operations; fix/cofix become Y applications.
+
+    The walk keeps its own stack: a node is met once on the way down,
+    and a 1-tuple holding it rebuilds its erasure from its children's
+    erasures on `out` on the way up."""
+    out: list[PlainTerm] = []
+    work: list = [t]
+    while work:
+        t = work.pop()
+        cls = type(t)
+        if cls is tuple:
+            t = t[0]
+            cls = type(t)
+            if cls is App:
+                arg = out.pop()
+                out.append(PApp(out.pop(), arg))
+            elif cls is Case:
+                n = len(t.branches)
+                bodies = out[len(out) - n:]
+                del out[len(out) - n:]
+                out.append(PCase(out.pop(), tuple(
+                    PBranch(b.con, b.binders, body)
+                    for b, body in zip(t.branches, bodies))))
+            elif cls is Lam:
+                out.append(PLam(t.var, out.pop()))
+            else:  # Fix, Cofix
+                out.append(PApp(Y_COMBINATOR, PLam(t.var, out.pop())))
+        elif cls is Var:
+            out.append(PVar(t.name))
+        elif cls is Con:
+            out.append(PCon(t.name))
+        elif cls is App:
+            work += [(t,), t.arg, t.fun]
+        elif cls is SizeApp:
+            work.append(t.fun)
+        elif cls is SizeLam:
+            work.append(t.body)
+        elif cls is Case:
+            work.append((t,))
+            work.extend(b.body for b in reversed(t.branches))
+            work.append(t.scrutinee)
+        elif cls is Lam or cls is Fix or cls is Cofix:
+            work += [(t,), t.body]
+        else:
+            raise TypeError(t)
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +368,17 @@ _FULL_DEPTH = float("inf")
 _WhnfMemo = dict[tuple[int, int], tuple[PlainTerm, WhnfResult]]
 
 
+class _Node:
+    """A constructor node of `_approx` whose children are being observed."""
+    __slots__ = ("head", "args", "depths", "kids", "steps", "limited")
+
+    def __init__(self, head: str, args: tuple, depths: list, steps: int):
+        self.head, self.args, self.depths = head, args, depths
+        self.kids: list[Approximant] = []
+        self.steps = steps
+        self.limited = False
+
+
 def _approx(t: PlainTerm, depth, fuel: int, reg: Optional[DefRegistry],
             gas: list[int], memo: Optional[_WhnfMemo] = None
             ) -> tuple[Approximant, int, bool]:
@@ -349,38 +386,58 @@ def _approx(t: PlainTerm, depth, fuel: int, reg: Optional[DefRegistry],
     whether fuel cut it.  A subterm met again under the same limit reuses
     its whnf from the memo (a fresh one when none is passed); whnf is a
     pure function of the term and the limit, so its steps are charged
-    all the same."""
-    if reg is None and depth <= 0:
-        return Bottom(), 0, False
-    if gas[0] <= 0:
-        return Bottom(fuel_limited=True), 0, True
+    all the same.
+
+    Children are observed left to right, each in full before the next,
+    on a stack of open constructor nodes rather than the Python stack."""
     if memo is None:
         memo = {}
-    limit = min(fuel, gas[0])
-    key = (id(t), limit)
-    hit = memo.get(key)
-    if hit is None:
-        r = whnf(t, limit)
-        memo[key] = (t, r)
-    else:
-        r = hit[1]
-    gas[0] -= r.steps
-    if r.kind == "fuel":
-        return Bottom(fuel_limited=True), r.steps, True
-    if r.kind == "head":
-        depths = _child_depths(r.head, len(r.args), depth, reg)
-        if depths is None:  # a coinductive (or unknown) layer at depth 0
-            return Bottom(), r.steps, False
-        kids = []
-        total = r.steps
-        limited = False
-        for arg, d in zip(r.args, depths):
-            k, st, lim = _approx(arg, d, fuel, reg, gas, memo)
-            kids.append(k)
-            total += st
-            limited = limited or lim
-        return Constr(r.head, tuple(kids)), total, limited
-    return Opaque(r.term), r.steps, False
+    path: list[_Node] = []
+    while True:
+        # observe t at `depth`: either a leaf result or a new open node
+        if reg is None and depth <= 0:
+            res = (Bottom(), 0, False)
+        elif gas[0] <= 0:
+            res = (Bottom(fuel_limited=True), 0, True)
+        else:
+            limit = min(fuel, gas[0])
+            key = (id(t), limit)
+            hit = memo.get(key)
+            if hit is None:
+                r = whnf(t, limit)
+                memo[key] = (t, r)
+            else:
+                r = hit[1]
+            gas[0] -= r.steps
+            if r.kind == "fuel":
+                res = (Bottom(fuel_limited=True), r.steps, True)
+            elif r.kind != "head":
+                res = (Opaque(r.term), r.steps, False)
+            else:
+                depths = _child_depths(r.head, len(r.args), depth, reg)
+                if depths is None:  # a coinductive (or unknown) layer at 0
+                    res = (Bottom(), r.steps, False)
+                elif not r.args:
+                    res = (Constr(r.head, ()), r.steps, False)
+                else:
+                    path.append(_Node(r.head, r.args, depths, r.steps))
+                    t, depth = r.args[0], depths[0]
+                    continue
+        # hand the result to the open nodes it completes
+        while path:
+            node = path[-1]
+            node.kids.append(res[0])
+            node.steps += res[1]
+            node.limited = node.limited or res[2]
+            i = len(node.kids)
+            if i < len(node.args):
+                t, depth = node.args[i], node.depths[i]
+                break
+            path.pop()
+            res = (Constr(node.head, tuple(node.kids)), node.steps,
+                   node.limited)
+        else:
+            return res
 
 
 def _child_depths(con: str, n: int, depth,
@@ -393,21 +450,15 @@ def _child_depths(con: str, n: int, depth,
     """
     if reg is None:
         return [depth - 1] * n
-    d = reg.def_of_constructor(con)
-    sig = reg.constructor(con)
-    if d is None or sig is None or len(sig.arg_types) != n:
+    entry = reg.constructor_entry(con)
+    if entry is None or len(entry[1].arg_types) != n:
         return None if depth <= 0 else [depth - 1] * n
-    if d.coinductive and depth <= 0:
-        return None
-    out = []
-    for sigma in sig.arg_types:
-        if not tv(sigma):
-            out.append(_FULL_DEPTH)
-        elif d.coinductive:
-            out.append(depth - 1)
-        else:
-            out.append(depth)
-    return out
+    d, sig = entry
+    if d.coinductive:
+        if depth <= 0:
+            return None
+        depth -= 1
+    return [_FULL_DEPTH if closed else depth for closed in sig.closed]
 
 
 def refines(a1: Approximant, a2: Approximant) -> bool:
@@ -425,9 +476,13 @@ def refines(a1: Approximant, a2: Approximant) -> bool:
 
 
 def approximant_nodes(a: Approximant) -> int:
-    if isinstance(a, Constr):
-        return 1 + sum(approximant_nodes(k) for k in a.children)
-    return 1
+    nodes, stack = 0, [a]
+    while stack:
+        a = stack.pop()
+        nodes += 1
+        if isinstance(a, Constr):
+            stack.extend(a.children)
+    return nodes
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +571,10 @@ def _member_def(a: Approximant, dn: str, preds: list, level: ExtNat,
             return False
     if not isinstance(a, Constr):
         return False
-    owner = reg.def_of_constructor(a.con)
-    if owner is None or owner.name != dn:
+    entry = reg.constructor_entry(a.con)
+    if entry is None or entry[0].name != dn:
         return False
-    sig = reg.constructor(a.con)
+    sig = entry[1]
     if len(sig.arg_types) != len(a.children):
         return False
     child_level = level - 1 if level != INF else INF

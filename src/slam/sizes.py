@@ -227,17 +227,19 @@ def size_ge_const(u: Mapping[str, SizeExpr], s: SizeExpr, k: int) -> bool:
 
 def const_value(s: SizeExpr) -> ExtNat | None:
     """The constant value of a variable-free expression, else None."""
+    n = 0
+    while isinstance(s, Succ):
+        n += 1
+        s = s.arg
     if isinstance(s, Zero):
-        return 0
-    if isinstance(s, Infty):
+        v: ExtNat | None = 0
+    elif isinstance(s, Infty):
         return INF
-    if isinstance(s, Succ):
-        v = const_value(s.arg)
-        return None if v is None else (v + 1 if v != INF else INF)
-    if isinstance(s, SMin):
+    elif isinstance(s, (SMin, SMax)):
         l, r = const_value(s.left), const_value(s.right)
-        return None if l is None or r is None else min(l, r)
-    if isinstance(s, SMax):
-        l, r = const_value(s.left), const_value(s.right)
-        return None if l is None or r is None else max(l, r)
-    return None
+        if l is None or r is None:
+            return None
+        v = min(l, r) if isinstance(s, SMin) else max(l, r)
+    else:
+        return None
+    return v + n if v != INF else INF

@@ -349,30 +349,36 @@ PlainTerm = Union[PVar, PCon, PLam, PApp, PCase]
 
 def sv(x: Union[SizeExpr, Type]) -> frozenset[str]:
     """All size variables occurring in a size expression or type."""
+    cls = type(x)
+    while cls is Succ:
+        x = x.arg
+        cls = type(x)
+    if cls is SVar:
+        return frozenset((x.name,))
+    if cls is Zero or cls is Infty:
+        return _NO_VARS
     acc: set[str] = set()
-    _sv(x, acc)
+    stack = [x]
+    while stack:
+        x = stack.pop()
+        cls = type(x)
+        while cls is Succ:
+            x = x.arg
+            cls = type(x)
+        if cls is SVar:
+            acc.add(x.name)
+        elif cls is SMin or cls is SMax:
+            stack.append(x.left)
+            stack.append(x.right)
+        elif cls is Coind:
+            stack.append(x.size)
+            stack.extend(x.params)
+        elif cls is Arrow:
+            stack.append(x.dom)
+            stack.append(x.cod)
+        elif cls is Forall:
+            stack.append(x.body)
     return frozenset(acc)
-
-
-def _sv(x, acc: set[str]) -> None:
-    if isinstance(x, SVar):
-        acc.add(x.name)
-    elif isinstance(x, Succ):
-        _sv(x.arg, acc)
-    elif isinstance(x, (SMin, SMax)):
-        _sv(x.left, acc)
-        _sv(x.right, acc)
-    elif isinstance(x, Coind):
-        _sv(x.size, acc)
-        for p in x.params:
-            _sv(p, acc)
-    elif isinstance(x, Arrow):
-        _sv(x.dom, acc)
-        _sv(x.cod, acc)
-    elif isinstance(x, Forall):
-        _sv(x.body, acc)
-    elif isinstance(x, (TyVar, Bot, Zero, Infty)):
-        pass
 
 
 def fsv(x: Union[SizeExpr, Type]) -> frozenset[str]:
@@ -411,26 +417,34 @@ def tv(t: Type) -> frozenset[str]:
 
 def fsv_term(t: Term) -> frozenset[str]:
     """Free size variables of a decorated term (annotations included)."""
-    if isinstance(t, (Var, Con)):
-        return frozenset()
-    if isinstance(t, Lam):
-        return fsv(t.ty) | fsv_term(t.body)
-    if isinstance(t, App):
-        return fsv_term(t.fun) | fsv_term(t.arg)
-    if isinstance(t, SizeApp):
-        return fsv_term(t.fun) | sv(t.size)
-    if isinstance(t, SizeLam):
-        return frozenset(fsv_term(t.body) - {t.var})
-    if isinstance(t, Case):
-        acc = fsv_term(t.scrutinee)
-        for b in t.branches:
-            acc |= fsv_term(b.body)
-        return acc
-    if isinstance(t, Fix):
-        return fsv(t.ty) | fsv_term(t.body)
-    if isinstance(t, Cofix):
-        return frozenset((fsv(t.ty) | fsv_term(t.body)) - {t.size_var})
-    raise TypeError(t)
+    out: set[str] = set()
+    stack: list[tuple[Term, frozenset[str]]] = [(t, _NO_VARS)]
+    while stack:
+        t, bound = stack.pop()
+        while True:
+            cls = type(t)
+            if cls is App:
+                stack.append((t.arg, bound))
+                t = t.fun
+            elif cls is Var or cls is Con:
+                break
+            elif cls is SizeApp:
+                out |= sv(t.size).difference(bound)
+                t = t.fun
+            elif cls is SizeLam:
+                bound = bound | {t.var}
+                t = t.body
+            elif cls is Lam or cls is Fix or cls is Cofix:
+                if cls is Cofix:
+                    bound = bound | {t.size_var}
+                out |= fsv(t.ty).difference(bound)
+                t = t.body
+            elif cls is Case:
+                stack.extend((b.body, bound) for b in t.branches)
+                t = t.scrutinee
+            else:
+                raise TypeError(t)
+    return frozenset(out)
 
 
 def forall_binders(t: Type) -> frozenset[str]:
@@ -616,26 +630,36 @@ def subst_term(t: Term, replacement: Term, var: str) -> Term:
 
 
 def term_free_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset({t.name})
-    if isinstance(t, Con):
-        return frozenset()
-    if isinstance(t, Lam):
-        return frozenset(term_free_vars(t.body) - {t.var})
-    if isinstance(t, App):
-        return term_free_vars(t.fun) | term_free_vars(t.arg)
-    if isinstance(t, SizeApp):
-        return term_free_vars(t.fun)
-    if isinstance(t, SizeLam):
-        return term_free_vars(t.body)
-    if isinstance(t, Case):
-        acc = term_free_vars(t.scrutinee)
-        for b in t.branches:
-            acc |= term_free_vars(b.body) - set(b.binders)
-        return acc
-    if isinstance(t, (Fix, Cofix)):
-        return frozenset(term_free_vars(t.body) - {t.var})
-    raise TypeError(t)
+    """Free term variables of a decorated term."""
+    out: set[str] = set()
+    stack: list[tuple[Term, frozenset[str]]] = [(t, _NO_VARS)]
+    while stack:
+        t, bound = stack.pop()
+        while True:
+            cls = type(t)
+            if cls is App:
+                stack.append((t.arg, bound))
+                t = t.fun
+            elif cls is Var:
+                if t.name not in bound:
+                    out.add(t.name)
+                break
+            elif cls is Con:
+                break
+            elif cls is SizeApp:
+                t = t.fun
+            elif cls is SizeLam:
+                t = t.body
+            elif cls is Lam or cls is Fix or cls is Cofix:
+                bound = bound | {t.var}
+                t = t.body
+            elif cls is Case:
+                stack.extend((b.body, bound.union(b.binders))
+                             for b in t.branches)
+                t = t.scrutinee
+            else:
+                raise TypeError(t)
+    return frozenset(out)
 
 
 def _rename_term_var(t: Term, old: str, new: str) -> Term:
@@ -653,43 +677,73 @@ def uniquify_size_binders(t: Term, avoid: Iterable[str] = ()) -> Term:
     """
     used: set[str] = set(fsv_term(t)) | _annotation_binders(t) | set(avoid)
 
-    def go(t: Term, ren: dict[str, str]) -> Term:
-        if isinstance(t, (Var, Con)):
-            return t
-        if isinstance(t, Lam):
-            return Lam(t.var, _rename_type(t.ty, ren), go(t.body, ren))
-        if isinstance(t, App):
-            return App(go(t.fun, ren), go(t.arg, ren))
-        if isinstance(t, SizeApp):
-            return SizeApp(go(t.fun, ren), _rename_size(t.size, ren))
-        if isinstance(t, SizeLam):
-            nv = fresh_name(t.var, used)
-            used.add(nv)
-            return SizeLam(nv, go(t.body, {**ren, t.var: nv}))
-        if isinstance(t, Case):
-            return Case(go(t.scrutinee, ren),
-                        tuple(Branch(b.con, b.binders, go(b.body, ren))
-                              for b in t.branches))
-        if isinstance(t, Fix):
-            return Fix(t.var, _rename_type(t.ty, ren), go(t.body, ren))
-        if isinstance(t, Cofix):
-            nv = fresh_name(t.size_var, used)
-            used.add(nv)
-            return Cofix(nv, t.var, _rename_type(t.ty, {**ren, t.size_var: nv}),
-                         go(t.body, {**ren, t.size_var: nv}))
-        raise TypeError(t)
-
-    def _rename_size(s: SizeExpr, ren: dict[str, str]) -> SizeExpr:
+    def rename_size(s: SizeExpr, ren: dict[str, str]) -> SizeExpr:
         for old, new in ren.items():
             s = subst_size(s, SVar(new), old)
         return s
 
-    def _rename_type(ty: Type, ren: dict[str, str]) -> Type:
+    def rename_type(ty: Type, ren: dict[str, str]) -> Type:
         for old, new in ren.items():
             ty = subst_type_size(ty, SVar(new), old)
         return ty
 
-    return go(t, {})
+    # Preorder names the binders (left to right, as they are met), and
+    # postorder rebuilds each node from its children's results on `out`.
+    out: list[Term] = []
+    work: list[tuple[bool, Term, dict[str, str], str]] = [(False, t, {}, "")]
+    while work:
+        built, t, ren, nv = work.pop()
+        cls = type(t)
+        if not built:
+            if cls is Var or cls is Con:
+                out.append(t)
+                continue
+            inner = ren
+            if cls is SizeLam or cls is Cofix:
+                old = t.var if cls is SizeLam else t.size_var
+                nv = fresh_name(old, used)
+                used.add(nv)
+                inner = {**ren, old: nv}
+            work.append((True, t, ren, nv))
+            if cls is Case:
+                work.extend((False, b.body, inner, "")
+                            for b in reversed(t.branches))
+                work.append((False, t.scrutinee, inner, ""))
+            elif cls is App:
+                work.append((False, t.arg, inner, ""))
+                work.append((False, t.fun, inner, ""))
+            elif cls is SizeApp:
+                work.append((False, t.fun, inner, ""))
+            elif cls in (Lam, SizeLam, Fix, Cofix):
+                work.append((False, t.body, inner, ""))
+            else:
+                raise TypeError(t)
+            continue
+        if cls is App:
+            arg = out.pop()
+            fun = out.pop()
+            out.append(t if fun is t.fun and arg is t.arg else App(fun, arg))
+        elif cls is Case:
+            n = len(t.branches)
+            bodies = out[len(out) - n:]
+            del out[len(out) - n:]
+            scrut = out.pop()
+            out.append(Case(scrut, tuple(Branch(b.con, b.binders, body)
+                                         for b, body in zip(t.branches,
+                                                            bodies))))
+        elif cls is SizeApp:
+            out.append(SizeApp(out.pop(), rename_size(t.size, ren)))
+        elif cls is SizeLam:
+            out.append(SizeLam(nv, out.pop()))
+        elif cls is Lam:
+            out.append(Lam(t.var, rename_type(t.ty, ren), out.pop()))
+        elif cls is Fix:
+            out.append(Fix(t.var, rename_type(t.ty, ren), out.pop()))
+        else:
+            out.append(Cofix(nv, t.var,
+                             rename_type(t.ty, {**ren, t.size_var: nv}),
+                             out.pop()))
+    return out[0]
 
 
 def rename_binders_apart(t: Type, avoid: Iterable[str]) -> Type:
@@ -727,24 +781,29 @@ def rename_binders_apart(t: Type, avoid: Iterable[str]) -> Type:
 
 
 def _annotation_binders(t: Term) -> frozenset[str]:
-    if isinstance(t, (Var, Con)):
-        return frozenset()
-    if isinstance(t, Lam):
-        return forall_binders(t.ty) | _annotation_binders(t.body)
-    if isinstance(t, App):
-        return _annotation_binders(t.fun) | _annotation_binders(t.arg)
-    if isinstance(t, SizeApp):
-        return _annotation_binders(t.fun)
-    if isinstance(t, SizeLam):
-        return _annotation_binders(t.body)
-    if isinstance(t, Case):
-        acc = _annotation_binders(t.scrutinee)
-        for b in t.branches:
-            acc |= _annotation_binders(b.body)
-        return acc
-    if isinstance(t, (Fix, Cofix)):
-        return forall_binders(t.ty) | _annotation_binders(t.body)
-    raise TypeError(t)
+    out: set[str] = set()
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        if cls is App:
+            stack.append(t.fun)
+            stack.append(t.arg)
+        elif cls is Var or cls is Con:
+            continue
+        elif cls is SizeApp:
+            stack.append(t.fun)
+        elif cls is SizeLam:
+            stack.append(t.body)
+        elif cls is Case:
+            stack.append(t.scrutinee)
+            stack.extend(b.body for b in t.branches)
+        elif cls is Lam or cls is Fix or cls is Cofix:
+            out |= forall_binders(t.ty)
+            stack.append(t.body)
+        else:
+            raise TypeError(t)
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -885,6 +944,13 @@ class ConstructorSig:
     name: str
     arg_types: tuple[Type, ...]
     span: Optional[tuple[int, int]] = field(default=None, compare=False)
+    # per argument, whether its type is closed (mentions no type
+    # variable); computed once, when the signature is built
+    closed: tuple[bool, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "closed",
+                           tuple(not tv(a) for a in self.arg_types))
 
 
 @dataclass(frozen=True)
@@ -928,7 +994,8 @@ class DefRegistry:
 
     def __init__(self) -> None:
         self.defs: dict[str, Definition] = {}
-        self._con_index: dict[str, str] = {}
+        # constructor name -> its definition and signature
+        self._cons: dict[str, tuple[Definition, ConstructorSig]] = {}
         self.validated = False
         self.order: tuple[str, ...] = ()
 
@@ -938,12 +1005,12 @@ class DefRegistry:
         if d.name in self.defs:
             raise RegistryError([Diagnostic(f"duplicate definition {d.name}", d.span)])
         for c in d.constructors:
-            if c.name in self._con_index:
+            if c.name in self._cons:
                 raise RegistryError(
                     [Diagnostic(f"duplicate constructor {c.name}", c.span)])
         self.defs[d.name] = d
         for c in d.constructors:
-            self._con_index[c.name] = d.name
+            self._cons.setdefault(c.name, (d, c))
 
     def __contains__(self, name: str) -> bool:
         return name in self.defs
@@ -951,18 +1018,18 @@ class DefRegistry:
     def definition(self, name: str) -> Definition:
         return self.defs[name]
 
+    def constructor_entry(self, con: str
+                          ) -> Optional[tuple[Definition, ConstructorSig]]:
+        """The definition a constructor belongs to and its signature."""
+        return self._cons.get(con)
+
     def def_of_constructor(self, con: str) -> Optional[Definition]:
-        dn = self._con_index.get(con)
-        return self.defs[dn] if dn is not None else None
+        entry = self._cons.get(con)
+        return None if entry is None else entry[0]
 
     def constructor(self, con: str) -> Optional[ConstructorSig]:
-        d = self.def_of_constructor(con)
-        if d is None:
-            return None
-        for c in d.constructors:
-            if c.name == con:
-                return c
-        return None
+        entry = self._cons.get(con)
+        return None if entry is None else entry[1]
 
     def arity(self, con: str) -> int:
         sig = self.constructor(con)
@@ -1049,41 +1116,48 @@ def check_term_wf(t: Term, reg: DefRegistry) -> list[Diagnostic]:
                 f"annotation type must be closed, has type variable(s) "
                 f"{', '.join(sorted(extra))}"))
 
-    def go(t: Term) -> None:
-        if isinstance(t, (Var, Con)):
-            if isinstance(t, Con) and reg.constructor(t.name) is None:
+    # a stack of terms to visit and of diagnostics to emit, popped in
+    # preorder so the diagnostics come out in source order
+    stack: list = [t]
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        if cls is list:
+            out.extend(t)
+        elif cls is App:
+            stack.append(t.arg)
+            stack.append(t.fun)
+        elif cls is Var:
+            pass
+        elif cls is Con:
+            if reg.constructor(t.name) is None:
                 out.append(Diagnostic(f"unknown constructor {t.name}"))
-            return
-        if isinstance(t, Lam):
+        elif cls is SizeApp:
+            stack.append(t.fun)
+        elif cls is SizeLam:
+            stack.append(t.body)
+        elif cls is Lam or cls is Fix or cls is Cofix:
+            stack.append(t.body)
             check_ann(t.ty)
-            go(t.body)
-        elif isinstance(t, App):
-            go(t.fun)
-            go(t.arg)
-        elif isinstance(t, (SizeApp, SizeLam)):
-            go(t.fun if isinstance(t, SizeApp) else t.body)
-        elif isinstance(t, Case):
-            go(t.scrutinee)
+        elif cls is Case:
+            todo: list = [t.scrutinee]
             seen: set[str] = set()
             for b in t.branches:
+                diags = []
                 if b.con in seen:
-                    out.append(Diagnostic(f"duplicate case branch for {b.con}"))
+                    diags.append(Diagnostic(f"duplicate case branch for {b.con}"))
                 seen.add(b.con)
                 sig = reg.constructor(b.con)
                 if sig is None:
-                    out.append(Diagnostic(f"unknown constructor {b.con} in case"))
+                    diags.append(Diagnostic(f"unknown constructor {b.con} in case"))
                 elif len(sig.arg_types) != len(b.binders):
-                    out.append(Diagnostic(
+                    diags.append(Diagnostic(
                         f"branch for {b.con} binds {len(b.binders)} variable(s), "
                         f"constructor has {len(sig.arg_types)} argument(s)"))
-                go(b.body)
-        elif isinstance(t, (Fix, Cofix)):
-            check_ann(t.ty)
-            go(t.body)
+                todo += [diags, b.body]
+            stack.extend(reversed(todo))
         else:
             raise TypeError(t)
-
-    go(t)
     return out
 
 

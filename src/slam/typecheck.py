@@ -315,8 +315,31 @@ class _Infer:
         return s
 
     # -- the algorithm -----------------------------------------------------
+    #
+    # The rules are generators: each premise is yielded as (term, context)
+    # and its type (None on failure) is sent back.  `infer` runs them on a
+    # stack of its own, so the depth of the term costs heap, not Python
+    # stack, and the premises are inferred in the order the rules yield
+    # them.
 
     def infer(self, t: Term, gamma: dict[str, Type]) -> Optional[Type]:
+        stack: list = []
+        rule = self._infer(t, gamma)
+        value = None
+        while True:
+            try:
+                premise = rule.send(value)
+            except StopIteration as done:
+                if not stack:
+                    return done.value
+                rule = stack.pop()
+                value = done.value
+                continue
+            stack.append(rule)
+            rule = self._infer(*premise)
+            value = None
+
+    def _infer(self, t: Term, gamma: dict[str, Type]):
         if isinstance(t, Var):
             ty = gamma.get(t.name)
             if ty is None:
@@ -329,7 +352,7 @@ class _Infer:
             if sig.arg_types:
                 return self.fail("con", t,
                                  f"constructor {t.name} is not fully applied")
-            return self.con_rule(t.name, [], gamma, t)
+            return (yield from self.con_rule(t.name, [], gamma, t))
         if isinstance(t, App):
             head = t
             spine: list[Term] = []
@@ -347,21 +370,21 @@ class _Infer:
                     return self.fail(
                         "con", t, f"constructor {head.name} expects {ar} "
                         f"argument(s), got {len(spine)}")
-                res = self.con_rule(head.name, spine[:ar], gamma, t)
+                res = yield from self.con_rule(head.name, spine[:ar], gamma, t)
                 rest = spine[ar:]
             else:
-                res = self.infer(head, gamma)
+                res = yield head, gamma
                 rest = spine
             for arg in rest:
                 if res is None:
                     return None
-                res = self.app_rule(res, arg, gamma, t)
+                res = yield from self.app_rule(res, arg, gamma, t)
             return res
         if isinstance(t, Lam):
-            body = self.infer(t.body, {**gamma, t.var: t.ty})
+            body = yield t.body, {**gamma, t.var: t.ty}
             return None if body is None else Arrow(t.ty, body)
         if isinstance(t, SizeApp):
-            fun = self.infer(t.fun, gamma)
+            fun = yield t.fun, gamma
             if fun is None:
                 return None
             if not isinstance(fun, Forall):
@@ -376,41 +399,41 @@ class _Infer:
             if t.var in self._fsv_u_context(gamma):
                 return self.fail("gen", t,
                                  f"size variable {t.var} occurs in the context")
-            body = self.infer(t.body, gamma)
+            body = yield t.body, gamma
             if body is None:
                 return None
             self.linear.add(t.var)
             return Forall(t.var, body)
         if isinstance(t, Case):
-            return self.case_rule(t, gamma)
+            return (yield from self.case_rule(t, gamma))
         if isinstance(t, Fix):
-            return self.fix_rule(t, gamma)
+            return (yield from self.fix_rule(t, gamma))
         if isinstance(t, Cofix):
-            return self.cofix_rule(t, gamma)
+            return (yield from self.cofix_rule(t, gamma))
         raise TypeError(t)
 
     def app_rule(self, fun_ty: Type, arg: Term, gamma: dict[str, Type],
-                 at: Term) -> Optional[Type]:
+                 at: Term):
         if not isinstance(fun_ty, Arrow):
             return self.fail("app", at,
                              "application of a non-arrow type "
                              + self.show(fun_ty))
-        arg_ty = self.infer(arg, gamma)
+        arg_ty = yield arg, gamma
         if arg_ty is None:
             return None
         self.add_sub(arg_ty, fun_ty.dom)
         return fun_ty.cod
 
     def con_rule(self, cname: str, args: list[Term],
-                 gamma: dict[str, Type], at: Term) -> Optional[Type]:
-        d = self.reg.def_of_constructor(cname)
-        sig = self.reg.constructor(cname)
-        assert d is not None and sig is not None
+                 gamma: dict[str, Type], at: Term):
+        entry = self.reg.constructor_entry(cname)
+        assert entry is not None
+        d, sig = entry
         neutral: SizeExpr = INFTY if d.coinductive else ZERO
         sizes: list[SizeExpr] = []
         per_arg: list[Decomposed] = []
         for arg, sigma in zip(args, sig.arg_types):
-            theta = self.infer(arg, gamma)
+            theta = yield arg, gamma
             if theta is None:
                 return None
             dec = self.decompose(theta, sigma, d.name)
@@ -437,8 +460,8 @@ class _Infer:
             if sizes else neutral
         return Coind(d.name, Succ(agg), tuple(taus))
 
-    def case_rule(self, t: Case, gamma: dict[str, Type]) -> Optional[Type]:
-        scrut = self.infer(t.scrutinee, gamma)
+    def case_rule(self, t: Case, gamma: dict[str, Type]):
+        scrut = yield t.scrutinee, gamma
         if scrut is None:
             return None
         if not isinstance(scrut, Coind):
@@ -479,7 +502,7 @@ class _Infer:
                 delta = subst_type_multi(sigma, subst_map)
                 self.store_type(delta)
                 g2[x] = delta
-            tk = self.infer(b.body, g2)
+            tk = yield b.body, g2
             if tk is None:
                 return None
             if result is None:
@@ -490,7 +513,7 @@ class _Infer:
                     return self.fail("case", t, "branch types have no join")
         return result
 
-    def fix_rule(self, t: Fix, gamma: dict[str, Type]) -> Optional[Type]:
+    def fix_rule(self, t: Fix, gamma: dict[str, Type]):
         js: list[str] = []
         core = t.ty
         while isinstance(core, Forall):
@@ -515,7 +538,7 @@ class _Infer:
 
         prem = wrap(SVar(iv))
         self.store_type(prem)
-        theta = self.infer(t.body, {**gamma, t.var: prem})
+        theta = yield t.body, {**gamma, t.var: prem}
         if theta is None:
             return None
         k = self._premise_var(theta, len(js), dom.defname, gamma, t.ty)
@@ -546,7 +569,7 @@ class _Infer:
             return None
         return k
 
-    def cofix_rule(self, t: Cofix, gamma: dict[str, Type]) -> Optional[Type]:
+    def cofix_rule(self, t: Cofix, gamma: dict[str, Type]):
         target = tgt(t.ty)
         if not isinstance(target, Coind) or \
                 not self.reg.definition(target.defname).coinductive:
@@ -563,7 +586,7 @@ class _Infer:
         prem = chgtgt(t.ty, Coind(target.defname, SMin(s, SVar(j)),
                                   target.params))
         self.store_type(prem)
-        theta = self.infer(t.body, {**gamma, t.var: prem})
+        theta = yield t.body, {**gamma, t.var: prem}
         if theta is None:
             return None
         self.add_sub(theta, chgtgt(t.ty, Coind(
@@ -662,7 +685,14 @@ def _fold_size(s: SizeExpr) -> SizeExpr:
     if c is not None:
         return INFTY if c == INF else size_const(int(c))
     if isinstance(s, Succ):
-        return Succ(_fold_size(s.arg))
+        n = 0
+        while isinstance(s, Succ):
+            n += 1
+            s = s.arg
+        s = _fold_size(s)
+        for _ in range(n):
+            s = Succ(s)
+        return s
     if isinstance(s, SMin):
         l, r = _fold_size(s.left), _fold_size(s.right)
         if l == r:

@@ -511,3 +511,797 @@ def context_terms():
         out.append((f"{fname}:{tsrc}", sf.registry, gamma,
                     parse_term(tsrc, sf.registry)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Recursive references for the iterative walkers
+#
+# The library walks terms, sizes and constructor trees with loops and
+# explicit stacks, so nesting depth costs heap instead of Python stack.
+# These are the plain recursive forms they replaced, kept as oracles for
+# the differential tests; they fail on deep input by design.
+
+_REFERENCE_SYMBOLS = ["->", "=>", "/\\", "<=", "(", ")", "{", "}", "[", "]",
+                      "^", ",", ";", ":", ".", "=", "\\", "+"]
+
+
+def tokenize_reference(src: str):
+    """The character-loop tokenizer: `str.isdigit` digits, so a
+    non-ASCII digit becomes a number token (or part of one)."""
+    from slam.parser import ParseError, Token
+
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(src)
+    while i < n:
+        ch = src[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if src.startswith("--", i) or ch == "#":
+            while i < n and src[i] != "\n":
+                i += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] in "_'"):
+                j += 1
+            toks.append(Token("ident", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and src[j].isdigit():
+                j += 1
+            toks.append(Token("num", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        for sym in _REFERENCE_SYMBOLS:
+            if src.startswith(sym, i):
+                toks.append(Token("sym", sym, line, col))
+                i += len(sym)
+                col += len(sym)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    toks.append(Token("eof", "", line, col))
+    return toks
+
+
+def parse_term_reference(src: str, reg):
+    """parse_term by recursive descent over the reference tokenizer."""
+    from slam.parser import _P, _TermEnv, _TypeEnv
+
+    class Recursive(_P):
+        def term(self, env):
+            from slam import Branch, Case, Cofix, Fix, Lam, SizeLam
+            from slam.parser import ParseError
+
+            if self.at_sym("\\"):
+                self.next()
+                x = self.eat_ident("variable").text
+                self.eat_sym(":")
+                ty = self.type_(env.types)
+                self.eat_sym(".")
+                return Lam(x, ty, self.term(env.bind(x)))
+            if self.at_sym("/\\"):
+                self.next()
+                i = self.eat_ident("size variable").text
+                self.eat_sym(".")
+                return SizeLam(i, self.term(env))
+            if self.at_word("fix"):
+                self.next()
+                f = self.eat_ident("variable").text
+                self.eat_sym(":")
+                ty = self.type_(env.types)
+                self.eat_sym(".")
+                return Fix(f, ty, self.term(env.bind(f)))
+            if self.at_word("cofix"):
+                self.next()
+                self.eat_sym("[")
+                j = self.eat_ident("size variable").text
+                self.eat_sym("]")
+                f = self.eat_ident("variable").text
+                self.eat_sym(":")
+                ty = self.type_(env.types)
+                self.eat_sym(".")
+                return Cofix(j, f, ty, self.term(env.bind(f)))
+            if self.at_word("case"):
+                self.next()
+                scrut = self.term(env)
+                self.eat_word("of")
+                self.eat_sym("{")
+                branches = []
+                seen = set()
+                while not self.at_sym("}"):
+                    ctok = self.eat_ident("constructor")
+                    if ctok.text in seen:
+                        raise ParseError(
+                            f"duplicate case branch for {ctok.text}",
+                            ctok.line, ctok.col)
+                    seen.add(ctok.text)
+                    binders = []
+                    while self.peek().kind == "ident" and not self.at_sym("=>"):
+                        binders.append(self.eat_ident("variable").text)
+                    self.eat_sym("=>")
+                    benv = env
+                    for b in binders:
+                        benv = benv.bind(b)
+                    branches.append(Branch(ctok.text, tuple(binders),
+                                           self.term(benv)))
+                    if self.at_sym(";"):
+                        self.next()
+                    else:
+                        break
+                self.eat_sym("}")
+                return Case(scrut, tuple(branches))
+            return self.app_term(env)
+
+        def app_term(self, env):
+            from slam import SizeApp
+            from slam.parser import _KEYWORDS
+
+            t = self.atom_term(env)
+            while True:
+                if self.at_sym("["):
+                    self.next()
+                    s = self.size()
+                    self.eat_sym("]")
+                    t = SizeApp(t, s)
+                elif self.at_sym("(") or (self.peek().kind == "ident"
+                                          and self.peek().text not in _KEYWORDS):
+                    t = App(t, self.atom_term(env))
+                else:
+                    break
+            return t
+
+        def atom_term(self, env):
+            if self.at_sym("("):
+                self.next()
+                t = self.term(env)
+                self.eat_sym(")")
+                return t
+            tok = self.eat_ident("term")
+            return env.resolve(tok.text)
+
+    p = Recursive(tokenize_reference(src))
+    t = p.term(_TermEnv(reg, _TypeEnv(reg)))
+    if p.peek().kind != "eof":
+        raise p.fail("trailing input after term")
+    return t
+
+
+def sv_reference(x) -> frozenset[str]:
+    if isinstance(x, SVar):
+        return frozenset({x.name})
+    if isinstance(x, Succ):
+        return sv_reference(x.arg)
+    if isinstance(x, (SMin, SMax)):
+        return sv_reference(x.left) | sv_reference(x.right)
+    if isinstance(x, Coind):
+        acc = sv_reference(x.size)
+        for p in x.params:
+            acc |= sv_reference(p)
+        return acc
+    if isinstance(x, Arrow):
+        return sv_reference(x.dom) | sv_reference(x.cod)
+    if isinstance(x, Forall):
+        return sv_reference(x.body)
+    return frozenset()
+
+
+def term_free_vars_reference(t) -> frozenset[str]:
+    from slam import Case, Cofix, Con, Fix, Lam, SizeApp, SizeLam
+
+    if isinstance(t, Var):
+        return frozenset({t.name})
+    if isinstance(t, Con):
+        return frozenset()
+    if isinstance(t, Lam):
+        return frozenset(term_free_vars_reference(t.body) - {t.var})
+    if isinstance(t, App):
+        return term_free_vars_reference(t.fun) | term_free_vars_reference(t.arg)
+    if isinstance(t, SizeApp):
+        return term_free_vars_reference(t.fun)
+    if isinstance(t, SizeLam):
+        return term_free_vars_reference(t.body)
+    if isinstance(t, Case):
+        acc = term_free_vars_reference(t.scrutinee)
+        for b in t.branches:
+            acc |= term_free_vars_reference(b.body) - set(b.binders)
+        return acc
+    if isinstance(t, (Fix, Cofix)):
+        return frozenset(term_free_vars_reference(t.body) - {t.var})
+    raise TypeError(t)
+
+
+def fsv_term_reference(t) -> frozenset[str]:
+    from slam import Case, Cofix, Con, Fix, Lam, SizeApp, SizeLam, fsv
+
+    if isinstance(t, (Var, Con)):
+        return frozenset()
+    if isinstance(t, Lam):
+        return fsv(t.ty) | fsv_term_reference(t.body)
+    if isinstance(t, App):
+        return fsv_term_reference(t.fun) | fsv_term_reference(t.arg)
+    if isinstance(t, SizeApp):
+        return fsv_term_reference(t.fun) | sv(t.size)
+    if isinstance(t, SizeLam):
+        return frozenset(fsv_term_reference(t.body) - {t.var})
+    if isinstance(t, Case):
+        acc = fsv_term_reference(t.scrutinee)
+        for b in t.branches:
+            acc |= fsv_term_reference(b.body)
+        return acc
+    if isinstance(t, Fix):
+        return fsv(t.ty) | fsv_term_reference(t.body)
+    if isinstance(t, Cofix):
+        return frozenset((fsv(t.ty) | fsv_term_reference(t.body))
+                         - {t.size_var})
+    raise TypeError(t)
+
+
+def annotation_binders_reference(t) -> frozenset[str]:
+    from slam import Case, Cofix, Con, Fix, Lam, SizeApp, SizeLam
+    from slam.syntax import forall_binders
+
+    if isinstance(t, (Var, Con)):
+        return frozenset()
+    if isinstance(t, (Lam, Fix, Cofix)):
+        return forall_binders(t.ty) | annotation_binders_reference(t.body)
+    if isinstance(t, App):
+        return (annotation_binders_reference(t.fun)
+                | annotation_binders_reference(t.arg))
+    if isinstance(t, SizeApp):
+        return annotation_binders_reference(t.fun)
+    if isinstance(t, SizeLam):
+        return annotation_binders_reference(t.body)
+    if isinstance(t, Case):
+        acc = annotation_binders_reference(t.scrutinee)
+        for b in t.branches:
+            acc |= annotation_binders_reference(b.body)
+        return acc
+    raise TypeError(t)
+
+
+def check_term_wf_reference(t, reg) -> list:
+    from slam import (
+        Case, Cofix, Con, Diagnostic, Fix, Lam, SizeApp, SizeLam,
+        check_type_wf, tv,
+    )
+
+    out = []
+
+    def check_ann(ty):
+        out.extend(check_type_wf(ty, reg))
+        extra = tv(ty)
+        if extra:
+            out.append(Diagnostic(
+                f"annotation type must be closed, has type variable(s) "
+                f"{', '.join(sorted(extra))}"))
+
+    def go(t):
+        if isinstance(t, (Var, Con)):
+            if isinstance(t, Con) and reg.constructor(t.name) is None:
+                out.append(Diagnostic(f"unknown constructor {t.name}"))
+            return
+        if isinstance(t, Lam):
+            check_ann(t.ty)
+            go(t.body)
+        elif isinstance(t, App):
+            go(t.fun)
+            go(t.arg)
+        elif isinstance(t, (SizeApp, SizeLam)):
+            go(t.fun if isinstance(t, SizeApp) else t.body)
+        elif isinstance(t, Case):
+            go(t.scrutinee)
+            seen = set()
+            for b in t.branches:
+                if b.con in seen:
+                    out.append(Diagnostic(f"duplicate case branch for {b.con}"))
+                seen.add(b.con)
+                sig = reg.constructor(b.con)
+                if sig is None:
+                    out.append(Diagnostic(f"unknown constructor {b.con} in case"))
+                elif len(sig.arg_types) != len(b.binders):
+                    out.append(Diagnostic(
+                        f"branch for {b.con} binds {len(b.binders)} variable(s), "
+                        f"constructor has {len(sig.arg_types)} argument(s)"))
+                go(b.body)
+        elif isinstance(t, (Fix, Cofix)):
+            check_ann(t.ty)
+            go(t.body)
+        else:
+            raise TypeError(t)
+
+    go(t)
+    return out
+
+
+def uniquify_size_binders_reference(t, avoid=()):
+    from slam import (
+        Branch, Case, Cofix, Con, Fix, Lam, SizeApp, SizeLam, subst_size,
+        subst_type_size,
+    )
+    from slam.syntax import fsv_term
+
+    used = set(fsv_term(t)) | annotation_binders_reference(t) | set(avoid)
+
+    def size(s, ren):
+        for old, new in ren.items():
+            s = subst_size(s, SVar(new), old)
+        return s
+
+    def ty(x, ren):
+        for old, new in ren.items():
+            x = subst_type_size(x, SVar(new), old)
+        return x
+
+    def go(t, ren):
+        if isinstance(t, (Var, Con)):
+            return t
+        if isinstance(t, Lam):
+            return Lam(t.var, ty(t.ty, ren), go(t.body, ren))
+        if isinstance(t, App):
+            return App(go(t.fun, ren), go(t.arg, ren))
+        if isinstance(t, SizeApp):
+            return SizeApp(go(t.fun, ren), size(t.size, ren))
+        if isinstance(t, SizeLam):
+            nv = fresh_name(t.var, used)
+            used.add(nv)
+            return SizeLam(nv, go(t.body, {**ren, t.var: nv}))
+        if isinstance(t, Case):
+            return Case(go(t.scrutinee, ren),
+                        tuple(Branch(b.con, b.binders, go(b.body, ren))
+                              for b in t.branches))
+        if isinstance(t, Fix):
+            return Fix(t.var, ty(t.ty, ren), go(t.body, ren))
+        if isinstance(t, Cofix):
+            nv = fresh_name(t.size_var, used)
+            used.add(nv)
+            return Cofix(nv, t.var, ty(t.ty, {**ren, t.size_var: nv}),
+                         go(t.body, {**ren, t.size_var: nv}))
+        raise TypeError(t)
+
+    return go(t, {})
+
+
+def const_value_reference(s):
+    if isinstance(s, Zero):
+        return 0
+    if isinstance(s, Infty):
+        return INF
+    if isinstance(s, Succ):
+        v = const_value_reference(s.arg)
+        return None if v is None else (v + 1 if v != INF else INF)
+    if isinstance(s, (SMin, SMax)):
+        l, r = const_value_reference(s.left), const_value_reference(s.right)
+        if l is None or r is None:
+            return None
+        return min(l, r) if isinstance(s, SMin) else max(l, r)
+    return None
+
+
+def expand_reference(u, s):
+    memo = {}
+
+    def go(s):
+        if isinstance(s, SVar):
+            if s.name not in u:
+                return s
+            if s.name not in memo:
+                memo[s.name] = go(u[s.name])
+            return memo[s.name]
+        if isinstance(s, Succ):
+            return Succ(go(s.arg))
+        if isinstance(s, SMin):
+            return SMin(go(s.left), go(s.right))
+        if isinstance(s, SMax):
+            return SMax(go(s.left), go(s.right))
+        return s
+
+    return go(s)
+
+
+def topo_order_reference(u):
+    """Keys of u with dependencies first, or None on a cycle: the two
+    recursive depth-first searches the solver used."""
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {i: WHITE for i in u}
+
+    def acyclic(i):
+        color[i] = GRAY
+        for j in sv(u[i]):
+            if j not in color:
+                continue
+            if color[j] == GRAY or (color[j] == WHITE and not acyclic(j)):
+                return False
+        color[i] = BLACK
+        return True
+
+    if not all(acyclic(i) for i in u if color[i] == WHITE):
+        return None
+    out, seen = [], set()
+
+    def visit(i):
+        if i in seen:
+            return
+        seen.add(i)
+        for j in sv(u[i]):
+            if j in u:
+                visit(j)
+        out.append(i)
+
+    for i in u:
+        visit(i)
+    return out
+
+
+def erase_reference(t):
+    from slam import Case, Cofix, Con, Fix, Lam, SizeApp, SizeLam
+    from slam.rewrite import Y_COMBINATOR
+
+    if isinstance(t, Var):
+        return PVar(t.name)
+    if isinstance(t, Con):
+        return PCon(t.name)
+    if isinstance(t, Lam):
+        return PLam(t.var, erase_reference(t.body))
+    if isinstance(t, App):
+        return PApp(erase_reference(t.fun), erase_reference(t.arg))
+    if isinstance(t, SizeApp):
+        return erase_reference(t.fun)
+    if isinstance(t, SizeLam):
+        return erase_reference(t.body)
+    if isinstance(t, Case):
+        return PCase(erase_reference(t.scrutinee),
+                     tuple(PBranch(b.con, b.binders, erase_reference(b.body))
+                           for b in t.branches))
+    if isinstance(t, (Fix, Cofix)):
+        return PApp(Y_COMBINATOR, PLam(t.var, erase_reference(t.body)))
+    raise TypeError(t)
+
+
+def approx_reference(t, depth, fuel, reg, gas, memo=None):
+    """rewrite._approx by recursion, with the constructor lookups and
+    the type-variable scan of every argument made at each node."""
+    from slam import tv
+    from slam.rewrite import Bottom, Constr, Opaque, _FULL_DEPTH, whnf
+
+    if reg is None and depth <= 0:
+        return Bottom(), 0, False
+    if gas[0] <= 0:
+        return Bottom(fuel_limited=True), 0, True
+    if memo is None:
+        memo = {}
+    limit = min(fuel, gas[0])
+    key = (id(t), limit)
+    hit = memo.get(key)
+    if hit is None:
+        r = whnf(t, limit)
+        memo[key] = (t, r)
+    else:
+        r = hit[1]
+    gas[0] -= r.steps
+    if r.kind == "fuel":
+        return Bottom(fuel_limited=True), r.steps, True
+    if r.kind != "head":
+        return Opaque(r.term), r.steps, False
+    n = len(r.args)
+    if reg is None:
+        depths = [depth - 1] * n
+    else:
+        d = reg.def_of_constructor(r.head)
+        sig = reg.constructor(r.head)
+        if d is None or sig is None or len(sig.arg_types) != n:
+            depths = None if depth <= 0 else [depth - 1] * n
+        elif d.coinductive and depth <= 0:
+            depths = None
+        else:
+            depths = [_FULL_DEPTH if not tv(sigma)
+                      else depth - 1 if d.coinductive else depth
+                      for sigma in sig.arg_types]
+    if depths is None:
+        return Bottom(), r.steps, False
+    kids, total, limited = [], r.steps, False
+    for arg, dep in zip(r.args, depths):
+        k, st, lim = approx_reference(arg, dep, fuel, reg, gas, memo)
+        kids.append(k)
+        total += st
+        limited = limited or lim
+    return Constr(r.head, tuple(kids)), total, limited
+
+
+def _recursive_infer_class():
+    from typing import Optional
+
+    from slam import (
+        BOT, INFTY, ZERO, App, Arrow, Case, Coind, Cofix, Con, Fix, Forall,
+        Lam, SMin, SVar, SizeApp, SizeLam, Succ, Term, Type, Var, join, sv,
+    )
+    from slam.sizes import size_ge_const, underline
+    from slam.subtyping import chgtgt, tgt
+    from slam.syntax import SizeExpr, smax, smin, subst_type_multi
+    from slam.typecheck import Decomposed, _Infer
+
+    class RecursiveInfer(_Infer):
+        """The inference rules as plain recursive methods."""
+
+        def infer(self, t: Term, gamma: dict[str, Type]) -> Optional[Type]:
+            if isinstance(t, Var):
+                ty = gamma.get(t.name)
+                if ty is None:
+                    return self.fail("ax", t, f"unbound variable {t.name}")
+                return ty
+            if isinstance(t, Con):
+                sig = self.reg.constructor(t.name)
+                if sig is None:
+                    return self.fail("con", t, f"unknown constructor {t.name}")
+                if sig.arg_types:
+                    return self.fail("con", t,
+                                     f"constructor {t.name} is not fully applied")
+                return self.con_rule(t.name, [], gamma, t)
+            if isinstance(t, App):
+                head = t
+                spine: list[Term] = []
+                while isinstance(head, App):
+                    spine.append(head.arg)
+                    head = head.fun
+                spine.reverse()
+                if isinstance(head, Con):
+                    sig = self.reg.constructor(head.name)
+                    if sig is None:
+                        return self.fail("con", t,
+                                         f"unknown constructor {head.name}")
+                    ar = len(sig.arg_types)
+                    if len(spine) < ar:
+                        return self.fail(
+                            "con", t, f"constructor {head.name} expects {ar} "
+                            f"argument(s), got {len(spine)}")
+                    res = self.con_rule(head.name, spine[:ar], gamma, t)
+                    rest = spine[ar:]
+                else:
+                    res = self.infer(head, gamma)
+                    rest = spine
+                for arg in rest:
+                    if res is None:
+                        return None
+                    res = self.app_rule(res, arg, gamma, t)
+                return res
+            if isinstance(t, Lam):
+                body = self.infer(t.body, {**gamma, t.var: t.ty})
+                return None if body is None else Arrow(t.ty, body)
+            if isinstance(t, SizeApp):
+                fun = self.infer(t.fun, gamma)
+                if fun is None:
+                    return None
+                if not isinstance(fun, Forall):
+                    return self.fail("inst", t, "size application needs a "
+                                     "quantified type, got " + self.show(fun))
+                out = self.instantiate(fun.var, fun.body, t.size)
+                if out is None:
+                    return self.fail("inst", t,
+                                     "quantifier was already instantiated")
+                return out
+            if isinstance(t, SizeLam):
+                if t.var in self._fsv_u_context(gamma):
+                    return self.fail("gen", t,
+                                     f"size variable {t.var} occurs in the context")
+                body = self.infer(t.body, gamma)
+                if body is None:
+                    return None
+                self.linear.add(t.var)
+                return Forall(t.var, body)
+            if isinstance(t, Case):
+                return self.case_rule(t, gamma)
+            if isinstance(t, Fix):
+                return self.fix_rule(t, gamma)
+            if isinstance(t, Cofix):
+                return self.cofix_rule(t, gamma)
+            raise TypeError(t)
+
+        def app_rule(self, fun_ty: Type, arg: Term, gamma: dict[str, Type],
+                     at: Term) -> Optional[Type]:
+            if not isinstance(fun_ty, Arrow):
+                return self.fail("app", at,
+                                 "application of a non-arrow type "
+                                 + self.show(fun_ty))
+            arg_ty = self.infer(arg, gamma)
+            if arg_ty is None:
+                return None
+            self.add_sub(arg_ty, fun_ty.dom)
+            return fun_ty.cod
+
+        def con_rule(self, cname: str, args: list[Term],
+                     gamma: dict[str, Type], at: Term) -> Optional[Type]:
+            d = self.reg.def_of_constructor(cname)
+            sig = self.reg.constructor(cname)
+            assert d is not None and sig is not None
+            neutral: SizeExpr = INFTY if d.coinductive else ZERO
+            sizes: list[SizeExpr] = []
+            per_arg: list[Decomposed] = []
+            for arg, sigma in zip(args, sig.arg_types):
+                theta = self.infer(arg, gamma)
+                if theta is None:
+                    return None
+                dec = self.decompose(theta, sigma, d.name)
+                if dec is None:
+                    return self.fail(
+                        "con", at, f"argument of {cname} does not match its "
+                        f"declared shape (got {self.show(theta)})")
+                per_arg.append(dec)
+                sizes.append(dec.size if dec.size is not None else neutral)
+                self.add_sub(dec.sigma_prime, sigma)
+            taus: list[Type] = []
+            for j, bname in enumerate(d.params):
+                acc: Type = BOT
+                for dec in per_arg:
+                    for cand in ([dec.rec_params[j]] if dec.rec_params else []) \
+                            + ([dec.param_insts[bname]]
+                               if bname in dec.param_insts else []):
+                        acc = join(acc, cand, self.reg, env=self)
+                        if acc is None:
+                            return self.fail("con", at,
+                                             "parameter instances have no join")
+                taus.append(acc)
+            agg = (smin(*sizes) if d.coinductive else smax(*sizes)) \
+                if sizes else neutral
+            return Coind(d.name, Succ(agg), tuple(taus))
+
+        def case_rule(self, t: Case, gamma: dict[str, Type]) -> Optional[Type]:
+            scrut = self.infer(t.scrutinee, gamma)
+            if scrut is None:
+                return None
+            if not isinstance(scrut, Coind):
+                return self.fail("case", t, "scrutinee has non-data type "
+                                 + self.show(scrut))
+            d = self.reg.definition(scrut.defname)
+            if not t.branches:
+                return self.fail("case", t, "empty case")
+            seen: set[str] = set()
+            for b in t.branches:
+                sig = self.reg.constructor(b.con)
+                if sig is None or self.reg.def_of_constructor(b.con).name != d.name:
+                    return self.fail("case", t,
+                                     f"branch {b.con} is not a constructor of {d.name}")
+                if b.con in seen or len(sig.arg_types) != len(b.binders):
+                    return self.fail("case", t, f"malformed branch for {b.con}")
+                seen.add(b.con)
+            if d.coinductive:
+                if not size_ge_const(self.u, scrut.size, 1):
+                    return self.fail("case", t,
+                                     "coinductive scrutinee size is not >= 1")
+                peeled = self._overline_u(scrut.size)
+                if peeled is None:
+                    return self.fail("case", t,
+                                     "cannot peel the scrutinee size")
+            else:
+                peeled = underline(scrut.size)
+            iv = self.fresh_size()
+            self.u[iv] = peeled
+            rec_inst = Coind(d.name, SVar(iv), scrut.params)
+            subst_map: dict[str, Type] = {d.rec_var: rec_inst}
+            subst_map.update({bn: p for bn, p in zip(d.params, scrut.params)})
+            result: Optional[Type] = None
+            for b in t.branches:
+                sig = self.reg.constructor(b.con)
+                g2 = dict(gamma)
+                for x, sigma in zip(b.binders, sig.arg_types):
+                    delta = subst_type_multi(sigma, subst_map)
+                    self.store_type(delta)
+                    g2[x] = delta
+                tk = self.infer(b.body, g2)
+                if tk is None:
+                    return None
+                if result is None:
+                    result = tk
+                else:
+                    result = join(result, tk, self.reg, env=self)
+                    if result is None:
+                        return self.fail("case", t, "branch types have no join")
+            return result
+
+        def fix_rule(self, t: Fix, gamma: dict[str, Type]) -> Optional[Type]:
+            js: list[str] = []
+            core = t.ty
+            while isinstance(core, Forall):
+                js.append(core.var)
+                core = core.body
+            if not isinstance(core, Arrow) or not isinstance(core.dom, Coind):
+                return self.fail("fix", t, "annotation must have shape "
+                                 "forall js. mu -> tau with mu inductive")
+            dom, cod = core.dom, core.cod
+            if self.reg.definition(dom.defname).coinductive:
+                return self.fail("fix", t, f"{dom.defname} is not inductive")
+            if dom.size != INFTY:
+                return self.fail("fix", t,
+                                 "the recursive domain must be undecorated")
+            iv = self.fresh_size()
+
+            def wrap(dom_size: SizeExpr) -> Type:
+                ty: Type = Arrow(Coind(dom.defname, dom_size, dom.params), cod)
+                for j in reversed(js):
+                    ty = Forall(j, ty)
+                return ty
+
+            prem = wrap(SVar(iv))
+            self.store_type(prem)
+            theta = self.infer(t.body, {**gamma, t.var: prem})
+            if theta is None:
+                return None
+            k = self._premise_var(theta, len(js), dom.defname, gamma, t.ty)
+            if k is not None:
+                self.u[iv] = SVar(k)
+            self.add_sub(theta, wrap(Succ(SVar(iv))))
+            return t.ty
+
+        def _premise_var(self, theta: Type, n_foralls: int, dname: str,
+                         gamma: dict[str, Type], ann: Type) -> Optional[str]:
+            """The size variable the body actually recursed on, when its
+            inferred domain has the literal shape d^(k+1) for a suitable k."""
+            core = theta
+            for _ in range(n_foralls):
+                if not isinstance(core, Forall):
+                    return None
+                core = core.body
+            if not (isinstance(core, Arrow) and isinstance(core.dom, Coind)
+                    and core.dom.defname == dname):
+                return None
+            s = core.dom.size
+            if not (isinstance(s, Succ) and isinstance(s.arg, SVar)):
+                return None
+            k = s.arg.name
+            if k.startswith(("$", "?")) or k in self.u or k in sv(ann):
+                return None
+            if k in self._fsv_u_context(gamma):
+                return None
+            return k
+
+        def cofix_rule(self, t: Cofix, gamma: dict[str, Type]) -> Optional[Type]:
+            target = tgt(t.ty)
+            if not isinstance(target, Coind) or \
+                    not self.reg.definition(target.defname).coinductive:
+                return self.fail("cofix", t,
+                                 "annotation target must be coinductive")
+            j = t.size_var
+            if j in self._fsv_u_context(gamma):
+                return self.fail("cofix", t,
+                                 f"size variable {j} occurs in the context")
+            if j in sv(t.ty):
+                return self.fail("cofix", t,
+                                 f"size variable {j} occurs in the annotation")
+            s = target.size
+            prem = chgtgt(t.ty, Coind(target.defname, SMin(s, SVar(j)),
+                                      target.params))
+            self.store_type(prem)
+            theta = self.infer(t.body, {**gamma, t.var: prem})
+            if theta is None:
+                return None
+            self.add_sub(theta, chgtgt(t.ty, Coind(
+                target.defname, SMin(s, Succ(SVar(j))), target.params)))
+            return t.ty
+
+    return RecursiveInfer
+
+
+def infer_state(reg, gamma, t, recursive: bool):
+    """Run inference as `typecheck.infer` does, with the iterative rules
+    or with the recursive reference; returns every piece of the state."""
+    from slam.syntax import forall_binders, fsv, uniquify_size_binders
+    from slam.typecheck import _Infer
+
+    ambient = set()
+    for ty in gamma.values():
+        ambient |= fsv(ty) | forall_binders(ty)
+    t = uniquify_size_binders(t, ambient)
+    st = (_recursive_infer_class() if recursive else _Infer)(reg, {})
+    tau = st.infer(t, dict(gamma))
+    return tau, st.u, st.pairs, st.linear, st.trail

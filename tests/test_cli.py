@@ -151,11 +151,74 @@ def test_gen_hard_bad_token_exit_2(tmp_path, capsys):
     assert err.startswith("error: 3:3: ") and "'x2'" in err
 
 
-def test_too_deep_input_exit_2(capsys):
-    numeral = "succ (" * 1000 + "zero" + ")" * 1000
-    code, out, err = run(capsys, "infer", STREAMS, numeral)
+def test_too_deep_input_exit_2(capsys, monkeypatch):
+    # no input is known to nest too deeply for `infer` any more; the net
+    # that maps RecursionError to exit 2 stays, for input that does
+    def too_deep(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("slam.cli._cmd_infer", too_deep)
+    for porcelain in ((), ("--porcelain",)):
+        code, out, err = run(capsys, *porcelain, "infer", STREAMS, "zero")
+        assert code == 2 and out == ""
+        assert err == "error: input nested too deeply\n"  # no traceback
+
+
+def _numeral(k):
+    return "succ (" * k + "zero" + ")" * k
+
+
+@pytest.mark.parametrize("k", [1000, 10_000])
+def test_deep_numerals_infer_and_eval(capsys, k):
+    # nesting depth is bounded by memory, not by Python's recursion limit
+    code, out, err = run(capsys, "infer", STREAMS, _numeral(k))
+    assert (code, out, err) == (0, f"Nat^{k + 1}\n", "")
+    code, out, err = run(capsys, "eval", STREAMS, _numeral(k))
+    assert (code, out, err) == (0, f"{k}\n", "")
+
+
+def test_eval_binding_chain(tmp_path, capsys):
+    # d10 is a 1024-deep numeral built by a 12-line file
+    chain = ["d0 = succ zero;"] + [f"d{i} = plus d{i - 1} d{i - 1};"
+                                   for i in range(1, 11)]
+    f = tmp_path / "chain.slam"
+    f.write_text((CORPUS_DIR / "streams.slam").read_text() + "\n"
+                 + "\n".join(chain) + "\n")
+    code, out, err = run(capsys, "eval", str(f), "d10")
+    assert (code, out, err) == (0, "1024\n", "")
+
+
+def test_non_ascii_digit_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "infer", STREAMS, "tl [\u00b2] zeros")
     assert code == 2 and out == ""
-    assert err == "error: input nested too deeply\n"  # no traceback
+    assert err == "error: 1:5: unexpected character '\u00b2'\n"
+
+
+def _let_chain(last: str, assertion: str) -> str:
+    # written last to first: each definition uses the next line's variable
+    lines = [f"let i{k} = i{k - 1}+1;" for k in range(1999, 0, -1)]
+    return "\n".join(lines + [f"let i0 = {last};", assertion]) + "\n"
+
+
+def test_solve_long_definition_chain(tmp_path, capsys):
+    sc = tmp_path / "chain.sc"
+    sc.write_text(_let_chain("0", "assert i1999 <= i1999+1;"))
+    code, out, err = run(capsys, "solve", str(sc))
+    assert (code, out, err) == (0, "valid\n", "")
+    sc.write_text(_let_chain("j", "assert i1999 <= j+5;"))
+    code, out, err = run(capsys, "--porcelain", "solve", str(sc))
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "verdict: invalid"
+    witness = {}
+    for line in lines[1:]:
+        key, value = line.split(": ")
+        witness[key.removeprefix("witness.")] = int(value)
+    assert set(witness) == {f"i{k}" for k in range(2000)} | {"j"}
+    assert witness["i0"] == witness["j"]
+    assert all(witness[f"i{k}"] == witness[f"i{k - 1}"] + 1
+               for k in range(1, 2000))
+    assert not witness["i1999"] <= witness["j"] + 5
 
 
 def test_eval_deep_value(capsys):
