@@ -10,6 +10,7 @@ With --porcelain the output is line-oriented `key: value` text with keys
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .constraints import (
@@ -139,33 +140,60 @@ def render_approximant(a: Approximant, reg: DefRegistry) -> str:
         and reg.constructor("succ") is not None
     sugar_cons = reg.constructor("cons") is not None
 
-    def numeral(a: Approximant):
+    def succ_chain(a: Approximant) -> tuple[int, Approximant]:
         n = 0
         while isinstance(a, Constr) and a.con == "succ" and len(a.children) == 1:
             n += 1
             a = a.children[0]
-        if isinstance(a, Constr) and a.con == "zero" and not a.children:
-            return n
-        return None
+        return n, a
 
-    def go(a: Approximant, atom: bool) -> str:
-        if isinstance(a, Bottom):
-            return "_|_"
-        if isinstance(a, Opaque):
-            return "<fun>" if isinstance(a.term, PLam) else "<stuck>"
-        if sugar_nat:
-            n = numeral(a)
-            if n is not None:
-                return str(n)
-        if sugar_cons and a.con == "cons" and len(a.children) == 2:
-            s = f"{go(a.children[0], True)} :: {go(a.children[1], False)}"
-            return f"({s})" if atom else s
-        if not a.children:
-            return a.con
-        s = a.con + " " + " ".join(go(k, True) for k in a.children)
-        return f"({s})" if atom else s
-
-    return go(a, False)
+    # An explicit stack of text pieces and (node, atom) items still to
+    # render, pushed last piece first, so deep values need no deep
+    # Python stack.
+    out: list[str] = []
+    work: list = [(a, False)]
+    push = work.append
+    while work:
+        item = work.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        a, atom = item
+        if type(a) is Bottom:
+            out.append("_|_")
+            continue
+        if type(a) is Opaque:
+            out.append("<fun>" if isinstance(a.term, PLam) else "<stuck>")
+            continue
+        con, kids = a.con, a.children
+        n = 0
+        if sugar_nat and con in ("succ", "zero"):
+            n, tail = succ_chain(a)
+            if type(tail) is Constr and tail.con == "zero" \
+                    and not tail.children:
+                out.append(str(n))
+                continue
+        if not kids:
+            out.append(con)
+            continue
+        if atom:
+            push(")")
+        if n:  # a chain that is no numeral is pushed whole: linear time
+            push(")" * (n - 1))
+            push((tail, True))
+            push("succ " + "(succ " * (n - 1))
+        elif sugar_cons and con == "cons" and len(kids) == 2:
+            push((kids[1], False))
+            push(" :: ")
+            push((kids[0], True))
+        else:
+            for k in reversed(kids):
+                push((k, True))
+                push(" ")
+            push(con)
+        if atom:
+            push("(")
+    return "".join(out)
 
 
 def _contains_fuel_limited(a: Approximant) -> bool:
@@ -312,7 +340,9 @@ def _cmd_gen_hard(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: each `main` call only parses."""
     ap = argparse.ArgumentParser(
         prog="slam",
         description="sized (co)inductive lambda calculus tools")
@@ -325,19 +355,16 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("term")
     p.add_argument("colon", metavar=":")
     p.add_argument("type")
-    p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("infer", help="print the minimal type of a term")
     p.add_argument("file")
     p.add_argument("term")
-    p.set_defaults(fn=_cmd_infer)
 
     p = sub.add_parser("eval", help="print a depth-bounded approximant")
     p.add_argument("file")
     p.add_argument("term")
     p.add_argument("--depth", type=int, default=5)
     p.add_argument("--fuel", type=int, default=10000)
-    p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("productivity",
                        help="depth-by-depth productivity report")
@@ -346,20 +373,22 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--type", required=True)
     p.add_argument("--depth", type=int, default=5)
     p.add_argument("--fuel", type=int, default=10000)
-    p.set_defaults(fn=_cmd_productivity)
 
     p = sub.add_parser("solve", help="decide a size-constraint file")
     p.add_argument("constraints")
-    p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("gen-hard",
                        help="encode a DIMACS CNF as a size constraint")
     p.add_argument("cnffile")
-    p.set_defaults(fn=_cmd_gen_hard)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    # looked up by name at each call, not kept in the cached parser
+    command = globals()["_cmd_" + args.cmd.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except (ParseError, RegistryError, CliError, NonObservableType) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -423,48 +423,57 @@ def _sat_conjunction(ineqs: list[Pair]) -> Optional[dict[str, int]]:
     g = DifferenceGraph()
     if not g.extend(atoms):
         return None
-    return _solve(g, disjs)
+    return _solve(g, _all_arms(disjs))
+
+
+_Split = tuple[_Disj, list[int]]  # a split and its arms not yet refused
+
+
+def _all_arms(disjs: list[_Disj]) -> list[_Split]:
+    return [(d, list(range(len(d.arms)))) for d in disjs]
 
 
 def _solve(g: DifferenceGraph,
-           disjs: list[_Disj]) -> Optional[dict[str, int]]:
+           splits: list[_Split]) -> Optional[dict[str, int]]:
     """Search the disjuncts over the committed atoms in `g`.
 
     An arm is feasible when `g` admits its atoms without a negative
-    cycle; the check leaves `g` unchanged.  The search drops infeasible
-    arms and commits forced (single-arm) splits into `g` to a fixpoint,
-    then branches on the smallest split, arms in order.  A model is read
-    off the potential of `g` once no split is left.  On None, `g` may
-    hold commits of this call, which the caller undoes to its own mark.
+    cycle; the check leaves `g` unchanged.  Each split carries the arms
+    not yet refused on the current branch: `g` only grows along a
+    branch, so a refused arm stays refused, and only the others are
+    checked again.  The search drops infeasible arms and commits forced
+    (single-arm) splits into `g` to a fixpoint, then branches on the
+    smallest split, arms in order; each child starts from a copy of the
+    lists, so a backtrack finds them as they were.  A model is read off
+    the potential of `g` once no split is left.  On None, `g` may hold
+    commits of this call, which the caller undoes to its own mark.
+    The call works on `splits` in place, so each caller passes its own.
     """
-    while True:
-        changed = False
-        remaining: list[tuple[_Disj, list[int]]] = []
-        for d in disjs:
-            feasible = [i for i in range(len(d.arms))
-                        if (delta := d.delta(i)) is not None
-                        and g.admits(delta[0])]
-            if not feasible:
-                return None
-            if len(feasible) == 1:
-                da, dd = d.delta(feasible[0])
-                g.extend(da)  # just admitted
-                disjs = [x for x in disjs if x is not d] + dd
-                changed = True
-                break
-            remaining.append((d, feasible))
-        if not changed:
-            break
-    if not disjs:
+    k = 0
+    while k < len(splits):
+        d, live = splits[k]
+        live = [i for i in live
+                if (delta := d.delta(i)) is not None and g.admits(delta[0])]
+        if not live:
+            return None
+        if len(live) == 1:
+            da, dd = d.delta(live[0])
+            g.extend(da)  # just admitted
+            del splits[k]
+            splits += _all_arms(dd)
+            k = 0  # the graph grew: check every split again
+            continue
+        splits[k] = d, live
+        k += 1
+    if not splits:
         return g.model()
-    remaining.sort(key=lambda df: len(df[1]))
-    d, feasible = remaining[0]
-    rest = [x for x in disjs if x is not d]
-    for i in feasible:
+    k = min(range(len(splits)), key=lambda j: len(splits[j][1]))
+    d, live = splits.pop(k)
+    for i in live:
         da, dd = d.delta(i)
         mark = g.mark()
         g.extend(da)  # admitted in the last pass, with g as it is now
-        model = _solve(g, rest + dd)
+        model = _solve(g, splits + _all_arms(dd))
         if model is not None:
             return model
         g.undo(mark)

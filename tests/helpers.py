@@ -434,6 +434,43 @@ def sat_atoms_reference(atoms) -> dict[str, int] | None:
     return {n: dist[n] - base for n in nodes if n != zero}
 
 
+def solve_reference(g, disjs):
+    """constraints._solve as it was before it remembered refused arms:
+    every pass checks every arm of every split again."""
+    while True:
+        changed = False
+        remaining = []
+        for d in disjs:
+            feasible = [i for i in range(len(d.arms))
+                        if (delta := d.delta(i)) is not None
+                        and g.admits(delta[0])]
+            if not feasible:
+                return None
+            if len(feasible) == 1:
+                da, dd = d.delta(feasible[0])
+                g.extend(da)  # just admitted
+                disjs = [x for x in disjs if x is not d] + dd
+                changed = True
+                break
+            remaining.append((d, feasible))
+        if not changed:
+            break
+    if not disjs:
+        return g.model()
+    remaining.sort(key=lambda df: len(df[1]))
+    d, feasible = remaining[0]
+    rest = [x for x in disjs if x is not d]
+    for i in feasible:
+        da, dd = d.delta(i)
+        mark = g.mark()
+        g.extend(da)  # admitted in the last pass, with g as it is now
+        model = solve_reference(g, rest + dd)
+        if model is not None:
+            return model
+        g.undo(mark)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Term corpus
 
@@ -1018,6 +1055,45 @@ def approx_reference(t, depth, fuel, reg, gas, memo=None):
         total += st
         limited = limited or lim
     return Constr(r.head, tuple(kids)), total, limited
+
+
+def render_approximant_reference(a, reg) -> str:
+    """cli.render_approximant by recursion, with the numeral scan made
+    again at every node."""
+    from slam import PLam
+    from slam.rewrite import Bottom, Constr, Opaque
+
+    sugar_nat = reg.constructor("zero") is not None \
+        and reg.constructor("succ") is not None
+    sugar_cons = reg.constructor("cons") is not None
+
+    def numeral(a):
+        n = 0
+        while isinstance(a, Constr) and a.con == "succ" and len(a.children) == 1:
+            n += 1
+            a = a.children[0]
+        if isinstance(a, Constr) and a.con == "zero" and not a.children:
+            return n
+        return None
+
+    def go(a, atom: bool) -> str:
+        if isinstance(a, Bottom):
+            return "_|_"
+        if isinstance(a, Opaque):
+            return "<fun>" if isinstance(a.term, PLam) else "<stuck>"
+        if sugar_nat:
+            n = numeral(a)
+            if n is not None:
+                return str(n)
+        if sugar_cons and a.con == "cons" and len(a.children) == 2:
+            s = f"{go(a.children[0], True)} :: {go(a.children[1], False)}"
+            return f"({s})" if atom else s
+        if not a.children:
+            return a.con
+        s = a.con + " " + " ".join(go(k, True) for k in a.children)
+        return f"({s})" if atom else s
+
+    return go(a, False)
 
 
 def _recursive_infer_class():

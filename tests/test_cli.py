@@ -238,3 +238,44 @@ def test_bad_budget_exit_2(capsys, cmd, budget):
         assert code == 2 and out == ""
         assert err == ("error: fuel must be positive "
                        "and depth non-negative\n")  # no traceback
+
+
+@pytest.mark.parametrize("depth", [2000, 10000])
+def test_eval_deeper_than_the_recursion_limit(capsys, depth):
+    code, out, err = run(capsys, "eval", STREAMS, "zeros", "--depth",
+                         str(depth))
+    assert (code, err) == (0, "")
+    assert out == "0 :: " * depth + "_|_\n"
+
+
+def test_main_called_repeatedly_matches_single_calls(tmp_path, capsys):
+    # the parser is built once per process; parsing it again must not
+    # carry anything from one call into the next
+    from slam.cli import _parser
+
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 0\n")
+    calls = [
+        ("infer", STREAMS, "tl"),
+        ("--porcelain", "infer", SP, "run"),
+        ("check", STREAMS, "tl", ":", "Strm -> Strm"),
+        ("eval", STREAMS, "nats", "--depth", "3"),
+        ("eval", STREAMS, "omega", "--depth", "1", "--fuel", "50"),
+        ("--porcelain", "productivity", STREAMS, "zeros", "--type", "Strm",
+         "--depth", "2"),
+        ("productivity", SP, "run odd nats", "--type", "Strm"),
+        ("solve", str(CORPUS_DIR / "bad.sc")),
+        ("--porcelain", "solve", str(CORPUS_DIR / "bad.sc")),
+        ("gen-hard", str(cnf)),
+        ("eval", STREAMS, "zeros", "--fuel", "0"),
+        ("infer", STREAMS, "no_such_name"),
+    ]
+    single = []
+    for argv in calls:
+        _parser.cache_clear()
+        single.append(run(capsys, *argv))
+    assert _parser() is _parser()
+    for _ in range(2):
+        assert [run(capsys, *argv) for argv in calls] == single
+    assert [run(capsys, *argv) for argv in reversed(calls)] == single[::-1]
+    assert len({code for code, _, _ in single}) == 3  # 0, 1 and 2 all seen

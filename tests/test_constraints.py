@@ -3,12 +3,13 @@ import random
 import pytest
 
 from helpers import (
-    brute_force_valid, completeness_bound, rand_cnf, rand_size,
-    sat_atoms_reference, truth_table_sat,
+    CORPUS_DIR, brute_force_valid, completeness_bound, load, rand_cnf,
+    rand_size, sat_atoms_reference, solve_reference, truth_table_sat,
 )
 from slam import (
     INFTY, ONE, SMax, SMin, SVar, Succ, ZERO, eval_size,
 )
+from slam import constraints
 from slam.constraints import (
     CyclicDefMap, DifferenceGraph, SizeConstraint, VarConst, VarVar,
     check_acyclic, encode_3cnf, expand, format_constraint, is_valid,
@@ -16,6 +17,7 @@ from slam.constraints import (
 )
 from slam.sizes import INF, SizeValuation
 from slam.syntax import size_const, smax, smin
+from slam.typecheck import infer
 
 I, J, K = SVar("i"), SVar("j"), SVar("k")
 
@@ -277,3 +279,82 @@ def test_infinity_propagates_through_definitions():
     assert res.witness["i"] == INF and res.witness["j"] == INF
     assert is_valid(SizeConstraint({"i": J, "j": INFTY}, [(ZERO, I)])).valid
     assert is_valid(SizeConstraint({"i": J, "j": INFTY}, [(K, I)])).valid
+
+
+# -- the disjunct search against its reference ---------------------------------
+
+def _random_3cnf_constraint(rng: random.Random, n: int) -> SizeConstraint:
+    clauses = [[(f"x{v}", rng.random() < 0.5)
+                for v in rng.sample(range(1, n + 1), 3)]
+               for _ in range(round(4.26 * n))]
+    s1, s2 = encode_3cnf(clauses)
+    return SizeConstraint({}, [(Succ(s2), s1)])  # valid iff unsatisfiable
+
+
+def _search_inputs() -> list[SizeConstraint]:
+    rng = random.Random(1808)
+    out = [_random_3cnf_constraint(rng, n)
+           for n in range(4, 11) for _ in range(2)]
+    out.append(parse_constraint_file((CORPUS_DIR / "bad.sc").read_text()))
+    for fname in ("streams", "sp", "trees"):
+        sf = load(fname)
+        for name in sf.bindings:
+            c = infer(sf.registry, {}, sf.linked(name)).constraint
+            if c.u:
+                out.append(c)
+    return out
+
+
+def _outcome(res):
+    witness = None if res.witness is None \
+        else list(res.witness.mapping.items())
+    return res.valid, witness, res.violated
+
+
+def test_search_matches_reference_and_never_rechecks_refused_arms(
+        monkeypatch):
+    # the search with refused arms remembered against the one that checks
+    # every arm after every commit: the same verdict, witness (in order)
+    # and violated pair, never more arm checks, and no arm refused at a
+    # search node checked again at that node or below it
+    checks = [0]
+    refused: list[set[int]] = []  # per open search node: arms refused there
+    arms = []  # keeps every refused arm's atom list alive, so ids stay put
+    admits = DifferenceGraph.admits
+
+    def counting_admits(g, atoms):
+        checks[0] += 1
+        assert not any(id(atoms) in r for r in refused), atoms
+        ok = admits(g, atoms)
+        if not ok and refused:
+            refused[-1].add(id(atoms))
+            arms.append(atoms)
+        return ok
+
+    solve = constraints._solve
+
+    def tracked(g, splits):
+        refused.append(set())
+        try:
+            return solve(g, splits)
+        finally:
+            refused.pop()
+
+    def reference(g, splits):
+        assert all(live == list(range(len(d.arms))) for d, live in splits)
+        return solve_reference(g, [d for d, _ in splits])
+
+    monkeypatch.setattr(DifferenceGraph, "admits", counting_admits)
+    inputs = _search_inputs()
+    saved = 0
+    for c in inputs:
+        runs = []
+        for fn in (reference, tracked):
+            monkeypatch.setattr(constraints, "_solve", fn)
+            checks[0] = 0
+            runs.append((_outcome(is_valid(c)), checks[0]))
+        (want, want_checks), (got, got_checks) = runs
+        assert got == want, c
+        assert got_checks <= want_checks, c
+        saved += want_checks - got_checks
+    assert sum(bool(c.u) for c in inputs) >= 5 and arms and saved

@@ -16,18 +16,22 @@ from helpers import (
     check_term_wf_reference, const_value_reference, context_terms,
     corpus_terms, erase_reference, expand_reference, fsv_term_reference,
     infer_state, link_all, load, parse_term_reference, rand_plain,
-    rand_size, rand_term, rand_type, sv_reference, term_free_vars_reference,
+    rand_size, rand_term, rand_type, render_approximant_reference,
+    sv_reference, term_free_vars_reference,
     tokenize_reference, topo_order_reference,
     uniquify_size_binders_reference,
 )
 from slam import (
-    INFTY, ZERO, App, Branch, Case, Cofix, Coind, Con, Fix, Lam, ParseError,
-    SVar, SizeApp, SizeLam, Succ, TyVar, Var, parse_term, print_term,
-    size_const, sv,
+    INFTY, ZERO, App, Branch, Case, Cofix, Coind, Con, Fix, Lam, PLam,
+    PVar, ParseError, SVar, SizeApp, SizeLam, Succ, TyVar, Var, parse_term,
+    print_term, size_const, sv,
 )
 from slam.constraints import _topo_order, check_acyclic, expand
+from slam.cli import render_approximant
 from slam.parser import tokenize
-from slam.rewrite import EvalBudget, _approx, erase
+from slam.rewrite import (
+    Bottom, Constr, EvalBudget, Opaque, _approx, approximant, erase,
+)
 from slam.sizes import const_value
 from slam.syntax import (
     _annotation_binders, check_term_wf, fsv_term, term_free_vars,
@@ -281,3 +285,68 @@ def test_approx_matches_reference():
                     (t, reg is None, fuel, depth)
                 limited += got[2]
     assert limited
+
+
+def _rand_approximant(rng, depth: int):
+    """A random approximant over Nat and stream/list constructor names,
+    with succ chains that end in zero and chains that do not."""
+    r = rng.random()
+    if depth <= 0 or r < 0.15:
+        return rng.choice([Bottom(), Opaque(PLam("x", PVar("x"))),
+                           Opaque(PVar("y")), Constr("zero"), Constr("nil")])
+    if r < 0.45:
+        k = rng.randint(1, 4)
+        a = _rand_approximant(rng, depth - 1)
+        for _ in range(k):
+            a = Constr("succ", (a,))
+        return a
+    con, arity = rng.choice([("cons", 2), ("node", 3), ("succ", 2),
+                             ("zero", 1), ("so", 1)])
+    return Constr(con, tuple(_rand_approximant(rng, depth - 1)
+                             for _ in range(arity)))
+
+
+def test_render_approximant_matches_reference():
+    regs = [load(f).registry for f in ("streams", "sp", "trees")]
+    cases = []
+    for fname, src in [("sp", "run odd nats"), ("streams", "nats"),
+                       ("streams", "plus (succ zero) (succ (succ zero))"),
+                       ("trees", "bzeros"), ("trees", "fpair"),
+                       ("trees", "wtree"), ("streams", "omega"),
+                       ("streams", "cons omega (cons (succ zero) zeros)")]:
+        sf = load(fname)
+        t = erase(link_all(sf, parse_term(src, sf.registry)))
+        for depth in (0, 1, 2, 4, 7):
+            cases.append((approximant(t, EvalBudget(fuel=200, depth=depth),
+                                      sf.registry), sf.registry))
+    rng = random.Random(8)
+    cases += [(_rand_approximant(rng, 6), rng.choice(regs))
+              for _ in range(500)]
+    for a, reg in cases:
+        assert render_approximant(a, reg) == \
+            render_approximant_reference(a, reg), a
+
+
+def test_render_deep_succ_chain():
+    # a succ chain that ends in bottom renders in one pass, not one
+    # numeral scan per level
+    reg = load("streams").registry
+    a = Bottom()
+    for _ in range(20000):
+        a = Constr("succ", (a,))
+    s = render_approximant(a, reg)
+    assert s == "succ " + "(succ " * 19999 + "_|_" + ")" * 19999
+    assert render_approximant(Constr("cons", (a, Bottom())), reg) == \
+        "(" + s + ") :: _|_"
+
+
+def test_no_recursion_limit_or_thread_stack_tricks_in_src():
+    # depth safety comes from explicit stacks, never from a raised
+    # recursion limit or a big-stack thread
+    src = CORPUS_DIR.parent / "src"
+    files = [p for p in sorted(src.rglob("*"))
+             if p.is_file() and "__pycache__" not in p.parts]
+    offenders = [f"{p.relative_to(src)}: {word}" for p in files
+                 for word in ("setrecursionlimit", "stack_size")
+                 if word.encode() in p.read_bytes()]
+    assert files and offenders == []
