@@ -25,8 +25,8 @@ from .rewrite import (
 )
 from .sizes import INF
 from .syntax import (
-    INFTY, Arrow, Coind, DefRegistry, Forall, PLam, RegistryError, Succ,
-    Term, Type, check_term_wf, check_type_wf, fsv, fsv_term,
+    INFTY, Bot, Coind, DefRegistry, PLam, RegistryError, Succ, Term, Type,
+    check_term_wf, check_type_wf, fold_type, fsv, fsv_term, rebuilt,
     rename_binders_apart, size_names, subst_term, term_free_vars, tv,
     uniquify_size_binders, validate_registry,
 )
@@ -239,20 +239,10 @@ def _cmd_infer(args) -> int:
 def _render_type(ty) -> str:
     # the least type of a constructor that ignores a parameter contains
     # the internal least-type marker; render it distinctly (unparseable)
-    from .subtyping import Bot
+    def node(t, kids, _ctx):
+        return Coind("_|_", INFTY, ()) if type(t) is Bot else rebuilt(t, kids)
 
-    def go(t):
-        if isinstance(t, Bot):
-            return Coind("_|_", INFTY, ())
-        if isinstance(t, Coind):
-            return Coind(t.defname, t.size, tuple(go(p) for p in t.params))
-        if isinstance(t, Arrow):
-            return Arrow(go(t.dom), go(t.cod))
-        if isinstance(t, Forall):
-            return Forall(t.var, go(t.body))
-        return t
-
-    return print_type(go(ty))
+    return print_type(fold_type(ty, node))
 
 
 def _budget(args) -> EvalBudget:

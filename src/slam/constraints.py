@@ -26,8 +26,9 @@ from .sizes import (
     INF, ExtNat, SizeValuation, eval_size, normalize_succ, simplify_infty,
 )
 from .syntax import (
-    INFTY, ONE, Arrow, Coind, Forall, SMax, SMin, SVar, Succ,
-    SizeExpr, Type, TyVar, Zero, smax, smin, subst_size, sv,
+    INFTY, ONE, Coind, CyclicDefMap, SMax, SMin, SVar, Succ, SizeExpr, Type,
+    Zero, depth_first_order, fold_size, fold_type, rebuilt, size_nodes, smax,
+    smin, sv,
 )
 
 __all__ = [
@@ -53,92 +54,23 @@ class SizeConstraint:
         self.pairs = list(pairs or [])
 
 
-class CyclicDefMap(Exception):
-    pass
-
-
 def check_acyclic(u: Mapping[str, SizeExpr]) -> bool:
     """No cycle in the graph with an edge from i to each variable of u[i]."""
     return _topo_order(u) is not None
 
 
 def _topo_order(u: Mapping[str, SizeExpr]) -> Optional[list[str]]:
-    """Definition map keys with dependencies first, or None on a cycle.
-
-    A depth-first search with an explicit stack, so a long chain of
-    definitions needs no deeper Python stack than a short one.
-    """
-    order: list[str] = []
-    done: set[str] = set()
-    open_: set[str] = set()  # on the current search path
-    for root in u:
-        if root in done:
-            continue
-        open_.add(root)
-        stack = [(root, iter(sv(u[root])))]
-        while stack:
-            i, deps = stack[-1]
-            for j in deps:
-                if j not in u or j in done:
-                    continue
-                if j in open_:
-                    return None
-                open_.add(j)
-                stack.append((j, iter(sv(u[j]))))
-                break
-            else:
-                stack.pop()
-                open_.discard(i)
-                done.add(i)
-                order.append(i)
-    return order
+    """Definition map keys with dependencies first, or None on a cycle."""
+    order, cycle = depth_first_order(
+        u, lambda i: [j for j in sv(u[i]) if j in u])
+    return None if cycle else order
 
 
 def expand(u: Mapping[str, SizeExpr], s: SizeExpr) -> SizeExpr:
     """Substitute away every variable of dom(u), recursively.
 
-    Each variable's expansion is built once and shared.  The walk keeps
-    its own stack: work items are expressions to expand, and markers
-    that rebuild a node from the expansions of its children on `out`.
-    """
-    memo: dict[str, SizeExpr] = {}
-    opened: set[str] = set()
-    out: list[SizeExpr] = []
-    work: list = [s]
-    while work:
-        s = work.pop()
-        if type(s) is tuple:
-            kind, x = s
-            if kind == "succ":
-                v = out.pop()
-                for _ in range(x):
-                    v = Succ(v)
-                out.append(v)
-            elif kind == "var":
-                memo[x] = out[-1]
-            else:
-                r = out.pop()
-                out.append(kind(out.pop(), r))
-            continue
-        n = 0
-        while isinstance(s, Succ):
-            n += 1
-            s = s.arg
-        if n:
-            work.append(("succ", n))
-        if isinstance(s, SVar) and s.name in u:
-            if s.name in memo:
-                out.append(memo[s.name])
-            elif s.name in opened:
-                raise CyclicDefMap(f"cyclic definition map: {sorted(u)}")
-            else:
-                opened.add(s.name)
-                work += [("var", s.name), u[s.name]]
-        elif isinstance(s, (SMin, SMax)):
-            work += [(type(s), None), s.right, s.left]
-        else:
-            out.append(s)
-    return out[0]
+    Each variable's expansion is built once and shared."""
+    return fold_size(s, rebuilt, defs=u)
 
 
 def expand_type(u: Mapping[str, SizeExpr], t: Type) -> Type:
@@ -148,16 +80,12 @@ def expand_type(u: Mapping[str, SizeExpr], t: Type) -> Type:
     mentions a size variable bound by an enclosing forall refers to that
     binder (the binding was recorded while the quantifier was open).
     """
-    if isinstance(t, TyVar):
-        return t
-    if isinstance(t, Coind):
-        return Coind(t.defname, expand(u, t.size),
-                     tuple(expand_type(u, p) for p in t.params))
-    if isinstance(t, Arrow):
-        return Arrow(expand_type(u, t.dom), expand_type(u, t.cod))
-    if isinstance(t, Forall):
-        return Forall(t.var, expand_type(u, t.body))
-    return t
+    def node(x, kids, _ctx):
+        if type(x) is Coind:
+            return Coind(x.defname, expand(u, x.size), tuple(kids))
+        return rebuilt(x, kids)
+
+    return fold_type(t, node)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +255,8 @@ def _leaf(lhs: SizeExpr, rhs: SizeExpr) -> Optional[DifferenceAtom] | bool:
 
 def _split(s: SizeExpr) -> tuple[Optional[str], int]:
     n = 0
-    while isinstance(s, Succ):
-        n += 1
-        s = s.arg
+    if type(s) is Succ:
+        n, s = s.n, s.base
     if isinstance(s, Zero):
         return None, n
     if isinstance(s, SVar):
@@ -361,9 +288,7 @@ class _Disj:
 
 
 def _flatten(s: SizeExpr, cls) -> list[SizeExpr]:
-    if isinstance(s, cls):
-        return _flatten(s.left, cls) + _flatten(s.right, cls)
-    return [s]
+    return [x for x in size_nodes(s, into=(cls,)) if type(x) is not cls]
 
 
 def _absorb(pending: list[Pair], fresh: Iterator[str]):
@@ -513,9 +438,7 @@ def is_valid(c: SizeConstraint) -> Validity:
             del u[i]
 
         def drop(s: SizeExpr) -> SizeExpr:
-            for j in now:
-                s = subst_size(s, INFTY, j)
-            return simplify_infty(s)
+            return simplify_infty(expand(dict.fromkeys(now, INFTY), s))
 
         u = {i: drop(s) for i, s in u.items()}
         pairs = [((drop(a), drop(b)), orig) for (a, b), orig in pairs]
@@ -553,14 +476,8 @@ def _relevant_equalities(u: Mapping[str, SizeExpr],
     Unreachable entries cannot affect satisfiability (the map is acyclic,
     so any model extends to them) and would only slow the search down.
     """
-    reach: set[str] = set()
-    work = [v for v in start if v in u]
-    while work:
-        i = work.pop()
-        if i in reach:
-            continue
-        reach.add(i)
-        work.extend(j for j in deps[i][1] if j not in reach)
+    reach, _ = depth_first_order([v for v in start if v in u],
+                                 lambda i: deps[i][1])
     eqs: list[Pair] = []
     for i in sorted(reach, key=lambda i: deps[i][0]):
         eqs.append((SVar(i), u[i]))

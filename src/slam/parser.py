@@ -1,7 +1,7 @@
 """Parser for the surface language.
 
-Sizes and types are parsed by recursive descent.  Terms nest without
-bound, so they are parsed by one loop over an explicit stack (`_P.term`).
+Sizes, types and terms nest without bound, so each is parsed by one
+loop over an explicit stack of the constructs still open.
 
 Grammar sketch (tokens are bit-exact):
 
@@ -31,9 +31,9 @@ from typing import Optional
 
 from .syntax import (
     INFTY, App, Arrow, Branch, Case, Coind, ConstructorSig, Cofix,
-    DefRegistry, Definition, Fix, Forall, Lam, SMax, SMin, SVar, SizeApp,
-    SizeExpr, SizeLam, Succ, Term, TyVar, Type, Var, Con, term_free_vars,
-    size_const, subst_term,
+    DefRegistry, Definition, Fix, Forall, Lam, SVar, SizeApp, SizeExpr,
+    SizeLam, Term, TyVar, Type, Var, Con, size_const, size_plus, smax, smin,
+    subst_term, term_free_vars,
 )
 
 __all__ = [
@@ -147,97 +147,119 @@ class _P:
             raise self.fail(f"expected {what}")
         return self.next()
 
-    # -- sizes ---------------------------------------------------------
+    # -- sizes and types -----------------------------------------------
+    #
+    # Sizes and types nest without bound too (`min(min(min(...` from
+    # gen-hard, long arrow chains), so each is parsed by one loop over a
+    # stack of frames for the constructs still open, as terms are.
 
-    def size(self) -> SizeExpr:
-        s = self.size_atom()
-        while self.at_sym("+"):
-            self.next()
+    def size(self, atom: bool = False) -> SizeExpr:
+        """A size, or with `atom` one that may follow '^' (a successor
+        needs parentheses there)."""
+        # frames: (op, args) for the argument list of min/max, or for
+        # ( _ ) when op is None, which the size parsed next extends
+        frames: list[tuple] = []
+        while True:
             t = self.peek()
-            if t.kind != "num":
-                raise self.fail("expected a number after '+'")
-            self.next()
-            s = _succs(s, int(t.text))
-        return s
-
-    def size_atom(self) -> SizeExpr:
-        t = self.peek()
-        if t.kind == "num":
-            self.next()
-            return size_const(int(t.text))
-        if self.at_word("oo"):
-            self.next()
-            return INFTY
-        if self.at_word("min") or self.at_word("max"):
-            op = self.next().text
-            self.eat_sym("(")
-            args = [self.size()]
-            while self.at_sym(","):
+            if t.kind == "num":
                 self.next()
-                args.append(self.size())
-            self.eat_sym(")")
-            if len(args) < 2:
-                raise self.fail(f"{op} needs at least two arguments")
-            acc = args[0]
-            for a in args[1:]:
-                acc = SMin(acc, a) if op == "min" else SMax(acc, a)
-            return acc
-        if self.at_sym("("):
-            self.next()
-            s = self.size()
-            self.eat_sym(")")
-            return s
-        if t.kind == "ident" and t.text not in _KEYWORDS:
-            self.next()
-            return SVar(t.text)
-        raise self.fail("expected a size expression")
-
-    # -- types ---------------------------------------------------------
+                s = size_const(int(t.text))
+            elif self.at_word("oo"):
+                self.next()
+                s = INFTY
+            elif self.at_word("min") or self.at_word("max"):
+                op = self.next().text
+                self.eat_sym("(")
+                frames.append((op, []))
+                continue
+            elif self.at_sym("("):
+                self.next()
+                frames.append((None, []))
+                continue
+            elif t.kind == "ident" and t.text not in _KEYWORDS:
+                self.next()
+                s = SVar(t.text)
+            else:
+                raise self.fail("expected a size expression")
+            # s is an atom: take the +n that follow it (unless only an
+            # atom was asked for), then close the frames it finishes
+            while True:
+                if atom and not frames:
+                    return s
+                while self.at_sym("+"):
+                    self.next()
+                    t = self.peek()
+                    if t.kind != "num":
+                        raise self.fail("expected a number after '+'")
+                    self.next()
+                    s = size_plus(s, int(t.text))
+                if not frames:
+                    return s
+                op, args = frames[-1]
+                args.append(s)
+                if op and self.at_sym(","):
+                    self.next()
+                    break
+                self.eat_sym(")")
+                if op and len(args) < 2:
+                    raise self.fail(f"{op} needs at least two arguments")
+                frames.pop()
+                s = args[0] if op is None else \
+                    smin(*args) if op == "min" else smax(*args)
 
     def type_(self, env: "_TypeEnv") -> Type:
-        if self.at_word("forall"):
-            self.next()
-            names = [self.eat_ident("size variable").text]
-            while self.peek().kind == "ident" and not self.at_sym("."):
-                if self.peek().text in _KEYWORDS:
-                    break
-                names.append(self.next().text)
-            self.eat_sym(".")
-            body = self.type_(env)
-            for nm in reversed(names):
-                body = Forall(nm, body)
-            return body
-        dom = self.type_atom(env)
-        if self.at_sym("->"):
-            self.next()
-            return Arrow(dom, self.type_(env))
-        return dom
-
-    def type_atom(self, env: "_TypeEnv") -> Type:
-        if self.at_sym("("):
-            self.next()
-            t = self.type_(env)
-            self.eat_sym(")")
-            return t
-        tok = self.eat_ident("type")
-        size: SizeExpr = INFTY
-        decorated = False
-        if self.at_sym("^"):
-            self.next()
-            size = self.size_atom()
-            decorated = True
-        args: list[Type] = []
-        has_args = False
-        if self.at_sym("("):
-            # lookahead: '(' after a name is a parameter list
-            self.next()
-            has_args = True
-            args.append(self.type_(env))
-            while self.at_sym(","):
+        # frames: (build,) for a forall or an arrow, which the type parsed
+        # next completes; and (tok, size, decorated, args) for the
+        # parameter list of tok, or for ( _ ) when tok is None, which it
+        # extends
+        frames: list[tuple] = []
+        while True:
+            if self.at_word("forall"):
                 self.next()
-                args.append(self.type_(env))
-            self.eat_sym(")")
-        return env.resolve(self, tok, size, decorated, tuple(args), has_args)
+                names = [self.eat_ident("size variable").text]
+                while self.peek().kind == "ident" and not self.at_sym("."):
+                    if self.peek().text in _KEYWORDS:
+                        break
+                    names.append(self.next().text)
+                self.eat_sym(".")
+                frames += [(partial(Forall, nm),) for nm in names]
+                continue
+            if self.at_sym("("):
+                self.next()
+                frames.append((None, INFTY, False, []))
+                continue
+            tok = self.eat_ident("type")
+            size: SizeExpr = INFTY
+            decorated = self.at_sym("^")
+            if decorated:
+                self.next()
+                size = self.size(atom=True)
+            if self.at_sym("("):
+                # lookahead: '(' after a name is a parameter list
+                self.next()
+                frames.append((tok, size, decorated, []))
+                continue
+            t = env.resolve(self, tok, size, decorated, (), False)
+            # t is an atom: it heads an arrow, or it is a whole type
+            # that closes the frames it finishes
+            while True:
+                if self.at_sym("->"):
+                    self.next()
+                    frames.append((partial(Arrow, t),))
+                    break
+                while frames and len(frames[-1]) == 1:
+                    t = frames.pop()[0](t)
+                if not frames:
+                    return t
+                tok, size, decorated, args = frames[-1]
+                args.append(t)
+                if tok and self.at_sym(","):
+                    self.next()
+                    break
+                self.eat_sym(")")
+                frames.pop()
+                t = args[0] if tok is None else \
+                    env.resolve(self, tok, size, decorated, tuple(args), True)
 
     # -- terms ---------------------------------------------------------
     #
@@ -463,12 +485,6 @@ def parse_term(src: str, reg: DefRegistry) -> Term:
     if p.peek().kind != "eof":
         raise p.fail("trailing input after term")
     return t
-
-
-def _succs(s: SizeExpr, n: int) -> SizeExpr:
-    for _ in range(n):
-        s = Succ(s)
-    return s
 
 
 def _parse_definition(p: _P, reg: DefRegistry, headers: dict[str, int]) -> Definition:

@@ -10,43 +10,26 @@ from __future__ import annotations
 from .syntax import (
     INFTY, App, Arrow, Branch, Case, Coind, Cofix, Fix, Forall, Lam, PApp,
     PCase, PCon, PLam, PVar, PlainTerm, SizeApp, SizeExpr, SizeLam, SMax,
-    SMin, Succ, SVar, Term, TyVar, Type, Var, Con, Zero, Infty,
+    SMin, Succ, SVar, Term, TyVar, Type, Var, Con, Zero, fold_size, fold_type,
 )
 
 __all__ = ["print_size", "print_type", "print_term", "print_plain"]
 
 
 def print_size(s: SizeExpr) -> str:
-    if isinstance(s, Succ):
-        n = 0
-        base = s
-        while isinstance(base, Succ):
-            n += 1
-            base = base.arg
-        if isinstance(base, Zero):
-            return str(n)
-        return f"{_size_atom(base)}+{n}"
-    if isinstance(s, Zero):
-        return "0"
-    if isinstance(s, Infty):
-        return "oo"
-    if isinstance(s, SVar):
+    return fold_size(s, _print_size)
+
+
+def _print_size(s: SizeExpr, kids: list[str]) -> str:
+    cls = type(s)
+    if cls is Succ:
+        # a run of n successors prints as n over 0, else as base+n
+        return str(s.n) if type(s.base) is Zero else f"{kids[0]}+{s.n}"
+    if cls is SMin or cls is SMax:
+        return f"{'min' if cls is SMin else 'max'}({kids[0]}, {kids[1]})"
+    if cls is SVar:
         return s.name
-    if isinstance(s, SMin):
-        return f"min({print_size(s.left)}, {print_size(s.right)})"
-    if isinstance(s, SMax):
-        return f"max({print_size(s.left)}, {print_size(s.right)})"
-    raise TypeError(s)
-
-
-def _size_atom(s: SizeExpr) -> str:
-    # atoms may follow '^' or precede '+n' without parentheses
-    if isinstance(s, (Zero, Infty, SVar, SMin, SMax)):
-        return print_size(s)
-    if isinstance(s, Succ):
-        p = print_size(s)
-        return p if p.isdigit() else f"({p})"
-    raise TypeError(s)
+    return "0" if cls is Zero else "oo"
 
 
 def _caret(s: SizeExpr) -> str:
@@ -61,23 +44,21 @@ def _caret(s: SizeExpr) -> str:
 
 
 def print_type(t: Type) -> str:
-    if isinstance(t, Forall):
-        return f"forall {t.var}. {print_type(t.body)}"
-    if isinstance(t, Arrow):
-        return f"{_type_atomish(t.dom)} -> {print_type(t.cod)}"
-    return _type_atomish(t)
+    return fold_type(t, _print_type)
 
 
-def _type_atomish(t: Type) -> str:
-    if isinstance(t, TyVar):
+def _print_type(t: Type, kids: list[str], _ctx) -> str:
+    cls = type(t)
+    if cls is Forall:
+        return f"forall {t.var}. {kids[0]}"
+    if cls is Arrow:  # an arrow or forall domain is parenthesised
+        dom = f"({kids[0]})" if type(t.dom) in (Arrow, Forall) else kids[0]
+        return f"{dom} -> {kids[1]}"
+    if cls is TyVar:
         return t.name
-    if isinstance(t, Coind):
+    if cls is Coind:
         head = t.defname + _caret(t.size)
-        if t.params:
-            return head + "(" + ", ".join(print_type(p) for p in t.params) + ")"
-        return head
-    if isinstance(t, (Arrow, Forall)):
-        return f"({print_type(t)})"
+        return head + "(" + ", ".join(kids) + ")" if kids else head
     raise TypeError(f"not a printable type: {t!r}")
 
 

@@ -29,7 +29,7 @@ from .sizes import INF, ExtNat, SizeValuation, eval_size
 from .syntax import (
     App, Case, Coind, Cofix, DefRegistry, Fix, Lam, PApp, PBranch, PCase,
     PCon, PLam, PVar, PlainTerm, SizeApp, SizeLam, SVar, Term, TyVar, Type,
-    Var, Con, alpha_eq_plain, fresh_name,
+    Var, Con, alpha_eq_plain, fresh_name, type_nodes,
 )
 
 __all__ = [
@@ -463,16 +463,19 @@ def _child_depths(con: str, n: int, depth,
 
 def refines(a1: Approximant, a2: Approximant) -> bool:
     """Whether a2 is a1 with some subtrees replaced by bottom."""
-    if isinstance(a2, Bottom):
-        return True
-    if isinstance(a1, Constr) and isinstance(a2, Constr):
-        return (a1.con == a2.con
-                and len(a1.children) == len(a2.children)
-                and all(refines(x, y)
-                        for x, y in zip(a1.children, a2.children)))
-    if isinstance(a1, Opaque) and isinstance(a2, Opaque):
-        return alpha_eq_plain(a1.term, a2.term)
-    return False
+    todo = [(a1, a2)]
+    while todo:
+        a1, a2 = todo.pop()
+        if isinstance(a2, Bottom):
+            continue
+        if isinstance(a1, Constr) and isinstance(a2, Constr):
+            if a1.con != a2.con or len(a1.children) != len(a2.children):
+                return False
+            todo.extend(zip(a1.children, a2.children))
+        elif not (isinstance(a1, Opaque) and isinstance(a2, Opaque)
+                  and alpha_eq_plain(a1.term, a2.term)):
+            return False
+    return True
 
 
 def approximant_nodes(a: Approximant) -> int:
@@ -496,22 +499,17 @@ def observable(tau: Type, reg: DefRegistry) -> bool:
     """Whether the type and all reachable constructor argument types are
     free of arrows and quantifiers."""
     seen: set[str] = set()
-
-    def ok_type(t: Type) -> bool:
-        if isinstance(t, TyVar):
-            return True
-        if isinstance(t, Coind):
-            return all(ok_type(p) for p in t.params) and ok_def(t.defname)
-        return False
-
-    def ok_def(dn: str) -> bool:
-        if dn in seen:
-            return True
-        seen.add(dn)
-        return all(ok_type(a) for c in reg.constructors(dn)
-                   for a in c.arg_types)
-
-    return ok_type(tau)
+    todo = [tau]
+    while todo:
+        for t, _ in type_nodes(todo.pop()):
+            if type(t) is Coind:
+                if t.defname not in seen:
+                    seen.add(t.defname)
+                    todo.extend(a for c in reg.constructors(t.defname)
+                                for a in c.arg_types)
+            elif type(t) is not TyVar:
+                return False
+    return True
 
 
 def member(a: Approximant, tau: Type, reg: DefRegistry,
@@ -537,55 +535,55 @@ def member(a: Approximant, tau: Type, reg: DefRegistry,
     if not isinstance(tau, Coind):
         raise NonObservableType("membership needs a (co)inductive type")
     level = eval_size(v, tau.size)
-    return _member_def(a, tau.defname,
-                       [_closure(p, {}, reg, v) for p in tau.params],
-                       level, strict, reg, v)
+    return _member(a, (tau.defname, [(p, {}) for p in tau.params], level,
+                       strict), reg, v)
 
 
-def _closure(t: Type, env: dict, reg: DefRegistry, v):
-    def pred(a: Approximant) -> bool:
-        return _member_type(a, t, env, reg, v)
-    return pred
+def _member(a: Approximant, goal: tuple, reg: DefRegistry, v) -> bool:
+    """Whether the approximant meets the goal, with the goals it opens
+    kept on a stack and checked depth-first, left to right.
 
-
-def _member_type(a: Approximant, t: Type, env: dict, reg: DefRegistry, v) -> bool:
-    if isinstance(t, TyVar):
-        return env[t.name](a)
-    if isinstance(t, Coind):
-        level = eval_size(v, t.size)
-        preds = [_closure(p, env, reg, v) for p in t.params]
-        return _member_def(a, t.defname, preds, level, False, reg, v)
-    raise NonObservableType(f"non-observable position: {t!r}")
-
-
-def _member_def(a: Approximant, dn: str, preds: list, level: ExtNat,
-                strict: bool, reg: DefRegistry, v) -> bool:
-    d = reg.definition(dn)
-    if d.coinductive:
-        if strict and level == INF:
-            raise ValueError("strict membership needs a finite level")
-        if level <= 0:
-            return isinstance(a, Bottom) if strict else True
-    else:
-        if level <= 0:
+    A goal is (t, env), membership in type t with its type variables
+    read as the goals in env, or (dn, params, level, strict), membership
+    in the level-approximation of definition dn with its parameters read
+    as the goals in params."""
+    todo = [(a, goal)]
+    while todo:
+        a, goal = todo.pop()
+        while len(goal) == 2:
+            t, env = goal
+            if isinstance(t, TyVar):
+                goal = env[t.name]
+            elif isinstance(t, Coind):
+                goal = (t.defname, [(p, env) for p in t.params],
+                        eval_size(v, t.size), False)
+            else:
+                raise NonObservableType(f"non-observable position: {t!r}")
+        dn, params, level, strict = goal
+        d = reg.definition(dn)
+        if d.coinductive:
+            if strict and level == INF:
+                raise ValueError("strict membership needs a finite level")
+            if level <= 0:
+                if strict and not isinstance(a, Bottom):
+                    return False
+                continue
+        elif level <= 0:
             return False
-    if not isinstance(a, Constr):
-        return False
-    entry = reg.constructor_entry(a.con)
-    if entry is None or entry[0].name != dn:
-        return False
-    sig = entry[1]
-    if len(sig.arg_types) != len(a.children):
-        return False
-    child_level = level - 1 if level != INF else INF
-
-    def rec_pred(k: Approximant) -> bool:
-        return _member_def(k, dn, preds, child_level, strict, reg, v)
-
-    env = {d.rec_var: rec_pred}
-    env.update({bn: p for bn, p in zip(d.params, preds)})
-    return all(_member_type(k, sigma, env, reg, v)
-               for k, sigma in zip(a.children, sig.arg_types))
+        if not isinstance(a, Constr):
+            return False
+        entry = reg.constructor_entry(a.con)
+        if entry is None or entry[0].name != dn:
+            return False
+        sig = entry[1]
+        if len(sig.arg_types) != len(a.children):
+            return False
+        child_level = level - 1 if level != INF else INF
+        env = {d.rec_var: (dn, params, child_level, strict)}
+        env.update(zip(d.params, params))
+        todo.extend(reversed([(k, (sigma, env)) for k, sigma
+                              in zip(a.children, sig.arg_types)]))
+    return True
 
 
 # ---------------------------------------------------------------------------

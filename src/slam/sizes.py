@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from typing import Mapping, Union
 
-from .syntax import INFTY, ZERO, Infty, SizeExpr, SMax, SMin, Succ, SVar, Zero
+from .syntax import (
+    INFTY, ZERO, Infty, SizeExpr, SMax, SMin, Succ, SVar, Zero, fold_size,
+    rebuilt, size_plus,
+)
 
 __all__ = [
     "ExtNat", "SizeValuation", "eval_size", "simplify_infty",
@@ -49,24 +52,32 @@ def eval_size(v: SizeValuation | Mapping[str, ExtNat], s: SizeExpr) -> ExtNat:
     """Evaluate a size expression; arithmetic saturates at infinity."""
     get = v.__getitem__ if isinstance(v, SizeValuation) else \
         (lambda n: v.get(n, 0))
-    return _eval(get, s)
+    return _evaluate(s, get)
 
 
-def _eval(get, s: SizeExpr) -> ExtNat:
-    if isinstance(s, Zero):
-        return 0
-    if isinstance(s, Infty):
-        return INF
-    if isinstance(s, SVar):
-        return get(s.name)
-    if isinstance(s, Succ):
-        x = _eval(get, s.arg)
-        return x + 1 if x != INF else INF
-    if isinstance(s, SMin):
-        return min(_eval(get, s.left), _eval(get, s.right))
-    if isinstance(s, SMax):
-        return max(_eval(get, s.left), _eval(get, s.right))
-    raise TypeError(s)
+def _evaluate(s: SizeExpr, get, defs: Mapping[str, SizeExpr] | None = None
+              ) -> ExtNat | None:
+    """The value of s with each variable's value read from `get`, or
+    from its definition in `defs` (each evaluated once).  A variable
+    whose value is None makes the whole value None."""
+    return fold_size(s, lambda x, kids: size_value(x, kids, get), defs=defs)
+
+
+def size_value(x: SizeExpr, kids, get) -> ExtNat | None:
+    """The value of node x from its children's values, as `_evaluate`
+    computes it."""
+    cls = type(x)
+    if cls is Succ:
+        v = kids[0]
+        return v if v is None or v == INF else v + x.n
+    if cls is SMin or cls is SMax:
+        left, right = kids
+        if left is None or right is None:
+            return None
+        return min(left, right) if cls is SMin else max(left, right)
+    if cls is SVar:
+        return get(x.name)
+    return 0 if cls is Zero else INF
 
 
 def simplify_infty(s: SizeExpr) -> SizeExpr:
@@ -75,22 +86,23 @@ def simplify_infty(s: SizeExpr) -> SizeExpr:
     The result is either exactly oo or contains no oo, and evaluates the
     same as the input under every valuation.
     """
-    if isinstance(s, Succ):
-        a = simplify_infty(s.arg)
-        return INFTY if a == INFTY else Succ(a)
-    if isinstance(s, SMin):
-        l, r = simplify_infty(s.left), simplify_infty(s.right)
-        if l == INFTY:
-            return r
-        if r == INFTY:
-            return l
-        return SMin(l, r)
-    if isinstance(s, SMax):
-        l, r = simplify_infty(s.left), simplify_infty(s.right)
-        if l == INFTY or r == INFTY:
+    return fold_size(s, _simplify_infty)
+
+
+def _simplify_infty(x: SizeExpr, kids) -> SizeExpr:
+    cls = type(x)
+    if cls is Succ:
+        if type(kids[0]) is Infty:
             return INFTY
-        return SMax(l, r)
-    return s
+    elif cls is SMin:
+        if type(kids[0]) is Infty:
+            return kids[1]
+        if type(kids[1]) is Infty:
+            return kids[0]
+    elif cls is SMax:
+        if type(kids[0]) is Infty or type(kids[1]) is Infty:
+            return INFTY
+    return rebuilt(x, kids)
 
 
 def normalize_succ(s: SizeExpr) -> SizeExpr:
@@ -99,25 +111,18 @@ def normalize_succ(s: SizeExpr) -> SizeExpr:
     Requires an oo-free input; uses max(a,b)+1 = max(a+1,b+1) and the
     min analogue.
     """
-    if isinstance(s, Infty):
+    return fold_size(s, _normalize_succ)
+
+
+def _normalize_succ(x: SizeExpr, kids) -> SizeExpr:
+    cls = type(x)
+    if cls is Infty:
         raise SizeError("normalize_succ needs an oo-free expression")
-    if isinstance(s, (Zero, SVar)):
-        return s
-    if isinstance(s, Succ):
-        return _plus1(normalize_succ(s.arg))
-    if isinstance(s, SMin):
-        return SMin(normalize_succ(s.left), normalize_succ(s.right))
-    if isinstance(s, SMax):
-        return SMax(normalize_succ(s.left), normalize_succ(s.right))
-    raise TypeError(s)
-
-
-def _plus1(s: SizeExpr) -> SizeExpr:
-    if isinstance(s, SMin):
-        return SMin(_plus1(s.left), _plus1(s.right))
-    if isinstance(s, SMax):
-        return SMax(_plus1(s.left), _plus1(s.right))
-    return Succ(s)
+    if cls is Succ and type(kids[0]) in (SMin, SMax):
+        n = x.n
+        return fold_size(kids[0], lambda y, ks: rebuilt(y, ks) if ks
+                         else size_plus(y, n), into=(SMin, SMax))
+    return rebuilt(x, kids)
 
 
 # ---------------------------------------------------------------------------
@@ -136,31 +141,27 @@ _SHAPE_SUCC = "succ"
 
 def _peel(s: SizeExpr, *, bump: bool) -> tuple[str, SizeExpr | None]:
     """Shape of the replaced expression: zero, inf, or (succ, w) with w+1."""
-    if isinstance(s, Zero):
-        return _SHAPE_ZERO, None
-    if isinstance(s, Infty):
-        return _SHAPE_INF, None
-    if isinstance(s, SVar):
-        # a superfluous variable occurrence
-        if bump:
-            return _SHAPE_SUCC, s  # i becomes i+1
-        return _SHAPE_ZERO, None   # i becomes 0
-    if isinstance(s, Succ):
-        # everything below a +1 is kept verbatim
-        return _SHAPE_SUCC, s.arg
-    if isinstance(s, SMin):
-        ls, lw = _peel(s.left, bump=bump)
-        rs, rw = _peel(s.right, bump=bump)
-        if ls == _SHAPE_ZERO or rs == _SHAPE_ZERO:
+    def node(x: SizeExpr, kids) -> tuple[str, SizeExpr | None]:
+        cls = type(x)
+        if cls is Zero:
             return _SHAPE_ZERO, None
-        if ls == _SHAPE_INF:
-            return rs, rw
-        if rs == _SHAPE_INF:
-            return ls, lw
-        return _SHAPE_SUCC, SMin(lw, rw)
-    if isinstance(s, SMax):
-        ls, lw = _peel(s.left, bump=bump)
-        rs, rw = _peel(s.right, bump=bump)
+        if cls is Infty:
+            return _SHAPE_INF, None
+        if cls is SVar:
+            # a superfluous variable occurrence: i becomes i+1 or 0
+            return (_SHAPE_SUCC, x) if bump else (_SHAPE_ZERO, None)
+        if cls is Succ:
+            # everything below a +1 is kept verbatim
+            return _SHAPE_SUCC, x.arg
+        (ls, lw), (rs, rw) = kids
+        if cls is SMin:
+            if ls == _SHAPE_ZERO or rs == _SHAPE_ZERO:
+                return _SHAPE_ZERO, None
+            if ls == _SHAPE_INF:
+                return rs, rw
+            if rs == _SHAPE_INF:
+                return ls, lw
+            return _SHAPE_SUCC, SMin(lw, rw)
         if ls == _SHAPE_INF or rs == _SHAPE_INF:
             return _SHAPE_INF, None
         if ls == _SHAPE_ZERO:
@@ -168,7 +169,8 @@ def _peel(s: SizeExpr, *, bump: bool) -> tuple[str, SizeExpr | None]:
         if rs == _SHAPE_ZERO:
             return ls, lw
         return _SHAPE_SUCC, SMax(lw, rw)
-    raise TypeError(s)
+
+    return fold_size(s, node, into=(SMin, SMax))
 
 
 def overline(s: SizeExpr) -> SizeExpr:
@@ -208,38 +210,12 @@ def size_ge_const(u: Mapping[str, SizeExpr], s: SizeExpr, k: int) -> bool:
     """Whether the expansion of s through u is at least k at every valuation.
 
     The minimum over valuations respecting u is attained with all free
-    variables at 0, so it is computed directly (memoised through u, no
-    syntactic expansion).
+    variables at 0, so it is computed directly (each definition of u
+    evaluated once, no syntactic expansion).
     """
-    memo: dict[str, ExtNat] = {}
-
-    def val(name: str) -> ExtNat:
-        if name in memo:
-            return memo[name]
-        if name in u:
-            memo[name] = _eval(val, u[name])
-        else:
-            memo[name] = 0
-        return memo[name]
-
-    return _eval(val, s) >= k
+    return _evaluate(s, lambda name: 0, u) >= k
 
 
 def const_value(s: SizeExpr) -> ExtNat | None:
     """The constant value of a variable-free expression, else None."""
-    n = 0
-    while isinstance(s, Succ):
-        n += 1
-        s = s.arg
-    if isinstance(s, Zero):
-        v: ExtNat | None = 0
-    elif isinstance(s, Infty):
-        return INF
-    elif isinstance(s, (SMin, SMax)):
-        l, r = const_value(s.left), const_value(s.right)
-        if l is None or r is None:
-            return None
-        v = min(l, r) if isinstance(s, SMin) else max(l, r)
-    else:
-        return None
-    return v + n if v != INF else INF
+    return _evaluate(s, lambda name: None)

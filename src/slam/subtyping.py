@@ -83,31 +83,35 @@ def gen_sub_constraints(t1, t2, reg: DefRegistry,
     """Size inequalities equivalent to t1 <= t2, or None when the shapes
     are incompatible (no forall instantiation, no structural mismatch)."""
     out: dict[Pair, None] = {}
-
-    def go(a, b) -> bool:
+    # the pairs still to relate, popped in the order a recursive walk
+    # would meet them, since aligning binders updates `env`
+    todo = [(t1, t2)]
+    while todo:
+        a, b = todo.pop()
         if isinstance(a, Bot):
-            return True
+            continue
         if isinstance(a, TyVar) and isinstance(b, TyVar):
-            return a.name == b.name
-        if isinstance(a, Coind) and isinstance(b, Coind):
+            if a.name != b.name:
+                return None
+        elif isinstance(a, Coind) and isinstance(b, Coind):
             if a.defname != b.defname or len(a.params) != len(b.params):
-                return False
+                return None
             if reg.definition(a.defname).coinductive:
                 out[(b.size, a.size)] = None
             else:
                 out[(a.size, b.size)] = None
-            return all(go(p, q) for p, q in zip(a.params, b.params))
-        if isinstance(a, Arrow) and isinstance(b, Arrow):
-            return go(b.dom, a.dom) and go(a.cod, b.cod)
-        if isinstance(a, Forall) and isinstance(b, Forall):
+            todo.extend(reversed(list(zip(a.params, b.params))))
+        elif isinstance(a, Arrow) and isinstance(b, Arrow):
+            todo.append((a.cod, b.cod))
+            todo.append((b.dom, a.dom))
+        elif isinstance(a, Forall) and isinstance(b, Forall):
             aligned = _align(a.var, a.body, b.var, b.body, env)
             if aligned is None:
-                return False
-            _, abody, bbody = aligned
-            return go(abody, bbody)
-        return False
-
-    return list(out) if go(t1, t2) else None
+                return None
+            todo.append(aligned[1:])
+        else:
+            return None
+    return list(out)
 
 
 def subtype(t1, t2, reg: DefRegistry,
@@ -173,10 +177,8 @@ def _lattice(a, b, reg, env, up: bool):
 
 def tgt(t: Type) -> Type:
     """The target of a type: what remains after all arrows and foralls."""
-    if isinstance(t, Arrow):
-        return tgt(t.cod)
-    if isinstance(t, Forall):
-        return tgt(t.body)
+    while isinstance(t, (Arrow, Forall)):
+        t = t._kids()[-1]
     return t
 
 
@@ -186,8 +188,10 @@ def chgtgt(t: Type, alpha: Type) -> Type:
     Free size variables of alpha may intentionally be captured by foralls
     of t; that is the point of the operation.
     """
-    if isinstance(t, Arrow):
-        return Arrow(t.dom, chgtgt(t.cod, alpha))
-    if isinstance(t, Forall):
-        return Forall(t.var, chgtgt(t.body, alpha))
+    spine = []
+    while isinstance(t, (Arrow, Forall)):
+        spine.append(t)
+        t = t._kids()[-1]
+    for t in reversed(spine):
+        alpha = t._with(t._kids()[:-1] + (alpha,))
     return alpha

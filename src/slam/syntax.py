@@ -12,11 +12,14 @@ read-only, so everything here is safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from operator import is_
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 __all__ = [
     "SizeExpr", "Zero", "Infty", "SVar", "Succ", "SMin", "SMax",
-    "ZERO", "INFTY", "ONE", "size_const", "smin", "smax",
+    "ZERO", "INFTY", "ONE", "size_const", "size_plus", "smin", "smax",
+    "CyclicDefMap", "rebuilt", "size_nodes", "fold_size", "type_nodes",
+    "fold_type", "depth_first_order",
     "Type", "TyVar", "Coind", "Arrow", "Forall", "Bot", "BOT",
     "Term", "Var", "Con", "Lam", "App", "SizeApp", "SizeLam",
     "Case", "Branch", "Fix", "Cofix",
@@ -25,7 +28,7 @@ __all__ = [
     "Diagnostic", "RegistryError",
     "sv", "fsv", "tv", "fsv_term", "term_free_vars", "forall_binders",
     "size_names",
-    "subst_size", "subst_type_size",
+    "subst_size", "subst_type_size", "subst_type_sizes",
     "subst_type", "subst_type_multi", "subst_term",
     "alpha_eq_type", "alpha_eq_term", "alpha_eq_plain",
     "strictly_positive", "validate_registry", "check_type_wf",
@@ -34,68 +37,170 @@ __all__ = [
 ]
 
 
+_NO_VARS: frozenset[str] = frozenset()
+
+
+# ---------------------------------------------------------------------------
+# Node shapes
+#
+# Each size and type node class declares its children once, in `_kids`,
+# and how it is rebuilt over new ones, in `_with`; the walks below read
+# nothing else of a node's shape.  A successor's child is the base of
+# the run of successors it tops, so a walk takes a run in one step.
+
+class _Node:
+    __slots__ = ()
+
+    def _kids(self) -> tuple:
+        return ()
+
+
+def rebuilt(x, kids):
+    """x over the children `kids`: x itself when each is the child x had."""
+    if all(map(is_, kids, x._kids())):
+        return x
+    return x._with(kids)
+
+
 # ---------------------------------------------------------------------------
 # Size expressions
+#
+# Size nodes are hashed and compared without recursion.  Each node's hash
+# is computed once, when it is built, from its children's (a field that
+# takes no part in comparison), and one loop compares two trees.  A
+# successor also records the run of successors it tops: `n`, their
+# number, and `base`, the first node below them that is no successor.
+# Each class sets its fields in an `__init__` of its own, the cheapest
+# way to build a frozen node.
 
-@dataclass(frozen=True)
-class Zero:
+_size_class = dataclass(frozen=True, eq=False, slots=True, init=False)
+
+
+@_size_class
+class _Size(_Node):
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __init__(self) -> None:
+        _set(self, "_hash", hash(type(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, _Size):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            if type(a) is SVar:
+                if a.name != b.name:
+                    return False
+            elif type(a) is Succ and a.n != b.n:
+                return False
+            else:
+                stack.extend(zip(a._kids(), b._kids()))
+        return True
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+@_size_class
+class Zero(_Size):
     def __repr__(self) -> str:
         return "0"
 
 
-@dataclass(frozen=True)
-class Infty:
+@_size_class
+class Infty(_Size):
     def __repr__(self) -> str:
         return "oo"
 
 
-@dataclass(frozen=True)
-class SVar:
+@_size_class
+class SVar(_Size):
     name: str
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+        _set(self, "_hash", hash(name))
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Succ:
+@_size_class
+class Succ(_Size):
     arg: "SizeExpr"
+    n: int = field(init=False, compare=False, repr=False)
+    base: "SizeExpr" = field(init=False, compare=False, repr=False)
+
+    def __init__(self, arg: "SizeExpr") -> None:
+        _set(self, "arg", arg)
+        run = type(arg) is Succ
+        _set(self, "n", arg.n + 1 if run else 1)
+        _set(self, "base", arg.base if run else arg)
+        _set(self, "_hash", hash((Succ, arg._hash)))
+
+    def _kids(self) -> tuple:
+        return (self.base,)
+
+    def _with(self, kids) -> "SizeExpr":
+        return size_plus(kids[0], self.n)
 
     def __repr__(self) -> str:
         return f"{self.arg!r}+1"
 
 
-@dataclass(frozen=True)
-class SMin:
+@_size_class
+class _MinMax(_Size):
     left: "SizeExpr"
     right: "SizeExpr"
 
+    def __init__(self, left: "SizeExpr", right: "SizeExpr") -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash((type(self), left._hash, right._hash)))
+
+    def _kids(self) -> tuple:
+        return (self.left, self.right)
+
+    def _with(self, kids) -> "SizeExpr":
+        return type(self)(*kids)
+
+
+@_size_class
+class SMin(_MinMax):
     def __repr__(self) -> str:
         return f"min({self.left!r},{self.right!r})"
 
 
-@dataclass(frozen=True)
-class SMax:
-    left: "SizeExpr"
-    right: "SizeExpr"
-
+@_size_class
+class SMax(_MinMax):
     def __repr__(self) -> str:
         return f"max({self.left!r},{self.right!r})"
 
 
 SizeExpr = Union[Zero, Infty, SVar, Succ, SMin, SMax]
 
+_set = object.__setattr__
+
 ZERO = Zero()
 INFTY = Infty()
 ONE = Succ(ZERO)
 
 
-def size_const(n: int) -> SizeExpr:
-    """The n-fold successor of 0."""
-    s: SizeExpr = ZERO
+def size_plus(s: SizeExpr, n: int) -> SizeExpr:
+    """s+n: n successors on top of s."""
     for _ in range(n):
         s = Succ(s)
     return s
+
+
+def size_const(n: int) -> SizeExpr:
+    """The n-fold successor of 0."""
+    return size_plus(ZERO, n)
 
 
 def smin(*args: SizeExpr) -> SizeExpr:
@@ -117,11 +222,78 @@ def smax(*args: SizeExpr) -> SizeExpr:
     return acc
 
 
+class CyclicDefMap(Exception):
+    pass
+
+
+def size_nodes(s: SizeExpr, into: Optional[tuple] = None
+               ) -> Iterator[SizeExpr]:
+    """The nodes of a size in pre-order, left to right; a run of
+    successors is one node, its top, followed by the run's base.  With
+    `into`, only the children of nodes of those classes are visited."""
+    stack = [s]
+    while stack:
+        s = stack.pop()
+        yield s
+        if into is None or type(s) in into:
+            stack.extend(reversed(s._kids()))
+
+
+def fold_size(s: SizeExpr, fn: Callable, into: Optional[tuple] = None,
+              defs: Optional[Mapping[str, SizeExpr]] = None):
+    """The value of fn at the root of a size, computed bottom-up.
+
+    `fn(x, kids)` gets a node and the values of its children (`_kids`),
+    left to right, and returns the value of x; a run of successors is
+    one node, its top, whose child is the run's base.  With `into`, only
+    nodes of those classes have their children visited; any other node
+    is passed to fn with no kids.  With `defs`, a variable it defines
+    stands for its definition: its value is that of defs[name], computed
+    once, and a cyclic defs raises CyclicDefMap.
+
+    The walk keeps its own stack: work items are nodes to visit, and
+    (node, k) markers that pass a node its k children's values, or
+    (name, -1) markers that record the value of a definition."""
+    memo: dict[str, object] = {}
+    opened: set[str] = set()
+    vals: list = []
+    work: list = [s]
+    while work:
+        x = work.pop()
+        if type(x) is tuple:
+            x, k = x
+            if k < 0:
+                memo[x] = vals[-1]
+            else:
+                kids = vals[len(vals) - k:]
+                del vals[len(vals) - k:]
+                vals.append(fn(x, kids))
+            continue
+        if defs is not None and type(x) is SVar and x.name in defs:
+            name = x.name
+            if name in memo:
+                vals.append(memo[name])
+            elif name in opened:
+                raise CyclicDefMap(f"cyclic definition map: {sorted(defs)}")
+            else:
+                opened.add(name)
+                work.append((name, -1))
+                work.append(defs[name])
+            continue
+        kids = x._kids() if into is None or type(x) in into else ()
+        if kids:
+            work.append((x, len(kids)))
+            work.extend(reversed(kids))
+        else:
+            vals.append(fn(x, kids))
+    return vals[0]
+
+
 # ---------------------------------------------------------------------------
 # Types
 
 @dataclass(frozen=True)
-class TyVar:
+class TyVar(_Node):
     name: str
 
     def __repr__(self) -> str:
@@ -129,17 +301,24 @@ class TyVar:
 
 
 @dataclass(frozen=True)
-class Coind:
+class Coind(_Node):
     """A decorated (co)inductive type d^s(params).
 
     Covers both inductive and coinductive definitions; the polarity lives in
     the registry entry for `defname`.  Undecorated surface syntax d(params)
-    is sugar for size oo.
+    is sugar for size oo.  Its children are its parameters; its size is
+    walked by the size walks.
     """
 
     defname: str
     size: SizeExpr
     params: tuple["Type", ...] = ()
+
+    def _kids(self) -> tuple:
+        return self.params
+
+    def _with(self, kids) -> "Type":
+        return Coind(self.defname, self.size, tuple(kids))
 
     def __repr__(self) -> str:
         ps = ",".join(map(repr, self.params))
@@ -147,25 +326,37 @@ class Coind:
 
 
 @dataclass(frozen=True)
-class Arrow:
+class Arrow(_Node):
     dom: "Type"
     cod: "Type"
+
+    def _kids(self) -> tuple:
+        return (self.dom, self.cod)
+
+    def _with(self, kids) -> "Type":
+        return Arrow(*kids)
 
     def __repr__(self) -> str:
         return f"({self.dom!r} -> {self.cod!r})"
 
 
 @dataclass(frozen=True)
-class Forall:
+class Forall(_Node):
     var: str
     body: "Type"
+
+    def _kids(self) -> tuple:
+        return (self.body,)
+
+    def _with(self, kids) -> "Type":
+        return Forall(self.var, kids[0])
 
     def __repr__(self) -> str:
         return f"(forall {self.var}. {self.body!r})"
 
 
 @dataclass(frozen=True)
-class Bot:
+class Bot(_Node):
     """Least-type sentinel: below everything, absorbed by joins.
 
     Used by subtyping and inference for constructor arguments that
@@ -180,6 +371,55 @@ class Bot:
 BOT = Bot()
 
 Type = Union[TyVar, Coind, Arrow, Forall, Bot]
+
+
+def type_nodes(t: Type) -> Iterator[tuple[Type, frozenset[str]]]:
+    """(node, bound) for the nodes of a type in pre-order, left to right:
+    bound holds the size variables of the foralls around the node."""
+    stack = [(t, _NO_VARS)]
+    while stack:
+        t, bound = stack.pop()
+        yield t, bound
+        kids = t._kids()
+        if kids:
+            if type(t) is Forall:
+                bound = bound | {t.var}
+            for k in reversed(kids):
+                stack.append((k, bound))
+
+
+def fold_type(t: Type, fn: Callable, enter: Optional[Callable] = None,
+              ctx=None):
+    """The value of fn at the root of a type, computed bottom-up.
+
+    `fn(x, kids, ctx)` gets a node, the values of its children (`_kids`),
+    left to right, and the context they were walked in, and returns the
+    value of x.  The context starts as `ctx` and passes down unchanged,
+    except that `enter(x, ctx)`, called at each forall on the way down
+    (in pre-order, left to right), returns the context of its body.  The
+    walk keeps its own stack of nodes to visit and of (node, context, k)
+    markers that pass a node its k children's values."""
+    vals: list = []
+    work: list = [(t, ctx)]
+    while work:
+        item = work.pop()
+        if len(item) == 3:
+            x, c, k = item
+            kids = vals[len(vals) - k:]
+            del vals[len(vals) - k:]
+            vals.append(fn(x, kids, c))
+            continue
+        x, c = item
+        if enter is not None and type(x) is Forall:
+            c = enter(x, c)
+        kids = x._kids()
+        if kids:
+            work.append((x, c, len(kids)))
+            for k in reversed(kids):
+                work.append((k, c))
+        else:
+            vals.append(fn(x, kids, c))
+    return vals[0]
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +498,8 @@ Term = Union[Var, Con, Lam, App, SizeApp, SizeLam, Case, Fix, Cofix]
 # children's `fv` when it is built, so reading it costs O(1) and building
 # a node never recurses.  `fv` takes no part in equality, hashing or repr.
 
-_NO_VARS: frozenset[str] = frozenset()
-
-
 def _fv_field():
     return field(init=False, compare=False, repr=False)
-
-
-def _set_fv(node, fv: frozenset[str]) -> None:
-    object.__setattr__(node, "fv", fv)
 
 
 @dataclass(frozen=True)
@@ -275,7 +508,7 @@ class PVar:
     fv: frozenset[str] = _fv_field()
 
     def __post_init__(self) -> None:
-        _set_fv(self, frozenset((self.name,)))
+        _set(self, "fv", frozenset((self.name,)))
 
 
 @dataclass(frozen=True)
@@ -284,7 +517,7 @@ class PCon:
     fv: frozenset[str] = _fv_field()
 
     def __post_init__(self) -> None:
-        _set_fv(self, _NO_VARS)
+        _set(self, "fv", _NO_VARS)
 
 
 @dataclass(frozen=True)
@@ -295,7 +528,7 @@ class PLam:
 
     def __post_init__(self) -> None:
         fv = self.body.fv
-        _set_fv(self, fv - {self.var} if self.var in fv else fv)
+        _set(self, "fv", fv - {self.var} if self.var in fv else fv)
 
 
 @dataclass(frozen=True)
@@ -305,7 +538,7 @@ class PApp:
     fv: frozenset[str] = _fv_field()
 
     def __post_init__(self) -> None:
-        _set_fv(self, _union(self.fun.fv, self.arg.fv))
+        _set(self, "fv", _union(self.fun.fv, self.arg.fv))
 
 
 @dataclass(frozen=True)
@@ -328,7 +561,7 @@ class PCase:
             if not bfv.isdisjoint(b.binders):
                 bfv = bfv.difference(b.binders)
             fv = _union(fv, bfv)
-        _set_fv(self, fv)
+        _set(self, "fv", fv)
 
 
 def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
@@ -349,70 +582,32 @@ PlainTerm = Union[PVar, PCon, PLam, PApp, PCase]
 
 def sv(x: Union[SizeExpr, Type]) -> frozenset[str]:
     """All size variables occurring in a size expression or type."""
-    cls = type(x)
-    while cls is Succ:
-        x = x.arg
-        cls = type(x)
-    if cls is SVar:
+    if type(x) is Succ:
+        x = x.base
+    if type(x) is SVar:
         return frozenset((x.name,))
-    if cls is Zero or cls is Infty:
+    if type(x) is Zero or type(x) is Infty:
         return _NO_VARS
-    acc: set[str] = set()
-    stack = [x]
-    while stack:
-        x = stack.pop()
-        cls = type(x)
-        while cls is Succ:
-            x = x.arg
-            cls = type(x)
-        if cls is SVar:
-            acc.add(x.name)
-        elif cls is SMin or cls is SMax:
-            stack.append(x.left)
-            stack.append(x.right)
-        elif cls is Coind:
-            stack.append(x.size)
-            stack.extend(x.params)
-        elif cls is Arrow:
-            stack.append(x.dom)
-            stack.append(x.cod)
-        elif cls is Forall:
-            stack.append(x.body)
-    return frozenset(acc)
+    sizes = [x] if isinstance(x, _Size) else [
+        t.size for t, _ in type_nodes(x) if type(t) is Coind]
+    return frozenset(y.name for s in sizes for y in size_nodes(s)
+                     if type(y) is SVar)
 
 
 def fsv(x: Union[SizeExpr, Type]) -> frozenset[str]:
     """Free size variables (those not bound by a forall)."""
-    if isinstance(x, Forall):
-        return frozenset(fsv(x.body) - {x.var})
-    if isinstance(x, Arrow):
-        return fsv(x.dom) | fsv(x.cod)
-    if isinstance(x, Coind):
-        acc = fsv(x.size)
-        for p in x.params:
-            acc |= fsv(p)
-        return acc
-    if isinstance(x, (TyVar, Bot)):
-        return frozenset()
-    return sv(x)
+    if isinstance(x, _Size):
+        return sv(x)
+    out: set[str] = set()
+    for t, bound in type_nodes(x):
+        if type(t) is Coind:
+            out |= sv(t.size).difference(bound)
+    return frozenset(out)
 
 
 def tv(t: Type) -> frozenset[str]:
     """All type variables occurring in a type."""
-    if isinstance(t, TyVar):
-        return frozenset({t.name})
-    if isinstance(t, Coind):
-        acc: frozenset[str] = frozenset()
-        for p in t.params:
-            acc |= tv(p)
-        return acc
-    if isinstance(t, Arrow):
-        return tv(t.dom) | tv(t.cod)
-    if isinstance(t, Forall):
-        return tv(t.body)
-    if isinstance(t, Bot):
-        return frozenset()
-    return frozenset()
+    return frozenset(x.name for x, _ in type_nodes(t) if type(x) is TyVar)
 
 
 def fsv_term(t: Term) -> frozenset[str]:
@@ -449,16 +644,7 @@ def fsv_term(t: Term) -> frozenset[str]:
 
 def forall_binders(t: Type) -> frozenset[str]:
     """The size variables bound by a forall somewhere in a type."""
-    if isinstance(t, Forall):
-        return frozenset({t.var}) | forall_binders(t.body)
-    if isinstance(t, Arrow):
-        return forall_binders(t.dom) | forall_binders(t.cod)
-    if isinstance(t, Coind):
-        acc: frozenset[str] = frozenset()
-        for p in t.params:
-            acc |= forall_binders(p)
-        return acc
-    return frozenset()
+    return frozenset(x.var for x, _ in type_nodes(t) if type(x) is Forall)
 
 
 def size_names(t: Term) -> frozenset[str]:
@@ -504,36 +690,17 @@ def fresh_name(base: str, avoid: Iterable[str]) -> str:
 # Substitution
 
 def subst_size(s: SizeExpr, by: SizeExpr, var: str) -> SizeExpr:
-    if isinstance(s, SVar):
-        return by if s.name == var else s
-    if isinstance(s, Succ):
-        return Succ(subst_size(s.arg, by, var))
-    if isinstance(s, SMin):
-        return SMin(subst_size(s.left, by, var), subst_size(s.right, by, var))
-    if isinstance(s, SMax):
-        return SMax(subst_size(s.left, by, var), subst_size(s.right, by, var))
-    return s
+    def node(x, kids):
+        if type(x) is SVar:
+            return by if x.name == var else x
+        return rebuilt(x, kids)
+
+    return fold_size(s, node)
 
 
 def subst_type_size(t: Type, by: SizeExpr, var: str) -> Type:
     """t[by/var], capture-avoiding for forall-bound size variables."""
-    if isinstance(t, (TyVar, Bot)):
-        return t
-    if isinstance(t, Coind):
-        return Coind(t.defname, subst_size(t.size, by, var),
-                     tuple(subst_type_size(p, by, var) for p in t.params))
-    if isinstance(t, Arrow):
-        return Arrow(subst_type_size(t.dom, by, var),
-                     subst_type_size(t.cod, by, var))
-    if isinstance(t, Forall):
-        if t.var == var:
-            return t
-        if t.var in sv(by):
-            nv = fresh_name(t.var, sv(by) | fsv(t.body) | {var})
-            body = subst_type_size(t.body, SVar(nv), t.var)
-            return Forall(nv, subst_type_size(body, by, var))
-        return Forall(t.var, subst_type_size(t.body, by, var))
-    raise TypeError(t)
+    return subst_type_sizes(t, ((by, var),))
 
 
 def subst_type(t: Type, by: Type, var: str) -> Type:
@@ -546,26 +713,66 @@ def subst_type_multi(t: Type, mapping: dict[str, Type]) -> Type:
     Size-variable capture by foralls in t is avoided by renaming the
     binder when it clashes with a free size variable of a substituted type.
     """
-    if isinstance(t, Bot):
-        return t
-    if isinstance(t, TyVar):
-        return mapping.get(t.name, t)
-    if isinstance(t, Coind):
-        return Coind(t.defname, t.size,
-                     tuple(subst_type_multi(p, mapping) for p in t.params))
-    if isinstance(t, Arrow):
-        return Arrow(subst_type_multi(t.dom, mapping),
-                     subst_type_multi(t.cod, mapping))
-    if isinstance(t, Forall):
-        clash = set()
-        for rep in mapping.values():
-            clash |= fsv(rep)
-        if t.var in clash:
-            nv = fresh_name(t.var, clash | fsv(t.body))
-            body = subst_type_size(t.body, SVar(nv), t.var)
-            return Forall(nv, subst_type_multi(body, mapping))
-        return Forall(t.var, subst_type_multi(t.body, mapping))
-    raise TypeError(t)
+    return subst_type_sizes(t, (), mapping)
+
+
+def subst_type_sizes(t: Type, steps: tuple[tuple[SizeExpr, str], ...],
+                     mapping: Optional[Mapping[str, Type]] = None,
+                     binder: Optional[Callable[[str], Optional[str]]] = None
+                     ) -> Type:
+    """t with the size substitutions `steps`, (by, var) pairs, made one
+    after the other, each as `subst_type_size` makes it; then the type
+    variables of `mapping` replaced at once, as `subst_type_multi` does.
+
+    A forall whose binder a substitution would capture is renamed first.
+    `binder`, when given, may rename each forall binder afterwards, in
+    pre-order: it returns the new name, or None to keep the binder.
+    """
+    clash = frozenset().union(*map(fsv, (mapping or {}).values()))
+
+    def enter(x: Forall, ctx):
+        # the binder x gets, and the substitutions its body gets
+        v, done = x.var, []
+
+        def rename(nv: str) -> None:
+            nonlocal v
+            done.append((SVar(nv), v))
+            v = nv
+
+        def free() -> frozenset[str]:
+            # the free size variables of x's body after the steps done
+            names = fsv(x.body)
+            for by, y in done:
+                if y in names:
+                    names = (names - {y}) | sv(by)
+            return names
+
+        for by, y in ctx[0]:
+            if v != y:  # else y is bound here and the body keeps it
+                if v in sv(by):
+                    rename(fresh_name(v, sv(by) | free() | {y}))
+                done.append((by, y))
+        if v in clash:
+            rename(fresh_name(v, clash | free()))
+        if binder is not None and (nv := binder(v)) is not None:
+            rename(nv)
+        return tuple(done), v
+
+    def node(x, kids, ctx):
+        cls = type(x)
+        if cls is TyVar:
+            return mapping.get(x.name, x) if mapping else x
+        if cls is Coind:
+            size = x.size
+            for by, y in ctx[0]:
+                size = subst_size(size, by, y)
+            if size is not x.size:
+                return Coind(x.defname, size, tuple(kids))
+        elif cls is Forall and ctx[1] != x.var:
+            return Forall(ctx[1], kids[0])
+        return rebuilt(x, kids)
+
+    return fold_type(t, node, enter, (steps, None))
 
 
 def subst_term(t: Term, replacement: Term, var: str) -> Term:
@@ -683,9 +890,8 @@ def uniquify_size_binders(t: Term, avoid: Iterable[str] = ()) -> Term:
         return s
 
     def rename_type(ty: Type, ren: dict[str, str]) -> Type:
-        for old, new in ren.items():
-            ty = subst_type_size(ty, SVar(new), old)
-        return ty
+        return subst_type_sizes(ty, tuple((SVar(new), old)
+                                          for old, new in ren.items()))
 
     # Preorder names the binders (left to right, as they are met), and
     # postorder rebuilds each node from its children's results on `out`.
@@ -753,31 +959,27 @@ def rename_binders_apart(t: Type, avoid: Iterable[str]) -> Type:
     takes the next free name of its family (i, i_1, i_2, ...)."""
     used = set(avoid) | fsv(t)
 
-    def size(s: SizeExpr, ren: dict[str, str]) -> SizeExpr:
-        if isinstance(s, SVar):
-            return SVar(ren.get(s.name, s.name))
-        if isinstance(s, Succ):
-            return Succ(size(s.arg, ren))
-        if isinstance(s, (SMin, SMax)):
-            return type(s)(size(s.left, ren), size(s.right, ren))
-        return s
+    def enter(x: Forall, ren: dict[str, str]) -> dict[str, str]:
+        nv = x.var
+        if nv in used:
+            base, _, n = nv.rpartition("_")
+            nv = fresh_name(base if base and n.isdigit() else nv, used)
+        used.add(nv)
+        return {**ren, x.var: nv}
 
-    def go(t: Type, ren: dict[str, str]) -> Type:
-        if isinstance(t, Forall):
-            nv = t.var
-            if nv in used:
-                base, _, n = nv.rpartition("_")
-                nv = fresh_name(base if base and n.isdigit() else nv, used)
-            used.add(nv)
-            return Forall(nv, go(t.body, {**ren, t.var: nv}))
-        if isinstance(t, Arrow):
-            return Arrow(go(t.dom, ren), go(t.cod, ren))
-        if isinstance(t, Coind):
-            return Coind(t.defname, size(t.size, ren),
-                         tuple(go(p, ren) for p in t.params))
-        return t
+    def node(x, kids, ren: dict[str, str]):
+        cls = type(x)
+        if cls is Forall and ren[x.var] != x.var:
+            return Forall(ren[x.var], kids[0])
+        if cls is Coind and ren:
+            size = fold_size(x.size, lambda s, ks: SVar(ren[s.name])
+                             if type(s) is SVar and s.name in ren
+                             else rebuilt(s, ks))
+            if size is not x.size:
+                return Coind(x.defname, size, tuple(kids))
+        return rebuilt(x, kids)
 
-    return go(t, {})
+    return fold_type(t, node, enter, {})
 
 
 def _annotation_binders(t: Term) -> frozenset[str]:
@@ -1041,16 +1243,8 @@ class DefRegistry:
         return self.defs[defname].constructors
 
     def mentioned_defs(self, t: Type) -> frozenset[str]:
-        if isinstance(t, Coind):
-            acc = frozenset({t.defname})
-            for p in t.params:
-                acc |= self.mentioned_defs(p)
-            return acc
-        if isinstance(t, Arrow):
-            return self.mentioned_defs(t.dom) | self.mentioned_defs(t.cod)
-        if isinstance(t, Forall):
-            return self.mentioned_defs(t.body)
-        return frozenset()
+        return frozenset(x.defname for x, _ in type_nodes(t)
+                         if type(x) is Coind)
 
 
 def strictly_positive(t: Type, reg: DefRegistry) -> bool:
@@ -1061,41 +1255,45 @@ def strictly_positive(t: Type, reg: DefRegistry) -> bool:
     strictly positive body, or is d^oo applied to strictly positive
     parameters.
     """
-    if not tv(t):
-        return True
-    if isinstance(t, TyVar):
-        return True
-    if isinstance(t, Arrow):
-        return not tv(t.dom) and strictly_positive(t.cod, reg)
-    if isinstance(t, Forall):
-        return strictly_positive(t.body, reg)
-    if isinstance(t, Coind):
-        return t.size == INFTY and all(strictly_positive(p, reg) for p in t.params)
-    return False
+    return fold_type(t, _positive)[1]
+
+
+def _positive(t: Type, kids: list, _ctx) -> tuple[bool, bool]:
+    # (whether t mentions a type variable, whether it is strictly positive)
+    cls = type(t)
+    if cls is TyVar:
+        return True, True
+    if cls is Arrow:
+        (dom_open, _), (cod_open, cod_ok) = kids
+        if not (dom_open or cod_open):
+            return False, True
+        return True, not dom_open and cod_ok
+    if cls is Forall:
+        return kids[0]
+    if cls is Coind:
+        if not any(o for o, _ in kids):
+            return False, True
+        return True, t.size == INFTY and all(ok for _, ok in kids)
+    return False, True
 
 
 def check_type_wf(t: Type, reg: DefRegistry,
                   tyvars: frozenset[str] = frozenset()) -> list[Diagnostic]:
     """Arity and name well-formedness of a type over the registry."""
     out: list[Diagnostic] = []
-    if isinstance(t, TyVar):
-        if t.name not in tyvars:
-            out.append(Diagnostic(f"unknown type variable {t.name}"))
-    elif isinstance(t, Coind):
-        d = reg.defs.get(t.defname)
-        if d is None:
-            out.append(Diagnostic(f"unknown (co)inductive type {t.defname}"))
-        elif len(d.params) != len(t.params):
-            out.append(Diagnostic(
-                f"{t.defname} expects {len(d.params)} parameter(s), "
-                f"got {len(t.params)}"))
-        for p in t.params:
-            out.extend(check_type_wf(p, reg, tyvars))
-    elif isinstance(t, Arrow):
-        out.extend(check_type_wf(t.dom, reg, tyvars))
-        out.extend(check_type_wf(t.cod, reg, tyvars))
-    elif isinstance(t, Forall):
-        out.extend(check_type_wf(t.body, reg, tyvars))
+    for x, _ in type_nodes(t):
+        if type(x) is TyVar:
+            if x.name not in tyvars:
+                out.append(Diagnostic(f"unknown type variable {x.name}"))
+        elif type(x) is Coind:
+            d = reg.defs.get(x.defname)
+            if d is None:
+                out.append(Diagnostic(
+                    f"unknown (co)inductive type {x.defname}"))
+            elif len(d.params) != len(x.params):
+                out.append(Diagnostic(
+                    f"{x.defname} expects {len(d.params)} parameter(s), "
+                    f"got {len(x.params)}"))
     return out
 
 
@@ -1202,12 +1400,13 @@ def validate_registry(reg: DefRegistry) -> list[Diagnostic]:
                     f"{d.name}: parameter {p} does not occur in any "
                     f"constructor argument type", d.span))
 
-    cycle = _dependency_cycle(reg)
+    order, cycle = depth_first_order(reg.defs, lambda n: sorted(
+        _dependencies(reg, n).intersection(reg.defs)))
     if cycle is not None:
         out.append(Diagnostic(
             "definition dependency cycle: " + " -> ".join(cycle)))
     if not out:
-        reg.order = _topological_order(reg)
+        reg.order = tuple(order)
         reg.validated = True
     return out
 
@@ -1215,22 +1414,17 @@ def validate_registry(reg: DefRegistry) -> list[Diagnostic]:
 def _check_arities(t: Type, reg: DefRegistry, c: ConstructorSig,
                    d: Definition) -> list[Diagnostic]:
     out: list[Diagnostic] = []
-    if isinstance(t, Coind):
-        other = reg.defs.get(t.defname)
+    for x, _ in type_nodes(t):
+        if type(x) is not Coind:
+            continue
+        other = reg.defs.get(x.defname)
         if other is None:
             out.append(Diagnostic(
-                f"{d.name}.{c.name}: unknown type {t.defname}", c.span))
-        elif len(other.params) != len(t.params):
+                f"{d.name}.{c.name}: unknown type {x.defname}", c.span))
+        elif len(other.params) != len(x.params):
             out.append(Diagnostic(
-                f"{d.name}.{c.name}: {t.defname} expects "
+                f"{d.name}.{c.name}: {x.defname} expects "
                 f"{len(other.params)} parameter(s)", c.span))
-        for p in t.params:
-            out.extend(_check_arities(p, reg, c, d))
-    elif isinstance(t, Arrow):
-        out.extend(_check_arities(t.dom, reg, c, d))
-        out.extend(_check_arities(t.cod, reg, c, d))
-    elif isinstance(t, Forall):
-        out.extend(_check_arities(t.body, reg, c, d))
     return out
 
 
@@ -1242,52 +1436,37 @@ def _dependencies(reg: DefRegistry, name: str) -> frozenset[str]:
     return deps
 
 
-def _dependency_cycle(reg: DefRegistry) -> Optional[list[str]]:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in reg.defs}
-    stack: list[str] = []
-
-    def visit(n: str) -> Optional[list[str]]:
-        color[n] = GRAY
-        stack.append(n)
-        for m in sorted(_dependencies(reg, n)):
-            if m not in color:
-                continue
-            if color[m] == GRAY:
-                i = stack.index(m)
-                return stack[i:] + [m]
-            if color[m] == WHITE:
-                r = visit(m)
-                if r is not None:
-                    return r
-        stack.pop()
-        color[n] = BLACK
-        return None
-
-    for n in reg.defs:
-        if color[n] == WHITE:
-            r = visit(n)
-            if r is not None:
-                return r
-    return None
-
-
-def _topological_order(reg: DefRegistry) -> tuple[str, ...]:
-    out: list[str] = []
-    seen: set[str] = set()
-
-    def visit(n: str) -> None:
-        if n in seen:
-            return
-        seen.add(n)
-        for m in sorted(_dependencies(reg, n)):
-            if m in reg.defs:
-                visit(m)
-        out.append(n)
-
-    for n in reg.defs:
-        visit(n)
-    return tuple(out)
+def depth_first_order(roots: Iterable, deps: Callable
+                      ) -> tuple[list, Optional[list]]:
+    """The post-order of one depth-first search from each root in turn,
+    going from each node n to the nodes deps(n) lists, in that order;
+    and the first cycle met, as a path that ends where it starts, or
+    None.  The order is complete only when there is no cycle.  The
+    search keeps its own stack, so a long chain needs no deep Python
+    stack."""
+    order: list = []
+    done: set = set()
+    for root in roots:
+        if root in done:
+            continue
+        path, on_path = [root], {root}
+        stack = [iter(deps(root))]
+        while stack:
+            for m in stack[-1]:
+                if m in done:
+                    continue
+                if m in on_path:
+                    return order, path[path.index(m):] + [m]
+                path.append(m)
+                on_path.add(m)
+                stack.append(iter(deps(m)))
+                break
+            else:
+                stack.pop()
+                on_path.discard(path[-1])
+                done.add(path[-1])
+                order.append(path.pop())
+    return order, None
 
 
 # ---------------------------------------------------------------------------
@@ -1295,31 +1474,31 @@ def _topological_order(reg: DefRegistry) -> tuple[str, ...]:
 
 def node_count(x) -> int:
     """Number of tree nodes in a size expression, type, or term."""
-    if isinstance(x, (Zero, Infty, SVar, TyVar, Bot, Var, Con, PVar, PCon)):
-        return 1
-    if isinstance(x, Succ):
-        return 1 + node_count(x.arg)
-    if isinstance(x, (SMin, SMax)):
-        return 1 + node_count(x.left) + node_count(x.right)
-    if isinstance(x, Coind):
-        return 1 + node_count(x.size) + sum(node_count(p) for p in x.params)
-    if isinstance(x, Arrow):
-        return 1 + node_count(x.dom) + node_count(x.cod)
-    if isinstance(x, Forall):
-        return 1 + node_count(x.body)
-    if isinstance(x, Lam):
-        return 1 + node_count(x.ty) + node_count(x.body)
-    if isinstance(x, (App, PApp)):
-        return 1 + node_count(x.fun) + node_count(x.arg)
-    if isinstance(x, SizeApp):
-        return 1 + node_count(x.fun) + node_count(x.size)
-    if isinstance(x, (SizeLam, PLam)):
-        return 1 + node_count(x.body)
-    if isinstance(x, (Case, PCase)):
-        return 1 + node_count(x.scrutinee) + sum(
-            1 + node_count(b.body) for b in x.branches)
-    if isinstance(x, Fix):
-        return 1 + node_count(x.ty) + node_count(x.body)
-    if isinstance(x, Cofix):
-        return 1 + node_count(x.ty) + node_count(x.body)
-    raise TypeError(x)
+    total, stack = 0, [x]
+    while stack:
+        x = stack.pop()
+        cls = type(x)
+        if isinstance(x, _Size):
+            total += sum(y.n if type(y) is Succ else 1 for y in size_nodes(x))
+            continue
+        if isinstance(x, _Node):
+            for y, _ in type_nodes(x):
+                total += 1
+                if type(y) is Coind:
+                    stack.append(y.size)
+            continue
+        total += 1
+        if cls in (Lam, Fix, Cofix):
+            stack += [x.ty, x.body]
+        elif cls in (App, PApp):
+            stack += [x.fun, x.arg]
+        elif cls is SizeApp:
+            stack += [x.fun, x.size]
+        elif cls in (SizeLam, PLam):
+            stack.append(x.body)
+        elif cls in (Case, PCase):
+            total += len(x.branches)
+            stack += [x.scrutinee, *(b.body for b in x.branches)]
+        elif cls not in (Var, Con, PVar, PCon):
+            raise TypeError(x)
+    return total

@@ -24,17 +24,21 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .constraints import SizeConstraint, expand_type, is_valid
+from .constraints import SizeConstraint, expand, expand_type, is_valid
 from .printer import print_term, print_type
-from .sizes import SizeError, overline, size_ge_const, underline
+from .sizes import (
+    INF, SizeError, overline, size_ge_const, size_value, underline,
+)
 from .subtyping import (
     BOT, Bot, chgtgt, gen_sub_constraints, join, subtype, tgt,
 )
 from .syntax import (
     INFTY, ONE, ZERO, App, Arrow, Case, Coind, Cofix, DefRegistry, Fix,
-    Forall, Lam, SMax, SMin, SVar, SizeApp, SizeExpr, SizeLam, Succ, Term,
-    TyVar, Type, Var, Con, forall_binders, fsv, smax, smin, subst_size,
-    subst_type_multi, subst_type_size, sv, tv, uniquify_size_binders,
+    Forall, Infty, Lam, SMax, SMin, SVar, SizeApp, SizeExpr, SizeLam, Succ,
+    Term, TyVar, Type, Var, Con, Zero, depth_first_order, fold_size,
+    fold_type, forall_binders, fsv, rebuilt, size_const, smax, smin,
+    subst_type_multi, subst_type_size, subst_type_sizes, sv, tv, type_nodes,
+    uniquify_size_binders,
 )
 
 __all__ = [
@@ -118,41 +122,19 @@ class _Infer:
 
     def _dependents(self, name: str) -> list[str]:
         """U-variables whose expansion mentions `name`."""
-        memo: dict[str, bool] = {}
-
-        def dep(v: str) -> bool:
-            if v in memo:
-                return memo[v]
-            memo[v] = False
-            hit = False
-            for w in sv(self.u[v]):
-                if w == name or (w in self.u and dep(w)):
-                    hit = True
-            memo[v] = hit
-            return hit
-
-        return [v for v in self.u if dep(v)]
+        users: dict[str, list[str]] = {}
+        for v, s in self.u.items():
+            for w in sv(s):
+                users.setdefault(w, []).append(v)
+        hit = set(depth_first_order(users.get(name, ()),
+                                    lambda v: users.get(v, ()))[0])
+        return [v for v in self.u if v in hit]
 
     def _fsv_u(self, x) -> set[str]:
         """Free size variables of x after expansion through u."""
-        out: set[str] = set()
-        memo: dict[str, frozenset[str]] = {}
-
-        def of_var(v: str) -> frozenset[str]:
-            if v not in self.u:
-                return frozenset({v})
-            if v in memo:
-                return memo[v]
-            memo[v] = frozenset()
-            acc: frozenset[str] = frozenset()
-            for w in sv(self.u[v]):
-                acc |= of_var(w)
-            memo[v] = acc
-            return acc
-
-        for v in fsv(x):
-            out |= of_var(v)
-        return out
+        reach, _ = depth_first_order(
+            fsv(x), lambda v: sv(self.u[v]) if v in self.u else ())
+        return {v for v in reach if v not in self.u}
 
     def _fsv_u_context(self, gamma: Context) -> set[str]:
         out: set[str] = set()
@@ -171,16 +153,10 @@ class _Infer:
         binders; the rare binder with hidden references stays linear and
         a second consumption fails the inference rather than guess.
         """
-        if isinstance(ty, Forall):
-            if ty.var in self.linear and not self._u_mentions(ty.var):
-                self.linear.discard(ty.var)
-            self.store_type(ty.body)
-        elif isinstance(ty, Arrow):
-            self.store_type(ty.dom)
-            self.store_type(ty.cod)
-        elif isinstance(ty, Coind):
-            for p in ty.params:
-                self.store_type(p)
+        for x, _ in type_nodes(ty):
+            if type(x) is Forall and x.var in self.linear \
+                    and not self._u_mentions(x.var):
+                self.linear.discard(x.var)
 
     def instantiate(self, binder: str, body: Type, s: SizeExpr) -> Optional[Type]:
         """Consume a quantifier: the returned body sees binder = s, while
@@ -198,22 +174,14 @@ class _Infer:
             self.u[binder] = s
             return body
         # inequalities quantify over the binder: instantiate a copy instead
-        ren: dict[str, str] = {binder: self.fresh_size()}
+        ren = {binder: SVar(self.fresh_size())}
         for d in dep:
-            ren[d] = self.fresh_size()
-
-        def rn_size(e: SizeExpr) -> SizeExpr:
-            for old, new in ren.items():
-                e = subst_size(e, SVar(new), old)
-            return e
-
+            ren[d] = SVar(self.fresh_size())
         for d in dep:
-            self.u[ren[d]] = rn_size(self.u[d])
-        self.u[ren[binder]] = s
-        out = body
-        for old, new in ren.items():
-            out = subst_type_size(out, SVar(new), old)
-        return out
+            self.u[ren[d].name] = expand(ren, self.u[d])
+        self.u[ren[binder].name] = s
+        return subst_type_sizes(body, tuple((new, old)
+                                            for old, new in ren.items()))
 
     # -- constructor decomposition ----------------------------------------
 
@@ -296,23 +264,13 @@ class _Infer:
         except SizeError:
             pass
         try:
-            return overline(self._expand_superfluous(s, False))
+            return overline(self._expand_superfluous(s))
         except SizeError:
             return None
 
-    def _expand_superfluous(self, s: SizeExpr, under: bool) -> SizeExpr:
+    def _expand_superfluous(self, s: SizeExpr) -> SizeExpr:
         """Substitute U-definitions at occurrences not under a successor."""
-        if isinstance(s, SVar) and not under and s.name in self.u:
-            return self._expand_superfluous(self.u[s.name], False)
-        if isinstance(s, Succ):
-            return Succ(self._expand_superfluous(s.arg, True))
-        if isinstance(s, SMin):
-            return SMin(self._expand_superfluous(s.left, under),
-                        self._expand_superfluous(s.right, under))
-        if isinstance(s, SMax):
-            return SMax(self._expand_superfluous(s.left, under),
-                        self._expand_superfluous(s.right, under))
-        return s
+        return fold_size(s, rebuilt, into=(SMin, SMax), defs=self.u)
 
     # -- the algorithm -----------------------------------------------------
     #
@@ -652,63 +610,42 @@ def decompose_constructor_arg(reg: DefRegistry, theta: Type, sigma: Type,
     return _Infer(reg, {}).decompose(theta, sigma, dname)
 
 
-_NICE = ["i", "j", "k", "l", "m", "n"]
+# the names `_prettify` gives machine-made binders, in order
+_NICE = ("i", "j", "k", "l", "m", "n") + tuple(f"i{k}" for k in range(1, 100))
 
 
 def _prettify(t: Type) -> Type:
-    used = set(sv(t))
-    supply = (nm for nm in _NICE + [f"i{k}" for k in range(1, 100)]
-              if nm not in used)
+    used = sv(t)
+    supply = (nm for nm in _NICE if nm not in used)
+    t = subst_type_sizes(t, (), binder=lambda v: (
+        next(supply) if v.startswith(("$", "?")) else None))
 
-    def go(t: Type) -> Type:
-        if isinstance(t, Forall):
-            if t.var.startswith(("$", "?")):
-                nv = next(supply)
-                return Forall(nv, go(subst_type_size(t.body, SVar(nv), t.var)))
-            return Forall(t.var, go(t.body))
-        if isinstance(t, Arrow):
-            return Arrow(go(t.dom), go(t.cod))
-        if isinstance(t, Coind):
-            return Coind(t.defname, _fold_size(t.size),
-                         tuple(go(p) for p in t.params))
-        return t
+    def node(x, kids, _ctx):
+        if type(x) is Coind:
+            return Coind(x.defname, _fold_size(x.size), tuple(kids))
+        return rebuilt(x, kids)
 
-    return go(t)
+    return fold_type(t, node)
 
 
 def _fold_size(s: SizeExpr) -> SizeExpr:
     """Evaluation-preserving cosmetic folding for displayed sizes."""
-    from .sizes import INF, const_value
-    from .syntax import size_const
+    return fold_size(s, _fold_node)[0]
 
-    c = const_value(s)
+
+def _fold_node(x: SizeExpr, kids) -> tuple[SizeExpr, object]:
+    # (the folded node, its constant value or None)
+    c = size_value(x, [k[1] for k in kids], lambda name: None)
     if c is not None:
-        return INFTY if c == INF else size_const(int(c))
-    if isinstance(s, Succ):
-        n = 0
-        while isinstance(s, Succ):
-            n += 1
-            s = s.arg
-        s = _fold_size(s)
-        for _ in range(n):
-            s = Succ(s)
-        return s
-    if isinstance(s, SMin):
-        l, r = _fold_size(s.left), _fold_size(s.right)
+        return (INFTY if c == INF else size_const(int(c))), c
+    cls = type(x)
+    if cls is SMin or cls is SMax:
+        l, r = kids[0][0], kids[1][0]
         if l == r:
-            return l
-        if l == INFTY or r == ZERO:
-            return r
-        if r == INFTY or l == ZERO:
-            return l
-        return SMin(l, r)
-    if isinstance(s, SMax):
-        l, r = _fold_size(s.left), _fold_size(s.right)
-        if l == r:
-            return l
-        if l == INFTY or r == ZERO:
-            return l
-        if r == INFTY or l == ZERO:
-            return r
-        return SMax(l, r)
-    return s
+            return l, None
+        if type(l) is Infty or type(r) is Zero:
+            return (r if cls is SMin else l), None
+        if type(r) is Infty or type(l) is Zero:
+            return (l if cls is SMin else r), None
+        return rebuilt(x, [l, r]), None
+    return rebuilt(x, [k[0] for k in kids]), None

@@ -615,9 +615,9 @@ def tokenize_reference(src: str):
 
 def parse_term_reference(src: str, reg):
     """parse_term by recursive descent over the reference tokenizer."""
-    from slam.parser import _P, _TermEnv, _TypeEnv
+    from slam.parser import _TermEnv, _TypeEnv
 
-    class Recursive(_P):
+    class Recursive(_recursive_parser_class()):
         def term(self, env):
             from slam import Branch, Case, Cofix, Fix, Lam, SizeLam
             from slam.parser import ParseError
@@ -1381,3 +1381,952 @@ def infer_state(reg, gamma, t, recursive: bool):
     st = (_recursive_infer_class() if recursive else _Infer)(reg, {})
     tau = st.infer(t, dict(gamma))
     return tau, st.u, st.pairs, st.linear, st.trail
+
+
+# ---------------------------------------------------------------------------
+# Recursive references for the size and type walks
+#
+# The size and type families are walked by `syntax.fold_size`/`size_nodes`
+# and `fold_type`/`type_nodes`, and parsed on a frame stack.  These are the
+# recursive walkers those replaced, as they were, renamed `<name>_reference`.
+
+def eval_size_reference(v, s):
+    get = v.__getitem__ if isinstance(v, SizeValuation) else \
+        (lambda n: v.get(n, 0))
+    return _eval_reference(get, s)
+
+
+def _eval_reference(get, s):
+    if isinstance(s, Zero):
+        return 0
+    if isinstance(s, Infty):
+        return INF
+    if isinstance(s, SVar):
+        return get(s.name)
+    if isinstance(s, Succ):
+        x = _eval_reference(get, s.arg)
+        return x + 1 if x != INF else INF
+    if isinstance(s, SMin):
+        return min(_eval_reference(get, s.left), _eval_reference(get, s.right))
+    if isinstance(s, SMax):
+        return max(_eval_reference(get, s.left), _eval_reference(get, s.right))
+    raise TypeError(s)
+
+
+def size_ge_const_reference(u, s, k):
+    memo = {}
+
+    def val(name):
+        if name in memo:
+            return memo[name]
+        if name in u:
+            memo[name] = _eval_reference(val, u[name])
+        else:
+            memo[name] = 0
+        return memo[name]
+
+    return _eval_reference(val, s) >= k
+
+
+def simplify_infty_reference(s):
+    if isinstance(s, Succ):
+        a = simplify_infty_reference(s.arg)
+        return INFTY if a == INFTY else Succ(a)
+    if isinstance(s, SMin):
+        l, r = simplify_infty_reference(s.left), simplify_infty_reference(s.right)
+        if l == INFTY:
+            return r
+        if r == INFTY:
+            return l
+        return SMin(l, r)
+    if isinstance(s, SMax):
+        l, r = simplify_infty_reference(s.left), simplify_infty_reference(s.right)
+        if l == INFTY or r == INFTY:
+            return INFTY
+        return SMax(l, r)
+    return s
+
+
+def normalize_succ_reference(s):
+    from slam.sizes import SizeError
+
+    if isinstance(s, Infty):
+        raise SizeError("normalize_succ needs an oo-free expression")
+    if isinstance(s, (Zero, SVar)):
+        return s
+    if isinstance(s, Succ):
+        return _plus1_reference(normalize_succ_reference(s.arg))
+    if isinstance(s, SMin):
+        return SMin(normalize_succ_reference(s.left),
+                    normalize_succ_reference(s.right))
+    if isinstance(s, SMax):
+        return SMax(normalize_succ_reference(s.left),
+                    normalize_succ_reference(s.right))
+    raise TypeError(s)
+
+
+def _plus1_reference(s):
+    if isinstance(s, SMin):
+        return SMin(_plus1_reference(s.left), _plus1_reference(s.right))
+    if isinstance(s, SMax):
+        return SMax(_plus1_reference(s.left), _plus1_reference(s.right))
+    return Succ(s)
+
+
+def peel_reference(s, *, bump):
+    from slam.sizes import _SHAPE_INF, _SHAPE_SUCC, _SHAPE_ZERO
+
+    if isinstance(s, Zero):
+        return _SHAPE_ZERO, None
+    if isinstance(s, Infty):
+        return _SHAPE_INF, None
+    if isinstance(s, SVar):
+        # a superfluous variable occurrence
+        if bump:
+            return _SHAPE_SUCC, s  # i becomes i+1
+        return _SHAPE_ZERO, None   # i becomes 0
+    if isinstance(s, Succ):
+        # everything below a +1 is kept verbatim
+        return _SHAPE_SUCC, s.arg
+    if isinstance(s, SMin):
+        ls, lw = peel_reference(s.left, bump=bump)
+        rs, rw = peel_reference(s.right, bump=bump)
+        if ls == _SHAPE_ZERO or rs == _SHAPE_ZERO:
+            return _SHAPE_ZERO, None
+        if ls == _SHAPE_INF:
+            return rs, rw
+        if rs == _SHAPE_INF:
+            return ls, lw
+        return _SHAPE_SUCC, SMin(lw, rw)
+    if isinstance(s, SMax):
+        ls, lw = peel_reference(s.left, bump=bump)
+        rs, rw = peel_reference(s.right, bump=bump)
+        if ls == _SHAPE_INF or rs == _SHAPE_INF:
+            return _SHAPE_INF, None
+        if ls == _SHAPE_ZERO:
+            return rs, rw
+        if rs == _SHAPE_ZERO:
+            return ls, lw
+        return _SHAPE_SUCC, SMax(lw, rw)
+    raise TypeError(s)
+
+
+def subst_size_reference(s, by, var):
+    if isinstance(s, SVar):
+        return by if s.name == var else s
+    if isinstance(s, Succ):
+        return Succ(subst_size_reference(s.arg, by, var))
+    if isinstance(s, SMin):
+        return SMin(subst_size_reference(s.left, by, var),
+                    subst_size_reference(s.right, by, var))
+    if isinstance(s, SMax):
+        return SMax(subst_size_reference(s.left, by, var),
+                    subst_size_reference(s.right, by, var))
+    return s
+
+
+def flatten_reference(s, cls):
+    if isinstance(s, cls):
+        return flatten_reference(s.left, cls) + flatten_reference(s.right, cls)
+    return [s]
+
+
+def print_size_reference(s):
+    if isinstance(s, Succ):
+        n = 0
+        base = s
+        while isinstance(base, Succ):
+            n += 1
+            base = base.arg
+        if isinstance(base, Zero):
+            return str(n)
+        return f"{_size_atom_reference(base)}+{n}"
+    if isinstance(s, Zero):
+        return "0"
+    if isinstance(s, Infty):
+        return "oo"
+    if isinstance(s, SVar):
+        return s.name
+    if isinstance(s, SMin):
+        return f"min({print_size_reference(s.left)}, {print_size_reference(s.right)})"
+    if isinstance(s, SMax):
+        return f"max({print_size_reference(s.left)}, {print_size_reference(s.right)})"
+    raise TypeError(s)
+
+
+def _size_atom_reference(s):
+    # atoms may follow '^' or precede '+n' without parentheses
+    if isinstance(s, (Zero, Infty, SVar, SMin, SMax)):
+        return print_size_reference(s)
+    if isinstance(s, Succ):
+        p = print_size_reference(s)
+        return p if p.isdigit() else f"({p})"
+    raise TypeError(s)
+
+
+def _caret_reference(s):
+    if s == INFTY:
+        return ""
+    if isinstance(s, (Zero, SVar)):
+        return f"^{print_size_reference(s)}"
+    p = print_size_reference(s)
+    if p.isdigit():
+        return f"^{p}"
+    return f"^({p})"
+
+
+def print_type_reference(t):
+    if isinstance(t, Forall):
+        return f"forall {t.var}. {print_type_reference(t.body)}"
+    if isinstance(t, Arrow):
+        return f"{_type_atomish_reference(t.dom)} -> {print_type_reference(t.cod)}"
+    return _type_atomish_reference(t)
+
+
+def _type_atomish_reference(t):
+    from slam import TyVar
+
+    if isinstance(t, TyVar):
+        return t.name
+    if isinstance(t, Coind):
+        head = t.defname + _caret_reference(t.size)
+        if t.params:
+            return head + "(" + ", ".join(print_type_reference(p) for p in t.params) + ")"
+        return head
+    if isinstance(t, (Arrow, Forall)):
+        return f"({print_type_reference(t)})"
+    raise TypeError(f"not a printable type: {t!r}")
+
+
+def render_type_reference(ty):
+    from slam.subtyping import Bot
+
+    def go(t):
+        if isinstance(t, Bot):
+            return Coind("_|_", INFTY, ())
+        if isinstance(t, Coind):
+            return Coind(t.defname, t.size, tuple(go(p) for p in t.params))
+        if isinstance(t, Arrow):
+            return Arrow(go(t.dom), go(t.cod))
+        if isinstance(t, Forall):
+            return Forall(t.var, go(t.body))
+        return t
+
+    return print_type_reference(go(ty))
+
+
+def fsv_reference(x):
+    from slam import Bot, TyVar
+
+    if isinstance(x, Forall):
+        return frozenset(fsv_reference(x.body) - {x.var})
+    if isinstance(x, Arrow):
+        return fsv_reference(x.dom) | fsv_reference(x.cod)
+    if isinstance(x, Coind):
+        acc = fsv_reference(x.size)
+        for p in x.params:
+            acc |= fsv_reference(p)
+        return acc
+    if isinstance(x, (TyVar, Bot)):
+        return frozenset()
+    return sv_reference(x)
+
+
+def tv_reference(t):
+    from slam import Bot, TyVar
+
+    if isinstance(t, TyVar):
+        return frozenset({t.name})
+    if isinstance(t, Coind):
+        acc = frozenset()
+        for p in t.params:
+            acc |= tv_reference(p)
+        return acc
+    if isinstance(t, Arrow):
+        return tv_reference(t.dom) | tv_reference(t.cod)
+    if isinstance(t, Forall):
+        return tv_reference(t.body)
+    if isinstance(t, Bot):
+        return frozenset()
+    return frozenset()
+
+
+def forall_binders_reference(t):
+    if isinstance(t, Forall):
+        return frozenset({t.var}) | forall_binders_reference(t.body)
+    if isinstance(t, Arrow):
+        return forall_binders_reference(t.dom) | forall_binders_reference(t.cod)
+    if isinstance(t, Coind):
+        acc = frozenset()
+        for p in t.params:
+            acc |= forall_binders_reference(p)
+        return acc
+    return frozenset()
+
+
+def mentioned_defs_reference(t):
+    if isinstance(t, Coind):
+        acc = frozenset({t.defname})
+        for p in t.params:
+            acc |= mentioned_defs_reference(p)
+        return acc
+    if isinstance(t, Arrow):
+        return mentioned_defs_reference(t.dom) | mentioned_defs_reference(t.cod)
+    if isinstance(t, Forall):
+        return mentioned_defs_reference(t.body)
+    return frozenset()
+
+
+def strictly_positive_reference(t, reg):
+    from slam import TyVar
+
+    if not tv_reference(t):
+        return True
+    if isinstance(t, TyVar):
+        return True
+    if isinstance(t, Arrow):
+        return not tv_reference(t.dom) and strictly_positive_reference(t.cod, reg)
+    if isinstance(t, Forall):
+        return strictly_positive_reference(t.body, reg)
+    if isinstance(t, Coind):
+        return t.size == INFTY and all(strictly_positive_reference(p, reg)
+                                       for p in t.params)
+    return False
+
+
+def check_type_wf_reference(t, reg, tyvars=frozenset()):
+    from slam import Diagnostic, TyVar
+
+    out = []
+    if isinstance(t, TyVar):
+        if t.name not in tyvars:
+            out.append(Diagnostic(f"unknown type variable {t.name}"))
+    elif isinstance(t, Coind):
+        d = reg.defs.get(t.defname)
+        if d is None:
+            out.append(Diagnostic(f"unknown (co)inductive type {t.defname}"))
+        elif len(d.params) != len(t.params):
+            out.append(Diagnostic(
+                f"{t.defname} expects {len(d.params)} parameter(s), "
+                f"got {len(t.params)}"))
+        for p in t.params:
+            out.extend(check_type_wf_reference(p, reg, tyvars))
+    elif isinstance(t, Arrow):
+        out.extend(check_type_wf_reference(t.dom, reg, tyvars))
+        out.extend(check_type_wf_reference(t.cod, reg, tyvars))
+    elif isinstance(t, Forall):
+        out.extend(check_type_wf_reference(t.body, reg, tyvars))
+    return out
+
+
+def check_arities_reference(t, reg, c, d):
+    from slam import Diagnostic
+
+    out = []
+    if isinstance(t, Coind):
+        other = reg.defs.get(t.defname)
+        if other is None:
+            out.append(Diagnostic(
+                f"{d.name}.{c.name}: unknown type {t.defname}", c.span))
+        elif len(other.params) != len(t.params):
+            out.append(Diagnostic(
+                f"{d.name}.{c.name}: {t.defname} expects "
+                f"{len(other.params)} parameter(s)", c.span))
+        for p in t.params:
+            out.extend(check_arities_reference(p, reg, c, d))
+    elif isinstance(t, Arrow):
+        out.extend(check_arities_reference(t.dom, reg, c, d))
+        out.extend(check_arities_reference(t.cod, reg, c, d))
+    elif isinstance(t, Forall):
+        out.extend(check_arities_reference(t.body, reg, c, d))
+    return out
+
+
+def subst_type_size_reference(t, by, var):
+    from slam import Bot, TyVar
+
+    if isinstance(t, (TyVar, Bot)):
+        return t
+    if isinstance(t, Coind):
+        return Coind(t.defname, subst_size_reference(t.size, by, var),
+                     tuple(subst_type_size_reference(p, by, var)
+                           for p in t.params))
+    if isinstance(t, Arrow):
+        return Arrow(subst_type_size_reference(t.dom, by, var),
+                     subst_type_size_reference(t.cod, by, var))
+    if isinstance(t, Forall):
+        if t.var == var:
+            return t
+        if t.var in sv_reference(by):
+            nv = fresh_name(t.var, sv_reference(by) | fsv_reference(t.body)
+                            | {var})
+            body = subst_type_size_reference(t.body, SVar(nv), t.var)
+            return Forall(nv, subst_type_size_reference(body, by, var))
+        return Forall(t.var, subst_type_size_reference(t.body, by, var))
+    raise TypeError(t)
+
+
+def subst_type_multi_reference(t, mapping):
+    from slam import Bot, TyVar
+
+    if isinstance(t, Bot):
+        return t
+    if isinstance(t, TyVar):
+        return mapping.get(t.name, t)
+    if isinstance(t, Coind):
+        return Coind(t.defname, t.size,
+                     tuple(subst_type_multi_reference(p, mapping)
+                           for p in t.params))
+    if isinstance(t, Arrow):
+        return Arrow(subst_type_multi_reference(t.dom, mapping),
+                     subst_type_multi_reference(t.cod, mapping))
+    if isinstance(t, Forall):
+        clash = set()
+        for rep in mapping.values():
+            clash |= fsv_reference(rep)
+        if t.var in clash:
+            nv = fresh_name(t.var, clash | fsv_reference(t.body))
+            body = subst_type_size_reference(t.body, SVar(nv), t.var)
+            return Forall(nv, subst_type_multi_reference(body, mapping))
+        return Forall(t.var, subst_type_multi_reference(t.body, mapping))
+    raise TypeError(t)
+
+
+def rename_binders_apart_reference(t, avoid):
+    used = set(avoid) | fsv_reference(t)
+
+    def size(s, ren):
+        if isinstance(s, SVar):
+            return SVar(ren.get(s.name, s.name))
+        if isinstance(s, Succ):
+            return Succ(size(s.arg, ren))
+        if isinstance(s, (SMin, SMax)):
+            return type(s)(size(s.left, ren), size(s.right, ren))
+        return s
+
+    def go(t, ren):
+        if isinstance(t, Forall):
+            nv = t.var
+            if nv in used:
+                base, _, n = nv.rpartition("_")
+                nv = fresh_name(base if base and n.isdigit() else nv, used)
+            used.add(nv)
+            return Forall(nv, go(t.body, {**ren, t.var: nv}))
+        if isinstance(t, Arrow):
+            return Arrow(go(t.dom, ren), go(t.cod, ren))
+        if isinstance(t, Coind):
+            return Coind(t.defname, size(t.size, ren),
+                         tuple(go(p, ren) for p in t.params))
+        return t
+
+    return go(t, {})
+
+
+def expand_type_reference(u, t):
+    from slam import TyVar
+
+    if isinstance(t, TyVar):
+        return t
+    if isinstance(t, Coind):
+        return Coind(t.defname, expand_reference(u, t.size),
+                     tuple(expand_type_reference(u, p) for p in t.params))
+    if isinstance(t, Arrow):
+        return Arrow(expand_type_reference(u, t.dom),
+                     expand_type_reference(u, t.cod))
+    if isinstance(t, Forall):
+        return Forall(t.var, expand_type_reference(u, t.body))
+    return t
+
+
+def store_type_reference(st, ty):
+    """`_Infer.store_type`, with the inference state passed in."""
+    if isinstance(ty, Forall):
+        if ty.var in st.linear and not st._u_mentions(ty.var):
+            st.linear.discard(ty.var)
+        store_type_reference(st, ty.body)
+    elif isinstance(ty, Arrow):
+        store_type_reference(st, ty.dom)
+        store_type_reference(st, ty.cod)
+    elif isinstance(ty, Coind):
+        for p in ty.params:
+            store_type_reference(st, p)
+
+
+def expand_superfluous_reference(u, s, under):
+    """`_Infer._expand_superfluous`, with U passed in."""
+    if isinstance(s, SVar) and not under and s.name in u:
+        return expand_superfluous_reference(u, u[s.name], False)
+    if isinstance(s, Succ):
+        return Succ(expand_superfluous_reference(u, s.arg, True))
+    if isinstance(s, SMin):
+        return SMin(expand_superfluous_reference(u, s.left, under),
+                    expand_superfluous_reference(u, s.right, under))
+    if isinstance(s, SMax):
+        return SMax(expand_superfluous_reference(u, s.left, under),
+                    expand_superfluous_reference(u, s.right, under))
+    return s
+
+
+def dependents_reference(u, name):
+    """`_Infer._dependents`, with U passed in."""
+    memo = {}
+
+    def dep(v):
+        if v in memo:
+            return memo[v]
+        memo[v] = False
+        hit = False
+        for w in sv(u[v]):
+            if w == name or (w in u and dep(w)):
+                hit = True
+        memo[v] = hit
+        return hit
+
+    return [v for v in u if dep(v)]
+
+
+def fsv_u_reference(u, x):
+    """`_Infer._fsv_u`, with U passed in."""
+    out = set()
+    memo = {}
+
+    def of_var(v):
+        if v not in u:
+            return frozenset({v})
+        if v in memo:
+            return memo[v]
+        memo[v] = frozenset()
+        acc = frozenset()
+        for w in sv(u[v]):
+            acc |= of_var(w)
+        memo[v] = acc
+        return acc
+
+    for v in fsv_reference(x):
+        out |= of_var(v)
+    return out
+
+
+_NICE_REFERENCE = ["i", "j", "k", "l", "m", "n"]
+
+
+def prettify_reference(t):
+    used = set(sv_reference(t))
+    supply = (nm for nm in _NICE_REFERENCE + [f"i{k}" for k in range(1, 100)]
+              if nm not in used)
+
+    def go(t):
+        if isinstance(t, Forall):
+            if t.var.startswith(("$", "?")):
+                nv = next(supply)
+                return Forall(nv, go(subst_type_size_reference(
+                    t.body, SVar(nv), t.var)))
+            return Forall(t.var, go(t.body))
+        if isinstance(t, Arrow):
+            return Arrow(go(t.dom), go(t.cod))
+        if isinstance(t, Coind):
+            return Coind(t.defname, fold_size_reference(t.size),
+                         tuple(go(p) for p in t.params))
+        return t
+
+    return go(t)
+
+
+def fold_size_reference(s):
+    from slam import size_const
+
+    c = const_value_reference(s)
+    if c is not None:
+        return INFTY if c == INF else size_const(int(c))
+    if isinstance(s, Succ):
+        n = 0
+        while isinstance(s, Succ):
+            n += 1
+            s = s.arg
+        s = fold_size_reference(s)
+        for _ in range(n):
+            s = Succ(s)
+        return s
+    if isinstance(s, SMin):
+        l, r = fold_size_reference(s.left), fold_size_reference(s.right)
+        if l == r:
+            return l
+        if l == INFTY or r == ZERO:
+            return r
+        if r == INFTY or l == ZERO:
+            return l
+        return SMin(l, r)
+    if isinstance(s, SMax):
+        l, r = fold_size_reference(s.left), fold_size_reference(s.right)
+        if l == r:
+            return l
+        if l == INFTY or r == ZERO:
+            return l
+        if r == INFTY or l == ZERO:
+            return r
+        return SMax(l, r)
+    return s
+
+
+def gen_sub_constraints_reference(t1, t2, reg, env=None):
+    from slam import Bot, TyVar
+    from slam.subtyping import _align
+
+    out = {}
+
+    def go(a, b):
+        if isinstance(a, Bot):
+            return True
+        if isinstance(a, TyVar) and isinstance(b, TyVar):
+            return a.name == b.name
+        if isinstance(a, Coind) and isinstance(b, Coind):
+            if a.defname != b.defname or len(a.params) != len(b.params):
+                return False
+            if reg.definition(a.defname).coinductive:
+                out[(b.size, a.size)] = None
+            else:
+                out[(a.size, b.size)] = None
+            return all(go(p, q) for p, q in zip(a.params, b.params))
+        if isinstance(a, Arrow) and isinstance(b, Arrow):
+            return go(b.dom, a.dom) and go(a.cod, b.cod)
+        if isinstance(a, Forall) and isinstance(b, Forall):
+            aligned = _align(a.var, a.body, b.var, b.body, env)
+            if aligned is None:
+                return False
+            _, abody, bbody = aligned
+            return go(abody, bbody)
+        return False
+
+    return list(out) if go(t1, t2) else None
+
+
+def tgt_reference(t):
+    if isinstance(t, Arrow):
+        return tgt_reference(t.cod)
+    if isinstance(t, Forall):
+        return tgt_reference(t.body)
+    return t
+
+
+def chgtgt_reference(t, alpha):
+    if isinstance(t, Arrow):
+        return Arrow(t.dom, chgtgt_reference(t.cod, alpha))
+    if isinstance(t, Forall):
+        return Forall(t.var, chgtgt_reference(t.body, alpha))
+    return alpha
+
+
+def node_count_reference(x):
+    from slam import (
+        Bot, Case, Cofix, Con, Fix, Lam, SizeApp, SizeLam, TyVar,
+    )
+
+    if isinstance(x, (Zero, Infty, SVar, TyVar, Bot, Var, Con, PVar, PCon)):
+        return 1
+    if isinstance(x, Succ):
+        return 1 + node_count_reference(x.arg)
+    if isinstance(x, (SMin, SMax)):
+        return 1 + node_count_reference(x.left) + node_count_reference(x.right)
+    if isinstance(x, Coind):
+        return 1 + node_count_reference(x.size) + sum(
+            node_count_reference(p) for p in x.params)
+    if isinstance(x, Arrow):
+        return 1 + node_count_reference(x.dom) + node_count_reference(x.cod)
+    if isinstance(x, Forall):
+        return 1 + node_count_reference(x.body)
+    if isinstance(x, Lam):
+        return 1 + node_count_reference(x.ty) + node_count_reference(x.body)
+    if isinstance(x, (App, PApp)):
+        return 1 + node_count_reference(x.fun) + node_count_reference(x.arg)
+    if isinstance(x, SizeApp):
+        return 1 + node_count_reference(x.fun) + node_count_reference(x.size)
+    if isinstance(x, (SizeLam, PLam)):
+        return 1 + node_count_reference(x.body)
+    if isinstance(x, (Case, PCase)):
+        return 1 + node_count_reference(x.scrutinee) + sum(
+            1 + node_count_reference(b.body) for b in x.branches)
+    if isinstance(x, Fix):
+        return 1 + node_count_reference(x.ty) + node_count_reference(x.body)
+    if isinstance(x, Cofix):
+        return 1 + node_count_reference(x.ty) + node_count_reference(x.body)
+    raise TypeError(x)
+
+
+def dependency_cycle_reference(reg):
+    from slam.syntax import _dependencies
+
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {n: WHITE for n in reg.defs}
+    stack = []
+
+    def visit(n):
+        color[n] = GRAY
+        stack.append(n)
+        for m in sorted(_dependencies(reg, n)):
+            if m not in color:
+                continue
+            if color[m] == GRAY:
+                i = stack.index(m)
+                return stack[i:] + [m]
+            if color[m] == WHITE:
+                r = visit(m)
+                if r is not None:
+                    return r
+        stack.pop()
+        color[n] = BLACK
+        return None
+
+    for n in reg.defs:
+        if color[n] == WHITE:
+            r = visit(n)
+            if r is not None:
+                return r
+    return None
+
+
+def topological_order_reference(reg):
+    from slam.syntax import _dependencies
+
+    out = []
+    seen = set()
+
+    def visit(n):
+        if n in seen:
+            return
+        seen.add(n)
+        for m in sorted(_dependencies(reg, n)):
+            if m in reg.defs:
+                visit(m)
+        out.append(n)
+
+    for n in reg.defs:
+        visit(n)
+    return tuple(out)
+
+
+def observable_reference(tau, reg):
+    from slam import TyVar
+
+    seen = set()
+
+    def ok_type(t):
+        if isinstance(t, TyVar):
+            return True
+        if isinstance(t, Coind):
+            return all(ok_type(p) for p in t.params) and ok_def(t.defname)
+        return False
+
+    def ok_def(dn):
+        if dn in seen:
+            return True
+        seen.add(dn)
+        return all(ok_type(a) for c in reg.constructors(dn)
+                   for a in c.arg_types)
+
+    return ok_type(tau)
+
+
+def refines_reference(a1, a2):
+    from slam import Bottom, Constr, Opaque, alpha_eq_plain
+
+    if isinstance(a2, Bottom):
+        return True
+    if isinstance(a1, Constr) and isinstance(a2, Constr):
+        return (a1.con == a2.con
+                and len(a1.children) == len(a2.children)
+                and all(refines_reference(x, y)
+                        for x, y in zip(a1.children, a2.children)))
+    if isinstance(a1, Opaque) and isinstance(a2, Opaque):
+        return alpha_eq_plain(a1.term, a2.term)
+    return False
+
+
+def member_reference(a, tau, reg, v=None, strict=False):
+    from slam import NonObservableType
+
+    if not observable_reference(tau, reg):
+        raise NonObservableType(f"type is not observable: {tau!r}")
+    if v is None:
+        v = SizeValuation({})
+    elif not isinstance(v, SizeValuation):
+        v = SizeValuation(v)
+    if not isinstance(tau, Coind):
+        raise NonObservableType("membership needs a (co)inductive type")
+    level = eval_size_reference(v, tau.size)
+    return _member_def_reference(
+        a, tau.defname, [_closure_reference(p, {}, reg, v) for p in tau.params],
+        level, strict, reg, v)
+
+
+def _closure_reference(t, env, reg, v):
+    def pred(a):
+        return _member_type_reference(a, t, env, reg, v)
+    return pred
+
+
+def _member_type_reference(a, t, env, reg, v):
+    from slam import NonObservableType, TyVar
+
+    if isinstance(t, TyVar):
+        return env[t.name](a)
+    if isinstance(t, Coind):
+        level = eval_size_reference(v, t.size)
+        preds = [_closure_reference(p, env, reg, v) for p in t.params]
+        return _member_def_reference(a, t.defname, preds, level, False, reg, v)
+    raise NonObservableType(f"non-observable position: {t!r}")
+
+
+def _member_def_reference(a, dn, preds, level, strict, reg, v):
+    from slam import Bottom, Constr
+
+    d = reg.definition(dn)
+    if d.coinductive:
+        if strict and level == INF:
+            raise ValueError("strict membership needs a finite level")
+        if level <= 0:
+            return isinstance(a, Bottom) if strict else True
+    else:
+        if level <= 0:
+            return False
+    if not isinstance(a, Constr):
+        return False
+    entry = reg.constructor_entry(a.con)
+    if entry is None or entry[0].name != dn:
+        return False
+    sig = entry[1]
+    if len(sig.arg_types) != len(a.children):
+        return False
+    child_level = level - 1 if level != INF else INF
+
+    def rec_pred(k):
+        return _member_def_reference(k, dn, preds, child_level, strict, reg, v)
+
+    env = {d.rec_var: rec_pred}
+    env.update({bn: p for bn, p in zip(d.params, preds)})
+    return all(_member_type_reference(k, sigma, env, reg, v)
+               for k, sigma in zip(a.children, sig.arg_types))
+
+
+def _succs_reference(s, n):
+    for _ in range(n):
+        s = Succ(s)
+    return s
+
+
+def _recursive_parser_class():
+    """The parser with sizes and types by recursive descent."""
+    from slam import size_const
+    from slam.parser import _KEYWORDS, _P
+
+    class RecursiveSizesAndTypes(_P):
+        def size(self, atom=False):
+            if atom:
+                return self.size_atom()
+            s = self.size_atom()
+            while self.at_sym("+"):
+                self.next()
+                t = self.peek()
+                if t.kind != "num":
+                    raise self.fail("expected a number after '+'")
+                self.next()
+                s = _succs_reference(s, int(t.text))
+            return s
+
+        def size_atom(self):
+            t = self.peek()
+            if t.kind == "num":
+                self.next()
+                return size_const(int(t.text))
+            if self.at_word("oo"):
+                self.next()
+                return INFTY
+            if self.at_word("min") or self.at_word("max"):
+                op = self.next().text
+                self.eat_sym("(")
+                args = [self.size()]
+                while self.at_sym(","):
+                    self.next()
+                    args.append(self.size())
+                self.eat_sym(")")
+                if len(args) < 2:
+                    raise self.fail(f"{op} needs at least two arguments")
+                acc = args[0]
+                for a in args[1:]:
+                    acc = SMin(acc, a) if op == "min" else SMax(acc, a)
+                return acc
+            if self.at_sym("("):
+                self.next()
+                s = self.size()
+                self.eat_sym(")")
+                return s
+            if t.kind == "ident" and t.text not in _KEYWORDS:
+                self.next()
+                return SVar(t.text)
+            raise self.fail("expected a size expression")
+
+        def type_(self, env):
+            if self.at_word("forall"):
+                self.next()
+                names = [self.eat_ident("size variable").text]
+                while self.peek().kind == "ident" and not self.at_sym("."):
+                    if self.peek().text in _KEYWORDS:
+                        break
+                    names.append(self.next().text)
+                self.eat_sym(".")
+                body = self.type_(env)
+                for nm in reversed(names):
+                    body = Forall(nm, body)
+                return body
+            dom = self.type_atom(env)
+            if self.at_sym("->"):
+                self.next()
+                return Arrow(dom, self.type_(env))
+            return dom
+
+        def type_atom(self, env):
+            if self.at_sym("("):
+                self.next()
+                t = self.type_(env)
+                self.eat_sym(")")
+                return t
+            tok = self.eat_ident("type")
+            size = INFTY
+            decorated = False
+            if self.at_sym("^"):
+                self.next()
+                size = self.size_atom()
+                decorated = True
+            args = []
+            has_args = False
+            if self.at_sym("("):
+                # lookahead: '(' after a name is a parameter list
+                self.next()
+                has_args = True
+                args.append(self.type_(env))
+                while self.at_sym(","):
+                    self.next()
+                    args.append(self.type_(env))
+                self.eat_sym(")")
+            return env.resolve(self, tok, size, decorated, tuple(args), has_args)
+
+    return RecursiveSizesAndTypes
+
+
+def parse_size_reference(src):
+    from slam.parser import tokenize
+
+    p = _recursive_parser_class()(tokenize(src))
+    s = p.size()
+    if p.peek().kind != "eof":
+        raise p.fail("trailing input after size expression")
+    return s
+
+
+def parse_type_reference(src, reg, tyvars=frozenset()):
+    from slam.parser import _TypeEnv, tokenize
+
+    p = _recursive_parser_class()(tokenize(src))
+    t = p.type_(_TypeEnv(reg, tyvars=tyvars))
+    if p.peek().kind != "eof":
+        raise p.fail("trailing input after type")
+    return t

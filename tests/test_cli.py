@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from helpers import CORPUS_DIR
@@ -279,3 +281,64 @@ def test_main_called_repeatedly_matches_single_calls(tmp_path, capsys):
         assert [run(capsys, *argv) for argv in calls] == single
     assert [run(capsys, *argv) for argv in reversed(calls)] == single[::-1]
     assert len({code for code, _, _ in single}) == 3  # 0, 1 and 2 all seen
+
+
+# Deep sizes and types: each of these ran into Python's recursion limit
+# while sizes and types were walked recursively.
+
+def test_check_deep_numeral(capsys):
+    code, out, err = run(capsys, "check", STREAMS, _numeral(10_000), ":",
+                         "Nat^10001")
+    assert (code, out, err) == (0, "yes\n", "")
+
+
+def test_infer_plus_of_deep_numeral(capsys):
+    code, out, err = run(capsys, "infer", STREAMS,
+                         f"plus ({_numeral(10_000)}) zero")
+    assert (code, out, err) == (0, "Nat\n", "")
+
+
+def test_deep_arrow_type(capsys):
+    arrows = " -> ".join(["Nat"] * 10_001)
+    code, out, err = run(capsys, "infer", STREAMS, f"\\x : {arrows} . x")
+    assert (code, out, err) == (0, f"({arrows}) -> {arrows}\n", "")
+    code, out, err = run(capsys, "check", STREAMS, f"\\x : {arrows} . x",
+                         ":", f"({arrows}) -> {arrows}")
+    assert (code, out, err) == (0, "yes\n", "")
+
+
+@pytest.mark.parametrize("assertion, want", [
+    ("max({})+1 <= i0", (1, "invalid\n")),
+    ("min({}) <= i0", (0, "valid\n")),
+])
+def test_solve_wide_min_max(tmp_path, capsys, assertion, want):
+    sc = tmp_path / "wide.sc"
+    names = ", ".join(f"i{k}" for k in range(10_000))
+    sc.write_text(f"assert {assertion.format(names)};\n")
+    code, out, err = run(capsys, "solve", str(sc))
+    assert (code, out.splitlines(True)[0], err) == (*want, "")
+
+
+def test_gen_hard_output_parses_back(tmp_path, capsys):
+    from slam import SizeConstraint, Succ, encode_3cnf, parse_constraint_file
+    from slam.constraints import parse_cnf_dimacs
+
+    rng = random.Random(7)
+    lines = ["p cnf 40 1200"] + [
+        " ".join(str(rng.choice((-1, 1)) * rng.randint(1, 40))
+                 for _ in range(3)) + " 0" for _ in range(1200)]
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "gen-hard", str(cnf))
+    assert code == 0 and err == ""
+    s1, s2 = encode_3cnf(parse_cnf_dimacs(cnf.read_text()))
+    assert parse_constraint_file(out) == SizeConstraint({}, [(Succ(s2), s1)])
+
+
+def test_productivity_deep(capsys):
+    # every depth up to 400 is observed and checked afresh, so the cost
+    # grows with the square of the depth; 10^4 is checked in the library
+    code, out, err = run(capsys, "productivity", STREAMS, "zeros", "--type",
+                         "Strm", "--depth", "400")
+    assert (code, err) == (0, "")
+    assert out.endswith("400: ok (nodes=801, fuelUsed=1203)\nPASS\n")

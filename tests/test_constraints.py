@@ -358,3 +358,14 @@ def test_search_matches_reference_and_never_rechecks_refused_arms(
         assert got_checks <= want_checks, c
         saved += want_checks - got_checks
     assert sum(bool(c.u) for c in inputs) >= 5 and arms and saved
+
+
+def test_format_and_parse_round_trip_a_large_encoding():
+    # the encoding nests min/max 1,200 deep; printing and parsing it
+    # needs no deep Python stack (it is not solved: that takes seconds)
+    rng = random.Random(11)
+    clauses = [[(f"x{rng.randint(1, 40)}", rng.random() < 0.5)
+                for _ in range(3)] for _ in range(1200)]
+    s1, s2 = encode_3cnf(clauses)
+    c = SizeConstraint({"n": s1}, [(Succ(s2), s1), (s2, SVar("n"))])
+    assert parse_constraint_file(format_constraint(c)) == c

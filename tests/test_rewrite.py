@@ -511,3 +511,20 @@ def test_member_strict_through_list_parameters(trees):
     a2 = approximant(f, EvalBudget(fuel=2000, depth=2), reg)
     assert member(a2, ftree, reg, {"n": 2}, strict=True)
     assert refines(a2, a1)
+
+
+def test_member_and_refines_on_a_deep_stream():
+    # a 10^4-deep approximant is checked on an explicit stack
+    reg = load("streams").registry
+    n = 10_000
+    a, shallow = Bottom(), Bottom()
+    for k in range(n):
+        a = Constr("cons", (Constr("zero"), a))
+        if k == n // 2:
+            shallow = a
+    strm = Coind("Strm", SVar("i"), ())
+    assert member(a, strm, reg, {"i": n})
+    assert member(a, strm, reg, {"i": n}, strict=True)
+    assert not member(a, strm, reg, {"i": n + 1}, strict=True)
+    assert not member(a, Coind("Nat", INFTY, ()), reg)
+    assert refines(a, a) and refines(a, shallow) and not refines(shallow, a)

@@ -245,3 +245,14 @@ def test_case_duplicate_branch_rejected(streams):
 def test_node_count():
     assert node_count(SMax(I, Succ(J))) == 4
     assert node_count(Arrow(TyVar("A"), Coind("Nat", ZERO, ()))) == 4
+
+
+def test_long_definition_chain_validates():
+    # each definition names the next one, defined below it
+    n = 1500
+    src = "\n".join(f"inductive D{k} {{ z{k} : D{k}; c{k} : D{k + 1} -> D{k} }}"
+                    for k in range(n))
+    src += f"\ninductive D{n} {{ z{n} : D{n} }}\n"
+    reg = parse_defs(src)
+    assert validate_registry(reg) == []
+    assert reg.order == tuple(f"D{k}" for k in range(n, -1, -1))
