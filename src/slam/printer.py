@@ -3,14 +3,22 @@
 Printing round-trips: `parse(print(x))` returns a tree equal to `x` (up to
 the `^oo` sugar, which both sides treat as absent).  Successor chains over
 0 print as plain numerals.
+
+Each printer is one node function over the fold of its family in
+`syntax.py` (`fold_size`, `fold_type`, `fold_term`), so nesting depth
+costs heap, not Python stack.  A term's text carries its precedence,
+which decides where its parent puts parentheses; decorated and plain
+terms share the one term printer.
 """
 
 from __future__ import annotations
 
+from typing import Union
+
 from .syntax import (
-    INFTY, App, Arrow, Branch, Case, Coind, Cofix, Fix, Forall, Lam, PApp,
-    PCase, PCon, PLam, PVar, PlainTerm, SizeApp, SizeExpr, SizeLam, SMax,
-    SMin, Succ, SVar, Term, TyVar, Type, Var, Con, Zero, fold_size, fold_type,
+    INFTY, App, Arrow, Case, Coind, Fix, Forall, Lam, PApp, PCase, PCon,
+    PLam, PVar, PlainTerm, SizeApp, SizeExpr, SizeLam, SMax, SMin, Succ,
+    SVar, Term, TyVar, Type, Var, Con, Zero, fold_size, fold_term, fold_type,
 )
 
 __all__ = ["print_size", "print_type", "print_term", "print_plain"]
@@ -62,61 +70,48 @@ def _print_type(t: Type, kids: list[str], _ctx) -> str:
     raise TypeError(f"not a printable type: {t!r}")
 
 
-def print_term(t: Term) -> str:
-    if isinstance(t, Lam):
-        return f"\\{t.var} : {print_type(t.ty)}. {print_term(t.body)}"
-    if isinstance(t, SizeLam):
-        return f"/\\{t.var}. {print_term(t.body)}"
-    if isinstance(t, Fix):
-        return f"fix {t.var} : {print_type(t.ty)} . {print_term(t.body)}"
-    if isinstance(t, Cofix):
-        return (f"cofix[{t.size_var}] {t.var} : {print_type(t.ty)} . "
-                f"{print_term(t.body)}")
-    if isinstance(t, Case):
-        brs = "; ".join(_print_branch(b) for b in t.branches)
-        return f"case {_term_app(t.scrutinee)} of {{ {brs} }}"
-    return _term_app(t)
+def print_term(t: Union[Term, PlainTerm]) -> str:
+    """A decorated or plain term as source text."""
+    return fold_term(t, _print_term)[0]
 
 
-def _print_branch(b: Branch) -> str:
-    head = " ".join((b.con,) + b.binders)
-    return f"{head} => {print_term(b.body)}"
+print_plain = print_term
 
 
-def _term_app(t: Term) -> str:
-    if isinstance(t, App):
-        return f"{_term_app(t.fun)} {_term_atom(t.arg)}"
-    if isinstance(t, SizeApp):
-        return f"{_term_app(t.fun)} [{print_size(t.size)}]"
-    return _term_atom(t)
+# A term prints as (text, precedence): an atom (a variable or constructor)
+# goes anywhere, an application heads an application, and a binder or a
+# case goes in parentheses wherever less than a whole term is expected.
+_ATOM, _APP, _TOP = 0, 1, 2
 
 
-def _term_atom(t: Term) -> str:
-    if isinstance(t, (Var, Con)):
-        return t.name
-    return f"({print_term(t)})"
+def _at(kid: tuple[str, int], prec: int) -> str:
+    """A child's text where terms up to precedence `prec` go bare."""
+    text, p = kid
+    return text if p <= prec else f"({text})"
 
 
-def print_plain(t: PlainTerm) -> str:
-    if isinstance(t, PLam):
-        return f"\\{t.var}. {_plain_app(t.body)}" \
-            if isinstance(t.body, (PVar, PCon, PApp)) \
-            else f"\\{t.var}. {print_plain(t.body)}"
-    if isinstance(t, PCase):
-        brs = "; ".join(
-            " ".join((b.con,) + b.binders) + " => " + print_plain(b.body)
-            for b in t.branches)
-        return f"case {_plain_atom(t.scrutinee)} of {{ {brs} }}"
-    return _plain_app(t)
-
-
-def _plain_app(t: PlainTerm) -> str:
-    if isinstance(t, PApp):
-        return f"{_plain_app(t.fun)} {_plain_atom(t.arg)}"
-    return _plain_atom(t)
-
-
-def _plain_atom(t: PlainTerm) -> str:
-    if isinstance(t, (PVar, PCon)):
-        return t.name
-    return f"({print_plain(t)})"
+def _print_term(t, kids: list, _ctx) -> tuple[str, int]:
+    cls = type(t)
+    if cls is App or cls is PApp:
+        return f"{_at(kids[0], _APP)} {_at(kids[1], _ATOM)}", _APP
+    if cls is Var or cls is Con or cls is PVar or cls is PCon:
+        return t.name, _ATOM
+    if cls is SizeApp:
+        return f"{_at(kids[0], _APP)} [{print_size(t.size)}]", _APP
+    if cls is Case or cls is PCase:
+        # a decorated scrutinee may be an application, a plain one not
+        scrut = _at(kids[0], _APP if cls is Case else _ATOM)
+        brs = "; ".join(" ".join((b.con,) + b.binders) + " => " + body[0]
+                        for b, body in zip(t.branches, kids[1:]))
+        return f"case {scrut} of {{ {brs} }}", _TOP
+    body = kids[0][0]
+    if cls is Lam:
+        return f"\\{t.var} : {print_type(t.ty)}. {body}", _TOP
+    if cls is PLam:
+        return f"\\{t.var}. {body}", _TOP
+    if cls is SizeLam:
+        return f"/\\{t.var}. {body}", _TOP
+    if cls is Fix:
+        return f"fix {t.var} : {print_type(t.ty)} . {body}", _TOP
+    return (f"cofix[{t.size_var}] {t.var} : {print_type(t.ty)} . {body}",
+            _TOP)

@@ -9,9 +9,15 @@ exhaustion is its computable surrogate.  Membership of approximants in
 the finite approximations of observable (co)inductive types gives the
 empirical productivity harness.
 
-Reduction shares work instead of redoing it.  Plain terms cache their
-free variables (`fv`), so `psubst` returns every subterm the variable is
-not free in as the same object and rebuilds only the path to its
+Every walk here is depth-safe: erasure and the single reduction step are
+node functions over the term walks of `syntax.py` (`fold_term`,
+`term_nodes`), `psubst` is the substitution `syntax.substitute` shares
+with decorated terms, and `whnf` keeps the case heads waiting on their
+scrutinees on a stack of its own.
+
+Reduction shares work instead of redoing it.  Terms cache their free
+variables (`fv`), so `psubst` returns every subterm the variable is not
+free in as the same object and rebuilds only the path to its
 occurrences.  An observation keeps a memo of weak head normal forms
 keyed by subterm identity and fuel limit: `approximant` one per call,
 `productivity_check` one for all depths, since the approximant at depth
@@ -27,9 +33,9 @@ from typing import Mapping, Optional, Union
 
 from .sizes import INF, ExtNat, SizeValuation, eval_size
 from .syntax import (
-    App, Case, Coind, Cofix, DefRegistry, Fix, Lam, PApp, PBranch, PCase,
-    PCon, PLam, PVar, PlainTerm, SizeApp, SizeLam, SVar, Term, TyVar, Type,
-    Var, Con, alpha_eq_plain, fresh_name, type_nodes,
+    App, Case, Coind, Con, DefRegistry, Lam, PApp, PBranch, PCase, PCon,
+    PLam, PVar, PlainTerm, SizeApp, SizeLam, SVar, Term, TyVar, Type, Var,
+    alpha_eq_plain, fold_term, rebuilt, substitute, term_nodes, type_nodes,
 )
 
 __all__ = [
@@ -57,52 +63,26 @@ OMEGA: PlainTerm = PApp(PLam("x", PApp(PVar("x"), PVar("x"))),
 # Erasure
 
 def erase(t: Term) -> PlainTerm:
-    """Drop types and size operations; fix/cofix become Y applications.
+    """Drop types and size operations; fix/cofix become Y applications."""
+    return fold_term(t, _erase)
 
-    The walk keeps its own stack: a node is met once on the way down,
-    and a 1-tuple holding it rebuilds its erasure from its children's
-    erasures on `out` on the way up."""
-    out: list[PlainTerm] = []
-    work: list = [t]
-    while work:
-        t = work.pop()
-        cls = type(t)
-        if cls is tuple:
-            t = t[0]
-            cls = type(t)
-            if cls is App:
-                arg = out.pop()
-                out.append(PApp(out.pop(), arg))
-            elif cls is Case:
-                n = len(t.branches)
-                bodies = out[len(out) - n:]
-                del out[len(out) - n:]
-                out.append(PCase(out.pop(), tuple(
-                    PBranch(b.con, b.binders, body)
-                    for b, body in zip(t.branches, bodies))))
-            elif cls is Lam:
-                out.append(PLam(t.var, out.pop()))
-            else:  # Fix, Cofix
-                out.append(PApp(Y_COMBINATOR, PLam(t.var, out.pop())))
-        elif cls is Var:
-            out.append(PVar(t.name))
-        elif cls is Con:
-            out.append(PCon(t.name))
-        elif cls is App:
-            work += [(t,), t.arg, t.fun]
-        elif cls is SizeApp:
-            work.append(t.fun)
-        elif cls is SizeLam:
-            work.append(t.body)
-        elif cls is Case:
-            work.append((t,))
-            work.extend(b.body for b in reversed(t.branches))
-            work.append(t.scrutinee)
-        elif cls is Lam or cls is Fix or cls is Cofix:
-            work += [(t,), t.body]
-        else:
-            raise TypeError(t)
-    return out[0]
+
+def _erase(t: Term, kids: list, _ctx) -> PlainTerm:
+    cls = type(t)
+    if cls is App:
+        return PApp(*kids)
+    if cls is Var:
+        return PVar(t.name)
+    if cls is Con:
+        return PCon(t.name)
+    if cls is Lam:
+        return PLam(t.var, kids[0])
+    if cls is Case:
+        return PCase(kids[0], tuple(PBranch(b.con, b.binders, body)
+                                    for b, body in zip(t.branches, kids[1:])))
+    if cls is SizeApp or cls is SizeLam:
+        return kids[0]
+    return PApp(Y_COMBINATOR, PLam(t.var, kids[0]))  # Fix, Cofix
 
 
 # ---------------------------------------------------------------------------
@@ -113,42 +93,7 @@ def psubst(t: PlainTerm, var: str, value: PlainTerm) -> PlainTerm:
 
     A subterm in which `var` is not free is returned as it is, the same
     object, so the result shares every untouched part of `t`."""
-    free = value.fv
-
-    def go(t: PlainTerm) -> PlainTerm:
-        if var not in t.fv:
-            return t
-        if isinstance(t, PVar):
-            return value
-        if isinstance(t, PLam):
-            if t.var in free:
-                nv = fresh_name(t.var, free | t.body.fv | {var})
-                return PLam(nv, go(_prename(t.body, t.var, nv)))
-            return PLam(t.var, go(t.body))
-        if isinstance(t, PApp):
-            return PApp(go(t.fun), go(t.arg))
-        if isinstance(t, PCase):
-            brs = []
-            for b in t.branches:
-                if var in b.binders or var not in b.body.fv:
-                    brs.append(b)
-                    continue
-                binders = list(b.binders)
-                body = b.body
-                for i, x in enumerate(binders):
-                    if x in free:
-                        nv = fresh_name(x, free | body.fv | set(binders) | {var})
-                        body = _prename(body, x, nv)
-                        binders[i] = nv
-                brs.append(PBranch(b.con, tuple(binders), go(body)))
-            return PCase(go(t.scrutinee), tuple(brs))
-        raise TypeError(t)
-
-    return go(t)
-
-
-def _prename(t: PlainTerm, old: str, new: str) -> PlainTerm:
-    return psubst(t, old, PVar(new))
+    return substitute(t, var, value)
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +149,30 @@ def step(t: PlainTerm) -> StepResult:
 
 
 def _step1(t: PlainTerm) -> Optional[PlainTerm]:
-    if isinstance(t, PApp):
-        if isinstance(t.fun, PLam):
-            return psubst(t.fun.body, t.fun.var, t.arg)
-        r = _step1(t.fun)
-        if r is not None:
-            return PApp(r, t.arg)
-        r = _step1(t.arg)
-        return None if r is None else PApp(t.fun, r)
-    if isinstance(t, PCase):
+    """t with its leftmost-outermost redex, the first in pre-order,
+    contracted; None when there is none.  Once it is found, every node
+    still to be met is left as it is."""
+    found = False
+
+    def enter(x: PlainTerm, _ctx):
+        nonlocal found
+        if found:
+            return None
+        r = _contract(x)
+        if r is None:
+            return x, (True,) * len(x._kids())
+        found = True
+        return r, (None,) * len(r._kids())
+
+    r = fold_term(t, lambda x, kids, _ctx: rebuilt(x, kids), enter, True)
+    return r if found else None
+
+
+def _contract(t: PlainTerm) -> Optional[PlainTerm]:
+    """The contractum of t when t is a beta or iota redex, else None."""
+    if type(t) is PApp and type(t.fun) is PLam:
+        return psubst(t.fun.body, t.fun.var, t.arg)
+    if type(t) is PCase:
         hit = _iota_branch(t)
         if hit is not None:
             b, args = hit
@@ -220,34 +180,15 @@ def _step1(t: PlainTerm) -> Optional[PlainTerm]:
             for x, a in zip(b.binders, args):
                 body = psubst(body, x, a)
             return body
-        r = _step1(t.scrutinee)
-        if r is not None:
-            return PCase(r, t.branches)
-        for i, b in enumerate(t.branches):
-            r = _step1(b.body)
-            if r is not None:
-                brs = list(t.branches)
-                brs[i] = PBranch(b.con, b.binders, r)
-                return PCase(t.scrutinee, tuple(brs))
-        return None
-    if isinstance(t, PLam):
-        r = _step1(t.body)
-        return None if r is None else PLam(t.var, r)
     return None
 
 
 def _has_stuck_case(t: PlainTerm) -> bool:
-    if isinstance(t, PCase):
-        head, _args = _spine(t.scrutinee)
-        if isinstance(head, (PCon, PLam)) and _iota_branch(t) is None:
-            return True
-        return _has_stuck_case(t.scrutinee) or \
-            any(_has_stuck_case(b.body) for b in t.branches)
-    if isinstance(t, PApp):
-        return _has_stuck_case(t.fun) or _has_stuck_case(t.arg)
-    if isinstance(t, PLam):
-        return _has_stuck_case(t.body)
-    return False
+    """Whether some case in t has a constructor or an abstraction as the
+    head of its scrutinee and yet cannot take an iota step."""
+    return any(type(x) is PCase
+               and isinstance(_spine(x.scrutinee)[0], (PCon, PLam))
+               and _iota_branch(x) is None for x in term_nodes(t))
 
 
 @dataclass
@@ -263,47 +204,69 @@ class WhnfResult:
 def whnf(t: PlainTerm, fuel: int) -> WhnfResult:
     """Head-reduce until a constructor application, a value, or fuel runs
     out.  Values are abstractions, variable-headed spines, and stuck
-    cases."""
+    cases.
+
+    The term is kept as its head and arguments, and built whole only for
+    the result (t is None while it is not built).  A case at the head
+    waits, with the arguments it is applied to, on a stack of pending
+    frames while its scrutinee is head-reduced under the fuel left; the
+    scrutinee's result then decides the case."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     steps = 0
+    frames: list[tuple[PCase, list[PlainTerm]]] = []
+    head, args = _spine(t)
     while True:
-        head, args = _spine(t)
         if isinstance(head, PCon):
-            return WhnfResult("head", t, head.name, tuple(args), False, steps)
-        if isinstance(head, PLam):
-            if not args:
-                return WhnfResult("value", t, steps=steps)
-            if steps >= fuel:
-                return WhnfResult("fuel", t, steps=steps)
-            steps += 1
-            t = _apply(psubst(head.body, head.var, args[0]), args[1:])
-            continue
-        if isinstance(head, PVar):
-            return WhnfResult("value", t, steps=steps)
-        assert isinstance(head, PCase)
-        remaining = fuel - steps
-        if remaining <= 0:
-            return WhnfResult("fuel", t, steps=steps)
-        inner = whnf(head.scrutinee, remaining)
-        steps += inner.steps
-        rebuilt = _apply(PCase(inner.term, head.branches), args)
-        if inner.kind == "fuel":
-            return WhnfResult("fuel", rebuilt, steps=steps)
-        case2 = PCase(inner.term, head.branches)
-        hit = _iota_branch(case2)
-        if hit is None:
-            stuck = inner.kind == "head" or isinstance(inner.term, PLam) \
-                or (inner.kind == "value" and inner.stuck)
-            return WhnfResult("value", rebuilt, stuck=stuck, steps=steps)
-        if steps >= fuel:
-            return WhnfResult("fuel", rebuilt, steps=steps)
-        steps += 1
-        b, cargs = hit
-        body = b.body
-        for x, a in zip(b.binders, cargs):
-            body = psubst(body, x, a)
-        t = _apply(body, args)
+            kind = "head"
+        elif isinstance(head, PLam) and args:
+            if steps < fuel:
+                steps += 1
+                head, more = _spine(psubst(head.body, head.var, args[0]))
+                args = more + args[1:]
+                t = None
+                continue
+            kind = "fuel"
+        elif isinstance(head, PCase):
+            if steps < fuel:
+                frames.append((head, args))
+                t = head.scrutinee
+                head, args = _spine(t)
+                continue
+            kind = "fuel"
+        else:
+            kind = "value"
+        if t is None:
+            t = _apply(head, args)
+        res = WhnfResult(kind, t, head.name, tuple(args), False, steps) \
+            if kind == "head" else WhnfResult(kind, t, steps=steps)
+        # the result of a scrutinee decides the case waiting on it
+        while frames:
+            case, args = frames.pop()
+            case = PCase(res.term, case.branches)
+            if res.kind == "fuel":
+                res = WhnfResult("fuel", _apply(case, args), steps=steps)
+                continue
+            hit = _iota_branch(case)
+            if hit is None:
+                stuck = res.kind == "head" or isinstance(res.term, PLam) \
+                    or (res.kind == "value" and res.stuck)
+                res = WhnfResult("value", _apply(case, args), stuck=stuck,
+                                 steps=steps)
+            elif steps >= fuel:
+                res = WhnfResult("fuel", _apply(case, args), steps=steps)
+            else:
+                steps += 1
+                b, cargs = hit
+                body = b.body
+                for x, a in zip(b.binders, cargs):
+                    body = psubst(body, x, a)
+                head, more = _spine(body)
+                args = more + args
+                t = None
+                break
+        else:
+            return res
 
 
 # ---------------------------------------------------------------------------

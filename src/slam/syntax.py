@@ -12,14 +12,14 @@ read-only, so everything here is safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import is_
+from operator import attrgetter, is_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 __all__ = [
     "SizeExpr", "Zero", "Infty", "SVar", "Succ", "SMin", "SMax",
     "ZERO", "INFTY", "ONE", "size_const", "size_plus", "smin", "smax",
     "CyclicDefMap", "rebuilt", "size_nodes", "fold_size", "type_nodes",
-    "fold_type", "depth_first_order",
+    "fold_type", "term_nodes", "fold_term", "depth_first_order",
     "Type", "TyVar", "Coind", "Arrow", "Forall", "Bot", "BOT",
     "Term", "Var", "Con", "Lam", "App", "SizeApp", "SizeLam",
     "Case", "Branch", "Fix", "Cofix",
@@ -29,8 +29,8 @@ __all__ = [
     "sv", "fsv", "tv", "fsv_term", "term_free_vars", "forall_binders",
     "size_names",
     "subst_size", "subst_type_size", "subst_type_sizes",
-    "subst_type", "subst_type_multi", "subst_term",
-    "alpha_eq_type", "alpha_eq_term", "alpha_eq_plain",
+    "subst_type", "subst_type_multi", "subst_term", "substitute",
+    "alpha_eq", "alpha_eq_type", "alpha_eq_term", "alpha_eq_plain",
     "strictly_positive", "validate_registry", "check_type_wf",
     "check_term_wf", "fresh_name", "node_count", "uniquify_size_binders",
     "rename_binders_apart",
@@ -423,136 +423,88 @@ def fold_type(t: Type, fn: Callable, enter: Optional[Callable] = None,
 
 
 # ---------------------------------------------------------------------------
-# Decorated terms
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Con:
-    name: str
-
-
-@dataclass(frozen=True)
-class Lam:
-    var: str
-    ty: Type
-    body: "Term"
-
-
-@dataclass(frozen=True)
-class App:
-    fun: "Term"
-    arg: "Term"
-
-
-@dataclass(frozen=True)
-class SizeApp:
-    fun: "Term"
-    size: SizeExpr
-
-
-@dataclass(frozen=True)
-class SizeLam:
-    var: str
-    body: "Term"
-
-
-@dataclass(frozen=True)
-class Branch:
-    con: str
-    binders: tuple[str, ...]
-    body: "Term"
-
-
-@dataclass(frozen=True)
-class Case:
-    scrutinee: "Term"
-    branches: tuple[Branch, ...]
-
-
-@dataclass(frozen=True)
-class Fix:
-    var: str
-    ty: Type
-    body: "Term"
-
-
-@dataclass(frozen=True)
-class Cofix:
-    size_var: str
-    var: str
-    ty: Type
-    body: "Term"
-
-
-Term = Union[Var, Con, Lam, App, SizeApp, SizeLam, Case, Fix, Cofix]
-
-
-# ---------------------------------------------------------------------------
-# Plain (erased) terms
+# Terms
 #
-# Each plain term caches its free variables in `fv`, computed from its
-# children's `fv` when it is built, so reading it costs O(1) and building
-# a node never recurses.  `fv` takes no part in equality, hashing or repr.
+# Decorated and plain terms share their node shapes.  Each term class
+# declares its children once, in `_kids` (for a case: the scrutinee,
+# then the branch bodies), the term variables each child binds, in
+# `_binds`, and how it is rebuilt over new children, in `_with`, or over
+# new binder names, in `_rebind`; the walks below read nothing else of a
+# term's shape.  Each node caches its free term variables in `fv`,
+# computed from its children's when it is built, so reading it costs
+# O(1) and building a node never recurses.  `fv` takes no part in
+# equality, hashing or repr.
 
 def _fv_field():
     return field(init=False, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class PVar:
-    name: str
-    fv: frozenset[str] = _fv_field()
+class _Term:
+    __slots__ = ()
+
+    def _kids(self) -> tuple:
+        return ()
+
+    def _binds(self) -> tuple:
+        return ()
+
+
+class _VarShape(_Term):
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         _set(self, "fv", frozenset((self.name,)))
 
 
-@dataclass(frozen=True)
-class PCon:
-    name: str
-    fv: frozenset[str] = _fv_field()
-
-    def __post_init__(self) -> None:
-        _set(self, "fv", _NO_VARS)
+class _Binder(_Term):
+    # a node whose children may be under term binders (`_binds`), which
+    # it can rebuild under other names (`_rebind`)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PLam:
-    var: str
-    body: "PlainTerm"
-    fv: frozenset[str] = _fv_field()
+class _AbsShape(_Binder):
+    # one term variable, `var`, bound over `body`; `_make(var, body)`
+    # builds the node with its other fields kept
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         fv = self.body.fv
         _set(self, "fv", fv - {self.var} if self.var in fv else fv)
 
+    def _kids(self) -> tuple:
+        return (self.body,)
 
-@dataclass(frozen=True)
-class PApp:
-    fun: "PlainTerm"
-    arg: "PlainTerm"
-    fv: frozenset[str] = _fv_field()
+    def _binds(self) -> tuple:
+        return ((self.var,),)
+
+    def _with(self, kids):
+        return self._make(self.var, kids[0])
+
+    def _rebind(self, binds):
+        return self._make(binds[0][0], self.body)
+
+    def _make(self, var, body):  # Lam, Fix: (var, ty, body)
+        return type(self)(var, self.ty, body)
+
+
+class _AppShape(_Term):
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         _set(self, "fv", _union(self.fun.fv, self.arg.fv))
 
+    def _kids(self) -> tuple:
+        return (self.fun, self.arg)
 
-@dataclass(frozen=True)
-class PBranch:
-    con: str
-    binders: tuple[str, ...]
-    body: "PlainTerm"
+    def _binds(self) -> tuple:
+        return ((), ())
+
+    def _with(self, kids):
+        return type(self)(*kids)
 
 
-@dataclass(frozen=True)
-class PCase:
-    scrutinee: "PlainTerm"
-    branches: tuple[PBranch, ...]
-    fv: frozenset[str] = _fv_field()
+class _CaseShape(_Binder):
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         fv = self.scrutinee.fv
@@ -562,6 +514,33 @@ class PCase:
                 bfv = bfv.difference(b.binders)
             fv = _union(fv, bfv)
         _set(self, "fv", fv)
+
+    def _kids(self) -> tuple:
+        return (self.scrutinee, *(b.body for b in self.branches))
+
+    def _binds(self) -> tuple:
+        return ((), *(b.binders for b in self.branches))
+
+    def _with(self, kids):
+        return type(self)(kids[0], tuple(
+            b if body is b.body else type(b)(b.con, b.binders, body)
+            for b, body in zip(self.branches, kids[1:])))
+
+    def _rebind(self, binds):
+        return type(self)(self.scrutinee, tuple(
+            type(b)(b.con, names, b.body)
+            for b, names in zip(self.branches, binds[1:])))
+
+
+class _OneKid(_Term):
+    # SizeApp and SizeLam: one child, under no term binder
+    __slots__ = ()
+
+    def __post_init__(self) -> None:
+        _set(self, "fv", self._kids()[0].fv)
+
+    def _binds(self) -> tuple:
+        return ((),)
 
 
 def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
@@ -574,7 +553,203 @@ def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
     return a | b
 
 
+# Decorated terms
+
+@dataclass(frozen=True)
+class Var(_VarShape):
+    name: str
+    fv: frozenset[str] = _fv_field()
+
+
+@dataclass(frozen=True)
+class Con(_Term):
+    name: str
+    fv: frozenset[str] = field(default=_NO_VARS, init=False, compare=False,
+                               repr=False)
+
+
+@dataclass(frozen=True)
+class Lam(_AbsShape):
+    var: str
+    ty: Type
+    body: "Term"
+    fv: frozenset[str] = _fv_field()
+
+
+@dataclass(frozen=True)
+class App(_AppShape):
+    fun: "Term"
+    arg: "Term"
+    fv: frozenset[str] = _fv_field()
+
+
+@dataclass(frozen=True)
+class SizeApp(_OneKid):
+    fun: "Term"
+    size: SizeExpr
+    fv: frozenset[str] = _fv_field()
+
+    def _kids(self) -> tuple:
+        return (self.fun,)
+
+    def _with(self, kids):
+        return SizeApp(kids[0], self.size)
+
+
+@dataclass(frozen=True)
+class SizeLam(_OneKid):
+    var: str
+    body: "Term"
+    fv: frozenset[str] = _fv_field()
+
+    def _kids(self) -> tuple:
+        return (self.body,)
+
+    def _with(self, kids):
+        return SizeLam(self.var, kids[0])
+
+
+@dataclass(frozen=True)
+class Branch:
+    con: str
+    binders: tuple[str, ...]
+    body: "Term"
+
+
+@dataclass(frozen=True)
+class Case(_CaseShape):
+    scrutinee: "Term"
+    branches: tuple[Branch, ...]
+    fv: frozenset[str] = _fv_field()
+
+
+@dataclass(frozen=True)
+class Fix(_AbsShape):
+    var: str
+    ty: Type
+    body: "Term"
+    fv: frozenset[str] = _fv_field()
+
+
+@dataclass(frozen=True)
+class Cofix(_AbsShape):
+    size_var: str
+    var: str
+    ty: Type
+    body: "Term"
+    fv: frozenset[str] = _fv_field()
+
+    def _make(self, var, body):
+        return Cofix(self.size_var, var, self.ty, body)
+
+
+Term = Union[Var, Con, Lam, App, SizeApp, SizeLam, Case, Fix, Cofix]
+
+
+# Plain (erased) terms
+
+@dataclass(frozen=True)
+class PVar(_VarShape):
+    name: str
+    fv: frozenset[str] = _fv_field()
+
+
+@dataclass(frozen=True)
+class PCon(_Term):
+    name: str
+    fv: frozenset[str] = field(default=_NO_VARS, init=False, compare=False,
+                               repr=False)
+
+
+@dataclass(frozen=True)
+class PLam(_AbsShape):
+    var: str
+    body: "PlainTerm"
+    fv: frozenset[str] = _fv_field()
+
+    def _make(self, var, body):
+        return PLam(var, body)
+
+
+@dataclass(frozen=True)
+class PApp(_AppShape):
+    fun: "PlainTerm"
+    arg: "PlainTerm"
+    fv: frozenset[str] = _fv_field()
+
+
+@dataclass(frozen=True)
+class PBranch:
+    con: str
+    binders: tuple[str, ...]
+    body: "PlainTerm"
+
+
+@dataclass(frozen=True)
+class PCase(_CaseShape):
+    scrutinee: "PlainTerm"
+    branches: tuple[PBranch, ...]
+    fv: frozenset[str] = _fv_field()
+
+
 PlainTerm = Union[PVar, PCon, PLam, PApp, PCase]
+
+
+def term_nodes(t) -> Iterator:
+    """The nodes of a term, decorated or plain, in pre-order, left to
+    right (a case's scrutinee, then its branch bodies)."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        while True:  # down the leftmost path, the other children stacked
+            yield t
+            kids = t._kids()
+            if not kids:
+                break
+            t = kids[0]
+            if len(kids) == 2:
+                stack.append(kids[1])
+            elif len(kids) > 2:
+                stack.extend(reversed(kids[1:]))
+
+
+def fold_term(t, fn: Callable, enter: Optional[Callable] = None, ctx=None):
+    """The value of fn at the root of a term, decorated or plain,
+    computed bottom-up: `fn(x, kids, c)` gets a node, its children's
+    values, left to right, and the context c it was reached in.
+
+    Without `enter` every node is reached in `ctx`.  With it, a node x
+    reached in a context c other than None is first passed to
+    `enter(x, c)`, in pre-order, which returns None to leave x as it is
+    (its value is x itself, and nothing below it is visited), or (y, cs):
+    the node to fold in x's place, and its children's contexts.  The walk
+    lists the nodes in pre-order, on its own stack, then computes their
+    values in reverse pre-order on a stack of values."""
+    if enter is None:
+        order = [(x, ctx, len(x._kids())) for x in term_nodes(t)]
+    else:
+        order = []
+        stack = [(t, ctx)]
+        while stack:
+            x, c = stack.pop()
+            e = None if c is None else enter(x, c)
+            if e is None:
+                order.append((x, c, -1))
+                continue
+            x, cs = e
+            kids = x._kids()
+            if kids:
+                stack.extend(zip(reversed(kids), reversed(cs)))
+            order.append((x, c, len(kids)))
+    vals: list = []
+    for x, c, k in reversed(order):
+        if k > 0:
+            kids = vals[:-k - 1:-1]
+            del vals[-k:]
+            vals.append(fn(x, kids, c))
+        else:
+            vals.append(fn(x, (), c) if k == 0 else x)
+    return vals[0]
 
 
 # ---------------------------------------------------------------------------
@@ -612,34 +787,20 @@ def tv(t: Type) -> frozenset[str]:
 
 def fsv_term(t: Term) -> frozenset[str]:
     """Free size variables of a decorated term (annotations included)."""
-    out: set[str] = set()
-    stack: list[tuple[Term, frozenset[str]]] = [(t, _NO_VARS)]
-    while stack:
-        t, bound = stack.pop()
-        while True:
-            cls = type(t)
-            if cls is App:
-                stack.append((t.arg, bound))
-                t = t.fun
-            elif cls is Var or cls is Con:
-                break
-            elif cls is SizeApp:
-                out |= sv(t.size).difference(bound)
-                t = t.fun
-            elif cls is SizeLam:
-                bound = bound | {t.var}
-                t = t.body
-            elif cls is Lam or cls is Fix or cls is Cofix:
-                if cls is Cofix:
-                    bound = bound | {t.size_var}
-                out |= fsv(t.ty).difference(bound)
-                t = t.body
-            elif cls is Case:
-                stack.extend((b.body, bound) for b in t.branches)
-                t = t.scrutinee
-            else:
-                raise TypeError(t)
-    return frozenset(out)
+    return fold_term(t, _fsv_node)
+
+
+def _fsv_node(t: Term, kids: list, _c) -> frozenset[str]:
+    out = kids[0] if kids else _NO_VARS
+    for k in kids[1:]:
+        out = _union(out, k)
+    cls = type(t)
+    if cls is SizeApp:
+        out = _union(out, sv(t.size))
+    elif cls is Lam or cls is Fix or cls is Cofix:
+        out = _union(out, fsv(t.ty))
+    bound = t.var if cls is SizeLam else t.size_var if cls is Cofix else None
+    return out - {bound} if bound in out else out
 
 
 def forall_binders(t: Type) -> frozenset[str]:
@@ -651,27 +812,16 @@ def size_names(t: Term) -> frozenset[str]:
     """Every size variable a term names: free, bound or binding,
     annotations included."""
     out: set[str] = set()
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, (Var, Con)):
-            continue
-        if isinstance(t, (Lam, Fix, Cofix)):
-            out |= sv(t.ty) | forall_binders(t.ty)
-        if isinstance(t, Cofix):
-            out.add(t.size_var)
-        elif isinstance(t, SizeLam):
-            out.add(t.var)
-        if isinstance(t, App):
-            stack += [t.fun, t.arg]
-        elif isinstance(t, SizeApp):
-            out |= sv(t.size)
-            stack.append(t.fun)
-        elif isinstance(t, Case):
-            stack.append(t.scrutinee)
-            stack += [b.body for b in t.branches]
-        else:
-            stack.append(t.body)
+    for x in term_nodes(t):
+        cls = type(x)
+        if cls is SizeApp:
+            out |= sv(x.size)
+        elif cls is SizeLam:
+            out.add(x.var)
+        elif cls is Lam or cls is Fix or cls is Cofix:
+            out |= sv(x.ty) | forall_binders(x.ty)
+            if cls is Cofix:
+                out.add(x.size_var)
     return frozenset(out)
 
 
@@ -780,97 +930,111 @@ def subst_term(t: Term, replacement: Term, var: str) -> Term:
 
     Used to link file bindings; typing itself never substitutes terms.
     """
-    free = term_free_vars(replacement)
+    return substitute(t, var, replacement)
 
-    def go(t: Term, bound: frozenset[str]) -> Term:
-        if isinstance(t, Var):
-            return replacement if (t.name == var and t.name not in bound) else t
-        if isinstance(t, Con):
-            return t
-        if isinstance(t, Lam):
-            if t.var == var:
-                return t
-            if t.var in free:
-                nv = fresh_name(t.var, free | term_free_vars(t.body) | {var})
-                body = _rename_term_var(t.body, t.var, nv)
-                return Lam(nv, t.ty, go(body, bound))
-            return Lam(t.var, t.ty, go(t.body, bound))
-        if isinstance(t, App):
-            return App(go(t.fun, bound), go(t.arg, bound))
-        if isinstance(t, SizeApp):
-            return SizeApp(go(t.fun, bound), t.size)
-        if isinstance(t, SizeLam):
-            return SizeLam(t.var, go(t.body, bound))
-        if isinstance(t, Case):
-            brs = []
-            for b in t.branches:
-                if var in b.binders:
-                    brs.append(b)
+
+def substitute(t, var: str, value):
+    """t, a decorated or plain term, with `value` put for the free
+    occurrences of `var`.  A binder that would capture a free variable
+    of value is first renamed, in its scope, to the first name
+    fresh_name gives that is free in neither value nor the scope and is
+    none of the scope's other binders nor var.  A subterm var is not
+    free in is returned as it is, the same object.
+
+    The walk reads the node shapes itself: through fold_term, two
+    callbacks per node doubled the cost of reduction.  Its stack holds
+    (node, steps, out, i): node is to get `steps` (see `_steps_into`),
+    and the result goes to out[i].  The nodes it changes are rebuilt
+    last, children before parents, over the lists of their children's
+    values."""
+    if var not in t.fv:
+        return t
+    steps = ((var, value),)
+    free = value.fv
+    vals: list = [t]  # the result, in vals[0]
+    nodes: list = []  # (node, its children's values, out, i), pre-order
+    work: list = [(t, steps, vals, 0)]
+    while work:
+        x, s, out, i = work.pop()
+        kids = x._kids()
+        if not kids:  # a variable
+            out[i] = value if s is steps else _subst_var(x, s)
+            continue
+        new = list(kids)
+        nodes.append((x, new, out, i))
+        binds = x._binds() if isinstance(x, _Binder) else None
+        if s is steps and (binds is None or all(map(free.isdisjoint, binds))):
+            # it goes as is into each child var is free in
+            for j, k in enumerate(kids):
+                if var not in k.fv or binds and var in binds[j]:
                     continue
-                binders = list(b.binders)
-                body = b.body
-                for i, x in enumerate(binders):
-                    if x in free:
-                        nv = fresh_name(x, free | term_free_vars(body) | set(binders) | {var})
-                        body = _rename_term_var(body, x, nv)
-                        binders[i] = nv
-                brs.append(Branch(b.con, tuple(binders), go(body, bound)))
-            return Case(go(t.scrutinee, bound), tuple(brs))
-        if isinstance(t, Fix):
-            if t.var == var:
-                return t
-            if t.var in free:
-                nv = fresh_name(t.var, free | term_free_vars(t.body) | {var})
-                return Fix(nv, t.ty, go(_rename_term_var(t.body, t.var, nv), bound))
-            return Fix(t.var, t.ty, go(t.body, bound))
-        if isinstance(t, Cofix):
-            if t.var == var:
-                return t
-            if t.var in free:
-                nv = fresh_name(t.var, free | term_free_vars(t.body) | {var})
-                return Cofix(t.size_var, nv, t.ty,
-                             go(_rename_term_var(t.body, t.var, nv), bound))
-            return Cofix(t.size_var, t.var, t.ty, go(t.body, bound))
-        raise TypeError(t)
+                if isinstance(k, _VarShape):  # var itself
+                    new[j] = value
+                else:
+                    work.append((k, s, new, j))
+            continue
+        binds = binds or x._binds()
+        renamed = None
+        for j, (k, names) in enumerate(zip(kids, binds)):
+            c, names2 = _steps_into(s, k.fv, names)
+            if c is not None:
+                work.append((k, c, new, j))
+            if names2 is not names:
+                renamed = renamed or list(binds)
+                renamed[j] = names2
+        if renamed is not None:
+            nodes[-1] = (x._rebind(renamed), new, out, i)
+    for x, new, out, i in reversed(nodes):  # children before parents
+        out[i] = x._with(new)
+    return vals[0]
 
-    return go(t, frozenset())
+
+def _steps_into(steps, fv, names):
+    """The substitutions a child with free variables fv, under binders
+    `names`, gets from `steps` (None for none), and its binders after
+    the renaming they call for.
+
+    Each step (y, v) puts v for y, where v is a term, or a name that y
+    is renamed to; only the last step can put a term.  A binder that a
+    step would capture is renamed first, by a renaming step put in front
+    of it.  fv follows the steps made so far."""
+    if len(steps) == 1:
+        y, v = steps[0]
+        if y not in fv or y in names:
+            return None, names
+        if not names or type(v) is not str and v.fv.isdisjoint(names):
+            return steps, names
+    out = []
+    for y, v in steps:
+        if y not in fv or y in names:
+            continue
+        free = frozenset((v,)) if type(v) is str else v.fv
+        for i, x in enumerate(names):
+            if x in free:
+                nv = fresh_name(x, free | fv | set(names) | {y})
+                if x in fv:
+                    out.append((x, nv))
+                    fv = (fv - {x}) | {nv}
+                names = names[:i] + (nv,) + names[i + 1:]
+        out.append((y, v))
+        fv = (fv - {y}) | free
+    return tuple(out) or None, names
+
+
+def _subst_var(x, steps):
+    """A variable after the steps that reach it rename or replace it."""
+    name = x.name
+    for y, v in steps:
+        if y == name:
+            if type(v) is not str:
+                return v
+            name = v
+    return type(x)(name)
 
 
 def term_free_vars(t: Term) -> frozenset[str]:
-    """Free term variables of a decorated term."""
-    out: set[str] = set()
-    stack: list[tuple[Term, frozenset[str]]] = [(t, _NO_VARS)]
-    while stack:
-        t, bound = stack.pop()
-        while True:
-            cls = type(t)
-            if cls is App:
-                stack.append((t.arg, bound))
-                t = t.fun
-            elif cls is Var:
-                if t.name not in bound:
-                    out.add(t.name)
-                break
-            elif cls is Con:
-                break
-            elif cls is SizeApp:
-                t = t.fun
-            elif cls is SizeLam:
-                t = t.body
-            elif cls is Lam or cls is Fix or cls is Cofix:
-                bound = bound | {t.var}
-                t = t.body
-            elif cls is Case:
-                stack.extend((b.body, bound.union(b.binders))
-                             for b in t.branches)
-                t = t.scrutinee
-            else:
-                raise TypeError(t)
-    return frozenset(out)
-
-
-def _rename_term_var(t: Term, old: str, new: str) -> Term:
-    return subst_term(t, Var(new), old)
+    """Free term variables of a term."""
+    return t.fv
 
 
 def uniquify_size_binders(t: Term, avoid: Iterable[str] = ()) -> Term:
@@ -881,75 +1045,41 @@ def uniquify_size_binders(t: Term, avoid: Iterable[str] = ()) -> Term:
     also avoid the forall-bound names of annotation types (distinct
     binding sites) and any extra names the caller supplies (typically
     every size variable the typing context names, bound ones included).
+    Binders are named in pre-order, left to right, as they are met.
     """
+    for x in term_nodes(t):
+        if type(x) is SizeLam or type(x) is Cofix:
+            break
+    else:
+        return t  # no size binder to rename
     used: set[str] = set(fsv_term(t)) | _annotation_binders(t) | set(avoid)
-
-    def rename_size(s: SizeExpr, ren: dict[str, str]) -> SizeExpr:
-        for old, new in ren.items():
-            s = subst_size(s, SVar(new), old)
-        return s
 
     def rename_type(ty: Type, ren: dict[str, str]) -> Type:
         return subst_type_sizes(ty, tuple((SVar(new), old)
                                           for old, new in ren.items()))
 
-    # Preorder names the binders (left to right, as they are met), and
-    # postorder rebuilds each node from its children's results on `out`.
-    out: list[Term] = []
-    work: list[tuple[bool, Term, dict[str, str], str]] = [(False, t, {}, "")]
-    while work:
-        built, t, ren, nv = work.pop()
-        cls = type(t)
-        if not built:
-            if cls is Var or cls is Con:
-                out.append(t)
-                continue
-            inner = ren
-            if cls is SizeLam or cls is Cofix:
-                old = t.var if cls is SizeLam else t.size_var
-                nv = fresh_name(old, used)
-                used.add(nv)
-                inner = {**ren, old: nv}
-            work.append((True, t, ren, nv))
-            if cls is Case:
-                work.extend((False, b.body, inner, "")
-                            for b in reversed(t.branches))
-                work.append((False, t.scrutinee, inner, ""))
-            elif cls is App:
-                work.append((False, t.arg, inner, ""))
-                work.append((False, t.fun, inner, ""))
+    def enter(x: Term, ren: dict[str, str]):
+        # the node with its size binder and annotation renamed, and the
+        # renaming its children get
+        cls = type(x)
+        if cls is SizeLam or cls is Cofix:
+            old = x.var if cls is SizeLam else x.size_var
+            nv = fresh_name(old, used)
+            used.add(nv)
+            ren = {**ren, old: nv}
+            x = SizeLam(nv, x.body) if cls is SizeLam else Cofix(
+                nv, x.var, rename_type(x.ty, ren), x.body)
+        elif ren:
+            if cls is Lam or cls is Fix:
+                x = cls(x.var, rename_type(x.ty, ren), x.body)
             elif cls is SizeApp:
-                work.append((False, t.fun, inner, ""))
-            elif cls in (Lam, SizeLam, Fix, Cofix):
-                work.append((False, t.body, inner, ""))
-            else:
-                raise TypeError(t)
-            continue
-        if cls is App:
-            arg = out.pop()
-            fun = out.pop()
-            out.append(t if fun is t.fun and arg is t.arg else App(fun, arg))
-        elif cls is Case:
-            n = len(t.branches)
-            bodies = out[len(out) - n:]
-            del out[len(out) - n:]
-            scrut = out.pop()
-            out.append(Case(scrut, tuple(Branch(b.con, b.binders, body)
-                                         for b, body in zip(t.branches,
-                                                            bodies))))
-        elif cls is SizeApp:
-            out.append(SizeApp(out.pop(), rename_size(t.size, ren)))
-        elif cls is SizeLam:
-            out.append(SizeLam(nv, out.pop()))
-        elif cls is Lam:
-            out.append(Lam(t.var, rename_type(t.ty, ren), out.pop()))
-        elif cls is Fix:
-            out.append(Fix(t.var, rename_type(t.ty, ren), out.pop()))
-        else:
-            out.append(Cofix(nv, t.var,
-                             rename_type(t.ty, {**ren, t.size_var: nv}),
-                             out.pop()))
-    return out[0]
+                size = x.size
+                for old, new in ren.items():
+                    size = subst_size(size, SVar(new), old)
+                x = SizeApp(x.fun, size)
+        return x, (ren,) * len(x._kids())
+
+    return fold_term(t, lambda x, kids, _c: rebuilt(x, kids), enter, {})
 
 
 def rename_binders_apart(t: Type, avoid: Iterable[str]) -> Type:
@@ -984,158 +1114,81 @@ def rename_binders_apart(t: Type, avoid: Iterable[str]) -> Type:
 
 def _annotation_binders(t: Term) -> frozenset[str]:
     out: set[str] = set()
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        cls = type(t)
-        if cls is App:
-            stack.append(t.fun)
-            stack.append(t.arg)
-        elif cls is Var or cls is Con:
-            continue
-        elif cls is SizeApp:
-            stack.append(t.fun)
-        elif cls is SizeLam:
-            stack.append(t.body)
-        elif cls is Case:
-            stack.append(t.scrutinee)
-            stack.extend(b.body for b in t.branches)
-        elif cls is Lam or cls is Fix or cls is Cofix:
-            out |= forall_binders(t.ty)
-            stack.append(t.body)
-        else:
-            raise TypeError(t)
+    for x in term_nodes(t):
+        if type(x) in (Lam, Fix, Cofix):
+            out |= forall_binders(x.ty)
     return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
 # Alpha equality
 
-def alpha_eq_type(a: Type, b: Type) -> bool:
-    return _aeq_ty(a, b, {}, {})
+def alpha_eq(a, b) -> bool:
+    """Alpha-equality of two sizes, types, decorated or plain terms.
 
-
-def _aeq_ty(a: Type, b: Type, ra: dict, rb: dict) -> bool:
-    if isinstance(a, Bot) and isinstance(b, Bot):
-        return True
-    if isinstance(a, TyVar) and isinstance(b, TyVar):
-        return a.name == b.name
-    if isinstance(a, Coind) and isinstance(b, Coind):
-        return (a.defname == b.defname
-                and _aeq_size(a.size, b.size, ra, rb)
-                and len(a.params) == len(b.params)
-                and all(_aeq_ty(p, q, ra, rb) for p, q in zip(a.params, b.params)))
-    if isinstance(a, Arrow) and isinstance(b, Arrow):
-        return _aeq_ty(a.dom, b.dom, ra, rb) and _aeq_ty(a.cod, b.cod, ra, rb)
-    if isinstance(a, Forall) and isinstance(b, Forall):
-        mark = object()
-        return _aeq_ty(a.body, b.body, {**ra, a.var: mark}, {**rb, b.var: mark})
-    return False
-
-
-def _aeq_size(a: SizeExpr, b: SizeExpr, ra: dict, rb: dict) -> bool:
-    if isinstance(a, SVar) and isinstance(b, SVar):
-        return ra.get(a.name, a.name) is rb.get(b.name, object()) \
-            if a.name in ra or b.name in rb \
-            else a.name == b.name
-    if isinstance(a, Zero) and isinstance(b, Zero):
-        return True
-    if isinstance(a, Infty) and isinstance(b, Infty):
-        return True
-    if isinstance(a, Succ) and isinstance(b, Succ):
-        return _aeq_size(a.arg, b.arg, ra, rb)
-    if isinstance(a, SMin) and isinstance(b, SMin):
-        return _aeq_size(a.left, b.left, ra, rb) and _aeq_size(a.right, b.right, ra, rb)
-    if isinstance(a, SMax) and isinstance(b, SMax):
-        return _aeq_size(a.left, b.left, ra, rb) and _aeq_size(a.right, b.right, ra, rb)
-    return False
-
-
-def alpha_eq_term(a: Term, b: Term) -> bool:
-    return _aeq_tm(a, b, {}, {})
-
-
-def _aeq_tm(a: Term, b: Term, ra: dict, rb: dict) -> bool:
-    if isinstance(a, Var) and isinstance(b, Var):
-        if a.name in ra or b.name in rb:
-            return ra.get(a.name) is rb.get(b.name) and a.name in ra and b.name in rb
-        return a.name == b.name
-    if isinstance(a, Con) and isinstance(b, Con):
-        return a.name == b.name
-    if isinstance(a, Lam) and isinstance(b, Lam):
-        if not alpha_eq_type(a.ty, b.ty):
+    Forall binders and the term variables a term binds compare up to
+    renaming; a term's size binders compare by name, its size arguments
+    structurally, and its annotations as types on their own.  One loop
+    over a stack of pairs, each with the binders in scope on either
+    side: a name maps to a mark its binding site shares with the other
+    side's."""
+    todo = [(a, b, {}, {})]
+    while todo:
+        a, b, ra, rb = todo.pop()
+        cls = type(a)
+        if cls is not type(b):
             return False
-        m = object()
-        return _aeq_tm(a.body, b.body, {**ra, a.var: m}, {**rb, b.var: m})
-    if isinstance(a, App) and isinstance(b, App):
-        return _aeq_tm(a.fun, b.fun, ra, rb) and _aeq_tm(a.arg, b.arg, ra, rb)
-    if isinstance(a, SizeApp) and isinstance(b, SizeApp):
-        return _aeq_tm(a.fun, b.fun, ra, rb) and a.size == b.size
-    if isinstance(a, SizeLam) and isinstance(b, SizeLam):
-        # size binders compare by name; size alpha handled at the type level
-        return a.var == b.var and _aeq_tm(a.body, b.body, ra, rb)
-    if isinstance(a, Case) and isinstance(b, Case):
-        if len(a.branches) != len(b.branches):
-            return False
-        if not _aeq_tm(a.scrutinee, b.scrutinee, ra, rb):
-            return False
-        for ba, bb in zip(a.branches, b.branches):
-            if ba.con != bb.con or len(ba.binders) != len(bb.binders):
+        if cls is SVar or cls is Var or cls is PVar:
+            ma, mb = ra.get(a.name), rb.get(b.name)
+            if ma is not mb or ma is None and a.name != b.name:
                 return False
-            ra2, rb2 = dict(ra), dict(rb)
-            for xa, xb in zip(ba.binders, bb.binders):
-                m = object()
-                ra2[xa] = m
-                rb2[xb] = m
-            if not _aeq_tm(ba.body, bb.body, ra2, rb2):
+            continue
+        if isinstance(a, _Size) and not ra and not rb:
+            if a != b:  # nothing bound: equality, in a loop of its own
                 return False
-        return True
-    if isinstance(a, Fix) and isinstance(b, Fix):
-        if not alpha_eq_type(a.ty, b.ty):
+            continue
+        label = _LABELS.get(cls)
+        if label is not None and label(a) != label(b):
             return False
-        m = object()
-        return _aeq_tm(a.body, b.body, {**ra, a.var: m}, {**rb, b.var: m})
-    if isinstance(a, Cofix) and isinstance(b, Cofix):
-        if a.size_var != b.size_var or not alpha_eq_type(a.ty, b.ty):
+        if cls is Forall:
+            mark = object()
+            todo.append((a.body, b.body, {**ra, a.var: mark},
+                         {**rb, b.var: mark}))
+            continue
+        if cls is Coind:
+            todo.append((a.size, b.size, ra, rb))
+        elif cls is Lam or cls is Fix or cls is Cofix:
+            todo.append((a.ty, b.ty, {}, {}))
+        ka, kb = a._kids(), b._kids()
+        if len(ka) != len(kb):
             return False
-        m = object()
-        return _aeq_tm(a.body, b.body, {**ra, a.var: m}, {**rb, b.var: m})
-    return False
-
-
-def alpha_eq_plain(a: PlainTerm, b: PlainTerm) -> bool:
-    return _aeq_pl(a, b, {}, {})
-
-
-def _aeq_pl(a: PlainTerm, b: PlainTerm, ra: dict, rb: dict) -> bool:
-    if isinstance(a, PVar) and isinstance(b, PVar):
-        if a.name in ra or b.name in rb:
-            return ra.get(a.name) is rb.get(b.name) and a.name in ra and b.name in rb
-        return a.name == b.name
-    if isinstance(a, PCon) and isinstance(b, PCon):
-        return a.name == b.name
-    if isinstance(a, PLam) and isinstance(b, PLam):
-        m = object()
-        return _aeq_pl(a.body, b.body, {**ra, a.var: m}, {**rb, b.var: m})
-    if isinstance(a, PApp) and isinstance(b, PApp):
-        return _aeq_pl(a.fun, b.fun, ra, rb) and _aeq_pl(a.arg, b.arg, ra, rb)
-    if isinstance(a, PCase) and isinstance(b, PCase):
-        if len(a.branches) != len(b.branches):
-            return False
-        if not _aeq_pl(a.scrutinee, b.scrutinee, ra, rb):
-            return False
-        for ba, bb in zip(a.branches, b.branches):
-            if ba.con != bb.con or len(ba.binders) != len(bb.binders):
+        if not isinstance(a, _Term):
+            todo.extend((x, y, ra, rb) for x, y in zip(ka, kb))
+            continue
+        for x, y, xs, ys in zip(ka, kb, a._binds(), b._binds()):
+            if len(xs) != len(ys):
                 return False
-            ra2, rb2 = dict(ra), dict(rb)
-            for xa, xb in zip(ba.binders, bb.binders):
-                m = object()
-                ra2[xa] = m
-                rb2[xb] = m
-            if not _aeq_pl(ba.body, bb.body, ra2, rb2):
-                return False
-        return True
-    return False
+            xa, yb = ra, rb
+            if xs:
+                xa, yb = dict(ra), dict(rb)
+                for p, q in zip(xs, ys):
+                    xa[p] = yb[q] = object()
+            todo.append((x, y, xa, yb))
+    return True
+
+
+# What two nodes of a class must share besides their children and binders
+_LABELS = {
+    Succ: attrgetter("n"), Coind: attrgetter("defname"),
+    TyVar: attrgetter("name"), Con: attrgetter("name"),
+    PCon: attrgetter("name"), SizeApp: attrgetter("size"),
+    SizeLam: attrgetter("var"), Cofix: attrgetter("size_var"),
+    Case: lambda x: [b.con for b in x.branches],
+    PCase: lambda x: [b.con for b in x.branches],
+}
+
+
+alpha_eq_type = alpha_eq_term = alpha_eq_plain = alpha_eq
 
 
 # ---------------------------------------------------------------------------
@@ -1302,61 +1355,43 @@ def check_term_wf(t: Term, reg: DefRegistry) -> list[Diagnostic]:
 
     Annotation types must be closed (no type variables) and arity-correct;
     case branches must use known constructors, pairwise distinct, with the
-    right number of binders.
+    right number of binders.  Diagnostics come in source order: a node's
+    own before its children's, and a case branch's before its body's.
     """
-    out: list[Diagnostic] = []
-
-    def check_ann(ty: Type) -> None:
-        out.extend(check_type_wf(ty, reg))
-        extra = tv(ty)
-        if extra:
-            out.append(Diagnostic(
-                f"annotation type must be closed, has type variable(s) "
-                f"{', '.join(sorted(extra))}"))
-
-    # a stack of terms to visit and of diagnostics to emit, popped in
-    # preorder so the diagnostics come out in source order
-    stack: list = [t]
-    while stack:
-        t = stack.pop()
+    def node(t: Term, kids: list, _c) -> list[Diagnostic]:
         cls = type(t)
-        if cls is list:
-            out.extend(t)
-        elif cls is App:
-            stack.append(t.arg)
-            stack.append(t.fun)
-        elif cls is Var:
-            pass
-        elif cls is Con:
-            if reg.constructor(t.name) is None:
-                out.append(Diagnostic(f"unknown constructor {t.name}"))
-        elif cls is SizeApp:
-            stack.append(t.fun)
-        elif cls is SizeLam:
-            stack.append(t.body)
+        out: list[Diagnostic] = []
+        if cls is Con and reg.constructor(t.name) is None:
+            out.append(Diagnostic(f"unknown constructor {t.name}"))
         elif cls is Lam or cls is Fix or cls is Cofix:
-            stack.append(t.body)
-            check_ann(t.ty)
+            out += check_type_wf(t.ty, reg)
+            extra = tv(t.ty)
+            if extra:
+                out.append(Diagnostic(
+                    f"annotation type must be closed, has type variable(s) "
+                    f"{', '.join(sorted(extra))}"))
         elif cls is Case:
-            todo: list = [t.scrutinee]
+            out += kids[0]
+            kids = kids[1:]
             seen: set[str] = set()
-            for b in t.branches:
-                diags = []
+            for b, body in zip(t.branches, kids):
                 if b.con in seen:
-                    diags.append(Diagnostic(f"duplicate case branch for {b.con}"))
+                    out.append(Diagnostic(f"duplicate case branch for {b.con}"))
                 seen.add(b.con)
                 sig = reg.constructor(b.con)
                 if sig is None:
-                    diags.append(Diagnostic(f"unknown constructor {b.con} in case"))
+                    out.append(Diagnostic(f"unknown constructor {b.con} in case"))
                 elif len(sig.arg_types) != len(b.binders):
-                    diags.append(Diagnostic(
+                    out.append(Diagnostic(
                         f"branch for {b.con} binds {len(b.binders)} variable(s), "
                         f"constructor has {len(sig.arg_types)} argument(s)"))
-                todo += [diags, b.body]
-            stack.extend(reversed(todo))
-        else:
-            raise TypeError(t)
-    return out
+                out += body
+            return out
+        for k in kids:
+            out += k
+        return out
+
+    return fold_term(t, node)
 
 
 def validate_registry(reg: DefRegistry) -> list[Diagnostic]:
@@ -1473,32 +1508,26 @@ def depth_first_order(roots: Iterable, deps: Callable
 # Node counting (used to measure constraint growth)
 
 def node_count(x) -> int:
-    """Number of tree nodes in a size expression, type, or term."""
+    """Number of tree nodes in a size expression, type, or term (a case
+    branch counts as a node, and so do the annotations of a term)."""
     total, stack = 0, [x]
     while stack:
         x = stack.pop()
-        cls = type(x)
         if isinstance(x, _Size):
             total += sum(y.n if type(y) is Succ else 1 for y in size_nodes(x))
-            continue
-        if isinstance(x, _Node):
+        elif isinstance(x, _Node):
             for y, _ in type_nodes(x):
                 total += 1
                 if type(y) is Coind:
                     stack.append(y.size)
-            continue
-        total += 1
-        if cls in (Lam, Fix, Cofix):
-            stack += [x.ty, x.body]
-        elif cls in (App, PApp):
-            stack += [x.fun, x.arg]
-        elif cls is SizeApp:
-            stack += [x.fun, x.size]
-        elif cls in (SizeLam, PLam):
-            stack.append(x.body)
-        elif cls in (Case, PCase):
-            total += len(x.branches)
-            stack += [x.scrutinee, *(b.body for b in x.branches)]
-        elif cls not in (Var, Con, PVar, PCon):
-            raise TypeError(x)
+        else:
+            for y in term_nodes(x):
+                cls = type(y)
+                total += 1
+                if cls is Case or cls is PCase:
+                    total += len(y.branches)
+                elif cls is SizeApp:
+                    stack.append(y.size)
+                elif cls is Lam or cls is Fix or cls is Cofix:
+                    stack.append(y.ty)
     return total

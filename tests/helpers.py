@@ -7,15 +7,19 @@ import random
 from pathlib import Path
 
 from slam import (
-    App, Arrow, Coind, Forall, INFTY, SMax, SMin, SVar, SizeExpr, Succ,
-    Type, Var, ZERO, eval_size, normalize_succ, parse_slam, parse_term,
-    parse_type, simplify_infty, sv, validate_registry,
+    App, Arrow, Bot, Branch, Case, Coind, Cofix, Con, Fix, Forall, INFTY,
+    Lam, SMax, SMin, SVar, SizeApp, SizeExpr, SizeLam, Succ, TyVar, Type,
+    Var, ZERO, eval_size, normalize_succ, parse_slam, parse_term,
+    parse_type, print_size, print_type, simplify_infty, sv,
+    validate_registry,
 )
 from slam.constraints import CyclicDefMap, check_acyclic, expand
 from slam.parser import SlamFile
+from slam.rewrite import WhnfResult, _apply, _iota_branch, _spine
 from slam.sizes import INF, SizeValuation
 from slam.syntax import (
-    Infty, PApp, PBranch, PCase, PCon, PLam, PVar, Zero, fresh_name,
+    Infty, PApp, PBranch, PCase, PCon, PLam, PVar, Zero, forall_binders,
+    fresh_name, term_free_vars,
 )
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -163,52 +167,6 @@ def subtype_of(rng: random.Random, t: Type, reg) -> Type:
     return t
 
 
-_TERM_VARS = ("x", "y", "z", "w", "f", "g")
-
-
-def rand_term(rng: random.Random, reg, depth: int = 3, bound: tuple = ()):
-    """A well-scoped, arity-correct (not necessarily typable) term."""
-    from slam import (
-        Branch, Case, Cofix, Con, Fix, Lam, SizeApp, SizeLam, Var,
-    )
-
-    r = rng.random()
-    if depth <= 0 or r < 0.25:
-        atoms = [Con("zero"), App(Con("succ"), Con("zero"))]
-        atoms += [Var(x) for x in bound]
-        return rng.choice(atoms)
-    if r < 0.4:
-        v = rng.choice(_TERM_VARS)
-        return Lam(v, rand_type(rng, reg, 2),
-                   rand_term(rng, reg, depth - 1, bound + (v,)))
-    if r < 0.5:
-        return App(rand_term(rng, reg, depth - 1, bound),
-                   rand_term(rng, reg, depth - 1, bound))
-    if r < 0.6:
-        return SizeApp(rand_term(rng, reg, depth - 1, bound),
-                       rand_size(rng, 2))
-    if r < 0.7:
-        return SizeLam(rng.choice(("i", "j")),
-                       rand_term(rng, reg, depth - 1, bound))
-    if r < 0.85:
-        scrut = rand_term(rng, reg, depth - 1, bound)
-        if rng.random() < 0.5 and "Strm" in reg.defs:
-            return Case(scrut, (Branch("cons", ("x", "y"),
-                                       rand_term(rng, reg, depth - 1,
-                                                 bound + ("x", "y"))),))
-        return Case(scrut, (
-            Branch("zero", (), rand_term(rng, reg, depth - 1, bound)),
-            Branch("succ", ("n",),
-                   rand_term(rng, reg, depth - 1, bound + ("n",)))))
-    if r < 0.93:
-        v = rng.choice(_TERM_VARS)
-        return Fix(v, rand_type(rng, reg, 2),
-                   rand_term(rng, reg, depth - 1, bound + (v,)))
-    v = rng.choice(_TERM_VARS)
-    return Cofix(rng.choice(("i", "j")), v, rand_type(rng, reg, 2),
-                 rand_term(rng, reg, depth - 1, bound + (v,)))
-
-
 # ---------------------------------------------------------------------------
 # Plain-term references and generator
 
@@ -294,6 +252,45 @@ def rand_plain(rng: random.Random, depth: int = 4):
         PBranch(con, tuple(rng.sample(PLAIN_VARS, arity)),
                 rand_plain(rng, depth - 1))
         for con, arity in (("zero", 0), ("cons", 2))[:rng.randint(1, 2)]))
+
+
+_TERM_VARS = ("x", "y", "z", "w", "f", "g")
+
+
+def rand_term(rng: random.Random, reg, depth: int = 3, bound: tuple = (),
+              names: tuple = _TERM_VARS):
+    """An arity-correct (not necessarily typable) decorated term whose
+    free variables are among `bound`; lambda, fix and cofix binders are
+    drawn from `names`.  With `PLAIN_VARS`, binders shadow each other
+    and clash with the names substitution renames to."""
+    def sub(extra=()):
+        return rand_term(rng, reg, depth - 1, bound + extra, names)
+
+    r = rng.random()
+    if depth <= 0 or r < 0.25:
+        atoms = [Con("zero"), App(Con("succ"), Con("zero"))]
+        atoms += [Var(x) for x in bound]
+        return rng.choice(atoms)
+    if r < 0.4:
+        v = rng.choice(names)
+        return Lam(v, rand_type(rng, reg, 2), sub((v,)))
+    if r < 0.5:
+        return App(sub(), sub())
+    if r < 0.6:
+        return SizeApp(sub(), rand_size(rng, 2))
+    if r < 0.7:
+        return SizeLam(rng.choice(("i", "j")), sub())
+    if r < 0.85:
+        scrut = sub()
+        if rng.random() < 0.5 and "Strm" in reg.defs:
+            return Case(scrut, (Branch("cons", ("x", "y"), sub(("x", "y"))),))
+        return Case(scrut, (Branch("zero", (), sub()),
+                            Branch("succ", ("n",), sub(("n",)))))
+    if r < 0.93:
+        v = rng.choice(names)
+        return Fix(v, rand_type(rng, reg, 2), sub((v,)))
+    v = rng.choice(names)
+    return Cofix(rng.choice(("i", "j")), v, rand_type(rng, reg, 2), sub((v,)))
 
 
 # ---------------------------------------------------------------------------
@@ -2330,3 +2327,430 @@ def parse_type_reference(src, reg, tyvars=frozenset()):
     if p.peek().kind != "eof":
         raise p.fail("trailing input after type")
     return t
+
+
+# ---------------------------------------------------------------------------
+# Recursive references for the term walks
+#
+# The term and plain-term walkers the shared walks of `syntax.py`
+# (`term_nodes`, `fold_term`) and the one substitution and alpha-equality
+# replaced, kept as they were.  `psubst_sharing_reference` is the sharing
+# plain substitution that `substitute` now is for both families; the
+# older `psubst_reference` above rebuilds the whole term and is equal to
+# it only up to renaming.
+
+
+def subst_term_reference(t: Term, replacement: Term, var: str) -> Term:
+    """Capture-avoiding substitution of a decorated term for a free variable.
+
+    Used to link file bindings; typing itself never substitutes terms.
+    """
+    free = term_free_vars(replacement)
+
+    def go(t: Term, bound: frozenset[str]) -> Term:
+        if isinstance(t, Var):
+            return replacement if (t.name == var and t.name not in bound) else t
+        if isinstance(t, Con):
+            return t
+        if isinstance(t, Lam):
+            if t.var == var:
+                return t
+            if t.var in free:
+                nv = fresh_name(t.var, free | term_free_vars(t.body) | {var})
+                body = rename_term_var_reference(t.body, t.var, nv)
+                return Lam(nv, t.ty, go(body, bound))
+            return Lam(t.var, t.ty, go(t.body, bound))
+        if isinstance(t, App):
+            return App(go(t.fun, bound), go(t.arg, bound))
+        if isinstance(t, SizeApp):
+            return SizeApp(go(t.fun, bound), t.size)
+        if isinstance(t, SizeLam):
+            return SizeLam(t.var, go(t.body, bound))
+        if isinstance(t, Case):
+            brs = []
+            for b in t.branches:
+                if var in b.binders:
+                    brs.append(b)
+                    continue
+                binders = list(b.binders)
+                body = b.body
+                for i, x in enumerate(binders):
+                    if x in free:
+                        nv = fresh_name(x, free | term_free_vars(body) | set(binders) | {var})
+                        body = rename_term_var_reference(body, x, nv)
+                        binders[i] = nv
+                brs.append(Branch(b.con, tuple(binders), go(body, bound)))
+            return Case(go(t.scrutinee, bound), tuple(brs))
+        if isinstance(t, Fix):
+            if t.var == var:
+                return t
+            if t.var in free:
+                nv = fresh_name(t.var, free | term_free_vars(t.body) | {var})
+                return Fix(nv, t.ty, go(rename_term_var_reference(t.body, t.var, nv), bound))
+            return Fix(t.var, t.ty, go(t.body, bound))
+        if isinstance(t, Cofix):
+            if t.var == var:
+                return t
+            if t.var in free:
+                nv = fresh_name(t.var, free | term_free_vars(t.body) | {var})
+                return Cofix(t.size_var, nv, t.ty,
+                             go(rename_term_var_reference(t.body, t.var, nv), bound))
+            return Cofix(t.size_var, t.var, t.ty, go(t.body, bound))
+        raise TypeError(t)
+
+    return go(t, frozenset())
+
+
+def rename_term_var_reference(t: Term, old: str, new: str) -> Term:
+    return subst_term_reference(t, Var(new), old)
+
+
+def size_names_reference(t: Term) -> frozenset[str]:
+    """Every size variable a term names: free, bound or binding,
+    annotations included."""
+    out: set[str] = set()
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, (Var, Con)):
+            continue
+        if isinstance(t, (Lam, Fix, Cofix)):
+            out |= sv(t.ty) | forall_binders(t.ty)
+        if isinstance(t, Cofix):
+            out.add(t.size_var)
+        elif isinstance(t, SizeLam):
+            out.add(t.var)
+        if isinstance(t, App):
+            stack += [t.fun, t.arg]
+        elif isinstance(t, SizeApp):
+            out |= sv(t.size)
+            stack.append(t.fun)
+        elif isinstance(t, Case):
+            stack.append(t.scrutinee)
+            stack += [b.body for b in t.branches]
+        else:
+            stack.append(t.body)
+    return frozenset(out)
+
+
+def print_term_reference(t: Term) -> str:
+    if isinstance(t, Lam):
+        return f"\\{t.var} : {print_type(t.ty)}. {print_term_reference(t.body)}"
+    if isinstance(t, SizeLam):
+        return f"/\\{t.var}. {print_term_reference(t.body)}"
+    if isinstance(t, Fix):
+        return f"fix {t.var} : {print_type(t.ty)} . {print_term_reference(t.body)}"
+    if isinstance(t, Cofix):
+        return (f"cofix[{t.size_var}] {t.var} : {print_type(t.ty)} . "
+                f"{print_term_reference(t.body)}")
+    if isinstance(t, Case):
+        brs = "; ".join(print_branch_reference(b) for b in t.branches)
+        return f"case {term_app_reference(t.scrutinee)} of {{ {brs} }}"
+    return term_app_reference(t)
+
+
+def print_branch_reference(b: Branch) -> str:
+    head = " ".join((b.con,) + b.binders)
+    return f"{head} => {print_term_reference(b.body)}"
+
+
+def term_app_reference(t: Term) -> str:
+    if isinstance(t, App):
+        return f"{term_app_reference(t.fun)} {term_atom_reference(t.arg)}"
+    if isinstance(t, SizeApp):
+        return f"{term_app_reference(t.fun)} [{print_size(t.size)}]"
+    return term_atom_reference(t)
+
+
+def term_atom_reference(t: Term) -> str:
+    if isinstance(t, (Var, Con)):
+        return t.name
+    return f"({print_term_reference(t)})"
+
+
+def print_plain_reference(t: PlainTerm) -> str:
+    if isinstance(t, PLam):
+        return f"\\{t.var}. {plain_app_reference(t.body)}" \
+            if isinstance(t.body, (PVar, PCon, PApp)) \
+            else f"\\{t.var}. {print_plain_reference(t.body)}"
+    if isinstance(t, PCase):
+        brs = "; ".join(
+            " ".join((b.con,) + b.binders) + " => " + print_plain_reference(b.body)
+            for b in t.branches)
+        return f"case {plain_atom_reference(t.scrutinee)} of {{ {brs} }}"
+    return plain_app_reference(t)
+
+
+def plain_app_reference(t: PlainTerm) -> str:
+    if isinstance(t, PApp):
+        return f"{plain_app_reference(t.fun)} {plain_atom_reference(t.arg)}"
+    return plain_atom_reference(t)
+
+
+def plain_atom_reference(t: PlainTerm) -> str:
+    if isinstance(t, (PVar, PCon)):
+        return t.name
+    return f"({print_plain_reference(t)})"
+
+
+def psubst_sharing_reference(t: PlainTerm, var: str, value: PlainTerm) -> PlainTerm:
+    """Capture-avoiding substitution of `value` for `var` in `t`.
+
+    A subterm in which `var` is not free is returned as it is, the same
+    object, so the result shares every untouched part of `t`."""
+    free = value.fv
+
+    def go(t: PlainTerm) -> PlainTerm:
+        if var not in t.fv:
+            return t
+        if isinstance(t, PVar):
+            return value
+        if isinstance(t, PLam):
+            if t.var in free:
+                nv = fresh_name(t.var, free | t.body.fv | {var})
+                return PLam(nv, go(prename_reference(t.body, t.var, nv)))
+            return PLam(t.var, go(t.body))
+        if isinstance(t, PApp):
+            return PApp(go(t.fun), go(t.arg))
+        if isinstance(t, PCase):
+            brs = []
+            for b in t.branches:
+                if var in b.binders or var not in b.body.fv:
+                    brs.append(b)
+                    continue
+                binders = list(b.binders)
+                body = b.body
+                for i, x in enumerate(binders):
+                    if x in free:
+                        nv = fresh_name(x, free | body.fv | set(binders) | {var})
+                        body = prename_reference(body, x, nv)
+                        binders[i] = nv
+                brs.append(PBranch(b.con, tuple(binders), go(body)))
+            return PCase(go(t.scrutinee), tuple(brs))
+        raise TypeError(t)
+
+    return go(t)
+
+
+def prename_reference(t: PlainTerm, old: str, new: str) -> PlainTerm:
+    return psubst_sharing_reference(t, old, PVar(new))
+
+
+def step1_reference(t: PlainTerm) -> Optional[PlainTerm]:
+    if isinstance(t, PApp):
+        if isinstance(t.fun, PLam):
+            return psubst_sharing_reference(t.fun.body, t.fun.var, t.arg)
+        r = step1_reference(t.fun)
+        if r is not None:
+            return PApp(r, t.arg)
+        r = step1_reference(t.arg)
+        return None if r is None else PApp(t.fun, r)
+    if isinstance(t, PCase):
+        hit = _iota_branch(t)
+        if hit is not None:
+            b, args = hit
+            body = b.body
+            for x, a in zip(b.binders, args):
+                body = psubst_sharing_reference(body, x, a)
+            return body
+        r = step1_reference(t.scrutinee)
+        if r is not None:
+            return PCase(r, t.branches)
+        for i, b in enumerate(t.branches):
+            r = step1_reference(b.body)
+            if r is not None:
+                brs = list(t.branches)
+                brs[i] = PBranch(b.con, b.binders, r)
+                return PCase(t.scrutinee, tuple(brs))
+        return None
+    if isinstance(t, PLam):
+        r = step1_reference(t.body)
+        return None if r is None else PLam(t.var, r)
+    return None
+
+
+def has_stuck_case_reference(t: PlainTerm) -> bool:
+    if isinstance(t, PCase):
+        head, _args = _spine(t.scrutinee)
+        if isinstance(head, (PCon, PLam)) and _iota_branch(t) is None:
+            return True
+        return has_stuck_case_reference(t.scrutinee) or \
+            any(has_stuck_case_reference(b.body) for b in t.branches)
+    if isinstance(t, PApp):
+        return has_stuck_case_reference(t.fun) or has_stuck_case_reference(t.arg)
+    if isinstance(t, PLam):
+        return has_stuck_case_reference(t.body)
+    return False
+
+
+def whnf_reference(t: PlainTerm, fuel: int) -> WhnfResult:
+    """Head-reduce until a constructor application, a value, or fuel runs
+    out.  Values are abstractions, variable-headed spines, and stuck
+    cases."""
+    if fuel <= 0:
+        raise ValueError("fuel must be positive")
+    steps = 0
+    while True:
+        head, args = _spine(t)
+        if isinstance(head, PCon):
+            return WhnfResult("head", t, head.name, tuple(args), False, steps)
+        if isinstance(head, PLam):
+            if not args:
+                return WhnfResult("value", t, steps=steps)
+            if steps >= fuel:
+                return WhnfResult("fuel", t, steps=steps)
+            steps += 1
+            t = _apply(psubst_sharing_reference(head.body, head.var, args[0]), args[1:])
+            continue
+        if isinstance(head, PVar):
+            return WhnfResult("value", t, steps=steps)
+        assert isinstance(head, PCase)
+        remaining = fuel - steps
+        if remaining <= 0:
+            return WhnfResult("fuel", t, steps=steps)
+        inner = whnf_reference(head.scrutinee, remaining)
+        steps += inner.steps
+        rebuilt = _apply(PCase(inner.term, head.branches), args)
+        if inner.kind == "fuel":
+            return WhnfResult("fuel", rebuilt, steps=steps)
+        case2 = PCase(inner.term, head.branches)
+        hit = _iota_branch(case2)
+        if hit is None:
+            stuck = inner.kind == "head" or isinstance(inner.term, PLam) \
+                or (inner.kind == "value" and inner.stuck)
+            return WhnfResult("value", rebuilt, stuck=stuck, steps=steps)
+        if steps >= fuel:
+            return WhnfResult("fuel", rebuilt, steps=steps)
+        steps += 1
+        b, cargs = hit
+        body = b.body
+        for x, a in zip(b.binders, cargs):
+            body = psubst_sharing_reference(body, x, a)
+        t = _apply(body, args)
+
+
+def alpha_eq_type_reference(a: Type, b: Type) -> bool:
+    return aeq_ty_reference(a, b, {}, {})
+
+
+def aeq_ty_reference(a: Type, b: Type, ra: dict, rb: dict) -> bool:
+    if isinstance(a, Bot) and isinstance(b, Bot):
+        return True
+    if isinstance(a, TyVar) and isinstance(b, TyVar):
+        return a.name == b.name
+    if isinstance(a, Coind) and isinstance(b, Coind):
+        return (a.defname == b.defname
+                and aeq_size_reference(a.size, b.size, ra, rb)
+                and len(a.params) == len(b.params)
+                and all(aeq_ty_reference(p, q, ra, rb) for p, q in zip(a.params, b.params)))
+    if isinstance(a, Arrow) and isinstance(b, Arrow):
+        return aeq_ty_reference(a.dom, b.dom, ra, rb) and aeq_ty_reference(a.cod, b.cod, ra, rb)
+    if isinstance(a, Forall) and isinstance(b, Forall):
+        mark = object()
+        return aeq_ty_reference(a.body, b.body, {**ra, a.var: mark}, {**rb, b.var: mark})
+    return False
+
+
+def aeq_size_reference(a: SizeExpr, b: SizeExpr, ra: dict, rb: dict) -> bool:
+    if isinstance(a, SVar) and isinstance(b, SVar):
+        return ra.get(a.name, a.name) is rb.get(b.name, object()) \
+            if a.name in ra or b.name in rb \
+            else a.name == b.name
+    if isinstance(a, Zero) and isinstance(b, Zero):
+        return True
+    if isinstance(a, Infty) and isinstance(b, Infty):
+        return True
+    if isinstance(a, Succ) and isinstance(b, Succ):
+        return aeq_size_reference(a.arg, b.arg, ra, rb)
+    if isinstance(a, SMin) and isinstance(b, SMin):
+        return aeq_size_reference(a.left, b.left, ra, rb) and aeq_size_reference(a.right, b.right, ra, rb)
+    if isinstance(a, SMax) and isinstance(b, SMax):
+        return aeq_size_reference(a.left, b.left, ra, rb) and aeq_size_reference(a.right, b.right, ra, rb)
+    return False
+
+
+def alpha_eq_term_reference(a: Term, b: Term) -> bool:
+    return aeq_tm_reference(a, b, {}, {})
+
+
+def aeq_tm_reference(a: Term, b: Term, ra: dict, rb: dict) -> bool:
+    if isinstance(a, Var) and isinstance(b, Var):
+        if a.name in ra or b.name in rb:
+            return ra.get(a.name) is rb.get(b.name) and a.name in ra and b.name in rb
+        return a.name == b.name
+    if isinstance(a, Con) and isinstance(b, Con):
+        return a.name == b.name
+    if isinstance(a, Lam) and isinstance(b, Lam):
+        if not alpha_eq_type_reference(a.ty, b.ty):
+            return False
+        m = object()
+        return aeq_tm_reference(a.body, b.body, {**ra, a.var: m}, {**rb, b.var: m})
+    if isinstance(a, App) and isinstance(b, App):
+        return aeq_tm_reference(a.fun, b.fun, ra, rb) and aeq_tm_reference(a.arg, b.arg, ra, rb)
+    if isinstance(a, SizeApp) and isinstance(b, SizeApp):
+        return aeq_tm_reference(a.fun, b.fun, ra, rb) and a.size == b.size
+    if isinstance(a, SizeLam) and isinstance(b, SizeLam):
+        # size binders compare by name; size alpha handled at the type level
+        return a.var == b.var and aeq_tm_reference(a.body, b.body, ra, rb)
+    if isinstance(a, Case) and isinstance(b, Case):
+        if len(a.branches) != len(b.branches):
+            return False
+        if not aeq_tm_reference(a.scrutinee, b.scrutinee, ra, rb):
+            return False
+        for ba, bb in zip(a.branches, b.branches):
+            if ba.con != bb.con or len(ba.binders) != len(bb.binders):
+                return False
+            ra2, rb2 = dict(ra), dict(rb)
+            for xa, xb in zip(ba.binders, bb.binders):
+                m = object()
+                ra2[xa] = m
+                rb2[xb] = m
+            if not aeq_tm_reference(ba.body, bb.body, ra2, rb2):
+                return False
+        return True
+    if isinstance(a, Fix) and isinstance(b, Fix):
+        if not alpha_eq_type_reference(a.ty, b.ty):
+            return False
+        m = object()
+        return aeq_tm_reference(a.body, b.body, {**ra, a.var: m}, {**rb, b.var: m})
+    if isinstance(a, Cofix) and isinstance(b, Cofix):
+        if a.size_var != b.size_var or not alpha_eq_type_reference(a.ty, b.ty):
+            return False
+        m = object()
+        return aeq_tm_reference(a.body, b.body, {**ra, a.var: m}, {**rb, b.var: m})
+    return False
+
+
+def alpha_eq_plain_reference(a: PlainTerm, b: PlainTerm) -> bool:
+    return aeq_pl_reference(a, b, {}, {})
+
+
+def aeq_pl_reference(a: PlainTerm, b: PlainTerm, ra: dict, rb: dict) -> bool:
+    if isinstance(a, PVar) and isinstance(b, PVar):
+        if a.name in ra or b.name in rb:
+            return ra.get(a.name) is rb.get(b.name) and a.name in ra and b.name in rb
+        return a.name == b.name
+    if isinstance(a, PCon) and isinstance(b, PCon):
+        return a.name == b.name
+    if isinstance(a, PLam) and isinstance(b, PLam):
+        m = object()
+        return aeq_pl_reference(a.body, b.body, {**ra, a.var: m}, {**rb, b.var: m})
+    if isinstance(a, PApp) and isinstance(b, PApp):
+        return aeq_pl_reference(a.fun, b.fun, ra, rb) and aeq_pl_reference(a.arg, b.arg, ra, rb)
+    if isinstance(a, PCase) and isinstance(b, PCase):
+        if len(a.branches) != len(b.branches):
+            return False
+        if not aeq_pl_reference(a.scrutinee, b.scrutinee, ra, rb):
+            return False
+        for ba, bb in zip(a.branches, b.branches):
+            if ba.con != bb.con or len(ba.binders) != len(bb.binders):
+                return False
+            ra2, rb2 = dict(ra), dict(rb)
+            for xa, xb in zip(ba.binders, bb.binders):
+                m = object()
+                ra2[xa] = m
+                rb2[xb] = m
+            if not aeq_pl_reference(ba.body, bb.body, ra2, rb2):
+                return False
+        return True
+    return False

@@ -342,3 +342,51 @@ def test_productivity_deep(capsys):
                          "Strm", "--depth", "400")
     assert (code, err) == (0, "")
     assert out.endswith("400: ok (nodes=801, fuelUsed=1203)\nPASS\n")
+
+
+# Deep terms: each of these ran into Python's recursion limit while the
+# term and plain-term walkers recursed.
+
+def _succs(k, x):
+    return "succ (" * k + x + ")" * k
+
+
+def test_eval_beta_into_a_deep_body(capsys):
+    # substitution into a 3,000-deep body
+    code, out, err = run(capsys, "eval", STREAMS,
+                         f"(\\x : Nat. {_succs(3000, 'x')}) zero")
+    assert (code, out, err) == (0, "3000\n", "")
+
+
+def test_eval_links_a_deep_binding(tmp_path, capsys):
+    # linking substitutes z into a 3,000-deep binding
+    f = tmp_path / "deep.slam"
+    f.write_text((CORPUS_DIR / "streams.slam").read_text()
+                 + f"\nz = zero;\nd = {_succs(3000, 'z')};\n")
+    code, out, err = run(capsys, "eval", str(f), "d")
+    assert (code, out, err) == (0, "3000\n", "")
+
+
+def test_infer_untypable_deep_application(capsys):
+    # the failure message prints the whole failing term
+    code, out, err = run(capsys, "infer", STREAMS,
+                         f"({_succs(5000, 'zero')}) zero")
+    assert (code, out, err) == (1, "untypable\n", "")
+
+
+def test_eval_nested_case_heads(capsys):
+    # whnf of a case whose scrutinee is a case, 3,000 deep
+    t = "zero"
+    for _ in range(3000):
+        t = f"case {t} of {{ zero => succ zero; succ y => y }}"
+    code, out, err = run(capsys, "eval", STREAMS, t)
+    assert (code, out, err) == (0, "0\n", "")
+
+
+def test_eval_long_binding_chain(tmp_path, capsys):
+    # b_i = succ b_(i-1): linking substitutes only where a binding is free
+    f = tmp_path / "chain.slam"
+    f.write_text((CORPUS_DIR / "streams.slam").read_text() + "\nb0 = zero;\n"
+                 + "".join(f"b{i} = succ b{i - 1};\n" for i in range(1, 401)))
+    code, out, err = run(capsys, "eval", str(f), "b400")
+    assert (code, out, err) == (0, "400\n", "")

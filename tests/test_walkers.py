@@ -16,7 +16,9 @@ import random
 import pytest
 
 from helpers import (
-    CORPUS_DIR, DEFAULT_VARS, annotation_binders_reference, approx_reference,
+    CORPUS_DIR, DEFAULT_VARS, PLAIN_VARS, aeq_size_reference,
+    alpha_eq_plain_reference, alpha_eq_term_reference,
+    alpha_eq_type_reference, annotation_binders_reference, approx_reference,
     check_arities_reference, check_term_wf_reference,
     check_type_wf_reference, chgtgt_reference, const_value_reference,
     context_terms, corpus_terms, dependency_cycle_reference,
@@ -24,30 +26,37 @@ from helpers import (
     expand_reference, expand_superfluous_reference, expand_type_reference,
     flatten_reference, fold_size_reference, forall_binders_reference,
     fsv_reference, fsv_term_reference, fsv_u_reference,
-    gen_sub_constraints_reference, infer_state, link_all, load,
+    gen_sub_constraints_reference, has_stuck_case_reference, infer_state,
+    link_all, load,
     member_reference, mentioned_defs_reference, node_count_reference,
     normalize_succ_reference, observable_reference, parse_size_reference,
     parse_term_reference, parse_type_reference, peel_reference,
-    prettify_reference, print_size_reference, print_type_reference,
+    plain_free_vars_reference, prettify_reference, print_plain_reference,
+    print_size_reference, print_term_reference, print_type_reference,
+    psubst_sharing_reference,
     rand_plain, rand_size, rand_term, rand_type, rand_valuation,
     refines_reference, rename_binders_apart_reference,
     render_approximant_reference, render_type_reference, reshape_sizes,
     simplify_infty_reference, size_ge_const_reference,
+    size_names_reference, step1_reference,
     store_type_reference, strictly_positive_reference,
     subst_size_reference, subst_type_multi_reference,
-    subst_type_size_reference, subtype_of, supertype_of, sv_reference,
+    subst_term_reference, subst_type_size_reference, subtype_of,
+    supertype_of, sv_reference,
     term_free_vars_reference, tgt_reference, tokenize_reference,
     topo_order_reference, topological_order_reference, tv_reference,
-    uniquify_size_binders_reference,
+    uniquify_size_binders_reference, whnf_reference,
 )
 from slam import (
     INFTY, ZERO, App, Arrow, Branch, Case, Cofix, Coind, Con, Fix, Forall,
-    Lam, PLam, PVar, ParseError, SMax, SMin, SVar, SizeApp, SizeLam, Succ,
-    TyVar, Var, chgtgt, eval_size, gen_sub_constraints, member,
+    Lam, PApp, PCase, PCon, PLam, PVar, ParseError, SMax, SMin, SVar,
+    SizeApp, SizeLam, Succ, TyVar, Var, alpha_eq_plain, alpha_eq_term,
+    alpha_eq_type, chgtgt, eval_size, gen_sub_constraints, member,
     normalize_succ, observable, parse_defs, parse_size, parse_term,
-    parse_type, print_size, print_term, print_type, refines, simplify_infty,
-    size_const, size_ge_const, strictly_positive, subst_size,
-    subst_type_size, sv, tgt, tv, validate_registry,
+    parse_type, print_plain, print_size, print_term, print_type, refines,
+    simplify_infty, size_const, size_ge_const, strictly_positive,
+    subst_size, subst_term, subst_type_size, sv, tgt, tv,
+    validate_registry, whnf,
 )
 from slam import subtyping, typecheck
 from slam.constraints import (
@@ -56,13 +65,15 @@ from slam.constraints import (
 from slam.cli import _render_type, render_approximant
 from slam.parser import tokenize
 from slam.rewrite import (
-    Bottom, Constr, EvalBudget, Opaque, _approx, approximant, erase,
+    Bottom, Constr, EvalBudget, Opaque, _approx, _has_stuck_case, _step1,
+    approximant, erase, psubst,
 )
 from slam.sizes import _peel, const_value
 from slam.syntax import (
     _annotation_binders, _check_arities, check_term_wf, check_type_wf,
     forall_binders, fsv, fsv_term, node_count, rename_binders_apart,
-    subst_type_multi, term_free_vars, uniquify_size_binders,
+    size_names, size_plus, subst_type_multi, term_free_vars,
+    uniquify_size_binders,
 )
 from slam.typecheck import _fold_size, _prettify
 
@@ -368,21 +379,15 @@ def test_render_deep_succ_chain():
         "(" + s + ") :: _|_"
 
 
-# The functions in src/slam that call themselves by name.  The term and
-# plain-term walkers, the walks over two types at once and the alpha
-# equalities still recurse once per level of their input; `_solve` once
-# per disjunct it branches on, and `SlamFile.linked` once per binding a
-# binding reaches.  A change may remove names from this list, not add them.
+# The functions in src/slam that call themselves by name.  The walks over
+# two types at once still recurse once per level of their input;
+# `_solve` once per disjunct it branches on, and `SlamFile.linked` once
+# per binding a binding reaches.  A change may remove names from this
+# list, not add them.
 RECURSIVE = {
     "constraints._solve",
     "parser.SlamFile.linked",
-    "printer.print_term", "printer._term_app",
-    "printer.print_plain", "printer._plain_app",
-    "rewrite.psubst.go", "rewrite._step1", "rewrite._has_stuck_case",
-    "rewrite.whnf",
     "subtyping._lattice",
-    "syntax.subst_term.go",
-    "syntax._aeq_ty", "syntax._aeq_size", "syntax._aeq_tm", "syntax._aeq_pl",
     "typecheck._Infer.decompose.go",
 }
 
@@ -814,3 +819,224 @@ def test_size_equality_does_not_rest_on_the_hash():
     deep = size_const(100_000)
     assert deep == size_const(100_000) != size_const(99_999)
     assert len({deep, size_const(100_000), SMax(deep, i)}) == 2
+
+
+# ---------------------------------------------------------------------------
+# Term walks, substitution and alpha-equality against the recursive
+# walkers they replaced
+
+def _plain_subterms(t):
+    """Every subterm of a plain term, t first."""
+    out, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        out.append(t)
+        if isinstance(t, PLam):
+            stack.append(t.body)
+        elif isinstance(t, PApp):
+            stack += [t.fun, t.arg]
+        elif isinstance(t, PCase):
+            stack.append(t.scrutinee)
+            stack += [b.body for b in t.branches]
+    return out
+
+
+def _bindings():
+    """(registry, term): every binding of the corpus files as written,
+    other bindings free."""
+    return [(sf.registry, t) for sf in map(load, ("streams", "sp", "trees"))
+            for t in sf.bindings.values()]
+
+
+def _decorated_inputs():
+    """Every binding and its subterms, every corpus term and subterm,
+    and seeded random terms whose binders capture and shadow (x and y
+    free)."""
+    out = [(reg, s) for reg, t in _bindings() for s in subterms(t)]
+    out += TERMS
+    reg = load("streams").registry
+    rng = random.Random(53)
+    out += [(reg, rand_term(rng, reg, rng.randint(1, 5), ("x", "y"),
+                            PLAIN_VARS)) for _ in range(400)]
+    return out
+
+
+def _plain_inputs():
+    """Every subterm of the erased corpus terms, and seeded random plain
+    terms."""
+    out = [s for _label, _reg, t in corpus_terms()
+           for s in _plain_subterms(erase(t))]
+    rng = random.Random(59)
+    return out + [rand_plain(rng, 5) for _ in range(600)]
+
+
+DECORATED = _decorated_inputs()
+PLAIN = _plain_inputs()
+
+
+def _alpha_variant(t):
+    """t with every term binder renamed to a name it does not use, by the
+    reference substitutions: alpha-equal to t, and not equal when t binds
+    a term variable."""
+    counter = itertools.count()
+
+    def fresh(v):
+        return f"{v}~{next(counter)}"
+
+    def go(t):
+        if isinstance(t, (Lam, Fix, Cofix)):
+            nv = fresh(t.var)
+            body = go(subst_term_reference(t.body, Var(nv), t.var))
+            return Cofix(t.size_var, nv, t.ty, body) if isinstance(t, Cofix) \
+                else type(t)(nv, t.ty, body)
+        if isinstance(t, PLam):
+            nv = fresh(t.var)
+            return PLam(nv, go(psubst_sharing_reference(t.body, t.var,
+                                                        PVar(nv))))
+        if isinstance(t, (Case, PCase)):
+            subst = subst_term_reference if isinstance(t, Case) \
+                else lambda b, v, x: psubst_sharing_reference(b, x, v)
+            mk = Var if isinstance(t, Case) else PVar
+            brs = []
+            for b in t.branches:
+                names = tuple(fresh(x) for x in b.binders)
+                body = b.body
+                for x, nv in zip(b.binders, names):
+                    body = subst(body, mk(nv), x)
+                brs.append(type(b)(b.con, names, go(body)))
+            return type(t)(go(t.scrutinee), tuple(brs))
+        if isinstance(t, (App, PApp)):
+            return type(t)(go(t.fun), go(t.arg))
+        if isinstance(t, SizeApp):
+            return SizeApp(go(t.fun), t.size)
+        if isinstance(t, SizeLam):
+            return SizeLam(t.var, go(t.body))
+        return t
+
+    return go(t)
+
+
+def test_term_inputs_are_there():
+    assert len(_bindings()) == 22 and len(DECORATED) > 1500
+    assert len(PLAIN) > 1500
+    # the random terms capture: some binder is named like a free variable
+    assert any(isinstance(s, (Lam, Fix, Cofix)) and s.var in ("x", "y")
+               for _reg, t in DECORATED[-400:] for s in subterms(t))
+
+
+def test_decorated_walks_match_reference():
+    rng = random.Random(67)
+    for reg, t in DECORATED:
+        assert t.fv == term_free_vars_reference(t), t
+        assert size_names(t) == size_names_reference(t), t
+        assert print_term(t) == print_term_reference(t), t
+        assert node_count(t) == node_count_reference(t), t
+        other = rng.choice(DECORATED)[1]
+        for a, b in ((t, t), (t, _alpha_variant(t)), (t, other)):
+            assert alpha_eq_term(a, b) == alpha_eq_term_reference(a, b), \
+                (a, b)
+        assert alpha_eq_term(t, _alpha_variant(t))
+
+
+def test_plain_walks_match_reference():
+    rng = random.Random(71)
+    stuck = reduced = 0
+    for t in PLAIN:
+        assert print_plain(t) == print_plain_reference(t), t
+        got = _step1(t)
+        assert got == step1_reference(t), t
+        assert _has_stuck_case(t) == has_stuck_case_reference(t), t
+        stuck += _has_stuck_case(t)
+        reduced += got is not None
+        for fuel in (1, 6, 40):
+            assert whnf(t, fuel) == whnf_reference(t, fuel), (t, fuel)
+        other = rng.choice(PLAIN)
+        for a, b in ((t, t), (t, _alpha_variant(t)), (t, other)):
+            assert alpha_eq_plain(a, b) == alpha_eq_plain_reference(a, b), \
+                (a, b)
+    assert stuck and reduced
+
+
+def test_substitution_matches_reference():
+    # values name the binders of the term, so binders must be renamed
+    rng = random.Random(73)
+    reg = load("streams").registry
+    renamed = 0
+    for _reg, t in DECORATED:
+        names = sorted(t.fv) + ["x", "y", "f", "x_1"]
+        for var in sorted(t.fv) + ["unused"]:
+            value = App(Var(rng.choice(names)),
+                        rand_term(rng, reg, 2, ("y", "x_1"), PLAIN_VARS))
+            got = subst_term(t, value, var)
+            assert got.fv == term_free_vars_reference(got)
+            want = subst_term_reference(t, value, var)
+            assert alpha_eq_term_reference(got, want), (t, var, value)
+            # the same renaming as the sharing plain substitution makes
+            assert erase(got) == psubst_sharing_reference(
+                erase(t), var, erase(value)), (t, var, value)
+            if var not in t.fv:
+                assert got is t
+            renamed += got != want
+    assert renamed  # the old subst_term renamed where nothing was free
+    for t in PLAIN:
+        for var in sorted(t.fv) + ["unused"]:
+            value = PApp(PVar(rng.choice(PLAIN_VARS)), rand_plain(rng, 2))
+            got = psubst(t, var, value)
+            assert got == psubst_sharing_reference(t, var, value), \
+                (t, var, value)
+            assert got.fv == plain_free_vars_reference(got)
+
+
+def test_substituting_a_variable_not_free_returns_the_term():
+    reg = load("streams").registry
+    t = parse_term("\\x : Nat. succ (plus x y)", reg)
+    assert subst_term(t, Con("zero"), "x") is t
+    assert subst_term(t, Con("zero"), "z") is t
+    e = erase(t)
+    assert psubst(e, "x", PCon("zero")) is e
+    # only the path to the occurrence is rebuilt
+    got = subst_term(t, Con("zero"), "y")
+    assert got.body.fun is t.body.fun
+    assert print_term(got) == "\\x : Nat. succ (plus x zero)"
+
+
+def test_alpha_eq_matches_reference_on_types_and_sizes():
+    rng = random.Random(79)
+    for _reg, t in TYPES:
+        variant = rename_binders_apart(t, fsv(t) | forall_binders(t))
+        other = rng.choice(TYPES)[1]
+        for a, b in ((t, t), (t, variant), (t, other), (other, variant)):
+            assert alpha_eq_type(a, b) == alpha_eq_type_reference(a, b), \
+                (a, b)
+        assert alpha_eq_type(t, variant)
+    for s in SIZES:
+        other = rng.choice(SIZES)
+        for a, b in ((s, s), (s, other)):
+            assert alpha_eq_type(a, b) == \
+                aeq_size_reference(a, b, {}, {}), (a, b)
+
+
+def test_alpha_eq_on_a_deep_size():
+    # the reference recursed once per +1; the walk takes a run in a step
+    deep = size_plus(SVar("i"), 10_000)
+    a = Forall("i", Coind("Nat", deep, ()))
+    b = Forall("j", Coind("Nat", size_plus(SVar("j"), 10_000), ()))
+    assert alpha_eq_type(a, b)
+    assert not alpha_eq_type(a, Forall("j", Coind(
+        "Nat", size_plus(SVar("j"), 9_999), ())))
+    assert alpha_eq_type(Coind("Nat", size_const(10_000), ()),
+                         Coind("Nat", size_const(10_000), ()))
+
+
+def test_alpha_eq_scopes_each_branch_apart():
+    # a binder of one branch does not reach into the next one
+    reg = load("trees").registry
+    a = parse_term("\\x : Nat. \\s : List(Nat). "
+                   "case s of { cons x t => x; nil => x }", reg)
+    b = parse_term("\\x : Nat. \\s : List(Nat). "
+                   "case s of { cons y t => y; nil => x }", reg)
+    c = parse_term("\\x : Nat. \\s : List(Nat). "
+                   "case s of { cons y t => x; nil => x }", reg)
+    for u, v, want in ((a, b, True), (a, c, False), (b, c, False)):
+        assert alpha_eq_term(u, v) == alpha_eq_term_reference(u, v) == want
+        assert alpha_eq_plain(erase(u), erase(v)) == want
