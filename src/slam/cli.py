@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from typing import Optional
 
 from .constraints import (
     CyclicDefMap, SizeConstraint, encode_3cnf, format_constraint, is_valid,
@@ -136,21 +137,43 @@ def _parse_checked_type(sf: SlamFile, src: str):
 # Approximant rendering
 
 def render_approximant(a: Approximant, reg: DefRegistry) -> str:
+    return _render(a, reg)[0]
+
+
+def _render(a: Approximant, reg: DefRegistry) -> tuple[str, bool]:
+    """The text of an approximant, and whether fuel cut some branch.
+
+    A node that occurs more than once is rendered once: where its text
+    begins and ends in `out` is kept, and the text is joined into one
+    string when the node is met again.  A numeral's value is kept too,
+    so a longer numeral that shares its tail stops counting there."""
     sugar_nat = reg.constructor("zero") is not None \
         and reg.constructor("succ") is not None
     sugar_cons = reg.constructor("cons") is not None
+    numerals: dict[int, int] = {}  # id of a succ node -> its numeral
 
-    def succ_chain(a: Approximant) -> tuple[int, Approximant]:
+    def succ_chain(a: Approximant) -> tuple[int, Optional[Approximant]]:
+        """(n, tail) with a = succ^n tail; tail is None when a is a
+        numeral, and then n is its value."""
         n = 0
         while isinstance(a, Constr) and a.con == "succ" and len(a.children) == 1:
+            if numerals and id(a) in numerals:
+                return n + numerals[id(a)], None
             n += 1
             a = a.children[0]
+        if isinstance(a, Constr) and a.con == "zero" and not a.children:
+            return n, None
         return n, a
 
-    # An explicit stack of text pieces and (node, atom) items still to
-    # render, pushed last piece first, so deep values need no deep
-    # Python stack.
+    # An explicit stack of text pieces, (node, atom) items still to
+    # render and the keys of nodes whose text ends there, pushed last
+    # piece first, so deep values need no deep Python stack.  The text
+    # of a node rendered as an atom or not differs: its key is 2*id +
+    # atom.
     out: list[str] = []
+    begins: dict[int, object] = {}  # key -> index in out, or its text
+    ends: dict[int, int] = {}
+    limited = False
     work: list = [(a, False)]
     push = work.append
     while work:
@@ -158,24 +181,37 @@ def render_approximant(a: Approximant, reg: DefRegistry) -> str:
         if type(item) is str:
             out.append(item)
             continue
+        if type(item) is int:
+            ends[item] = len(out)
+            continue
         a, atom = item
         if type(a) is Bottom:
             out.append("_|_")
+            limited = limited or a.fuel_limited
             continue
         if type(a) is Opaque:
             out.append("<fun>" if isinstance(a.term, PLam) else "<stuck>")
             continue
         con, kids = a.con, a.children
+        if not kids:
+            out.append("0" if sugar_nat and con == "zero" else con)
+            continue
+        key = 2 * id(a) + atom
+        text = begins.get(key)
+        if text is not None:  # met before: where its text begins, or it
+            if type(text) is int:
+                text = begins[key] = "".join(out[text:ends[key]])
+            out.append(text)
+            continue
         n = 0
-        if sugar_nat and con in ("succ", "zero"):
+        if sugar_nat and con == "succ":
             n, tail = succ_chain(a)
-            if type(tail) is Constr and tail.con == "zero" \
-                    and not tail.children:
+            if tail is None:
+                numerals[id(a)] = n
                 out.append(str(n))
                 continue
-        if not kids:
-            out.append(con)
-            continue
+        begins[key] = len(out)
+        push(key)
         if atom:
             push(")")
         if n:  # a chain that is no numeral is pushed whole: linear time
@@ -193,18 +229,7 @@ def render_approximant(a: Approximant, reg: DefRegistry) -> str:
             push(con)
         if atom:
             push("(")
-    return "".join(out)
-
-
-def _contains_fuel_limited(a: Approximant) -> bool:
-    stack = [a]
-    while stack:
-        a = stack.pop()
-        if isinstance(a, Bottom) and a.fuel_limited:
-            return True
-        if isinstance(a, Constr):
-            stack.extend(a.children)
-    return False
+    return "".join(out), limited
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +282,12 @@ def _cmd_eval(args) -> int:
     sf = _load_slam(args.file)
     t = _resolve_term(sf, args.term)
     a = approximant(erase(t), budget, sf.registry)
-    rendered = render_approximant(a, sf.registry)
+    rendered, limited = _render(a, sf.registry)
     if args.porcelain:
         print(f"report.0: {rendered}")
     else:
         print(rendered)
-        if _contains_fuel_limited(a):
+        if limited:
             print("note: some branches were cut by the fuel limit "
                   "(fuel-limited)")
     return 0

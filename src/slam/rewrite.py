@@ -18,12 +18,21 @@ scrutinees on a stack of its own.
 Reduction shares work instead of redoing it.  Terms cache their free
 variables (`fv`), so `psubst` returns every subterm the variable is not
 free in as the same object and rebuilds only the path to its
-occurrences.  An observation keeps a memo of weak head normal forms
-keyed by subterm identity and fuel limit: `approximant` one per call,
-`productivity_check` one for all depths, since the approximant at depth
-n+1 revisits the subterms of the one at depth n.  The memo saves time
-only; the reduction steps a memo hit stands for are still charged, so
-fuel use and fuel-limited results are those of reducing afresh.
+occurrences.  An observation keeps a memo keyed by subterm identity and
+fuel limit: `approximant` one per call, `productivity_check` one for all
+depths, since the approximant at depth n+1 revisits the subterms of the
+one at depth n.  It normalizes each shared subterm once per fuel limit
+and observes it once per depth: the memo holds the weak head normal
+form of every subterm met, and, for one met more than once, its finished
+observations by depth, which a later visit reuses as the same object.
+An approximant is thus a DAG (`cofix t. bnode zero t t` has 3*2^n - 2
+nodes at depth n but 4n + 2 distinct ones), and membership,
+refinement and the node count visit each distinct node, or pair of
+nodes, once.  The memo saves time only: the reduction steps a reused
+result stands for are still charged, and a kept observation is reused
+only where the gas tank would give each of its whnf calls the full fuel
+limit, so fuel use and fuel-limited results are those of reducing
+afresh.
 """
 
 from __future__ import annotations
@@ -277,6 +286,25 @@ class Constr:
     con: str
     children: tuple["Approximant", ...] = ()
 
+    def __eq__(self, other):
+        # one loop over pairs of nodes, not one call per level
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            if type(a) is Constr:
+                if a.con != b.con or len(a.children) != len(b.children):
+                    return False
+                todo.extend(zip(a.children, b.children))
+            elif a != b:
+                return False
+        return True
+
 
 @dataclass(frozen=True)
 class Bottom:
@@ -319,37 +347,56 @@ def approximant(t: PlainTerm, budget: EvalBudget,
     descents.
     """
     gas = [budget.fuel * (budget.depth + 2)]
-    a, _steps, _lim = _approx(t, budget.depth, budget.fuel, reg, gas)
-    return a
+    return _approx(t, budget.depth, budget.fuel, reg, gas)[0]
 
 
 _FULL_DEPTH = float("inf")
 
 
-# A whnf memo maps (id(t), fuel limit) to (t, whnf(t, limit)); holding t
+# An observation memo maps (id(t), fuel limit) to (t, whnf(t, limit)),
+# or, once t has been observed in full at some depth, to (t, whnf(t,
+# limit), {depth: what `_approx` returned for t at depth}).  Holding t
 # keeps its id from being reused while the entry lives.
-_WhnfMemo = dict[tuple[int, int], tuple[PlainTerm, WhnfResult]]
+_Memo = dict[tuple[int, int], tuple]
 
 
 class _Node:
-    """A constructor node of `_approx` whose children are being observed."""
-    __slots__ = ("head", "args", "depths", "kids", "steps", "limited")
+    """A constructor node of `_approx` whose children are being observed;
+    `done` is its term's table of full observations by depth when this
+    one is to be kept there, else None."""
+    __slots__ = ("head", "args", "depths", "kids", "steps", "limited",
+                 "nodes", "done", "depth")
 
-    def __init__(self, head: str, args: tuple, depths: list, steps: int):
+    def __init__(self, head: str, args: tuple, depths: list, steps: int,
+                 done: Optional[dict], depth):
         self.head, self.args, self.depths = head, args, depths
         self.kids: list[Approximant] = []
         self.steps = steps
         self.limited = False
+        self.nodes = 1
+        self.done, self.depth = done, depth
 
 
 def _approx(t: PlainTerm, depth, fuel: int, reg: Optional[DefRegistry],
-            gas: list[int], memo: Optional[_WhnfMemo] = None
-            ) -> tuple[Approximant, int, bool]:
-    """The approximant of `t`, the reduction steps it was charged, and
-    whether fuel cut it.  A subterm met again under the same limit reuses
-    its whnf from the memo (a fresh one when none is passed); whnf is a
-    pure function of the term and the limit, so its steps are charged
-    all the same.
+            gas: list[int], memo: Optional[_Memo] = None
+            ) -> tuple[Approximant, int, bool, int]:
+    """The approximant of `t`, the reduction steps it was charged,
+    whether fuel cut it, and its number of nodes counted as a tree.
+
+    A subterm met again under the same limit reuses its whnf from the
+    memo (a fresh one when none is passed); whnf is a pure function of
+    the term and the limit, so its steps are charged all the same.  Such
+    a subterm, met before, may be shared, so its finished observation at
+    a depth is kept too, and a later visit at that depth reuses it, the
+    same object, and charges its steps again.  Gas decides exactly when:
+    an observation is kept only if the gas left after it is still at
+    least `fuel`, so that every whnf in it had the limit `fuel`, and it
+    is reused only if it leaves at least `fuel`, so that a fresh walk
+    would have given each of those whnf the same limit.  The result thus
+    reads as a walk of the tree, steps and fuel-limited leaves included,
+    while each shared subterm is observed once per depth.  A subterm met
+    for the first time is not looked up or kept, so unshared data costs
+    no more than a plain walk.
 
     Children are observed left to right, each in full before the next,
     on a stack of open constructor nodes rather than the Python stack."""
@@ -359,46 +406,60 @@ def _approx(t: PlainTerm, depth, fuel: int, reg: Optional[DefRegistry],
     while True:
         # observe t at `depth`: either a leaf result or a new open node
         if reg is None and depth <= 0:
-            res = (Bottom(), 0, False)
+            res = (Bottom(), 0, False, 1)
         elif gas[0] <= 0:
-            res = (Bottom(fuel_limited=True), 0, True)
+            res = (Bottom(fuel_limited=True), 0, True, 1)
         else:
             limit = min(fuel, gas[0])
             key = (id(t), limit)
             hit = memo.get(key)
+            done = None
             if hit is None:
                 r = whnf(t, limit)
                 memo[key] = (t, r)
-            else:
+            else:  # met before, so maybe shared: keep its observations
                 r = hit[1]
-            gas[0] -= r.steps
-            if r.kind == "fuel":
-                res = (Bottom(fuel_limited=True), r.steps, True)
-            elif r.kind != "head":
-                res = (Opaque(r.term), r.steps, False)
-            else:
-                depths = _child_depths(r.head, len(r.args), depth, reg)
-                if depths is None:  # a coinductive (or unknown) layer at 0
-                    res = (Bottom(), r.steps, False)
-                elif not r.args:
-                    res = (Constr(r.head, ()), r.steps, False)
+                if r.args:
+                    if len(hit) == 2:
+                        hit = memo[key] = (t, r, {})
+                    done = hit[2]
+                    kept = done.get(depth)
+                    if kept is not None and gas[0] - kept[1] >= fuel:
+                        gas[0] -= kept[1]
+                        res, r = kept, None
+            if r is not None:
+                gas[0] -= r.steps
+                if r.kind == "fuel":
+                    res = (Bottom(fuel_limited=True), r.steps, True, 1)
+                elif r.kind != "head":
+                    res = (Opaque(r.term), r.steps, False, 1)
                 else:
-                    path.append(_Node(r.head, r.args, depths, r.steps))
-                    t, depth = r.args[0], depths[0]
-                    continue
+                    depths = _child_depths(r.head, len(r.args), depth, reg)
+                    if depths is None:  # a coinductive (or unknown) layer at 0
+                        res = (Bottom(), r.steps, False, 1)
+                    elif not r.args:
+                        res = (Constr(r.head, ()), r.steps, False, 1)
+                    else:
+                        path.append(_Node(r.head, r.args, depths, r.steps,
+                                          done, depth))
+                        t, depth = r.args[0], depths[0]
+                        continue
         # hand the result to the open nodes it completes
         while path:
             node = path[-1]
             node.kids.append(res[0])
             node.steps += res[1]
             node.limited = node.limited or res[2]
+            node.nodes += res[3]
             i = len(node.kids)
             if i < len(node.args):
                 t, depth = node.args[i], node.depths[i]
                 break
             path.pop()
             res = (Constr(node.head, tuple(node.kids)), node.steps,
-                   node.limited)
+                   node.limited, node.nodes)
+            if node.done is not None and gas[0] >= fuel:
+                node.done[node.depth] = res
         else:
             return res
 
@@ -425,30 +486,29 @@ def _child_depths(con: str, n: int, depth,
 
 
 def refines(a1: Approximant, a2: Approximant) -> bool:
-    """Whether a2 is a1 with some subtrees replaced by bottom."""
+    """Whether a2 is a1 with some subtrees replaced by bottom.
+
+    Each pair of shared nodes is compared once; both approximants keep
+    their nodes, and so the ids in `seen`, alive."""
     todo = [(a1, a2)]
+    seen: set[int] = set()
     while todo:
         a1, a2 = todo.pop()
-        if isinstance(a2, Bottom):
+        if a1 is a2 or isinstance(a2, Bottom):
             continue
         if isinstance(a1, Constr) and isinstance(a2, Constr):
-            if a1.con != a2.con or len(a1.children) != len(a2.children):
+            kids = a1.children
+            if a1.con != a2.con or len(kids) != len(a2.children):
                 return False
-            todo.extend(zip(a1.children, a2.children))
+            if kids:
+                pair = id(a1) << 64 | id(a2)
+                if pair not in seen:
+                    seen.add(pair)
+                    todo.extend(zip(kids, a2.children))
         elif not (isinstance(a1, Opaque) and isinstance(a2, Opaque)
                   and alpha_eq_plain(a1.term, a2.term)):
             return False
     return True
-
-
-def approximant_nodes(a: Approximant) -> int:
-    nodes, stack = 0, [a]
-    while stack:
-        a = stack.pop()
-        nodes += 1
-        if isinstance(a, Constr):
-            stack.extend(a.children)
-    return nodes
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +569,14 @@ def _member(a: Approximant, goal: tuple, reg: DefRegistry, v) -> bool:
     A goal is (t, env), membership in type t with its type variables
     read as the goals in env, or (dn, params, level, strict), membership
     in the level-approximation of definition dn with its parameters read
-    as the goals in params."""
+    as the goals in params.
+
+    Membership is a conjunction, so a node met again under a goal it was
+    already checked against is skipped.  The ids of both make the key in
+    `seen`; the node lives as long as the approximant, and `seen` holds
+    the goal, so neither id is reused while it is a key."""
     todo = [(a, goal)]
+    seen: dict[int, tuple] = {}
     while todo:
         a, goal = todo.pop()
         while len(goal) == 2:
@@ -541,6 +607,12 @@ def _member(a: Approximant, goal: tuple, reg: DefRegistry, v) -> bool:
         sig = entry[1]
         if len(sig.arg_types) != len(a.children):
             return False
+        if not a.children:
+            continue
+        pair = id(a) << 64 | id(goal)
+        if pair in seen:
+            continue
+        seen[pair] = goal
         child_level = level - 1 if level != INF else INF
         env = {d.rec_var: (dn, params, child_level, strict)}
         env.update(zip(d.params, params))
@@ -597,13 +669,13 @@ def productivity_check(t: PlainTerm, tau: Type, reg: DefRegistry,
     chain_ok = True
     fail_at: Optional[int] = None
     prev: Optional[Approximant] = None
-    memo: _WhnfMemo = {}
+    memo: _Memo = {}
     for n in range(max_depth + 1):
         gas = [budget.fuel * (n + 2)]
-        a, steps, limited = _approx(t, n, budget.fuel, reg, gas, memo)
+        a, steps, limited, nodes = _approx(t, n, budget.fuel, reg, gas,
+                                           memo)
         ok = member(a, tau_n, reg, SizeValuation({level_var: n}))
-        verdicts.append(DepthVerdict(n, ok, approximant_nodes(a), steps,
-                                     limited, a))
+        verdicts.append(DepthVerdict(n, ok, nodes, steps, limited, a))
         if prev is not None and not refines(a, prev):
             chain_ok = False
             if fail_at is None:

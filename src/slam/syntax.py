@@ -695,6 +695,46 @@ class PCase(_CaseShape):
 PlainTerm = Union[PVar, PCon, PLam, PApp, PCase]
 
 
+# Term equality compares two trees in one loop over pairs of nodes, not
+# once per level: two nodes are equal when they are of one class, agree
+# on their fields besides their children (their `_EQ_LABEL`), and have
+# equal children.
+
+def _branch_labels(x) -> list:
+    return [(b.con, b.binders) for b in x.branches]
+
+
+_EQ_LABEL = {
+    Var: attrgetter("name"), Con: attrgetter("name"),
+    PVar: attrgetter("name"), PCon: attrgetter("name"),
+    Lam: attrgetter("var", "ty"), Fix: attrgetter("var", "ty"),
+    Cofix: attrgetter("size_var", "var", "ty"), PLam: attrgetter("var"),
+    SizeLam: attrgetter("var"), SizeApp: attrgetter("size"),
+    App: None, PApp: None, Case: _branch_labels, PCase: _branch_labels,
+}
+
+
+def _term_eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    todo = [(self, other)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if b.__class__ is not a.__class__:
+            return False
+        label = _EQ_LABEL[a.__class__]
+        if label is not None and label(a) != label(b):
+            return False
+        todo.extend(zip(a._kids(), b._kids()))
+    return True
+
+
+for _cls in _EQ_LABEL:
+    _cls.__eq__ = _term_eq
+
+
 def term_nodes(t) -> Iterator:
     """The nodes of a term, decorated or plain, in pre-order, left to
     right (a case's scrutinee, then its branch bodies)."""

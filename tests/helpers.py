@@ -1006,14 +1006,15 @@ def erase_reference(t):
 
 def approx_reference(t, depth, fuel, reg, gas, memo=None):
     """rewrite._approx by recursion, with the constructor lookups and
-    the type-variable scan of every argument made at each node."""
+    the type-variable scan of every argument made at each node, and no
+    observation kept: every occurrence of a subterm is observed anew."""
     from slam import tv
     from slam.rewrite import Bottom, Constr, Opaque, _FULL_DEPTH, whnf
 
     if reg is None and depth <= 0:
-        return Bottom(), 0, False
+        return Bottom(), 0, False, 1
     if gas[0] <= 0:
-        return Bottom(fuel_limited=True), 0, True
+        return Bottom(fuel_limited=True), 0, True, 1
     if memo is None:
         memo = {}
     limit = min(fuel, gas[0])
@@ -1026,9 +1027,9 @@ def approx_reference(t, depth, fuel, reg, gas, memo=None):
         r = hit[1]
     gas[0] -= r.steps
     if r.kind == "fuel":
-        return Bottom(fuel_limited=True), r.steps, True
+        return Bottom(fuel_limited=True), r.steps, True, 1
     if r.kind != "head":
-        return Opaque(r.term), r.steps, False
+        return Opaque(r.term), r.steps, False, 1
     n = len(r.args)
     if reg is None:
         depths = [depth - 1] * n
@@ -1044,14 +1045,15 @@ def approx_reference(t, depth, fuel, reg, gas, memo=None):
                       else depth - 1 if d.coinductive else depth
                       for sigma in sig.arg_types]
     if depths is None:
-        return Bottom(), r.steps, False
-    kids, total, limited = [], r.steps, False
+        return Bottom(), r.steps, False, 1
+    kids, total, limited, nodes = [], r.steps, False, 1
     for arg, dep in zip(r.args, depths):
-        k, st, lim = approx_reference(arg, dep, fuel, reg, gas, memo)
+        k, st, lim, nd = approx_reference(arg, dep, fuel, reg, gas, memo)
         kids.append(k)
         total += st
         limited = limited or lim
-    return Constr(r.head, tuple(kids)), total, limited
+        nodes += nd
+    return Constr(r.head, tuple(kids)), total, limited, nodes
 
 
 def render_approximant_reference(a, reg) -> str:

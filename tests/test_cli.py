@@ -390,3 +390,44 @@ def test_eval_long_binding_chain(tmp_path, capsys):
                  + "".join(f"b{i} = succ b{i - 1};\n" for i in range(1, 401)))
     code, out, err = run(capsys, "eval", str(f), "b400")
     assert (code, out, err) == (0, "400\n", "")
+
+
+def test_productivity_of_a_rational_tree_is_not_exponential(capsys,
+                                                             monkeypatch):
+    # bzeros = bnode zero t t has 3*2^n - 2 approximant nodes at depth n
+    # but about 3n distinct subterms; the report observes each shared
+    # subterm once per depth, so whnf runs O(depth) times and the
+    # approximants share their nodes.  Calls are counted, not timed.
+    from slam import rewrite
+    from slam.rewrite import Constr
+
+    depth = 14
+    counts = {"whnf": 0, "Constr": 0}
+    whnf, init = rewrite.whnf, Constr.__init__
+
+    def counted_whnf(*args):
+        counts["whnf"] += 1
+        return whnf(*args)
+
+    def counted_init(self, *args, **kw):
+        counts["Constr"] += 1
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(rewrite, "whnf", counted_whnf)
+    monkeypatch.setattr(Constr, "__init__", counted_init)
+    code, out, err = run(capsys, "--porcelain", "productivity", TREES,
+                         "bzeros", "--type", "BTree", "--depth", str(depth))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "verdict: PASS"
+    assert counts["whnf"] <= 2 * (depth + 1)
+    # O(depth) nodes per depth, against 3*2^depth for the tree at depth 14
+    assert counts["Constr"] <= 3 * sum(n + 1 for n in range(depth + 1))
+    counts.update(whnf=0, Constr=0)
+    code, out, err = run(capsys, "productivity", TREES, "bzeros", "--type",
+                         "BTree", "--depth", str(depth))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        f"{n}: ok (nodes={3 * 2 ** n - 2}, fuelUsed={6 * 2 ** n - 3})"
+        for n in range(depth + 1)] + ["PASS"]
+    assert counts["whnf"] <= 2 * (depth + 1)
+    assert counts["Constr"] <= 3 * sum(n + 1 for n in range(depth + 1))

@@ -241,7 +241,8 @@ def test_inductive_size_bounds_are_honoured():
             continue
         level = eval_size(SizeValuation({}), m.size)
         gas = [200000]
-        a, _steps, limited = _approx(erase(term), 1, 100000, reg, gas)
+        a, _steps, limited, _nodes = _approx(erase(term), 1, 100000, reg,
+                                             gas)
         if limited:
             continue
         assert member(a, Coind(m.defname, SVar("n"), ()), reg,

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from helpers import (
-    PLAIN_VARS, corpus_terms, link_all, load, plain_free_vars_reference,
-    psubst_reference, rand_plain,
+    PLAIN_VARS, approx_reference, corpus_terms, link_all, load,
+    plain_free_vars_reference, psubst_reference, rand_plain,
 )
 from slam import (
     App, Coind, INFTY, PApp, PBranch, PCase, PCon, PLam, PVar, SVar, ZERO,
@@ -440,7 +440,7 @@ def test_whnf_memo_matches_fresh_approximants():
         for fuel in (20, 60, 200, 10000):
             fresh = [_approx(t, n, fuel, reg, [fuel * (n + 2)], _NoMemo())
                      for n in range(9)]
-            for n, (a, _steps, lim) in enumerate(fresh):
+            for n, (a, _steps, lim, _n) in enumerate(fresh):
                 got = approximant(t, EvalBudget(fuel=fuel, depth=n), reg)
                 assert repr(got) == repr(a), (src, fuel, n)
                 limited += lim
@@ -449,17 +449,112 @@ def test_whnf_memo_matches_fresh_approximants():
                 continue
             rep = productivity_check(t, tau, reg, max_depth=8,
                                      budget=EvalBudget(fuel=fuel, depth=8))
-            for v, (a, steps, lim) in zip(rep.verdicts, fresh):
+            for v, (a, steps, lim, nodes) in zip(rep.verdicts, fresh):
                 ok = member(a, Coind(tau.defname, SVar("n"), tau.params), reg,
                             SizeValuation({"n": v.depth}))
                 assert (v.ok, v.nodes, v.fuel_used, v.fuel_limited) == \
                     (ok, _nodes(a), steps, lim), (src, fuel, v.depth)
+                assert nodes == v.nodes
                 assert v.approx == a and repr(v.approx) == repr(a)
     assert limited and unlimited
 
 
 def _nodes(a):
     return 1 + sum(_nodes(k) for k in a.children) if isinstance(a, Constr) else 1
+
+
+SHARING_CASES = [
+    ("trees", "bzeros", "BTree"), ("trees", "fpair", "FTree"),
+    ("streams", "nats", "Strm"), ("sp", "run odd nats", "Strm"),
+]
+
+
+@pytest.mark.parametrize("fname,src,tyname", SHARING_CASES)
+def test_shared_observations_read_as_tree_walks(fname, src, tyname):
+    # one memo for all depths, as productivity_check keeps it, keeps and
+    # reuses the observations of shared subterms; each depth must read
+    # exactly as a walk of the tree that keeps none: the same
+    # approximant, steps, fuel-limited flag, node count and gas left,
+    # also where the gas tank binds (fuel 20: bzeros from depth 5 on).
+    # At fuel 20 the tree walk is `_approx` with a memo that keeps
+    # nothing; at the default fuel, where such a walk of bzeros or fpair
+    # at depth 14 redoes whnf some 10^5 times, it is the recursive
+    # reference with a whnf memo of its own (whnf is pure, and
+    # test_whnf_memo_matches_fresh_approximants ties the two walks)
+    sf = load(fname)
+    reg = sf.registry
+    t = erase(link_all(sf, parse_term(src, reg)))
+    tau = parse_type(tyname, reg)
+    level = Coind(tau.defname, SVar("n"), tau.params)
+    whnf_only = {}
+    for fuel, depths in ((20, range(11)), (EvalBudget().fuel, range(15))):
+        memo = {}
+        fresh = []
+        for n in depths:
+            gas, gas0 = [fuel * (n + 2)], [fuel * (n + 2)]
+            got = _approx(t, n, fuel, reg, gas, memo)
+            if fuel == 20:
+                want = _approx(t, n, fuel, reg, gas0, _NoMemo())
+            else:
+                want = approx_reference(t, n, fuel, reg, gas0, whnf_only)
+            assert repr(got) == repr(want) and gas == gas0, (src, fuel, n)
+            assert got[3] == _nodes(want[0]), (src, fuel, n)
+            fresh.append(got)
+        if src == "bzeros" and fuel == 20:
+            assert [lim for _a, _s, lim, _n in fresh] == [False] * 5 + [True] * 6
+        # the verdicts of a report with a memo of its own; membership of
+        # shared approximants is checked against the recursive reference
+        # in test_walkers
+        rep = productivity_check(t, tau, reg, max_depth=depths[-1],
+                                 budget=EvalBudget(fuel=fuel))
+        for v, (a, steps, lim, nodes) in zip(rep.verdicts, fresh):
+            ok = member(a, level, reg, SizeValuation({"n": v.depth}))
+            assert (v.ok, v.nodes, v.fuel_used, v.fuel_limited) == \
+                (ok, nodes, steps, lim), (src, fuel, v.depth)
+
+
+GAS_CASES = [
+    ("trees", "fpair"),
+    ("streams", "cofix[j] z : Strm . cons (plus (succ (succ zero)) "
+                "(succ (succ zero))) z"),
+    ("trees", "cofix[j] t : BTree . bnode (succ (succ zero)) t t"),
+]
+
+
+@pytest.mark.parametrize("fname,src", GAS_CASES,
+                         ids=["fpair", "closed_stream_head", "bzeros_of_two"])
+def test_shared_observations_keep_gas_exact(fname, src):
+    # small fuels make the gas tank bind inside shared subterms: an
+    # observation is kept only if every whnf in it had the full limit,
+    # and reused only if a fresh walk would give each the full limit;
+    # the closed head of the stream is one term at every level and depth
+    sf = load(fname)
+    reg = sf.registry
+    t = erase(link_all(sf, parse_term(src, reg)))
+    limited = 0
+    for fuel in range(1, 31):
+        memo = {}
+        for n in range(9):
+            gas, gas0 = [fuel * (n + 2)], [fuel * (n + 2)]
+            got = _approx(t, n, fuel, reg, gas, memo)
+            want = _approx(t, n, fuel, reg, gas0, _NoMemo())
+            assert repr(got) == repr(want) and gas == gas0, (fuel, n)
+            limited += got[2]
+    assert limited
+
+
+def test_shared_observation_is_one_object_per_depth(trees):
+    # bnode zero t t: both children of a node are the same observation
+    z = erase(trees.linked("bzeros"))
+    a = approximant(z, EvalBudget(depth=12), trees.registry)
+    distinct, todo = set(), [a]
+    while todo:
+        x = todo.pop()
+        if id(x) not in distinct:
+            distinct.add(id(x))
+            todo.extend(getattr(x, "children", ()))
+    assert len(distinct) == 4 * 12 + 2
+    assert a.children[2].children[1] is a.children[2].children[2]
 
 
 def test_productivity_report_format(streams):

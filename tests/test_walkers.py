@@ -49,7 +49,7 @@ from helpers import (
 )
 from slam import (
     INFTY, ZERO, App, Arrow, Branch, Case, Cofix, Coind, Con, Fix, Forall,
-    Lam, PApp, PCase, PCon, PLam, PVar, ParseError, SMax, SMin, SVar,
+    Lam, PApp, PBranch, PCase, PCon, PLam, PVar, ParseError, SMax, SMin, SVar,
     SizeApp, SizeLam, Succ, TyVar, Var, alpha_eq_plain, alpha_eq_term,
     alpha_eq_type, chgtgt, eval_size, gen_sub_constraints, member,
     normalize_succ, observable, parse_defs, parse_size, parse_term,
@@ -326,23 +326,53 @@ def test_approx_matches_reference():
     assert limited
 
 
-def _rand_approximant(rng, depth: int):
+def _rand_approximant(rng, depth: int, pool=None):
     """A random approximant over Nat and stream/list constructor names,
-    with succ chains that end in zero and chains that do not."""
+    with succ chains that end in zero and chains that do not.
+
+    With a pool, nodes are shared, as in the approximants `_approx`
+    builds: a child may repeat its left sibling, or be a node built
+    before, of this approximant or an earlier one.  The pool keeps the
+    nodes by the depth they were built with, so that the tree a value
+    stands for stays within `depth`."""
+    if pool is not None and rng.random() < 0.2:
+        built = pool.get(rng.randint(0, depth))
+        if built:
+            return rng.choice(built)
     r = rng.random()
     if depth <= 0 or r < 0.15:
-        return rng.choice([Bottom(), Opaque(PLam("x", PVar("x"))),
-                           Opaque(PVar("y")), Constr("zero"), Constr("nil")])
-    if r < 0.45:
+        a = rng.choice([Bottom(), Opaque(PLam("x", PVar("x"))),
+                        Opaque(PVar("y")), Constr("zero"), Constr("nil")])
+    elif r < 0.45:
         k = rng.randint(1, 4)
-        a = _rand_approximant(rng, depth - 1)
+        a = _rand_approximant(rng, depth - 1, pool)
         for _ in range(k):
             a = Constr("succ", (a,))
-        return a
-    con, arity = rng.choice([("cons", 2), ("node", 3), ("succ", 2),
-                             ("zero", 1), ("so", 1)])
-    return Constr(con, tuple(_rand_approximant(rng, depth - 1)
-                             for _ in range(arity)))
+    else:
+        con, arity = rng.choice([("cons", 2), ("node", 3), ("succ", 2),
+                                 ("zero", 1), ("so", 1)])
+        kids = []
+        for _ in range(arity):
+            if pool is not None and kids and rng.random() < 0.3:
+                kids.append(kids[-1])
+            else:
+                kids.append(_rand_approximant(rng, depth - 1, pool))
+        a = Constr(con, tuple(kids))
+    if pool is not None:
+        pool.setdefault(depth, []).append(a)
+    return a
+
+
+def _shares(a) -> bool:
+    """Whether some node of a occurs in it more than once."""
+    seen, todo = set(), [a]
+    while todo:
+        a = todo.pop()
+        if id(a) in seen:
+            return True
+        seen.add(id(a))
+        todo.extend(getattr(a, "children", ()))
+    return False
 
 
 def test_render_approximant_matches_reference():
@@ -361,9 +391,34 @@ def test_render_approximant_matches_reference():
     rng = random.Random(8)
     cases += [(_rand_approximant(rng, 6), rng.choice(regs))
               for _ in range(500)]
+    pool = {}
+    cases += [(_rand_approximant(rng, 6, pool), rng.choice(regs))
+              for _ in range(500)]
+    assert sum(_shares(a) for a, _reg in cases) > 200
     for a, reg in cases:
         assert render_approximant(a, reg) == \
             render_approximant_reference(a, reg), a
+
+
+def test_render_shared_nodes():
+    # a value that doubles at each level, and numerals that share their
+    # tails, render as their trees do
+    reg = load("trees").registry
+    a, text = Bottom(), "_|_"
+    for _ in range(16):
+        a = Constr("bnode", (Constr("zero"), a, a))
+        text = f"bnode 0 ({text}) ({text})"
+    assert render_approximant(a, reg) == text.replace("(_|_)", "_|_")
+    nums = [Constr("zero")]
+    for _ in range(2000):
+        nums.append(Constr("succ", (nums[-1],)))
+    for order in (nums, nums[::-1][:50] + nums[:50]):
+        lst = Constr("nil")
+        for c in reversed(order):
+            lst = Constr("cons", (c, lst))
+        want = " :: ".join(render_approximant(c, reg) for c in order)
+        assert render_approximant(lst, reg) == want + " :: nil"
+    assert render_approximant(lst, reg).startswith("2000 :: 1999 :: ")
 
 
 def test_render_deep_succ_chain():
@@ -776,7 +831,37 @@ def _approximants():
     rng = random.Random(43)
     regs = [load(f).registry for f in ("streams", "sp", "trees")]
     out += [(rng.choice(regs), _rand_approximant(rng, 5)) for _ in range(400)]
+    pool = {}
+    out += [(rng.choice(regs), _rand_approximant(rng, 5, pool))
+            for _ in range(400)]
+    trees = load("trees").registry
+    out += [(trees, _rand_btree(rng, rng.randint(0, 6))) for _ in range(100)]
     return out
+
+
+def _chop(rng, a):
+    """a rebuilt as a tree, each occurrence of a node on its own, with
+    some subtrees cut to bottom and, rarely, a constructor renamed: a
+    shared node of a then meets different nodes in the two values."""
+    if not isinstance(a, Constr) or rng.random() < 0.1:
+        return Bottom() if rng.random() < 0.5 else a
+    con = a.con if rng.random() < 0.97 else "so"
+    return Constr(con, tuple(_chop(rng, k) for k in a.children))
+
+
+def _rand_btree(rng, depth: int):
+    """A random binary-tree approximant in which a node's subtrees may be
+    one node, or nodes shared with other levels, as `bnode zero t t`
+    gives them; now and then a leaf is cut early or ill-formed."""
+    levels = [Bottom()]
+    for _ in range(depth):
+        pick = [rng.choice(levels) if rng.random() < 0.3 else levels[-1]
+                for _ in range(2)]
+        if rng.random() < 0.5:
+            pick[1] = pick[0]
+        head = Constr("zero") if rng.random() < 0.97 else Bottom()
+        levels.append(Constr("bnode", (head, *pick)))
+    return levels[-1]
 
 
 def test_member_and_refines_match_reference():
@@ -800,10 +885,12 @@ def test_member_and_refines_match_reference():
                 assert got == want, (a, tau, strict)
                 seen.add(got[:2])
         b = rng.choice(cases)[1]
-        for x, y in ((a, a), (a, b), (b, a), (a, Bottom())):
+        c = _chop(rng, a)
+        for x, y in ((a, a), (a, b), (b, a), (a, Bottom()), (a, c), (c, a)):
             assert refines(x, y) == refines_reference(x, y), (x, y)
     assert {("ok", True), ("ok", False)} <= seen
     assert any(o[0] == "raised" for o in seen)
+    assert sum(_shares(a) for _reg, a in cases) > 200
 
 
 def test_size_equality_does_not_rest_on_the_hash():
@@ -1026,6 +1113,36 @@ def test_alpha_eq_on_a_deep_size():
         "Nat", size_plus(SVar("j"), 9_999), ())))
     assert alpha_eq_type(Coind("Nat", size_const(10_000), ()),
                          Coind("Nat", size_const(10_000), ()))
+
+
+def test_equality_of_deep_terms_and_approximants():
+    # == on terms, plain terms and approximants compares in a loop; the
+    # generated comparison recursed once per level
+    def numeral(k, con, app):
+        t = con("zero")
+        for _ in range(k):
+            t = app(con("succ"), t)
+        return t
+
+    n = 10_000
+    for con, app in ((Con, App), (PCon, PApp),
+                     (Constr, lambda f, x: Constr(f.con, (x,)))):
+        a, b = numeral(n, con, app), numeral(n, con, app)
+        assert a == b and not a != b
+        assert a != numeral(n - 1, con, app)
+        assert a != app(con("succ"), numeral(n, con, app))
+        assert app(a, con("x")) != app(b, con("y"))
+    lam = Lam("x", TyVar("A"), numeral(n, Con, App))
+    assert lam == Lam("x", TyVar("A"), numeral(n, Con, App))
+    assert lam != Lam("y", TyVar("A"), numeral(n, Con, App))
+    assert lam != Lam("x", TyVar("B"), numeral(n, Con, App))
+    case = PCase(numeral(n, PCon, PApp), (PBranch("zero", (), PVar("x")),))
+    assert case == PCase(numeral(n, PCon, PApp),
+                         (PBranch("zero", (), PVar("x")),))
+    assert case != PCase(numeral(n, PCon, PApp),
+                         (PBranch("zero", ("y",), PVar("x")),))
+    assert Constr("s", (Bottom(),)) == Constr("s", (Bottom(fuel_limited=True),))
+    assert Constr("s", (Opaque(PVar("x")),)) != Constr("s", (Bottom(),))
 
 
 def test_alpha_eq_scopes_each_branch_apart():
