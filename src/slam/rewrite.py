@@ -12,16 +12,23 @@ empirical productivity harness.
 Every walk here is depth-safe: erasure and the single reduction step are
 node functions over the term walks of `syntax.py` (`fold_term`,
 `term_nodes`), `psubst` is the substitution `syntax.substitute` shares
-with decorated terms, and `whnf` keeps the case heads waiting on their
-scrutinees on a stack of its own.
+with decorated terms, and `whnf` and its readback keep their own stacks.
 
-Reduction shares work instead of redoing it.  Terms cache their free
-variables (`fv`), so `psubst` returns every subterm the variable is not
-free in as the same object and rebuilds only the path to its
-occurrences.  An observation keeps a memo keyed by subterm identity and
-fuel limit: `approximant` one per call, `productivity_check` one for all
-depths, since the approximant at depth n+1 revisits the subterms of the
-one at depth n.  It normalizes each shared subterm once per fuel limit
+Reduction shares work instead of redoing it.  `whnf` runs on closures,
+a term with an environment for its bound variables, and substitutes
+nothing while it reduces: a beta or iota step only binds names, and the
+result is read back once, as one simultaneous substitution per closure,
+which returns every subterm no bound variable is free in as the same
+object (terms cache their free variables, `fv`).  The machine is
+call-by-name, so it takes exactly the steps of normal-order reduction
+by substitution and fuel counts the same; call-by-need would share the
+reduction of an argument and change `fuelUsed=`.  The single step,
+`step`, contracts its redex with `psubst`.
+
+An observation keeps a memo keyed by subterm identity and fuel limit:
+`approximant` one per call, `productivity_check` one for all depths,
+since the approximant at depth n+1 revisits the subterms of the one at
+depth n.  It normalizes each shared subterm once per fuel limit
 and observes it once per depth: the memo holds the weak head normal
 form of every subterm met, and, for one met more than once, its finished
 observations by depth, which a later visit reuses as the same object.
@@ -44,7 +51,8 @@ from .sizes import INF, ExtNat, SizeValuation, eval_size
 from .syntax import (
     App, Case, Coind, Con, DefRegistry, Lam, PApp, PBranch, PCase, PCon,
     PLam, PVar, PlainTerm, SizeApp, SizeLam, SVar, Term, TyVar, Type, Var,
-    alpha_eq_plain, fold_term, rebuilt, substitute, term_nodes, type_nodes,
+    alpha_eq_plain, fold_term, fresh_name, rebuilt, substitute, term_nodes,
+    type_nodes,
 )
 
 __all__ = [
@@ -124,22 +132,24 @@ def _apply(t: PlainTerm, args: list[PlainTerm]) -> PlainTerm:
 
 
 def _iota_branch(t: PCase) -> Optional[tuple[PBranch, list[PlainTerm]]]:
-    """The branch an iota step would take, if any.
-
-    Requires a constructor-headed scrutinee, pairwise distinct branch
-    constructors, a branch for the head constructor, and matching arity.
-    """
-    names = [b.con for b in t.branches]
-    if len(set(names)) != len(names):
-        return None
+    """The branch an iota step would take, if any, and its arguments."""
     head, args = _spine(t.scrutinee)
     if not isinstance(head, PCon):
         return None
+    b = _branch_for(t, head.name, len(args))
+    return None if b is None else (b, args)
+
+
+def _branch_for(t: PCase, con: str, n: int) -> Optional[PBranch]:
+    """The branch of t an iota step takes on constructor `con` applied
+    to n arguments: it needs pairwise distinct branch constructors, a
+    branch for con, and matching arity."""
+    names = [b.con for b in t.branches]
+    if len(set(names)) != len(names):
+        return None
     for b in t.branches:
-        if b.con == head.name:
-            if len(b.binders) == len(args):
-                return b, args
-            return None
+        if b.con == con:
+            return b if len(b.binders) == n else None
     return None
 
 
@@ -210,72 +220,216 @@ class WhnfResult:
     steps: int = 0
 
 
+# A closure is a pair (term, env): env maps the free variables of term
+# that a reduction step bound to the closures they stand for; the others
+# are free in the term whnf was given.  Closures and environments are
+# never changed once built, so a closure reads back as one term.
+_Closure = tuple[PlainTerm, dict]
+_NO_ENV: dict = {}
+
+
 def whnf(t: PlainTerm, fuel: int) -> WhnfResult:
     """Head-reduce until a constructor application, a value, or fuel runs
     out.  Values are abstractions, variable-headed spines, and stuck
     cases.
 
-    The term is kept as its head and arguments, and built whole only for
-    the result (t is None while it is not built).  A case at the head
-    waits, with the arguments it is applied to, on a stack of pending
-    frames while its scrutinee is head-reduced under the fuel left; the
-    scrutinee's result then decides the case."""
+    The reduction is normal order, on a call-by-name environment
+    machine: its state is a closure (term, env), a stack of argument
+    closures, and a stack of case frames.  A beta step binds the
+    variable to the top argument in a new env, an iota step binds the
+    branch binders to the scrutinee's argument closures, and a bound
+    variable jumps to its closure at no step.  An argument that is a
+    bound variable is pushed as that variable's closure, so a
+    self-application runs in constant space.  A case at the head waits,
+    with its env and arguments, on the frame stack while its scrutinee
+    is head-reduced under the fuel left; the scrutinee's result then
+    decides the case.
+
+    Nothing is substituted while reducing.  The term and arguments of
+    the result are read back once, at the end (`_readback`), each
+    closure once, so an argument closure met twice reads back as one
+    object.  A call that takes no step returns t and t's own arguments."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
+    term, spine = t, []  # t's arguments, the first last
+    while type(term) is PApp:
+        spine.append(term.arg)
+        term = term.fun
+    if type(term) is PCon:
+        return WhnfResult("head", t, term.name, tuple(reversed(spine)))
     steps = 0
-    frames: list[tuple[PCase, list[PlainTerm]]] = []
-    head, args = _spine(t)
+    frames: list[tuple[PCase, dict, list[_Closure]]] = []
+    env = _NO_ENV
+    args: list[_Closure] = [(a, env) for a in spine]  # the first last
+    stuck = False
     while True:
-        if isinstance(head, PCon):
-            kind = "head"
-        elif isinstance(head, PLam) and args:
-            if steps < fuel:
-                steps += 1
-                head, more = _spine(psubst(head.body, head.var, args[0]))
-                args = more + args[1:]
-                t = None
+        cls = type(term)
+        if cls is PApp:
+            a = term.arg
+            c = env.get(a.name) if type(a) is PVar else None
+            args.append((a, env) if c is None else c)
+            term = term.fun
+            continue
+        if cls is PVar:
+            c = env.get(term.name)
+            if c is not None:
+                term, env = c
                 continue
-            kind = "fuel"
-        elif isinstance(head, PCase):
-            if steps < fuel:
-                frames.append((head, args))
-                t = head.scrutinee
-                head, args = _spine(t)
-                continue
-            kind = "fuel"
-        else:
             kind = "value"
-        if t is None:
-            t = _apply(head, args)
-        res = WhnfResult(kind, t, head.name, tuple(args), False, steps) \
-            if kind == "head" else WhnfResult(kind, t, steps=steps)
-        # the result of a scrutinee decides the case waiting on it
-        while frames:
-            case, args = frames.pop()
-            case = PCase(res.term, case.branches)
-            if res.kind == "fuel":
-                res = WhnfResult("fuel", _apply(case, args), steps=steps)
-                continue
-            hit = _iota_branch(case)
-            if hit is None:
-                stuck = res.kind == "head" or isinstance(res.term, PLam) \
-                    or (res.kind == "value" and res.stuck)
-                res = WhnfResult("value", _apply(case, args), stuck=stuck,
-                                 steps=steps)
-            elif steps >= fuel:
-                res = WhnfResult("fuel", _apply(case, args), steps=steps)
-            else:
+        elif cls is PLam:
+            if not args:
+                kind = "value"
+            elif steps < fuel:
                 steps += 1
-                b, cargs = hit
-                body = b.body
-                for x, a in zip(b.binders, cargs):
-                    body = psubst(body, x, a)
-                head, more = _spine(body)
-                args = more + args
-                t = None
-                break
+                term, env = term.body, _scope(env, term.body, term.var,
+                                              args.pop())
+                continue
+            else:
+                kind = "fuel"
+        elif cls is PCase:
+            if steps < fuel:
+                frames.append((term, env, args))
+                term, args = term.scrutinee, []
+                continue
+            kind = "fuel"
         else:
-            return res
+            kind = "head"
+        if frames and kind != "fuel":
+            # the scrutinee's result decides the case waiting on it
+            case, cenv, cargs = frames[-1]
+            b = _branch_for(case, term.name, len(args)) \
+                if kind == "head" else None
+            if b is None:
+                stuck = kind == "head" or cls is PLam
+                kind = "value"
+            elif steps < fuel:
+                steps += 1
+                frames.pop()
+                env = cenv
+                # the first of two equal binders wins, as in substituting
+                # one binder after the other
+                for x, c in zip(reversed(b.binders), args):
+                    env = _scope(env, b.body, x, c)
+                term, args = b.body, cargs
+                continue
+            else:
+                kind = "fuel"
+        break
+    if steps == 0:  # no constructor head: t is a value
+        return WhnfResult(kind, t, stuck=stuck)
+    memo: dict = {}
+    rargs = [_readback(c, memo) for c in reversed(args)]
+    out = _apply(_readback((term, env), memo), rargs)
+    for case, cenv, cargs in reversed(frames):
+        branches = _readback((PCase(_HOLE, case.branches), cenv),
+                             memo).branches
+        out = _apply(PCase(out, branches),
+                     [_readback(c, memo) for c in reversed(cargs)])
+    if kind == "head":
+        return WhnfResult("head", out, term.name, tuple(rargs), False, steps)
+    return WhnfResult(kind, out, stuck=stuck, steps=steps)
+
+
+def _scope(env: dict, t: PlainTerm, x: str, c: _Closure) -> dict:
+    """A new env for t: env with x bound to c.  Once env has grown wide,
+    only the part of it t's free variables use is kept, so that a chain
+    of nested binders does not copy an ever longer env at every step."""
+    if len(env) < 8:
+        return {**env, x: c}
+    env = {y: env[y] for y in t.fv if y in env}
+    env[x] = c
+    return env
+
+
+# stands for a waiting case's scrutinee while its branches are read back
+_HOLE = PCon("")
+
+
+def _readback(c: _Closure, memo: dict) -> PlainTerm:
+    """The term a closure stands for: its term with each variable its
+    env binds replaced, at once, by what that variable's closure reads
+    back as.
+
+    `memo` maps id(closure) to (closure, its term), so each closure is
+    read back once and a closure met twice gives the same object.  A
+    closure waits on a stack of its own while the closures it needs are
+    read back, so a chain of closures of any length reads back without
+    recursion."""
+    if not c[1]:
+        return c[0]
+    todo = [c]
+    while todo:
+        d = todo[-1]
+        if id(d) in memo:
+            todo.pop()
+            continue
+        t, env = d
+        sub = {}
+        for x in t.fv:
+            e = env.get(x)
+            if e is None:
+                continue
+            if not e[1]:
+                sub[x] = e[0]
+            elif id(e) in memo:
+                sub[x] = memo[id(e)][1]
+            else:
+                todo.append(e)
+        if todo[-1] is d:
+            todo.pop()
+            memo[id(d)] = (d, _subst_all(t, sub) if sub else t)
+    return memo[id(c)][1]
+
+
+def _subst_all(t: PlainTerm, sub: dict) -> PlainTerm:
+    """t with sub[x] put for each free occurrence of each x in sub, all
+    at once.  A binder that would capture a free variable of a value put
+    under it is renamed, in its scope, to the first name fresh_name
+    gives that is free in neither those values nor the scope and is none
+    of its node's other binders.  A subterm no x is free in is returned
+    as it is, the same object.
+
+    The walk keeps (node, sub, out, i) on a stack: node is to get sub,
+    and the result goes to out[i]; the nodes it changes are rebuilt last,
+    children before parents."""
+    if t.fv.isdisjoint(sub):
+        return t
+    vals: list = [t]
+    nodes: list = []
+    work: list = [(t, sub, vals, 0)]
+    while work:
+        x, s, out, i = work.pop()
+        if type(x) is PVar:
+            out[i] = s[x.name]
+            continue
+        kids = x._kids()
+        new = list(kids)
+        binds = x._binds()
+        renamed = None
+        for j, (k, names) in enumerate(zip(kids, binds)):
+            sk = s
+            if names:
+                sk = {y: v for y, v in s.items()
+                      if y in k.fv and y not in names}
+                free = frozenset().union(*(v.fv for v in sk.values()))
+                if not free.isdisjoint(names):
+                    names = list(names)
+                    for n, y in enumerate(names):
+                        if y in free:
+                            names[n] = fresh_name(
+                                y, free | k.fv | set(names))
+                            if y in k.fv:
+                                sk[y] = PVar(names[n])
+                    renamed = renamed or list(binds)
+                    renamed[j] = tuple(names)
+            if k.fv.isdisjoint(sk):
+                continue
+            work.append((k, sk, new, j))
+        nodes.append((x if renamed is None else x._rebind(renamed),
+                      new, out, i))
+    for x, new, out, i in reversed(nodes):  # children before parents
+        out[i] = x._with(new)
+    return vals[0]
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +458,45 @@ class Constr:
             elif a != b:
                 return False
         return True
+
+    def __hash__(self):
+        # bottom-up in one loop, each shared node once; equal trees
+        # hash alike, as `__eq__` compares them
+        memo: dict[int, int] = {}
+        todo = [self]
+        while todo:
+            a = todo[-1]
+            if id(a) in memo:
+                todo.pop()
+                continue
+            missing = [k for k in a.children
+                       if type(k) is Constr and id(k) not in memo]
+            if missing:
+                todo.extend(missing)
+                continue
+            todo.pop()
+            memo[id(a)] = hash((a.con, *[memo[id(k)] if type(k) is Constr
+                                         else hash(k) for k in a.children]))
+        return memo[id(self)]
+
+    def __repr__(self):
+        # the dataclass repr, written out in one loop over the tree
+        out = []
+        todo: list = [self]
+        while todo:
+            a = todo.pop()
+            if type(a) is str:
+                out.append(a)
+            elif type(a) is not Constr:
+                out.append(repr(a))
+            else:
+                out.append(f"Constr(con={a.con!r}, children=(")
+                todo.append(",))" if len(a.children) == 1 else "))")
+                for i in reversed(range(len(a.children))):
+                    todo.append(a.children[i])
+                    if i:
+                        todo.append(", ")
+        return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -566,28 +759,40 @@ def _member(a: Approximant, goal: tuple, reg: DefRegistry, v) -> bool:
     """Whether the approximant meets the goal, with the goals it opens
     kept on a stack and checked depth-first, left to right.
 
-    A goal is (t, env), membership in type t with its type variables
-    read as the goals in env, or (dn, params, level, strict), membership
-    in the level-approximation of definition dn with its parameters read
-    as the goals in params.
+    A goal is (dn, params, level, strict), membership in the
+    level-approximation of definition dn with its parameters read as the
+    goals in params; a parameter's goal may also be (t, env), membership
+    in type t with its type variables read as the goals in env.
 
     Membership is a conjunction, so a node met again under a goal it was
-    already checked against is skipped.  The ids of both make the key in
-    `seen`; the node lives as long as the approximant, and `seen` holds
-    the goal, so neither id is reused while it is a key."""
-    todo = [(a, goal)]
-    seen: dict[int, tuple] = {}
-    while todo:
-        a, goal = todo.pop()
-        while len(goal) == 2:
-            t, env = goal
+    already checked against is skipped.  For that, equal goals are one
+    object: a definition goal is kept once per definition, parameter
+    goals, level and strictness (`goals`), and the goals of a node's
+    children are made once per goal and constructor (`kids`).  A node
+    shared by several parents is thus checked once per goal.  The ids of
+    node and goal make the key in `seen`; the node lives as long as the
+    approximant, and `goals` holds the goal, so neither id is reused
+    while it is a key."""
+    goals: dict[tuple, tuple] = {}
+    kids: dict[tuple[int, str], Optional[tuple]] = {}
+
+    def one(g: tuple) -> tuple:
+        # a definition goal for (t, env) or for itself, as the one object
+        while len(g) == 2:
+            t, env = g
             if isinstance(t, TyVar):
-                goal = env[t.name]
+                g = env[t.name]
             elif isinstance(t, Coind):
-                goal = (t.defname, [(p, env) for p in t.params],
-                        eval_size(v, t.size), False)
+                g = (t.defname, [(p, env) for p in t.params],
+                     eval_size(v, t.size), False)
             else:
                 raise NonObservableType(f"non-observable position: {t!r}")
+        return goals.setdefault((g[0], *map(id, g[1]), g[2], g[3]), g)
+
+    todo = [(a, one(goal))]
+    seen: set[tuple[int, int]] = set()
+    while todo:
+        a, goal = todo.pop()
         dn, params, level, strict = goal
         d = reg.definition(dn)
         if d.coinductive:
@@ -601,23 +806,28 @@ def _member(a: Approximant, goal: tuple, reg: DefRegistry, v) -> bool:
             return False
         if not isinstance(a, Constr):
             return False
-        entry = reg.constructor_entry(a.con)
-        if entry is None or entry[0].name != dn:
+        key = (id(goal), a.con)
+        if key in kids:
+            child_goals = kids[key]
+        else:  # the constructor's argument goals, None if it is not dn's
+            entry = reg.constructor_entry(a.con)
+            child_goals = None
+            if entry is not None and entry[0].name == dn:
+                env = {d.rec_var: one((dn, params, level - 1 if level != INF
+                                       else INF, strict))}
+                env.update(zip(d.params, params))
+                child_goals = tuple(one((sigma, env))
+                                    for sigma in entry[1].arg_types)
+            kids[key] = child_goals
+        children = a.children
+        if child_goals is None or len(child_goals) != len(children):
             return False
-        sig = entry[1]
-        if len(sig.arg_types) != len(a.children):
-            return False
-        if not a.children:
-            continue
-        pair = id(a) << 64 | id(goal)
-        if pair in seen:
-            continue
-        seen[pair] = goal
-        child_level = level - 1 if level != INF else INF
-        env = {d.rec_var: (dn, params, child_level, strict)}
-        env.update(zip(d.params, params))
-        todo.extend(reversed([(k, (sigma, env)) for k, sigma
-                              in zip(a.children, sig.arg_types)]))
+        if children and (id(a), id(goal)) not in seen:
+            seen.add((id(a), id(goal)))
+            if len(children) == 1:
+                todo.append((children[0], child_goals[0]))
+            else:
+                todo.extend(reversed(list(zip(children, child_goals))))
     return True
 
 

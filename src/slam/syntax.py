@@ -698,10 +698,11 @@ PlainTerm = Union[PVar, PCon, PLam, PApp, PCase]
 # Term equality compares two trees in one loop over pairs of nodes, not
 # once per level: two nodes are equal when they are of one class, agree
 # on their fields besides their children (their `_EQ_LABEL`), and have
-# equal children.
+# equal children.  The hash mixes the same three things, bottom-up in
+# one loop, so equal terms hash alike.
 
-def _branch_labels(x) -> list:
-    return [(b.con, b.binders) for b in x.branches]
+def _branch_labels(x) -> tuple:
+    return tuple((b.con, b.binders) for b in x.branches)
 
 
 _EQ_LABEL = {
@@ -731,8 +732,32 @@ def _term_eq(self, other):
     return True
 
 
+def _term_hash(self) -> int:
+    # a node's hash once its children's are known; each node of a shared
+    # subterm is hashed once
+    memo: dict[int, int] = {}
+    todo = [self]
+    while todo:
+        x = todo[-1]
+        if id(x) in memo:
+            todo.pop()
+            continue
+        kids = x._kids()
+        missing = [k for k in kids if id(k) not in memo]
+        if missing:
+            todo.extend(missing)
+            continue
+        todo.pop()
+        label = _EQ_LABEL[x.__class__]
+        memo[id(x)] = hash((x.__class__.__name__,
+                            None if label is None else label(x),
+                            *[memo[id(k)] for k in kids]))
+    return memo[id(self)]
+
+
 for _cls in _EQ_LABEL:
     _cls.__eq__ = _term_eq
+    _cls.__hash__ = _term_hash
 
 
 def term_nodes(t) -> Iterator:

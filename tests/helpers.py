@@ -15,11 +15,11 @@ from slam import (
 )
 from slam.constraints import CyclicDefMap, check_acyclic, expand
 from slam.parser import SlamFile
-from slam.rewrite import WhnfResult, _apply, _iota_branch, _spine
+from slam.rewrite import WhnfResult, _apply, _iota_branch, _spine, psubst
 from slam.sizes import INF, SizeValuation
 from slam.syntax import (
-    Infty, PApp, PBranch, PCase, PCon, PLam, PVar, Zero, forall_binders,
-    fresh_name, term_free_vars,
+    Infty, PApp, PBranch, PCase, PCon, PLam, PVar, Zero, alpha_eq,
+    forall_binders, fresh_name, term_free_vars,
 )
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -2585,10 +2585,100 @@ def has_stuck_case_reference(t: PlainTerm) -> bool:
     return False
 
 
+def same_whnf(got: WhnfResult, want: WhnfResult) -> bool:
+    """Whether two whnf results agree: kind, head, steps and stuck
+    equal, term and arguments equal up to the names of bound variables."""
+    return ((got.kind, got.head, got.steps, got.stuck)
+            == (want.kind, want.head, want.steps, want.stuck)
+            and alpha_eq(got.term, want.term)
+            and len(got.args) == len(want.args)
+            and all(map(alpha_eq, got.args, want.args)))
+
+
+def constr_repr_reference(a) -> str:
+    """repr of an approximant by recursion, in the form the generated
+    dataclass repr of Constr had."""
+    from slam.rewrite import Constr
+    if type(a) is not Constr:
+        return repr(a)
+    inner = ", ".join(map(constr_repr_reference, a.children))
+    if len(a.children) == 1:
+        inner += ","
+    return f"Constr(con={a.con!r}, children=({inner}))"
+
+
+# rewrite.whnf by substitution, as it was before the closure machine:
+# the reference for its steps, kinds and, up to renaming, its terms
 def whnf_reference(t: PlainTerm, fuel: int) -> WhnfResult:
     """Head-reduce until a constructor application, a value, or fuel runs
     out.  Values are abstractions, variable-headed spines, and stuck
-    cases."""
+    cases.
+
+    The term is kept as its head and arguments, and built whole only for
+    the result (t is None while it is not built).  A case at the head
+    waits, with the arguments it is applied to, on a stack of pending
+    frames while its scrutinee is head-reduced under the fuel left; the
+    scrutinee's result then decides the case."""
+    if fuel <= 0:
+        raise ValueError("fuel must be positive")
+    steps = 0
+    frames: list[tuple[PCase, list[PlainTerm]]] = []
+    head, args = _spine(t)
+    while True:
+        if isinstance(head, PCon):
+            kind = "head"
+        elif isinstance(head, PLam) and args:
+            if steps < fuel:
+                steps += 1
+                head, more = _spine(psubst(head.body, head.var, args[0]))
+                args = more + args[1:]
+                t = None
+                continue
+            kind = "fuel"
+        elif isinstance(head, PCase):
+            if steps < fuel:
+                frames.append((head, args))
+                t = head.scrutinee
+                head, args = _spine(t)
+                continue
+            kind = "fuel"
+        else:
+            kind = "value"
+        if t is None:
+            t = _apply(head, args)
+        res = WhnfResult(kind, t, head.name, tuple(args), False, steps) \
+            if kind == "head" else WhnfResult(kind, t, steps=steps)
+        # the result of a scrutinee decides the case waiting on it
+        while frames:
+            case, args = frames.pop()
+            case = PCase(res.term, case.branches)
+            if res.kind == "fuel":
+                res = WhnfResult("fuel", _apply(case, args), steps=steps)
+                continue
+            hit = _iota_branch(case)
+            if hit is None:
+                stuck = res.kind == "head" or isinstance(res.term, PLam) \
+                    or (res.kind == "value" and res.stuck)
+                res = WhnfResult("value", _apply(case, args), stuck=stuck,
+                                 steps=steps)
+            elif steps >= fuel:
+                res = WhnfResult("fuel", _apply(case, args), steps=steps)
+            else:
+                steps += 1
+                b, cargs = hit
+                body = b.body
+                for x, a in zip(b.binders, cargs):
+                    body = psubst(body, x, a)
+                head, more = _spine(body)
+                args = more + args
+                t = None
+                break
+        else:
+            return res
+
+
+def whnf_recursive_reference(t: PlainTerm, fuel: int) -> WhnfResult:
+    """`whnf_reference` by recursion on case heads."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     steps = 0
@@ -2610,7 +2700,7 @@ def whnf_reference(t: PlainTerm, fuel: int) -> WhnfResult:
         remaining = fuel - steps
         if remaining <= 0:
             return WhnfResult("fuel", t, steps=steps)
-        inner = whnf_reference(head.scrutinee, remaining)
+        inner = whnf_recursive_reference(head.scrutinee, remaining)
         steps += inner.steps
         rebuilt = _apply(PCase(inner.term, head.branches), args)
         if inner.kind == "fuel":

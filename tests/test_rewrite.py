@@ -4,7 +4,8 @@ import pytest
 
 from helpers import (
     PLAIN_VARS, approx_reference, corpus_terms, link_all, load,
-    plain_free_vars_reference, psubst_reference, rand_plain,
+    plain_free_vars_reference, psubst_reference, rand_plain, same_whnf,
+    whnf_reference,
 )
 from slam import (
     App, Coind, INFTY, PApp, PBranch, PCase, PCon, PLam, PVar, SVar, ZERO,
@@ -15,6 +16,7 @@ from slam.rewrite import (
     Y_COMBINATOR, _approx, approximant, erase, member, observable,
     productivity_check, psubst, refines, step, whnf,
 )
+from slam.syntax import DefRegistry, term_nodes
 from slam.sizes import SizeValuation
 
 def _nat_tree(n):
@@ -197,6 +199,93 @@ def test_whnf_stuck_case():
 def test_whnf_fuel_accounting():
     r = whnf(PApp(PLam("x", PVar("x")), PCon("c")), 10)
     assert r.steps == 1 and r.kind == "head"
+
+
+def _whnf_inputs():
+    """Every subterm of the erased corpus terms; seeded random plain
+    terms, open, with binders that capture, shadow and clash with the
+    names a renaming picks (x, y, f, x_1), and cases that get stuck; and
+    the same made closed by applying abstractions over those names to
+    random values."""
+    out = [s for _label, _reg, t in corpus_terms()
+           for s in term_nodes(erase(t))]
+    rng = random.Random(83)
+    out += [rand_plain(rng, 5) for _ in range(500)]
+    for _ in range(300):
+        t = rand_plain(rng, 5)
+        for v in PLAIN_VARS:
+            t = PApp(PLam(v, t), rand_plain(rng, 2) if rng.random() < 0.5
+                     else PLam("x", PVar("x")))
+        out.append(t)
+    return out
+
+
+def test_whnf_matches_substitution_reference():
+    # the closure machine takes the reference's steps and reads back its
+    # terms up to renaming, at every fuel until both reach a weak head
+    # normal form (more fuel then changes nothing), and at the default
+    kinds, renamed = set(), 0
+    for t in _whnf_inputs():
+        for fuel in [*range(1, 51), EvalBudget().fuel]:
+            got, want = whnf(t, fuel), whnf_reference(t, fuel)
+            assert same_whnf(got, want), (t, fuel, got, want)
+            kinds.add((got.kind, got.stuck))
+            renamed += got.term != want.term
+            if got.kind != "fuel" and fuel < 50:
+                break
+    assert kinds == {("head", False), ("value", False), ("value", True),
+                     ("fuel", False)}
+    assert renamed  # some binder was renamed, differently from the reference
+
+
+def test_whnf_reads_a_shared_argument_back_once(trees):
+    # cofix t. bnode zero t t: both recursive arguments are the closure
+    # of t, read back as one object
+    r = whnf(erase(trees.linked("bzeros")), 100)
+    assert r.head == "bnode" and r.args[1] is r.args[2]
+    assert r.term.fun.arg is r.args[1] and r.term.arg is r.args[2]
+
+
+def test_whnf_without_a_step_returns_its_input():
+    t = PApp(PApp(PCon("cons"), PVar("x")),
+             PApp(PLam("y", PVar("y")), PCon("z")))
+    r = whnf(t, 5)
+    assert r.steps == 0 and r.term is t
+    assert r.args[0] is t.fun.arg and r.args[1] is t.arg
+    stuck = PApp(PCase(PLam("x", PVar("x")), (PBranch("c", (), PCon("d")),)),
+                 PCon("e"))
+    r = whnf(stuck, 5)
+    assert r.kind == "value" and r.stuck and r.term is stuck
+
+
+def test_whnf_self_application_runs_in_constant_space():
+    # the argument x of x x is pushed as x's closure, not as a new
+    # closure around x, so no chain of closures grows with the steps
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        r = whnf(OMEGA, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.kind == "fuel" and r.steps == 2000 and peak < 64_000
+    r = whnf(OMEGA, 10**5)
+    assert r.kind == "fuel" and r.steps == 10**5 and r.term == OMEGA
+
+
+def test_whnf_reads_back_a_deep_chain_of_closures():
+    # (\x0. (\x1. ... (\xn. xn) (succ x_{n-1}) ...) (succ x0)) zero:
+    # the result's argument is a chain of n closures, each needing the
+    # one before, read back on a stack
+    n = 10_000
+    t = PVar(f"x{n}")
+    for k in range(n, 0, -1):
+        t = PApp(PLam(f"x{k}", t), PApp(PCon("succ"), PVar(f"x{k - 1}")))
+    r = whnf(PApp(PLam("x0", t), PCon("zero")), 10**5)
+    want = PCon("zero")
+    for _ in range(n):
+        want = PApp(PCon("succ"), want)
+    assert r.kind == "head" and r.steps == n + 1 and r.term == want
 
 
 # -- approximants ------------------------------------------------------------------
@@ -581,6 +670,34 @@ def test_unproductive_but_typed_at_size_zero(streams):
                              max_depth=1,
                              budget=EvalBudget(fuel=300, depth=1))
     assert not rep.passed and rep.fail_at == 1
+
+
+def test_member_checks_a_shared_node_once_per_goal(trees, monkeypatch):
+    # a node of the bzeros DAG is checked once, not once per parent: each
+    # check of a bnode pops its three children once, and a constructor is
+    # looked up once per goal (once per level, as zero's goal is shared)
+    z = erase(trees.linked("bzeros"))
+    pops, lookups = [], []
+    definition, entry = DefRegistry.definition, DefRegistry.constructor_entry
+    monkeypatch.setattr(DefRegistry, "definition",
+                        lambda self, dn: pops.append(dn) or definition(self, dn))
+    monkeypatch.setattr(DefRegistry, "constructor_entry",
+                        lambda self, c: lookups.append(c) or entry(self, c))
+    btree = Coind("BTree", SVar("n"), ())
+    for n in (6, 12):
+        a = approximant(z, EvalBudget(depth=n), trees.registry)
+        distinct, todo = set(), [a]
+        while todo:
+            x = todo.pop()
+            if id(x) not in distinct:
+                distinct.add(id(x))
+                todo.extend(getattr(x, "children", ()))
+        pops.clear()
+        lookups.clear()
+        assert member(a, btree, trees.registry, {"n": n})
+        assert len(distinct) == 4 * n + 2
+        assert len(pops) <= 3 * len(distinct)
+        assert len(lookups) <= n + 1
 
 
 def test_member_strict_through_branching(trees):

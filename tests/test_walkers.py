@@ -21,6 +21,7 @@ from helpers import (
     alpha_eq_type_reference, annotation_binders_reference, approx_reference,
     check_arities_reference, check_term_wf_reference,
     check_type_wf_reference, chgtgt_reference, const_value_reference,
+    constr_repr_reference,
     context_terms, corpus_terms, dependency_cycle_reference,
     dependents_reference, erase_reference, eval_size_reference,
     expand_reference, expand_superfluous_reference, expand_type_reference,
@@ -35,7 +36,7 @@ from helpers import (
     print_size_reference, print_term_reference, print_type_reference,
     psubst_sharing_reference,
     rand_plain, rand_size, rand_term, rand_type, rand_valuation,
-    refines_reference, rename_binders_apart_reference,
+    refines_reference, same_whnf, rename_binders_apart_reference,
     render_approximant_reference, render_type_reference, reshape_sizes,
     simplify_infty_reference, size_ge_const_reference,
     size_names_reference, step1_reference,
@@ -45,7 +46,8 @@ from helpers import (
     supertype_of, sv_reference,
     term_free_vars_reference, tgt_reference, tokenize_reference,
     topo_order_reference, topological_order_reference, tv_reference,
-    uniquify_size_binders_reference, whnf_reference,
+    uniquify_size_binders_reference, whnf_recursive_reference,
+    whnf_reference,
 )
 from slam import (
     INFTY, ZERO, App, Arrow, Branch, Case, Cofix, Coind, Con, Fix, Forall,
@@ -1036,7 +1038,9 @@ def test_plain_walks_match_reference():
         stuck += _has_stuck_case(t)
         reduced += got is not None
         for fuel in (1, 6, 40):
-            assert whnf(t, fuel) == whnf_reference(t, fuel), (t, fuel)
+            want = whnf_reference(t, fuel)
+            assert want == whnf_recursive_reference(t, fuel), (t, fuel)
+            assert same_whnf(whnf(t, fuel), want), (t, fuel)
         other = rng.choice(PLAIN)
         for a, b in ((t, t), (t, _alpha_variant(t)), (t, other)):
             assert alpha_eq_plain(a, b) == alpha_eq_plain_reference(a, b), \
@@ -1115,15 +1119,16 @@ def test_alpha_eq_on_a_deep_size():
                          Coind("Nat", size_const(10_000), ()))
 
 
+def numeral(k, con, app):
+    t = con("zero")
+    for _ in range(k):
+        t = app(con("succ"), t)
+    return t
+
+
 def test_equality_of_deep_terms_and_approximants():
     # == on terms, plain terms and approximants compares in a loop; the
     # generated comparison recursed once per level
-    def numeral(k, con, app):
-        t = con("zero")
-        for _ in range(k):
-            t = app(con("succ"), t)
-        return t
-
     n = 10_000
     for con, app in ((Con, App), (PCon, PApp),
                      (Constr, lambda f, x: Constr(f.con, (x,)))):
@@ -1143,6 +1148,40 @@ def test_equality_of_deep_terms_and_approximants():
                          (PBranch("zero", ("y",), PVar("x")),))
     assert Constr("s", (Bottom(),)) == Constr("s", (Bottom(fuel_limited=True),))
     assert Constr("s", (Opaque(PVar("x")),)) != Constr("s", (Bottom(),))
+
+
+def test_hash_and_repr_of_deep_terms_and_approximants():
+    # hash of terms, plain terms and approximants, and repr of
+    # approximants, run in a loop; the generated ones recursed per level
+    n = 10_000
+    for con, app in ((Con, App), (PCon, PApp),
+                     (Constr, lambda f, x: Constr(f.con, (x,)))):
+        a, b = numeral(n, con, app), numeral(n, con, app)
+        assert hash(a) == hash(b) and len({a, b}) == 1
+        assert hash(a) != hash(numeral(n - 1, con, app))
+    a = numeral(n, Constr, lambda f, x: Constr(f.con, (x,)))
+    assert repr(a) == "Constr(con='succ', children=(" * n + \
+        "Constr(con='zero', children=())" + ",))" * n
+
+
+def test_hash_agrees_with_equality_and_repr_with_the_dataclass_form():
+    # equal terms hash alike: each input against a copy built anew, and
+    # the hashes of all inputs are nearly all distinct
+    import copy
+    terms = [t for _reg, t in DECORATED] + PLAIN
+    for t in terms:
+        u = copy.deepcopy(t)
+        assert u == t and u is not t and hash(u) == hash(t), t
+    assert len({hash(t) for t in terms}) > 0.9 * len(set(terms))
+    for _reg, a in _approximants():
+        b = copy.deepcopy(a)
+        assert b == a and hash(b) == hash(a)
+        assert repr(a) == constr_repr_reference(a)
+    shared = Constr("s", (Constr("z"),) * 2)
+    assert repr(Constr("t", (shared, Bottom(True), Opaque(PVar("x"))))) == (
+        "Constr(con='t', children=(Constr(con='s', children=(Constr(con='z',"
+        " children=()), Constr(con='z', children=()))), Bottom(fuel_limited="
+        "True), Opaque(term=PVar(name='x'))))")
 
 
 def test_alpha_eq_scopes_each_branch_apart():
