@@ -84,16 +84,18 @@ def _typing_problem(sf: SlamFile, src: str) -> tuple[dict[str, Type], Term]:
     reg = sf.registry
     q = parse_term(src, reg)
     reached = sf.reached(q)
+    bit, reach = _reach_sets(sf, reached)
+    named: dict[Optional[str], frozenset[str]] = {}
     gamma: dict[str, Type] = {}
-    inlined: dict[str, Term] = {}
+    inlined: dict[str, Term] = {}  # in file order
     for name in reached:
         body = sf.bindings[name]
-        for prev in sf.reached(sf.bindings[name]):
-            if prev in inlined:  # earlier in the file, not in the context
+        for prev in inlined:  # earlier in the file, not in the context
+            if reach[name] & bit[prev]:
                 body = subst_term(body, inlined[prev], prev)
         shared = fsv_term(body)
         if shared:
-            shared &= _names_around(sf, q, name)
+            shared &= _names_around(sf, q, name, named)
         ty = None
         if not shared and not check_term_wf(body, reg):
             ty = minimal_type(reg, *_apart(gamma, body))
@@ -101,18 +103,44 @@ def _typing_problem(sf: SlamFile, src: str) -> tuple[dict[str, Type], Term]:
             inlined[name] = body
         else:
             gamma[name] = ty
-    for name in reached:
-        if name in inlined:
-            q = subst_term(q, inlined[name], name)
+    for name in inlined:
+        q = subst_term(q, inlined[name], name)
     _check_wf(q, reg)
     return _apart(gamma, q)
 
 
-def _names_around(sf: SlamFile, q: Term, name: str) -> frozenset[str]:
+def _reach_sets(sf: SlamFile, names: list[str]
+                ) -> tuple[dict[str, int], dict[str, int]]:
+    """A bit per binding in `names`, which must be closed under
+    references, and for each of them the bits of the bindings it refers
+    to directly or through others.  A binding's set is its references and
+    their sets, taken in file order until nothing changes: one pass and a
+    check when no reference points forward."""
+    bit = {n: 1 << i for i, n in enumerate(names)}
+    reach = dict.fromkeys(names, 0)
+    changed = True
+    while changed:
+        changed = False
+        for n in names:
+            r = reach[n]
+            for m in sf.refs(n):
+                r |= bit[m] | reach[m]
+            if r != reach[n]:
+                reach[n], changed = r, True
+    return bit, reach
+
+
+def _names_around(sf: SlamFile, q: Term, name: str,
+                  named: dict[Optional[str], frozenset[str]]
+                  ) -> frozenset[str]:
     """The size variables named in the query or in a binding it reaches
-    without going through binding `name`."""
-    return size_names(q).union(*(
-        size_names(sf.bindings[n]) for n in sf.reached(q, avoid=name)))
+    without going through binding `name`.  `named` keeps the names of
+    each binding, and of the query under None, found once per query."""
+    around = [None, *sf.reached(q, avoid=name)]
+    for n in around:
+        if n not in named:
+            named[n] = size_names(q if n is None else sf.bindings[n])
+    return frozenset().union(*(named[n] for n in around))
 
 
 def _apart(gamma: dict[str, Type], t: Term) -> tuple[dict[str, Type], Term]:
@@ -307,7 +335,9 @@ def _cmd_productivity(args) -> int:
         raise CliError(str(e))
     if args.porcelain:
         for d in report.verdicts:
-            print(f"report.{d.depth}: {'ok' if d.ok else 'fail'}")
+            verdict = "ok" if d.ok else \
+                "fail fuel-limited" if d.fuel_limited else "fail"
+            print(f"report.{d.depth}: {verdict}")
         print(f"verdict: {'PASS' if report.passed else 'FAIL'}")
     else:
         print(report.render())

@@ -616,11 +616,15 @@ class SlamFile:
             if n in seen or n == avoid:
                 continue
             seen.add(n)
-            if n not in self._refs:
-                self._refs[n] = [m for m in term_free_vars(self.bindings[n])
-                                 if m in self.bindings]
-            todo.extend(self._refs[n])
+            todo.extend(self.refs(n))
         return [n for n in self.bindings if n in seen]
+
+    def refs(self, name: str) -> list[str]:
+        """The bindings binding `name` refers to directly."""
+        if name not in self._refs:
+            self._refs[name] = [m for m in term_free_vars(self.bindings[name])
+                                if m in self.bindings]
+        return self._refs[name]
 
     def linked(self, name: str) -> Term:
         """Binding `name` with every earlier binding it reaches substituted

@@ -14,32 +14,32 @@ node functions over the term walks of `syntax.py` (`fold_term`,
 `term_nodes`), `psubst` is the substitution `syntax.substitute` shares
 with decorated terms, and `whnf` and its readback keep their own stacks.
 
-Reduction shares work instead of redoing it.  `whnf` runs on closures,
-a term with an environment for its bound variables, and substitutes
-nothing while it reduces: a beta or iota step only binds names, and the
-result is read back once, as one simultaneous substitution per closure,
-which returns every subterm no bound variable is free in as the same
-object (terms cache their free variables, `fv`).  The machine is
-call-by-name, so it takes exactly the steps of normal-order reduction
-by substitution and fuel counts the same; call-by-need would share the
-reduction of an argument and change `fuelUsed=`.  The single step,
-`step`, contracts its redex with `psubst`.
+Reduction runs by need and charges fuel by name.  `whnf` runs on
+closures, a term with an environment, and substitutes nothing: a beta or
+iota step binds a name to a thunk, an argument closure shared by every
+place that pushes or binds it.  A thunk is reduced to weak head normal
+form once and keeps it with its cost, the steps normal-order reduction
+takes to reach it; meeting it again does no work but charges that cost
+again, so fuel, `fuelUsed=` and fuel-limited results are those of
+normal order by substitution.  Only opaque leaves and the result of
+`whnf` are read back to terms, each thunk as its original closure, by
+one simultaneous substitution that returns every subterm no bound
+variable is free in as the same object (terms cache their free
+variables, `fv`).  The single step, `step`, contracts its redex with
+`psubst`.
 
-An observation keeps a memo keyed by subterm identity and fuel limit:
-`approximant` one per call, `productivity_check` one for all depths,
-since the approximant at depth n+1 revisits the subterms of the one at
-depth n.  It normalizes each shared subterm once per fuel limit
-and observes it once per depth: the memo holds the weak head normal
-form of every subterm met, and, for one met more than once, its finished
-observations by depth, which a later visit reuses as the same object.
-An approximant is thus a DAG (`cofix t. bnode zero t t` has 3*2^n - 2
-nodes at depth n but 4n + 2 distinct ones), and membership,
-refinement and the node count visit each distinct node, or pair of
-nodes, once.  The memo saves time only: the reduction steps a reused
-result stands for are still charged, and a kept observation is reused
-only where the gas tank would give each of its whnf calls the full fuel
-limit, so fuel use and fuel-limited results are those of reducing
-afresh.
+An observation descends into the thunks of constructor arguments.
+`approximant` observes a fresh term and `productivity_check` one for
+all depths, so depth n+1 finds the thunks of depth n reduced.  A thunk
+observed more than once keeps its finished observations by depth, which
+a later visit reuses as the same object.  An approximant is thus a DAG
+(`cofix t. bnode zero t t` has 3*2^n - 2 nodes at depth n but 4n + 2
+distinct ones), and membership, refinement and the node count visit
+each distinct node, or pair of nodes, once.  Sharing saves time only: a
+reused result charges the steps it stands for, and a kept observation
+is reused only where the gas tank would give each of its forcings the
+full fuel limit, so fuel use and fuel-limited results are those of
+reducing afresh.
 """
 
 from __future__ import annotations
@@ -220,12 +220,25 @@ class WhnfResult:
     steps: int = 0
 
 
-# A closure is a pair (term, env): env maps the free variables of term
-# that a reduction step bound to the closures they stand for; the others
-# are free in the term whnf was given.  Closures and environments are
-# never changed once built, so a closure reads back as one term.
-_Closure = tuple[PlainTerm, dict]
 _NO_ENV: dict = {}
+
+
+class _Thunk:
+    """An argument closure: a term and an env mapping the names that
+    reduction bound to their thunks; it reads back as one term.  `value`
+    is None until it is reduced to a constructor head or an abstraction,
+    and then that machine state (term, env, arguments with the first
+    last, no frames); `cost` is then the steps normal order takes to
+    reach it, and before, the most fuel a reduction of it ran out under
+    (-1 if none did), which its cost exceeds.  `kept` is `_approx`'s."""
+    __slots__ = ("term", "env", "value", "cost", "kept")
+
+    def __init__(self, term: PlainTerm, env: dict = _NO_ENV):
+        self.term = term
+        self.env = env
+        self.value = None
+        self.cost = -1
+        self.kept = None
 
 
 def whnf(t: PlainTerm, fuel: int) -> WhnfResult:
@@ -233,47 +246,88 @@ def whnf(t: PlainTerm, fuel: int) -> WhnfResult:
     out.  Values are abstractions, variable-headed spines, and stuck
     cases.
 
-    The reduction is normal order, on a call-by-name environment
-    machine: its state is a closure (term, env), a stack of argument
-    closures, and a stack of case frames.  A beta step binds the
-    variable to the top argument in a new env, an iota step binds the
-    branch binders to the scrutinee's argument closures, and a bound
-    variable jumps to its closure at no step.  An argument that is a
-    bound variable is pushed as that variable's closure, so a
-    self-application runs in constant space.  A case at the head waits,
-    with its env and arguments, on the frame stack while its scrutinee
-    is head-reduced under the fuel left; the scrutinee's result then
-    decides the case.
-
-    Nothing is substituted while reducing.  The term and arguments of
-    the result are read back once, at the end (`_readback`), each
-    closure once, so an argument closure met twice reads back as one
-    object.  A call that takes no step returns t and t's own arguments."""
+    The reduction is normal order, run by need (`_force`).  The term and
+    arguments of the result are read back once, at the end, each thunk
+    once, so an argument met twice reads back as one object.  A call
+    that takes no step returns t and t's own arguments."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    term, spine = t, []  # t's arguments, the first last
-    while type(term) is PApp:
-        spine.append(term.arg)
-        term = term.fun
-    if type(term) is PCon:
-        return WhnfResult("head", t, term.name, tuple(reversed(spine)))
-    steps = 0
-    frames: list[tuple[PCase, dict, list[_Closure]]] = []
-    env = _NO_ENV
-    args: list[_Closure] = [(a, env) for a in spine]  # the first last
+    kind, steps, stuck, state = _force(_Thunk(t), fuel)
+    memo: dict = {}
+    if kind == "head":
+        rargs = tuple(_readback(a, memo) for a in reversed(state[2]))
+        return WhnfResult("head", _apply(state[0], rargs) if steps else t,
+                          state[0].name, rargs, False, steps)
+    return WhnfResult(kind, _readback_state(state, memo) if steps else t,
+                      stuck=stuck, steps=steps)
+
+
+def _force(th: _Thunk, fuel: int) -> tuple[str, int, bool, Optional[tuple]]:
+    """Reduce th under `fuel`: (kind, steps charged, stuck, final state),
+    as `whnf` has them, the state being (term, env, args, frames).  A
+    reduced thunk costs no work; one known to need more than `fuel`
+    costs none either, and has no state.  Reduced alone, th needs no
+    update frame: a constructor head or an abstraction it ends in is its
+    value, which saves a constructor spine a frame."""
+    if th.value is None and fuel > th.cost:
+        kind, steps, stuck, state, _ = _run(th.term, th.env, [], [], fuel)
+        term, env, args, frames = state
+        if kind == "head" or kind == "value" and type(term) is PLam \
+                and not frames:
+            th.value = (term, _NO_ENV if kind == "head" else env,
+                        tuple(args), ())
+            th.cost = steps
+        else:
+            if kind == "fuel":
+                th.cost = max(th.cost, fuel)
+            return kind, steps, stuck, state
+    v = th.value
+    if v is None or th.cost > fuel:
+        return "fuel", fuel, False, None
+    return "head" if type(v[0]) is PCon else "value", th.cost, False, v
+
+
+def _run(term: PlainTerm, env: dict, args: list, frames: list, fuel: int):
+    """Run the machine from a state to a constructor head, a value or the
+    end of the fuel: (kind, steps charged, stuck, final state, steps
+    taken).  The state is a closure (term, env), a stack of argument
+    thunks (the first last) and a stack of frames.  A beta step binds
+    the variable to the top argument, an iota step the branch binders to
+    the scrutinee's arguments, and a bound variable enters its thunk at
+    no step; an argument that is a bound variable is pushed as its
+    thunk, so a self-application runs in constant space.  A case waits
+    on a case frame while its scrutinee is reduced.  A thunk entered
+    unreduced waits on an update frame, with its arguments, until a
+    constructor head or an abstraction gives it its value and cost; if
+    its reduction runs out of fuel or ends open or stuck, it stays
+    unreduced.  A reduced thunk is entered as its value, charged its
+    cost, if the fuel left covers that, and else as its closure, to run
+    out of fuel where normal order does; one entered again while it is
+    being reduced is reduced again, as by name."""
+    steps = reused = 0
     stuck = False
     while True:
         cls = type(term)
         if cls is PApp:
             a = term.arg
-            c = env.get(a.name) if type(a) is PVar else None
-            args.append((a, env) if c is None else c)
+            th = env.get(a.name) if type(a) is PVar else None
+            args.append(_Thunk(a, env) if th is None else th)
             term = term.fun
             continue
         if cls is PVar:
-            c = env.get(term.name)
-            if c is not None:
-                term, env = c
+            th = env.get(term.name)
+            if th is not None:
+                v = th.value
+                if v is None:
+                    frames.append((th, args, steps))
+                    term, env, args = th.term, th.env, []
+                elif steps + th.cost <= fuel:
+                    steps += th.cost
+                    reused += th.cost
+                    term, env = v[0], v[1]
+                    args.extend(v[2])
+                else:
+                    term, env = th.term, th.env
                 continue
             kind = "value"
         elif cls is PLam:
@@ -295,6 +349,16 @@ def whnf(t: PlainTerm, fuel: int) -> WhnfResult:
         else:
             kind = "head"
         if frames and kind != "fuel":
+            if type(frames[-1][0]) is _Thunk:
+                if kind == "value" and cls is not PLam:
+                    break  # an open term
+                th, saved, start = frames.pop()
+                th.value = (term, env if cls is PLam else _NO_ENV,
+                            tuple(args), ())
+                th.cost = steps - start
+                saved.extend(args)
+                args = saved
+                continue
             # the scrutinee's result decides the case waiting on it
             case, cenv, cargs = frames[-1]
             b = _branch_for(case, term.name, len(args)) \
@@ -315,22 +379,14 @@ def whnf(t: PlainTerm, fuel: int) -> WhnfResult:
             else:
                 kind = "fuel"
         break
-    if steps == 0:  # no constructor head: t is a value
-        return WhnfResult(kind, t, stuck=stuck)
-    memo: dict = {}
-    rargs = [_readback(c, memo) for c in reversed(args)]
-    out = _apply(_readback((term, env), memo), rargs)
-    for case, cenv, cargs in reversed(frames):
-        branches = _readback((PCase(_HOLE, case.branches), cenv),
-                             memo).branches
-        out = _apply(PCase(out, branches),
-                     [_readback(c, memo) for c in reversed(cargs)])
-    if kind == "head":
-        return WhnfResult("head", out, term.name, tuple(rargs), False, steps)
-    return WhnfResult(kind, out, stuck=stuck, steps=steps)
+    if kind == "fuel":  # each thunk being reduced needed more than it had
+        for th, _args, start in frames:
+            if type(th) is _Thunk and th.value is None:
+                th.cost = max(th.cost, fuel - start)
+    return kind, steps, stuck, (term, env, args, frames), steps - reused
 
 
-def _scope(env: dict, t: PlainTerm, x: str, c: _Closure) -> dict:
+def _scope(env: dict, t: PlainTerm, x: str, c: _Thunk) -> dict:
     """A new env for t: env with x bound to c.  Once env has grown wide,
     only the part of it t's free variables use is kept, so that a chain
     of nested binders does not copy an ever longer env at every step."""
@@ -345,32 +401,43 @@ def _scope(env: dict, t: PlainTerm, x: str, c: _Closure) -> dict:
 _HOLE = PCon("")
 
 
-def _readback(c: _Closure, memo: dict) -> PlainTerm:
-    """The term a closure stands for: its term with each variable its
-    env binds replaced, at once, by what that variable's closure reads
-    back as.
+def _readback_state(state: tuple, memo: dict) -> PlainTerm:
+    """The term a machine state stands for: its closure applied to its
+    arguments, inside the cases and applications its frames wait in."""
+    term, env, args, frames = state
+    out = _readback(_Thunk(term, env), memo)
+    for f, fenv, fargs in ((None, args, None), *reversed(frames)):
+        if type(f) is PCase:
+            out = PCase(out, _readback(_Thunk(PCase(_HOLE, f.branches), fenv),
+                                       memo).branches)
+        else:  # arguments: an update frame's, or the state's own
+            fargs = fenv
+        out = _apply(out, [_readback(a, memo) for a in reversed(fargs)])
+    return out
 
-    `memo` maps id(closure) to (closure, its term), so each closure is
-    read back once and a closure met twice gives the same object.  A
-    closure waits on a stack of its own while the closures it needs are
-    read back, so a chain of closures of any length reads back without
-    recursion."""
-    if not c[1]:
-        return c[0]
-    todo = [c]
+
+def _readback(th: _Thunk, memo: dict) -> PlainTerm:
+    """The term a thunk's closure stands for: its term with each name its
+    env binds replaced, at once, by what that name's thunk reads back as.
+    `memo` maps id(thunk) to (thunk, its term): a thunk met twice gives
+    one object.  Thunks wait on a stack while those they need are read
+    back, so a chain of any length needs no recursion."""
+    if not th.env:
+        return th.term
+    todo = [th]
     while todo:
         d = todo[-1]
         if id(d) in memo:
             todo.pop()
             continue
-        t, env = d
+        t, env = d.term, d.env
         sub = {}
         for x in t.fv:
             e = env.get(x)
             if e is None:
                 continue
-            if not e[1]:
-                sub[x] = e[0]
+            if not e.env:
+                sub[x] = e.term
             elif id(e) in memo:
                 sub[x] = memo[id(e)][1]
             else:
@@ -378,7 +445,7 @@ def _readback(c: _Closure, memo: dict) -> PlainTerm:
         if todo[-1] is d:
             todo.pop()
             memo[id(d)] = (d, _subst_all(t, sub) if sub else t)
-    return memo[id(c)][1]
+    return memo[id(th)][1]
 
 
 def _subst_all(t: PlainTerm, sub: dict) -> PlainTerm:
@@ -544,18 +611,12 @@ def approximant(t: PlainTerm, budget: EvalBudget,
 
 
 _FULL_DEPTH = float("inf")
-
-
-# An observation memo maps (id(t), fuel limit) to (t, whnf(t, limit)),
-# or, once t has been observed in full at some depth, to (t, whnf(t,
-# limit), {depth: what `_approx` returned for t at depth}).  Holding t
-# keeps its id from being reused while the entry lives.
-_Memo = dict[tuple[int, int], tuple]
+_ONCE = object()  # `_Thunk.kept` of a thunk observed once
 
 
 class _Node:
     """A constructor node of `_approx` whose children are being observed;
-    `done` is its term's table of full observations by depth when this
+    `done` is its thunk's table of full observations by depth when this
     one is to be kept there, else None."""
     __slots__ = ("head", "args", "depths", "kids", "steps", "limited",
                  "nodes", "done", "depth")
@@ -570,72 +631,67 @@ class _Node:
         self.done, self.depth = done, depth
 
 
-def _approx(t: PlainTerm, depth, fuel: int, reg: Optional[DefRegistry],
-            gas: list[int], memo: Optional[_Memo] = None
+def _approx(t: PlainTerm | _Thunk, depth, fuel: int,
+            reg: Optional[DefRegistry], gas: list[int]
             ) -> tuple[Approximant, int, bool, int]:
     """The approximant of `t`, the reduction steps it was charged,
     whether fuel cut it, and its number of nodes counted as a tree.
 
-    A subterm met again under the same limit reuses its whnf from the
-    memo (a fresh one when none is passed); whnf is a pure function of
-    the term and the limit, so its steps are charged all the same.  Such
-    a subterm, met before, may be shared, so its finished observation at
-    a depth is kept too, and a later visit at that depth reuses it, the
-    same object, and charges its steps again.  Gas decides exactly when:
-    an observation is kept only if the gas left after it is still at
-    least `fuel`, so that every whnf in it had the limit `fuel`, and it
-    is reused only if it leaves at least `fuel`, so that a fresh walk
-    would have given each of those whnf the same limit.  The result thus
-    reads as a walk of the tree, steps and fuel-limited leaves included,
-    while each shared subterm is observed once per depth.  A subterm met
-    for the first time is not looked up or kept, so unshared data costs
-    no more than a plain walk.
-
-    Children are observed left to right, each in full before the next,
-    on a stack of open constructor nodes rather than the Python stack."""
-    if memo is None:
-        memo = {}
+    `t` is a term, or a thunk that earlier observations, under the same
+    fuel and registry, have reduced in part.  Each thunk is reduced once
+    (`_force`) and charged its cost at every visit.  A thunk visited
+    before may be shared, so its finished observation at a depth is kept
+    too, and a later visit at that depth reuses it, the same object, and
+    charges its steps again.  Gas decides exactly when: an observation is
+    kept only if the gas left after it is at least `fuel`, so every
+    forcing in it had the limit `fuel`, and reused only if it leaves at
+    least `fuel`, so a fresh walk would give each forcing that limit.
+    The result thus reads as a walk of the tree by name, while each
+    shared thunk is observed once per depth.  A thunk met for the first
+    time is not looked up or kept, so unshared data costs no more than a
+    plain walk.  Children are observed left to right, each in full before
+    the next, on a stack of open constructor nodes."""
+    th = t if type(t) is _Thunk else _Thunk(t)
     path: list[_Node] = []
     while True:
-        # observe t at `depth`: either a leaf result or a new open node
+        # observe th at `depth`: either a leaf result or a new open node
         if reg is None and depth <= 0:
             res = (Bottom(), 0, False, 1)
         elif gas[0] <= 0:
             res = (Bottom(fuel_limited=True), 0, True, 1)
         else:
-            limit = min(fuel, gas[0])
-            key = (id(t), limit)
-            hit = memo.get(key)
-            done = None
-            if hit is None:
-                r = whnf(t, limit)
-                memo[key] = (t, r)
-            else:  # met before, so maybe shared: keep its observations
-                r = hit[1]
-                if r.args:
-                    if len(hit) == 2:
-                        hit = memo[key] = (t, r, {})
-                    done = hit[2]
-                    kept = done.get(depth)
-                    if kept is not None and gas[0] - kept[1] >= fuel:
-                        gas[0] -= kept[1]
-                        res, r = kept, None
-            if r is not None:
-                gas[0] -= r.steps
-                if r.kind == "fuel":
-                    res = (Bottom(fuel_limited=True), r.steps, True, 1)
-                elif r.kind != "head":
-                    res = (Opaque(r.term), r.steps, False, 1)
+            kind, steps, _, v = _force(th, min(fuel, gas[0]))
+            res = done = None
+            if kind == "head" and v[2]:
+                if th.kept is None:
+                    th.kept = _ONCE
+                else:  # met before, so maybe shared: keep its observations
+                    if th.kept is _ONCE:
+                        th.kept = {}
+                    done = th.kept
+                    res = done.get(depth)
+                    if res is not None and gas[0] - res[1] < fuel:
+                        res = None
+            if res is not None:
+                gas[0] -= res[1]
+            else:
+                gas[0] -= steps
+                if kind == "fuel":
+                    res = (Bottom(fuel_limited=True), steps, True, 1)
+                elif kind != "head":
+                    res = (Opaque(_readback_state(v, {})), steps, False, 1)
                 else:
-                    depths = _child_depths(r.head, len(r.args), depth, reg)
+                    head, args = v[0].name, v[2]
+                    depths = _child_depths(head, len(args), depth, reg)
                     if depths is None:  # a coinductive (or unknown) layer at 0
-                        res = (Bottom(), r.steps, False, 1)
-                    elif not r.args:
-                        res = (Constr(r.head, ()), r.steps, False, 1)
+                        res = (Bottom(), steps, False, 1)
+                    elif not args:
+                        res = (Constr(head, ()), steps, False, 1)
                     else:
-                        path.append(_Node(r.head, r.args, depths, r.steps,
-                                          done, depth))
-                        t, depth = r.args[0], depths[0]
+                        args = args[::-1]
+                        path.append(_Node(head, args, depths, steps, done,
+                                          depth))
+                        th, depth = args[0], depths[0]
                         continue
         # hand the result to the open nodes it completes
         while path:
@@ -646,7 +702,7 @@ def _approx(t: PlainTerm, depth, fuel: int, reg: Optional[DefRegistry],
             node.nodes += res[3]
             i = len(node.kids)
             if i < len(node.args):
-                t, depth = node.args[i], node.depths[i]
+                th, depth = node.args[i], node.depths[i]
                 break
             path.pop()
             res = (Constr(node.head, tuple(node.kids)), node.steps,
@@ -879,11 +935,10 @@ def productivity_check(t: PlainTerm, tau: Type, reg: DefRegistry,
     chain_ok = True
     fail_at: Optional[int] = None
     prev: Optional[Approximant] = None
-    memo: _Memo = {}
+    root = _Thunk(t)  # every depth observes the thunks of the one before
     for n in range(max_depth + 1):
         gas = [budget.fuel * (n + 2)]
-        a, steps, limited, nodes = _approx(t, n, budget.fuel, reg, gas,
-                                           memo)
+        a, steps, limited, nodes = _approx(root, n, budget.fuel, reg, gas)
         ok = member(a, tau_n, reg, SizeValuation({level_var: n}))
         verdicts.append(DepthVerdict(n, ok, nodes, steps, limited, a))
         if prev is not None and not refines(a, prev):

@@ -1420,8 +1420,9 @@ def check_term_wf(t: Term, reg: DefRegistry) -> list[Diagnostic]:
 
     Annotation types must be closed (no type variables) and arity-correct;
     case branches must use known constructors, pairwise distinct, with the
-    right number of binders.  Diagnostics come in source order: a node's
-    own before its children's, and a case branch's before its body's.
+    right number of pairwise distinct binders.  Diagnostics come in source
+    order: a node's own before its children's, and a case branch's before
+    its body's.
     """
     def node(t: Term, kids: list, _c) -> list[Diagnostic]:
         cls = type(t)
@@ -1450,6 +1451,11 @@ def check_term_wf(t: Term, reg: DefRegistry) -> list[Diagnostic]:
                     out.append(Diagnostic(
                         f"branch for {b.con} binds {len(b.binders)} variable(s), "
                         f"constructor has {len(sig.arg_types)} argument(s)"))
+                twice = [x for i, x in enumerate(b.binders)
+                         if x in b.binders[:i]]
+                if twice:
+                    out.append(Diagnostic(
+                        f"branch for {b.con} binds {twice[0]} twice"))
                 out += body
             return out
         for k in kids:

@@ -80,6 +80,48 @@ def test_productivity_porcelain(capsys):
     assert lines[-1] == "verdict: PASS"
 
 
+@pytest.mark.parametrize("args", [
+    (TREES, "bzeros", "--type", "BTree", "--depth", "16"),
+    (STREAMS, "omega", "--type", "Strm", "--depth", "2", "--fuel", "300"),
+    (STREAMS, "cons zero zero", "--type", "Strm", "--depth", "2"),
+], ids=["bzeros", "omega", "no_stream"])
+def test_productivity_porcelain_marks_fuel_limited_fails(capsys, args):
+    # a depth that fails because fuel ran out reads `fail fuel-limited`,
+    # as the plain report marks it; an observed counterexample reads
+    # `fail`, and an ok stays `ok` even where fuel cut a branch
+    code, plain, _ = run(capsys, "productivity", *args)
+    pcode, porcelain, _ = run(capsys, "--porcelain", "productivity", *args)
+    assert code == pcode == 1
+    rows = plain.splitlines()[:-1]
+    want = [f"report.{n}: " + ("ok" if ": ok " in row else
+                               "fail fuel-limited" if "fuel-limited" in row
+                               else "fail")
+            for n, row in enumerate(rows)]
+    assert porcelain.splitlines() == want + ["verdict: FAIL"]
+    if args[1] == "bzeros":  # the gas tank binds from depth 15 on
+        assert want[14:] == ["report.14: ok", "report.15: fail fuel-limited",
+                             "report.16: fail fuel-limited"]
+    if args[1] == "cons zero zero":
+        assert want[-1] == "report.2: fail"
+
+
+@pytest.mark.parametrize("cmd", [
+    ("infer",), ("check", ":", "Nat"), ("eval",),
+    ("productivity", "--type", "Strm"),
+])
+def test_repeated_branch_binder_exit_2(tmp_path, capsys, cmd):
+    # typing would read the second x, reduction the first: rejected
+    term = "case zeros of { cons x x => x }"
+    f = tmp_path / "twice.slam"
+    f.write_text((CORPUS_DIR / "streams.slam").read_text()
+                 + f"\ntwice = {term};\n")
+    for file, src in ((STREAMS, term), (str(f), "twice")):
+        argv = [cmd[0], file, src, *cmd[1:]]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "binds x twice" in err, argv
+
+
 def test_solve(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", str(CORPUS_DIR / "bad.sc"))
     assert code == 1
@@ -395,39 +437,81 @@ def test_eval_long_binding_chain(tmp_path, capsys):
 def test_productivity_of_a_rational_tree_is_not_exponential(capsys,
                                                              monkeypatch):
     # bzeros = bnode zero t t has 3*2^n - 2 approximant nodes at depth n
-    # but about 3n distinct subterms; the report observes each shared
-    # subterm once per depth, so whnf runs O(depth) times and the
-    # approximants share their nodes.  Calls are counted, not timed.
+    # but about 3n distinct subterms; the report reduces each thunk once
+    # and observes each shared one once per depth, so the machine runs
+    # O(depth) times and the approximants share their nodes.  Calls are
+    # counted, not timed.
     from slam import rewrite
     from slam.rewrite import Constr
 
     depth = 14
-    counts = {"whnf": 0, "Constr": 0}
-    whnf, init = rewrite.whnf, Constr.__init__
+    counts = {"runs": 0, "Constr": 0}
+    machine, init = rewrite._run, Constr.__init__
 
-    def counted_whnf(*args):
-        counts["whnf"] += 1
-        return whnf(*args)
+    def counted_run(*args):
+        counts["runs"] += 1
+        return machine(*args)
 
     def counted_init(self, *args, **kw):
         counts["Constr"] += 1
         init(self, *args, **kw)
 
-    monkeypatch.setattr(rewrite, "whnf", counted_whnf)
+    monkeypatch.setattr(rewrite, "_run", counted_run)
     monkeypatch.setattr(Constr, "__init__", counted_init)
     code, out, err = run(capsys, "--porcelain", "productivity", TREES,
                          "bzeros", "--type", "BTree", "--depth", str(depth))
     assert (code, err) == (0, "")
     assert out.splitlines()[-1] == "verdict: PASS"
-    assert counts["whnf"] <= 2 * (depth + 1)
+    assert counts["runs"] <= 2 * (depth + 1)
     # O(depth) nodes per depth, against 3*2^depth for the tree at depth 14
     assert counts["Constr"] <= 3 * sum(n + 1 for n in range(depth + 1))
-    counts.update(whnf=0, Constr=0)
+    counts.update(runs=0, Constr=0)
     code, out, err = run(capsys, "productivity", TREES, "bzeros", "--type",
                          "BTree", "--depth", str(depth))
     assert (code, err) == (0, "")
     assert out.splitlines() == [
         f"{n}: ok (nodes={3 * 2 ** n - 2}, fuelUsed={6 * 2 ** n - 3})"
         for n in range(depth + 1)] + ["PASS"]
-    assert counts["whnf"] <= 2 * (depth + 1)
+    assert counts["runs"] <= 2 * (depth + 1)
     assert counts["Constr"] <= 3 * sum(n + 1 for n in range(depth + 1))
+
+
+def test_infer_finds_the_reach_sets_once_per_query(tmp_path, capsys,
+                                                   monkeypatch):
+    # b_i = succ b_(i-1): a scan of the bindings per binding made infer
+    # quadratic in the chain; the reach sets are found once per query.
+    # Calls are counted, not timed.
+    from slam.parser import SlamFile
+
+    n = 200
+    f = tmp_path / "chain.slam"
+    f.write_text((CORPUS_DIR / "streams.slam").read_text() + "\nb0 = zero;\n"
+                 + "".join(f"b{i} = succ b{i - 1};\n" for i in range(1, n + 1)))
+    calls = []
+    reached = SlamFile.reached
+    monkeypatch.setattr(SlamFile, "reached",
+                        lambda self, *a, **k: calls.append(a) or
+                        reached(self, *a, **k))
+    code, out, err = run(capsys, "infer", str(f), f"b{n}")
+    assert (code, out, err) == (0, f"Nat^{n + 1}\n", "")
+    assert len(calls) == 1
+    calls.clear()
+    code, out, err = run(capsys, "check", str(f), f"b{n}", ":", f"Nat^{n + 1}")
+    assert (code, out, err) == (0, "yes\n", "")
+    assert len(calls) == 1
+
+
+def test_reach_sets_match_reached_with_forward_references():
+    # forward references and a cycle take the fixpoint more than one pass
+    from slam.cli import _reach_sets
+    from slam.parser import parse_slam, parse_term
+
+    sf = parse_slam((CORPUS_DIR / "streams.slam").read_text()
+                    + "\nfa = succ fb;\nfd = fa;\nfb = succ fc;\nfc = zero;\n"
+                    + "cx = cy;\ncy = plus cx fd;\n")
+    names = sf.reached(parse_term("cy", sf.registry))
+    bit, reach = _reach_sets(sf, names)
+    for n in names:
+        assert [m for m in names if reach[n] & bit[m]] == \
+            sf.reached(sf.bindings[n]), n
+    assert reach["cx"] & bit["cx"] and reach["fd"] & bit["fc"]

@@ -13,7 +13,7 @@ from slam import (
 )
 from slam.rewrite import (
     Bottom, Constr, EvalBudget, NonObservableType, OMEGA, Opaque,
-    Y_COMBINATOR, _approx, approximant, erase, member, observable,
+    Y_COMBINATOR, _Thunk, _approx, approximant, erase, member, observable,
     productivity_check, psubst, refines, step, whnf,
 )
 from slam.syntax import DefRegistry, term_nodes
@@ -236,6 +236,32 @@ def test_whnf_matches_substitution_reference():
     assert kinds == {("head", False), ("value", False), ("value", True),
                      ("fuel", False)}
     assert renamed  # some binder was renamed, differently from the reference
+
+
+def test_forcing_a_thunk_again_gives_what_normal_order_gives():
+    # a thunk remembers its weak head normal form with its cost, or the
+    # most fuel it ran out under; forced again under any fuel, it gives
+    # the kind and steps a fresh reduction by name gives, also where the
+    # new fuel is one more than the fuel it ran out under
+    from slam.rewrite import _force
+
+    rng = random.Random(11)
+    inputs = [erase(t) for _label, _reg, t in corpus_terms()]
+    inputs += [t for t in _whnf_inputs() if not t.fv][-150:]
+    inputs += [PApp(Y_COMBINATOR, PLam("z", rand_plain(rng, 4)))
+               for _ in range(100)]
+    retried = 0
+    for t in inputs:
+        want = {f: whnf(t, f) for f in range(1, 16)}
+        for first in range(1, 14):
+            th = _Thunk(t)
+            _force(th, first)
+            for f in (first, first + 1, first + 2, 1):
+                kind, steps, _, _ = _force(th, f)
+                assert (kind, steps) == (want[f].kind, want[f].steps), \
+                    (t, first, f)
+                retried += kind != "fuel" and want[first].kind == "fuel"
+    assert retried
 
 
 def test_whnf_reads_a_shared_argument_back_once(trees):
@@ -502,8 +528,44 @@ def test_productivity_run_odd_nats(sp):
         "cons", (_nat_tree(3), Constr("cons", (_nat_tree(5), Bottom()))))))
 
 
+@pytest.mark.parametrize("observe", ["productivity", "eval"])
+def test_run_odd_nats_takes_steps_linear_in_depth(sp, monkeypatch, observe):
+    # fuel is charged by name, so fuelUsed grows with the square of the
+    # depth (element k alone is charged 12k + 6 steps); reduced by need,
+    # each thunk once, the steps the machine takes grow linearly.  Steps
+    # are counted, not timed.
+    from slam import rewrite
+
+    taken = []
+    run = rewrite._run
+
+    def counted(*args):
+        out = run(*args)
+        taken.append(out[-1])
+        return out
+
+    monkeypatch.setattr(rewrite, "_run", counted)
+    reg = sp.registry
+    t = erase(App(App(sp.linked("run"), sp.linked("odd")), sp.linked("nats")))
+    steps = {}
+    for depth in (20, 40):
+        taken.clear()
+        if observe == "eval":
+            a = approximant(t, EvalBudget(depth=depth), reg)
+            assert a.children[0] == _nat_tree(1)
+        else:
+            rep = productivity_check(t, parse_type("Strm", reg), reg,
+                                     max_depth=depth)
+            assert rep.passed
+            assert [(v.nodes, v.fuel_used) for v in rep.verdicts] == [
+                ((n + 1) ** 2, 6 * n * n + 30 * n + 30)
+                for n in range(depth + 1)]
+        steps[depth] = sum(taken)
+    assert 0 < steps[40] <= 2.5 * steps[20]
+
+
 class _NoMemo(dict):
-    """A whnf memo that never keeps an entry."""
+    """A whnf memo for `approx_reference` that never keeps an entry."""
 
     def __setitem__(self, key, value):
         pass
@@ -517,9 +579,9 @@ PRODUCTIVITY_CASES = [
 
 
 def test_whnf_memo_matches_fresh_approximants():
-    # productivity_check shares one whnf memo across all depths, and
-    # approximant one per call; each depth must read exactly as a
-    # memo-free observation of that depth
+    # productivity_check shares its thunks across all depths, and
+    # approximant observes a fresh term; each depth must read exactly as
+    # a memo-free observation of that depth by name
     limited = unlimited = 0
     for fname, src, tyname in PRODUCTIVITY_CASES:
         sf = load(fname)
@@ -527,8 +589,8 @@ def test_whnf_memo_matches_fresh_approximants():
         t = erase(link_all(sf, parse_term(src, reg)))
         tau = parse_type(tyname, reg)
         for fuel in (20, 60, 200, 10000):
-            fresh = [_approx(t, n, fuel, reg, [fuel * (n + 2)], _NoMemo())
-                     for n in range(9)]
+            fresh = [approx_reference(t, n, fuel, reg, [fuel * (n + 2)],
+                                      _NoMemo()) for n in range(9)]
             for n, (a, _steps, lim, _n) in enumerate(fresh):
                 got = approximant(t, EvalBudget(fuel=fuel, depth=n), reg)
                 assert repr(got) == repr(a), (src, fuel, n)
@@ -560,16 +622,17 @@ SHARING_CASES = [
 
 @pytest.mark.parametrize("fname,src,tyname", SHARING_CASES)
 def test_shared_observations_read_as_tree_walks(fname, src, tyname):
-    # one memo for all depths, as productivity_check keeps it, keeps and
-    # reuses the observations of shared subterms; each depth must read
-    # exactly as a walk of the tree that keeps none: the same
-    # approximant, steps, fuel-limited flag, node count and gas left,
-    # also where the gas tank binds (fuel 20: bzeros from depth 5 on).
-    # At fuel 20 the tree walk is `_approx` with a memo that keeps
-    # nothing; at the default fuel, where such a walk of bzeros or fpair
-    # at depth 14 redoes whnf some 10^5 times, it is the recursive
-    # reference with a whnf memo of its own (whnf is pure, and
-    # test_whnf_memo_matches_fresh_approximants ties the two walks)
+    # one root thunk for all depths, as productivity_check keeps it,
+    # keeps and reuses the reductions and observations of shared thunks;
+    # each depth must read exactly as a walk of the tree by name that
+    # keeps none: the same approximant, steps, fuel-limited flag, node
+    # count and gas left, also where the gas tank binds (fuel 20: bzeros
+    # from depth 5 on).  At fuel 20 the tree walk is the recursive
+    # reference with a memo that keeps nothing; at the default fuel,
+    # where such a walk of bzeros or fpair at depth 14 redoes whnf some
+    # 10^5 times, the reference keeps a whnf memo of its own (whnf is
+    # pure, and test_whnf_memo_matches_fresh_approximants ties the two
+    # walks)
     sf = load(fname)
     reg = sf.registry
     t = erase(link_all(sf, parse_term(src, reg)))
@@ -577,13 +640,13 @@ def test_shared_observations_read_as_tree_walks(fname, src, tyname):
     level = Coind(tau.defname, SVar("n"), tau.params)
     whnf_only = {}
     for fuel, depths in ((20, range(11)), (EvalBudget().fuel, range(15))):
-        memo = {}
+        root = _Thunk(t)
         fresh = []
         for n in depths:
             gas, gas0 = [fuel * (n + 2)], [fuel * (n + 2)]
-            got = _approx(t, n, fuel, reg, gas, memo)
+            got = _approx(root, n, fuel, reg, gas)
             if fuel == 20:
-                want = _approx(t, n, fuel, reg, gas0, _NoMemo())
+                want = approx_reference(t, n, fuel, reg, gas0, _NoMemo())
             else:
                 want = approx_reference(t, n, fuel, reg, gas0, whnf_only)
             assert repr(got) == repr(want) and gas == gas0, (src, fuel, n)
@@ -613,20 +676,21 @@ GAS_CASES = [
 @pytest.mark.parametrize("fname,src", GAS_CASES,
                          ids=["fpair", "closed_stream_head", "bzeros_of_two"])
 def test_shared_observations_keep_gas_exact(fname, src):
-    # small fuels make the gas tank bind inside shared subterms: an
-    # observation is kept only if every whnf in it had the full limit,
-    # and reused only if a fresh walk would give each the full limit;
-    # the closed head of the stream is one term at every level and depth
+    # small fuels make the gas tank bind inside shared thunks: an
+    # observation is kept only if every forcing in it had the full
+    # limit, and reused only if a fresh walk would give each the full
+    # limit; a thunk that ran out of fuel at one depth is reduced again,
+    # under more fuel, at the next
     sf = load(fname)
     reg = sf.registry
     t = erase(link_all(sf, parse_term(src, reg)))
     limited = 0
     for fuel in range(1, 31):
-        memo = {}
+        root = _Thunk(t)
         for n in range(9):
             gas, gas0 = [fuel * (n + 2)], [fuel * (n + 2)]
-            got = _approx(t, n, fuel, reg, gas, memo)
-            want = _approx(t, n, fuel, reg, gas0, _NoMemo())
+            got = _approx(root, n, fuel, reg, gas)
+            want = approx_reference(t, n, fuel, reg, gas0, _NoMemo())
             assert repr(got) == repr(want) and gas == gas0, (fuel, n)
             limited += got[2]
     assert limited
