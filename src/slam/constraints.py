@@ -8,18 +8,20 @@ conjunction of the U-equalities with the negated inequality is tested for
 satisfiability over the naturals by pushing +1 below min/max, splitting
 min/max away through fresh existential variables, and searching the
 resulting disjuncts over difference atoms.  The atoms live in one
-incremental shortest-path graph: each disjunct arm adds its few edges
-and is refuted when they close a negative cycle, and a model is read off
-the graph's exact shortest distances.  The 3-CNF hardness encoder lives
-here too.
+incremental shortest-path graph: a disjunct arm is refuted when its few
+edges would close a negative cycle, which is checked without writing
+the graph; only the arms the search commits are added, and a model is
+read off the graph's exact shortest distances.  The 3-CNF hardness
+encoder lives here too.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .sizes import (
@@ -91,12 +93,20 @@ def expand_type(u: Mapping[str, SizeExpr], t: Type) -> Type:
 # ---------------------------------------------------------------------------
 # Difference atoms and their satisfiability
 
+_ZERO_NODE = "$zero"
+
+
 @dataclass(frozen=True)
 class VarVar:
     """x + c <= y (c may be negative)."""
     x: str
     c: int
     y: str
+    # the difference-graph edge (w, u, b), meaning u <= w + b
+    edge: tuple[str, str, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "edge", (self.y, self.x, -self.c))
 
 
 @dataclass(frozen=True)
@@ -105,14 +115,58 @@ class VarConst:
     x: str
     op: str  # "<=" or ">="
     k: int
+    edge: tuple[str, str, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "edge", (_ZERO_NODE, self.x, self.k)
+                           if self.op == "<=" else
+                           (self.x, _ZERO_NODE, -self.k))
 
 
 DifferenceAtom = Union[VarVar, VarConst]
 
-_ZERO_NODE = "$zero"
+# the out-edges of a node not yet in a graph: x >= 0
+_FRESH = ((_ZERO_NODE, 0),)
+_UNCHANGED: Mapping[str, int] = MappingProxyType({})
 
 # undo-trail entry kinds of DifferenceGraph
 _POTENTIAL, _EDGE, _NODE = 0, 1, 2
+
+
+def _lowered(pi: Mapping[str, int],
+             adj: Mapping[str, Sequence[tuple[str, int]]],
+             w: str, u: str, b: int) -> Optional[Mapping[str, int]]:
+    """The potentials that a new edge w -> u of weight b lowers, or None
+    when it closes a negative cycle.
+
+    A node missing from `pi` and `adj` is new: potential 0 and one edge
+    to the zero node.  If pi[w] + b >= pi[u] the edge changes nothing.
+    Otherwise the relaxation runs from u, Dijkstra-style over the
+    reduced costs of `pi` (every one of them >= 0), keeping tentative
+    and settled distances in a map of its own; the edge closes a
+    negative cycle exactly when the relaxation would lower w.
+    """
+    pu = pi.get(u, 0)
+    du = pi.get(w, 0) + b
+    if du >= pu:
+        return _UNCHANGED
+    if u == w:
+        return None
+    dist = {u: du}
+    heap = [(du - pu, du, u)]
+    while heap:
+        _, ds, s = heappop(heap)
+        if ds != dist[s]:
+            continue  # settled through a shorter entry
+        for t, c in adj.get(s, _FRESH):
+            dt = ds + c
+            if dt < pi[t]:
+                if t == w:
+                    return None  # negative cycle through w -> u
+                if dt < dist.get(t, dt + 1):
+                    dist[t] = dt
+                    heappush(heap, (dt - pi[t], dt, t))
+    return dist
 
 
 class DifferenceGraph:
@@ -125,11 +179,15 @@ class DifferenceGraph:
     shortest distance from a virtual source with a 0-weight edge to every
     node, so it is unique and a model is read off it directly.
 
-    `extend` adds edges one at a time.  An edge w -> u of weight b that
-    lowers u relaxes only from u, Dijkstra-style over the reduced costs
-    of the potential (Cotton & Maler, SAT 2006); the atoms so far have a
-    negative cycle exactly when that relaxation lowers w.  Every change
-    goes on an undo trail, so a search can try atoms and take them back.
+    An edge w -> u of weight b that the potential already satisfies
+    (pi[w] + b >= pi[u]) cannot close a cycle; one that lowers u relaxes
+    only from u, over the reduced costs of the potential (Cotton &
+    Maler, SAT 2006).  `admits` runs that relaxation on the side and
+    never writes the graph: an arm's later atoms see its earlier atoms'
+    edges and lowered potentials in private copies.  `extend` is the
+    only writer: it adds the edge and the distances the relaxation
+    returns, and puts every change on an undo trail, so a search can
+    commit atoms and take them back.
     """
 
     def __init__(self) -> None:
@@ -156,67 +214,48 @@ class DifferenceGraph:
     def extend(self, atoms: Iterable[DifferenceAtom]) -> bool:
         """Add atoms; on a negative cycle leave the graph as it was and
         return False."""
-        mark = len(self._trail)
-        node = self._node
+        pi, adj, trail = self._pi, self._adj, self._trail
+        mark = len(trail)
         for a in atoms:
-            if isinstance(a, VarVar):
-                ok = self._edge(node(a.y), node(a.x), -a.c)
-            elif a.op == "<=":
-                ok = self._edge(_ZERO_NODE, node(a.x), a.k)
-            else:
-                ok = self._edge(node(a.x), _ZERO_NODE, -a.k)
-            if not ok:
+            w, u, b = a.edge
+            for x in (w, u):
+                if x not in pi:
+                    pi[x] = 0  # reached from the source only
+                    adj[x] = list(_FRESH)
+                    trail.append((_NODE, x, 0))
+            lowered = _lowered(pi, adj, w, u, b)
+            if lowered is None:
                 self.undo(mark)
                 return False
+            for s, d in lowered.items():
+                trail.append((_POTENTIAL, s, pi[s]))
+                pi[s] = d
+            adj[w].append((u, b))
+            trail.append((_EDGE, w, 0))
         return True
 
-    def admits(self, atoms: Iterable[DifferenceAtom]) -> bool:
-        """Whether the atoms can be added, leaving the graph unchanged."""
-        mark = len(self._trail)
-        if not self.extend(atoms):
-            return False
-        self.undo(mark)
+    def admits(self, atoms: Sequence[DifferenceAtom]) -> bool:
+        """Whether the atoms can be added; the graph is only read."""
+        pi, adj = self._pi, self._adj
+        if len(atoms) == 1:  # nearly every arm: no copies
+            w, u, b = atoms[0].edge
+            return _lowered(pi, adj, w, u, b) is not None
+        pi, adj = dict(pi), dict(adj)
+        for a in atoms:
+            w, u, b = a.edge
+            lowered = _lowered(pi, adj, w, u, b)
+            if lowered is None:
+                return False
+            pi.setdefault(w, 0)
+            pi.setdefault(u, 0)
+            pi.update(lowered)
+            adj[w] = [*adj.get(w, _FRESH), (u, b)]
         return True
 
     def model(self) -> dict[str, int]:
         """The shortest-distance model, variables in order of appearance."""
         base = self._pi[_ZERO_NODE]
         return {n: d - base for n, d in self._pi.items() if n != _ZERO_NODE}
-
-    def _node(self, x: str) -> str:
-        if x not in self._pi:
-            self._pi[x] = 0  # reached from the source only
-            self._adj[x] = [(_ZERO_NODE, 0)]  # x >= 0
-            self._trail.append((_NODE, x, 0))
-        return x
-
-    def _edge(self, w: str, u: str, b: int) -> bool:
-        pi, adj = self._pi, self._adj
-        du = pi[w] + b
-        if du < pi[u]:
-            if u == w:
-                return False
-            trail = self._trail
-            lowered = {u: du}  # tentative distances below the potential
-            heap = [(du - pi[u], u)]
-            while heap:
-                _, s = heappop(heap)
-                ds = lowered.pop(s, None)
-                if ds is None:
-                    continue  # settled through a shorter entry
-                trail.append((_POTENTIAL, s, pi[s]))
-                pi[s] = ds
-                for t, c in adj[s]:
-                    dt = ds + c
-                    if dt < pi[t]:
-                        if t == w:
-                            return False  # negative cycle through w -> u
-                        if dt < lowered.get(t, dt + 1):
-                            lowered[t] = dt
-                            heappush(heap, (dt - pi[t], t))
-        adj[w].append((u, b))
-        self._trail.append((_EDGE, w, 0))
-        return True
 
 
 def sat_atoms(atoms: Sequence[DifferenceAtom]) -> Optional[dict[str, int]]:
@@ -363,7 +402,8 @@ def _solve(g: DifferenceGraph,
     """Search the disjuncts over the committed atoms in `g`.
 
     An arm is feasible when `g` admits its atoms without a negative
-    cycle; the check leaves `g` unchanged.  Each split carries the arms
+    cycle; the check only reads `g`, and only commits (`extend`) write
+    its potentials, edges and undo trail.  Each split carries the arms
     not yet refused on the current branch: `g` only grows along a
     branch, so a refused arm stays refused, and only the others are
     checked again.  The search drops infeasible arms and commits forced
@@ -555,26 +595,32 @@ def encode_3cnf(clauses: Sequence[Clause]) -> tuple[SizeExpr, SizeExpr]:
 def parse_cnf_dimacs(src: str) -> list[list[Literal]]:
     """Parse DIMACS cnf; variable k becomes name 'xk'.
 
-    Raises ParseError at a token that is not an integer.
+    A line starting with '%' ends the clause list (SATLIB files end in
+    '%' and '0').  Raises ParseError at a token that is not an integer
+    and at a 0 that ends an empty clause, which would make the formula
+    unsatisfiable.
     """
+    from .parser import ParseError
+
     clauses: list[list[Literal]] = []
     current: list[Literal] = []
     for lineno, line in enumerate(src.splitlines(), 1):
-        if line.strip().startswith(("c", "p", "%")):
+        if line.strip().startswith("%"):
+            break
+        if line.strip().startswith(("c", "p")):
             continue
         for m in re.finditer(r"\S+", line):
             try:
                 n = int(m.group())
             except ValueError:
-                from .parser import ParseError
-
                 raise ParseError(f"expected an integer literal, got "
                                  f"{m.group()!r}", lineno,
                                  m.start() + 1) from None
             if n == 0:
-                if current:
-                    clauses.append(current)
-                    current = []
+                if not current:
+                    raise ParseError("empty clause", lineno, m.start() + 1)
+                clauses.append(current)
+                current = []
             else:
                 current.append((f"x{abs(n)}", n > 0))
     if current:

@@ -41,6 +41,10 @@ __all__ = [
     "parse_slam", "SlamFile", "tokenize",
 ]
 
+# The largest numeral a size may spell: `s+n` is built as n successor
+# nodes of about 130 bytes each.
+MAX_SIZE_NUMERAL = 10**6
+
 _KEYWORDS = {
     "inductive", "coinductive", "case", "of", "fix", "cofix", "forall",
     "min", "max", "oo", "let", "assert",
@@ -162,8 +166,7 @@ class _P:
         while True:
             t = self.peek()
             if t.kind == "num":
-                self.next()
-                s = size_const(int(t.text))
+                s = size_const(self.size_numeral())
             elif self.at_word("oo"):
                 self.next()
                 s = INFTY
@@ -188,11 +191,9 @@ class _P:
                     return s
                 while self.at_sym("+"):
                     self.next()
-                    t = self.peek()
-                    if t.kind != "num":
+                    if self.peek().kind != "num":
                         raise self.fail("expected a number after '+'")
-                    self.next()
-                    s = size_plus(s, int(t.text))
+                    s = size_plus(s, self.size_numeral())
                 if not frames:
                     return s
                 op, args = frames[-1]
@@ -206,6 +207,17 @@ class _P:
                 frames.pop()
                 s = args[0] if op is None else \
                     smin(*args) if op == "min" else smax(*args)
+
+    def size_numeral(self) -> int:
+        """The number at the next token.  A size n is n successor nodes,
+        so a numeral above MAX_SIZE_NUMERAL is refused."""
+        t = self.next()
+        # the length first: int() refuses more than 4,300 digits
+        if len(t.text.lstrip("0")) > len(str(MAX_SIZE_NUMERAL)) \
+                or int(t.text) > MAX_SIZE_NUMERAL:
+            raise ParseError(f"size numeral above the limit of "
+                             f"{MAX_SIZE_NUMERAL}", t.line, t.col)
+        return int(t.text)
 
     def type_(self, env: "_TypeEnv") -> Type:
         # frames: (build,) for a forall or an arrow, which the type parsed

@@ -195,6 +195,56 @@ def test_gen_hard_bad_token_exit_2(tmp_path, capsys):
     assert err.startswith("error: 3:3: ") and "'x2'" in err
 
 
+def test_gen_hard_empty_clause_exit_2(tmp_path, capsys):
+    # the second 0 ends an empty clause, which makes the formula
+    # unsatisfiable; dropping it would make `solve` print invalid
+    cnf = tmp_path / "empty.cnf"
+    cnf.write_text("1 0 0 2 0\n")
+    code, out, err = run(capsys, "gen-hard", str(cnf))
+    assert code == 2 and out == ""
+    assert err.startswith("error: 1:5: ") and "empty clause" in err
+
+
+def test_gen_hard_reads_satlib_trailer(tmp_path, capsys):
+    # SATLIB files end in a '%' line and a lone 0: the clause list ends
+    # at the '%', so the 0 is no empty clause
+    body = "p cnf 2 2\n1 -2 0\n2 0\n"
+    outs = []
+    for name, text in (("plain", body), ("satlib", body + "%\n0\n\n")):
+        cnf = tmp_path / f"{name}.cnf"
+        cnf.write_text(text)
+        outs.append(run(capsys, "gen-hard", str(cnf)))
+    assert outs[0] == outs[1] and outs[0][0] == 0
+
+
+@pytest.mark.parametrize("size", ["1000001", "99999999999999999999",
+                                  "9" * 5000])
+def test_huge_size_numeral_exit_2(tmp_path, capsys, size):
+    # a size n is n successor nodes: a huge numeral would exhaust memory
+    # (and one of 5,000 digits is past int()'s default digit limit)
+    sc = tmp_path / "big.sc"
+    sc.write_text(f"assert i + {size} <= i;")
+    code, out, err = run(capsys, "solve", str(sc))
+    assert code == 2 and out == ""
+    assert err.startswith("error: 1:12: ") and "above the limit" in err
+    code, out, err = run(capsys, "check", STREAMS, "zero", ":", f"Nat^{size}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: 1:5: ") and "above the limit" in err
+
+
+def test_size_numeral_at_the_limit(tmp_path, capsys, monkeypatch):
+    from slam import parser
+
+    monkeypatch.setattr(parser, "MAX_SIZE_NUMERAL", 10)
+    sc = tmp_path / "limit.sc"
+    sc.write_text("assert i + 10 <= i + 0009;")
+    code, out, err = run(capsys, "solve", str(sc))
+    assert (code, out, err) == (1, "invalid\ni = 0\n", "")
+    sc.write_text("assert i + 11 <= i;")
+    code, out, err = run(capsys, "solve", str(sc))
+    assert code == 2 and "1:12: size numeral above the limit of 10" in err
+
+
 def test_too_deep_input_exit_2(capsys, monkeypatch):
     # no input is known to nest too deeply for `infer` any more; the net
     # that maps RecursionError to exit 2 stays, for input that does

@@ -135,10 +135,52 @@ def _items(model):
     return None if model is None else list(model.items())
 
 
+def _graph_state(g: DifferenceGraph):
+    return (list(g._pi.items()),
+            [(x, list(edges)) for x, edges in g._adj.items()],
+            list(g._trail))
+
+
+def _check_admits(g: DifferenceGraph, done: list, chunk: list):
+    # admits agrees with a from-scratch solve and writes nothing: not
+    # the potentials, the edges or the undo trail
+    before = _graph_state(g)
+    expected = _items(sat_atoms_reference(done + chunk))
+    assert g.admits(chunk) == (expected is not None), (done, chunk)
+    assert _graph_state(g) == before, (done, chunk)
+    return expected
+
+
+# (committed atoms, atoms checked against them)
+_ADMITS_CASES = [
+    ([], [VarVar("x", 1, "x")]),  # x + 1 <= x on a new node
+    ([VarConst("x", "<=", 3)], [VarVar("x", 1, "x")]),  # on an old one
+    ([VarConst("x", ">=", 2)], [VarVar("x", 1, "y")]),  # new tail y
+    ([VarConst("x", ">=", 2)], [VarVar("y", 1, "x")]),  # new head y
+    ([VarConst("x", ">=", 2)], [VarVar("y", -1, "x")]),
+    ([VarConst("x", "<=", 2)], [VarVar("y", 3, "x")]),  # refused, y new
+    ([VarConst("x", ">=", 2)], [VarConst("y", "<=", 0)]),  # new nodes
+    ([VarConst("x", ">=", 2)], [VarConst("y", ">=", 5)]),
+    ([VarConst("x", ">=", 2), VarConst("z", "<=", 4)],
+     [VarConst("y", ">=", 5)]),  # lowers the zero node
+    ([VarConst("x", "<=", 2)], [VarConst("y", "<=", 1),
+                                VarVar("x", 0, "y")]),
+    ([VarConst("x", ">=", 2)], [VarConst("y", "<=", 1),
+                                VarVar("x", 1, "y")]),  # y new, refused
+    ([], [VarConst("y", ">=", 2), VarConst("y", "<=", 1)]),
+    ([], [VarVar("x", 1, "y"), VarVar("y", 1, "x")]),
+]
+
+
 def test_difference_graph_matches_reference():
     # a committed prefix extended chunk by chunk must agree with a
     # from-scratch solve of the concatenation, model and order included;
-    # a refused or undone chunk leaves the graph as it was
+    # a check, a refused chunk and an undone chunk leave the graph as it
+    # was
+    for done, chunk in _ADMITS_CASES:
+        g = DifferenceGraph()
+        assert g.extend(done)
+        _check_admits(g, done, chunk)
     rng = random.Random(31)
     for _ in range(2000):
         atoms = _rand_atoms(rng, rng.randint(0, 12))
@@ -149,9 +191,9 @@ def test_difference_graph_matches_reference():
             k = rng.randint(1, 4)
             chunk, atoms = atoms[:k], atoms[k:]
             before = _items(g.model())
-            expected = _items(sat_atoms_reference(done + chunk))
-            assert g.admits(chunk) == (expected is not None)
-            assert _items(g.model()) == before
+            for i in range(len(chunk)):
+                _check_admits(g, done, chunk[i:i + 1])
+            expected = _check_admits(g, done, chunk)
             mark = g.mark()
             if not g.extend(chunk):
                 assert expected is None and _items(g.model()) == before
