@@ -641,15 +641,18 @@ class SlamFile:
     def linked(self, name: str) -> Term:
         """Binding `name` with every earlier binding it reaches substituted
         in, capture-avoiding and in file order.  A reference to a later
-        binding (or to itself) stays a free variable."""
+        binding (or to itself) stays a free variable.  The earlier
+        bindings it reaches are linked first, in file order, each once."""
         if name not in self._linked:
-            t = self.bindings[name]
-            names = list(self.bindings)
-            earlier = set(names[:names.index(name)])
-            for prev in self.reached(t):
-                if prev in earlier:
-                    t = subst_term(t, self.linked(prev), prev)
-            self._linked[name] = t
+            pos = {n: i for i, n in enumerate(self.bindings)}
+            for n in [*self.reached(self.bindings[name]), name]:
+                if pos[n] > pos[name] or n in self._linked:
+                    continue
+                t = self.bindings[n]
+                for prev in self.reached(t):
+                    if pos[prev] < pos[n]:
+                        t = subst_term(t, self._linked[prev], prev)
+                self._linked[n] = t
         return self._linked[name]
 
 

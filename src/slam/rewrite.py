@@ -11,8 +11,9 @@ empirical productivity harness.
 
 Every walk here is depth-safe: erasure and the single reduction step are
 node functions over the term walks of `syntax.py` (`fold_term`,
-`term_nodes`), `psubst` is the substitution `syntax.substitute` shares
-with decorated terms, and `whnf` and its readback keep their own stacks.
+`term_nodes`), every substitution is `syntax.substitute`, the one that
+also links decorated terms, and `whnf` and its readback keep their own
+stacks.
 
 Reduction runs by need and charges fuel by name.  `whnf` runs on
 closures, a term with an environment, and substitutes nothing: a beta or
@@ -23,10 +24,12 @@ takes to reach it; meeting it again does no work but charges that cost
 again, so fuel, `fuelUsed=` and fuel-limited results are those of
 normal order by substitution.  Only opaque leaves and the result of
 `whnf` are read back to terms, each thunk as its original closure, by
-one simultaneous substitution that returns every subterm no bound
-variable is free in as the same object (terms cache their free
-variables, `fv`).  The single step, `step`, contracts its redex with
-`psubst`.
+one simultaneous substitution of its env that returns every subterm no
+bound variable is free in as the same object (terms cache their free
+variables, `fv`).  The single step, `step`, contracts a beta redex with
+`psubst` and an iota redex by putting the constructor's arguments for
+the branch binders at once, so both reducers give the same terms up to
+the names of bound variables.
 
 An observation descends into the thunks of constructor arguments.
 `approximant` observes a fresh term and `productivity_check` one for
@@ -51,8 +54,7 @@ from .sizes import INF, ExtNat, SizeValuation, eval_size
 from .syntax import (
     App, Case, Coind, Con, DefRegistry, Lam, PApp, PBranch, PCase, PCon,
     PLam, PVar, PlainTerm, SizeApp, SizeLam, SVar, Term, TyVar, Type, Var,
-    alpha_eq_plain, fold_term, fresh_name, rebuilt, substitute, term_nodes,
-    type_nodes,
+    alpha_eq_plain, fold_term, rebuilt, substitute, term_nodes, type_nodes,
 )
 
 __all__ = [
@@ -110,7 +112,7 @@ def psubst(t: PlainTerm, var: str, value: PlainTerm) -> PlainTerm:
 
     A subterm in which `var` is not free is returned as it is, the same
     object, so the result shares every untouched part of `t`."""
-    return substitute(t, var, value)
+    return substitute(t, ((var, value),))
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +197,7 @@ def _contract(t: PlainTerm) -> Optional[PlainTerm]:
         hit = _iota_branch(t)
         if hit is not None:
             b, args = hit
-            body = b.body
-            for x, a in zip(b.binders, args):
-                body = psubst(body, x, a)
-            return body
+            return substitute(b.body, zip(b.binders, args))
     return None
 
 
@@ -370,8 +369,7 @@ def _run(term: PlainTerm, env: dict, args: list, frames: list, fuel: int):
                 steps += 1
                 frames.pop()
                 env = cenv
-                # the first of two equal binders wins, as in substituting
-                # one binder after the other
+                # the first of two equal binders wins, as in `substitute`
                 for x, c in zip(reversed(b.binders), args):
                     env = _scope(env, b.body, x, c)
                 term, args = b.body, cargs
@@ -418,7 +416,8 @@ def _readback_state(state: tuple, memo: dict) -> PlainTerm:
 
 def _readback(th: _Thunk, memo: dict) -> PlainTerm:
     """The term a thunk's closure stands for: its term with each name its
-    env binds replaced, at once, by what that name's thunk reads back as.
+    env binds replaced, at once (`substitute`), by what that name's thunk
+    reads back as.
     `memo` maps id(thunk) to (thunk, its term): a thunk met twice gives
     one object.  Thunks wait on a stack while those they need are read
     back, so a chain of any length needs no recursion."""
@@ -444,59 +443,8 @@ def _readback(th: _Thunk, memo: dict) -> PlainTerm:
                 todo.append(e)
         if todo[-1] is d:
             todo.pop()
-            memo[id(d)] = (d, _subst_all(t, sub) if sub else t)
+            memo[id(d)] = (d, substitute(t, sub.items()))
     return memo[id(th)][1]
-
-
-def _subst_all(t: PlainTerm, sub: dict) -> PlainTerm:
-    """t with sub[x] put for each free occurrence of each x in sub, all
-    at once.  A binder that would capture a free variable of a value put
-    under it is renamed, in its scope, to the first name fresh_name
-    gives that is free in neither those values nor the scope and is none
-    of its node's other binders.  A subterm no x is free in is returned
-    as it is, the same object.
-
-    The walk keeps (node, sub, out, i) on a stack: node is to get sub,
-    and the result goes to out[i]; the nodes it changes are rebuilt last,
-    children before parents."""
-    if t.fv.isdisjoint(sub):
-        return t
-    vals: list = [t]
-    nodes: list = []
-    work: list = [(t, sub, vals, 0)]
-    while work:
-        x, s, out, i = work.pop()
-        if type(x) is PVar:
-            out[i] = s[x.name]
-            continue
-        kids = x._kids()
-        new = list(kids)
-        binds = x._binds()
-        renamed = None
-        for j, (k, names) in enumerate(zip(kids, binds)):
-            sk = s
-            if names:
-                sk = {y: v for y, v in s.items()
-                      if y in k.fv and y not in names}
-                free = frozenset().union(*(v.fv for v in sk.values()))
-                if not free.isdisjoint(names):
-                    names = list(names)
-                    for n, y in enumerate(names):
-                        if y in free:
-                            names[n] = fresh_name(
-                                y, free | k.fv | set(names))
-                            if y in k.fv:
-                                sk[y] = PVar(names[n])
-                    renamed = renamed or list(binds)
-                    renamed[j] = tuple(names)
-            if k.fv.isdisjoint(sk):
-                continue
-            work.append((k, sk, new, j))
-        nodes.append((x if renamed is None else x._rebind(renamed),
-                      new, out, i))
-    for x, new, out, i in reversed(nodes):  # children before parents
-        out[i] = x._with(new)
-    return vals[0]
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ class Succ(_Size):
         return size_plus(kids[0], self.n)
 
     def __repr__(self) -> str:
-        return f"{self.arg!r}+1"
+        return f"{self.base!r}" + "+1" * self.n
 
 
 @_size_class
@@ -995,16 +995,18 @@ def subst_term(t: Term, replacement: Term, var: str) -> Term:
 
     Used to link file bindings; typing itself never substitutes terms.
     """
-    return substitute(t, var, replacement)
+    return substitute(t, ((var, replacement),))
 
 
-def substitute(t, var: str, value):
-    """t, a decorated or plain term, with `value` put for the free
-    occurrences of `var`.  A binder that would capture a free variable
-    of value is first renamed, in its scope, to the first name
-    fresh_name gives that is free in neither value nor the scope and is
-    none of the scope's other binders nor var.  A subterm var is not
-    free in is returned as it is, the same object.
+def substitute(t, pairs):
+    """t, a decorated or plain term, with the value of each (name, value)
+    pair put for the free occurrences of the name, all at once: a name
+    takes the value of the first pair that names it.  A binder that
+    would capture a free variable of a value put under it is first
+    renamed, in its scope, to the first name fresh_name gives that is
+    free in neither the values nor the scope and is none of the scope's
+    other binders.  A subterm no name is free in is returned as it is,
+    the same object.
 
     The walk reads the node shapes itself: through fold_term, two
     callbacks per node doubled the cost of reduction.  Its stack holds
@@ -1012,9 +1014,15 @@ def substitute(t, var: str, value):
     and the result goes to out[i].  The nodes it changes are rebuilt
     last, children before parents, over the lists of their children's
     values."""
-    if var not in t.fv:
+    first: dict = {}
+    for y, v in pairs:
+        if y in t.fv:
+            first.setdefault(y, v)
+    if not first:
         return t
-    steps = ((var, value),)
+    steps = tuple(first.items())
+    one = len(steps) == 1  # the shortcuts below serve a single pair
+    var, value = steps[0]
     free = value.fv
     vals: list = [t]  # the result, in vals[0]
     nodes: list = []  # (node, its children's values, out, i), pre-order
@@ -1023,12 +1031,13 @@ def substitute(t, var: str, value):
         x, s, out, i = work.pop()
         kids = x._kids()
         if not kids:  # a variable
-            out[i] = value if s is steps else _subst_var(x, s)
+            out[i] = value if one and s is steps else _subst_var(x, s)
             continue
         new = list(kids)
         nodes.append((x, new, out, i))
         binds = x._binds() if isinstance(x, _Binder) else None
-        if s is steps and (binds is None or all(map(free.isdisjoint, binds))):
+        if one and s is steps and (binds is None
+                                   or all(map(free.isdisjoint, binds))):
             # it goes as is into each child var is free in
             for j, k in enumerate(kids):
                 if var not in k.fv or binds and var in binds[j]:
@@ -1060,30 +1069,49 @@ def _steps_into(steps, fv, names):
     the renaming they call for.
 
     Each step (y, v) puts v for y, where v is a term, or a name that y
-    is renamed to; only the last step can put a term.  A binder that a
-    step would capture is renamed first, by a renaming step put in front
-    of it.  fv follows the steps made so far."""
+    is renamed to.  The renaming steps are made one after the other;
+    the steps that put terms come after them and are made at once.  A
+    binder that those would capture is renamed first, by a renaming step
+    put in front of them.  fv follows the renaming steps made so far."""
     if len(steps) == 1:
         y, v = steps[0]
         if y not in fv or y in names:
             return None, names
         if not names or type(v) is not str and v.fv.isdisjoint(names):
             return steps, names
-    out = []
+    out: list = []
+    puts: list = []
     for y, v in steps:
         if y not in fv or y in names:
             continue
-        free = frozenset((v,)) if type(v) is str else v.fv
-        for i, x in enumerate(names):
-            if x in free:
-                nv = fresh_name(x, free | fv | set(names) | {y})
-                if x in fv:
-                    out.append((x, nv))
-                    fv = (fv - {x}) | {nv}
-                names = names[:i] + (nv,) + names[i + 1:]
+        if type(v) is not str:
+            puts.append((y, v))
+            continue
+        if v in names:
+            names, fv = _rename_apart(names, frozenset((v,)), fv, out)
         out.append((y, v))
-        fv = (fv - {y}) | free
+        fv = (fv - {y}) | {v}
+    if puts:
+        free = frozenset().union(*[v.fv for _y, v in puts])
+        if not free.isdisjoint(names):
+            names, fv = _rename_apart(names, free, fv, out)
+        out += puts
     return tuple(out) or None, names
+
+
+def _rename_apart(names, free, fv, out):
+    """`names` with each binder in free renamed to the first name
+    fresh_name gives that is none of free, fv and names (fv holds the
+    names the steps put for); out gets a renaming step for each renamed
+    binder fv has.  Also fv after the renaming steps."""
+    for i, x in enumerate(names):
+        if x in free:
+            nv = fresh_name(x, free | fv | set(names))
+            if x in fv:
+                out.append((x, nv))
+                fv = (fv - {x}) | {nv}
+            names = names[:i] + (nv,) + names[i + 1:]
+    return names, fv
 
 
 def _subst_var(x, steps):

@@ -15,7 +15,7 @@ from slam import (
 )
 from slam.constraints import CyclicDefMap, check_acyclic, expand
 from slam.parser import SlamFile
-from slam.rewrite import WhnfResult, _apply, _iota_branch, _spine, psubst
+from slam.rewrite import WhnfResult, _apply, _iota_branch, _spine
 from slam.sizes import INF, SizeValuation
 from slam.syntax import (
     Infty, PApp, PBranch, PCase, PCon, PLam, PVar, Zero, alpha_eq,
@@ -2538,6 +2538,25 @@ def prename_reference(t: PlainTerm, old: str, new: str) -> PlainTerm:
     return psubst_sharing_reference(t, old, PVar(new))
 
 
+def iota_reference(b: PBranch, args) -> PlainTerm:
+    """The contractum of an iota step into branch b: its binders renamed
+    apart from the free variables of the constructor's arguments, then
+    the arguments put for them one binder after the other, which is then
+    the same as all at once.  The first of two equal binders wins."""
+    free = frozenset().union(*map(plain_free_vars_reference, args))
+    binders = list(b.binders)
+    body = b.body
+    for i, x in enumerate(binders):
+        if x in free:
+            nv = fresh_name(x, free | plain_free_vars_reference(body)
+                            | set(binders))
+            body = prename_reference(body, x, nv)
+            binders[i] = nv
+    for x, a in zip(binders, args):
+        body = psubst_sharing_reference(body, x, a)
+    return body
+
+
 def step1_reference(t: PlainTerm) -> Optional[PlainTerm]:
     if isinstance(t, PApp):
         if isinstance(t.fun, PLam):
@@ -2550,11 +2569,7 @@ def step1_reference(t: PlainTerm) -> Optional[PlainTerm]:
     if isinstance(t, PCase):
         hit = _iota_branch(t)
         if hit is not None:
-            b, args = hit
-            body = b.body
-            for x, a in zip(b.binders, args):
-                body = psubst_sharing_reference(body, x, a)
-            return body
+            return iota_reference(*hit)
         r = step1_reference(t.scrutinee)
         if r is not None:
             return PCase(r, t.branches)
@@ -2630,7 +2645,8 @@ def whnf_reference(t: PlainTerm, fuel: int) -> WhnfResult:
         elif isinstance(head, PLam) and args:
             if steps < fuel:
                 steps += 1
-                head, more = _spine(psubst(head.body, head.var, args[0]))
+                head, more = _spine(psubst_sharing_reference(
+                    head.body, head.var, args[0]))
                 args = more + args[1:]
                 t = None
                 continue
@@ -2665,11 +2681,7 @@ def whnf_reference(t: PlainTerm, fuel: int) -> WhnfResult:
                 res = WhnfResult("fuel", _apply(case, args), steps=steps)
             else:
                 steps += 1
-                b, cargs = hit
-                body = b.body
-                for x, a in zip(b.binders, cargs):
-                    body = psubst(body, x, a)
-                head, more = _spine(body)
+                head, more = _spine(iota_reference(*hit))
                 args = more + args
                 t = None
                 break
@@ -2714,11 +2726,7 @@ def whnf_recursive_reference(t: PlainTerm, fuel: int) -> WhnfResult:
         if steps >= fuel:
             return WhnfResult("fuel", rebuilt, steps=steps)
         steps += 1
-        b, cargs = hit
-        body = b.body
-        for x, a in zip(b.binders, cargs):
-            body = psubst_sharing_reference(body, x, a)
-        t = _apply(body, args)
+        t = _apply(iota_reference(*hit), args)
 
 
 def alpha_eq_type_reference(a: Type, b: Type) -> bool:

@@ -71,6 +71,15 @@ def test_productivity(capsys):
     assert code == 1 and "FAIL at n=1" in out
 
 
+def test_productivity_on_a_deep_unobservable_type(capsys):
+    # the message prints the type's size, a run of 5000 successors
+    code, out, err = run(capsys, "productivity", TREES, "wtree",
+                         "--type", "Tree^5000")
+    assert code == 2 and out == ""
+    assert err == "error: type is not observable: Tree^0" + "+1" * 5000 \
+        + "()\n"
+
+
 def test_productivity_porcelain(capsys):
     code, out, _ = run(capsys, "--porcelain", "productivity", STREAMS,
                        "zeros", "--type", "Strm", "--depth", "2")

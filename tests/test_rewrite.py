@@ -5,7 +5,7 @@ import pytest
 from helpers import (
     PLAIN_VARS, approx_reference, corpus_terms, link_all, load,
     plain_free_vars_reference, psubst_reference, rand_plain, same_whnf,
-    whnf_reference,
+    step1_reference, whnf_recursive_reference, whnf_reference,
 )
 from slam import (
     App, Coind, INFTY, PApp, PBranch, PCase, PCon, PLam, PVar, SVar, ZERO,
@@ -16,7 +16,7 @@ from slam.rewrite import (
     Y_COMBINATOR, _Thunk, _approx, approximant, erase, member, observable,
     productivity_check, psubst, refines, step, whnf,
 )
-from slam.syntax import DefRegistry, term_nodes
+from slam.syntax import DefRegistry, substitute, term_nodes
 from slam.sizes import SizeValuation
 
 def _nat_tree(n):
@@ -120,6 +120,58 @@ def test_psubst_renames_captured_binders():
     assert psubst(t, "x", PVar("y")).arg is lam
 
 
+def test_substitute_keeps_the_single_pair_names():
+    # renaming y to y_1 renames the inner y_1 to y_1_1 first, and putting
+    # y y_1_1 for x then renames that one again; a walker that renames
+    # both at once names the inner binder y_1_2
+    t = PLam("y", PLam("y_1", PApp(PApp(PVar("x"), PVar("y")),
+                                   PVar("y_1"))))
+    got = psubst(t, "x", PApp(PVar("y"), PVar("y_1_1")))
+    assert got == PLam("y_1", PLam("y_1_1_1", PApp(PApp(
+        PApp(PVar("y"), PVar("y_1_1")), PVar("y_1")), PVar("y_1_1_1"))))
+
+
+def test_substitute_puts_several_values_at_once():
+    t = PApp(PVar("x"), PVar("y"))
+    assert substitute(t, [("x", PVar("y")), ("y", PCon("c"))]) == \
+        PApp(PVar("y"), PCon("c"))
+    # the first pair that names a variable gives its value
+    assert substitute(t, [("x", PCon("a")), ("x", PCon("b"))]) == \
+        PApp(PCon("a"), PVar("y"))
+    assert substitute(t, [("z", PCon("a"))]) is t
+
+
+def _multi_subst_reference(t, pairs):
+    """Simultaneous substitution by the one-variable reference: each name
+    is first renamed to a name free in neither t nor any value, then the
+    values are put for those one after the other."""
+    first = {}
+    for y, v in pairs:
+        first.setdefault(y, v)
+    for n, y in enumerate(first):
+        t = psubst_reference(t, y, PVar(f"k{n}"))
+    for n, v in enumerate(first.values()):
+        t = psubst_reference(t, f"k{n}", v)
+    return t
+
+
+def test_multi_pair_substitute_matches_reference():
+    rng = random.Random(29)
+    renamed = 0
+    for _ in range(3000):
+        t = rand_plain(rng, 5)
+        pairs = [(rng.choice(PLAIN_VARS), rand_plain(rng, 2))
+                 for _ in range(rng.randint(2, 4))]
+        got = substitute(t, pairs)
+        want = _multi_subst_reference(t, pairs)
+        assert alpha_eq_plain(got, want), (t, pairs)
+        assert got.fv == plain_free_vars_reference(got)
+        if t.fv.isdisjoint(y for y, _v in pairs):
+            assert got is t
+        renamed += got != want
+    assert renamed  # binders were renamed, differently from the reference
+
+
 # -- single steps -------------------------------------------------------------
 
 def test_step_iota():
@@ -128,6 +180,22 @@ def test_step_iota():
                PBranch("d", ("x", "y"), PVar("y"))))
     r = step(t)
     assert r.term == PVar("t1")
+
+
+def test_iota_puts_the_arguments_for_the_binders_at_once():
+    # the first binder's argument names the second binder, so putting
+    # the arguments one binder after the other would give z
+    t = PCase(PApp(PApp(PCon("c"), PVar("y")), PVar("z")),
+              (PBranch("c", ("x", "y"), PVar("x")),))
+    # of two equal binders the first wins
+    u = PCase(PApp(PApp(PCon("c"), PVar("a")), PVar("b")),
+              (PBranch("c", ("x", "x"), PVar("x")),))
+    for case, want in ((t, PVar("y")), (u, PVar("a"))):
+        assert step(case).term == want
+        assert whnf(case, 5).term == want
+        assert step1_reference(case) == want
+        assert whnf_reference(case, 5).term == want
+        assert whnf_recursive_reference(case, 5).term == want
 
 
 def test_step_beta():

@@ -437,13 +437,11 @@ def test_render_deep_succ_chain():
 
 
 # The functions in src/slam that call themselves by name.  The walks over
-# two types at once still recurse once per level of their input;
-# `_solve` once per disjunct it branches on, and `SlamFile.linked` once
-# per binding a binding reaches.  A change may remove names from this
-# list, not add them.
+# two types at once still recurse once per level of their input, and
+# `_solve` once per disjunct it branches on.  A change may remove names
+# from this list, not add them.
 RECURSIVE = {
     "constraints._solve",
-    "parser.SlamFile.linked",
     "subtyping._lattice",
     "typecheck._Infer.decompose.go",
 }
@@ -1117,6 +1115,14 @@ def test_alpha_eq_on_a_deep_size():
         "Nat", size_plus(SVar("j"), 9_999), ())))
     assert alpha_eq_type(Coind("Nat", size_const(10_000), ()),
                          Coind("Nat", size_const(10_000), ()))
+
+
+def test_repr_of_a_deep_size():
+    # a run of +1 prints in one step: printed one level at a time, 5000
+    # levels would reach the recursion limit
+    assert repr(size_plus(SVar("i"), 5000)) == "i" + "+1" * 5000
+    assert repr(SMax(Succ(SVar("i")), size_plus(SMin(ZERO, INFTY), 2))) \
+        == "max(i+1,min(0,oo)+1+1)"
 
 
 def numeral(k, con, app):
