@@ -20,7 +20,7 @@ from .printer import print_plain, print_size, print_term, print_type
 from .rewrite import (
     Approximant, Bottom, Constr, EvalBudget, NonObservableType, Opaque,
     OMEGA, ProductivityReport, Y_COMBINATOR, approximant, erase, member,
-    observable, productivity_check, refines, step, whnf,
+    observable, productivity_check, refines, whnf,
 )
 from .sizes import (
     SizeValuation, eval_size, normalize_succ, overline, simplify_infty,

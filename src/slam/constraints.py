@@ -29,8 +29,8 @@ from .sizes import (
 )
 from .syntax import (
     INFTY, ONE, Coind, CyclicDefMap, SMax, SMin, SVar, Succ, SizeExpr, Type,
-    Zero, depth_first_order, fold_size, fold_type, rebuilt, size_nodes, smax,
-    smin, sv,
+    Zero, depth_first_order, fold_size, fold_type, fresh_name, rebuilt,
+    size_nodes, smax, smin, sv,
 )
 
 __all__ = [
@@ -660,9 +660,24 @@ def parse_constraint_file(src: str) -> SizeConstraint:
 
 
 def format_constraint(c: SizeConstraint) -> str:
-    from .printer import print_size
+    """`let` and `assert` lines that `parse_constraint_file` reads back.
 
-    lines = [f"let {i} = {print_size(s)};" for i, s in c.u.items()]
-    lines += [f"assert {print_size(a)} <= {print_size(b)};"
-              for a, b in c.pairs]
+    The size variables typing makes up (`$1`, `$s2`, `?e`) are no words
+    of that syntax: each is written with `_` for its first character
+    (`_1`, `_s2`, `_e`), or as the next fresh name if that is taken."""
+    from .printer import _print_size
+
+    names = set(c.u).union(*map(sv, c.u.values()),
+                           *(sv(a) | sv(b) for a, b in c.pairs))
+    ren: dict[str, str] = {}
+    for x in sorted(names):
+        if x[0] in "$?":
+            ren[x] = fresh_name("_" + x[1:], names.union(ren.values()))
+
+    def show(s: SizeExpr) -> str:
+        return fold_size(s, lambda x, kids: ren.get(x.name, x.name)
+                         if type(x) is SVar else _print_size(x, kids))
+
+    lines = [f"let {ren.get(i, i)} = {show(s)};" for i, s in c.u.items()]
+    lines += [f"assert {show(a)} <= {show(b)};" for a, b in c.pairs]
     return "\n".join(lines) + "\n"

@@ -9,27 +9,24 @@ exhaustion is its computable surrogate.  Membership of approximants in
 the finite approximations of observable (co)inductive types gives the
 empirical productivity harness.
 
-Every walk here is depth-safe: erasure and the single reduction step are
-node functions over the term walks of `syntax.py` (`fold_term`,
-`term_nodes`), every substitution is `syntax.substitute`, the one that
-also links decorated terms, and `whnf` and its readback keep their own
-stacks.
+Every walk here is depth-safe: erasure is a node function over the term
+fold of `syntax.py` (`fold_term`), every substitution is
+`syntax.substitute`, the one that also links decorated terms, and
+`whnf` and its readback keep their own stacks.
 
-Reduction runs by need and charges fuel by name.  `whnf` runs on
-closures, a term with an environment, and substitutes nothing: a beta or
-iota step binds a name to a thunk, an argument closure shared by every
-place that pushes or binds it.  A thunk is reduced to weak head normal
-form once and keeps it with its cost, the steps normal-order reduction
-takes to reach it; meeting it again does no work but charges that cost
-again, so fuel, `fuelUsed=` and fuel-limited results are those of
-normal order by substitution.  Only opaque leaves and the result of
-`whnf` are read back to terms, each thunk as its original closure, by
-one simultaneous substitution of its env that returns every subterm no
-bound variable is free in as the same object (terms cache their free
-variables, `fv`).  The single step, `step`, contracts a beta redex with
-`psubst` and an iota redex by putting the constructor's arguments for
-the branch binders at once, so both reducers give the same terms up to
-the names of bound variables.
+Reduction runs by need and charges fuel by name.  `whnf`, the one
+reducer, runs on closures, a term with an environment, and substitutes
+nothing: a beta or iota step binds a name to a thunk, an argument
+closure shared by every place that pushes or binds it.  A thunk is
+reduced to weak head normal form once and keeps it with its cost, the
+steps normal-order reduction takes to reach it; meeting it again does no
+work but charges that cost again, so fuel, `fuelUsed=` and fuel-limited
+results are those of normal order by substitution.  Only opaque leaves
+and the result of `whnf` are read back to terms, each thunk as its
+original closure, by one simultaneous substitution of its env that
+returns every subterm no bound variable is free in as the same object
+(terms cache their free variables, `fv`).  `_branch_for` alone decides
+which branch, if any, an iota step takes.
 
 An observation descends into the thunks of constructor arguments.
 `approximant` observes a fresh term and `productivity_check` one for
@@ -54,12 +51,11 @@ from .sizes import INF, ExtNat, SizeValuation, eval_size
 from .syntax import (
     App, Case, Coind, Con, DefRegistry, Lam, PApp, PBranch, PCase, PCon,
     PLam, PVar, PlainTerm, SizeApp, SizeLam, SVar, Term, TyVar, Type, Var,
-    alpha_eq_plain, fold_term, rebuilt, substitute, term_nodes, type_nodes,
+    _compare_as_trees, alpha_eq_plain, fold_term, substitute, type_nodes,
 )
 
 __all__ = [
-    "Y_COMBINATOR", "OMEGA", "erase", "psubst",
-    "step", "StepResult", "whnf", "WhnfResult",
+    "Y_COMBINATOR", "OMEGA", "erase", "psubst", "whnf", "WhnfResult",
     "Approximant", "Constr", "Bottom", "Opaque", "EvalBudget",
     "approximant", "refines", "member", "NonObservableType", "observable",
     "productivity_check", "ProductivityReport", "DepthVerdict",
@@ -118,28 +114,10 @@ def psubst(t: PlainTerm, var: str, value: PlainTerm) -> PlainTerm:
 # ---------------------------------------------------------------------------
 # Reduction
 
-def _spine(t: PlainTerm) -> tuple[PlainTerm, list[PlainTerm]]:
-    args: list[PlainTerm] = []
-    while isinstance(t, PApp):
-        args.append(t.arg)
-        t = t.fun
-    args.reverse()
-    return t, args
-
-
 def _apply(t: PlainTerm, args: list[PlainTerm]) -> PlainTerm:
     for a in args:
         t = PApp(t, a)
     return t
-
-
-def _iota_branch(t: PCase) -> Optional[tuple[PBranch, list[PlainTerm]]]:
-    """The branch an iota step would take, if any, and its arguments."""
-    head, args = _spine(t.scrutinee)
-    if not isinstance(head, PCon):
-        return None
-    b = _branch_for(t, head.name, len(args))
-    return None if b is None else (b, args)
 
 
 def _branch_for(t: PCase, con: str, n: int) -> Optional[PBranch]:
@@ -153,60 +131,6 @@ def _branch_for(t: PCase, con: str, n: int) -> Optional[PBranch]:
         if b.con == con:
             return b if len(b.binders) == n else None
     return None
-
-
-@dataclass
-class StepResult:
-    term: Optional[PlainTerm]  # None when in normal form
-    stuck: bool = False        # some case subterm can never fire
-
-
-def step(t: PlainTerm) -> StepResult:
-    """Contract the leftmost-outermost beta or iota redex."""
-    reduced = _step1(t)
-    if reduced is not None:
-        return StepResult(reduced, False)
-    return StepResult(None, _has_stuck_case(t))
-
-
-def _step1(t: PlainTerm) -> Optional[PlainTerm]:
-    """t with its leftmost-outermost redex, the first in pre-order,
-    contracted; None when there is none.  Once it is found, every node
-    still to be met is left as it is."""
-    found = False
-
-    def enter(x: PlainTerm, _ctx):
-        nonlocal found
-        if found:
-            return None
-        r = _contract(x)
-        if r is None:
-            return x, (True,) * len(x._kids())
-        found = True
-        return r, (None,) * len(r._kids())
-
-    r = fold_term(t, lambda x, kids, _ctx: rebuilt(x, kids), enter, True)
-    return r if found else None
-
-
-def _contract(t: PlainTerm) -> Optional[PlainTerm]:
-    """The contractum of t when t is a beta or iota redex, else None."""
-    if type(t) is PApp and type(t.fun) is PLam:
-        return psubst(t.fun.body, t.fun.var, t.arg)
-    if type(t) is PCase:
-        hit = _iota_branch(t)
-        if hit is not None:
-            b, args = hit
-            return substitute(b.body, zip(b.binders, args))
-    return None
-
-
-def _has_stuck_case(t: PlainTerm) -> bool:
-    """Whether some case in t has a constructor or an abstraction as the
-    head of its scrutinee and yet cannot take an iota step."""
-    return any(type(x) is PCase
-               and isinstance(_spine(x.scrutinee)[0], (PCon, PLam))
-               and _iota_branch(x) is None for x in term_nodes(t))
 
 
 @dataclass
@@ -455,44 +379,8 @@ class Constr:
     con: str
     children: tuple["Approximant", ...] = ()
 
-    def __eq__(self, other):
-        # one loop over pairs of nodes, not one call per level
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b):
-                return False
-            if type(a) is Constr:
-                if a.con != b.con or len(a.children) != len(b.children):
-                    return False
-                todo.extend(zip(a.children, b.children))
-            elif a != b:
-                return False
-        return True
-
-    def __hash__(self):
-        # bottom-up in one loop, each shared node once; equal trees
-        # hash alike, as `__eq__` compares them
-        memo: dict[int, int] = {}
-        todo = [self]
-        while todo:
-            a = todo[-1]
-            if id(a) in memo:
-                todo.pop()
-                continue
-            missing = [k for k in a.children
-                       if type(k) is Constr and id(k) not in memo]
-            if missing:
-                todo.extend(missing)
-                continue
-            todo.pop()
-            memo[id(a)] = hash((a.con, *[memo[id(k)] if type(k) is Constr
-                                         else hash(k) for k in a.children]))
-        return memo[id(self)]
+    def _kids(self) -> tuple:
+        return self.children
 
     def __repr__(self):
         # the dataclass repr, written out in one loop over the tree
@@ -518,13 +406,23 @@ class Constr:
 class Bottom:
     fuel_limited: bool = field(default=False, compare=False)
 
+    def _kids(self) -> tuple:
+        return ()
+
 
 @dataclass(frozen=True)
 class Opaque:
     term: PlainTerm
 
+    def _kids(self) -> tuple:
+        return (self.term,)
+
 
 Approximant = Union[Constr, Bottom, Opaque]
+
+# compared and hashed in one loop over the nodes, as terms are
+_compare_as_trees({Constr: lambda a: (a.con, len(a.children)),
+                   Bottom: None, Opaque: None})
 
 
 @dataclass(frozen=True)
@@ -732,6 +630,12 @@ def observable(tau: Type, reg: DefRegistry) -> bool:
     return True
 
 
+def _need_observable(tau: Type, reg: DefRegistry) -> None:
+    if not observable(tau, reg):
+        from .printer import print_type
+        raise NonObservableType(f"type is not observable: {print_type(tau)}")
+
+
 def member(a: Approximant, tau: Type, reg: DefRegistry,
            v: SizeValuation | Mapping[str, ExtNat] | None = None,
            strict: bool = False) -> bool:
@@ -746,8 +650,7 @@ def member(a: Approximant, tau: Type, reg: DefRegistry,
     Parameters are checked at their own (full) interpretations; only the
     main recursive chain is approximated.
     """
-    if not observable(tau, reg):
-        raise NonObservableType(f"type is not observable: {tau!r}")
+    _need_observable(tau, reg)
     if v is None:
         v = SizeValuation({})
     elif not isinstance(v, SizeValuation):
@@ -790,7 +693,9 @@ def _member(a: Approximant, goal: tuple, reg: DefRegistry, v) -> bool:
                 g = (t.defname, [(p, env) for p in t.params],
                      eval_size(v, t.size), False)
             else:
-                raise NonObservableType(f"non-observable position: {t!r}")
+                from .printer import print_type
+                raise NonObservableType(
+                    f"non-observable position: {print_type(t)}")
         return goals.setdefault((g[0], *map(id, g[1]), g[2], g[3]), g)
 
     todo = [(a, one(goal))]
@@ -875,8 +780,7 @@ def productivity_check(t: PlainTerm, tau: Type, reg: DefRegistry,
         budget = EvalBudget()
     if not (isinstance(tau, Coind) and reg.definition(tau.defname).coinductive):
         raise NonObservableType("productivity needs a coinductive type")
-    if not observable(tau, reg):
-        raise NonObservableType(f"type is not observable: {tau!r}")
+    _need_observable(tau, reg)
     level_var = "$depth"
     tau_n = Coind(tau.defname, SVar(level_var), tau.params)
     verdicts: list[DepthVerdict] = []

@@ -12,7 +12,10 @@ definitions, so renaming their forall binder syntactically would be
 wrong.  Callers that own a definition map pass a `BinderEnv`; binders
 registered as linear (single-consumer) are then aliased through the map
 rather than renamed.  Without an environment both binders are renamed to
-a fresh common name, which is correct for self-contained types.
+a fresh common name, which is correct for self-contained types; the
+names are counted from `$a1` anew per call, apart from every size
+variable and forall binder of the two types, so equal calls give equal
+results.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Optional, Protocol
 
 from .syntax import (
     BOT, Arrow, Bot, Coind, DefRegistry, Forall, SMax, SMin, SVar, SizeExpr,
-    TyVar, Type, subst_type_size,
+    TyVar, Type, forall_binders, subst_type_size, sv,
 )
 
 __all__ = [
@@ -33,9 +36,6 @@ __all__ = [
 Pair = tuple[SizeExpr, SizeExpr]
 
 
-
-
-
 class BinderEnv(Protocol):
     u: dict[str, SizeExpr]
     linear: set[str]
@@ -43,11 +43,27 @@ class BinderEnv(Protocol):
     def fresh_binder(self) -> str: ...
 
 
-_pure_counter = itertools.count(1)
+class _Fresh:
+    """The binder environment of a call made without one: no definition
+    map, no linear binders, and binder names `$a1`, `$a2`, ... apart
+    from the size names of the types the call relates."""
+
+    def __init__(self, *types: Type):
+        self.u: dict[str, SizeExpr] = {}
+        self.linear: set[str] = set()
+        self._taken = frozenset().union(
+            *(sv(t) | forall_binders(t) for t in types))
+        self._counter = itertools.count(1)
+
+    def fresh_binder(self) -> str:
+        f = f"$a{next(self._counter)}"
+        while f in self._taken:
+            f = f"$a{next(self._counter)}"
+        return f
 
 
 def _align(b1: str, body1: Type, b2: str, body2: Type,
-           env: Optional[BinderEnv]) -> Optional[tuple[str, Type, Type]]:
+           env: BinderEnv) -> Optional[tuple[str, Type, Type]]:
     """A common binder for two forall bodies, or None when impossible.
 
     Linear binders are aliased through the definition map so occurrences
@@ -57,22 +73,19 @@ def _align(b1: str, body1: Type, b2: str, body2: Type,
     """
     if b1 == b2:
         return b1, body1, body2
-    if env is not None:
-        if b2 in env.linear:
-            if b2 in env.u:
-                return None
-            env.linear.discard(b2)
-            env.u[b2] = SVar(b1)
-            return b1, body1, body2
-        if b1 in env.linear:
-            if b1 in env.u:
-                return None
-            env.linear.discard(b1)
-            env.u[b1] = SVar(b2)
-            return b2, body1, body2
-        f = env.fresh_binder()
-    else:
-        f = f"$a{next(_pure_counter)}"
+    if b2 in env.linear:
+        if b2 in env.u:
+            return None
+        env.linear.discard(b2)
+        env.u[b2] = SVar(b1)
+        return b1, body1, body2
+    if b1 in env.linear:
+        if b1 in env.u:
+            return None
+        env.linear.discard(b1)
+        env.u[b1] = SVar(b2)
+        return b2, body1, body2
+    f = env.fresh_binder()
     return (f, subst_type_size(body1, SVar(f), b1),
             subst_type_size(body2, SVar(f), b2))
 
@@ -82,6 +95,8 @@ def gen_sub_constraints(t1, t2, reg: DefRegistry,
                         ) -> Optional[list[Pair]]:
     """Size inequalities equivalent to t1 <= t2, or None when the shapes
     are incompatible (no forall instantiation, no structural mismatch)."""
+    if env is None:
+        env = _Fresh(t1, t2)
     out: dict[Pair, None] = {}
     # the pairs still to relate, popped in the order a recursive walk
     # would meet them, since aligning binders updates `env`
@@ -127,12 +142,14 @@ def subtype(t1, t2, reg: DefRegistry,
 
 def join(t1, t2, reg: DefRegistry, env: Optional[BinderEnv] = None):
     """Least upper bound, or None when undefined."""
-    return _lattice(t1, t2, reg, env, up=True)
+    return _lattice(t1, t2, reg, _Fresh(t1, t2) if env is None else env,
+                    up=True)
 
 
 def meet(t1, t2, reg: DefRegistry, env: Optional[BinderEnv] = None):
     """Greatest lower bound, or None when undefined."""
-    return _lattice(t1, t2, reg, env, up=False)
+    return _lattice(t1, t2, reg, _Fresh(t1, t2) if env is None else env,
+                    up=False)
 
 
 def _lattice(a, b, reg, env, up: bool):

@@ -695,24 +695,29 @@ class PCase(_CaseShape):
 PlainTerm = Union[PVar, PCon, PLam, PApp, PCase]
 
 
-# Term equality compares two trees in one loop over pairs of nodes, not
-# once per level: two nodes are equal when they are of one class, agree
-# on their fields besides their children (their `_EQ_LABEL`), and have
-# equal children.  The hash mixes the same three things, bottom-up in
-# one loop, so equal terms hash alike.
+# Equality of types and terms, and of the approximants of `rewrite`,
+# compares two trees in one loop over pairs of nodes, not once per
+# level: two nodes are equal when they are of one class, agree on their
+# fields besides their children (their `_EQ_LABEL`), and have equal
+# children.  The hash mixes the same three things, bottom-up in one
+# loop, so equal trees hash alike.  A label holds whatever fixes the
+# number of children, so that pairing them off compares them all.
 
 def _branch_labels(x) -> tuple:
     return tuple((b.con, b.binders) for b in x.branches)
 
 
-_EQ_LABEL = {
-    Var: attrgetter("name"), Con: attrgetter("name"),
-    PVar: attrgetter("name"), PCon: attrgetter("name"),
-    Lam: attrgetter("var", "ty"), Fix: attrgetter("var", "ty"),
-    Cofix: attrgetter("size_var", "var", "ty"), PLam: attrgetter("var"),
-    SizeLam: attrgetter("var"), SizeApp: attrgetter("size"),
-    App: None, PApp: None, Case: _branch_labels, PCase: _branch_labels,
-}
+_EQ_LABEL: dict = {}
+
+
+def _compare_as_trees(labels: dict) -> None:
+    """Give each class in `labels` the tree equality and hash, with its
+    label (a function of a node, or None for a node with no fields
+    besides its children)."""
+    _EQ_LABEL.update(labels)
+    for cls in labels:
+        cls.__eq__ = _term_eq
+        cls.__hash__ = _term_hash
 
 
 def _term_eq(self, other):
@@ -755,9 +760,16 @@ def _term_hash(self) -> int:
     return memo[id(self)]
 
 
-for _cls in _EQ_LABEL:
-    _cls.__eq__ = _term_eq
-    _cls.__hash__ = _term_hash
+_compare_as_trees({
+    TyVar: attrgetter("name"), Arrow: None, Forall: attrgetter("var"),
+    Coind: lambda x: (x.defname, x.size, len(x.params)), Bot: None,
+    Var: attrgetter("name"), Con: attrgetter("name"),
+    PVar: attrgetter("name"), PCon: attrgetter("name"),
+    Lam: attrgetter("var", "ty"), Fix: attrgetter("var", "ty"),
+    Cofix: attrgetter("size_var", "var", "ty"), PLam: attrgetter("var"),
+    SizeLam: attrgetter("var"), SizeApp: attrgetter("size"),
+    App: None, PApp: None, Case: _branch_labels, PCase: _branch_labels,
+})
 
 
 def term_nodes(t) -> Iterator:

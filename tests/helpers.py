@@ -15,7 +15,7 @@ from slam import (
 )
 from slam.constraints import CyclicDefMap, check_acyclic, expand
 from slam.parser import SlamFile
-from slam.rewrite import WhnfResult, _apply, _iota_branch, _spine
+from slam.rewrite import WhnfResult
 from slam.sizes import INF, SizeValuation
 from slam.syntax import (
     Infty, PApp, PBranch, PCase, PCon, PLam, PVar, Zero, alpha_eq,
@@ -1967,10 +1967,30 @@ def fold_size_reference(s):
     return s
 
 
+class FreshNamesReference:
+    """The binder environment `gen_sub_constraints` makes for a call
+    without one: nothing linear, and names $a1, $a2, ... that neither
+    type holds as a size variable or a forall binder."""
+
+    def __init__(self, *types):
+        self.u, self.linear, self.n = {}, set(), 0
+        self.taken = set()
+        for t in types:
+            self.taken |= sv_reference(t) | forall_binders_reference(t)
+
+    def fresh_binder(self):
+        self.n += 1
+        while f"$a{self.n}" in self.taken:
+            self.n += 1
+        return f"$a{self.n}"
+
+
 def gen_sub_constraints_reference(t1, t2, reg, env=None):
     from slam import Bot, TyVar
     from slam.subtyping import _align
 
+    if env is None:
+        env = FreshNamesReference(t1, t2)
     out = {}
 
     def go(a, b):
@@ -2144,7 +2164,8 @@ def member_reference(a, tau, reg, v=None, strict=False):
     from slam import NonObservableType
 
     if not observable_reference(tau, reg):
-        raise NonObservableType(f"type is not observable: {tau!r}")
+        raise NonObservableType(
+            f"type is not observable: {print_type_reference(tau)}")
     if v is None:
         v = SizeValuation({})
     elif not isinstance(v, SizeValuation):
@@ -2172,7 +2193,8 @@ def _member_type_reference(a, t, env, reg, v):
         level = eval_size_reference(v, t.size)
         preds = [_closure_reference(p, env, reg, v) for p in t.params]
         return _member_def_reference(a, t.defname, preds, level, False, reg, v)
-    raise NonObservableType(f"non-observable position: {t!r}")
+    raise NonObservableType(
+        f"non-observable position: {print_type_reference(t)}")
 
 
 def _member_def_reference(a, dn, preds, level, strict, reg, v):
@@ -2538,6 +2560,37 @@ def prename_reference(t: PlainTerm, old: str, new: str) -> PlainTerm:
     return psubst_sharing_reference(t, old, PVar(new))
 
 
+def _spine(t: PlainTerm) -> tuple[PlainTerm, list[PlainTerm]]:
+    args: list[PlainTerm] = []
+    while isinstance(t, PApp):
+        args.append(t.arg)
+        t = t.fun
+    args.reverse()
+    return t, args
+
+
+def _apply(t: PlainTerm, args) -> PlainTerm:
+    for a in args:
+        t = PApp(t, a)
+    return t
+
+
+def iota_branch_reference(t: PCase):
+    """The paper's iota rule: (branch, arguments) when t's scrutinee is
+    a constructor applied to arguments, the branch constructors are
+    pairwise distinct, and one branch is for that constructor and binds
+    as many names as it has arguments; else None."""
+    head, args = _spine(t.scrutinee)
+    if not isinstance(head, PCon):
+        return None
+    cons = [b.con for b in t.branches]
+    if len(cons) != len(set(cons)):
+        return None
+    hits = [b for b in t.branches
+            if b.con == head.name and len(b.binders) == len(args)]
+    return (hits[0], args) if hits else None
+
+
 def iota_reference(b: PBranch, args) -> PlainTerm:
     """The contractum of an iota step into branch b: its binders renamed
     apart from the free variables of the constructor's arguments, then
@@ -2567,7 +2620,7 @@ def step1_reference(t: PlainTerm) -> Optional[PlainTerm]:
         r = step1_reference(t.arg)
         return None if r is None else PApp(t.fun, r)
     if isinstance(t, PCase):
-        hit = _iota_branch(t)
+        hit = iota_branch_reference(t)
         if hit is not None:
             return iota_reference(*hit)
         r = step1_reference(t.scrutinee)
@@ -2584,20 +2637,6 @@ def step1_reference(t: PlainTerm) -> Optional[PlainTerm]:
         r = step1_reference(t.body)
         return None if r is None else PLam(t.var, r)
     return None
-
-
-def has_stuck_case_reference(t: PlainTerm) -> bool:
-    if isinstance(t, PCase):
-        head, _args = _spine(t.scrutinee)
-        if isinstance(head, (PCon, PLam)) and _iota_branch(t) is None:
-            return True
-        return has_stuck_case_reference(t.scrutinee) or \
-            any(has_stuck_case_reference(b.body) for b in t.branches)
-    if isinstance(t, PApp):
-        return has_stuck_case_reference(t.fun) or has_stuck_case_reference(t.arg)
-    if isinstance(t, PLam):
-        return has_stuck_case_reference(t.body)
-    return False
 
 
 def same_whnf(got: WhnfResult, want: WhnfResult) -> bool:
@@ -2671,7 +2710,7 @@ def whnf_reference(t: PlainTerm, fuel: int) -> WhnfResult:
             if res.kind == "fuel":
                 res = WhnfResult("fuel", _apply(case, args), steps=steps)
                 continue
-            hit = _iota_branch(case)
+            hit = iota_branch_reference(case)
             if hit is None:
                 stuck = res.kind == "head" or isinstance(res.term, PLam) \
                     or (res.kind == "value" and res.stuck)
@@ -2718,7 +2757,7 @@ def whnf_recursive_reference(t: PlainTerm, fuel: int) -> WhnfResult:
         if inner.kind == "fuel":
             return WhnfResult("fuel", rebuilt, steps=steps)
         case2 = PCase(inner.term, head.branches)
-        hit = _iota_branch(case2)
+        hit = iota_branch_reference(case2)
         if hit is None:
             stuck = inner.kind == "head" or isinstance(inner.term, PLam) \
                 or (inner.kind == "value" and inner.stuck)

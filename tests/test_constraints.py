@@ -286,6 +286,27 @@ def test_constraint_file_roundtrip():
     assert c2.u == c.u and c2.pairs == c.pairs
 
 
+def test_formatted_inference_triples_parse_back():
+    # typing names its fresh size variables $1, $s2, ...; written out,
+    # they are words a constraint file can spell, and the file read back
+    # gets the verdict of the triple
+    renamed = 0
+    for fname in ("streams", "sp", "trees"):
+        sf = load(fname)
+        for name in sf.bindings:
+            c = infer(sf.registry, {}, sf.linked(name)).constraint
+            text = format_constraint(c)
+            back = parse_constraint_file(text)
+            assert is_valid(back).valid == is_valid(c).valid, (fname, name)
+            renamed += "$" in repr((c.u, c.pairs))
+    assert renamed
+    # a made-up name whose spelling is taken gets the next fresh one
+    c = SizeConstraint({"$1": Succ(SVar("$s2"))},
+                       [(SVar("$1"), SVar("_1")), (SVar("?e"), I)])
+    assert format_constraint(c) == (
+        "let _1_1 = _s2+1;\nassert _1_1 <= _1;\nassert _e <= i;\n")
+
+
 def test_constraint_file_parse():
     c = parse_constraint_file("let i = min(j, 1);\nassert i <= 1;\n")
     assert c.u == {"i": SMin(J, ONE)}

@@ -14,7 +14,7 @@ from slam import (
 from slam.rewrite import (
     Bottom, Constr, EvalBudget, NonObservableType, OMEGA, Opaque,
     Y_COMBINATOR, _Thunk, _approx, approximant, erase, member, observable,
-    productivity_check, psubst, refines, step, whnf,
+    productivity_check, psubst, refines, whnf,
 )
 from slam.syntax import DefRegistry, substitute, term_nodes
 from slam.sizes import SizeValuation
@@ -178,8 +178,8 @@ def test_step_iota():
     t = PCase(PApp(PApp(PCon("c"), PVar("t1")), PVar("t2")),
               (PBranch("c", ("x", "y"), PVar("x")),
                PBranch("d", ("x", "y"), PVar("y"))))
-    r = step(t)
-    assert r.term == PVar("t1")
+    r = whnf(t, 5)
+    assert r.term == PVar("t1") and r.steps == 1
 
 
 def test_iota_puts_the_arguments_for_the_binders_at_once():
@@ -191,7 +191,6 @@ def test_iota_puts_the_arguments_for_the_binders_at_once():
     u = PCase(PApp(PApp(PCon("c"), PVar("a")), PVar("b")),
               (PBranch("c", ("x", "x"), PVar("x")),))
     for case, want in ((t, PVar("y")), (u, PVar("a"))):
-        assert step(case).term == want
         assert whnf(case, 5).term == want
         assert step1_reference(case) == want
         assert whnf_reference(case, 5).term == want
@@ -200,42 +199,42 @@ def test_iota_puts_the_arguments_for_the_binders_at_once():
 
 def test_step_beta():
     t = PApp(PLam("x", PVar("x")), PCon("c"))
-    assert step(t).term == PCon("c")
+    r = whnf(t, 5)
+    assert r.term == PCon("c") and r.steps == 1
 
 
 def test_step_non_redex_case_shapes():
     # arity mismatch
     t1 = PCase(PApp(PCon("c"), PVar("t1")),
                (PBranch("c", ("x", "y"), PVar("x")),))
-    r1 = step(t1)
-    assert r1.term is None and r1.stuck
     # constructor not covered
     t2 = PCase(PApp(PApp(PCon("e"), PVar("t1")), PVar("t2")),
                (PBranch("c", ("x", "y"), PVar("x")),
                 PBranch("d", ("x", "y"), PVar("y"))))
-    r2 = step(t2)
-    assert r2.term is None and r2.stuck
     # duplicated branch constructors
     t3 = PCase(PApp(PApp(PCon("c"), PVar("t1")), PVar("t2")),
                (PBranch("c", ("x", "y"), PVar("x")),
                 PBranch("c", ("x", "y"), PVar("y"))))
-    r3 = step(t3)
-    assert r3.term is None and r3.stuck
+    for t in (t1, t2, t3):
+        r = whnf(t, 5)
+        assert (r.kind, r.stuck, r.steps) == ("value", True, 0)
+        assert r.term is t
 
 
 def test_step_is_leftmost_outermost():
     redex = PApp(PLam("x", PVar("x")), PCon("c"))
-    t = PApp(redex, redex)
-    out = step(t).term
-    assert out == PApp(PCon("c"), redex)
+    r = whnf(PApp(redex, redex), 5)
+    assert (r.head, r.args, r.steps) == ("c", (redex,), 1)
 
 
 def test_y_unfolds():
     u = PLam("z", PApp(PApp(PCon("cons"), PCon("zero")), PVar("z")))
     t = PApp(Y_COMBINATOR, u)
+    r = whnf(t, 10)
+    assert r.kind == "head" and r.head == "cons"
     unfolded = t
     for _ in range(10):
-        nxt = step(unfolded).term
+        nxt = step1_reference(unfolded)
         if nxt is None:
             break
         unfolded = nxt
@@ -270,13 +269,26 @@ def test_whnf_fuel_accounting():
 
 
 def _whnf_inputs():
-    """Every subterm of the erased corpus terms; seeded random plain
-    terms, open, with binders that capture, shadow and clash with the
-    names a renaming picks (x, y, f, x_1), and cases that get stuck; and
-    the same made closed by applying abstractions over those names to
-    random values."""
+    """Every subterm of the erased corpus terms; cases whose branches
+    repeat a constructor, which no iota step may take; seeded random
+    plain terms, open, with binders that capture, shadow and clash with
+    the names a renaming picks (x, y, f, x_1), and cases that get stuck;
+    and the same made closed by applying abstractions over those names
+    to random values."""
     out = [s for _label, _reg, t in corpus_terms()
            for s in term_nodes(erase(t))]
+    rng = random.Random(89)
+    for _ in range(100):
+        t = PCon(rng.choice(("zero", "cons")))
+        for _ in range(rng.randint(0, 2)):
+            t = PApp(t, rand_plain(rng, 2))
+        cons = rng.choice((("zero", "zero"), ("cons", "cons"),
+                           ("cons", "zero", "cons"), ("zero", "cons", "zero")))
+        t = PCase(t, tuple(
+            PBranch(c, tuple(rng.sample(PLAIN_VARS, rng.randint(0, 2))),
+                    rand_plain(rng, 3)) for c in cons))
+        out.append(PApp(PLam("x", t), rand_plain(rng, 2))
+                   if rng.random() < 0.5 else t)
     rng = random.Random(83)
     out += [rand_plain(rng, 5) for _ in range(500)]
     for _ in range(300):

@@ -4,7 +4,7 @@ from helpers import rand_type, reshape_sizes, subtype_of, supertype_of
 from slam import (
     Arrow, BOT, Coind, Forall, INFTY, SMin, SVar, Succ, TyVar, ZERO, chgtgt,
     gen_sub_constraints, join, meet, parse_type, strictly_positive, subtype,
-    subst_type, tgt,
+    subst_type, sv, tgt,
 )
 
 I, J = SVar("i"), SVar("j")
@@ -41,6 +41,24 @@ def test_gen_sub_forall_alignment(streams):
     a = Forall("i", _strm(I))
     b = Forall("j", _strm(J))
     assert subtype(a, b, reg) and subtype(b, a, reg)
+
+
+def test_aligned_binder_names_are_made_per_call(streams):
+    # without an environment, equal calls give equal pairs: each names
+    # its common binders from $a1 on
+    reg = streams.registry
+    a = parse_type("forall i. Strm^(i+1) -> Strm^i", reg)
+    b = parse_type("forall j. Strm^(j+1) -> Strm^j", reg)
+    first = gen_sub_constraints(a, b, reg)
+    assert gen_sub_constraints(a, b, reg) == first
+    assert {x for p in first for s in p for x in sv(s)} == {"$a1"}
+    # a type that already holds $a1 keeps it apart from the binder
+    a1 = SVar("$a1")
+    c = Forall("i", Arrow(_strm(I), _strm(a1)))
+    d = Forall("j", Arrow(_strm(J), _strm(J)))
+    pairs = gen_sub_constraints(c, d, reg)
+    assert {x for p in pairs for s in p for x in sv(s)} == {"$a1", "$a2"}
+    assert not subtype(c, d, reg)
 
 
 def test_no_forall_instantiation(streams):
