@@ -440,6 +440,10 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return 2
+    except Exception as e:  # a crash is no verdict: exit 2, never 1
+        print(f"error: internal error: {type(e).__name__}: {e}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -633,29 +633,25 @@ def parse_cnf_dimacs(src: str) -> list[list[Literal]]:
 
 def parse_constraint_file(src: str) -> SizeConstraint:
     """Parse `let i = s;` and `assert s1 <= s2;` lines."""
-    from .parser import ParseError, _P, tokenize
+    from .parser import _P
 
-    p = _P(tokenize(src))
+    p = _P(src)
     c = SizeConstraint()
-    while p.peek().kind != "eof":
-        if p.at_word("let"):
-            p.next()
-            name = p.eat_ident("size variable").text
+    while t := p.toks[p.pos]:
+        p.pos += 1
+        if t == "let":
+            name = p.name("size variable")
             if name in c.u:
-                raise ParseError(f"duplicate let for {name}",
-                                 p.peek().line, p.peek().col)
-            p.eat_sym("=")
+                raise p.fail(f"duplicate let for {name}")
+            p.eat("=")
             c.u[name] = p.size()
-            p.eat_sym(";")
-        elif p.at_word("assert"):
-            p.next()
+        elif t == "assert":
             a = p.size()
-            p.eat_sym("<=")
-            b = p.size()
-            p.eat_sym(";")
-            c.pairs.append((a, b))
+            p.eat("<=")
+            c.pairs.append((a, p.size()))
         else:
-            raise p.fail("expected 'let' or 'assert'")
+            raise p.fail("expected 'let' or 'assert'", p.pos - 1)
+        p.eat(";")
     return c
 
 

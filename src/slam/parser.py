@@ -1,7 +1,13 @@
 """Parser for the surface language.
 
-Sizes, types and terms nest without bound, so each is parsed by one
-loop over an explicit stack of the constructs still open.
+One regex scan turns a source into two flat lists, the token texts
+(ended by "" for the end of the input) and their start offsets.  The
+parser reads only the texts: a token's kind follows from its text.  The
+line:col of an offset is found only for a ParseError or the span of a
+definition or constructor, by bisecting the source's line starts, which
+are listed at most once per source.  Sizes, types and terms nest without
+bound, so each is parsed by one loop over an explicit stack of the
+constructs still open.
 
 Grammar sketch (tokens are bit-exact):
 
@@ -25,15 +31,17 @@ arguments and nest to the left.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate, chain, islice
 from typing import Optional
 
 from .syntax import (
-    INFTY, App, Arrow, Branch, Case, Coind, ConstructorSig, Cofix,
+    INFTY, ZERO, App, Arrow, Branch, Case, Coind, ConstructorSig, Cofix,
     DefRegistry, Definition, Fix, Forall, Lam, SVar, SizeApp, SizeExpr,
-    SizeLam, Term, TyVar, Type, Var, Con, size_const, size_plus, smax, smin,
-    subst_term, term_free_vars,
+    SizeLam, Term, TyVar, Type, Var, Con, size_plus, smax, smin, subst_term,
+    term_free_vars,
 )
 
 __all__ = [
@@ -41,27 +49,36 @@ __all__ = [
     "parse_slam", "SlamFile", "tokenize",
 ]
 
-# The largest numeral a size may spell: `s+n` is built as n successor
-# nodes of about 130 bytes each.
+# The largest number of successors one size atom and the run of `+n`
+# after it may spell: `s+n` is built as n successor nodes of about 130
+# bytes each.
 MAX_SIZE_NUMERAL = 10**6
 
 _KEYWORDS = {
     "inductive", "coinductive", "case", "of", "fix", "cofix", "forall",
     "min", "max", "oo", "let", "assert",
 }
+_SYMBOLS = {"->", "=>", "/\\", "<=", "(", ")", "{", "}", "[", "]", "^", ",",
+            ";", ":", ".", "=", "\\", "+"}
+_RESERVED = _KEYWORDS | _SYMBOLS
 
-# One alternative per token kind, tried in this order: a comment wins
-# over the '-' of '->', and two-character symbols over their prefixes.
-# Identifiers start with a letter or '_' (Unicode letters included) and
-# go on with letters, digits, '_' and "'"; numbers are ASCII digits only.
-_TOKEN = re.compile(r"""
-    (?P<nl>\n)
-  | (?P<ws>[ \t\r]+)
-  | (?P<comment>(?:--|\#)[^\n]*)
-  | (?P<ident>[^\W\d][\w']*)
-  | (?P<num>[0-9]+)
-  | (?P<sym>->|=>|/\\|<=|[(){}\[\]^,;:.=\\+])
+# A token's kind follows from its text.  A name starts with a letter or
+# '_', at or above "A"; the texts that are no names are the keywords,
+# the symbols, the numbers and "", all of the last two below "A".  So
+#   a name:               t >= "A" and t not in _RESERVED
+#   a name or a keyword:  t >= "A" and t not in _SYMBOLS
+#   a number:             "0" <= t < ":"
+
+# The spaces and comments before a token, then the token: a name (Unicode
+# letters included, then letters, digits, '_' and "'"), an ASCII number
+# or a symbol, two-character symbols before their prefixes; `\Z` gives
+# the "" that ends the input.  The gap never gives back what it read, so
+# no match re-reads a comment as tokens.
+_GAP = re.compile(r"(?:[ \t\r\n]+|(?:--|\#)[^\n]*)*+")
+_TOKEN = re.compile(f"({_GAP.pattern})" + r"""
+    ([^\W\d][\w']*|[0-9]+|->|=>|/\\|<=|[(){}\[\]^,;:.=\\+]|\Z)
 """, re.VERBOSE)
+_COMMENT_AT_END = re.compile(r"(?:--|#)[^\n]*\Z")
 
 
 class ParseError(Exception):
@@ -81,75 +98,76 @@ class Token:
 
 
 def tokenize(src: str) -> list[Token]:
-    toks: list[Token] = []
-    line, line_start = 1, 0
-    pos, n = 0, len(src)
-    end_col = 1  # a trailing comment leaves the column where it starts
-    match = _TOKEN.match
-    while pos < n:
-        m = match(src, pos)
-        kind = m.lastgroup if m is not None else None
-        if kind is None or (kind == "ident" and not (src[pos].isalpha()
-                                                     or src[pos] == "_")):
-            raise ParseError(f"unexpected character {src[pos]!r}", line,
-                             pos - line_start + 1)
-        end = m.end()
-        if kind == "nl":
-            line += 1
-            line_start = end
-            end_col = 1
-        elif kind == "comment":
-            end_col = pos - line_start + 1
-        else:
-            if kind != "ws":
-                toks.append(Token(kind, m.group(), line,
-                                  pos - line_start + 1))
-            end_col = end - line_start + 1
-        pos = end
-    toks.append(Token("eof", "", line, end_col))
-    return toks
+    """The tokens of src with their kind and line:col, as the parser's
+    scan reads them."""
+    p = _P(src)
+    return [Token("eof" if not t else "num" if "0" <= t < ":" else
+                  "sym" if t in _SYMBOLS else "ident", t, *p.where(i))
+            for i, t in enumerate(p.toks)]
 
 
 class _P:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
+    """The token texts of one source and the index of the next one."""
+
+    def __init__(self, src: str):
+        self.src = src
+        self._line_starts: Optional[list[int]] = None
+        matches = _TOKEN.findall(src)
+        if len(matches) > 1 and not matches[-2][1]:
+            matches.pop()  # a gap that ends src, then \Z once more
+        gaps_and_toks = list(chain.from_iterable(matches))
+        ends = list(accumulate(map(len, gaps_and_toks)))
+        self.toks: list[str] = gaps_and_toks[1::2]
+        self.starts: list[int] = ends[0::2]
         self.pos = 0
+        # the matches cover src unless one failed at a character that
+        # starts no token; a non-ASCII name must start with a letter
+        if ends[-1] != len(src) or not src.isascii() and any(
+                not t[0].isalpha() for t in self.toks if t > "\x7f"):
+            self._refuse_character()
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def _refuse_character(self):
+        # the first match that does not start where the last one ended,
+        # or that reads a name with no letter first: the character after
+        # the gap at its start is refused
+        pos = 0
+        for m in _TOKEN.finditer(self.src):
+            tok = m.group(2)
+            if m.start() != pos or tok > "\x7f" and not tok[0].isalpha():
+                break
+            pos = m.end()
+        pos = _GAP.match(self.src, pos).end()
+        raise ParseError(f"unexpected character {self.src[pos]!r}",
+                         *self.line_col(pos))
 
-    def next(self) -> Token:
+    def line_col(self, offset: int) -> tuple[int, int]:
+        if self._line_starts is None:
+            self._line_starts = [0] + [m.end() for m in
+                                       re.finditer("\n", self.src)]
+        line = bisect_right(self._line_starts, offset)
+        return line, offset - self._line_starts[line - 1] + 1
+
+    def where(self, i: Optional[int] = None) -> tuple[int, int]:
+        """The line:col of token i, by default the next one.  The end of
+        the input is placed at a comment that ends the source."""
+        i = self.pos if i is None else i
+        m = None if self.toks[i] else _COMMENT_AT_END.search(self.src)
+        return self.line_col(m.start() if m else self.starts[i])
+
+    def fail(self, message: str, i: Optional[int] = None) -> ParseError:
+        return ParseError(message, *self.where(i))
+
+    def eat(self, s: str) -> None:
+        if self.toks[self.pos] != s:
+            raise self.fail(f"expected {s!r}")
+        self.pos += 1
+
+    def name(self, what: str = "identifier") -> str:
         t = self.toks[self.pos]
+        if t < "A" or t in _RESERVED:
+            raise self.fail(f"expected {what}")
         self.pos += 1
         return t
-
-    def fail(self, message: str) -> "ParseError":
-        t = self.peek()
-        return ParseError(message, t.line, t.col)
-
-    def at_sym(self, s: str) -> bool:
-        t = self.peek()
-        return t.kind == "sym" and t.text == s
-
-    def at_word(self, w: str) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.text == w
-
-    def eat_sym(self, s: str) -> Token:
-        if not self.at_sym(s):
-            raise self.fail(f"expected {s!r}")
-        return self.next()
-
-    def eat_word(self, w: str) -> Token:
-        if not self.at_word(w):
-            raise self.fail(f"expected {w!r}")
-        return self.next()
-
-    def eat_ident(self, what: str = "identifier") -> Token:
-        t = self.peek()
-        if t.kind != "ident" or t.text in _KEYWORDS:
-            raise self.fail(f"expected {what}")
-        return self.next()
 
     # -- sizes and types -----------------------------------------------
     #
@@ -160,118 +178,119 @@ class _P:
     def size(self, atom: bool = False) -> SizeExpr:
         """A size, or with `atom` one that may follow '^' (a successor
         needs parentheses there)."""
+        toks = self.toks
         # frames: (op, args) for the argument list of min/max, or for
-        # ( _ ) when op is None, which the size parsed next extends
+        # ( _ ) when op is "(", which the size parsed next extends
         frames: list[tuple] = []
         while True:
-            t = self.peek()
-            if t.kind == "num":
-                s = size_const(self.size_numeral())
-            elif self.at_word("oo"):
-                self.next()
-                s = INFTY
-            elif self.at_word("min") or self.at_word("max"):
-                op = self.next().text
-                self.eat_sym("(")
-                frames.append((op, []))
+            t = toks[self.pos]
+            if "0" <= t < ":":
+                base, n = ZERO, self.numeral(0)
+            elif t == "oo":
+                self.pos += 1
+                base, n = INFTY, 0
+            elif t == "min" or t == "max" or t == "(":
+                self.pos += 1
+                if t != "(":
+                    self.eat("(")
+                frames.append((t, []))
                 continue
-            elif self.at_sym("("):
-                self.next()
-                frames.append((None, []))
-                continue
-            elif t.kind == "ident" and t.text not in _KEYWORDS:
-                self.next()
-                s = SVar(t.text)
+            elif t >= "A" and t not in _RESERVED:
+                self.pos += 1
+                base, n = SVar(t), 0
             else:
                 raise self.fail("expected a size expression")
-            # s is an atom: take the +n that follow it (unless only an
-            # atom was asked for), then close the frames it finishes
+            # base+n is an atom: take the +n that follow it (unless only
+            # an atom was asked for), then close the frames it finishes
             while True:
-                if atom and not frames:
-                    return s
-                while self.at_sym("+"):
-                    self.next()
-                    if self.peek().kind != "num":
-                        raise self.fail("expected a number after '+'")
-                    s = size_plus(s, self.size_numeral())
+                if frames or not atom:
+                    while toks[self.pos] == "+":
+                        self.pos += 1
+                        if not "0" <= toks[self.pos] < ":":
+                            raise self.fail("expected a number after '+'")
+                        n = self.numeral(n)
+                s = size_plus(base, n)
                 if not frames:
                     return s
                 op, args = frames[-1]
                 args.append(s)
-                if op and self.at_sym(","):
-                    self.next()
+                if op != "(" and toks[self.pos] == ",":
+                    self.pos += 1
                     break
-                self.eat_sym(")")
-                if op and len(args) < 2:
+                self.eat(")")
+                if op != "(" and len(args) < 2:
                     raise self.fail(f"{op} needs at least two arguments")
                 frames.pop()
-                s = args[0] if op is None else \
+                n = 0
+                base = args[0] if op == "(" else \
                     smin(*args) if op == "min" else smax(*args)
 
-    def size_numeral(self) -> int:
-        """The number at the next token.  A size n is n successor nodes,
-        so a numeral above MAX_SIZE_NUMERAL is refused."""
-        t = self.next()
+    def numeral(self, n: int) -> int:
+        """n plus the number at the next token.  A size n is n successor
+        nodes, so a sum above MAX_SIZE_NUMERAL is refused."""
+        t = self.toks[self.pos]
         # the length first: int() refuses more than 4,300 digits
-        if len(t.text.lstrip("0")) > len(str(MAX_SIZE_NUMERAL)) \
-                or int(t.text) > MAX_SIZE_NUMERAL:
-            raise ParseError(f"size numeral above the limit of "
-                             f"{MAX_SIZE_NUMERAL}", t.line, t.col)
-        return int(t.text)
+        if len(t.lstrip("0")) > len(str(MAX_SIZE_NUMERAL)) \
+                or n + int(t) > MAX_SIZE_NUMERAL:
+            raise self.fail(f"size numeral above the limit of "
+                            f"{MAX_SIZE_NUMERAL}")
+        self.pos += 1
+        return n + int(t)
 
     def type_(self, env: "_TypeEnv") -> Type:
+        toks = self.toks
         # frames: (build,) for a forall or an arrow, which the type parsed
-        # next completes; and (tok, size, decorated, args) for the
-        # parameter list of tok, or for ( _ ) when tok is None, which it
-        # extends
+        # next completes; and (at, size, decorated, args) for the
+        # parameter list of the name at token at, or for ( _ ) when at is
+        # None, which it extends
         frames: list[tuple] = []
         while True:
-            if self.at_word("forall"):
-                self.next()
-                names = [self.eat_ident("size variable").text]
-                while self.peek().kind == "ident" and not self.at_sym("."):
-                    if self.peek().text in _KEYWORDS:
-                        break
-                    names.append(self.next().text)
-                self.eat_sym(".")
+            t = toks[self.pos]
+            if t == "forall":
+                self.pos += 1
+                names = [self.name("size variable")]
+                while (t := toks[self.pos]) >= "A" and t not in _RESERVED:
+                    names.append(t)
+                    self.pos += 1
+                self.eat(".")
                 frames += [(partial(Forall, nm),) for nm in names]
                 continue
-            if self.at_sym("("):
-                self.next()
+            if t == "(":
+                self.pos += 1
                 frames.append((None, INFTY, False, []))
                 continue
-            tok = self.eat_ident("type")
-            size: SizeExpr = INFTY
-            decorated = self.at_sym("^")
+            at = self.pos
+            self.name("type")
+            decorated = toks[self.pos] == "^"
             if decorated:
-                self.next()
-                size = self.size(atom=True)
-            if self.at_sym("("):
+                self.pos += 1
+            size = self.size(atom=True) if decorated else INFTY
+            if toks[self.pos] == "(":
                 # lookahead: '(' after a name is a parameter list
-                self.next()
-                frames.append((tok, size, decorated, []))
+                self.pos += 1
+                frames.append((at, size, decorated, []))
                 continue
-            t = env.resolve(self, tok, size, decorated, (), False)
-            # t is an atom: it heads an arrow, or it is a whole type
+            ty = env.resolve(self, at, size, decorated, (), False)
+            # ty is an atom: it heads an arrow, or it is a whole type
             # that closes the frames it finishes
             while True:
-                if self.at_sym("->"):
-                    self.next()
-                    frames.append((partial(Arrow, t),))
+                if toks[self.pos] == "->":
+                    self.pos += 1
+                    frames.append((partial(Arrow, ty),))
                     break
                 while frames and len(frames[-1]) == 1:
-                    t = frames.pop()[0](t)
+                    ty = frames.pop()[0](ty)
                 if not frames:
-                    return t
-                tok, size, decorated, args = frames[-1]
-                args.append(t)
-                if tok and self.at_sym(","):
-                    self.next()
+                    return ty
+                at, size, decorated, args = frames[-1]
+                args.append(ty)
+                if at is not None and toks[self.pos] == ",":
+                    self.pos += 1
                     break
-                self.eat_sym(")")
+                self.eat(")")
                 frames.pop()
-                t = args[0] if tok is None else \
-                    env.resolve(self, tok, size, decorated, tuple(args), True)
+                ty = args[0] if at is None else \
+                    env.resolve(self, at, size, decorated, tuple(args), True)
 
     # -- terms ---------------------------------------------------------
     #
@@ -279,139 +298,135 @@ class _P:
     # parses them, with a stack of frames for the constructs still open
     # where a recursive descent would use a Python frame per level.  The
     # term parsed next finishes the top frame:
-    #   ("bind", build)            the body of \x : T. or /\i. or a fixpoint
-    #   ("paren", fun, env)        ( _ ), an atom applied to fun (or the
-    #                              head of an application when fun is None)
-    #   ("scrutinee", env)         case _ of { ... }
-    #   ("branch", scrut, branches, seen, env, con, binders)
+    #   ("bind", build, x)        the body of \x : T. or a fixpoint on x,
+    #                             or of /\i. when x is None
+    #   ("paren", fun)            ( _ ), an atom applied to fun (or the
+    #                             head of an application when fun is None)
+    #   ("scrutinee",)            case _ of { ... }
+    #   ("branch", scrut, branches, seen, con, binders)
+    # The names a frame binds are in scope from its opening to its end.
     # Tokens are read, and errors raised, in the order of the grammar.
 
     def term(self, env: "_TermEnv") -> Term:
+        toks = self.toks
         frames: list[tuple] = []
         while True:
             # a term starts: open binders, cases and parentheses down to
             # the identifier that heads an application
             while True:
-                if self.at_sym("\\"):
-                    self.next()
-                    x = self.eat_ident("variable").text
-                    self.eat_sym(":")
+                t = toks[self.pos]
+                if t == "(":
+                    self.pos += 1
+                    frames.append(("paren", None))
+                elif t == "\\" or t == "fix" or t == "cofix":
+                    self.pos += 1
+                    if t == "cofix":
+                        self.eat("[")
+                        j = self.name("size variable")
+                        self.eat("]")
+                    x = self.name("variable")
+                    self.eat(":")
                     ty = self.type_(env.types)
-                    self.eat_sym(".")
-                    frames.append(("bind", partial(Lam, x, ty)))
-                    env = env.bind(x)
-                elif self.at_sym("/\\"):
-                    self.next()
-                    i = self.eat_ident("size variable").text
-                    self.eat_sym(".")
-                    frames.append(("bind", partial(SizeLam, i)))
-                elif self.at_word("fix"):
-                    self.next()
-                    f = self.eat_ident("variable").text
-                    self.eat_sym(":")
-                    ty = self.type_(env.types)
-                    self.eat_sym(".")
-                    frames.append(("bind", partial(Fix, f, ty)))
-                    env = env.bind(f)
-                elif self.at_word("cofix"):
-                    self.next()
-                    self.eat_sym("[")
-                    j = self.eat_ident("size variable").text
-                    self.eat_sym("]")
-                    f = self.eat_ident("variable").text
-                    self.eat_sym(":")
-                    ty = self.type_(env.types)
-                    self.eat_sym(".")
-                    frames.append(("bind", partial(Cofix, j, f, ty)))
-                    env = env.bind(f)
-                elif self.at_word("case"):
-                    self.next()
-                    frames.append(("scrutinee", env))
-                elif self.at_sym("("):
-                    self.next()
-                    frames.append(("paren", None, env))
+                    self.eat(".")
+                    build = Lam if t == "\\" else Fix if t == "fix" else \
+                        partial(Cofix, j)
+                    frames.append(("bind", partial(build, x, ty), x))
+                    env.bind(x)
+                elif t == "/\\":
+                    self.pos += 1
+                    i = self.name("size variable")
+                    self.eat(".")
+                    frames.append(("bind", partial(SizeLam, i), None))
+                elif t == "case":
+                    self.pos += 1
+                    frames.append(("scrutinee",))
                 else:
                     break
-            t = env.resolve(self.eat_ident("term").text)
+            t = env.resolve(self.name("term"))
             # t heads an application: take its arguments, then close the
             # frames it finishes, until a new term has to start
             while True:
                 t = self._app_args(t, env, frames)
                 if t is None:
                     break  # a parenthesised argument opened
-                t, env = self._close(t, frames)
+                t, more = self._close(t, env, frames)
                 if t is None:
                     break  # a case branch opened
-                if env is None:
+                if not more:
                     return t
 
     def _app_args(self, t: Term, env: "_TermEnv",
                   frames: list) -> Optional[Term]:
         """t applied to the size and term arguments that follow, or None
         after opening a frame for a parenthesised argument."""
+        toks = self.toks
         while True:
-            if self.at_sym("["):
-                self.next()
+            a = toks[self.pos]
+            if a == "[":
+                self.pos += 1
                 s = self.size()
-                self.eat_sym("]")
+                self.eat("]")
                 t = SizeApp(t, s)
-            elif self.at_sym("("):
-                self.next()
-                frames.append(("paren", t, env))
+            elif a == "(":
+                self.pos += 1
+                frames.append(("paren", t))
                 return None
-            elif self.peek().kind == "ident" and \
-                    self.peek().text not in _KEYWORDS:
-                t = App(t, env.resolve(self.next().text))
+            elif a >= "A" and a not in _RESERVED:
+                self.pos += 1
+                t = App(t, env.resolve(a))
             else:
                 return t
 
-    def _close(self, t: Term, frames: list
-               ) -> tuple[Optional[Term], Optional["_TermEnv"]]:
-        """Finish the frames that the complete term t ends.  Returns the
-        closed atom and its environment after a parenthesis, (None, env)
-        when a case branch opened whose body is to be parsed in env, and
-        (term, None) when no frame is left."""
+    def _close(self, t: Term, env: "_TermEnv", frames: list
+               ) -> tuple[Optional[Term], bool]:
+        """Finish the frames that the complete term t ends.  Returns
+        (atom, True) for the atom a parenthesis closed, (None, True) when
+        a case branch opened, and (term, False) when no frame is left."""
+        toks = self.toks
         while frames:
             frame = frames.pop()
             kind = frame[0]
             if kind == "bind":
                 t = frame[1](t)
+                if frame[2] is not None:
+                    env.unbind(frame[2])
                 continue
             if kind == "paren":
-                self.eat_sym(")")
-                return (t if frame[1] is None else App(frame[1], t)), frame[2]
+                self.eat(")")
+                return (t if frame[1] is None else App(frame[1], t)), True
             if kind == "scrutinee":
-                env = frame[1]
-                self.eat_word("of")
-                self.eat_sym("{")
+                self.eat("of")
+                self.eat("{")
                 scrut, branches, seen = t, [], set()
             else:
-                _, scrut, branches, seen, env, con, binders = frame
+                _, scrut, branches, seen, con, binders = frame
                 branches.append(Branch(con, binders, t))
-                if not self.at_sym(";"):
-                    self.eat_sym("}")
+                for b in binders:
+                    env.unbind(b)
+                if toks[self.pos] != ";":
+                    self.eat("}")
                     t = Case(scrut, tuple(branches))
                     continue
-                self.next()
-            if self.at_sym("}"):
-                self.next()
+                self.pos += 1
+            if toks[self.pos] == "}":
+                self.pos += 1
                 t = Case(scrut, tuple(branches))
                 continue
-            ctok = self.eat_ident("constructor")
-            if ctok.text in seen:
-                raise ParseError(f"duplicate case branch for {ctok.text}",
-                                 ctok.line, ctok.col)
-            seen.add(ctok.text)
+            at = self.pos
+            con = self.name("constructor")
+            if con in seen:
+                raise self.fail(f"duplicate case branch for {con}", at)
+            seen.add(con)
             binders = []
-            while self.peek().kind == "ident" and not self.at_sym("=>"):
-                binders.append(self.eat_ident("variable").text)
-            self.eat_sym("=>")
-            frames.append(("branch", scrut, branches, seen, env, ctok.text,
+            while (b := toks[self.pos]) >= "A" and b not in _SYMBOLS:
+                binders.append(self.name("variable"))
+            self.eat("=>")
+            frames.append(("branch", scrut, branches, seen, con,
                            tuple(binders)))
             for b in binders:
-                env = env.bind(b)
-            return None, env
-        return t, None
+                env.bind(b)
+            return None, True
+        return t, False
 
 
 @dataclass
@@ -422,106 +437,103 @@ class _TypeEnv:
     current_params: tuple[str, ...] = ()
     headers: dict[str, int] = field(default_factory=dict)  # name -> arity
 
-    def resolve(self, p: _P, tok: Token, size: SizeExpr, decorated: bool,
+    def resolve(self, p: _P, at: int, size: SizeExpr, decorated: bool,
                 args: tuple[Type, ...], has_args: bool) -> Type:
-        name = tok.text
+        """The type named by token at, with its size and parameters."""
+        name = p.toks[at]
         if name == self.current_def:
             # recursive occurrence: must be applied to exactly the parameters
             if decorated:
-                raise ParseError(
-                    f"recursive occurrence of {name} cannot carry a size",
-                    tok.line, tok.col)
+                raise p.fail(
+                    f"recursive occurrence of {name} cannot carry a size", at)
             expected = tuple(TyVar(q) for q in self.current_params)
             if args != expected:
                 want = ",".join(self.current_params) or "no parameters"
-                raise ParseError(
-                    f"recursive occurrence of {name} must be applied to "
-                    f"exactly ({want})", tok.line, tok.col)
+                raise p.fail(f"recursive occurrence of {name} must be "
+                             f"applied to exactly ({want})", at)
             return TyVar(name)
         if name in self.tyvars:
             if decorated or has_args:
-                raise ParseError(f"type variable {name} takes no arguments",
-                                 tok.line, tok.col)
+                raise p.fail(f"type variable {name} takes no arguments", at)
             return TyVar(name)
-        arity = None
         if name in self.headers:
             arity = self.headers[name]
         elif name in self.reg:
             arity = len(self.reg.definition(name).params)
-        if arity is None:
-            raise ParseError(f"unknown type {name}", tok.line, tok.col)
+        else:
+            raise p.fail(f"unknown type {name}", at)
         if len(args) != arity:
-            raise ParseError(
-                f"{name} expects {arity} parameter(s), got {len(args)}",
-                tok.line, tok.col)
+            raise p.fail(
+                f"{name} expects {arity} parameter(s), got {len(args)}", at)
         return Coind(name, size, args)
 
 
-@dataclass
 class _TermEnv:
-    reg: DefRegistry
-    types: _TypeEnv
-    bound: frozenset[str] = frozenset()
+    """The term variables in scope during one parse: how many open
+    binders bind each name, so a binder costs O(1) to open and close."""
 
-    def bind(self, x: str) -> "_TermEnv":
-        return _TermEnv(self.reg, self.types, self.bound | {x})
+    def __init__(self, reg: DefRegistry):
+        self.reg, self.types = reg, _TypeEnv(reg)
+        self.bound: dict[str, int] = {}
+
+    def bind(self, x: str) -> None:
+        self.bound[x] = self.bound.get(x, 0) + 1
+
+    def unbind(self, x: str) -> None:
+        self.bound[x] -= 1
 
     def resolve(self, name: str) -> Term:
-        if name in self.bound:
+        if self.bound.get(name) or self.reg.constructor(name) is None:
             return Var(name)
-        if self.reg.constructor(name) is not None:
-            return Con(name)
-        return Var(name)
+        return Con(name)
 
 
 def parse_size(src: str) -> SizeExpr:
-    p = _P(tokenize(src))
+    p = _P(src)
     s = p.size()
-    if p.peek().kind != "eof":
+    if p.toks[p.pos]:
         raise p.fail("trailing input after size expression")
     return s
 
 
 def parse_type(src: str, reg: DefRegistry,
                tyvars: frozenset[str] = frozenset()) -> Type:
-    p = _P(tokenize(src))
+    p = _P(src)
     t = p.type_(_TypeEnv(reg, tyvars=tyvars))
-    if p.peek().kind != "eof":
+    if p.toks[p.pos]:
         raise p.fail("trailing input after type")
     return t
 
 
 def parse_term(src: str, reg: DefRegistry) -> Term:
-    p = _P(tokenize(src))
-    t = p.term(_TermEnv(reg, _TypeEnv(reg)))
-    if p.peek().kind != "eof":
+    p = _P(src)
+    t = p.term(_TermEnv(reg))
+    if p.toks[p.pos]:
         raise p.fail("trailing input after term")
     return t
 
 
 def _parse_definition(p: _P, reg: DefRegistry, headers: dict[str, int]) -> Definition:
-    kw = p.next()  # inductive | coinductive
-    coind = kw.text == "coinductive"
-    name_tok = p.eat_ident("definition name")
-    name = name_tok.text
+    coind = p.toks[p.pos] == "coinductive"  # or inductive
+    p.pos += 1
+    at = p.pos
+    name = p.name("definition name")
     params: list[str] = []
-    if p.at_sym("("):
-        p.next()
-        params.append(p.eat_ident("parameter variable").text)
-        while p.at_sym(","):
-            p.next()
-            params.append(p.eat_ident("parameter variable").text)
-        p.eat_sym(")")
+    while p.toks[p.pos] == ("," if params else "("):
+        p.pos += 1
+        params.append(p.name("parameter variable"))
+    if params:
+        p.eat(")")
     if len(set(params)) != len(params) or name in params:
-        raise ParseError(f"duplicate parameter name in {name}",
-                         name_tok.line, name_tok.col)
+        raise p.fail(f"duplicate parameter name in {name}", at)
     tenv = _TypeEnv(reg, tyvars=frozenset(params), current_def=name,
                     current_params=tuple(params), headers=headers)
-    p.eat_sym("{")
+    p.eat("{")
     ctors: list[ConstructorSig] = []
-    while not p.at_sym("}"):
-        ctok = p.eat_ident("constructor name")
-        p.eat_sym(":")
+    while p.toks[p.pos] != "}":
+        cat = p.pos
+        con = p.name("constructor name")
+        p.eat(":")
         ty = p.type_(tenv)
         args: list[Type] = []
         target = ty
@@ -529,21 +541,19 @@ def _parse_definition(p: _P, reg: DefRegistry, headers: dict[str, int]) -> Defin
             args.append(target.dom)
             target = target.cod
         if target != TyVar(name):
-            raise ParseError(
-                f"constructor {ctok.text} must end in the defined type {name}",
-                ctok.line, ctok.col)
-        ctors.append(ConstructorSig(ctok.text, tuple(args),
-                                    span=(ctok.line, ctok.col)))
-        if p.at_sym(";"):
-            p.next()
+            raise p.fail(
+                f"constructor {con} must end in the defined type {name}", cat)
+        ctors.append(ConstructorSig(con, tuple(args), span=p.where(cat)))
+        if p.toks[p.pos] == ";":
+            p.pos += 1
         else:
             break
-    close = p.eat_sym("}")
+    close = p.pos
+    p.eat("}")
     if not ctors:
-        raise ParseError(f"{name}: empty constructor list",
-                         close.line, close.col)
+        raise p.fail(f"{name}: empty constructor list", close)
     return Definition(name, coind, tuple(params), tuple(ctors),
-                      span=(name_tok.line, name_tok.col))
+                      span=p.where(at))
 
 
 def parse_defs(src: str) -> DefRegistry:
@@ -558,45 +568,33 @@ def parse_defs(src: str) -> DefRegistry:
     return reg
 
 
-def _collect_headers(toks: list[Token]) -> dict[str, int]:
-    headers: dict[str, int] = {}
-    i = 0
-    while i < len(toks):
-        t = toks[i]
-        if t.kind == "ident" and t.text in ("inductive", "coinductive"):
-            if i + 1 < len(toks) and toks[i + 1].kind == "ident":
-                name = toks[i + 1].text
-                arity = 0
-                j = i + 2
-                if j < len(toks) and toks[j].kind == "sym" and toks[j].text == "(":
-                    depth = 0
-                    while j < len(toks):
-                        tt = toks[j]
-                        if tt.kind == "sym" and tt.text == "(":
-                            depth += 1
-                        elif tt.kind == "sym" and tt.text == ")":
-                            depth -= 1
-                            if depth == 0:
-                                break
-                        elif tt.kind == "sym" and tt.text == "," and depth == 1:
-                            arity += 1
-                        elif tt.kind == "ident" and depth == 1 and arity == 0:
-                            arity = 1
-                        j += 1
-                if name in headers:
-                    raise ParseError(f"duplicate definition {name}",
-                                     t.line, t.col)
-                headers[name] = arity
-        i += 1
+def _collect_headers(p: _P) -> dict[str, int]:
+    """The arity of each definition, read off its header, so that a
+    definition may name a later one."""
+    toks, headers = p.toks, {}
+    for i, t in enumerate(toks):
+        name = toks[i + 1] if t in ("inductive", "coinductive") else ""
+        if name < "A" or name in _SYMBOLS:
+            continue
+        arity = depth = 0
+        for tt in islice(toks, i + 2, None) if toks[i + 2] == "(" else ():
+            depth += (tt == "(") - (tt == ")")
+            if depth == 0:
+                break
+            if depth == 1 and (tt == "," or arity == 0 and tt >= "A"
+                               and tt not in _SYMBOLS):
+                arity += 1
+        if name in headers:
+            raise p.fail(f"duplicate definition {name}", i)
+        headers[name] = arity
     return headers
 
 
 def _parse_defs_prefix(src: str) -> tuple[DefRegistry, _P]:
-    toks = tokenize(src)
-    headers = _collect_headers(toks)
-    p = _P(toks)
+    p = _P(src)
+    headers = _collect_headers(p)
     reg = DefRegistry()
-    while p.at_word("inductive") or p.at_word("coinductive"):
+    while p.toks[p.pos] in ("inductive", "coinductive"):
         reg.add(_parse_definition(p, reg, headers))
     return reg, p
 
@@ -658,13 +656,14 @@ class SlamFile:
 
 def parse_slam(src: str) -> SlamFile:
     reg, p = _parse_defs_prefix(src)
+    env = _TermEnv(reg)
     bindings: dict[str, Term] = {}
-    while p.peek().kind != "eof":
-        name_tok = p.eat_ident("binding name")
-        if name_tok.text in bindings:
-            raise ParseError(f"duplicate binding {name_tok.text}",
-                             name_tok.line, name_tok.col)
-        p.eat_sym("=")
-        bindings[name_tok.text] = p.term(_TermEnv(reg, _TypeEnv(reg)))
-        p.eat_sym(";")
+    while p.toks[p.pos]:
+        at = p.pos
+        name = p.name("binding name")
+        if name in bindings:
+            raise p.fail(f"duplicate binding {name}", at)
+        p.eat("=")
+        bindings[name] = p.term(env)
+        p.eat(";")
     return SlamFile(reg, bindings)

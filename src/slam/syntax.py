@@ -12,6 +12,7 @@ read-only, so everything here is safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from operator import attrgetter, is_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
@@ -172,14 +173,12 @@ class _MinMax(_Size):
 
 @_size_class
 class SMin(_MinMax):
-    def __repr__(self) -> str:
-        return f"min({self.left!r},{self.right!r})"
+    pass
 
 
 @_size_class
 class SMax(_MinMax):
-    def __repr__(self) -> str:
-        return f"max({self.left!r},{self.right!r})"
+    pass
 
 
 SizeExpr = Union[Zero, Infty, SVar, Succ, SMin, SMax]
@@ -205,21 +204,11 @@ def size_const(n: int) -> SizeExpr:
 
 def smin(*args: SizeExpr) -> SizeExpr:
     """Left-nested n-ary minimum; smin(s) is s itself."""
-    if not args:
-        raise ValueError("smin needs at least one argument")
-    acc = args[0]
-    for a in args[1:]:
-        acc = SMin(acc, a)
-    return acc
+    return reduce(SMin, args)
 
 
 def smax(*args: SizeExpr) -> SizeExpr:
-    if not args:
-        raise ValueError("smax needs at least one argument")
-    acc = args[0]
-    for a in args[1:]:
-        acc = SMax(acc, a)
-    return acc
+    return reduce(SMax, args)
 
 
 class CyclicDefMap(Exception):
@@ -320,10 +309,6 @@ class Coind(_Node):
     def _with(self, kids) -> "Type":
         return Coind(self.defname, self.size, tuple(kids))
 
-    def __repr__(self) -> str:
-        ps = ",".join(map(repr, self.params))
-        return f"{self.defname}^{self.size!r}({ps})"
-
 
 @dataclass(frozen=True)
 class Arrow(_Node):
@@ -336,9 +321,6 @@ class Arrow(_Node):
     def _with(self, kids) -> "Type":
         return Arrow(*kids)
 
-    def __repr__(self) -> str:
-        return f"({self.dom!r} -> {self.cod!r})"
-
 
 @dataclass(frozen=True)
 class Forall(_Node):
@@ -350,9 +332,6 @@ class Forall(_Node):
 
     def _with(self, kids) -> "Type":
         return Forall(self.var, kids[0])
-
-    def __repr__(self) -> str:
-        return f"(forall {self.var}. {self.body!r})"
 
 
 @dataclass(frozen=True)
@@ -420,6 +399,28 @@ def fold_type(t: Type, fn: Callable, enter: Optional[Callable] = None,
         else:
             vals.append(fn(x, kids, c))
     return vals[0]
+
+
+def _show(x: Union[SizeExpr, Type]) -> str:
+    """The repr of a min, a max or a type with children, such as
+    `(forall i. (Nat^i+1() -> List^max(i,oo)(A)))`, built by one fold."""
+    def size(x, kids):
+        if type(x) is Succ:
+            return kids[0] + "+1" * x.n
+        op = "min" if type(x) is SMin else "max"
+        return f"{op}({kids[0]},{kids[1]})" if kids else repr(x)
+
+    def ty(x, kids, _ctx):
+        if type(x) is Coind:
+            return f"{x.defname}^{fold_size(x.size, size)}({','.join(kids)})"
+        if type(x) is Arrow:
+            return f"({kids[0]} -> {kids[1]})"
+        return f"(forall {x.var}. {kids[0]})" if kids else repr(x)
+    return fold_size(x, size) if isinstance(x, _Size) else fold_type(x, ty)
+
+
+for _cls in (SMin, SMax, Coind, Arrow, Forall):
+    _cls.__repr__ = _show
 
 
 # ---------------------------------------------------------------------------

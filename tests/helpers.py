@@ -559,6 +559,102 @@ _REFERENCE_SYMBOLS = ["->", "=>", "/\\", "<=", "(", ")", "{", "}", "[", "]",
                       "^", ",", ";", ":", ".", "=", "\\", "+"]
 
 
+KEYWORDS_REFERENCE = {
+    "inductive", "coinductive", "case", "of", "fix", "cofix", "forall",
+    "min", "max", "oo", "let", "assert",
+}
+
+
+class TokenParserReference:
+    """The Token-based parser surface the recursive oracles read: one
+    `Token` (kind, text, line, col) per token, a method call per look."""
+
+    def __init__(self, toks):
+        self.toks = toks
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def next(self):
+        t = self.toks[self.pos]
+        self.pos += 1
+        return t
+
+    def fail(self, message):
+        from slam.parser import ParseError
+
+        t = self.peek()
+        return ParseError(message, t.line, t.col)
+
+    def at_sym(self, s):
+        t = self.peek()
+        return t.kind == "sym" and t.text == s
+
+    def at_word(self, w):
+        t = self.peek()
+        return t.kind == "ident" and t.text == w
+
+    def eat_sym(self, s):
+        if not self.at_sym(s):
+            raise self.fail(f"expected {s!r}")
+        return self.next()
+
+    def eat_word(self, w):
+        if not self.at_word(w):
+            raise self.fail(f"expected {w!r}")
+        return self.next()
+
+    def eat_ident(self, what="identifier"):
+        t = self.peek()
+        if t.kind != "ident" or t.text in KEYWORDS_REFERENCE:
+            raise self.fail(f"expected {what}")
+        return self.next()
+
+
+class TypeEnvReference:
+    """Type names in scope; `resolve` reports errors at the name's Token."""
+
+    def __init__(self, reg, tyvars=frozenset()):
+        self.reg = reg
+        self.tyvars = tyvars
+
+    def resolve(self, p, tok, size, decorated, args, has_args):
+        from slam.parser import ParseError
+
+        name = tok.text
+        if name in self.tyvars:
+            if decorated or has_args:
+                raise ParseError(f"type variable {name} takes no arguments",
+                                 tok.line, tok.col)
+            return TyVar(name)
+        if name not in self.reg:
+            raise ParseError(f"unknown type {name}", tok.line, tok.col)
+        arity = len(self.reg.definition(name).params)
+        if len(args) != arity:
+            raise ParseError(
+                f"{name} expects {arity} parameter(s), got {len(args)}",
+                tok.line, tok.col)
+        return Coind(name, size, args)
+
+
+class TermEnvReference:
+    """The term variables in scope, as a set copied per binder."""
+
+    def __init__(self, reg, bound=frozenset()):
+        self.reg = reg
+        self.types = TypeEnvReference(reg)
+        self.bound = bound
+
+    def bind(self, x):
+        return TermEnvReference(self.reg, self.bound | {x})
+
+    def resolve(self, name):
+        if name in self.bound or self.reg.constructor(name) is None:
+            return Var(name)
+        return Con(name)
+
+
 def tokenize_reference(src: str):
     """The character-loop tokenizer: `str.isdigit` digits, so a
     non-ASCII digit becomes a number token (or part of one)."""
@@ -612,8 +708,6 @@ def tokenize_reference(src: str):
 
 def parse_term_reference(src: str, reg):
     """parse_term by recursive descent over the reference tokenizer."""
-    from slam.parser import _TermEnv, _TypeEnv
-
     class Recursive(_recursive_parser_class()):
         def term(self, env):
             from slam import Branch, Case, Cofix, Fix, Lam, SizeLam
@@ -681,7 +775,6 @@ def parse_term_reference(src: str, reg):
 
         def app_term(self, env):
             from slam import SizeApp
-            from slam.parser import _KEYWORDS
 
             t = self.atom_term(env)
             while True:
@@ -691,7 +784,8 @@ def parse_term_reference(src: str, reg):
                     self.eat_sym("]")
                     t = SizeApp(t, s)
                 elif self.at_sym("(") or (self.peek().kind == "ident"
-                                          and self.peek().text not in _KEYWORDS):
+                                          and self.peek().text
+                                          not in KEYWORDS_REFERENCE):
                     t = App(t, self.atom_term(env))
                 else:
                     break
@@ -707,7 +801,7 @@ def parse_term_reference(src: str, reg):
             return env.resolve(tok.text)
 
     p = Recursive(tokenize_reference(src))
-    t = p.term(_TermEnv(reg, _TypeEnv(reg)))
+    t = p.term(TermEnvReference(reg))
     if p.peek().kind != "eof":
         raise p.fail("trailing input after term")
     return t
@@ -2237,9 +2331,8 @@ def _succs_reference(s, n):
 def _recursive_parser_class():
     """The parser with sizes and types by recursive descent."""
     from slam import size_const
-    from slam.parser import _KEYWORDS, _P
 
-    class RecursiveSizesAndTypes(_P):
+    class RecursiveSizesAndTypes(TokenParserReference):
         def size(self, atom=False):
             if atom:
                 return self.size_atom()
@@ -2280,7 +2373,7 @@ def _recursive_parser_class():
                 s = self.size()
                 self.eat_sym(")")
                 return s
-            if t.kind == "ident" and t.text not in _KEYWORDS:
+            if t.kind == "ident" and t.text not in KEYWORDS_REFERENCE:
                 self.next()
                 return SVar(t.text)
             raise self.fail("expected a size expression")
@@ -2290,7 +2383,7 @@ def _recursive_parser_class():
                 self.next()
                 names = [self.eat_ident("size variable").text]
                 while self.peek().kind == "ident" and not self.at_sym("."):
-                    if self.peek().text in _KEYWORDS:
+                    if self.peek().text in KEYWORDS_REFERENCE:
                         break
                     names.append(self.next().text)
                 self.eat_sym(".")
@@ -2334,9 +2427,7 @@ def _recursive_parser_class():
 
 
 def parse_size_reference(src):
-    from slam.parser import tokenize
-
-    p = _recursive_parser_class()(tokenize(src))
+    p = _recursive_parser_class()(tokenize_reference(src))
     s = p.size()
     if p.peek().kind != "eof":
         raise p.fail("trailing input after size expression")
@@ -2344,10 +2435,8 @@ def parse_size_reference(src):
 
 
 def parse_type_reference(src, reg, tyvars=frozenset()):
-    from slam.parser import _TypeEnv, tokenize
-
-    p = _recursive_parser_class()(tokenize(src))
-    t = p.type_(_TypeEnv(reg, tyvars=tyvars))
+    p = _recursive_parser_class()(tokenize_reference(src))
+    t = p.type_(TypeEnvReference(reg, tyvars))
     if p.peek().kind != "eof":
         raise p.fail("trailing input after type")
     return t

@@ -252,6 +252,13 @@ def test_size_numeral_at_the_limit(tmp_path, capsys, monkeypatch):
     sc.write_text("assert i + 11 <= i;")
     code, out, err = run(capsys, "solve", str(sc))
     assert code == 2 and "1:12: size numeral above the limit of 10" in err
+    # the cap holds for the sum of a run of +n, at the numeral crossing it
+    sc.write_text("assert i+6+4 <= i;")
+    code, out, err = run(capsys, "solve", str(sc))
+    assert (code, out, err) == (1, "invalid\ni = 0\n", "")
+    sc.write_text("assert i+6+5 <= i;")
+    code, out, err = run(capsys, "solve", str(sc))
+    assert code == 2 and "1:12: size numeral above the limit of 10" in err
 
 
 def test_too_deep_input_exit_2(capsys, monkeypatch):
@@ -265,6 +272,19 @@ def test_too_deep_input_exit_2(capsys, monkeypatch):
         code, out, err = run(capsys, *porcelain, "infer", STREAMS, "zero")
         assert code == 2 and out == ""
         assert err == "error: input nested too deeply\n"  # no traceback
+
+
+def test_internal_error_exit_2(capsys, monkeypatch):
+    # any other exception is a crash, not a "no": exit 2, one line
+    def crash(args):
+        raise ValueError("bad state")
+
+    monkeypatch.setattr("slam.cli._cmd_check", crash)
+    for porcelain in ((), ("--porcelain",)):
+        code, out, err = run(capsys, *porcelain, "check", STREAMS, "zero",
+                             ":", "Nat")
+        assert (code, out) == (2, "")
+        assert err == "error: internal error: ValueError: bad state\n"
 
 
 def _numeral(k):
@@ -457,6 +477,11 @@ def test_eval_beta_into_a_deep_body(capsys):
     code, out, err = run(capsys, "eval", STREAMS,
                          f"(\\x : Nat. {_succs(3000, 'x')}) zero")
     assert (code, out, err) == (0, "3000\n", "")
+    # a 10,000-binder chain, applied to 10,000 arguments
+    chain = "".join(f"\\x{i} : Nat. " for i in range(10_000))
+    code, out, err = run(capsys, "eval", STREAMS,
+                         f"({chain}x0) (succ zero)" + " zero" * 9_999)
+    assert (code, out, err) == (0, "1\n", "")
 
 
 def test_eval_links_a_deep_binding(tmp_path, capsys):

@@ -202,6 +202,22 @@ def test_parse_term_matches_reference():
     assert errors > 100
 
 
+@pytest.mark.parametrize("src", [
+    "\\succ : Nat. succ",
+    "(\\succ : Nat. succ zero) (succ zero)",
+    "(fix succ : Nat -> Nat. succ) (succ zero)",
+    "cofix[j] zero : Strm. cons zero (zero)",
+    "case zero of { succ zero => zero; zero => succ zero }",
+    "case (case zero of { succ succ => succ }) of { zero => succ }",
+    "\\x : Nat. \\x : Nat. (\\zero : Nat. x zero) x zero",
+])
+def test_binders_scope_as_written(src):
+    # a name is a variable from its binder to the end of the binder's
+    # body, and a constructor again after it
+    reg = load("streams").registry
+    assert parse_term(src, reg) == parse_term_reference(src, reg)
+
+
 # ---------------------------------------------------------------------------
 # Term walkers
 
@@ -1115,6 +1131,11 @@ def test_repr_of_a_deep_size():
     assert repr(size_plus(SVar("i"), 5000)) == "i" + "+1" * 5000
     assert repr(SMax(Succ(SVar("i")), size_plus(SMin(ZERO, INFTY), 2))) \
         == "max(i+1,min(0,oo)+1+1)"
+    # min and max print in a loop too
+    deep = SVar("i")
+    for _ in range(10_000):
+        deep = SMin(deep, SMax(ZERO, SVar("j")))
+    assert repr(deep) == "min(" * 10_000 + "i" + ",max(0,j))" * 10_000
 
 
 def numeral(k, con, app):
@@ -1163,6 +1184,13 @@ def test_hash_and_repr_of_deep_terms_and_approximants():
     a = numeral(n, Constr, lambda f, x: Constr(f.con, (x,)))
     assert repr(a) == "Constr(con='succ', children=(" * n + \
         "Constr(con='zero', children=())" + ",))" * n
+    # types print in a loop: an arrow chain, a forall chain
+    a = numeral(n, lambda name: Coind(name, INFTY), Arrow)
+    assert repr(a) == "(succ^oo() -> " * n + "zero^oo()" + ")" * n
+    a = TyVar("A")
+    for _ in range(n):
+        a = Forall("i", a)
+    assert repr(a) == "(forall i. " * n + "A" + ")" * n
 
 
 def test_hash_agrees_with_equality_and_repr_with_the_dataclass_form():

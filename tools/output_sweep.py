@@ -18,6 +18,14 @@ triple (U, S) of every binding of the corpus, written out with
 `format_constraint`, and on seeded random constraints whose nested
 min/max give disjunct arms of several atoms.
 
+A third line does the same, over (argv, exit code, first line of
+stderr), for every one-token mutation of an input: each token dropped,
+doubled, or swapped with the next.  It runs `slam infer` of the first
+binding on the mutations of each corpus `.slam` file, `slam check` of a
+corpus binding against the mutations of a type, and `slam solve` on the
+mutations of `corpus/bad.sc` and of the two n = 4 encodings above, so
+every `line:col: message` of a parse error is compared.
+
 A change that should not alter any output gives the same digests as its
 parent: run the script once with the change's `src/` and once with the
 parent's (`--src`).  With --dump, each command's record is also written
@@ -59,6 +67,16 @@ CNF_SIZES = range(4, 15)
 CNF_PER_SIZE = 3
 CNF_RATIO = 4.26
 CNF_SEED = 2006
+# parse errors: the types whose mutations `check` a binding against, and
+# the constraint files whose mutations are solved
+CHECKS = [
+    ("streams.slam", "tl", "forall i. Strm^(i+1) -> Strm^i"),
+    ("streams.slam", "plus", "Nat -> Nat -> Nat"),
+    ("sp.slam", "run", "SP -> Strm -> Strm"),
+    ("trees.slam", "singleton", "Nat -> List(Nat)"),
+    ("trees.slam", "wtree", "Tree^oo"),
+]
+MUTATED_SC = ["bad.sc", "n4_0.sc", "n4_1.sc"]
 # solve: random constraints over four size variables
 RANDOM_CONSTRAINTS = 300
 RANDOM_SEED = 31
@@ -152,6 +170,46 @@ def solve_files(run, parse_slam, tmp: Path) -> dict[str, str]:
     return files | random_constraints()
 
 
+def mutations(src: str, tokenize) -> list[tuple[str, str]]:
+    """(label, text) of src with one token dropped, doubled or swapped
+    with the next, token by token."""
+    line_starts = [0]
+    for line in src.split("\n"):
+        line_starts.append(line_starts[-1] + len(line) + 1)
+    toks = [(line_starts[t.line - 1] + t.col - 1, t.text)
+            for t in tokenize(src) if t.kind != "eof"]
+    out = []
+    for i, (at, text) in enumerate(toks):
+        end = at + len(text)
+        out.append((f"drop {i}", src[:at] + src[end:]))
+        out.append((f"double {i}", src[:end] + " " + text + src[end:]))
+        if i + 1 < len(toks):
+            at2, text2 = toks[i + 1]
+            out.append((f"swap {i}", src[:at] + text2 + src[end:at2] + text
+                        + src[at2 + len(text2):]))
+    return out
+
+
+def parse_error_commands(parse_slam, tokenize, sc_files: dict[str, str]
+                         ) -> list[tuple[str, list[str], str, str]]:
+    """(label, argv, file name, file text) of each command of the
+    parse-error sweep; argv names the file by its base name."""
+    out = []
+    for file in EXTRA_TERMS:
+        src = (CORPUS / file).read_text()
+        first = next(iter(parse_slam(src).bindings))
+        out += [(label, ["infer", file, first], file, text)
+                for label, text in mutations(src, tokenize)]
+    for file, name, ty in CHECKS:
+        src = (CORPUS / file).read_text()
+        out += [(label, ["check", file, name, ":", text], file, src)
+                for label, text in mutations(ty, tokenize)]
+    for file in MUTATED_SC:
+        out += [(label, ["solve", file], file, text)
+                for label, text in mutations(sc_files[file], tokenize)]
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src",
@@ -161,7 +219,7 @@ def main() -> int:
     args = ap.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
     from slam.cli import main as slam
-    from slam.parser import parse_slam
+    from slam.parser import parse_slam, tokenize
 
     def run(argv: list[str]) -> tuple[int, str, str]:
         out, err = io.StringIO(), io.StringIO()
@@ -192,9 +250,22 @@ def main() -> int:
                   for name in files for flag in ([], ["--porcelain"])]
         solve = sweep(solves, lambda a: str(Path(tmp, a)) if a in files else a,
                       dump)
+        mutated = parse_error_commands(parse_slam, tokenize, files)
+        digest = hashlib.sha256()
+        for label, argv, file, text in mutated:
+            path = Path(tmp, "mutated", file)
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(text)
+            code, _out, err = run([str(path) if a == file else a
+                                   for a in argv])
+            record = repr((label, argv, code, err.split("\n", 1)[0]))
+            digest.update(record.encode() + b"\n")
+            dump.write(record + "\n")
     print(f"commands: {len(cmds)}")
     print(f"sha256: {rewrite}")
     print(f"solve commands: {len(solves)} sha256: {solve}")
+    print(f"parse-error commands: {len(mutated)} sha256: "
+          f"{digest.hexdigest()}")
     return 0
 
 
