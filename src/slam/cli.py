@@ -329,8 +329,7 @@ def _cmd_productivity(args) -> int:
     if not isinstance(ty, Coind):
         raise CliError("--type must name a coinductive type")
     try:
-        report = productivity_check(
-            erase(t), ty, sf.registry, max_depth=args.depth, budget=budget)
+        report = productivity_check(erase(t), ty, sf.registry, budget)
     except NonObservableType as e:
         raise CliError(str(e))
     if args.porcelain:

@@ -72,9 +72,10 @@ _RESERVED = _KEYWORDS | _SYMBOLS
 # The spaces and comments before a token, then the token: a name (Unicode
 # letters included, then letters, digits, '_' and "'"), an ASCII number
 # or a symbol, two-character symbols before their prefixes; `\Z` gives
-# the "" that ends the input.  The gap never gives back what it read, so
-# no match re-reads a comment as tokens.
-_GAP = re.compile(r"(?:[ \t\r\n]+|(?:--|\#)[^\n]*)*+")
+# the "" that ends the input.  A comment in the gap must run to the end
+# of its line, so a match that fails after a gap cannot be retried with a
+# shorter gap that re-reads a comment as tokens.
+_GAP = re.compile(r"[ \t\r\n]*(?:(?:--|\#)[^\n]*(?![^\n])[ \t\r\n]*)*")
 _TOKEN = re.compile(f"({_GAP.pattern})" + r"""
     ([^\W\d][\w']*|[0-9]+|->|=>|/\\|<=|[(){}\[\]^,;:.=\\+]|\Z)
 """, re.VERBOSE)

@@ -30,7 +30,9 @@ which branch, if any, an iota step takes.
 
 An observation descends into the thunks of constructor arguments.
 `approximant` observes a fresh term and `productivity_check` one for
-all depths, so depth n+1 finds the thunks of depth n reduced.  A thunk
+all depths, so depth n+1 finds the thunks of depth n reduced; where the
+gas tank cannot bind, it grows depth n+1 from depth n (`_extend`),
+observing only the leaves depth n cut one layer further.  A thunk
 observed more than once keeps its finished observations by depth, which
 a later visit reuses as the same object.  An approximant is thus a DAG
 (`cofix t. bnode zero t t` has 3*2^n - 2 nodes at depth n but 4n + 2
@@ -465,7 +467,7 @@ class _Node:
     `done` is its thunk's table of full observations by depth when this
     one is to be kept there, else None."""
     __slots__ = ("head", "args", "depths", "kids", "steps", "limited",
-                 "nodes", "done", "depth")
+                 "nodes", "done", "depth", "cut")
 
     def __init__(self, head: str, args: tuple, depths: list, steps: int,
                  done: Optional[dict], depth):
@@ -475,10 +477,12 @@ class _Node:
         self.limited = False
         self.nodes = 1
         self.done, self.depth = done, depth
+        self.cut = False
 
 
 def _approx(t: PlainTerm | _Thunk, depth, fuel: int,
-            reg: Optional[DefRegistry], gas: list[int]
+            reg: Optional[DefRegistry], gas: list[int],
+            cuts: Optional[dict] = None
             ) -> tuple[Approximant, int, bool, int]:
     """The approximant of `t`, the reduction steps it was charged,
     whether fuel cut it, and its number of nodes counted as a tree.
@@ -496,7 +500,12 @@ def _approx(t: PlainTerm | _Thunk, depth, fuel: int,
     shared thunk is observed once per depth.  A thunk met for the first
     time is not looked up or kept, so unshared data costs no more than a
     plain walk.  Children are observed left to right, each in full before
-    the next, on a stack of open constructor nodes."""
+    the next, on a stack of open constructor nodes.
+
+    With a `cuts` table, each leaf cut at a coinductive layer of depth 0
+    is entered as id(leaf) -> (leaf, its thunk, the steps charged), and
+    each constructor node with such a leaf below it as
+    id(node) -> (node, None, 0); `_extend` reads them."""
     th = t if type(t) is _Thunk else _Thunk(t)
     path: list[_Node] = []
     while True:
@@ -531,6 +540,8 @@ def _approx(t: PlainTerm | _Thunk, depth, fuel: int,
                     depths = _child_depths(head, len(args), depth, reg)
                     if depths is None:  # a coinductive (or unknown) layer at 0
                         res = (Bottom(), steps, False, 1)
+                        if cuts is not None:
+                            cuts[id(res[0])] = (res[0], th, steps)
                     elif not args:
                         res = (Constr(head, ()), steps, False, 1)
                     else:
@@ -546,6 +557,8 @@ def _approx(t: PlainTerm | _Thunk, depth, fuel: int,
             node.steps += res[1]
             node.limited = node.limited or res[2]
             node.nodes += res[3]
+            if cuts is not None and id(res[0]) in cuts:
+                node.cut = True
             i = len(node.kids)
             if i < len(node.args):
                 th, depth = node.args[i], node.depths[i]
@@ -553,10 +566,68 @@ def _approx(t: PlainTerm | _Thunk, depth, fuel: int,
             path.pop()
             res = (Constr(node.head, tuple(node.kids)), node.steps,
                    node.limited, node.nodes)
+            if node.cut:
+                cuts[id(res[0])] = (res[0], None, 0)
             if node.done is not None and gas[0] >= fuel:
                 node.done[node.depth] = res
         else:
             return res
+
+
+def _extend(a: Approximant, cuts: dict, fuel: int, reg: DefRegistry,
+            gas: list[int]) -> Optional[tuple[Approximant, int, bool, int]]:
+    """The approximant one depth deeper than `a`, whose cut leaves and the
+    nodes above them `_approx` entered in `cuts`: each cut leaf becomes
+    its thunk observed at depth 1, each node above a cut is rebuilt on
+    the new children, and every other subtree is shared.  Also the steps
+    this adds, whether what it adds is fuel-limited and the nodes it
+    adds, counted as a tree: a node reached by k paths adds its change k
+    times.
+
+    A walk one depth deeper meets the same thunks, cut leaves observed
+    one layer further, so while every forcing has the full `fuel` this is
+    that walk.  The observations share the gas; None once it falls below
+    `fuel`, where the walk may be pressured.  Nodes are rebuilt after
+    their children, on a stack, each once."""
+    if id(a) not in cuts:
+        return a, 0, False, 0
+    new: dict[int, tuple] = {}  # id(old node) -> its result
+    todo = [a]
+    while todo:
+        x = todo[-1]
+        if id(x) in new:
+            todo.pop()
+            continue
+        _, th, steps = cuts[id(x)]
+        if th is not None:  # a cut leaf, charged `steps` already
+            gas[0] += steps
+            b, s, limited, nodes = _approx(th, 1, fuel, reg, gas, cuts)
+            if gas[0] < fuel:
+                return None
+            new[id(x)] = (b, s - steps, limited, nodes - 1)
+            todo.pop()
+            continue
+        below = [k for k in x.children if id(k) in cuts and id(k) not in new]
+        if below:
+            todo.extend(below)
+            continue
+        todo.pop()
+        kids, steps, nodes, limited, cut = [], 0, 0, False, False
+        for k in x.children:
+            r = new.get(id(k))
+            if r is None:
+                kids.append(k)
+                continue
+            kids.append(r[0])
+            steps += r[1]
+            limited = limited or r[2]
+            nodes += r[3]
+            cut = cut or id(r[0]) in cuts
+        b = Constr(x.con, tuple(kids))
+        if cut:
+            cuts[id(b)] = (b, None, 0)
+        new[id(x)] = (b, steps, limited, nodes)
+    return new[id(a)]
 
 
 def _child_depths(con: str, n: int, depth,
@@ -638,7 +709,7 @@ def _need_observable(tau: Type, reg: DefRegistry) -> None:
 
 def member(a: Approximant, tau: Type, reg: DefRegistry,
            v: SizeValuation | Mapping[str, ExtNat] | None = None,
-           strict: bool = False) -> bool:
+           strict: bool = False, tables: Optional[tuple] = None) -> bool:
     """Membership of an approximant in the valuation approximation of an
     observable type.
 
@@ -649,6 +720,12 @@ def member(a: Approximant, tau: Type, reg: DefRegistry,
     bounds the constructor depth from above and bottoms never belong.
     Parameters are checked at their own (full) interpretations; only the
     main recursive chain is approximated.
+
+    `tables`, a fresh `({}, {}, set())` passed to several calls, lets
+    them share their goals and the (node, goal) pairs they verified; the
+    caller keeps every approximant it checks alive.  That is exact under
+    any valuations: only the sizes of `tau` are read under `v`, as
+    constructor arguments have no free size variables.
     """
     _need_observable(tau, reg)
     if v is None:
@@ -658,11 +735,17 @@ def member(a: Approximant, tau: Type, reg: DefRegistry,
     if not isinstance(tau, Coind):
         raise NonObservableType("membership needs a (co)inductive type")
     level = eval_size(v, tau.size)
-    return _member(a, (tau.defname, [(p, {}) for p in tau.params], level,
-                       strict), reg, v)
+    if tables is None:
+        tables = ({}, {}, set())
+    if _member(a, (tau.defname, [(p, {}) for p in tau.params], level,
+                   strict), reg, v, *tables):
+        return True
+    tables[2].clear()  # pairs whose children were still to be checked
+    return False
 
 
-def _member(a: Approximant, goal: tuple, reg: DefRegistry, v) -> bool:
+def _member(a: Approximant, goal: tuple, reg: DefRegistry, v, goals: dict,
+            kids: dict, seen: set) -> bool:
     """Whether the approximant meets the goal, with the goals it opens
     kept on a stack and checked depth-first, left to right.
 
@@ -674,14 +757,13 @@ def _member(a: Approximant, goal: tuple, reg: DefRegistry, v) -> bool:
     Membership is a conjunction, so a node met again under a goal it was
     already checked against is skipped.  For that, equal goals are one
     object: a definition goal is kept once per definition, parameter
-    goals, level and strictness (`goals`), and the goals of a node's
-    children are made once per goal and constructor (`kids`).  A node
+    goals, level and strictness (`goals`, mapping that key to the goal),
+    and the goals of a node's children are made once per goal and
+    constructor (`kids`, mapping (id(goal), constructor) to them).  A node
     shared by several parents is thus checked once per goal.  The ids of
     node and goal make the key in `seen`; the node lives as long as the
     approximant, and `goals` holds the goal, so neither id is reused
     while it is a key."""
-    goals: dict[tuple, tuple] = {}
-    kids: dict[tuple[int, str], Optional[tuple]] = {}
 
     def one(g: tuple) -> tuple:
         # a definition goal for (t, env) or for itself, as the one object
@@ -699,7 +781,6 @@ def _member(a: Approximant, goal: tuple, reg: DefRegistry, v) -> bool:
         return goals.setdefault((g[0], *map(id, g[1]), g[2], g[3]), g)
 
     todo = [(a, one(goal))]
-    seen: set[tuple[int, int]] = set()
     while todo:
         a, goal = todo.pop()
         dn, params, level, strict = goal
@@ -771,11 +852,20 @@ class ProductivityReport:
 
 
 def productivity_check(t: PlainTerm, tau: Type, reg: DefRegistry,
-                       max_depth: int = 5,
                        budget: EvalBudget | None = None) -> ProductivityReport:
-    """Check approximants of increasing depth against the corresponding
-    valuation approximations of an observable coinductive type, and that
-    deeper approximants refine shallower ones."""
+    """Check approximants of depth 0 to `budget.depth` against the
+    corresponding valuation approximations of an observable coinductive
+    type, and that deeper approximants refine shallower ones.
+
+    Depth n+1 grows from depth n (`_extend`) when neither walk can be
+    pressured: depth n's walk ended with at least `fuel` gas left, and
+    so would n+1's, with the steps the extension counts.  Any other
+    depth is observed from the root (`_approx`), as `approximant` does,
+    and only then checked to refine the depth before, which an extension
+    does by construction.  Membership keeps its goals and the (node,
+    goal) pairs it verified from one depth to the next: goals below the
+    root do not depend on the depth, as constructor arguments have no
+    free size variables."""
     if budget is None:
         budget = EvalBudget()
     if not (isinstance(tau, Coind) and reg.definition(tau.defname).coinductive):
@@ -783,23 +873,41 @@ def productivity_check(t: PlainTerm, tau: Type, reg: DefRegistry,
     _need_observable(tau, reg)
     level_var = "$depth"
     tau_n = Coind(tau.defname, SVar(level_var), tau.params)
+    fuel = budget.fuel
     verdicts: list[DepthVerdict] = []
     chain_ok = True
     fail_at: Optional[int] = None
-    prev: Optional[Approximant] = None
+    prev: Optional[DepthVerdict] = None
     root = _Thunk(t)  # every depth observes the thunks of the one before
-    for n in range(max_depth + 1):
-        gas = [budget.fuel * (n + 2)]
-        a, steps, limited, nodes = _approx(root, n, budget.fuel, reg, gas)
-        ok = member(a, tau_n, reg, SizeValuation({level_var: n}))
-        verdicts.append(DepthVerdict(n, ok, nodes, steps, limited, a))
-        if prev is not None and not refines(a, prev):
-            chain_ok = False
-            if fail_at is None:
-                fail_at = n
+    cuts: dict = {}
+    tables: tuple = ({}, {}, set())
+    for n in range(budget.depth + 1):
+        tank = fuel * (n + 2)
+        grown = None
+        if prev is not None and tank - fuel - prev.fuel_used >= fuel:
+            grown = _extend(prev.approx, cuts, fuel, reg,
+                            [tank - prev.fuel_used])
+            if grown is not None and \
+                    tank - prev.fuel_used - grown[1] < fuel:
+                grown = None
+        if grown is not None:
+            a, steps, limited, nodes = grown
+            steps += prev.fuel_used
+            limited = limited or prev.fuel_limited
+            nodes += prev.nodes
+        else:
+            a, steps, limited, nodes = _approx(root, n, fuel, reg, [tank],
+                                               cuts)
+            if prev is not None and not refines(a, prev.approx):
+                chain_ok = False
+                if fail_at is None:
+                    fail_at = n
+        ok = member(a, tau_n, reg, SizeValuation({level_var: n}),
+                    tables=tables)
+        prev = DepthVerdict(n, ok, nodes, steps, limited, a)
+        verdicts.append(prev)
         if not ok and fail_at is None:
             fail_at = n
-        prev = a
     passed = chain_ok and all(d.ok for d in verdicts)
     return ProductivityReport(verdicts, chain_ok, passed,
                               None if passed else fail_at)

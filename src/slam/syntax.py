@@ -724,7 +724,11 @@ def _compare_as_trees(labels: dict) -> None:
 def _term_eq(self, other):
     if other.__class__ is not self.__class__:
         return NotImplemented
+    # a pair of shared nodes is compared once: `seen` holds the pairs
+    # with children already pushed, made when the first is; self and
+    # other keep their nodes, and so the ids, alive
     todo = [(self, other)]
+    seen = None
     while todo:
         a, b = todo.pop()
         if a is b:
@@ -734,7 +738,15 @@ def _term_eq(self, other):
         label = _EQ_LABEL[a.__class__]
         if label is not None and label(a) != label(b):
             return False
-        todo.extend(zip(a._kids(), b._kids()))
+        kids = a._kids()
+        if kids:
+            pair = id(a) << 64 | id(b)
+            if seen is None:
+                seen = set()
+            elif pair in seen:
+                continue
+            seen.add(pair)
+            todo.extend(zip(kids, b._kids()))
     return True
 
 

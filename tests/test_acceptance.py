@@ -251,7 +251,8 @@ def test_criterion_7_empirical_soundness():
                 and eval_size(SizeValuation({}, default=0), m.size) == INF
                 and observable(m, reg)):
             continue
-        rep = productivity_check(erase(term), m, reg, max_depth=5)
+        rep = productivity_check(erase(term), m, reg,
+                                 budget=EvalBudget(depth=5))
         ran += 1
         if not rep.passed:
             failures.append(label)
@@ -259,14 +260,14 @@ def test_criterion_7_empirical_soundness():
     run_odd = App(App(sp.linked("run"), sp.linked("odd")),
                   sp.linked("nats"))
     rep = productivity_check(erase(run_odd), parse_type("Strm", sp.registry),
-                             sp.registry, max_depth=3)
+                             sp.registry, budget=EvalBudget(depth=3))
     prefix_ok = rep.passed and rep.verdicts[3].approx == Constr(
         "cons", (_nat(1), Constr("cons", (_nat(3), Constr(
             "cons", (_nat(5), Bottom()))))))
     streams = load("streams")
     omega_rep = productivity_check(
         OMEGA, parse_type("Strm", streams.registry), streams.registry,
-        max_depth=1, budget=EvalBudget(fuel=300, depth=1))
+        budget=EvalBudget(fuel=300, depth=1))
     dt = time.monotonic() - t0
     ok = not failures and ran >= 5 and prefix_ok \
         and not omega_rep.passed and omega_rep.fail_at == 1 and dt < 10.0

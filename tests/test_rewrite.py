@@ -585,7 +585,8 @@ def test_nonstrict_antitone(streams):
 def test_productivity_zeros(streams):
     reg = streams.registry
     rep = productivity_check(erase(streams.linked("zeros")),
-                             parse_type("Strm", reg), reg, max_depth=5)
+                             parse_type("Strm", reg), reg,
+                             budget=EvalBudget(depth=5))
     assert rep.passed and rep.chain_ok
     assert [d.ok for d in rep.verdicts] == [True] * 6
 
@@ -593,7 +594,7 @@ def test_productivity_zeros(streams):
 def test_productivity_omega(streams):
     reg = streams.registry
     rep = productivity_check(OMEGA, parse_type("Strm", reg), reg,
-                             max_depth=1, budget=EvalBudget(fuel=300, depth=1))
+                             budget=EvalBudget(fuel=300, depth=1))
     assert not rep.passed and rep.fail_at == 1
     assert "FAIL at n=1" in rep.render()
 
@@ -602,7 +603,7 @@ def test_productivity_run_odd_nats(sp):
     reg = sp.registry
     t = App(App(sp.linked("run"), sp.linked("odd")), sp.linked("nats"))
     rep = productivity_check(erase(t), parse_type("Strm", reg), reg,
-                             max_depth=3)
+                             budget=EvalBudget(depth=3))
     assert rep.passed
     assert rep.verdicts[3].approx == Constr("cons", (_nat_tree(1), Constr(
         "cons", (_nat_tree(3), Constr("cons", (_nat_tree(5), Bottom()))))))
@@ -635,7 +636,7 @@ def test_run_odd_nats_takes_steps_linear_in_depth(sp, monkeypatch, observe):
             assert a.children[0] == _nat_tree(1)
         else:
             rep = productivity_check(t, parse_type("Strm", reg), reg,
-                                     max_depth=depth)
+                                     budget=EvalBudget(depth=depth))
             assert rep.passed
             assert [(v.nodes, v.fuel_used) for v in rep.verdicts] == [
                 ((n + 1) ** 2, 6 * n * n + 30 * n + 30)
@@ -678,7 +679,7 @@ def test_whnf_memo_matches_fresh_approximants():
                 unlimited += not lim
             if not observable(tau, reg):  # wtree: functions inside
                 continue
-            rep = productivity_check(t, tau, reg, max_depth=8,
+            rep = productivity_check(t, tau, reg,
                                      budget=EvalBudget(fuel=fuel, depth=8))
             for v, (a, steps, lim, nodes) in zip(rep.verdicts, fresh):
                 ok = member(a, Coind(tau.defname, SVar("n"), tau.params), reg,
@@ -697,11 +698,14 @@ def _nodes(a):
 SHARING_CASES = [
     ("trees", "bzeros", "BTree"), ("trees", "fpair", "FTree"),
     ("streams", "nats", "Strm"), ("sp", "run odd nats", "Strm"),
+    # no member from depth 1 on, but only for a head every depth shares
+    ("streams", "cons (succ (cons zero zero)) zeros", "Strm"),
 ]
 
 
 @pytest.mark.parametrize("fname,src,tyname", SHARING_CASES)
-def test_shared_observations_read_as_tree_walks(fname, src, tyname):
+def test_shared_observations_read_as_tree_walks(fname, src, tyname,
+                                                monkeypatch):
     # one root thunk for all depths, as productivity_check keeps it,
     # keeps and reuses the reductions and observations of shared thunks;
     # each depth must read exactly as a walk of the tree by name that
@@ -713,6 +717,8 @@ def test_shared_observations_read_as_tree_walks(fname, src, tyname):
     # 10^5 times, the reference keeps a whnf memo of its own (whnf is
     # pure, and test_whnf_memo_matches_fresh_approximants ties the two
     # walks)
+    from slam import rewrite
+
     sf = load(fname)
     reg = sf.registry
     t = erase(link_all(sf, parse_term(src, reg)))
@@ -734,45 +740,110 @@ def test_shared_observations_read_as_tree_walks(fname, src, tyname):
             fresh.append(got)
         if src == "bzeros" and fuel == 20:
             assert [lim for _a, _s, lim, _n in fresh] == [False] * 5 + [True] * 6
-        # the verdicts of a report with a memo of its own; membership of
-        # shared approximants is checked against the recursive reference
-        # in test_walkers
-        rep = productivity_check(t, tau, reg, max_depth=depths[-1],
-                                 budget=EvalBudget(fuel=fuel))
-        for v, (a, steps, lim, nodes) in zip(rep.verdicts, fresh):
-            ok = member(a, level, reg, SizeValuation({"n": v.depth}))
+
+    # a report grows each depth from the one before where the tank
+    # cannot bind and walks from the root elsewhere; every depth must
+    # read as a walk from a fresh root, tied above to the reference
+    ran = {"extend": 0, "walk": 0}
+    extend, approx = rewrite._extend, rewrite._approx
+    extending = []
+
+    def counted_extend(*args):
+        ran["extend"] += 1
+        extending.append(True)
+        try:
+            return extend(*args)
+        finally:
+            extending.pop()
+
+    def counted_approx(*args):
+        ran["walk"] += not extending
+        return approx(*args)
+
+    monkeypatch.setattr(rewrite, "_extend", counted_extend)
+    monkeypatch.setattr(rewrite, "_approx", counted_approx)
+    for fuel in (20, EvalBudget().fuel):
+        ran.update(extend=0, walk=0)
+        rep = productivity_check(t, tau, reg, EvalBudget(fuel=fuel, depth=20))
+        assert ran["extend"] and ran["walk"], (src, fuel, ran)
+        if src in ("bzeros", "fpair"):  # walks again where the tank binds
+            assert ran["walk"] > 1, (src, fuel, ran)
+        for v in rep.verdicts:
+            n = v.depth
+            a, steps, lim, nodes = approx(_Thunk(t), n, fuel, reg,
+                                          [fuel * (n + 2)])
+            ok = member(a, level, reg, SizeValuation({"n": n}))
             assert (v.ok, v.nodes, v.fuel_used, v.fuel_limited) == \
-                (ok, nodes, steps, lim), (src, fuel, v.depth)
+                (ok, nodes, steps, lim), (src, fuel, n)
+            assert v.approx == a and repr(v.approx) == repr(a), (src, fuel, n)
+
+
+def test_zeros_report_forces_linearly_in_depth(streams, monkeypatch):
+    # depth n+1 grows from depth n, so a report forces the cells depth n
+    # cut, not every cell again at every depth: calls are counted, not
+    # timed
+    from slam import rewrite
+
+    calls = [0]
+    force = rewrite._force
+
+    def counted(*args):
+        calls[0] += 1
+        return force(*args)
+
+    monkeypatch.setattr(rewrite, "_force", counted)
+    reg = streams.registry
+    t = erase(streams.linked("zeros"))
+    made = {}
+    for depth in (100, 200):
+        calls[0] = 0
+        rep = productivity_check(t, parse_type("Strm", reg), reg,
+                                 EvalBudget(depth=depth))
+        assert rep.passed
+        made[depth] = calls[0]
+    assert 0 < made[200] <= 2.1 * made[100]
 
 
 GAS_CASES = [
-    ("trees", "fpair"),
+    ("trees", "fpair", "FTree"),
     ("streams", "cofix[j] z : Strm . cons (plus (succ (succ zero)) "
-                "(succ (succ zero))) z"),
-    ("trees", "cofix[j] t : BTree . bnode (succ (succ zero)) t t"),
+                "(succ (succ zero))) z", "Strm"),
+    ("trees", "cofix[j] t : BTree . bnode (succ (succ zero)) t t", "BTree"),
 ]
 
 
-@pytest.mark.parametrize("fname,src", GAS_CASES,
+@pytest.mark.parametrize("fname,src,tyname", GAS_CASES,
                          ids=["fpair", "closed_stream_head", "bzeros_of_two"])
-def test_shared_observations_keep_gas_exact(fname, src):
+def test_shared_observations_keep_gas_exact(fname, src, tyname):
     # small fuels make the gas tank bind inside shared thunks: an
     # observation is kept only if every forcing in it had the full
     # limit, and reused only if a fresh walk would give each the full
     # limit; a thunk that ran out of fuel at one depth is reduced again,
-    # under more fuel, at the next
+    # under more fuel, at the next.  A report, growing depths from one
+    # another where the tank cannot bind, reads the same at every depth,
+    # also where a depth after a failed membership shares its subtrees
     sf = load(fname)
     reg = sf.registry
     t = erase(link_all(sf, parse_term(src, reg)))
+    tau = parse_type(tyname, reg)
+    level = Coind(tau.defname, SVar("n"), tau.params)
     limited = 0
     for fuel in range(1, 31):
         root = _Thunk(t)
+        fresh = []
         for n in range(9):
             gas, gas0 = [fuel * (n + 2)], [fuel * (n + 2)]
             got = _approx(root, n, fuel, reg, gas)
             want = approx_reference(t, n, fuel, reg, gas0, _NoMemo())
             assert repr(got) == repr(want) and gas == gas0, (fuel, n)
             limited += got[2]
+            fresh.append(got)
+        rep = productivity_check(t, tau, reg, EvalBudget(fuel=fuel, depth=8))
+        for v, (a, steps, lim, nodes) in zip(rep.verdicts, fresh):
+            ok = member(a, level, reg, SizeValuation({"n": v.depth}))
+            assert (v.ok, v.nodes, v.fuel_used, v.fuel_limited) == \
+                (ok, nodes, steps, lim), (fuel, v.depth)
+            assert repr(v.approx) == repr(a), (fuel, v.depth)
     assert limited
 
 
@@ -793,7 +864,8 @@ def test_shared_observation_is_one_object_per_depth(trees):
 def test_productivity_report_format(streams):
     reg = streams.registry
     rep = productivity_check(erase(streams.linked("zeros")),
-                             parse_type("Strm", reg), reg, max_depth=2)
+                             parse_type("Strm", reg), reg,
+                             budget=EvalBudget(depth=2))
     lines = rep.render().splitlines()
     assert lines[0].startswith("0: ok (nodes=")
     assert lines[-1] == "PASS"
@@ -811,7 +883,6 @@ def test_unproductive_but_typed_at_size_zero(streams):
     reg = streams.registry
     t = streams.linked("stuckstream")
     rep = productivity_check(erase(t), parse_type("Strm", reg), reg,
-                             max_depth=1,
                              budget=EvalBudget(fuel=300, depth=1))
     assert not rep.passed and rep.fail_at == 1
 
