@@ -50,8 +50,8 @@ __all__ = [
 ]
 
 # The largest number of successors one size atom and the run of `+n`
-# after it may spell: `s+n` is built as n successor nodes of about 130
-# bytes each.
+# after it may spell.  `s+n` is one node whatever n is, so the cap guards
+# no memory; it is a limit of the input language.
 MAX_SIZE_NUMERAL = 10**6
 
 _KEYWORDS = {
@@ -227,8 +227,8 @@ class _P:
                     smin(*args) if op == "min" else smax(*args)
 
     def numeral(self, n: int) -> int:
-        """n plus the number at the next token.  A size n is n successor
-        nodes, so a sum above MAX_SIZE_NUMERAL is refused."""
+        """n plus the number at the next token; a sum above
+        MAX_SIZE_NUMERAL is refused."""
         t = self.toks[self.pos]
         # the length first: int() refuses more than 4,300 digits
         if len(t.lstrip("0")) > len(str(MAX_SIZE_NUMERAL)) \

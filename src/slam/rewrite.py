@@ -723,11 +723,14 @@ def member(a: Approximant, tau: Type, reg: DefRegistry,
 
     `tables`, a fresh `({}, {}, set())` passed to several calls, lets
     them share their goals and the (node, goal) pairs they verified; the
-    caller keeps every approximant it checks alive.  That is exact under
-    any valuations: only the sizes of `tau` are read under `v`, as
-    constructor arguments have no free size variables.
+    caller keeps every approximant it checks alive, and has checked once
+    that `tau` is observable, which does not depend on its sizes.  That
+    is exact under any valuations: only the sizes of `tau` are read
+    under `v`, as constructor arguments have no free size variables.
     """
-    _need_observable(tau, reg)
+    if tables is None:
+        _need_observable(tau, reg)
+        tables = ({}, {}, set())
     if v is None:
         v = SizeValuation({})
     elif not isinstance(v, SizeValuation):
@@ -735,8 +738,6 @@ def member(a: Approximant, tau: Type, reg: DefRegistry,
     if not isinstance(tau, Coind):
         raise NonObservableType("membership needs a (co)inductive type")
     level = eval_size(v, tau.size)
-    if tables is None:
-        tables = ({}, {}, set())
     if _member(a, (tau.defname, [(p, {}) for p in tau.params], level,
                    strict), reg, v, *tables):
         return True

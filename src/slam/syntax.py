@@ -46,8 +46,9 @@ _NO_VARS: frozenset[str] = frozenset()
 #
 # Each size and type node class declares its children once, in `_kids`,
 # and how it is rebuilt over new ones, in `_with`; the walks below read
-# nothing else of a node's shape.  A successor's child is the base of
-# the run of successors it tops, so a walk takes a run in one step.
+# nothing else of a node's shape.  A successor is a whole run of
+# successors, and its one child is the run's base, so a walk takes a run
+# in one step.
 
 class _Node:
     __slots__ = ()
@@ -69,10 +70,11 @@ def rebuilt(x, kids):
 # Size nodes are hashed and compared without recursion.  Each node's hash
 # is computed once, when it is built, from its children's (a field that
 # takes no part in comparison), and one loop compares two trees.  A
-# successor also records the run of successors it tops: `n`, their
-# number, and `base`, the first node below them that is no successor.
-# Each class sets its fields in an `__init__` of its own, the cheapest
-# way to build a frozen node.
+# successor is the run s+n in one node: `base`, the s below it, which is
+# no successor, and `n` >= 1, the number of successors, so a run costs
+# one node whatever its length and extending it costs O(1).  Each class
+# sets its fields in an `__init__` of its own, the cheapest way to build
+# a frozen node.
 
 _size_class = dataclass(frozen=True, eq=False, slots=True, init=False)
 
@@ -133,16 +135,20 @@ class SVar(_Size):
 
 @_size_class
 class Succ(_Size):
-    arg: "SizeExpr"
-    n: int = field(init=False, compare=False, repr=False)
-    base: "SizeExpr" = field(init=False, compare=False, repr=False)
+    """Succ(arg) is arg+1; the node holds the run base+n it makes."""
+    base: "SizeExpr"
+    n: int
 
     def __init__(self, arg: "SizeExpr") -> None:
-        _set(self, "arg", arg)
-        run = type(arg) is Succ
-        _set(self, "n", arg.n + 1 if run else 1)
-        _set(self, "base", arg.base if run else arg)
-        _set(self, "_hash", hash((Succ, arg._hash)))
+        if type(arg) is Succ:
+            _run(self, arg.base, arg.n + 1)
+        else:
+            _run(self, arg, 1)
+
+    @property
+    def arg(self) -> "SizeExpr":
+        """The size this is one more than."""
+        return size_plus(self.base, self.n - 1)
 
     def _kids(self) -> tuple:
         return (self.base,)
@@ -185,16 +191,26 @@ SizeExpr = Union[Zero, Infty, SVar, Succ, SMin, SMax]
 
 _set = object.__setattr__
 
+
+def _run(x: Succ, base: SizeExpr, n: int) -> Succ:
+    _set(x, "base", base)
+    _set(x, "n", n)
+    _set(x, "_hash", hash((Succ, base._hash, n)))
+    return x
+
+
 ZERO = Zero()
 INFTY = Infty()
 ONE = Succ(ZERO)
 
 
 def size_plus(s: SizeExpr, n: int) -> SizeExpr:
-    """s+n: n successors on top of s."""
-    for _ in range(n):
-        s = Succ(s)
-    return s
+    """s+n: n successors on top of s, as one node."""
+    if n < 1:
+        return s
+    if type(s) is Succ:
+        s, n = s.base, s.n + n
+    return _run(object.__new__(Succ), s, n)
 
 
 def size_const(n: int) -> SizeExpr:

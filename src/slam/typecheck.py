@@ -30,12 +30,12 @@ from .sizes import (
     INF, SizeError, overline, size_ge_const, size_value, underline,
 )
 from .subtyping import (
-    BOT, Bot, chgtgt, gen_sub_constraints, join, subtype, tgt,
+    BOT, Bot, _align, chgtgt, gen_sub_constraints, join, subtype, tgt,
 )
 from .syntax import (
-    INFTY, ONE, ZERO, App, Arrow, Case, Coind, Cofix, DefRegistry, Fix,
-    Forall, Infty, Lam, SMax, SMin, SVar, SizeApp, SizeExpr, SizeLam, Succ,
-    Term, TyVar, Type, Var, Con, Zero, depth_first_order, fold_size,
+    INFTY, ONE, ZERO, App, Arrow, Case, Coind, Cofix, Definition, DefRegistry,
+    Fix, Forall, Infty, Lam, SMax, SMin, SVar, SizeApp, SizeExpr, SizeLam,
+    Succ, Term, TyVar, Type, Var, Con, Zero, depth_first_order, fold_size,
     fold_type, forall_binders, fsv, rebuilt, size_const, smax, smin,
     subst_type_multi, subst_type_size, subst_type_sizes, sv, tv, type_nodes,
     uniquify_size_binders,
@@ -184,59 +184,79 @@ class _Infer:
                                             for old, new in ren.items()))
 
     # -- constructor decomposition ----------------------------------------
+    #
+    # An argument type theta is matched against the declared shape sigma
+    # of its position, reading off the instances of the recursive variable
+    # and of the parameters.  Most positions are a bare variable (`Nat`'s
+    # `succ : Nat -> Nat`); those are answered by `_var_arg` alone, and
+    # the walk in `decompose` calls it at each variable it meets inside a
+    # larger shape.
+
+    def _var_arg(self, th: Type, sg: TyVar, d: Definition
+                 ) -> Optional[Decomposed]:
+        """th matched at a position declared as the type variable sg of d:
+        the recursive variable takes an instance of d, a parameter any
+        type, and Bot, the least type, stands for either and imposes
+        nothing."""
+        if sg.name == d.rec_var:
+            if isinstance(th, Bot):
+                return Decomposed(None, None, {}, sg)
+            if isinstance(th, Coind) and th.defname == d.name:
+                return Decomposed(th.size, th.params, {}, sg)
+            return None
+        if sg.name in d.params:
+            return Decomposed(None, None,
+                              {} if isinstance(th, Bot) else {sg.name: th}, sg)
+        return None
 
     def decompose(self, theta: Type, sigma: Type, dname: str) -> Optional[Decomposed]:
+        """theta matched against sigma, the declared shape of an argument
+        position of a constructor of dname, or None when it does not fit."""
         d = self.reg.definition(dname)
-        rec = d.rec_var
-        params = set(d.params)
+        if isinstance(sigma, TyVar):
+            return self._var_arg(theta, sigma, d)
         a_insts: list[Coind] = []
         b_insts: dict[str, list[Type]] = {}
-
-        def go(th, sg):
-            if isinstance(sg, TyVar) and sg.name == rec:
-                if isinstance(th, Bot):
-                    return sg  # least instance: imposes nothing
-                if isinstance(th, Coind) and th.defname == dname:
+        # Pairs (th, sg) are matched depth-first, left to right, and the
+        # matched shapes of the children of a node go to `out`; a marker
+        # (node, k) rebuilds node over the last k of them.
+        out: list[Type] = []
+        work: list = [(theta, sigma)]
+        while work:
+            th, sg = work.pop()
+            if type(sg) is int:
+                kids = out[len(out) - sg:]
+                del out[len(out) - sg:]
+                out.append(th._with(kids))
+            elif isinstance(sg, TyVar):
+                got = self._var_arg(th, sg, d)
+                if got is None:
+                    return None
+                if got.size is not None:
                     a_insts.append(th)
-                    return sg
-                return None
-            if isinstance(sg, TyVar) and sg.name in params:
-                if not isinstance(th, Bot):
-                    b_insts.setdefault(sg.name, []).append(th)
-                return sg
-            if not tv(sg):
-                return th  # closed position: the final subtyping covers it
-            if isinstance(sg, Arrow):
-                if not isinstance(th, Arrow):
-                    return None
-                cod = go(th.cod, sg.cod)
-                return None if cod is None else Arrow(th.dom, cod)
-            if isinstance(sg, Forall):
-                if not isinstance(th, Forall):
-                    return None
-                from .subtyping import _align
+                for bname, inst in got.param_insts.items():
+                    b_insts.setdefault(bname, []).append(inst)
+                out.append(sg)
+            elif not tv(sg):
+                # a closed position: the final subtyping covers it
+                out.append(th)
+            elif isinstance(sg, Arrow) and isinstance(th, Arrow):
+                out.append(th.dom)
+                work += [(th, 2), (th.cod, sg.cod)]
+            elif isinstance(sg, Forall) and isinstance(th, Forall):
                 aligned = _align(th.var, th.body, sg.var, sg.body, self)
                 if aligned is None:
                     return None
                 v, thb, sgb = aligned
-                body = go(thb, sgb)
-                return None if body is None else Forall(v, body)
-            if isinstance(sg, Coind):
-                if not (isinstance(th, Coind) and th.defname == sg.defname
-                        and len(th.params) == len(sg.params)):
-                    return None
-                ps = []
-                for tp, sp in zip(th.params, sg.params):
-                    r = go(tp, sp)
-                    if r is None:
-                        return None
-                    ps.append(r)
-                return Coind(sg.defname, th.size, tuple(ps))
-            return None
-
-        sigma_prime = go(theta, sigma)
-        if sigma_prime is None:
-            return None
+                work += [(Forall(v, thb), 1), (thb, sgb)]
+            elif isinstance(sg, Coind) and isinstance(th, Coind) \
+                    and th.defname == sg.defname \
+                    and len(th.params) == len(sg.params):
+                work.append((th, len(sg.params)))
+                work.extend(reversed(list(zip(th.params, sg.params))))
+            else:
+                return None
+        sigma_prime = out[0]
         size = rec_params = None
         if a_insts:
             acc: Type = a_insts[0]
@@ -401,7 +421,10 @@ class _Infer:
                     f"declared shape (got {self.show(theta)})")
             per_arg.append(dec)
             sizes.append(dec.size if dec.size is not None else neutral)
-            self.add_sub(dec.sigma_prime, sigma)
+            if dec.sigma_prime is not sigma:
+                # a bare variable is matched as itself, and X <= X holds
+                # with no pair and no binder aligned
+                self.add_sub(dec.sigma_prime, sigma)
         taus: list[Type] = []
         for j, bname in enumerate(d.params):
             acc: Type = BOT

@@ -1,9 +1,12 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 
 from helpers import CORPUS_DIR
 from slam.cli import main
+from slam.constraints import parse_constraint_file
 
 STREAMS = str(CORPUS_DIR / "streams.slam")
 SP = str(CORPUS_DIR / "sp.slam")
@@ -229,8 +232,8 @@ def test_gen_hard_reads_satlib_trailer(tmp_path, capsys):
 @pytest.mark.parametrize("size", ["1000001", "99999999999999999999",
                                   "9" * 5000])
 def test_huge_size_numeral_exit_2(tmp_path, capsys, size):
-    # a size n is n successor nodes: a huge numeral would exhaust memory
-    # (and one of 5,000 digits is past int()'s default digit limit)
+    # a numeral above the parser's limit is refused (and one of 5,000
+    # digits is past int()'s default digit limit)
     sc = tmp_path / "big.sc"
     sc.write_text(f"assert i + {size} <= i;")
     code, out, err = run(capsys, "solve", str(sc))
@@ -616,3 +619,44 @@ def test_traced_benchmark_finds_every_layer_function():
                for fn in fns if not callable(getattr(
                    importlib.import_module(f"slam.{mod}"), fn, None))]
     assert spans.LAYERS and missing == []
+
+
+# A run of successors is one node, so typing and parsing cost no more for
+# a long run than for a short one.  The budgets are several times what
+# the inputs take.
+
+def test_infer_a_binding_chain_of_successors(tmp_path, capsys):
+    # b1500 links to a 1500-deep numeral; each typing step extends a run
+    chain = ["b0 = zero;"] + [f"b{i} = succ b{i - 1};"
+                              for i in range(1, 1501)]
+    f = tmp_path / "chain.slam"
+    f.write_text((CORPUS_DIR / "streams.slam").read_text() + "\n"
+                 + "\n".join(chain) + "\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "infer", str(f), "b1500")
+    assert (code, out, err) == (0, "Nat^1501\n", "")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_parenthesised_run_continues_the_run(tmp_path, capsys):
+    # each numeral is within the parser's limit; their sum is not
+    text = "assert ((i+1000000)+1000000) <= i;\n"
+    tracemalloc.start()
+    try:
+        parse_constraint_file(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    sc = tmp_path / "runs.sc"
+    sc.write_text(text)
+    code, out, err = run(capsys, "solve", str(sc))
+    assert (code, out, err) == (1, "invalid\ni = 0\n", "")
+
+
+def test_infer_an_annotation_with_a_long_run(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "infer", STREAMS,
+                         "\\x : Nat^((999999)+999999). x")
+    assert (code, out, err) == (0, "Nat^1999998 -> Nat^1999998\n", "")
+    assert time.perf_counter() - start < 2.0

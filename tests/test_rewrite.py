@@ -591,6 +591,23 @@ def test_productivity_zeros(streams):
     assert [d.ok for d in rep.verdicts] == [True] * 6
 
 
+def test_productivity_checks_observability_once(streams, monkeypatch):
+    # the type is checked once per report, not again by each depth's
+    # membership; a lone `member` call still checks it
+    import slam.rewrite as rewrite
+    calls = []
+    seen = rewrite.observable
+    monkeypatch.setattr(rewrite, "observable",
+                        lambda *a: calls.append(a) or seen(*a))
+    reg = streams.registry
+    rep = productivity_check(erase(streams.linked("zeros")),
+                             parse_type("Strm", reg), reg,
+                             budget=EvalBudget(depth=8))
+    assert rep.passed and len(calls) == 1
+    member(rep.verdicts[-1].approx, parse_type("Strm", reg), reg)
+    assert len(calls) == 2
+
+
 def test_productivity_omega(streams):
     reg = streams.registry
     rep = productivity_check(OMEGA, parse_type("Strm", reg), reg,

@@ -10,8 +10,10 @@ from slam import (
     strictly_positive, subst_size, subst_type, subst_type_size, sv, tv,
     validate_registry,
 )
-from slam.parser import ParseError
-from slam.syntax import RegistryError, check_term_wf, node_count
+from slam.parser import MAX_SIZE_NUMERAL, ParseError
+from slam.syntax import (
+    RegistryError, check_term_wf, node_count, size_nodes, size_plus,
+)
 
 I, J, K = SVar("i"), SVar("j"), SVar("k")
 
@@ -256,3 +258,69 @@ def test_long_definition_chain_validates():
     reg = parse_defs(src)
     assert validate_registry(reg) == []
     assert reg.order == tuple(f"D{k}" for k in range(n, -1, -1))
+
+
+# -- a run of successors is one node ------------------------------------------
+
+def test_a_run_of_successors_is_one_node():
+    for base in (ZERO, INFTY, I, SMin(I, Succ(J))):
+        for n in (1, 2, 5, 1000):
+            s = size_plus(base, n)
+            assert type(s) is Succ and s.n == n and s.base is base
+            assert list(size_nodes(s, into=(Succ,))) == [s, base]
+            up, longer = Succ(s), size_plus(base, n + 1)
+            assert up == longer and hash(up) == hash(longer)
+            assert up.base is base and up.n == n + 1
+            assert size_plus(s, 3).base is base
+            assert size_plus(s, 3) == size_plus(base, n + 3)
+            assert s.arg == size_plus(base, n - 1)
+            assert size_plus(s, 0) is s
+        assert size_plus(base, 1).arg is base
+
+
+def _size_and_texts(rng, depth):
+    """A random size with runs of up to MAX_SIZE_NUMERAL successors (the
+    parser's limit), each built in one to three steps, and the repr and
+    printed form expected of it, built alongside: (size, repr, printed)."""
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        s, text = rng.choice([(ZERO, "0"), (INFTY, "oo"), (I, "i"), (J, "j")])
+        return s, text, text
+    if r < 0.6:
+        base, rep, printed = _size_and_texts(rng, 0) if rng.random() < 0.5 \
+            else _min_max_and_texts(rng, depth - 1)
+        s, n = base, 0
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randint(1, 3) if rng.random() < 0.9 \
+                else round(10 ** rng.uniform(0, 6))
+            k = min(k, MAX_SIZE_NUMERAL - n)
+            if k:
+                s = Succ(s) if k == 1 else size_plus(s, k)
+                n += k
+        if not n:
+            return base, rep, printed
+        return s, rep + "+1" * n, \
+            str(n) if base is ZERO else f"{printed}+{n}"
+    return _min_max_and_texts(rng, depth - 1)
+
+
+def _min_max_and_texts(rng, depth):
+    (a, ra, pa), (b, rb, pb) = (_size_and_texts(rng, depth) for _ in "ab")
+    cls, op = rng.choice([(SMin, "min"), (SMax, "max")])
+    return cls(a, b), f"{op}({ra},{rb})", f"{op}({pa}, {pb})"
+
+
+def test_runs_repr_print_and_parse_as_written():
+    rng = random.Random(17)
+    long_runs = 0
+    for k in range(3001):
+        s, rep, printed = _size_and_texts(rng, 3) if k else (
+            size_plus(I, MAX_SIZE_NUMERAL), "i" + "+1" * MAX_SIZE_NUMERAL,
+            f"i+{MAX_SIZE_NUMERAL}")
+        long_runs += "+1" * 1000 in rep
+        assert repr(s) == rep
+        assert print_size(s) == printed
+        back = parse_size(printed)
+        assert back == s and hash(back) == hash(s)
+        assert print_size(back) == printed
+    assert long_runs > 100

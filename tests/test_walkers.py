@@ -458,7 +458,6 @@ def test_render_deep_succ_chain():
 RECURSIVE = {
     "constraints._solve",
     "subtyping._lattice",
-    "typecheck._Infer.decompose.go",
 }
 
 

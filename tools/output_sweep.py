@@ -1,4 +1,4 @@
-"""Output check for changes to the rewrite and constraints layers.
+"""Output check for changes that should not alter what slam prints.
 
     python3 tools/output_sweep.py [--src DIR] [--dump FILE]
 
@@ -25,6 +25,12 @@ binding on the mutations of each corpus `.slam` file, `slam check` of a
 corpus binding against the mutations of a type, and `slam solve` on the
 mutations of `corpus/bad.sc` and of the two n = 4 encodings above, so
 every `line:col: message` of a parse error is compared.
+
+A fourth line does the same as the first for `slam infer` and
+`slam check`, plain and with --porcelain: `infer` of every binding and
+extra term, `check` of each against every `--type` of its file and every
+type `check`ed in that file below, and `infer` of the numeral
+`succ (... zero)` at the depths in NUMERALS.
 
 A change that should not alter any output gives the same digests as its
 parent: run the script once with the change's `src/` and once with the
@@ -77,6 +83,8 @@ CHECKS = [
     ("trees.slam", "wtree", "Tree^oo"),
 ]
 MUTATED_SC = ["bad.sc", "n4_0.sc", "n4_1.sc"]
+# typing: the depths of the numerals inferred in streams.slam
+NUMERALS = [0, 1, 100, 1600]
 # solve: random constraints over four size variables
 RANDOM_CONSTRAINTS = 300
 RANDOM_SEED = 31
@@ -100,6 +108,20 @@ def commands(parse_slam) -> list[list[str]]:
                     for argv in runs:
                         out += [argv, ["--porcelain", *argv]]
     return out
+
+
+def typing_commands(parse_slam) -> list[list[str]]:
+    """Every command of the typing sweep, with corpus files by base name."""
+    runs = []
+    for file, extra in EXTRA_TERMS.items():
+        sf = parse_slam((CORPUS / file).read_text())
+        types = TYPES[file] + [ty for f, _name, ty in CHECKS if f == file]
+        for term in [*sf.bindings, *extra]:
+            runs.append(["infer", file, term])
+            runs += [["check", file, term, ":", ty] for ty in types]
+    runs += [["infer", "streams.slam", "succ (" * k + "zero" + ")" * k]
+             for k in NUMERALS]
+    return [[*flag, *argv] for argv in runs for flag in ([], ["--porcelain"])]
 
 
 def cnf_files() -> dict[str, str]:
@@ -240,9 +262,11 @@ def main() -> int:
 
     with open(args.dump or os.devnull, "w") as dump, \
             tempfile.TemporaryDirectory() as tmp:
+        def corpus(a: str) -> str:
+            return str(CORPUS / a) if a in TYPES else a
+
         cmds = commands(parse_slam)
-        rewrite = sweep(cmds, lambda a: str(CORPUS / a) if a in TYPES else a,
-                        dump)
+        rewrite = sweep(cmds, corpus, dump)
         files = solve_files(run, parse_slam, Path(tmp))
         for name, text in files.items():
             Path(tmp, name).write_text(text)
@@ -261,11 +285,14 @@ def main() -> int:
             record = repr((label, argv, code, err.split("\n", 1)[0]))
             digest.update(record.encode() + b"\n")
             dump.write(record + "\n")
+        typed = typing_commands(parse_slam)
+        typing = sweep(typed, corpus, dump)
     print(f"commands: {len(cmds)}")
     print(f"sha256: {rewrite}")
     print(f"solve commands: {len(solves)} sha256: {solve}")
     print(f"parse-error commands: {len(mutated)} sha256: "
           f"{digest.hexdigest()}")
+    print(f"typing commands: {len(typed)} sha256: {typing}")
     return 0
 
 
