@@ -22,14 +22,14 @@ from .parser import ParseError, SlamFile, parse_slam, parse_term, parse_type
 from .printer import print_type
 from .rewrite import (
     Approximant, Bottom, Constr, EvalBudget, NonObservableType, Opaque,
-    approximant, erase, productivity_check,
+    approximant, closure, erase, productivity_check,
 )
 from .sizes import INF
 from .syntax import (
     INFTY, Bot, Coind, DefRegistry, PLam, RegistryError, Succ, Term, Type,
-    check_term_wf, check_type_wf, fold_type, fsv, fsv_term, rebuilt,
-    rename_binders_apart, size_names, subst_term, term_free_vars, tv,
-    uniquify_size_binders, validate_registry,
+    check_term_wf, check_type_wf, depth_first_order, fold_type, fsv,
+    fsv_term, rebuilt, rename_binders_apart, size_names, subst_term,
+    term_free_vars, tv, uniquify_size_binders, validate_registry,
 )
 from .typecheck import check, minimal_type
 
@@ -51,19 +51,23 @@ def _load_slam(path: str) -> SlamFile:
     return sf
 
 
-def _check_wf(t: Term, reg: DefRegistry) -> None:
-    diags = check_term_wf(t, reg)
+def _check_wf(ts: list[Term], reg: DefRegistry) -> None:
+    diags = [d for t in ts for d in check_term_wf(t, reg)]
     if diags:
         raise CliError("\n".join(map(str, diags)))
 
 
-def _resolve_term(sf: SlamFile, src: str) -> Term:
-    """The query with the bindings it reaches linked in."""
+def _resolve_term(sf: SlamFile, src: str):
+    """The query as a closure over the bindings it reaches, each checked
+    and erased once and shared by every use; their diagnostics come in
+    file order, then the query's.  A cycle among them is an error."""
     t = parse_term(src, sf.registry)
-    for name in sf.reached(t):
-        t = subst_term(t, sf.linked(name), name)
-    _check_wf(t, sf.registry)
-    return t
+    reached = sf.reached(t)
+    _check_wf([*(sf.bindings[n] for n in reached), t], sf.registry)
+    cycle = depth_first_order(reached, sf.refs)[1]
+    if cycle is not None:
+        raise CliError("binding cycle: " + " -> ".join(cycle))
+    return closure(erase(t), {n: erase(sf.bindings[n]) for n in reached})
 
 
 def _typing_problem(sf: SlamFile, src: str) -> tuple[dict[str, Type], Term]:
@@ -77,7 +81,7 @@ def _typing_problem(sf: SlamFile, src: str) -> tuple[dict[str, Type], Term]:
     free size variables is named around its uses: in the query or in a
     binding the query reaches without going through it.  Any other
     binding (untypable, referring to a later binding, or meant to have a
-    size variable captured where it is used) is inlined, as linking does,
+    size variable captured where it is used) is inlined by substitution,
     so the query gets the minimal type it has with every binding linked
     in.
     """
@@ -105,7 +109,7 @@ def _typing_problem(sf: SlamFile, src: str) -> tuple[dict[str, Type], Term]:
             gamma[name] = ty
     for name in inlined:
         q = subst_term(q, inlined[name], name)
-    _check_wf(q, reg)
+    _check_wf([q], reg)
     return _apart(gamma, q)
 
 
@@ -309,7 +313,7 @@ def _cmd_eval(args) -> int:
     budget = _budget(args)
     sf = _load_slam(args.file)
     t = _resolve_term(sf, args.term)
-    a = approximant(erase(t), budget, sf.registry)
+    a = approximant(t, budget, sf.registry)
     rendered, limited = _render(a, sf.registry)
     if args.porcelain:
         print(f"report.0: {rendered}")
@@ -329,7 +333,7 @@ def _cmd_productivity(args) -> int:
     if not isinstance(ty, Coind):
         raise CliError("--type must name a coinductive type")
     try:
-        report = productivity_check(erase(t), ty, sf.registry, budget)
+        report = productivity_check(t, ty, sf.registry, budget)
     except NonObservableType as e:
         raise CliError(str(e))
     if args.porcelain:

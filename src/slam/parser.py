@@ -20,9 +20,10 @@ Grammar sketch (tokens are bit-exact):
   defs    inductive Name(B1,...) { c1 : T; ... }   (coinductive likewise)
   files   definitions, then bindings `name = term;`
 
-Bindings are kept as written: a name bound earlier in the file stays a
-free variable of the terms that use it.  `SlamFile.linked` substitutes
-the bindings a term refers to, for the callers that need a closed term.
+Bindings are kept as written: a name bound in the file stays a free
+variable of the terms that use it.  Evaluation gives each binding one
+shared thunk (`rewrite.closure`), and typing types a binding once or
+inlines it; nothing substitutes every binding into a term.
 
 Line comments start with `--` or `#`.  `min`/`max` accept two or more
 arguments and nest to the left.
@@ -40,7 +41,7 @@ from typing import Optional
 from .syntax import (
     INFTY, ZERO, App, Arrow, Branch, Case, Coind, ConstructorSig, Cofix,
     DefRegistry, Definition, Fix, Forall, Lam, SVar, SizeApp, SizeExpr,
-    SizeLam, Term, TyVar, Type, Var, Con, size_plus, smax, smin, subst_term,
+    SizeLam, Term, TyVar, Type, Var, Con, size_plus, smax, smin,
     term_free_vars,
 )
 
@@ -605,17 +606,14 @@ class SlamFile:
     """A parsed .slam file: a registry plus named terms, in file order.
 
     Each value in `bindings` is the term as written: references to other
-    bindings are free variables.  `linked(name)` gives the term with the
-    earlier bindings it refers to substituted in, as a closed term when
-    the file has no forward references.
+    bindings, earlier or later in the file, are free variables.
+    `reached` and `refs` follow those references.
     """
 
     registry: DefRegistry
     bindings: dict[str, Term]
     _refs: dict[str, list[str]] = field(default_factory=dict, init=False,
                                         repr=False, compare=False)
-    _linked: dict[str, Term] = field(default_factory=dict, init=False,
-                                     repr=False, compare=False)
 
     def reached(self, t: Term, avoid: str | None = None) -> list[str]:
         """The bindings t refers to, directly or through other bindings,
@@ -631,28 +629,11 @@ class SlamFile:
         return [n for n in self.bindings if n in seen]
 
     def refs(self, name: str) -> list[str]:
-        """The bindings binding `name` refers to directly."""
+        """The bindings binding `name` refers to directly, sorted."""
         if name not in self._refs:
-            self._refs[name] = [m for m in term_free_vars(self.bindings[name])
-                                if m in self.bindings]
+            self._refs[name] = sorted(m for m in term_free_vars(
+                self.bindings[name]) if m in self.bindings)
         return self._refs[name]
-
-    def linked(self, name: str) -> Term:
-        """Binding `name` with every earlier binding it reaches substituted
-        in, capture-avoiding and in file order.  A reference to a later
-        binding (or to itself) stays a free variable.  The earlier
-        bindings it reaches are linked first, in file order, each once."""
-        if name not in self._linked:
-            pos = {n: i for i, n in enumerate(self.bindings)}
-            for n in [*self.reached(self.bindings[name]), name]:
-                if pos[n] > pos[name] or n in self._linked:
-                    continue
-                t = self.bindings[n]
-                for prev in self.reached(t):
-                    if pos[prev] < pos[n]:
-                        t = subst_term(t, self._linked[prev], prev)
-                self._linked[n] = t
-        return self._linked[name]
 
 
 def parse_slam(src: str) -> SlamFile:

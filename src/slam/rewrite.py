@@ -11,8 +11,7 @@ empirical productivity harness.
 
 Every walk here is depth-safe: erasure is a node function over the term
 fold of `syntax.py` (`fold_term`), every substitution is
-`syntax.substitute`, the one that also links decorated terms, and
-`whnf` and its readback keep their own stacks.
+`syntax.substitute`, and `whnf` and its readback keep their own stacks.
 
 Reduction runs by need and charges fuel by name.  `whnf`, the one
 reducer, runs on closures, a term with an environment, and substitutes
@@ -26,18 +25,20 @@ and the result of `whnf` are read back to terms, each thunk as its
 original closure, by one simultaneous substitution of its env that
 returns every subterm no bound variable is free in as the same object
 (terms cache their free variables, `fv`).  `_branch_for` alone decides
-which branch, if any, an iota step takes.
+which branch, if any, an iota step takes.  File bindings are not
+substituted either: `closure` makes each one thunk, shared by every
+use, as a heap of let-bound closures does.
 
 An observation descends into the thunks of constructor arguments.
-`approximant` observes a fresh term and `productivity_check` one for
-all depths, so depth n+1 finds the thunks of depth n reduced; where the
-gas tank cannot bind, it grows depth n+1 from depth n (`_extend`),
-observing only the leaves depth n cut one layer further.  A thunk
-observed more than once keeps its finished observations by depth, which
-a later visit reuses as the same object.  An approximant is thus a DAG
-(`cofix t. bnode zero t t` has 3*2^n - 2 nodes at depth n but 4n + 2
-distinct ones), and membership, refinement and the node count visit
-each distinct node, or pair of nodes, once.  Sharing saves time only: a
+`approximant` observes a fresh term or closure, `productivity_check`
+one for all depths, so depth n+1 finds the thunks of depth n reduced;
+where the gas tank cannot bind, it grows depth n+1 from depth n
+(`_extend`), observing only the leaves depth n cut one layer further.
+A thunk observed more than once keeps its finished observations by
+depth, which a later visit reuses as the same object.  An approximant
+is thus a DAG (`cofix t. bnode zero t t` has 3*2^n - 2 nodes at depth n
+but 4n + 2 distinct ones), and membership, refinement and the node
+count visit each distinct node, or pair of nodes, once.  Sharing saves time only: a
 reused result charges the steps it stands for, and a kept observation
 is reused only where the gas tank would give each of its forcings the
 full fuel limit, so fuel use and fuel-limited results are those of
@@ -58,7 +59,7 @@ from .syntax import (
 
 __all__ = [
     "Y_COMBINATOR", "OMEGA", "erase", "psubst", "whnf", "WhnfResult",
-    "Approximant", "Constr", "Bottom", "Opaque", "EvalBudget",
+    "closure", "Approximant", "Constr", "Bottom", "Opaque", "EvalBudget",
     "approximant", "refines", "member", "NonObservableType", "observable",
     "productivity_check", "ProductivityReport", "DepthVerdict",
 ]
@@ -149,13 +150,14 @@ _NO_ENV: dict = {}
 
 
 class _Thunk:
-    """An argument closure: a term and an env mapping the names that
-    reduction bound to their thunks; it reads back as one term.  `value`
-    is None until it is reduced to a constructor head or an abstraction,
-    and then that machine state (term, env, arguments with the first
-    last, no frames); `cost` is then the steps normal order takes to
-    reach it, and before, the most fuel a reduction of it ran out under
-    (-1 if none did), which its cost exceeds.  `kept` is `_approx`'s."""
+    """An argument or binding closure: a term and an env mapping the
+    names that reduction or `closure` bound to their thunks; it reads
+    back as one term.  `value` is None until it is reduced to a
+    constructor head or an abstraction, and then that machine state
+    (term, env, arguments with the first last, no frames); `cost` is
+    then the steps normal order takes to reach it, and before, the most
+    fuel a reduction of it ran out under (-1 if none did), which its
+    cost exceeds.  `kept` is `_approx`'s."""
     __slots__ = ("term", "env", "value", "cost", "kept")
 
     def __init__(self, term: PlainTerm, env: dict = _NO_ENV):
@@ -164,6 +166,17 @@ class _Thunk:
         self.value = None
         self.cost = -1
         self.kept = None
+
+
+def closure(t: PlainTerm, bindings: Mapping[str, PlainTerm]) -> _Thunk:
+    """t with an env binding each name in `bindings` to one thunk of its
+    body, under the same env.  `bindings` must be closed under reference
+    and acyclic, or readback does not end.  Its thunks keep what they
+    reduce: one closure serves one `approximant` or `productivity_check`."""
+    env: dict = {}
+    for name, body in bindings.items():
+        env[name] = _Thunk(body, env)
+    return _Thunk(t, env)
 
 
 def whnf(t: PlainTerm, fuel: int) -> WhnfResult:
@@ -438,9 +451,9 @@ class EvalBudget:
             raise ValueError("fuel must be positive and depth non-negative")
 
 
-def approximant(t: PlainTerm, budget: EvalBudget,
+def approximant(t: PlainTerm | _Thunk, budget: EvalBudget,
                 reg: Optional[DefRegistry] = None) -> Approximant:
-    """Observe a term to the given depth.
+    """Observe a term, or a fresh `closure`, to the given depth.
 
     Depth zero is bottom; otherwise head-normalize, descend under
     constructors, and wrap non-constructor values opaquely.  Fuel
@@ -852,11 +865,11 @@ class ProductivityReport:
         return "\n".join(lines)
 
 
-def productivity_check(t: PlainTerm, tau: Type, reg: DefRegistry,
+def productivity_check(t: PlainTerm | _Thunk, tau: Type, reg: DefRegistry,
                        budget: EvalBudget | None = None) -> ProductivityReport:
-    """Check approximants of depth 0 to `budget.depth` against the
-    corresponding valuation approximations of an observable coinductive
-    type, and that deeper approximants refine shallower ones.
+    """Check approximants of depth 0 to `budget.depth` of t, a term or a
+    fresh `closure`, against the valuation approximations of an
+    observable coinductive type, and that deeper ones refine shallower.
 
     Depth n+1 grows from depth n (`_extend`) when neither walk can be
     pressured: depth n's walk ended with at least `fuel` gas left, and
@@ -879,7 +892,7 @@ def productivity_check(t: PlainTerm, tau: Type, reg: DefRegistry,
     chain_ok = True
     fail_at: Optional[int] = None
     prev: Optional[DepthVerdict] = None
-    root = _Thunk(t)  # every depth observes the thunks of the one before
+    root = t if type(t) is _Thunk else _Thunk(t)  # shared by all depths
     cuts: dict = {}
     tables: tuple = ({}, {}, set())
     for n in range(budget.depth + 1):

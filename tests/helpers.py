@@ -501,11 +501,34 @@ EXTRA_TERMS = [
 ]
 
 
+def linked_reference(sf: SlamFile, name: str):
+    """Binding `name` with every earlier binding it reaches substituted
+    in, capture-avoiding and in file order.  A reference to a later
+    binding (or to itself) stays a free variable.  The earlier
+    bindings it reaches are linked first, in file order, each once.
+
+    The oracle for evaluation, which shares one thunk per binding
+    instead (`rewrite.closure`); linked terms are kept per file."""
+    from slam import subst_term
+    linked = vars(sf).setdefault("_linked_reference", {})
+    if name not in linked:
+        pos = {n: i for i, n in enumerate(sf.bindings)}
+        for n in [*sf.reached(sf.bindings[name]), name]:
+            if pos[n] > pos[name] or n in linked:
+                continue
+            t = sf.bindings[n]
+            for prev in sf.reached(t):
+                if pos[prev] < pos[n]:
+                    t = subst_term(t, linked[prev], prev)
+            linked[n] = t
+    return linked[name]
+
+
 def link_all(sf: SlamFile, t):
     """The term with every binding of the file linked in, in file order."""
     from slam import subst_term
     for name in sf.bindings:
-        t = subst_term(t, sf.linked(name), name)
+        t = subst_term(t, linked_reference(sf, name), name)
     return t
 
 
@@ -515,7 +538,8 @@ def corpus_terms():
     for fname in ("streams", "sp", "trees"):
         sf = load(fname)
         for name in sf.bindings:
-            out.append((f"{fname}.{name}", sf.registry, sf.linked(name)))
+            out.append((f"{fname}.{name}", sf.registry,
+                        linked_reference(sf, name)))
     for fname, src in EXTRA_TERMS:
         sf = load(fname)
         t = link_all(sf, parse_term(src, sf.registry))

@@ -8,9 +8,9 @@ import random
 import time
 
 from helpers import (
-    brute_force_valid, completeness_bound, corpus_terms, load, rand_cnf,
-    rand_size, rand_size_ge1, rand_type, reshape_sizes, subtype_of,
-    supertype_of, truth_table_sat,
+    brute_force_valid, completeness_bound, corpus_terms, linked_reference,
+    load, rand_cnf, rand_size, rand_size_ge1, rand_type, reshape_sizes,
+    subtype_of, supertype_of, truth_table_sat,
 )
 from slam import (
     App, Arrow, Coind, SMax, SMin, SVar, Succ, Var, ZERO, alpha_eq_type,
@@ -39,9 +39,11 @@ def _report(n: int, ok: bool, desc: str, extra: str = "") -> None:
 def test_criterion_1_golden_typings():
     streams, sp = load("streams"), load("sp")
     cases = [
-        (streams, streams.linked("tl"), "forall i. Strm^(i+1) -> Strm^i"),
-        (streams, streams.linked("hd"), "forall i. Strm^(i+1) -> Nat"),
-        (sp, sp.linked("run"), "SP -> Strm -> Strm"),
+        (streams, linked_reference(streams, "tl"),
+         "forall i. Strm^(i+1) -> Strm^i"),
+        (streams, linked_reference(streams, "hd"),
+         "forall i. Strm^(i+1) -> Nat"),
+        (sp, linked_reference(sp, "run"), "SP -> Strm -> Strm"),
         (streams, parse_term("cofix[j] f : Strm^0 . f", streams.registry),
          "Strm^0"),
     ]
@@ -257,8 +259,9 @@ def test_criterion_7_empirical_soundness():
         if not rep.passed:
             failures.append(label)
     sp = load("sp")
-    run_odd = App(App(sp.linked("run"), sp.linked("odd")),
-                  sp.linked("nats"))
+    run_odd = App(App(linked_reference(sp, "run"),
+                      linked_reference(sp, "odd")),
+                  linked_reference(sp, "nats"))
     rep = productivity_check(erase(run_odd), parse_type("Strm", sp.registry),
                              sp.registry, budget=EvalBudget(depth=3))
     prefix_ok = rep.passed and rep.verdicts[3].approx == Constr(

@@ -314,6 +314,72 @@ def test_eval_binding_chain(tmp_path, capsys):
     assert (code, out, err) == (0, "1024\n", "")
 
 
+def test_eval_binding_chain_erases_each_binding_once(tmp_path, capsys,
+                                                    monkeypatch):
+    # d_i = plus d_(i-1) d_(i-1): substituted in, d_k is a tree of 2^k
+    # copies of d0 (73,713 nodes erased at k = 12); as one thunk per
+    # binding, each binding is erased once, so the nodes erased grow
+    # linearly in k.  Nodes are counted, not timed.
+    from slam import rewrite
+
+    chain = ["d0 = succ zero;"] + [f"d{i} = plus d{i - 1} d{i - 1};"
+                                   for i in range(1, 13)]
+    f = tmp_path / "chain.slam"
+    f.write_text((CORPUS_DIR / "streams.slam").read_text() + "\n"
+                 + "\n".join(chain) + "\n")
+    nodes = {}
+    erase_node = rewrite._erase
+
+    def counted(*args):
+        nodes[k] += 1
+        return erase_node(*args)
+
+    monkeypatch.setattr(rewrite, "_erase", counted)
+    for k in (6, 12):
+        nodes[k] = 0
+        code, out, err = run(capsys, "--porcelain", "eval", str(f), f"d{k}",
+                             "--depth", "0", "--fuel", "1000000")
+        assert (code, out, err) == (0, f"report.0: {2 ** k}\n", "")
+    # `plus d d` is 5 nodes: at most 8 more per binding
+    assert nodes[12] - nodes[6] <= 8 * 6
+
+
+@pytest.mark.parametrize("cmd", [("eval",),
+                                 ("productivity", "--type", "Strm")])
+@pytest.mark.parametrize("defs,cycle", [
+    ("loop = succ loop;", "loop -> loop"),
+    ("ca = succ cb;\ncb = succ ca;", "ca -> cb -> ca"),
+])
+def test_a_binding_cycle_is_an_error(tmp_path, capsys, cmd, defs, cycle):
+    # a binding that reaches itself has no finite unfolding to run; typing
+    # inlines it and finds no type
+    f = tmp_path / "cycle.slam"
+    f.write_text((CORPUS_DIR / "streams.slam").read_text() + "\n" + defs
+                 + "\n")
+    for name in cycle.split(" -> ")[:-1]:
+        code, out, err = run(capsys, cmd[0], str(f), name, *cmd[1:])
+        assert (code, out, err) == (2, "", f"error: binding cycle: {cycle}\n")
+        code, out, err = run(capsys, "infer", str(f), name)
+        assert (code, out, err) == (1, "untypable\n", "")
+
+
+@pytest.mark.parametrize("cmd", [("eval",),
+                                 ("productivity", "--type", "Strm")])
+def test_an_ill_formed_binding_is_reported_once(tmp_path, capsys, cmd):
+    # each reached binding is checked once, in file order, then the query
+    f = tmp_path / "bad.slam"
+    f.write_text((CORPUS_DIR / "streams.slam").read_text()
+                 + "\nworse = case zero of { nada => zero };\n"
+                 + "bad = case zero of { zero => zero; nope => zero };\n"
+                 + "twice = plus (plus bad bad) worse;\n")
+    code, out, err = run(capsys, cmd[0], str(f),
+                         "case twice of { zip => twice }", *cmd[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: " + "\n".join(
+        f"unknown constructor {c} in case" for c in ("nada", "nope", "zip")
+    ) + "\n"
+
+
 def test_non_ascii_digit_is_a_parse_error(capsys):
     code, out, err = run(capsys, "infer", STREAMS, "tl [\u00b2] zeros")
     assert code == 2 and out == ""
@@ -488,7 +554,7 @@ def test_eval_beta_into_a_deep_body(capsys):
 
 
 def test_eval_links_a_deep_binding(tmp_path, capsys):
-    # linking substitutes z into a 3,000-deep binding
+    # a 3,000-deep binding over z, both erased once and entered as thunks
     f = tmp_path / "deep.slam"
     f.write_text((CORPUS_DIR / "streams.slam").read_text()
                  + f"\nz = zero;\nd = {_succs(3000, 'z')};\n")
@@ -513,7 +579,8 @@ def test_eval_nested_case_heads(capsys):
 
 
 def test_eval_long_binding_chain(tmp_path, capsys):
-    # b_i = succ b_(i-1): linking substitutes only where a binding is free
+    # b_i = succ b_(i-1): each binding one thunk, whose argument is the
+    # thunk of the one before
     f = tmp_path / "chain.slam"
     f.write_text((CORPUS_DIR / "streams.slam").read_text() + "\nb0 = zero;\n"
                  + "".join(f"b{i} = succ b{i - 1};\n" for i in range(1, 401)))

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from helpers import (
-    CORPUS_DIR, brute_force_valid, completeness_bound, load, rand_cnf,
-    rand_size, sat_atoms_reference, solve_reference, truth_table_sat,
+    CORPUS_DIR, brute_force_valid, completeness_bound, linked_reference,
+    load, rand_cnf, rand_size, sat_atoms_reference, solve_reference,
+    truth_table_sat,
 )
 from slam import (
     INFTY, ONE, SMax, SMin, SVar, Succ, ZERO, eval_size,
@@ -294,7 +295,8 @@ def test_formatted_inference_triples_parse_back():
     for fname in ("streams", "sp", "trees"):
         sf = load(fname)
         for name in sf.bindings:
-            c = infer(sf.registry, {}, sf.linked(name)).constraint
+            t = linked_reference(sf, name)
+            c = infer(sf.registry, {}, t).constraint
             text = format_constraint(c)
             back = parse_constraint_file(text)
             assert is_valid(back).valid == is_valid(c).valid, (fname, name)
@@ -362,7 +364,8 @@ def _search_inputs() -> list[SizeConstraint]:
     for fname in ("streams", "sp", "trees"):
         sf = load(fname)
         for name in sf.bindings:
-            c = infer(sf.registry, {}, sf.linked(name)).constraint
+            t = linked_reference(sf, name)
+            c = infer(sf.registry, {}, t).constraint
             if c.u:
                 out.append(c)
     return out

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from helpers import (
-    PLAIN_VARS, approx_reference, corpus_terms, link_all, load,
-    plain_free_vars_reference, psubst_reference, rand_plain, same_whnf,
-    step1_reference, whnf_recursive_reference, whnf_reference,
+    CORPUS_DIR, EXTRA_TERMS, PLAIN_VARS, approx_reference, corpus_terms,
+    link_all, linked_reference, load, plain_free_vars_reference,
+    psubst_reference, rand_plain, same_whnf, step1_reference,
+    whnf_recursive_reference, whnf_reference,
 )
 from slam import (
     App, Coind, INFTY, PApp, PBranch, PCase, PCon, PLam, PVar, SVar, ZERO,
@@ -35,15 +36,16 @@ def test_erase_examples(streams):
         PBranch("cons", ("x", "t"), PVar("t")),)))
     t2 = parse_term("tl [oo]", reg)
     from slam import subst_term
-    t2 = subst_term(t2, streams.linked("tl"), "tl")
-    assert alpha_eq_plain(erase(t2), erase(streams.linked("tl")))
+    t2 = subst_term(t2, linked_reference(streams, "tl"), "tl")
+    assert alpha_eq_plain(erase(t2),
+                          erase(linked_reference(streams, "tl")))
     cz = erase(parse_term("cofix[j] f : Strm . cons zero f", reg))
     assert cz == PApp(Y_COMBINATOR, PLam("f", PApp(
         PApp(PCon("cons"), PCon("zero")), PVar("f"))))
 
 
 def test_erase_fix_uses_turing_combinator(streams):
-    e = erase(streams.linked("plus"))
+    e = erase(linked_reference(streams, "plus"))
     assert isinstance(e, PApp) and e.fun == Y_COMBINATOR
 
 
@@ -347,7 +349,7 @@ def test_forcing_a_thunk_again_gives_what_normal_order_gives():
 def test_whnf_reads_a_shared_argument_back_once(trees):
     # cofix t. bnode zero t t: both recursive arguments are the closure
     # of t, read back as one object
-    r = whnf(erase(trees.linked("bzeros")), 100)
+    r = whnf(erase(linked_reference(trees, "bzeros")), 100)
     assert r.head == "bnode" and r.args[1] is r.args[2]
     assert r.term.fun.arg is r.args[1] and r.term.arg is r.args[2]
 
@@ -398,7 +400,7 @@ def test_whnf_reads_back_a_deep_chain_of_closures():
 
 def test_approximant_zeros(streams):
     reg = streams.registry
-    z = erase(streams.linked("zeros"))
+    z = erase(linked_reference(streams, "zeros"))
     a = approximant(z, EvalBudget(fuel=1000, depth=2), reg)
     assert a == Constr("cons", (Constr("zero"),
                                 Constr("cons", (Constr("zero"), Bottom()))))
@@ -584,7 +586,7 @@ def test_nonstrict_antitone(streams):
 
 def test_productivity_zeros(streams):
     reg = streams.registry
-    rep = productivity_check(erase(streams.linked("zeros")),
+    rep = productivity_check(erase(linked_reference(streams, "zeros")),
                              parse_type("Strm", reg), reg,
                              budget=EvalBudget(depth=5))
     assert rep.passed and rep.chain_ok
@@ -600,7 +602,7 @@ def test_productivity_checks_observability_once(streams, monkeypatch):
     monkeypatch.setattr(rewrite, "observable",
                         lambda *a: calls.append(a) or seen(*a))
     reg = streams.registry
-    rep = productivity_check(erase(streams.linked("zeros")),
+    rep = productivity_check(erase(linked_reference(streams, "zeros")),
                              parse_type("Strm", reg), reg,
                              budget=EvalBudget(depth=8))
     assert rep.passed and len(calls) == 1
@@ -618,7 +620,8 @@ def test_productivity_omega(streams):
 
 def test_productivity_run_odd_nats(sp):
     reg = sp.registry
-    t = App(App(sp.linked("run"), sp.linked("odd")), sp.linked("nats"))
+    t = App(App(linked_reference(sp, "run"), linked_reference(sp, "odd")),
+            linked_reference(sp, "nats"))
     rep = productivity_check(erase(t), parse_type("Strm", reg), reg,
                              budget=EvalBudget(depth=3))
     assert rep.passed
@@ -644,7 +647,9 @@ def test_run_odd_nats_takes_steps_linear_in_depth(sp, monkeypatch, observe):
 
     monkeypatch.setattr(rewrite, "_run", counted)
     reg = sp.registry
-    t = erase(App(App(sp.linked("run"), sp.linked("odd")), sp.linked("nats")))
+    t = erase(App(App(linked_reference(sp, "run"),
+                      linked_reference(sp, "odd")),
+                  linked_reference(sp, "nats")))
     steps = {}
     for depth in (20, 40):
         taken.clear()
@@ -810,7 +815,7 @@ def test_zeros_report_forces_linearly_in_depth(streams, monkeypatch):
 
     monkeypatch.setattr(rewrite, "_force", counted)
     reg = streams.registry
-    t = erase(streams.linked("zeros"))
+    t = erase(linked_reference(streams, "zeros"))
     made = {}
     for depth in (100, 200):
         calls[0] = 0
@@ -866,7 +871,7 @@ def test_shared_observations_keep_gas_exact(fname, src, tyname):
 
 def test_shared_observation_is_one_object_per_depth(trees):
     # bnode zero t t: both children of a node are the same observation
-    z = erase(trees.linked("bzeros"))
+    z = erase(linked_reference(trees, "bzeros"))
     a = approximant(z, EvalBudget(depth=12), trees.registry)
     distinct, todo = set(), [a]
     while todo:
@@ -880,7 +885,7 @@ def test_shared_observation_is_one_object_per_depth(trees):
 
 def test_productivity_report_format(streams):
     reg = streams.registry
-    rep = productivity_check(erase(streams.linked("zeros")),
+    rep = productivity_check(erase(linked_reference(streams, "zeros")),
                              parse_type("Strm", reg), reg,
                              budget=EvalBudget(depth=2))
     lines = rep.render().splitlines()
@@ -898,7 +903,7 @@ def test_unproductive_but_typed_at_size_zero(streams):
     # Strm^0 promises nothing, and the harness shows exactly that: the
     # term types but produces no layer
     reg = streams.registry
-    t = streams.linked("stuckstream")
+    t = linked_reference(streams, "stuckstream")
     rep = productivity_check(erase(t), parse_type("Strm", reg), reg,
                              budget=EvalBudget(fuel=300, depth=1))
     assert not rep.passed and rep.fail_at == 1
@@ -908,7 +913,7 @@ def test_member_checks_a_shared_node_once_per_goal(trees, monkeypatch):
     # a node of the bzeros DAG is checked once, not once per parent: each
     # check of a bnode pops its three children once, and a constructor is
     # looked up once per goal (once per level, as zero's goal is shared)
-    z = erase(trees.linked("bzeros"))
+    z = erase(linked_reference(trees, "bzeros"))
     pops, lookups = [], []
     definition, entry = DefRegistry.definition, DefRegistry.constructor_entry
     monkeypatch.setattr(DefRegistry, "definition",
@@ -934,7 +939,7 @@ def test_member_checks_a_shared_node_once_per_goal(trees, monkeypatch):
 
 def test_member_strict_through_branching(trees):
     reg = trees.registry
-    z = erase(trees.linked("bzeros"))
+    z = erase(linked_reference(trees, "bzeros"))
     a2 = approximant(z, EvalBudget(fuel=2000, depth=2), reg)
     btree = Coind("BTree", SVar("n"), ())
     assert member(a2, btree, reg, {"n": 2}, strict=True)
@@ -947,7 +952,7 @@ def test_member_strict_through_branching(trees):
 def test_member_strict_through_list_parameters(trees):
     # the strict chain runs through the elements of an inductive spine
     reg = trees.registry
-    f = erase(trees.linked("fpair"))
+    f = erase(linked_reference(trees, "fpair"))
     ftree = Coind("FTree", SVar("n"), ())
     a1 = approximant(f, EvalBudget(fuel=2000, depth=1), reg)
     assert member(a1, ftree, reg, {"n": 1}, strict=True)
@@ -972,3 +977,90 @@ def test_member_and_refines_on_a_deep_stream():
     assert not member(a, strm, reg, {"i": n + 1}, strict=True)
     assert not member(a, Coind("Nat", INFTY, ()), reg)
     assert refines(a, a) and refines(a, shallow) and not refines(shallow, a)
+
+
+# -- bindings as one shared thunk each ---------------------------------------
+
+# forward references, a binding used several times, and lambda and case
+# binders named like bindings
+BINDING_FILE = """
+f = g;
+g = succ zero;
+two = plus g g;
+four = plus two two;
+k = \\g : Nat. succ g;
+m = case two of { zero => f; succ f => plus f g };
+fours = cofix[j] s : Strm^j . cons four s;
+"""
+BINDING_QUERIES = ["f", "g", "two", "four", "k", "m", "k f", "fours",
+                   "plus four (k two)", "\\f : Nat. plus f g",
+                   "(\\four : Nat. plus four four) g"]
+
+
+def _closure_and_linked(sf, src):
+    """The query as the CLI hands it to the machine, a closure over one
+    thunk per binding it reaches, and as linking gave it: the reached
+    bindings substituted in, in file order, each linked first."""
+    from slam import subst_term
+    from slam.rewrite import closure
+
+    q = parse_term(src, sf.registry)
+    reached = sf.reached(q)
+    t = q
+    for n in reached:
+        t = subst_term(t, linked_reference(sf, n), n)
+
+    def fresh():
+        return closure(erase(q), {n: erase(sf.bindings[n]) for n in reached})
+
+    return fresh, erase(t)
+
+
+# the coinductive types of each file; those with functions inside are
+# not observable, and both paths must refuse them
+COINDUCTIVE = {"streams": ["Strm"], "sp": ["Strm", "SP"],
+               "trees": ["BTree", "FTree", "Tree"]}
+
+
+def test_closure_matches_linked_reference():
+    # a closure shares one thunk per binding and charges its cost by name
+    # at every use, so it must observe as the linked term: every
+    # approximant, node count, fuel use, fuel-limited flag and verdict
+    from slam import parse_slam
+
+    gen = parse_slam((CORPUS_DIR / "streams.slam").read_text()
+                     + BINDING_FILE)
+    cases = [(f, load(f), name) for f in COINDUCTIVE
+             for name in load(f).bindings]
+    cases += [(f, load(f), src) for f, src in EXTRA_TERMS]
+    cases += [("streams", gen, src) for src in BINDING_QUERIES]
+    shared = 0
+    for fname, sf, src in cases:
+        reg = sf.registry
+        fresh, linked = _closure_and_linked(sf, src)
+        shared += len(fresh().env) > 0
+        for fuel in (50, 200, EvalBudget().fuel):
+            for n in range(9):
+                budget = EvalBudget(fuel=fuel, depth=n)
+                got = approximant(fresh(), budget, reg)
+                want = approximant(linked, budget, reg)
+                assert got == want and repr(got) == repr(want), \
+                    (src, fuel, n)
+            for tyname in COINDUCTIVE[fname]:
+                tau = parse_type(tyname, reg)
+                budget = EvalBudget(fuel=fuel, depth=8)
+                try:
+                    want = productivity_check(linked, tau, reg, budget)
+                except NonObservableType:
+                    with pytest.raises(NonObservableType):
+                        productivity_check(fresh(), tau, reg, budget)
+                    continue
+                got = productivity_check(fresh(), tau, reg, budget)
+                assert got.render() == want.render(), (src, tyname, fuel)
+                assert [(v.ok, v.nodes, v.fuel_used, v.fuel_limited,
+                         v.approx) for v in got.verdicts] == \
+                    [(v.ok, v.nodes, v.fuel_used, v.fuel_limited, v.approx)
+                     for v in want.verdicts], (src, tyname, fuel)
+                assert (got.passed, got.chain_ok, got.fail_at) == \
+                    (want.passed, want.chain_ok, want.fail_at)
+    assert shared > len(BINDING_QUERIES)

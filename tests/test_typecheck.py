@@ -1,8 +1,8 @@
 import random
 
 from helpers import (
-    CORPUS_DIR, EXTRA_TERMS, context_terms, corpus_terms, link_all, rand_cnf,
-    subtype_of, supertype_of, truth_table_sat,
+    CORPUS_DIR, EXTRA_TERMS, context_terms, corpus_terms, link_all,
+    linked_reference, rand_cnf, subtype_of, supertype_of, truth_table_sat,
 )
 from slam import (
     App, Arrow, Branch, Case, Coind, Con, INFTY, ONE, SMax, SVar, SizeApp,
@@ -21,7 +21,7 @@ I, J, K = SVar("i"), SVar("j"), SVar("k")
 
 def _golden(sf, name, expected_src):
     reg = sf.registry
-    got = minimal_type(reg, {}, sf.linked(name))
+    got = minimal_type(reg, {}, linked_reference(sf, name))
     assert got is not None, name
     want = parse_type(expected_src, reg)
     assert alpha_eq_type(got, want), (name, got, want)
@@ -233,7 +233,7 @@ def test_context_monotonicity():
 
 def test_inference_deterministic(sp):
     reg = sp.registry
-    t = sp.linked("run")
+    t = linked_reference(sp, "run")
     t1 = infer(reg, {}, t)
     t2 = infer(reg, {}, t)
     assert t1.u == t2.u and t1.pairs == t2.pairs
@@ -336,7 +336,7 @@ def test_fix_reused_after_linking(streams):
     reg = streams.registry
     t = parse_term("plus (plus (succ zero) zero) (succ zero)", reg)
     from slam import subst_term
-    t = subst_term(t, streams.linked("plus"), "plus")
+    t = subst_term(t, linked_reference(streams, "plus"), "plus")
     m = minimal_type(reg, {}, t)
     assert m is not None and alpha_eq_type(m, parse_type("Nat", reg))
 
@@ -364,7 +364,7 @@ def test_instantiation_specializes_type_not_inequalities(streams):
     from slam import subst_term
     gamma = {"g": parse_type("forall a. Strm^a -> Strm^a", reg)}
     t = parse_term("(/\\i. \\w : Strm^(i+1). g [i] (tl [i] w)) [5]", reg)
-    t = subst_term(t, streams.linked("tl"), "tl")
+    t = subst_term(t, linked_reference(streams, "tl"), "tl")
     m = minimal_type(reg, gamma, t)
     assert m is not None
     assert alpha_eq_type(m, parse_type("Strm^6 -> Strm^5", reg))

@@ -14,7 +14,8 @@ checkout lives.
 A second line does the same for `slam solve`, plain and with
 --porcelain, on the `slam gen-hard` encodings of seeded random 3-CNF
 formulas at n = 4..14 variables, on `corpus/bad.sc`, on the inference
-triple (U, S) of every binding of the corpus, written out with
+triple (U, S) of every binding of the corpus, with the earlier
+bindings it reaches substituted in, written out with
 `format_constraint`, and on seeded random constraints whose nested
 min/max give disjunct arms of several atoms.
 
@@ -170,6 +171,7 @@ def solve_files(run, parse_slam, tmp: Path) -> dict[str, str]:
     """Every constraint file of the solve sweep, by file name; the CNF
     formulas go through `slam gen-hard` in `tmp`."""
     from slam.constraints import format_constraint
+    from slam.syntax import subst_term
     from slam.typecheck import infer
 
     files = {}
@@ -183,8 +185,13 @@ def solve_files(run, parse_slam, tmp: Path) -> dict[str, str]:
     files["bad.sc"] = (CORPUS / "bad.sc").read_text()
     for file in EXTRA_TERMS:
         sf = parse_slam((CORPUS / file).read_text())
-        for name in sf.bindings:
-            c = infer(sf.registry, {}, sf.linked(name)).constraint
+        linked = {}  # each binding with the earlier ones it reaches put in
+        for name, t in sf.bindings.items():
+            for prev in sf.reached(t):
+                if prev in linked:
+                    t = subst_term(t, linked[prev], prev)
+            linked[name] = t
+            c = infer(sf.registry, {}, t).constraint
             # fresh size variables are named $1, $s2, ..., which a
             # constraint file cannot spell
             text = format_constraint(c).replace("$", "_")
