@@ -2,7 +2,8 @@
 
 Subcommands: check, infer, eval, productivity, solve, gen-hard.  Exit
 codes are the success signal: 0 for yes/valid/PASS, 1 for no/invalid/FAIL
-or untypable, 2 for parse or validation errors (diagnostics on stderr).
+or untypable, 2 for errors (diagnostics on stderr): parse and validation
+errors, a binding cycle the query reaches, and any crash.
 With --porcelain the output is line-oriented `key: value` text with keys
 `type`, `verdict`, `witness.<var>`, `report.<n>`.
 """
@@ -28,7 +29,7 @@ from .sizes import INF
 from .syntax import (
     INFTY, Bot, Coind, DefRegistry, PLam, RegistryError, Succ, Term, Type,
     check_term_wf, check_type_wf, depth_first_order, fold_type, fsv,
-    fsv_term, rebuilt, rename_binders_apart, size_names, subst_term,
+    fsv_term, rebuilt, rename_binders_apart, size_names, substitute,
     term_free_vars, tv, uniquify_size_binders, validate_registry,
 )
 from .typecheck import check, minimal_type
@@ -57,81 +58,63 @@ def _check_wf(ts: list[Term], reg: DefRegistry) -> None:
         raise CliError("\n".join(map(str, diags)))
 
 
-def _resolve_term(sf: SlamFile, src: str):
-    """The query as a closure over the bindings it reaches, each checked
-    and erased once and shared by every use; their diagnostics come in
-    file order, then the query's.  A cycle among them is an error."""
+def _resolve(sf: SlamFile, src: str) -> tuple[Term, list[str]]:
+    """The query and the bindings it reaches, each after the bindings it
+    refers to.  The bindings are checked in file order, then the query,
+    and all their diagnostics are listed at once.  A cycle among them is
+    an error."""
     t = parse_term(src, sf.registry)
     reached = sf.reached(t)
     _check_wf([*(sf.bindings[n] for n in reached), t], sf.registry)
-    cycle = depth_first_order(reached, sf.refs)[1]
+    order, cycle = depth_first_order(reached, sf.refs)
     if cycle is not None:
         raise CliError("binding cycle: " + " -> ".join(cycle))
-    return closure(erase(t), {n: erase(sf.bindings[n]) for n in reached})
+    return t, order
+
+
+def _resolve_term(sf: SlamFile, src: str):
+    """The query as a closure over the bindings it reaches, each erased
+    once and shared by every use."""
+    t, order = _resolve(sf, src)
+    return closure(erase(t), {n: erase(sf.bindings[n]) for n in order})
 
 
 def _typing_problem(sf: SlamFile, src: str) -> tuple[dict[str, Type], Term]:
     """The query with the bindings it reaches inlined or typed once, and
     a context of the typed ones it refers to.
 
-    Bindings are visited in file order, with the earlier ones that were
-    inlined substituted into them.  A binding enters the context with its
-    minimal type when its body is well-formed, types in the context built
-    so far, has a type without free size variables, and none of the body's
+    Each binding is visited after the bindings it refers to, with the
+    inlined ones among those substituted into it.  It enters the context
+    with its minimal type when its body types in the context built so
+    far, has a type without free size variables, and none of the body's
     free size variables is named around its uses: in the query or in a
     binding the query reaches without going through it.  Any other
-    binding (untypable, referring to a later binding, or meant to have a
-    size variable captured where it is used) is inlined by substitution,
-    so the query gets the minimal type it has with every binding linked
-    in.
+    binding (untypable, or meant to have a size variable captured where
+    it is used) is inlined by substitution, so the query gets the minimal
+    type it has with every binding linked in.
     """
-    reg = sf.registry
-    q = parse_term(src, reg)
-    reached = sf.reached(q)
-    bit, reach = _reach_sets(sf, reached)
+    q, order = _resolve(sf, src)
     named: dict[Optional[str], frozenset[str]] = {}
     gamma: dict[str, Type] = {}
-    inlined: dict[str, Term] = {}  # in file order
-    for name in reached:
-        body = sf.bindings[name]
-        for prev in inlined:  # earlier in the file, not in the context
-            if reach[name] & bit[prev]:
-                body = subst_term(body, inlined[prev], prev)
+    inlined: dict[str, Term] = {}
+    for name in order:
+        body = _inline(sf.bindings[name], sf.refs(name), inlined)
         shared = fsv_term(body)
         if shared:
             shared &= _names_around(sf, q, name, named)
-        ty = None
-        if not shared and not check_term_wf(body, reg):
-            ty = minimal_type(reg, *_apart(gamma, body))
+        ty = None if shared else minimal_type(sf.registry,
+                                              *_apart(gamma, body))
         if ty is None or fsv(ty):
             inlined[name] = body
         else:
             gamma[name] = ty
-    for name in inlined:
-        q = subst_term(q, inlined[name], name)
-    _check_wf([q], reg)
-    return _apart(gamma, q)
+    return _apart(gamma, _inline(q, sorted(term_free_vars(q)), inlined))
 
 
-def _reach_sets(sf: SlamFile, names: list[str]
-                ) -> tuple[dict[str, int], dict[str, int]]:
-    """A bit per binding in `names`, which must be closed under
-    references, and for each of them the bits of the bindings it refers
-    to directly or through others.  A binding's set is its references and
-    their sets, taken in file order until nothing changes: one pass and a
-    check when no reference points forward."""
-    bit = {n: 1 << i for i, n in enumerate(names)}
-    reach = dict.fromkeys(names, 0)
-    changed = True
-    while changed:
-        changed = False
-        for n in names:
-            r = reach[n]
-            for m in sf.refs(n):
-                r |= bit[m] | reach[m]
-            if r != reach[n]:
-                reach[n], changed = r, True
-    return bit, reach
+def _inline(t: Term, refs: list[str], inlined: dict[str, Term]) -> Term:
+    """t with the inlined body of each binding in `refs`, the bindings t
+    refers to, put in at once; each body already holds its own."""
+    return substitute(t, [(n, inlined[n]) for n in refs if n in inlined])
 
 
 def _names_around(sf: SlamFile, q: Term, name: str,
@@ -150,7 +133,11 @@ def _names_around(sf: SlamFile, q: Term, name: str,
 def _apart(gamma: dict[str, Type], t: Term) -> tuple[dict[str, Type], Term]:
     """t with unique size binders, and the context entries t refers to
     with their quantifiers renamed apart from every size variable t
-    names, as linking renames the binders of an inlined body."""
+    names, as linking renames the binders of an inlined body.  A term
+    that refers to none is returned as it is: inference makes its size
+    binders unique."""
+    if gamma.keys().isdisjoint(term_free_vars(t)):
+        return {}, t
     t = uniquify_size_binders(t)
     avoid = size_names(t)
     return {n: rename_binders_apart(gamma[n], avoid)

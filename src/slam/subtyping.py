@@ -153,43 +153,49 @@ def meet(t1, t2, reg: DefRegistry, env: Optional[BinderEnv] = None):
 
 
 def _lattice(a, b, reg, env, up: bool):
-    if isinstance(a, Bot):
-        return b if up else BOT
-    if isinstance(b, Bot):
-        return a if up else BOT
-    if isinstance(a, TyVar) and isinstance(b, TyVar):
-        return a if a.name == b.name else None
-    if isinstance(a, Coind) and isinstance(b, Coind):
-        if a.defname != b.defname or len(a.params) != len(b.params):
-            return None
-        params = []
-        for p, q in zip(a.params, b.params):
-            r = _lattice(p, q, reg, env, up)
-            if r is None:
+    """The join (up) or the meet of a and b, or None when it is undefined.
+
+    Pairs are related depth-first in the order a recursive walk would
+    meet them, since aligning binders updates `env`: parameters left to
+    right, an arrow's domain (flipped) before its codomain, and a forall's
+    binders before its body.  The result of each pair goes to `out`; a
+    marker (node, k, up) rebuilds node over the last k of them."""
+    out: list[Type] = []
+    work: list = [(a, b, up)]
+    while work:
+        a, b, up = work.pop()
+        if type(b) is int:
+            kids = out[len(out) - b:]
+            del out[len(out) - b:]
+            out.append(a._with(kids))
+        elif isinstance(a, Bot):
+            out.append(b if up else BOT)
+        elif isinstance(b, Bot):
+            out.append(a if up else BOT)
+        elif isinstance(a, TyVar) and isinstance(b, TyVar):
+            if a.name != b.name:
                 return None
-            params.append(r)
-        coind = reg.definition(a.defname).coinductive
-        if up == coind:
-            size: SizeExpr = SMin(a.size, b.size)
+            out.append(a)
+        elif isinstance(a, Coind) and isinstance(b, Coind):
+            if a.defname != b.defname or len(a.params) != len(b.params):
+                return None
+            minmax = SMin if up == reg.definition(a.defname).coinductive \
+                else SMax
+            work.append((Coind(a.defname, minmax(a.size, b.size)),
+                         len(a.params), up))
+            work.extend(reversed([(p, q, up)
+                                  for p, q in zip(a.params, b.params)]))
+        elif isinstance(a, Arrow) and isinstance(b, Arrow):
+            work += [(a, 2, up), (a.cod, b.cod, up), (a.dom, b.dom, not up)]
+        elif isinstance(a, Forall) and isinstance(b, Forall):
+            aligned = _align(a.var, a.body, b.var, b.body, env)
+            if aligned is None:
+                return None
+            v, abody, bbody = aligned
+            work += [(Forall(v, abody), 1, up), (abody, bbody, up)]
         else:
-            size = SMax(a.size, b.size)
-        return Coind(a.defname, size, tuple(params))
-    if isinstance(a, Arrow) and isinstance(b, Arrow):
-        dom = _lattice(a.dom, b.dom, reg, env, not up)
-        cod = _lattice(a.cod, b.cod, reg, env, up)
-        if dom is None or cod is None:
             return None
-        return Arrow(dom, cod)
-    if isinstance(a, Forall) and isinstance(b, Forall):
-        aligned = _align(a.var, a.body, b.var, b.body, env)
-        if aligned is None:
-            return None
-        v, abody, bbody = aligned
-        body = _lattice(abody, bbody, reg, env, up)
-        if body is None:
-            return None
-        return Forall(v, body)
-    return None
+    return out[0]
 
 
 def tgt(t: Type) -> Type:

@@ -2137,6 +2137,50 @@ def gen_sub_constraints_reference(t1, t2, reg, env=None):
     return list(out) if go(t1, t2) else None
 
 
+def lattice_reference(t1, t2, reg, up=True, env=None):
+    """The join (up) or meet of two types, as the recursive
+    `subtyping._lattice` computed it."""
+    from slam import BOT, Bot, SMax, SMin, TyVar
+    from slam.subtyping import _align
+
+    if env is None:
+        env = FreshNamesReference(t1, t2)
+
+    def go(a, b, up):
+        if isinstance(a, Bot):
+            return b if up else BOT
+        if isinstance(b, Bot):
+            return a if up else BOT
+        if isinstance(a, TyVar) and isinstance(b, TyVar):
+            return a if a.name == b.name else None
+        if isinstance(a, Coind) and isinstance(b, Coind):
+            if a.defname != b.defname or len(a.params) != len(b.params):
+                return None
+            params = []
+            for p, q in zip(a.params, b.params):
+                r = go(p, q, up)
+                if r is None:
+                    return None
+                params.append(r)
+            minmax = SMin if up == reg.definition(a.defname).coinductive \
+                else SMax
+            return Coind(a.defname, minmax(a.size, b.size), tuple(params))
+        if isinstance(a, Arrow) and isinstance(b, Arrow):
+            dom = go(a.dom, b.dom, not up)
+            cod = go(a.cod, b.cod, up)
+            return None if dom is None or cod is None else Arrow(dom, cod)
+        if isinstance(a, Forall) and isinstance(b, Forall):
+            aligned = _align(a.var, a.body, b.var, b.body, env)
+            if aligned is None:
+                return None
+            v, abody, bbody = aligned
+            body = go(abody, bbody, up)
+            return None if body is None else Forall(v, body)
+        return None
+
+    return go(t1, t2, up)
+
+
 def tgt_reference(t):
     if isinstance(t, Arrow):
         return tgt_reference(t.cod)

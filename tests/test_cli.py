@@ -344,27 +344,27 @@ def test_eval_binding_chain_erases_each_binding_once(tmp_path, capsys,
     assert nodes[12] - nodes[6] <= 8 * 6
 
 
-@pytest.mark.parametrize("cmd", [("eval",),
-                                 ("productivity", "--type", "Strm")])
+RESOLVED_COMMANDS = [("eval",), ("productivity", "--type", "Strm"),
+                     ("infer",), ("check", ":", "Nat")]
+
+
+@pytest.mark.parametrize("cmd", RESOLVED_COMMANDS)
 @pytest.mark.parametrize("defs,cycle", [
     ("loop = succ loop;", "loop -> loop"),
     ("ca = succ cb;\ncb = succ ca;", "ca -> cb -> ca"),
 ])
 def test_a_binding_cycle_is_an_error(tmp_path, capsys, cmd, defs, cycle):
-    # a binding that reaches itself has no finite unfolding to run; typing
-    # inlines it and finds no type
+    # a binding that reaches itself has no finite unfolding to run and no
+    # finite linked form to type: an error for every command, not a "no"
     f = tmp_path / "cycle.slam"
     f.write_text((CORPUS_DIR / "streams.slam").read_text() + "\n" + defs
                  + "\n")
     for name in cycle.split(" -> ")[:-1]:
         code, out, err = run(capsys, cmd[0], str(f), name, *cmd[1:])
         assert (code, out, err) == (2, "", f"error: binding cycle: {cycle}\n")
-        code, out, err = run(capsys, "infer", str(f), name)
-        assert (code, out, err) == (1, "untypable\n", "")
 
 
-@pytest.mark.parametrize("cmd", [("eval",),
-                                 ("productivity", "--type", "Strm")])
+@pytest.mark.parametrize("cmd", RESOLVED_COMMANDS)
 def test_an_ill_formed_binding_is_reported_once(tmp_path, capsys, cmd):
     # each reached binding is checked once, in file order, then the query
     f = tmp_path / "bad.slam"
@@ -655,20 +655,29 @@ def test_infer_finds_the_reach_sets_once_per_query(tmp_path, capsys,
     assert len(calls) == 1
 
 
-def test_reach_sets_match_reached_with_forward_references():
-    # forward references and a cycle take the fixpoint more than one pass
-    from slam.cli import _reach_sets
-    from slam.parser import parse_slam, parse_term
+def test_infer_makes_size_binders_unique_once(capsys, monkeypatch):
+    # a query that refers to no context entry keeps its size binders for
+    # inference to make unique: one walk of the numeral, not two
+    from slam import cli, typecheck
 
-    sf = parse_slam((CORPUS_DIR / "streams.slam").read_text()
-                    + "\nfa = succ fb;\nfd = fa;\nfb = succ fc;\nfc = zero;\n"
-                    + "cx = cy;\ncy = plus cx fd;\n")
-    names = sf.reached(parse_term("cy", sf.registry))
-    bit, reach = _reach_sets(sf, names)
-    for n in names:
-        assert [m for m in names if reach[n] & bit[m]] == \
-            sf.reached(sf.bindings[n]), n
-    assert reach["cx"] & bit["cx"] and reach["fd"] & bit["fc"]
+    calls = []
+    for module in (cli, typecheck):
+        monkeypatch.setattr(module, "uniquify_size_binders",
+                            lambda t, *a, f=module.uniquify_size_binders:
+                            calls.append(t) or f(t, *a))
+    k = 1600
+    code, out, err = run(capsys, "infer", STREAMS,
+                         "succ (" * k + "zero" + ")" * k)
+    assert (code, out, err) == (0, f"Nat^{k + 1}\n", "")
+    assert len(calls) == 1
+
+
+def test_infer_joins_deep_branch_types(capsys):
+    # the branch types are 1,500 arrows deep; their join is one loop
+    chain = "".join(f"\\x{i} : Nat. " for i in range(1, 1501)) + "zero"
+    code, out, err = run(capsys, "infer", STREAMS, f"\\n : Nat. case n of "
+                         f"{{ zero => {chain}; succ m => {chain} }}")
+    assert (code, out, err) == (0, "Nat -> " * 1501 + "Nat^1\n", "")
 
 
 def test_traced_benchmark_finds_every_layer_function():

@@ -1,4 +1,5 @@
 import random
+import re
 
 from helpers import (
     CORPUS_DIR, EXTRA_TERMS, context_terms, corpus_terms, link_all,
@@ -432,6 +433,20 @@ def _bindings_file(tmp_path, name, bindings):
     return f
 
 
+def _reversed_file(tmp_path, name):
+    """A copy of a corpus file with its bindings in reverse order, so
+    every reference between bindings points forward."""
+    src = (CORPUS_DIR / name).read_text()
+    starts = [m.start() for m in re.finditer(r"^\w+ *=", src, re.M)]
+    chunks = [src[a:b] for a, b in zip(starts, starts[1:] + [len(src)])]
+    f = tmp_path / f"reversed_{name}"
+    f.write_text(src[:starts[0]] + "".join(reversed(chunks)))
+    bindings = parse_slam(src).bindings
+    assert list(parse_slam(f.read_text()).bindings.items()) == \
+        list(reversed(bindings.items()))
+    return f
+
+
 def test_context_typing_matches_inlining(tmp_path, capsys):
     # infer and check type the bindings a query reaches once and keep
     # them in the context; the answer must be the one the query gets
@@ -459,8 +474,15 @@ def test_context_typing_matches_inlining(tmp_path, capsys):
         "(\\p : Strm^1. /\\i. /\\i. \\x : Nat^i. x) (tl [1] zeros)",
         "/\\i. tl", "\\s : Strm^i. tl", "/\\i. /\\i. tl",
         "/\\i_1. /\\i. tl")]
+    # every reference points forward: runi is still inlined into run
+    reversed_of = {_reversed_file(tmp_path, f"{f}.slam"): CORPUS_DIR
+                   / f"{f}.slam" for f in ("sp", "trees")}
+    queries += [(path, name) for path, orig in reversed_of.items()
+                for name in parse_slam(orig.read_text()).bindings]
     for path, src in queries:
-        sf = parse_slam(path.read_text())
+        # linked in the file order of the corpus file, where every
+        # reference points back
+        sf = parse_slam(reversed_of.get(path, path).read_text())
         reg = sf.registry
         m = minimal_type(reg, {}, link_all(sf, parse_term(src, reg)))
         code = main(["infer", str(path), src])
@@ -506,3 +528,6 @@ def test_context_typing_keeps_capturing_bindings_inlined(tmp_path):
     sp = parse_slam((CORPUS_DIR / "sp.slam").read_text())
     gamma, _ = _typing_problem(sp, "run odd nats")
     assert "runi" not in gamma and {"run", "odd", "nats"} <= set(gamma)
+    # and so it is when run comes first in the file
+    rsp = parse_slam(_reversed_file(tmp_path, "sp.slam").read_text())
+    assert _typing_problem(rsp, "run odd nats")[0] == gamma

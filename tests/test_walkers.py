@@ -27,7 +27,7 @@ from helpers import (
     expand_reference, expand_superfluous_reference, expand_type_reference,
     flatten_reference, fold_size_reference, forall_binders_reference,
     fsv_reference, fsv_term_reference, fsv_u_reference,
-    gen_sub_constraints_reference, infer_state,
+    gen_sub_constraints_reference, infer_state, lattice_reference,
     link_all, load,
     member_reference, mentioned_defs_reference, node_count_reference,
     normalize_succ_reference, observable_reference, parse_size_reference,
@@ -53,8 +53,8 @@ from slam import (
     INFTY, ZERO, App, Arrow, Branch, Case, Cofix, Coind, Con, Fix, Forall,
     Lam, PApp, PBranch, PCase, PCon, PLam, PVar, ParseError, SMax, SMin, SVar,
     SizeApp, SizeLam, Succ, TyVar, Var, alpha_eq_plain, alpha_eq_term,
-    alpha_eq_type, chgtgt, eval_size, gen_sub_constraints, member,
-    normalize_succ, observable, parse_defs, parse_size, parse_term,
+    alpha_eq_type, chgtgt, eval_size, gen_sub_constraints, join, meet,
+    member, normalize_succ, observable, parse_defs, parse_size, parse_term,
     parse_type, print_plain, print_size, print_term, print_type, refines,
     simplify_infty, size_const, size_ge_const, strictly_positive,
     subst_size, subst_term, subst_type_size, sv, tgt, tv,
@@ -457,7 +457,6 @@ def test_render_deep_succ_chain():
 # from this list, not add them.
 RECURSIVE = {
     "constraints._solve",
-    "subtyping._lattice",
 }
 
 
@@ -754,6 +753,43 @@ def test_gen_sub_constraints_with_env_matches_reference():
             want = gen_sub_constraints_reference(a, b, reg, env=envs[1])
             assert got == want and envs[0].u == envs[1].u \
                 and envs[0].linear == envs[1].linear, a
+
+
+def test_join_and_meet_match_reference():
+    rng = random.Random(41)
+    pairs = []
+    for reg, t in TYPES:
+        # binders renamed apart align to fresh names, counted in the
+        # order the pairs are met
+        twice = Arrow(t, t)
+        pairs += [(reg, t, reshape_sizes(rng, t)), (reg, t, t),
+                  (reg, t, rand_type(rng, reg, 2)),
+                  (reg, twice, rename_binders_apart(twice, forall_binders(t)))]
+    defined = 0
+    for reg, a, b in pairs:
+        for up, fn in ((True, join), (False, meet)):
+            got = fn(a, b, reg)
+            assert got == lattice_reference(a, b, reg, up), (up, a, b)
+            defined += got is not None
+    assert len(pairs) < defined < 2 * len(pairs)
+
+
+def test_join_and_meet_with_env_match_reference():
+    # aligning binders through a binder environment updates U and the
+    # linear binders as it goes: both walks must make the same updates
+    for reg, trip in CORPUS_TRIPLES:
+        if trip.tau is None:
+            continue
+        for a, b in ((trip.tau, trip.tau), (trip.tau,
+                     rename_binders_apart(trip.tau, ("i", "j")))):
+            for up, fn in ((True, join), (False, meet)):
+                envs = [typecheck._Infer(reg, trip.u) for _ in range(2)]
+                for env in envs:
+                    env.linear = set(forall_binders(a))
+                got = fn(a, b, reg, env=envs[0])
+                want = lattice_reference(a, b, reg, up, env=envs[1])
+                assert got == want and envs[0].u == envs[1].u \
+                    and envs[0].linear == envs[1].linear, (up, a)
 
 
 def test_parse_sizes_and_types_match_reference():

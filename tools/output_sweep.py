@@ -31,7 +31,10 @@ A fourth line does the same as the first for `slam infer` and
 `slam check`, plain and with --porcelain: `infer` of every binding and
 extra term, `check` of each against every `--type` of its file and every
 type `check`ed in that file below, and `infer` of the numeral
-`succ (... zero)` at the depths in NUMERALS.
+`succ (... zero)` at the depths in NUMERALS.  It also runs them on
+copies of the files in REVERSED with their bindings in reverse order, so
+that every reference between bindings points forward, and on the
+bindings of CYCLE, which reach a binding cycle.
 
 A change that should not alter any output gives the same digests as its
 parent: run the script once with the change's `src/` and once with the
@@ -47,6 +50,7 @@ import hashlib
 import io
 import os
 import random
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -84,8 +88,13 @@ CHECKS = [
     ("trees.slam", "wtree", "Tree^oo"),
 ]
 MUTATED_SC = ["bad.sc", "n4_0.sc", "n4_1.sc"]
-# typing: the depths of the numerals inferred in streams.slam
+# typing: the depths of the numerals inferred in streams.slam, the files
+# typed again with their bindings in reverse order, and the bindings
+# added to streams.slam to make cycle.slam, with the terms inferred there
 NUMERALS = [0, 1, 100, 1600]
+REVERSED = ["sp.slam", "trees.slam"]
+CYCLE = "loop = succ loop;\nca = succ cb;\ncb = succ ca;\n"
+CYCLE_TERMS = ["loop", "ca", "cb", "plus ca zero"]
 # solve: random constraints over four size variables
 RANDOM_CONSTRAINTS = 300
 RANDOM_SEED = 31
@@ -111,17 +120,38 @@ def commands(parse_slam) -> list[list[str]]:
     return out
 
 
+def typing_files() -> dict[str, str]:
+    """The text of each file the typing sweep makes, by file name: the
+    REVERSED copies and cycle.slam."""
+    files = {}
+    for file in REVERSED:
+        src = (CORPUS / file).read_text()
+        starts = [m.start() for m in re.finditer(r"^\w+ *=", src, re.M)]
+        chunks = [src[a:b] for a, b in zip(starts, starts[1:] + [len(src)])]
+        files[f"reversed_{file}"] = src[:starts[0]] + "".join(reversed(chunks))
+    files["cycle.slam"] = (CORPUS / "streams.slam").read_text() + CYCLE
+    return files
+
+
 def typing_commands(parse_slam) -> list[list[str]]:
-    """Every command of the typing sweep, with corpus files by base name."""
+    """Every command of the typing sweep, with files by base name."""
     runs = []
+
+    def add(file: str, types_of: str, terms: list[str]) -> None:
+        types = TYPES[types_of] + [ty for f, _n, ty in CHECKS if f == types_of]
+        for term in terms:
+            runs.append(["infer", file, term])
+            runs.extend(["check", file, term, ":", ty] for ty in types)
+
     for file, extra in EXTRA_TERMS.items():
         sf = parse_slam((CORPUS / file).read_text())
-        types = TYPES[file] + [ty for f, _name, ty in CHECKS if f == file]
-        for term in [*sf.bindings, *extra]:
-            runs.append(["infer", file, term])
-            runs += [["check", file, term, ":", ty] for ty in types]
+        add(file, file, [*sf.bindings, *extra])
     runs += [["infer", "streams.slam", "succ (" * k + "zero" + ")" * k]
              for k in NUMERALS]
+    for file in REVERSED:
+        sf = parse_slam((CORPUS / file).read_text())
+        add(f"reversed_{file}", file, [*sf.bindings, *EXTRA_TERMS[file]])
+    add("cycle.slam", "streams.slam", CYCLE_TERMS)
     return [[*flag, *argv] for argv in runs for flag in ([], ["--porcelain"])]
 
 
@@ -292,8 +322,12 @@ def main() -> int:
             record = repr((label, argv, code, err.split("\n", 1)[0]))
             digest.update(record.encode() + b"\n")
             dump.write(record + "\n")
+        made = typing_files()
+        for name, text in made.items():
+            Path(tmp, name).write_text(text)
         typed = typing_commands(parse_slam)
-        typing = sweep(typed, corpus, dump)
+        typing = sweep(typed, lambda a: str(Path(tmp, a)) if a in made
+                       else corpus(a), dump)
     print(f"commands: {len(cmds)}")
     print(f"sha256: {rewrite}")
     print(f"solve commands: {len(solves)} sha256: {solve}")
