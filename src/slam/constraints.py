@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -29,8 +28,8 @@ from .sizes import (
 )
 from .syntax import (
     INFTY, ONE, Coind, CyclicDefMap, SMax, SMin, SVar, Succ, SizeExpr, Type,
-    Zero, depth_first_order, fold_size, fold_type, fresh_name, rebuilt,
-    size_nodes, smax, smin, sv,
+    Zero, _Frozen, _Record, _set, depth_first_order, fold_size, fold_type,
+    fresh_name, rebuilt, size_nodes, smax, smin, sv,
 )
 
 __all__ = [
@@ -43,12 +42,9 @@ __all__ = [
 Pair = tuple[SizeExpr, SizeExpr]
 
 
-@dataclass
-class SizeConstraint:
+class SizeConstraint(_Record):
     """The pair (U, S); U maps size variables to size expressions."""
-
-    u: dict[str, SizeExpr]
-    pairs: list[Pair]
+    _fields = ("u", "pairs")
 
     def __init__(self, u: Mapping[str, SizeExpr] | None = None,
                  pairs: Iterable[Pair] | None = None):
@@ -96,31 +92,28 @@ def expand_type(u: Mapping[str, SizeExpr], t: Type) -> Type:
 _ZERO_NODE = "$zero"
 
 
-@dataclass(frozen=True)
-class VarVar:
+class VarVar(_Frozen):
     """x + c <= y (c may be negative)."""
-    x: str
-    c: int
-    y: str
-    # the difference-graph edge (w, u, b), meaning u <= w + b
-    edge: tuple[str, str, int] = field(init=False, compare=False, repr=False)
+    _fields = ("x", "c", "y")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edge", (self.y, self.x, -self.c))
+    def __init__(self, x: str, c: int, y: str) -> None:
+        _set(self, "x", x)
+        _set(self, "c", c)
+        _set(self, "y", y)
+        # the difference-graph edge (w, u, b), meaning u <= w + b
+        _set(self, "edge", (y, x, -c))
 
 
-@dataclass(frozen=True)
-class VarConst:
+class VarConst(_Frozen):
     """x <= k or x >= k for a natural k."""
-    x: str
-    op: str  # "<=" or ">="
-    k: int
-    edge: tuple[str, str, int] = field(init=False, compare=False, repr=False)
+    _fields = ("x", "op", "k")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edge", (_ZERO_NODE, self.x, self.k)
-                           if self.op == "<=" else
-                           (self.x, _ZERO_NODE, -self.k))
+    def __init__(self, x: str, op: str, k: int) -> None:
+        _set(self, "x", x)
+        _set(self, "op", op)  # "<=" or ">="
+        _set(self, "k", k)
+        _set(self, "edge", (_ZERO_NODE, x, k) if op == "<=" else
+             (x, _ZERO_NODE, -k))
 
 
 DifferenceAtom = Union[VarVar, VarConst]
@@ -303,8 +296,7 @@ def _split(s: SizeExpr) -> tuple[Optional[str], int]:
     raise TypeError(f"not a successor chain: {s!r}")
 
 
-@dataclass
-class _Disj:
+class _Disj(_Record):
     """One disjunctive split: some arm must relate to the existential.
 
     kind "le" means arm <= n (from min(arms) <= c, with n <= c already
@@ -312,11 +304,15 @@ class _Disj:
     arm's absorbed atom/split deltas are cached for reuse; `fresh` names
     the existentials they introduce.
     """
-    kind: str
-    n: str
-    arms: tuple[SizeExpr, ...]
-    deltas: list
-    fresh: Iterator[str]
+    _fields = ("kind", "n", "arms", "deltas", "fresh")
+
+    def __init__(self, kind: str, n: str, arms: tuple[SizeExpr, ...],
+                 deltas: list, fresh: Iterator[str]) -> None:
+        self.kind = kind
+        self.n = n
+        self.arms = arms
+        self.deltas = deltas
+        self.fresh = fresh
 
     def delta(self, i: int):
         if self.deltas[i] == ():
@@ -448,11 +444,14 @@ def _solve(g: DifferenceGraph,
 # ---------------------------------------------------------------------------
 # Validity
 
-@dataclass
-class Validity:
-    valid: bool
-    witness: Optional[SizeValuation] = None
-    violated: Optional[Pair] = None
+class Validity(_Record):
+    _fields = ("valid", "witness", "violated")
+
+    def __init__(self, valid: bool, witness: Optional[SizeValuation] = None,
+                 violated: Optional[Pair] = None) -> None:
+        self.valid = valid
+        self.witness = witness
+        self.violated = violated
 
     def __bool__(self) -> bool:
         return self.valid

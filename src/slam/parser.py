@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, islice
 from typing import Optional
@@ -41,7 +40,7 @@ from typing import Optional
 from .syntax import (
     INFTY, ZERO, App, Arrow, Branch, Case, Coind, ConstructorSig, Cofix,
     DefRegistry, Definition, Fix, Forall, Lam, SVar, SizeApp, SizeExpr,
-    SizeLam, Term, TyVar, Type, Var, Con, size_plus, smax, smin,
+    SizeLam, Term, TyVar, Type, Var, Con, _Record, size_plus, smax, smin,
     term_free_vars,
 )
 
@@ -91,12 +90,14 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass
-class Token:
-    kind: str  # ident | num | sym | eof
-    text: str
-    line: int
-    col: int
+class Token(_Record):
+    _fields = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
+        self.kind = kind  # ident | num | sym | eof
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def tokenize(src: str) -> list[Token]:
@@ -431,13 +432,18 @@ class _P:
         return t, False
 
 
-@dataclass
-class _TypeEnv:
-    reg: DefRegistry
-    tyvars: frozenset[str] = frozenset()
-    current_def: str | None = None
-    current_params: tuple[str, ...] = ()
-    headers: dict[str, int] = field(default_factory=dict)  # name -> arity
+class _TypeEnv(_Record):
+    _fields = ("reg", "tyvars", "current_def", "current_params", "headers")
+
+    def __init__(self, reg: DefRegistry, tyvars: frozenset[str] = frozenset(),
+                 current_def: str | None = None,
+                 current_params: tuple[str, ...] = (),
+                 headers: dict[str, int] | None = None) -> None:
+        self.reg = reg
+        self.tyvars = tyvars
+        self.current_def = current_def
+        self.current_params = current_params
+        self.headers = {} if headers is None else headers  # name -> arity
 
     def resolve(self, p: _P, at: int, size: SizeExpr, decorated: bool,
                 args: tuple[Type, ...], has_args: bool) -> Type:
@@ -601,8 +607,7 @@ def _parse_defs_prefix(src: str) -> tuple[DefRegistry, _P]:
     return reg, p
 
 
-@dataclass
-class SlamFile:
+class SlamFile(_Record):
     """A parsed .slam file: a registry plus named terms, in file order.
 
     Each value in `bindings` is the term as written: references to other
@@ -610,10 +615,13 @@ class SlamFile:
     `reached` and `refs` follow those references.
     """
 
-    registry: DefRegistry
-    bindings: dict[str, Term]
-    _refs: dict[str, list[str]] = field(default_factory=dict, init=False,
-                                        repr=False, compare=False)
+    _fields = ("registry", "bindings")
+
+    def __init__(self, registry: DefRegistry, bindings: dict[str, Term]
+                 ) -> None:
+        self.registry = registry
+        self.bindings = bindings
+        self._refs: dict[str, list[str]] = {}
 
     def reached(self, t: Term, avoid: str | None = None) -> list[str]:
         """The bindings t refers to, directly or through other bindings,

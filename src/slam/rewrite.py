@@ -47,14 +47,14 @@ reducing afresh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
 from .sizes import INF, ExtNat, SizeValuation, eval_size
 from .syntax import (
     App, Case, Coind, Con, DefRegistry, Lam, PApp, PBranch, PCase, PCon,
     PLam, PVar, PlainTerm, SizeApp, SizeLam, SVar, Term, TyVar, Type, Var,
-    _compare_as_trees, alpha_eq_plain, fold_term, substitute, type_nodes,
+    _Frozen, _Record, _compare_as_trees, _set, alpha_eq_plain, fold_term,
+    substitute, type_nodes,
 )
 
 __all__ = [
@@ -136,14 +136,18 @@ def _branch_for(t: PCase, con: str, n: int) -> Optional[PBranch]:
     return None
 
 
-@dataclass
-class WhnfResult:
-    kind: str                  # "head" | "value" | "fuel"
-    term: PlainTerm            # the reduced term
-    head: Optional[str] = None
-    args: tuple[PlainTerm, ...] = ()
-    stuck: bool = False
-    steps: int = 0
+class WhnfResult(_Record):
+    _fields = ("kind", "term", "head", "args", "stuck", "steps")
+
+    def __init__(self, kind: str, term: PlainTerm, head: Optional[str] = None,
+                 args: tuple[PlainTerm, ...] = (), stuck: bool = False,
+                 steps: int = 0) -> None:
+        self.kind = kind  # "head" | "value" | "fuel"
+        self.term = term  # the reduced term
+        self.head = head
+        self.args = args
+        self.stuck = stuck
+        self.steps = steps
 
 
 _NO_ENV: dict = {}
@@ -389,16 +393,19 @@ def _readback(th: _Thunk, memo: dict) -> PlainTerm:
 # ---------------------------------------------------------------------------
 # Approximants
 
-@dataclass(frozen=True)
-class Constr:
-    con: str
-    children: tuple["Approximant", ...] = ()
+class Constr(_Frozen):
+    _fields = ("con", "children")
+
+    def __init__(self, con: str,
+                 children: tuple["Approximant", ...] = ()) -> None:
+        _set(self, "con", con)
+        _set(self, "children", children)
 
     def _kids(self) -> tuple:
         return self.children
 
     def __repr__(self):
-        # the dataclass repr, written out in one loop over the tree
+        # the record repr, written out in one loop over the tree
         out = []
         todo: list = [self]
         while todo:
@@ -417,17 +424,21 @@ class Constr:
         return "".join(out)
 
 
-@dataclass(frozen=True)
-class Bottom:
-    fuel_limited: bool = field(default=False, compare=False)
+class Bottom(_Frozen):
+    _fields = ("fuel_limited",)
+
+    def __init__(self, fuel_limited: bool = False) -> None:
+        _set(self, "fuel_limited", fuel_limited)
 
     def _kids(self) -> tuple:
         return ()
 
 
-@dataclass(frozen=True)
-class Opaque:
-    term: PlainTerm
+class Opaque(_Frozen):
+    _fields = ("term",)
+
+    def __init__(self, term: PlainTerm) -> None:
+        _set(self, "term", term)
 
     def _kids(self) -> tuple:
         return (self.term,)
@@ -435,20 +446,21 @@ class Opaque:
 
 Approximant = Union[Constr, Bottom, Opaque]
 
-# compared and hashed in one loop over the nodes, as terms are
+# compared and hashed in one loop over the nodes, as terms are; a bottom's
+# `fuel_limited` takes no part
 _compare_as_trees({Constr: lambda a: (a.con, len(a.children)),
                    Bottom: None, Opaque: None})
 
 
-@dataclass(frozen=True)
-class EvalBudget:
+class EvalBudget(_Frozen):
     """Reduction fuel per weak-head normalization, and observation depth."""
-    fuel: int = 10000
-    depth: int = 5
+    _fields = ("fuel", "depth")
 
-    def __post_init__(self) -> None:
-        if self.fuel <= 0 or self.depth < 0:
+    def __init__(self, fuel: int = 10000, depth: int = 5) -> None:
+        if fuel <= 0 or depth < 0:
             raise ValueError("fuel must be positive and depth non-negative")
+        _set(self, "fuel", fuel)
+        _set(self, "depth", depth)
 
 
 def approximant(t: PlainTerm | _Thunk, budget: EvalBudget,
@@ -838,22 +850,28 @@ def _member(a: Approximant, goal: tuple, reg: DefRegistry, v, goals: dict,
 # ---------------------------------------------------------------------------
 # Productivity harness
 
-@dataclass
-class DepthVerdict:
-    depth: int
-    ok: bool
-    nodes: int
-    fuel_used: int
-    fuel_limited: bool
-    approx: Approximant
+class DepthVerdict(_Record):
+    _fields = ("depth", "ok", "nodes", "fuel_used", "fuel_limited", "approx")
+
+    def __init__(self, depth: int, ok: bool, nodes: int, fuel_used: int,
+                 fuel_limited: bool, approx: Approximant) -> None:
+        self.depth = depth
+        self.ok = ok
+        self.nodes = nodes
+        self.fuel_used = fuel_used
+        self.fuel_limited = fuel_limited
+        self.approx = approx
 
 
-@dataclass
-class ProductivityReport:
-    verdicts: list[DepthVerdict]
-    chain_ok: bool
-    passed: bool
-    fail_at: Optional[int]
+class ProductivityReport(_Record):
+    _fields = ("verdicts", "chain_ok", "passed", "fail_at")
+
+    def __init__(self, verdicts: list[DepthVerdict], chain_ok: bool,
+                 passed: bool, fail_at: Optional[int]) -> None:
+        self.verdicts = verdicts
+        self.chain_ok = chain_ok
+        self.passed = passed
+        self.fail_at = fail_at
 
     def render(self) -> str:
         lines = []

@@ -3,15 +3,17 @@
 Three syntactic categories (size expressions, types, terms) plus top-level
 (co)inductive definitions.  This module holds the tree types, variable and
 substitution machinery, alpha-equality, and the definition registry with
-its well-formedness validation.
+its well-formedness validation.  It also holds `_Record` and `_Frozen`,
+the bases of every node and record class of slam (see "Records" below).
 
-All values are immutable after construction; a validated registry is
-read-only, so everything here is safe to share between threads.
+All values are immutable after construction: every size, type, term,
+case branch, constructor signature, definition and diagnostic refuses
+assignment and deletion with AttributeError, and a validated registry
+is read-only, so everything here is safe to share between threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import attrgetter, is_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
@@ -42,6 +44,65 @@ _NO_VARS: frozenset[str] = frozenset()
 
 
 # ---------------------------------------------------------------------------
+# Records
+#
+# Every node and record class of slam is a plain class with an `__init__`
+# of its own, written out, so that importing slam generates no code.
+# `_fields` names a class's fields in order: the arguments of its
+# `__init__` (a successor, built from the size it is one more than, is
+# the one exception).  A record shows as `Name(field=value, ...)` over
+# them, and == compares them, all but those in `_uncompared`, as one
+# tuple, between two instances of one class; such a record is mutable
+# and unhashable.  A `_Frozen` record hashes the same tuple and refuses
+# assignment and deletion; its `__init__` sets each field once, with
+# `_set`, which keeps the fields of a node with an instance dict in the
+# interpreter's compact per-class layout.  What an `__init__` derives
+# from the fields, such as a term's free variables `fv`, is set beside
+# them and takes part in neither repr nor ==.  Trees whose == is a loop
+# over their nodes replace `__eq__` and `__hash__` (see
+# `_compare_as_trees`), and sizes and types their repr.
+
+_set = object.__setattr__
+
+
+class _Record:
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _uncompared: tuple[str, ...] = ()
+    __hash__ = None
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls._fields
+        cls._compared = tuple(f for f in cls._fields
+                              if f not in cls._uncompared)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class _Frozen(_Record):
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+# ---------------------------------------------------------------------------
 # Node shapes
 #
 # Each size and type node class declares its children once, in `_kids`,
@@ -50,7 +111,7 @@ _NO_VARS: frozenset[str] = frozenset()
 # successors, and its one child is the run's base, so a walk takes a run
 # in one step.
 
-class _Node:
+class _Node(_Frozen):
     __slots__ = ()
 
     def _kids(self) -> tuple:
@@ -68,20 +129,16 @@ def rebuilt(x, kids):
 # Size expressions
 #
 # Size nodes are hashed and compared without recursion.  Each node's hash
-# is computed once, when it is built, from its children's (a field that
-# takes no part in comparison), and one loop compares two trees.  A
-# successor is the run s+n in one node: `base`, the s below it, which is
-# no successor, and `n` >= 1, the number of successors, so a run costs
-# one node whatever its length and extending it costs O(1).  Each class
-# sets its fields in an `__init__` of its own, the cheapest way to build
-# a frozen node.
+# is computed once, when it is built, from its children's (a slot, `_hash`,
+# that is no field), and one loop compares two trees.  A successor is the
+# run s+n in one node: `base`, the s below it, which is no successor, and
+# `n` >= 1, the number of successors, so a run costs one node whatever its
+# length and extending it costs O(1).  Size nodes keep their fields in
+# slots, and pickle and copy as the call that builds them anew, which
+# computes the hash again.
 
-_size_class = dataclass(frozen=True, eq=False, slots=True, init=False)
-
-
-@_size_class
 class _Size(_Node):
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("_hash",)
 
     def __init__(self) -> None:
         _set(self, "_hash", hash(type(self)))
@@ -108,22 +165,27 @@ class _Size(_Node):
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, f) for f in self._fields])
 
-@_size_class
+
 class Zero(_Size):
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "0"
 
 
-@_size_class
 class Infty(_Size):
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "oo"
 
 
-@_size_class
 class SVar(_Size):
-    name: str
+    __slots__ = ("name",)
+    _fields = ("name",)
 
     def __init__(self, name: str) -> None:
         _set(self, "name", name)
@@ -133,11 +195,10 @@ class SVar(_Size):
         return self.name
 
 
-@_size_class
 class Succ(_Size):
     """Succ(arg) is arg+1; the node holds the run base+n it makes."""
-    base: "SizeExpr"
-    n: int
+    __slots__ = ("base", "n")
+    _fields = ("base", "n")
 
     def __init__(self, arg: "SizeExpr") -> None:
         if type(arg) is Succ:
@@ -159,11 +220,13 @@ class Succ(_Size):
     def __repr__(self) -> str:
         return f"{self.base!r}" + "+1" * self.n
 
+    def __reduce__(self):
+        return size_plus, (self.base, self.n)
 
-@_size_class
+
 class _MinMax(_Size):
-    left: "SizeExpr"
-    right: "SizeExpr"
+    __slots__ = ("left", "right")
+    _fields = ("left", "right")
 
     def __init__(self, left: "SizeExpr", right: "SizeExpr") -> None:
         _set(self, "left", left)
@@ -177,19 +240,15 @@ class _MinMax(_Size):
         return type(self)(*kids)
 
 
-@_size_class
 class SMin(_MinMax):
-    pass
+    __slots__ = ()
 
 
-@_size_class
 class SMax(_MinMax):
-    pass
+    __slots__ = ()
 
 
 SizeExpr = Union[Zero, Infty, SVar, Succ, SMin, SMax]
-
-_set = object.__setattr__
 
 
 def _run(x: Succ, base: SizeExpr, n: int) -> Succ:
@@ -297,15 +356,16 @@ def fold_size(s: SizeExpr, fn: Callable, into: Optional[tuple] = None,
 # ---------------------------------------------------------------------------
 # Types
 
-@dataclass(frozen=True)
 class TyVar(_Node):
-    name: str
+    _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class Coind(_Node):
     """A decorated (co)inductive type d^s(params).
 
@@ -315,9 +375,13 @@ class Coind(_Node):
     walked by the size walks.
     """
 
-    defname: str
-    size: SizeExpr
-    params: tuple["Type", ...] = ()
+    _fields = ("defname", "size", "params")
+
+    def __init__(self, defname: str, size: SizeExpr,
+                 params: tuple["Type", ...] = ()) -> None:
+        _set(self, "defname", defname)
+        _set(self, "size", size)
+        _set(self, "params", params)
 
     def _kids(self) -> tuple:
         return self.params
@@ -326,10 +390,12 @@ class Coind(_Node):
         return Coind(self.defname, self.size, tuple(kids))
 
 
-@dataclass(frozen=True)
 class Arrow(_Node):
-    dom: "Type"
-    cod: "Type"
+    _fields = ("dom", "cod")
+
+    def __init__(self, dom: "Type", cod: "Type") -> None:
+        _set(self, "dom", dom)
+        _set(self, "cod", cod)
 
     def _kids(self) -> tuple:
         return (self.dom, self.cod)
@@ -338,10 +404,12 @@ class Arrow(_Node):
         return Arrow(*kids)
 
 
-@dataclass(frozen=True)
 class Forall(_Node):
-    var: str
-    body: "Type"
+    _fields = ("var", "body")
+
+    def __init__(self, var: str, body: "Type") -> None:
+        _set(self, "var", var)
+        _set(self, "body", body)
 
     def _kids(self) -> tuple:
         return (self.body,)
@@ -350,7 +418,6 @@ class Forall(_Node):
         return Forall(self.var, kids[0])
 
 
-@dataclass(frozen=True)
 class Bot(_Node):
     """Least-type sentinel: below everything, absorbed by joins.
 
@@ -448,15 +515,12 @@ for _cls in (SMin, SMax, Coind, Arrow, Forall):
 # `_binds`, and how it is rebuilt over new children, in `_with`, or over
 # new binder names, in `_rebind`; the walks below read nothing else of a
 # term's shape.  Each node caches its free term variables in `fv`,
-# computed from its children's when it is built, so reading it costs
-# O(1) and building a node never recurses.  `fv` takes no part in
-# equality, hashing or repr.
+# computed from its children's by the `__init__` of its shape, so
+# reading it costs O(1) and building a node never recurses.  `fv` takes
+# no part in equality, hashing or repr.  Term nodes keep their fields in
+# an instance dict.
 
-def _fv_field():
-    return field(init=False, compare=False, repr=False)
-
-
-class _Term:
+class _Term(_Frozen):
     __slots__ = ()
 
     def _kids(self) -> tuple:
@@ -468,9 +532,20 @@ class _Term:
 
 class _VarShape(_Term):
     __slots__ = ()
+    _fields = ("name",)
 
-    def __post_init__(self) -> None:
-        _set(self, "fv", frozenset((self.name,)))
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+        _set(self, "fv", frozenset((name,)))
+
+
+class _ConShape(_Term):
+    __slots__ = ()
+    _fields = ("name",)
+    fv = _NO_VARS
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
 
 class _Binder(_Term):
@@ -483,10 +558,12 @@ class _AbsShape(_Binder):
     # one term variable, `var`, bound over `body`; `_make(var, body)`
     # builds the node with its other fields kept
     __slots__ = ()
+    _fields = ("var", "ty", "body")
 
-    def __post_init__(self) -> None:
-        fv = self.body.fv
-        _set(self, "fv", fv - {self.var} if self.var in fv else fv)
+    def __init__(self, var: str, ty: Type, body) -> None:  # Lam, Fix
+        _set(self, "var", var)
+        _set(self, "ty", ty)
+        _bind(self, body)
 
     def _kids(self) -> tuple:
         return (self.body,)
@@ -504,11 +581,21 @@ class _AbsShape(_Binder):
         return type(self)(var, self.ty, body)
 
 
+def _bind(x: _AbsShape, body) -> None:
+    # sets the body of x, whose `var` is set, and the free variables
+    _set(x, "body", body)
+    fv = body.fv
+    _set(x, "fv", fv - {x.var} if x.var in fv else fv)
+
+
 class _AppShape(_Term):
     __slots__ = ()
+    _fields = ("fun", "arg")
 
-    def __post_init__(self) -> None:
-        _set(self, "fv", _union(self.fun.fv, self.arg.fv))
+    def __init__(self, fun, arg) -> None:
+        _set(self, "fun", fun)
+        _set(self, "arg", arg)
+        _set(self, "fv", _union(fun.fv, arg.fv))
 
     def _kids(self) -> tuple:
         return (self.fun, self.arg)
@@ -522,10 +609,13 @@ class _AppShape(_Term):
 
 class _CaseShape(_Binder):
     __slots__ = ()
+    _fields = ("scrutinee", "branches")
 
-    def __post_init__(self) -> None:
-        fv = self.scrutinee.fv
-        for b in self.branches:
+    def __init__(self, scrutinee, branches: tuple) -> None:
+        _set(self, "scrutinee", scrutinee)
+        _set(self, "branches", branches)
+        fv = scrutinee.fv
+        for b in branches:
             bfv = b.body.fv
             if not bfv.isdisjoint(b.binders):
                 bfv = bfv.difference(b.binders)
@@ -549,12 +639,19 @@ class _CaseShape(_Binder):
             for b, names in zip(self.branches, binds[1:])))
 
 
+class _BranchShape(_Frozen):
+    __slots__ = ()
+    _fields = ("con", "binders", "body")
+
+    def __init__(self, con: str, binders: tuple[str, ...], body) -> None:
+        _set(self, "con", con)
+        _set(self, "binders", binders)
+        _set(self, "body", body)
+
+
 class _OneKid(_Term):
     # SizeApp and SizeLam: one child, under no term binder
     __slots__ = ()
-
-    def __post_init__(self) -> None:
-        _set(self, "fv", self._kids()[0].fv)
 
     def _binds(self) -> tuple:
         return ((),)
@@ -572,39 +669,29 @@ def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
 
 # Decorated terms
 
-@dataclass(frozen=True)
 class Var(_VarShape):
-    name: str
-    fv: frozenset[str] = _fv_field()
+    pass
 
 
-@dataclass(frozen=True)
-class Con(_Term):
-    name: str
-    fv: frozenset[str] = field(default=_NO_VARS, init=False, compare=False,
-                               repr=False)
+class Con(_ConShape):
+    pass
 
 
-@dataclass(frozen=True)
 class Lam(_AbsShape):
-    var: str
-    ty: Type
-    body: "Term"
-    fv: frozenset[str] = _fv_field()
+    pass
 
 
-@dataclass(frozen=True)
 class App(_AppShape):
-    fun: "Term"
-    arg: "Term"
-    fv: frozenset[str] = _fv_field()
+    pass
 
 
-@dataclass(frozen=True)
 class SizeApp(_OneKid):
-    fun: "Term"
-    size: SizeExpr
-    fv: frozenset[str] = _fv_field()
+    _fields = ("fun", "size")
+
+    def __init__(self, fun: "Term", size: SizeExpr) -> None:
+        _set(self, "fun", fun)
+        _set(self, "size", size)
+        _set(self, "fv", fun.fv)
 
     def _kids(self) -> tuple:
         return (self.fun,)
@@ -613,11 +700,13 @@ class SizeApp(_OneKid):
         return SizeApp(kids[0], self.size)
 
 
-@dataclass(frozen=True)
 class SizeLam(_OneKid):
-    var: str
-    body: "Term"
-    fv: frozenset[str] = _fv_field()
+    _fields = ("var", "body")
+
+    def __init__(self, var: str, body: "Term") -> None:
+        _set(self, "var", var)
+        _set(self, "body", body)
+        _set(self, "fv", body.fv)
 
     def _kids(self) -> tuple:
         return (self.body,)
@@ -626,35 +715,27 @@ class SizeLam(_OneKid):
         return SizeLam(self.var, kids[0])
 
 
-@dataclass(frozen=True)
-class Branch:
-    con: str
-    binders: tuple[str, ...]
-    body: "Term"
+class Branch(_BranchShape):
+    pass
 
 
-@dataclass(frozen=True)
 class Case(_CaseShape):
-    scrutinee: "Term"
-    branches: tuple[Branch, ...]
-    fv: frozenset[str] = _fv_field()
+    pass
 
 
-@dataclass(frozen=True)
 class Fix(_AbsShape):
-    var: str
-    ty: Type
-    body: "Term"
-    fv: frozenset[str] = _fv_field()
+    pass
 
 
-@dataclass(frozen=True)
 class Cofix(_AbsShape):
-    size_var: str
-    var: str
-    ty: Type
-    body: "Term"
-    fv: frozenset[str] = _fv_field()
+    _fields = ("size_var", "var", "ty", "body")
+
+    def __init__(self, size_var: str, var: str, ty: Type, body: "Term"
+                 ) -> None:
+        _set(self, "size_var", size_var)
+        _set(self, "var", var)
+        _set(self, "ty", ty)
+        _bind(self, body)
 
     def _make(self, var, body):
         return Cofix(self.size_var, var, self.ty, body)
@@ -665,48 +746,35 @@ Term = Union[Var, Con, Lam, App, SizeApp, SizeLam, Case, Fix, Cofix]
 
 # Plain (erased) terms
 
-@dataclass(frozen=True)
 class PVar(_VarShape):
-    name: str
-    fv: frozenset[str] = _fv_field()
+    pass
 
 
-@dataclass(frozen=True)
-class PCon(_Term):
-    name: str
-    fv: frozenset[str] = field(default=_NO_VARS, init=False, compare=False,
-                               repr=False)
+class PCon(_ConShape):
+    pass
 
 
-@dataclass(frozen=True)
 class PLam(_AbsShape):
-    var: str
-    body: "PlainTerm"
-    fv: frozenset[str] = _fv_field()
+    _fields = ("var", "body")
+
+    def __init__(self, var: str, body: "PlainTerm") -> None:
+        _set(self, "var", var)
+        _bind(self, body)
 
     def _make(self, var, body):
         return PLam(var, body)
 
 
-@dataclass(frozen=True)
 class PApp(_AppShape):
-    fun: "PlainTerm"
-    arg: "PlainTerm"
-    fv: frozenset[str] = _fv_field()
+    pass
 
 
-@dataclass(frozen=True)
-class PBranch:
-    con: str
-    binders: tuple[str, ...]
-    body: "PlainTerm"
+class PBranch(_BranchShape):
+    pass
 
 
-@dataclass(frozen=True)
 class PCase(_CaseShape):
-    scrutinee: "PlainTerm"
-    branches: tuple[PBranch, ...]
-    fv: frozenset[str] = _fv_field()
+    pass
 
 
 PlainTerm = Union[PVar, PCon, PLam, PApp, PCase]
@@ -1328,27 +1396,32 @@ alpha_eq_type = alpha_eq_term = alpha_eq_plain = alpha_eq
 # ---------------------------------------------------------------------------
 # Definitions and the registry
 
-@dataclass(frozen=True)
-class ConstructorSig:
-    name: str
-    arg_types: tuple[Type, ...]
-    span: Optional[tuple[int, int]] = field(default=None, compare=False)
-    # per argument, whether its type is closed (mentions no type
-    # variable); computed once, when the signature is built
-    closed: tuple[bool, ...] = field(init=False, compare=False, repr=False)
+class ConstructorSig(_Frozen):
+    _fields = ("name", "arg_types", "span")
+    _uncompared = ("span",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "closed",
-                           tuple(not tv(a) for a in self.arg_types))
+    def __init__(self, name: str, arg_types: tuple[Type, ...],
+                 span: Optional[tuple[int, int]] = None) -> None:
+        _set(self, "name", name)
+        _set(self, "arg_types", arg_types)
+        _set(self, "span", span)
+        # per argument, whether its type is closed (mentions no type
+        # variable); computed once, when the signature is built
+        _set(self, "closed", tuple(not tv(a) for a in arg_types))
 
 
-@dataclass(frozen=True)
-class Definition:
-    name: str
-    coinductive: bool
-    params: tuple[str, ...]
-    constructors: tuple[ConstructorSig, ...]
-    span: Optional[tuple[int, int]] = field(default=None, compare=False)
+class Definition(_Frozen):
+    _fields = ("name", "coinductive", "params", "constructors", "span")
+    _uncompared = ("span",)
+
+    def __init__(self, name: str, coinductive: bool, params: tuple[str, ...],
+                 constructors: tuple[ConstructorSig, ...],
+                 span: Optional[tuple[int, int]] = None) -> None:
+        _set(self, "name", name)
+        _set(self, "coinductive", coinductive)
+        _set(self, "params", params)
+        _set(self, "constructors", constructors)
+        _set(self, "span", span)
 
     @property
     def rec_var(self) -> str:
@@ -1356,10 +1429,13 @@ class Definition:
         return self.name
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    message: str
-    span: Optional[tuple[int, int]] = None
+class Diagnostic(_Frozen):
+    _fields = ("message", "span")
+
+    def __init__(self, message: str,
+                 span: Optional[tuple[int, int]] = None) -> None:
+        _set(self, "message", message)
+        _set(self, "span", span)
 
     def __str__(self) -> str:
         if self.span is None:

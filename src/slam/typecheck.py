@@ -21,7 +21,6 @@ copy).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .constraints import SizeConstraint, expand, expand_type, is_valid
@@ -35,8 +34,8 @@ from .subtyping import (
 from .syntax import (
     INFTY, ONE, ZERO, App, Arrow, Case, Coind, Cofix, Definition, DefRegistry,
     Fix, Forall, Infty, Lam, SMax, SMin, SVar, SizeApp, SizeExpr, SizeLam,
-    Succ, Term, TyVar, Type, Var, Con, Zero, depth_first_order, fold_size,
-    fold_type, forall_binders, fsv, rebuilt, size_const, smax, smin,
+    Succ, Term, TyVar, Type, Var, Con, Zero, _Record, depth_first_order,
+    fold_size, fold_type, forall_binders, fsv, rebuilt, size_const, smax, smin,
     subst_type_multi, subst_type_size, subst_type_sizes, sv, tv, type_nodes,
     uniquify_size_binders,
 )
@@ -52,26 +51,33 @@ Context = Mapping[str, Type]
 _FALSE_PAIR: Pair = (ONE, ZERO)
 
 
-@dataclass
-class InferenceTriple:
-    u: dict[str, SizeExpr]
-    pairs: list[Pair]
-    tau: Optional[Type]
-    failed: bool
-    trail: tuple[str, ...] = ()
+class InferenceTriple(_Record):
+    _fields = ("u", "pairs", "tau", "failed", "trail")
+
+    def __init__(self, u: dict[str, SizeExpr], pairs: list[Pair],
+                 tau: Optional[Type], failed: bool,
+                 trail: tuple[str, ...] = ()) -> None:
+        self.u = u
+        self.pairs = pairs
+        self.tau = tau
+        self.failed = failed
+        self.trail = trail
 
     @property
     def constraint(self) -> SizeConstraint:
         return SizeConstraint(self.u, self.pairs)
 
 
-@dataclass
-class Decomposed:
+class Decomposed(_Record):
     """A constructor-argument type matched against its declared shape."""
-    size: Optional[SizeExpr]          # joined size of the recursive instances
-    rec_params: Optional[tuple]       # their joined parameters
-    param_insts: dict[str, Type]      # joined instance per parameter variable
-    sigma_prime: Type                 # the matched shape with holes kept
+    _fields = ("size", "rec_params", "param_insts", "sigma_prime")
+
+    def __init__(self, size: Optional[SizeExpr], rec_params: Optional[tuple],
+                 param_insts: dict[str, Type], sigma_prime: Type) -> None:
+        self.size = size  # joined size of the recursive instances
+        self.rec_params = rec_params  # their joined parameters
+        self.param_insts = param_insts  # joined instance per parameter var
+        self.sigma_prime = sigma_prime  # the matched shape with holes kept
 
 
 class _Infer:

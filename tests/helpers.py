@@ -2806,16 +2806,55 @@ def same_whnf(got: WhnfResult, want: WhnfResult) -> bool:
             and all(map(alpha_eq, got.args, want.args)))
 
 
-def constr_repr_reference(a) -> str:
-    """repr of an approximant by recursion, in the form the generated
-    dataclass repr of Constr had."""
-    from slam.rewrite import Constr
-    if type(a) is not Constr:
-        return repr(a)
-    inner = ", ".join(map(constr_repr_reference, a.children))
-    if len(a.children) == 1:
-        inner += ","
-    return f"Constr(con={a.con!r}, children=({inner}))"
+# the fields the generated dataclass repr of each term, approximant and
+# record class showed, in order; sizes and types print in their own form
+DATACLASS_REPR_FIELDS = {
+    "Var": ("name",), "Con": ("name",), "Lam": ("var", "ty", "body"),
+    "App": ("fun", "arg"), "SizeApp": ("fun", "size"),
+    "SizeLam": ("var", "body"), "Case": ("scrutinee", "branches"),
+    "Branch": ("con", "binders", "body"), "Fix": ("var", "ty", "body"),
+    "Cofix": ("size_var", "var", "ty", "body"),
+    "PVar": ("name",), "PCon": ("name",), "PLam": ("var", "body"),
+    "PApp": ("fun", "arg"), "PCase": ("scrutinee", "branches"),
+    "PBranch": ("con", "binders", "body"),
+    "Constr": ("con", "children"), "Bottom": ("fuel_limited",),
+    "Opaque": ("term",),
+    "ConstructorSig": ("name", "arg_types", "span"),
+    "Definition": ("name", "coinductive", "params", "constructors", "span"),
+    "Diagnostic": ("message", "span"), "EvalBudget": ("fuel", "depth"),
+    "VarVar": ("x", "c", "y"), "VarConst": ("x", "op", "k"),
+    "Validity": ("valid", "witness", "violated"),
+    "SizeConstraint": ("u", "pairs"),
+    "DepthVerdict": ("depth", "ok", "nodes", "fuel_used", "fuel_limited",
+                     "approx"),
+    "ProductivityReport": ("verdicts", "chain_ok", "passed", "fail_at"),
+    "WhnfResult": ("kind", "term", "head", "args", "stuck", "steps"),
+    "InferenceTriple": ("u", "pairs", "tau", "failed", "trail"),
+    "Decomposed": ("size", "rec_params", "param_insts", "sigma_prime"),
+    "Token": ("kind", "text", "line", "col"),
+}
+
+
+def dataclass_repr_reference(x) -> str:
+    """repr of a term, approximant or record by recursion, in the form
+    the generated dataclass repr had: `Name(field=value, ...)` over the
+    fields in `DATACLASS_REPR_FIELDS`, with tuples, lists and dicts
+    written out around their items."""
+    name = type(x).__name__
+    if name in DATACLASS_REPR_FIELDS:
+        inner = ", ".join(f"{f}={dataclass_repr_reference(getattr(x, f))}"
+                          for f in DATACLASS_REPR_FIELDS[name])
+        return f"{name}({inner})"
+    if type(x) is tuple:
+        inner = ", ".join(map(dataclass_repr_reference, x))
+        return f"({inner},)" if len(x) == 1 else f"({inner})"
+    if type(x) is list:
+        return f"[{', '.join(map(dataclass_repr_reference, x))}]"
+    if type(x) is dict:
+        return "{" + ", ".join(f"{dataclass_repr_reference(k)}: "
+                               f"{dataclass_repr_reference(v)}"
+                               for k, v in x.items()) + "}"
+    return repr(x)
 
 
 # rewrite.whnf by substitution, as it was before the closure machine:

@@ -429,6 +429,8 @@ def test_approximant_value():
 
 
 def test_eval_budget_validation():
+    assert EvalBudget() == EvalBudget(10000, 5)
+    assert EvalBudget(depth=0) == EvalBudget(fuel=10000, depth=0)
     with pytest.raises(ValueError):
         EvalBudget(fuel=0, depth=1)
     with pytest.raises(ValueError):

@@ -21,9 +21,9 @@ from helpers import (
     alpha_eq_type_reference, annotation_binders_reference, approx_reference,
     check_arities_reference, check_term_wf_reference,
     check_type_wf_reference, chgtgt_reference, const_value_reference,
-    constr_repr_reference,
-    context_terms, corpus_terms, dependency_cycle_reference,
-    dependents_reference, erase_reference, eval_size_reference,
+    context_terms, corpus_terms, dataclass_repr_reference,
+    dependency_cycle_reference, dependents_reference, erase_reference,
+    eval_size_reference,
     expand_reference, expand_superfluous_reference, expand_type_reference,
     flatten_reference, fold_size_reference, forall_binders_reference,
     fsv_reference, fsv_term_reference, fsv_u_reference,
@@ -62,16 +62,18 @@ from slam import (
 )
 from slam import typecheck
 from slam.constraints import (
-    _flatten, _topo_order, check_acyclic, expand, expand_type,
+    SizeConstraint, _flatten, _topo_order, check_acyclic, expand,
+    expand_type, is_valid,
 )
 from slam.cli import _render_type, render_approximant
 from slam.parser import tokenize
 from slam.rewrite import (
-    Bottom, Constr, EvalBudget, Opaque, _approx, approximant, erase, psubst,
+    Bottom, Constr, EvalBudget, Opaque, _approx, approximant, erase,
+    productivity_check, psubst,
 )
 from slam.sizes import _peel, const_value
 from slam.syntax import (
-    _annotation_binders, _check_arities, check_term_wf, check_type_wf,
+    Infty, _annotation_binders, _check_arities, check_term_wf, check_type_wf,
     forall_binders, fsv, fsv_term, node_count, rename_binders_apart,
     size_names, size_plus, subst_type_multi, term_free_vars,
     uniquify_size_binders,
@@ -940,12 +942,13 @@ def test_member_and_refines_match_reference():
 
 
 def test_size_equality_does_not_rest_on_the_hash():
-    # hashes are compared first; equal hashes (forced here) never make
-    # different sizes equal, and deep sizes compare and hash in a loop
+    # hashes are compared first; equal hashes (forced here, on nodes of
+    # this test's own) never make different sizes equal, and deep sizes
+    # compare and hash in a loop
     i, j = SVar("i"), SVar("j")
     pairs = [(size_const(2), size_const(3)), (Succ(i), Succ(j)),
              (SMin(i, j), SMin(j, i)), (SMin(i, j), SMax(i, j)),
-             (Succ(Succ(i)), Succ(i)), (ZERO, INFTY)]
+             (Succ(Succ(i)), Succ(i)), (ZERO, Infty())]
     for a, b in pairs:
         object.__setattr__(b, "_hash", hash(a))
         assert a != b and not a == b
@@ -1236,11 +1239,28 @@ def test_hash_agrees_with_equality_and_repr_with_the_dataclass_form():
     for t in terms:
         u = copy.deepcopy(t)
         assert u == t and u is not t and hash(u) == hash(t), t
+        assert repr(t) == dataclass_repr_reference(t)
     assert len({hash(t) for t in terms}) > 0.9 * len(set(terms))
     for _reg, a in _approximants():
         b = copy.deepcopy(a)
         assert b == a and hash(b) == hash(a)
-        assert repr(a) == constr_repr_reference(a)
+        assert repr(a) == dataclass_repr_reference(a)
+    # records: a refutation, a productivity report's depth, a budget, a
+    # diagnostic and a constructor signature
+    sf = load("sp")
+    reg = sf.registry
+    refuted = is_valid(SizeConstraint({}, [(size_const(2), SVar("i"))]))
+    report = productivity_check(
+        erase(link_all(sf, parse_term("run odd nats", reg))),
+        parse_type("Strm", reg), reg, EvalBudget(fuel=50, depth=2))
+    sig = reg.definition("Nat").constructors[1]
+    wrong = validate_registry(parse_defs(
+        "inductive Neg { mk : (Neg -> Neg) -> Neg }"))
+    records = [refuted, report.verdicts[-1], EvalBudget(), wrong[0], sig]
+    assert not refuted.valid and refuted.witness
+    assert wrong[0].span is not None and sig.span is not None
+    for r in records:
+        assert repr(r) == dataclass_repr_reference(r)
     shared = Constr("s", (Constr("z"),) * 2)
     assert repr(Constr("t", (shared, Bottom(True), Opaque(PVar("x"))))) == (
         "Constr(con='t', children=(Constr(con='s', children=(Constr(con='z',"
