@@ -28,9 +28,9 @@ from .rewrite import (
 from .sizes import INF
 from .syntax import (
     INFTY, Bot, Coind, DefRegistry, PLam, RegistryError, Succ, Term, Type,
-    check_term_wf, check_type_wf, depth_first_order, fold_type, fsv,
-    fsv_term, rebuilt, rename_binders_apart, size_names, substitute,
-    term_free_vars, tv, uniquify_size_binders, validate_registry,
+    check_term_wf, check_type_wf, depth_first_order, fold, fsv, fsv_term,
+    rebuilt, rename_binders_apart, size_names, substitute, tv,
+    uniquify_size_binders, validate_registry,
 )
 from .typecheck import check, minimal_type
 
@@ -108,7 +108,7 @@ def _typing_problem(sf: SlamFile, src: str) -> tuple[dict[str, Type], Term]:
             inlined[name] = body
         else:
             gamma[name] = ty
-    return _apart(gamma, _inline(q, sorted(term_free_vars(q)), inlined))
+    return _apart(gamma, _inline(q, sorted(q.fv), inlined))
 
 
 def _inline(t: Term, refs: list[str], inlined: dict[str, Term]) -> Term:
@@ -136,12 +136,12 @@ def _apart(gamma: dict[str, Type], t: Term) -> tuple[dict[str, Type], Term]:
     names, as linking renames the binders of an inlined body.  A term
     that refers to none is returned as it is: inference makes its size
     binders unique."""
-    if gamma.keys().isdisjoint(term_free_vars(t)):
+    if gamma.keys().isdisjoint(t.fv):
         return {}, t
     t = uniquify_size_binders(t)
     avoid = size_names(t)
     return {n: rename_binders_apart(gamma[n], avoid)
-            for n in term_free_vars(t) if n in gamma}, t
+            for n in t.fv if n in gamma}, t
 
 
 def _parse_checked_type(sf: SlamFile, src: str):
@@ -286,7 +286,7 @@ def _render_type(ty) -> str:
     def node(t, kids, _ctx):
         return Coind("_|_", INFTY, ()) if type(t) is Bot else rebuilt(t, kids)
 
-    return print_type(fold_type(ty, node))
+    return print_type(fold(ty, node))
 
 
 def _budget(args) -> EvalBudget:
@@ -398,16 +398,14 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="print a depth-bounded approximant")
     p.add_argument("file")
     p.add_argument("term")
-    p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--fuel", type=int, default=10000)
+    _budget_options(p)
 
     p = sub.add_parser("productivity",
                        help="depth-by-depth productivity report")
     p.add_argument("file")
     p.add_argument("term")
     p.add_argument("--type", required=True)
-    p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--fuel", type=int, default=10000)
+    _budget_options(p)
 
     p = sub.add_parser("solve", help="decide a size-constraint file")
     p.add_argument("constraints")
@@ -416,6 +414,13 @@ def _parser() -> argparse.ArgumentParser:
                        help="encode a DIMACS CNF as a size constraint")
     p.add_argument("cnffile")
     return ap
+
+
+def _budget_options(p: argparse.ArgumentParser) -> None:
+    """--depth and --fuel, defaulting to those of `EvalBudget`."""
+    default = EvalBudget()
+    p.add_argument("--depth", type=int, default=default.depth)
+    p.add_argument("--fuel", type=int, default=default.fuel)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -28,8 +28,8 @@ from .sizes import (
 )
 from .syntax import (
     INFTY, ONE, Coind, CyclicDefMap, SMax, SMin, SVar, Succ, SizeExpr, Type,
-    Zero, _Frozen, _Record, _set, depth_first_order, fold_size, fold_type,
-    fresh_name, rebuilt, size_nodes, smax, smin, sv,
+    Zero, _Frozen, _Record, _set, depth_first_order, fold, fresh_name, nodes,
+    rebuilt, smax, smin, sv,
 )
 
 __all__ = [
@@ -68,7 +68,7 @@ def expand(u: Mapping[str, SizeExpr], s: SizeExpr) -> SizeExpr:
     """Substitute away every variable of dom(u), recursively.
 
     Each variable's expansion is built once and shared."""
-    return fold_size(s, rebuilt, defs=u)
+    return fold(s, rebuilt, defs=u)
 
 
 def expand_type(u: Mapping[str, SizeExpr], t: Type) -> Type:
@@ -83,7 +83,7 @@ def expand_type(u: Mapping[str, SizeExpr], t: Type) -> Type:
             return Coind(x.defname, expand(u, x.size), tuple(kids))
         return rebuilt(x, kids)
 
-    return fold_type(t, node)
+    return fold(t, node)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +323,7 @@ class _Disj(_Record):
 
 
 def _flatten(s: SizeExpr, cls) -> list[SizeExpr]:
-    return [x for x in size_nodes(s, into=(cls,)) if type(x) is not cls]
+    return [x for x in nodes(s, into=(cls,)) if type(x) is not cls]
 
 
 def _absorb(pending: list[Pair], fresh: Iterator[str]):
@@ -670,8 +670,8 @@ def format_constraint(c: SizeConstraint) -> str:
             ren[x] = fresh_name("_" + x[1:], names.union(ren.values()))
 
     def show(s: SizeExpr) -> str:
-        return fold_size(s, lambda x, kids: ren.get(x.name, x.name)
-                         if type(x) is SVar else _print_size(x, kids))
+        return fold(s, lambda x, kids, _c: ren.get(x.name, x.name)
+                    if type(x) is SVar else _print_size(x, kids, _c))
 
     lines = [f"let {ren.get(i, i)} = {show(s)};" for i, s in c.u.items()]
     lines += [f"assert {show(a)} <= {show(b)};" for a, b in c.pairs]

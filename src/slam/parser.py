@@ -41,7 +41,6 @@ from .syntax import (
     INFTY, ZERO, App, Arrow, Branch, Case, Coind, ConstructorSig, Cofix,
     DefRegistry, Definition, Fix, Forall, Lam, SVar, SizeApp, SizeExpr,
     SizeLam, Term, TyVar, Type, Var, Con, _Record, size_plus, smax, smin,
-    term_free_vars,
 )
 
 __all__ = [
@@ -627,7 +626,7 @@ class SlamFile(_Record):
         """The bindings t refers to, directly or through other bindings,
         in file order.  The binding `avoid` is neither entered nor listed."""
         seen: set[str] = set()
-        todo = [n for n in term_free_vars(t) if n in self.bindings]
+        todo = [n for n in t.fv if n in self.bindings]
         while todo:
             n = todo.pop()
             if n in seen or n == avoid:
@@ -639,8 +638,8 @@ class SlamFile(_Record):
     def refs(self, name: str) -> list[str]:
         """The bindings binding `name` refers to directly, sorted."""
         if name not in self._refs:
-            self._refs[name] = sorted(m for m in term_free_vars(
-                self.bindings[name]) if m in self.bindings)
+            self._refs[name] = sorted(m for m in self.bindings[name].fv
+                                      if m in self.bindings)
         return self._refs[name]
 
 

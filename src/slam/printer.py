@@ -4,9 +4,8 @@ Printing round-trips: `parse(print(x))` returns a tree equal to `x` (up to
 the `^oo` sugar, which both sides treat as absent).  Successor chains over
 0 print as plain numerals.
 
-Each printer is one node function over the fold of its family in
-`syntax.py` (`fold_size`, `fold_type`, `fold_term`), so nesting depth
-costs heap, not Python stack.  A term's text carries its precedence,
+Each printer is one node function over the one fold of `syntax.py`
+(`fold`), so nesting depth costs heap, not Python stack.  A term's text carries its precedence,
 which decides where its parent puts parentheses; decorated and plain
 terms share the one term printer.
 """
@@ -18,17 +17,17 @@ from typing import Union
 from .syntax import (
     INFTY, App, Arrow, Case, Coind, Fix, Forall, Lam, PApp, PCase, PCon,
     PLam, PVar, PlainTerm, SizeApp, SizeExpr, SizeLam, SMax, SMin, Succ,
-    SVar, Term, TyVar, Type, Var, Con, Zero, fold_size, fold_term, fold_type,
+    SVar, Term, TyVar, Type, Var, Con, Zero, fold,
 )
 
 __all__ = ["print_size", "print_type", "print_term", "print_plain"]
 
 
 def print_size(s: SizeExpr) -> str:
-    return fold_size(s, _print_size)
+    return fold(s, _print_size)
 
 
-def _print_size(s: SizeExpr, kids: list[str]) -> str:
+def _print_size(s: SizeExpr, kids: list[str], _c) -> str:
     cls = type(s)
     if cls is Succ:
         # a run of n successors prints as n over 0, else as base+n
@@ -52,7 +51,7 @@ def _caret(s: SizeExpr) -> str:
 
 
 def print_type(t: Type) -> str:
-    return fold_type(t, _print_type)
+    return fold(t, _print_type)
 
 
 def _print_type(t: Type, kids: list[str], _ctx) -> str:
@@ -72,7 +71,7 @@ def _print_type(t: Type, kids: list[str], _ctx) -> str:
 
 def print_term(t: Union[Term, PlainTerm]) -> str:
     """A decorated or plain term as source text."""
-    return fold_term(t, _print_term)[0]
+    return fold(t, _print_term)[0]
 
 
 print_plain = print_term

@@ -10,7 +10,7 @@ the finite approximations of observable (co)inductive types gives the
 empirical productivity harness.
 
 Every walk here is depth-safe: erasure is a node function over the term
-fold of `syntax.py` (`fold_term`), every substitution is
+fold of `syntax.py` (`fold`), every substitution is
 `syntax.substitute`, and `whnf` and its readback keep their own stacks.
 
 Reduction runs by need and charges fuel by name.  `whnf`, the one
@@ -53,8 +53,8 @@ from .sizes import INF, ExtNat, SizeValuation, eval_size
 from .syntax import (
     App, Case, Coind, Con, DefRegistry, Lam, PApp, PBranch, PCase, PCon,
     PLam, PVar, PlainTerm, SizeApp, SizeLam, SVar, Term, TyVar, Type, Var,
-    _Frozen, _Record, _compare_as_trees, _set, alpha_eq_plain, fold_term,
-    substitute, type_nodes,
+    _Frozen, _Record, _compare_as_trees, _set, alpha_eq_plain, fold, nodes,
+    substitute,
 )
 
 __all__ = [
@@ -82,7 +82,7 @@ OMEGA: PlainTerm = PApp(PLam("x", PApp(PVar("x"), PVar("x"))),
 
 def erase(t: Term) -> PlainTerm:
     """Drop types and size operations; fix/cofix become Y applications."""
-    return fold_term(t, _erase)
+    return fold(t, _erase)
 
 
 def _erase(t: Term, kids: list, _ctx) -> PlainTerm:
@@ -715,7 +715,7 @@ def observable(tau: Type, reg: DefRegistry) -> bool:
     seen: set[str] = set()
     todo = [tau]
     while todo:
-        for t, _ in type_nodes(todo.pop()):
+        for t in nodes(todo.pop()):
             if type(t) is Coind:
                 if t.defname not in seen:
                     seen.add(t.defname)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import Mapping, Union
 
 from .syntax import (
-    INFTY, ZERO, Infty, SizeExpr, SMax, SMin, Succ, SVar, Zero, fold_size,
-    rebuilt, size_plus,
+    INFTY, ZERO, Infty, SizeExpr, SMax, SMin, Succ, SVar, Zero, fold, rebuilt,
+    size_plus,
 )
 
 __all__ = [
@@ -60,7 +60,7 @@ def _evaluate(s: SizeExpr, get, defs: Mapping[str, SizeExpr] | None = None
     """The value of s with each variable's value read from `get`, or
     from its definition in `defs` (each evaluated once).  A variable
     whose value is None makes the whole value None."""
-    return fold_size(s, lambda x, kids: size_value(x, kids, get), defs=defs)
+    return fold(s, size_value, defs=defs, ctx=get)
 
 
 def size_value(x: SizeExpr, kids, get) -> ExtNat | None:
@@ -86,10 +86,10 @@ def simplify_infty(s: SizeExpr) -> SizeExpr:
     The result is either exactly oo or contains no oo, and evaluates the
     same as the input under every valuation.
     """
-    return fold_size(s, _simplify_infty)
+    return fold(s, _simplify_infty)
 
 
-def _simplify_infty(x: SizeExpr, kids) -> SizeExpr:
+def _simplify_infty(x: SizeExpr, kids, _c) -> SizeExpr:
     cls = type(x)
     if cls is Succ:
         if type(kids[0]) is Infty:
@@ -111,17 +111,17 @@ def normalize_succ(s: SizeExpr) -> SizeExpr:
     Requires an oo-free input; uses max(a,b)+1 = max(a+1,b+1) and the
     min analogue.
     """
-    return fold_size(s, _normalize_succ)
+    return fold(s, _normalize_succ)
 
 
-def _normalize_succ(x: SizeExpr, kids) -> SizeExpr:
+def _normalize_succ(x: SizeExpr, kids, _c) -> SizeExpr:
     cls = type(x)
     if cls is Infty:
         raise SizeError("normalize_succ needs an oo-free expression")
     if cls is Succ and type(kids[0]) in (SMin, SMax):
         n = x.n
-        return fold_size(kids[0], lambda y, ks: rebuilt(y, ks) if ks
-                         else size_plus(y, n), into=(SMin, SMax))
+        return fold(kids[0], lambda y, ks, _c: rebuilt(y, ks) if ks
+                    else size_plus(y, n), into=(SMin, SMax))
     return rebuilt(x, kids)
 
 
@@ -141,7 +141,7 @@ _SHAPE_SUCC = "succ"
 
 def _peel(s: SizeExpr, *, bump: bool) -> tuple[str, SizeExpr | None]:
     """Shape of the replaced expression: zero, inf, or (succ, w) with w+1."""
-    def node(x: SizeExpr, kids) -> tuple[str, SizeExpr | None]:
+    def node(x: SizeExpr, kids, _c) -> tuple[str, SizeExpr | None]:
         cls = type(x)
         if cls is Zero:
             return _SHAPE_ZERO, None
@@ -170,7 +170,7 @@ def _peel(s: SizeExpr, *, bump: bool) -> tuple[str, SizeExpr | None]:
             return ls, lw
         return _SHAPE_SUCC, SMax(lw, rw)
 
-    return fold_size(s, node, into=(SMin, SMax))
+    return fold(s, node, into=(SMin, SMax))
 
 
 def overline(s: SizeExpr) -> SizeExpr:

@@ -21,15 +21,14 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 __all__ = [
     "SizeExpr", "Zero", "Infty", "SVar", "Succ", "SMin", "SMax",
     "ZERO", "INFTY", "ONE", "size_const", "size_plus", "smin", "smax",
-    "CyclicDefMap", "rebuilt", "size_nodes", "fold_size", "type_nodes",
-    "fold_type", "term_nodes", "fold_term", "depth_first_order",
+    "CyclicDefMap", "rebuilt", "nodes", "fold", "depth_first_order",
     "Type", "TyVar", "Coind", "Arrow", "Forall", "Bot", "BOT",
     "Term", "Var", "Con", "Lam", "App", "SizeApp", "SizeLam",
     "Case", "Branch", "Fix", "Cofix",
     "PlainTerm", "PVar", "PCon", "PLam", "PApp", "PCase", "PBranch",
     "ConstructorSig", "Definition", "DefRegistry",
     "Diagnostic", "RegistryError",
-    "sv", "fsv", "tv", "fsv_term", "term_free_vars", "forall_binders",
+    "sv", "fsv", "tv", "fsv_term", "forall_binders",
     "size_names",
     "subst_size", "subst_type_size", "subst_type_sizes",
     "subst_type", "subst_type_multi", "subst_term", "substitute",
@@ -105,9 +104,12 @@ class _Frozen(_Record):
 # ---------------------------------------------------------------------------
 # Node shapes
 #
-# Each size and type node class declares its children once, in `_kids`,
-# and how it is rebuilt over new ones, in `_with`; the walks below read
-# nothing else of a node's shape.  A successor is a whole run of
+# Each size, type and term node class declares its children once, in
+# `_kids`, and how it is rebuilt over new ones, in `_with`; the two walks
+# below, `nodes` and `fold`, read nothing else of a node's shape, so they
+# serve all three families.  A child is of its parent's family: a type's
+# sizes and a term's sizes and annotations are no children, and a caller
+# that wants them walks them on their own.  A successor is a whole run of
 # successors, and its one child is the run's base, so a walk takes a run
 # in one step.
 
@@ -118,11 +120,94 @@ class _Node(_Frozen):
         return ()
 
 
-def rebuilt(x, kids):
-    """x over the children `kids`: x itself when each is the child x had."""
+def rebuilt(x, kids, _c=None):
+    """x over the children `kids`: x itself when each is the child x had.
+    It takes a fold's context and ignores it, so it serves as a fold's
+    node function."""
     if all(map(is_, kids, x._kids())):
         return x
     return x._with(kids)
+
+
+def nodes(x, into: Optional[tuple] = None) -> Iterator:
+    """The nodes of a size, a type or a term, decorated or plain, in
+    pre-order, left to right (a case's scrutinee, then its branch
+    bodies); a run of successors is one node, its top, followed by the
+    run's base.  With `into`, only the children of nodes of those
+    classes are visited."""
+    stack = [x]
+    while stack:
+        x = stack.pop()
+        while True:  # down the leftmost path, the other children stacked
+            yield x
+            if into is not None and type(x) not in into:
+                break
+            kids = x._kids()
+            if not kids:
+                break
+            x = kids[0]
+            if len(kids) == 2:
+                stack.append(kids[1])
+            elif len(kids) > 2:
+                stack.extend(reversed(kids[1:]))
+
+
+def fold(x, fn: Callable, into: Optional[tuple] = None,
+         defs: Optional[Mapping[str, "SizeExpr"]] = None,
+         enter: Optional[Callable] = None, ctx=None):
+    """The value of fn at the root of a size, a type or a term, computed
+    bottom-up: `fn(y, kids, c)` gets a node, the values of its children
+    (`_kids`), left to right, and the context c of its children, and
+    returns the value of y.
+
+    The context starts as `ctx` and passes down unchanged, except that
+    with `enter`, each node x reached in a context c is first passed to
+    `enter(x, c)`, in pre-order, left to right, which returns (y, c2):
+    the node to fold in x's place and the context of its children.
+    With `into`, only nodes of those classes have their children
+    visited; any other node is passed to fn with no kids.  With `defs`,
+    a size variable it defines stands for its definition: its value is
+    that of defs[name], computed once, and a cyclic defs raises
+    CyclicDefMap.
+
+    The walk keeps its own stack of (node, context, k) items: k is None
+    for a node to visit, the number of children whose values a node
+    takes, or -1 to record the value of the definition named."""
+    memo: dict[str, object] = {}
+    opened: set[str] = set()
+    vals: list = []
+    work: list = [(x, ctx, None)]
+    while work:
+        x, c, k = work.pop()
+        if k is not None:
+            if k < 0:
+                memo[x] = vals[-1]
+            else:
+                kids = vals[len(vals) - k:]
+                del vals[len(vals) - k:]
+                vals.append(fn(x, kids, c))
+            continue
+        if defs is not None and type(x) is SVar and x.name in defs:
+            name = x.name
+            if name in memo:
+                vals.append(memo[name])
+            elif name in opened:
+                raise CyclicDefMap(f"cyclic definition map: {sorted(defs)}")
+            else:
+                opened.add(name)
+                work.append((name, c, -1))
+                work.append((defs[name], c, None))
+            continue
+        if enter is not None:
+            x, c = enter(x, c)
+        kids = x._kids() if into is None or type(x) in into else ()
+        if kids:
+            work.append((x, c, len(kids)))
+            for y in reversed(kids):
+                work.append((y, c, None))
+        else:
+            vals.append(fn(x, kids, c))
+    return vals[0]
 
 
 # ---------------------------------------------------------------------------
@@ -290,69 +375,6 @@ class CyclicDefMap(Exception):
     pass
 
 
-def size_nodes(s: SizeExpr, into: Optional[tuple] = None
-               ) -> Iterator[SizeExpr]:
-    """The nodes of a size in pre-order, left to right; a run of
-    successors is one node, its top, followed by the run's base.  With
-    `into`, only the children of nodes of those classes are visited."""
-    stack = [s]
-    while stack:
-        s = stack.pop()
-        yield s
-        if into is None or type(s) in into:
-            stack.extend(reversed(s._kids()))
-
-
-def fold_size(s: SizeExpr, fn: Callable, into: Optional[tuple] = None,
-              defs: Optional[Mapping[str, SizeExpr]] = None):
-    """The value of fn at the root of a size, computed bottom-up.
-
-    `fn(x, kids)` gets a node and the values of its children (`_kids`),
-    left to right, and returns the value of x; a run of successors is
-    one node, its top, whose child is the run's base.  With `into`, only
-    nodes of those classes have their children visited; any other node
-    is passed to fn with no kids.  With `defs`, a variable it defines
-    stands for its definition: its value is that of defs[name], computed
-    once, and a cyclic defs raises CyclicDefMap.
-
-    The walk keeps its own stack: work items are nodes to visit, and
-    (node, k) markers that pass a node its k children's values, or
-    (name, -1) markers that record the value of a definition."""
-    memo: dict[str, object] = {}
-    opened: set[str] = set()
-    vals: list = []
-    work: list = [s]
-    while work:
-        x = work.pop()
-        if type(x) is tuple:
-            x, k = x
-            if k < 0:
-                memo[x] = vals[-1]
-            else:
-                kids = vals[len(vals) - k:]
-                del vals[len(vals) - k:]
-                vals.append(fn(x, kids))
-            continue
-        if defs is not None and type(x) is SVar and x.name in defs:
-            name = x.name
-            if name in memo:
-                vals.append(memo[name])
-            elif name in opened:
-                raise CyclicDefMap(f"cyclic definition map: {sorted(defs)}")
-            else:
-                opened.add(name)
-                work.append((name, -1))
-                work.append(defs[name])
-            continue
-        kids = x._kids() if into is None or type(x) in into else ()
-        if kids:
-            work.append((x, len(kids)))
-            work.extend(reversed(kids))
-        else:
-            vals.append(fn(x, kids))
-    return vals[0]
-
-
 # ---------------------------------------------------------------------------
 # Types
 
@@ -435,71 +457,23 @@ BOT = Bot()
 Type = Union[TyVar, Coind, Arrow, Forall, Bot]
 
 
-def type_nodes(t: Type) -> Iterator[tuple[Type, frozenset[str]]]:
-    """(node, bound) for the nodes of a type in pre-order, left to right:
-    bound holds the size variables of the foralls around the node."""
-    stack = [(t, _NO_VARS)]
-    while stack:
-        t, bound = stack.pop()
-        yield t, bound
-        kids = t._kids()
-        if kids:
-            if type(t) is Forall:
-                bound = bound | {t.var}
-            for k in reversed(kids):
-                stack.append((k, bound))
-
-
-def fold_type(t: Type, fn: Callable, enter: Optional[Callable] = None,
-              ctx=None):
-    """The value of fn at the root of a type, computed bottom-up.
-
-    `fn(x, kids, ctx)` gets a node, the values of its children (`_kids`),
-    left to right, and the context they were walked in, and returns the
-    value of x.  The context starts as `ctx` and passes down unchanged,
-    except that `enter(x, ctx)`, called at each forall on the way down
-    (in pre-order, left to right), returns the context of its body.  The
-    walk keeps its own stack of nodes to visit and of (node, context, k)
-    markers that pass a node its k children's values."""
-    vals: list = []
-    work: list = [(t, ctx)]
-    while work:
-        item = work.pop()
-        if len(item) == 3:
-            x, c, k = item
-            kids = vals[len(vals) - k:]
-            del vals[len(vals) - k:]
-            vals.append(fn(x, kids, c))
-            continue
-        x, c = item
-        if enter is not None and type(x) is Forall:
-            c = enter(x, c)
-        kids = x._kids()
-        if kids:
-            work.append((x, c, len(kids)))
-            for k in reversed(kids):
-                work.append((k, c))
-        else:
-            vals.append(fn(x, kids, c))
-    return vals[0]
-
-
 def _show(x: Union[SizeExpr, Type]) -> str:
     """The repr of a min, a max or a type with children, such as
     `(forall i. (Nat^i+1() -> List^max(i,oo)(A)))`, built by one fold."""
-    def size(x, kids):
-        if type(x) is Succ:
-            return kids[0] + "+1" * x.n
-        op = "min" if type(x) is SMin else "max"
-        return f"{op}({kids[0]},{kids[1]})" if kids else repr(x)
+    return fold(x, _shown)
 
-    def ty(x, kids, _ctx):
-        if type(x) is Coind:
-            return f"{x.defname}^{fold_size(x.size, size)}({','.join(kids)})"
-        if type(x) is Arrow:
-            return f"({kids[0]} -> {kids[1]})"
-        return f"(forall {x.var}. {kids[0]})" if kids else repr(x)
-    return fold_size(x, size) if isinstance(x, _Size) else fold_type(x, ty)
+
+def _shown(x, kids: list, _c) -> str:
+    cls = type(x)
+    if cls is Succ:
+        return kids[0] + "+1" * x.n
+    if cls is SMin or cls is SMax:
+        return f"{'min' if cls is SMin else 'max'}({kids[0]},{kids[1]})"
+    if cls is Coind:
+        return f"{x.defname}^{_show(x.size)}({','.join(kids)})"
+    if cls is Arrow:
+        return f"({kids[0]} -> {kids[1]})"
+    return f"(forall {x.var}. {kids[0]})" if cls is Forall else repr(x)
 
 
 for _cls in (SMin, SMax, Coind, Arrow, Forall):
@@ -869,63 +843,6 @@ _compare_as_trees({
 })
 
 
-def term_nodes(t) -> Iterator:
-    """The nodes of a term, decorated or plain, in pre-order, left to
-    right (a case's scrutinee, then its branch bodies)."""
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        while True:  # down the leftmost path, the other children stacked
-            yield t
-            kids = t._kids()
-            if not kids:
-                break
-            t = kids[0]
-            if len(kids) == 2:
-                stack.append(kids[1])
-            elif len(kids) > 2:
-                stack.extend(reversed(kids[1:]))
-
-
-def fold_term(t, fn: Callable, enter: Optional[Callable] = None, ctx=None):
-    """The value of fn at the root of a term, decorated or plain,
-    computed bottom-up: `fn(x, kids, c)` gets a node, its children's
-    values, left to right, and the context c it was reached in.
-
-    Without `enter` every node is reached in `ctx`.  With it, a node x
-    reached in a context c other than None is first passed to
-    `enter(x, c)`, in pre-order, which returns None to leave x as it is
-    (its value is x itself, and nothing below it is visited), or (y, cs):
-    the node to fold in x's place, and its children's contexts.  The walk
-    lists the nodes in pre-order, on its own stack, then computes their
-    values in reverse pre-order on a stack of values."""
-    if enter is None:
-        order = [(x, ctx, len(x._kids())) for x in term_nodes(t)]
-    else:
-        order = []
-        stack = [(t, ctx)]
-        while stack:
-            x, c = stack.pop()
-            e = None if c is None else enter(x, c)
-            if e is None:
-                order.append((x, c, -1))
-                continue
-            x, cs = e
-            kids = x._kids()
-            if kids:
-                stack.extend(zip(reversed(kids), reversed(cs)))
-            order.append((x, c, len(kids)))
-    vals: list = []
-    for x, c, k in reversed(order):
-        if k > 0:
-            kids = vals[:-k - 1:-1]
-            del vals[-k:]
-            vals.append(fn(x, kids, c))
-        else:
-            vals.append(fn(x, (), c) if k == 0 else x)
-    return vals[0]
-
-
 # ---------------------------------------------------------------------------
 # Variable sets
 
@@ -937,56 +854,56 @@ def sv(x: Union[SizeExpr, Type]) -> frozenset[str]:
         return frozenset((x.name,))
     if type(x) is Zero or type(x) is Infty:
         return _NO_VARS
-    sizes = [x] if isinstance(x, _Size) else [
-        t.size for t, _ in type_nodes(x) if type(t) is Coind]
-    return frozenset(y.name for s in sizes for y in size_nodes(s)
-                     if type(y) is SVar)
-
-
-def fsv(x: Union[SizeExpr, Type]) -> frozenset[str]:
-    """Free size variables (those not bound by a forall)."""
-    if isinstance(x, _Size):
-        return sv(x)
     out: set[str] = set()
-    for t, bound in type_nodes(x):
-        if type(t) is Coind:
-            out |= sv(t.size).difference(bound)
+    for y in nodes(x):
+        if type(y) is SVar:
+            out.add(y.name)
+        elif type(y) is Coind:
+            out.update(z.name for z in nodes(y.size) if type(z) is SVar)
     return frozenset(out)
+
+
+def fsv(x) -> frozenset[str]:
+    """Free size variables of a size, a type or a decorated term: those
+    no forall, size abstraction or cofix binds (a term's annotations
+    included)."""
+    return fold(x, _fsv_node)
+
+
+fsv_term = fsv
+
+
+def _fsv_node(x, kids: list, _c) -> frozenset[str]:
+    cls = type(x)
+    if cls is SVar:
+        return frozenset((x.name,))
+    out = kids[0] if kids else _NO_VARS
+    for k in kids[1:]:
+        out = _union(out, k)
+    if cls is Coind or cls is SizeApp:
+        out = _union(out, sv(x.size))
+    elif cls is Lam or cls is Fix or cls is Cofix:
+        out = _union(out, fsv(x.ty))
+    bound = (x.var if cls is Forall or cls is SizeLam
+             else x.size_var if cls is Cofix else None)
+    return out - {bound} if bound in out else out
 
 
 def tv(t: Type) -> frozenset[str]:
     """All type variables occurring in a type."""
-    return frozenset(x.name for x, _ in type_nodes(t) if type(x) is TyVar)
-
-
-def fsv_term(t: Term) -> frozenset[str]:
-    """Free size variables of a decorated term (annotations included)."""
-    return fold_term(t, _fsv_node)
-
-
-def _fsv_node(t: Term, kids: list, _c) -> frozenset[str]:
-    out = kids[0] if kids else _NO_VARS
-    for k in kids[1:]:
-        out = _union(out, k)
-    cls = type(t)
-    if cls is SizeApp:
-        out = _union(out, sv(t.size))
-    elif cls is Lam or cls is Fix or cls is Cofix:
-        out = _union(out, fsv(t.ty))
-    bound = t.var if cls is SizeLam else t.size_var if cls is Cofix else None
-    return out - {bound} if bound in out else out
+    return frozenset(x.name for x in nodes(t) if type(x) is TyVar)
 
 
 def forall_binders(t: Type) -> frozenset[str]:
     """The size variables bound by a forall somewhere in a type."""
-    return frozenset(x.var for x, _ in type_nodes(t) if type(x) is Forall)
+    return frozenset(x.var for x in nodes(t) if type(x) is Forall)
 
 
 def size_names(t: Term) -> frozenset[str]:
     """Every size variable a term names: free, bound or binding,
     annotations included."""
     out: set[str] = set()
-    for x in term_nodes(t):
+    for x in nodes(t):
         cls = type(x)
         if cls is SizeApp:
             out |= sv(x.size)
@@ -1014,12 +931,12 @@ def fresh_name(base: str, avoid: Iterable[str]) -> str:
 # Substitution
 
 def subst_size(s: SizeExpr, by: SizeExpr, var: str) -> SizeExpr:
-    def node(x, kids):
+    def node(x, kids, _c):
         if type(x) is SVar:
             return by if x.name == var else x
         return rebuilt(x, kids)
 
-    return fold_size(s, node)
+    return fold(s, node)
 
 
 def subst_type_size(t: Type, by: SizeExpr, var: str) -> Type:
@@ -1054,8 +971,10 @@ def subst_type_sizes(t: Type, steps: tuple[tuple[SizeExpr, str], ...],
     """
     clash = frozenset().union(*map(fsv, (mapping or {}).values()))
 
-    def enter(x: Forall, ctx):
-        # the binder x gets, and the substitutions its body gets
+    def enter(x, ctx):
+        # at a forall: the substitutions its body gets, and its binder
+        if type(x) is not Forall:
+            return x, ctx
         v, done = x.var, []
 
         def rename(nv: str) -> None:
@@ -1080,7 +999,7 @@ def subst_type_sizes(t: Type, steps: tuple[tuple[SizeExpr, str], ...],
             rename(fresh_name(v, clash | free()))
         if binder is not None and (nv := binder(v)) is not None:
             rename(nv)
-        return tuple(done), v
+        return x, (tuple(done), v)
 
     def node(x, kids, ctx):
         cls = type(x)
@@ -1096,7 +1015,7 @@ def subst_type_sizes(t: Type, steps: tuple[tuple[SizeExpr, str], ...],
             return Forall(ctx[1], kids[0])
         return rebuilt(x, kids)
 
-    return fold_type(t, node, enter, (steps, None))
+    return fold(t, node, enter=enter, ctx=(steps, None))
 
 
 def subst_term(t: Term, replacement: Term, var: str) -> Term:
@@ -1117,7 +1036,7 @@ def substitute(t, pairs):
     other binders.  A subterm no name is free in is returned as it is,
     the same object.
 
-    The walk reads the node shapes itself: through fold_term, two
+    The walk reads the node shapes itself: through `fold`, two
     callbacks per node doubled the cost of reduction.  Its stack holds
     (node, steps, out, i): node is to get `steps` (see `_steps_into`),
     and the result goes to out[i].  The nodes it changes are rebuilt
@@ -1234,11 +1153,6 @@ def _subst_var(x, steps):
     return type(x)(name)
 
 
-def term_free_vars(t: Term) -> frozenset[str]:
-    """Free term variables of a term."""
-    return t.fv
-
-
 def uniquify_size_binders(t: Term, avoid: Iterable[str] = ()) -> Term:
     """Rename size binders so every SizeLam/Cofix binder name is unique.
 
@@ -1249,7 +1163,7 @@ def uniquify_size_binders(t: Term, avoid: Iterable[str] = ()) -> Term:
     every size variable the typing context names, bound ones included).
     Binders are named in pre-order, left to right, as they are met.
     """
-    for x in term_nodes(t):
+    for x in nodes(t):
         if type(x) is SizeLam or type(x) is Cofix:
             break
     else:
@@ -1279,9 +1193,9 @@ def uniquify_size_binders(t: Term, avoid: Iterable[str] = ()) -> Term:
                 for old, new in ren.items():
                     size = subst_size(size, SVar(new), old)
                 x = SizeApp(x.fun, size)
-        return x, (ren,) * len(x._kids())
+        return x, ren
 
-    return fold_term(t, lambda x, kids, _c: rebuilt(x, kids), enter, {})
+    return fold(t, rebuilt, enter=enter, ctx={})
 
 
 def rename_binders_apart(t: Type, avoid: Iterable[str]) -> Type:
@@ -1291,32 +1205,34 @@ def rename_binders_apart(t: Type, avoid: Iterable[str]) -> Type:
     takes the next free name of its family (i, i_1, i_2, ...)."""
     used = set(avoid) | fsv(t)
 
-    def enter(x: Forall, ren: dict[str, str]) -> dict[str, str]:
+    def enter(x, ren: dict[str, str]):
+        if type(x) is not Forall:
+            return x, ren
         nv = x.var
         if nv in used:
             base, _, n = nv.rpartition("_")
             nv = fresh_name(base if base and n.isdigit() else nv, used)
         used.add(nv)
-        return {**ren, x.var: nv}
+        return x, {**ren, x.var: nv}
 
     def node(x, kids, ren: dict[str, str]):
         cls = type(x)
         if cls is Forall and ren[x.var] != x.var:
             return Forall(ren[x.var], kids[0])
         if cls is Coind and ren:
-            size = fold_size(x.size, lambda s, ks: SVar(ren[s.name])
-                             if type(s) is SVar and s.name in ren
-                             else rebuilt(s, ks))
+            size = fold(x.size, lambda s, ks, _c: SVar(ren[s.name])
+                        if type(s) is SVar and s.name in ren
+                        else rebuilt(s, ks))
             if size is not x.size:
                 return Coind(x.defname, size, tuple(kids))
         return rebuilt(x, kids)
 
-    return fold_type(t, node, enter, {})
+    return fold(t, node, enter=enter, ctx={})
 
 
 def _annotation_binders(t: Term) -> frozenset[str]:
     out: set[str] = set()
-    for x in term_nodes(t):
+    for x in nodes(t):
         if type(x) in (Lam, Fix, Cofix):
             out |= forall_binders(x.ty)
     return frozenset(out)
@@ -1506,8 +1422,7 @@ class DefRegistry:
         return self.defs[defname].constructors
 
     def mentioned_defs(self, t: Type) -> frozenset[str]:
-        return frozenset(x.defname for x, _ in type_nodes(t)
-                         if type(x) is Coind)
+        return frozenset(x.defname for x in nodes(t) if type(x) is Coind)
 
 
 def strictly_positive(t: Type, reg: DefRegistry) -> bool:
@@ -1518,7 +1433,7 @@ def strictly_positive(t: Type, reg: DefRegistry) -> bool:
     strictly positive body, or is d^oo applied to strictly positive
     parameters.
     """
-    return fold_type(t, _positive)[1]
+    return fold(t, _positive)[1]
 
 
 def _positive(t: Type, kids: list, _ctx) -> tuple[bool, bool]:
@@ -1544,7 +1459,7 @@ def check_type_wf(t: Type, reg: DefRegistry,
                   tyvars: frozenset[str] = frozenset()) -> list[Diagnostic]:
     """Arity and name well-formedness of a type over the registry."""
     out: list[Diagnostic] = []
-    for x, _ in type_nodes(t):
+    for x in nodes(t):
         if type(x) is TyVar:
             if x.name not in tyvars:
                 out.append(Diagnostic(f"unknown type variable {x.name}"))
@@ -1607,7 +1522,7 @@ def check_term_wf(t: Term, reg: DefRegistry) -> list[Diagnostic]:
             out += k
         return out
 
-    return fold_term(t, node)
+    return fold(t, node)
 
 
 def validate_registry(reg: DefRegistry) -> list[Diagnostic]:
@@ -1665,7 +1580,7 @@ def validate_registry(reg: DefRegistry) -> list[Diagnostic]:
 def _check_arities(t: Type, reg: DefRegistry, c: ConstructorSig,
                    d: Definition) -> list[Diagnostic]:
     out: list[Diagnostic] = []
-    for x, _ in type_nodes(t):
+    for x in nodes(t):
         if type(x) is not Coind:
             continue
         other = reg.defs.get(x.defname)
@@ -1728,22 +1643,13 @@ def node_count(x) -> int:
     branch counts as a node, and so do the annotations of a term)."""
     total, stack = 0, [x]
     while stack:
-        x = stack.pop()
-        if isinstance(x, _Size):
-            total += sum(y.n if type(y) is Succ else 1 for y in size_nodes(x))
-        elif isinstance(x, _Node):
-            for y, _ in type_nodes(x):
-                total += 1
-                if type(y) is Coind:
-                    stack.append(y.size)
-        else:
-            for y in term_nodes(x):
-                cls = type(y)
-                total += 1
-                if cls is Case or cls is PCase:
-                    total += len(y.branches)
-                elif cls is SizeApp:
-                    stack.append(y.size)
-                elif cls is Lam or cls is Fix or cls is Cofix:
-                    stack.append(y.ty)
+        for y in nodes(stack.pop()):
+            cls = type(y)
+            total += y.n if cls is Succ else 1
+            if cls is Coind or cls is SizeApp:
+                stack.append(y.size)
+            elif cls is Lam or cls is Fix or cls is Cofix:
+                stack.append(y.ty)
+            elif cls is Case or cls is PCase:
+                total += len(y.branches)
     return total

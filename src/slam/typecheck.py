@@ -34,9 +34,9 @@ from .subtyping import (
 from .syntax import (
     INFTY, ONE, ZERO, App, Arrow, Case, Coind, Cofix, Definition, DefRegistry,
     Fix, Forall, Infty, Lam, SMax, SMin, SVar, SizeApp, SizeExpr, SizeLam,
-    Succ, Term, TyVar, Type, Var, Con, Zero, _Record, depth_first_order,
-    fold_size, fold_type, forall_binders, fsv, rebuilt, size_const, smax, smin,
-    subst_type_multi, subst_type_size, subst_type_sizes, sv, tv, type_nodes,
+    Succ, Term, TyVar, Type, Var, Con, Zero, _Record, depth_first_order, fold,
+    forall_binders, fsv, nodes, rebuilt, size_const, smax, smin,
+    subst_type_multi, subst_type_size, subst_type_sizes, sv, tv,
     uniquify_size_binders,
 )
 
@@ -159,7 +159,7 @@ class _Infer:
         binders; the rare binder with hidden references stays linear and
         a second consumption fails the inference rather than guess.
         """
-        for x, _ in type_nodes(ty):
+        for x in nodes(ty):
             if type(x) is Forall and x.var in self.linear \
                     and not self._u_mentions(x.var):
                 self.linear.discard(x.var)
@@ -296,7 +296,7 @@ class _Infer:
 
     def _expand_superfluous(self, s: SizeExpr) -> SizeExpr:
         """Substitute U-definitions at occurrences not under a successor."""
-        return fold_size(s, rebuilt, into=(SMin, SMax), defs=self.u)
+        return fold(s, rebuilt, into=(SMin, SMax), defs=self.u)
 
     # -- the algorithm -----------------------------------------------------
     #
@@ -654,15 +654,15 @@ def _prettify(t: Type) -> Type:
             return Coind(x.defname, _fold_size(x.size), tuple(kids))
         return rebuilt(x, kids)
 
-    return fold_type(t, node)
+    return fold(t, node)
 
 
 def _fold_size(s: SizeExpr) -> SizeExpr:
     """Evaluation-preserving cosmetic folding for displayed sizes."""
-    return fold_size(s, _fold_node)[0]
+    return fold(s, _fold_node)[0]
 
 
-def _fold_node(x: SizeExpr, kids) -> tuple[SizeExpr, object]:
+def _fold_node(x: SizeExpr, kids, _c) -> tuple[SizeExpr, object]:
     # (the folded node, its constant value or None)
     c = size_value(x, [k[1] for k in kids], lambda name: None)
     if c is not None:

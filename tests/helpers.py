@@ -19,7 +19,7 @@ from slam.rewrite import WhnfResult
 from slam.sizes import INF, SizeValuation
 from slam.syntax import (
     Infty, PApp, PBranch, PCase, PCon, PLam, PVar, Zero, alpha_eq,
-    forall_binders, fresh_name, term_free_vars,
+    forall_binders, fresh_name,
 )
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -1503,9 +1503,51 @@ def infer_state(reg, gamma, t, recursive: bool):
 # ---------------------------------------------------------------------------
 # Recursive references for the size and type walks
 #
-# The size and type families are walked by `syntax.fold_size`/`size_nodes`
-# and `fold_type`/`type_nodes`, and parsed on a frame stack.  These are the
-# recursive walkers those replaced, as they were, renamed `<name>_reference`.
+# Sizes and types are walked by `syntax.nodes` and `syntax.fold`, and
+# parsed on a frame stack.  These are the recursive walkers those
+# replaced, as they were, renamed `<name>_reference`.
+
+def children_reference(x) -> tuple:
+    """The children of a size, type or term node, read off its fields: a
+    run of successors has its base, a case its scrutinee and then its
+    branch bodies."""
+    if isinstance(x, Succ):
+        return (x.base,)
+    if isinstance(x, (SMin, SMax)):
+        return (x.left, x.right)
+    if isinstance(x, Coind):
+        return tuple(x.params)
+    if isinstance(x, Arrow):
+        return (x.dom, x.cod)
+    if isinstance(x, (App, PApp)):
+        return (x.fun, x.arg)
+    if isinstance(x, SizeApp):
+        return (x.fun,)
+    if isinstance(x, (Case, PCase)):
+        return (x.scrutinee, *(b.body for b in x.branches))
+    if isinstance(x, (Forall, Lam, Fix, Cofix, PLam, SizeLam)):
+        return (x.body,)
+    return ()
+
+
+def nodes_reference(x, into=None) -> list:
+    """`syntax.nodes`: pre-order, left to right, recursively."""
+    out = [x]
+    if into is None or type(x) in into:
+        for k in children_reference(x):
+            out += nodes_reference(k, into)
+    return out
+
+
+def fold_reference(x, fn, into=None, enter=None, ctx=None):
+    """`syntax.fold` without `defs`: enter on the way down, then fn over
+    the children's values, recursively."""
+    if enter is not None:
+        x, ctx = enter(x, ctx)
+    kids = children_reference(x) if into is None or type(x) in into else ()
+    return fn(x, [fold_reference(k, fn, into, enter, ctx) for k in kids],
+              ctx)
+
 
 def eval_size_reference(v, s):
     get = v.__getitem__ if isinstance(v, SizeValuation) else \
@@ -2513,9 +2555,9 @@ def parse_type_reference(src, reg, tyvars=frozenset()):
 # ---------------------------------------------------------------------------
 # Recursive references for the term walks
 #
-# The term and plain-term walkers the shared walks of `syntax.py`
-# (`term_nodes`, `fold_term`) and the one substitution and alpha-equality
-# replaced, kept as they were.  `psubst_sharing_reference` is the sharing
+# The term and plain-term walkers the walks of `syntax.py` (`nodes`,
+# `fold`) and the one substitution and alpha-equality replaced, kept as
+# they were.  `psubst_sharing_reference` is the sharing
 # plain substitution that `substitute` now is for both families; the
 # older `psubst_reference` above rebuilds the whole term and is equal to
 # it only up to renaming.
@@ -2526,7 +2568,7 @@ def subst_term_reference(t: Term, replacement: Term, var: str) -> Term:
 
     Used to link file bindings; typing itself never substitutes terms.
     """
-    free = term_free_vars(replacement)
+    free = replacement.fv
 
     def go(t: Term, bound: frozenset[str]) -> Term:
         if isinstance(t, Var):
@@ -2537,7 +2579,7 @@ def subst_term_reference(t: Term, replacement: Term, var: str) -> Term:
             if t.var == var:
                 return t
             if t.var in free:
-                nv = fresh_name(t.var, free | term_free_vars(t.body) | {var})
+                nv = fresh_name(t.var, free | t.body.fv | {var})
                 body = rename_term_var_reference(t.body, t.var, nv)
                 return Lam(nv, t.ty, go(body, bound))
             return Lam(t.var, t.ty, go(t.body, bound))
@@ -2557,7 +2599,7 @@ def subst_term_reference(t: Term, replacement: Term, var: str) -> Term:
                 body = b.body
                 for i, x in enumerate(binders):
                     if x in free:
-                        nv = fresh_name(x, free | term_free_vars(body) | set(binders) | {var})
+                        nv = fresh_name(x, free | body.fv | set(binders) | {var})
                         body = rename_term_var_reference(body, x, nv)
                         binders[i] = nv
                 brs.append(Branch(b.con, tuple(binders), go(body, bound)))
@@ -2566,14 +2608,14 @@ def subst_term_reference(t: Term, replacement: Term, var: str) -> Term:
             if t.var == var:
                 return t
             if t.var in free:
-                nv = fresh_name(t.var, free | term_free_vars(t.body) | {var})
+                nv = fresh_name(t.var, free | t.body.fv | {var})
                 return Fix(nv, t.ty, go(rename_term_var_reference(t.body, t.var, nv), bound))
             return Fix(t.var, t.ty, go(t.body, bound))
         if isinstance(t, Cofix):
             if t.var == var:
                 return t
             if t.var in free:
-                nv = fresh_name(t.var, free | term_free_vars(t.body) | {var})
+                nv = fresh_name(t.var, free | t.body.fv | {var})
                 return Cofix(t.size_var, nv, t.ty,
                              go(rename_term_var_reference(t.body, t.var, nv), bound))
             return Cofix(t.size_var, t.var, t.ty, go(t.body, bound))

@@ -17,7 +17,7 @@ from slam.rewrite import (
     Y_COMBINATOR, _Thunk, _approx, approximant, erase, member, observable,
     productivity_check, psubst, refines, whnf,
 )
-from slam.syntax import DefRegistry, substitute, term_nodes
+from slam.syntax import DefRegistry, nodes, substitute
 from slam.sizes import SizeValuation
 
 def _nat_tree(n):
@@ -278,7 +278,7 @@ def _whnf_inputs():
     and the same made closed by applying abstractions over those names
     to random values."""
     out = [s for _label, _reg, t in corpus_terms()
-           for s in term_nodes(erase(t))]
+           for s in nodes(erase(t))]
     rng = random.Random(89)
     for _ in range(100):
         t = PCon(rng.choice(("zero", "cons")))

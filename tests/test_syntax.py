@@ -12,7 +12,7 @@ from slam import (
 )
 from slam.parser import MAX_SIZE_NUMERAL, ParseError
 from slam.syntax import (
-    RegistryError, check_term_wf, node_count, size_nodes, size_plus,
+    RegistryError, check_term_wf, node_count, nodes, size_plus,
 )
 
 I, J, K = SVar("i"), SVar("j"), SVar("k")
@@ -267,7 +267,7 @@ def test_a_run_of_successors_is_one_node():
         for n in (1, 2, 5, 1000):
             s = size_plus(base, n)
             assert type(s) is Succ and s.n == n and s.base is base
-            assert list(size_nodes(s, into=(Succ,))) == [s, base]
+            assert list(nodes(s, into=(Succ,))) == [s, base]
             up, longer = Succ(s), size_plus(base, n + 1)
             assert up == longer and hash(up) == hash(longer)
             assert up.base is base and up.n == n + 1

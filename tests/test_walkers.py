@@ -25,11 +25,13 @@ from helpers import (
     dependency_cycle_reference, dependents_reference, erase_reference,
     eval_size_reference,
     expand_reference, expand_superfluous_reference, expand_type_reference,
-    flatten_reference, fold_size_reference, forall_binders_reference,
+    flatten_reference, fold_reference, fold_size_reference,
+    forall_binders_reference,
     fsv_reference, fsv_term_reference, fsv_u_reference,
     gen_sub_constraints_reference, infer_state, lattice_reference,
     link_all, load,
     member_reference, mentioned_defs_reference, node_count_reference,
+    nodes_reference,
     normalize_succ_reference, observable_reference, parse_size_reference,
     parse_term_reference, parse_type_reference, peel_reference,
     plain_free_vars_reference, prettify_reference, print_plain_reference,
@@ -74,8 +76,8 @@ from slam.rewrite import (
 from slam.sizes import _peel, const_value
 from slam.syntax import (
     Infty, _annotation_binders, _check_arities, check_term_wf, check_type_wf,
-    forall_binders, fsv, fsv_term, node_count, rename_binders_apart,
-    size_names, size_plus, subst_type_multi, term_free_vars,
+    fold, forall_binders, fsv, fsv_term, node_count, nodes, rebuilt,
+    rename_binders_apart, size_names, size_plus, subst_type_multi,
     uniquify_size_binders,
 )
 from slam.typecheck import _fold_size, _prettify
@@ -242,7 +244,7 @@ def test_term_walkers_match_reference():
     reg = load("streams").registry
     terms = TERMS + [(reg, t) for t in _ill_formed(random.Random(2), reg, 60)]
     for reg, t in terms:
-        assert term_free_vars(t) == term_free_vars_reference(t), t
+        assert t.fv == term_free_vars_reference(t), t
         assert fsv_term(t) == fsv_term_reference(t), t
         assert _annotation_binders(t) == annotation_binders_reference(t), t
         assert list(map(str, check_term_wf(t, reg))) == \
@@ -509,6 +511,61 @@ def test_no_recursion_limit_or_thread_stack_tricks_in_src():
                  for word in ("setrecursionlimit", "stack_size")
                  if word.encode() in p.read_bytes()]
     assert files and offenders == []
+
+
+# ---------------------------------------------------------------------------
+# The one pre-order walk and the one fold, over every family
+
+def _rename_binder(x, names: tuple):
+    """A renaming `enter`: a forall, lambda or size abstraction takes the
+    name of its binder followed by its depth, and the context is the
+    names of the binders around."""
+    cls = type(x)
+    if cls is Forall or cls is SizeLam or cls is PLam:
+        x = cls(f"{x.var}{len(names)}", x.body)
+    elif cls is Lam:
+        x = Lam(f"{x.var}{len(names)}", x.ty, x.body)
+    else:
+        return x, names
+    return x, names + (x.var,)
+
+
+def _logging(log: list, enter):
+    """A fold's fn, and enter if there is one, that log their calls; fn's
+    value shows its node, its children's values and its context."""
+    def fn(y, kids, c):
+        log.append(("fn", y, tuple(kids), c))
+        return y, tuple(kids), c
+
+    def logged_enter(y, c):
+        log.append(("enter", y, c))
+        return enter(y, c)
+    return fn, enter and logged_enter
+
+
+def test_nodes_and_fold_match_a_recursive_walk():
+    # sizes, types, decorated and plain terms; every fn and enter call,
+    # in order, is the recursive walk's
+    reg = load("streams").registry
+    rng = random.Random(21)
+    trees = [rand_size(rng, 5) for _ in range(80)]
+    trees += [rand_type(rng, reg, 4) for _ in range(80)]
+    trees += [rand_term(rng, reg, 4) for _ in range(80)]
+    trees += [rand_plain(rng, 5) for _ in range(80)]
+    intos = (None, (SMin, SMax), (Succ,), (Arrow, Coind), (App, PApp),
+             (Case, PCase, Lam, PLam))
+    for x in trees:
+        for into in intos:
+            assert [id(y) for y in nodes(x, into)] == \
+                [id(y) for y in nodes_reference(x, into)], (x, into)
+            for enter, ctx in ((None, None), (_rename_binder, ())):
+                got, want = [], []
+                fn, ent = _logging(got, enter)
+                value = fold(x, fn, into, enter=ent, ctx=ctx)
+                fn, ent = _logging(want, enter)
+                assert value == fold_reference(x, fn, into, ent, ctx), x
+                assert got == want, (x, into)
+        assert fold(x, rebuilt) is x
 
 
 # ---------------------------------------------------------------------------
