@@ -36,7 +36,7 @@ from .syntax import (
     SMax, SMin, SVar, SizeApp, SizeExpr, SizeLam, Succ, Term, TyVar, Type,
     Var, ZERO, alpha_eq_plain,  alpha_eq_term, alpha_eq_type, check_term_wf,
     check_type_wf, fsv, node_count, size_const, strictly_positive,
-    subst_size, subst_term, subst_type, subst_type_size, sv, tv,
+    subst_size, subst_term, subst_type_size, sv, tv,
     validate_registry,
 )
 from .typecheck import (

@@ -27,10 +27,9 @@ from .rewrite import (
 )
 from .sizes import INF
 from .syntax import (
-    INFTY, Bot, Coind, DefRegistry, PLam, RegistryError, Succ, Term, Type,
-    check_term_wf, check_type_wf, depth_first_order, fold, fsv, fsv_term,
-    rebuilt, rename_binders_apart, size_names, substitute, tv,
-    uniquify_size_binders, validate_registry,
+    Coind, DefRegistry, PLam, RegistryError, Succ, Term, Type, check_term_wf,
+    check_type_wf, depth_first_order, fsv, fsv_term, rename_binders_apart,
+    size_names, substitute, tv, uniquify_size_binders, validate_registry,
 )
 from .typecheck import check, minimal_type
 
@@ -275,18 +274,9 @@ def _cmd_infer(args) -> int:
     if ty is None:
         print("verdict: untypable" if args.porcelain else "untypable")
         return 1
-    rendered = _render_type(ty)
+    rendered = print_type(ty)
     print(f"type: {rendered}" if args.porcelain else rendered)
     return 0
-
-
-def _render_type(ty) -> str:
-    # the least type of a constructor that ignores a parameter contains
-    # the internal least-type marker; render it distinctly (unparseable)
-    def node(t, kids, _ctx):
-        return Coind("_|_", INFTY, ()) if type(t) is Bot else rebuilt(t, kids)
-
-    return print_type(fold(ty, node))
 
 
 def _budget(args) -> EvalBudget:

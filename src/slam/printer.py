@@ -1,8 +1,9 @@
 """Pretty-printers for sizes, types, and terms.
 
 Printing round-trips: `parse(print(x))` returns a tree equal to `x` (up to
-the `^oo` sugar, which both sides treat as absent).  Successor chains over
-0 print as plain numerals.
+the `^oo` sugar, which both sides treat as absent), except for the least
+type `Bot`, which prints as `_|_` and does not parse.  Successor chains
+over 0 print as plain numerals.
 
 Each printer is one node function over the one fold of `syntax.py`
 (`fold`), so nesting depth costs heap, not Python stack.  A term's text carries its precedence,
@@ -15,8 +16,8 @@ from __future__ import annotations
 from typing import Union
 
 from .syntax import (
-    INFTY, App, Arrow, Case, Coind, Fix, Forall, Lam, PApp, PCase, PCon,
-    PLam, PVar, PlainTerm, SizeApp, SizeExpr, SizeLam, SMax, SMin, Succ,
+    INFTY, App, Arrow, Bot, Case, Coind, Fix, Forall, Lam, PApp, PCase,
+    PCon, PLam, PVar, PlainTerm, SizeApp, SizeExpr, SizeLam, SMax, SMin, Succ,
     SVar, Term, TyVar, Type, Var, Con, Zero, fold,
 )
 
@@ -66,6 +67,8 @@ def _print_type(t: Type, kids: list[str], _ctx) -> str:
     if cls is Coind:
         head = t.defname + _caret(t.size)
         return head + "(" + ", ".join(kids) + ")" if kids else head
+    if cls is Bot:
+        return "_|_"
     raise TypeError(f"not a printable type: {t!r}")
 
 

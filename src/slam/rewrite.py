@@ -13,14 +13,16 @@ Every walk here is depth-safe: erasure is a node function over the term
 fold of `syntax.py` (`fold`), every substitution is
 `syntax.substitute`, and `whnf` and its readback keep their own stacks.
 
-Reduction runs by need and charges fuel by name.  `whnf`, the one
-reducer, runs on closures, a term with an environment, and substitutes
-nothing: a beta or iota step binds a name to a thunk, an argument
-closure shared by every place that pushes or binds it.  A thunk is
-reduced to weak head normal form once and keeps it with its cost, the
-steps normal-order reduction takes to reach it; meeting it again does no
-work but charges that cost again, so fuel, `fuelUsed=` and fuel-limited
-results are those of normal order by substitution.  Only opaque leaves
+Reduction runs by need and charges fuel by name.  The one reducer is
+the machine (`_force`, `_run`), which every command runs and whose
+library entry is `whnf`.  It runs on closures, a term with an
+environment, and substitutes nothing: a beta or iota step binds a name
+to a thunk, an argument closure shared by every place that pushes or
+binds it.  A thunk is reduced to weak head normal form once and keeps
+it with its cost, the steps normal-order reduction takes to reach it;
+meeting it again does no work but charges that cost again, so fuel,
+`fuelUsed=` and fuel-limited results are those of normal order by
+substitution.  Only opaque leaves
 and the result of `whnf` are read back to terms, each thunk as its
 original closure, by one simultaneous substitution of its env that
 returns every subterm no bound variable is free in as the same object

@@ -31,7 +31,7 @@ __all__ = [
     "sv", "fsv", "tv", "fsv_term", "forall_binders",
     "size_names",
     "subst_size", "subst_type_size", "subst_type_sizes",
-    "subst_type", "subst_type_multi", "subst_term", "substitute",
+    "subst_term", "substitute",
     "alpha_eq", "alpha_eq_type", "alpha_eq_term", "alpha_eq_plain",
     "strictly_positive", "validate_registry", "check_type_wf",
     "check_term_wf", "fresh_name", "node_count", "uniquify_size_binders",
@@ -215,10 +215,12 @@ def fold(x, fn: Callable, into: Optional[tuple] = None,
 #
 # Size nodes are hashed and compared without recursion.  Each node's hash
 # is computed once, when it is built, from its children's (a slot, `_hash`,
-# that is no field), and one loop compares two trees.  A successor is the
-# run s+n in one node: `base`, the s below it, which is no successor, and
-# `n` >= 1, the number of successors, so a run costs one node whatever its
-# length and extending it costs O(1).  Size nodes keep their fields in
+# that is no field), and two sizes compare as trees do (see
+# `_compare_as_trees`), with the hash in the label, so that sizes of
+# unequal hashes differ at once.  A successor is the run s+n in one node:
+# `base`, the s below it, which is no successor, and `n` >= 1, the number
+# of successors, so a run costs one node whatever its length and
+# extending it costs O(1).  Size nodes keep their fields in
 # slots, and pickle and copy as the call that builds them anew, which
 # computes the hash again.
 
@@ -227,25 +229,6 @@ class _Size(_Node):
 
     def __init__(self) -> None:
         _set(self, "_hash", hash(type(self)))
-
-    def __eq__(self, other):
-        if not isinstance(other, _Size):
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b) or a._hash != b._hash:
-                return False
-            if type(a) is SVar:
-                if a.name != b.name:
-                    return False
-            elif type(a) is Succ and a.n != b.n:
-                return False
-            else:
-                stack.extend(zip(a._kids(), b._kids()))
-        return True
 
     def __hash__(self) -> int:
         return self._hash
@@ -445,7 +428,7 @@ class Bot(_Node):
 
     Used by subtyping and inference for constructor arguments that
     constrain nothing (an empty list fixes no element type).  Not part of
-    the surface language: never printed, never parsed.
+    the surface language: it prints as `_|_`, which does not parse.
     """
 
     def __repr__(self) -> str:
@@ -522,13 +505,7 @@ class _ConShape(_Term):
         _set(self, "name", name)
 
 
-class _Binder(_Term):
-    # a node whose children may be under term binders (`_binds`), which
-    # it can rebuild under other names (`_rebind`)
-    __slots__ = ()
-
-
-class _AbsShape(_Binder):
+class _AbsShape(_Term):
     # one term variable, `var`, bound over `body`; `_make(var, body)`
     # builds the node with its other fields kept
     __slots__ = ()
@@ -581,7 +558,7 @@ class _AppShape(_Term):
         return type(self)(*kids)
 
 
-class _CaseShape(_Binder):
+class _CaseShape(_Term):
     __slots__ = ()
     _fields = ("scrutinee", "branches")
 
@@ -754,12 +731,13 @@ class PCase(_CaseShape):
 PlainTerm = Union[PVar, PCon, PLam, PApp, PCase]
 
 
-# Equality of types and terms, and of the approximants of `rewrite`,
-# compares two trees in one loop over pairs of nodes, not once per
-# level: two nodes are equal when they are of one class, agree on their
-# fields besides their children (their `_EQ_LABEL`), and have equal
-# children.  The hash mixes the same three things, bottom-up in one
-# loop, so equal trees hash alike.  A label holds whatever fixes the
+# Equality of sizes, types and terms, and of the approximants of
+# `rewrite`, compares two trees in one loop over pairs of nodes, not once
+# per level, and each pair of shared nodes once: two nodes are equal when
+# they are of one class, agree on their fields besides their children
+# (their `_EQ_LABEL`), and have equal children.  The hash mixes the same
+# three things, bottom-up in one loop, so equal trees hash alike; a size
+# has its hash from when it was built.  A label holds whatever fixes the
 # number of children, so that pairing them off compares them all.
 
 def _branch_labels(x) -> tuple:
@@ -772,11 +750,12 @@ _EQ_LABEL: dict = {}
 def _compare_as_trees(labels: dict) -> None:
     """Give each class in `labels` the tree equality and hash, with its
     label (a function of a node, or None for a node with no fields
-    besides its children)."""
+    besides its children).  A size keeps the hash it was built with."""
     _EQ_LABEL.update(labels)
     for cls in labels:
         cls.__eq__ = _term_eq
-        cls.__hash__ = _term_hash
+        if not issubclass(cls, _Size):
+            cls.__hash__ = _term_hash
 
 
 def _term_eq(self, other):
@@ -832,6 +811,9 @@ def _term_hash(self) -> int:
 
 
 _compare_as_trees({
+    Zero: None, Infty: None, SVar: attrgetter("name"),
+    Succ: attrgetter("_hash", "n"), SMin: attrgetter("_hash"),
+    SMax: attrgetter("_hash"),
     TyVar: attrgetter("name"), Arrow: None, Forall: attrgetter("var"),
     Coind: lambda x: (x.defname, x.size, len(x.params)), Bot: None,
     Var: attrgetter("name"), Con: attrgetter("name"),
@@ -931,91 +913,87 @@ def fresh_name(base: str, avoid: Iterable[str]) -> str:
 # Substitution
 
 def subst_size(s: SizeExpr, by: SizeExpr, var: str) -> SizeExpr:
-    def node(x, kids, _c):
-        if type(x) is SVar:
-            return by if x.name == var else x
-        return rebuilt(x, kids)
-
-    return fold(s, node)
+    return subst_type_sizes(s, {var: by})
 
 
 def subst_type_size(t: Type, by: SizeExpr, var: str) -> Type:
     """t[by/var], capture-avoiding for forall-bound size variables."""
-    return subst_type_sizes(t, ((by, var),))
+    return subst_type_sizes(t, {var: by})
 
 
-def subst_type(t: Type, by: Type, var: str) -> Type:
-    return subst_type_multi(t, {var: by})
-
-
-def subst_type_multi(t: Type, mapping: dict[str, Type]) -> Type:
-    """Simultaneous type-variable substitution.
-
-    Size-variable capture by foralls in t is avoided by renaming the
-    binder when it clashes with a free size variable of a substituted type.
-    """
-    return subst_type_sizes(t, (), mapping)
-
-
-def subst_type_sizes(t: Type, steps: tuple[tuple[SizeExpr, str], ...],
+def subst_type_sizes(t, sizes: Mapping[str, SizeExpr],
                      mapping: Optional[Mapping[str, Type]] = None,
-                     binder: Optional[Callable[[str], Optional[str]]] = None
-                     ) -> Type:
-    """t with the size substitutions `steps`, (by, var) pairs, made one
-    after the other, each as `subst_type_size` makes it; then the type
-    variables of `mapping` replaced at once, as `subst_type_multi` does.
+                     binder: Optional[Callable[[str], Optional[str]]] = None):
+    """t, a size, a type or a decorated term (its sizes and annotations
+    included), with each free size variable of `sizes` and each type
+    variable of `mapping` replaced by its value, all at once.
 
-    A forall whose binder a substitution would capture is renamed first.
-    `binder`, when given, may rename each forall binder afterwards, in
-    pre-order: it returns the new name, or None to keep the binder.
+    This is the one walk that renames size binders: foralls, size
+    abstractions and cofixes.  At each binder of t's own family (a
+    term's size abstractions and cofixes, not the foralls of its
+    annotations), in pre-order, `binder`, when given, names it first: it
+    returns the new name, or None to keep the binder.  A binder that
+    would then capture a free size variable of a value put under it is
+    renamed to the first name fresh_name gives that is none of the
+    values' free size variables, the names replaced and the binder's
+    free size variables.  Under a renamed binder, its old name is
+    replaced by the new one, at once with the rest.
     """
+    if not sizes and not mapping and binder is None:
+        return t
     clash = frozenset().union(*map(fsv, (mapping or {}).values()))
+    named = (SizeLam, Cofix) if isinstance(t, _Term) else (Forall,)
 
-    def enter(x, ctx):
-        # at a forall: the substitutions its body gets, and its binder
-        if type(x) is not Forall:
-            return x, ctx
-        v, done = x.var, []
-
-        def rename(nv: str) -> None:
-            nonlocal v
-            done.append((SVar(nv), v))
-            v = nv
-
-        def free() -> frozenset[str]:
-            # the free size variables of x's body after the steps done
-            names = fsv(x.body)
-            for by, y in done:
-                if y in names:
-                    names = (names - {y}) | sv(by)
-            return names
-
-        for by, y in ctx[0]:
-            if v != y:  # else y is bound here and the body keeps it
-                if v in sv(by):
-                    rename(fresh_name(v, sv(by) | free() | {y}))
-                done.append((by, y))
-        if v in clash:
-            rename(fresh_name(v, clash | free()))
-        if binder is not None and (nv := binder(v)) is not None:
-            rename(nv)
-        return x, (tuple(done), v)
-
-    def node(x, kids, ctx):
+    def enter(x, ren: dict):
+        # at a size binder: the renaming its scope gets
         cls = type(x)
+        if cls is Forall or cls is SizeLam:
+            old = x.var
+        elif cls is Cofix:
+            old = x.size_var
+        else:
+            return x, ren
+        v = old
+        if binder is not None and cls in named \
+                and (nv := binder(old)) is not None:
+            v = nv
+        if old in ren:  # bound here: the scope keeps it
+            ren = {y: by for y, by in ren.items() if y != old}
+        if v in clash or any(v in sv(by) for by in ren.values()):
+            v = fresh_name(v, clash.union(ren, fsv(x),
+                                          *map(sv, ren.values())))
+        return x, ren if v == old else {**ren, old: SVar(v)}
+
+    def node(x, kids, ren: dict):
+        cls = type(x)
+        if cls is SVar:
+            return ren.get(x.name, x)
         if cls is TyVar:
             return mapping.get(x.name, x) if mapping else x
-        if cls is Coind:
-            size = x.size
-            for by, y in ctx[0]:
-                size = subst_size(size, by, y)
+        if not ren:
+            return rebuilt(x, kids)
+        if cls is Forall or cls is SizeLam:
+            v = ren.get(x.var)
+            if v is not None:
+                return cls(v.name, kids[0])
+        elif cls is Coind or cls is SizeApp:
+            size = fold(x.size, node, ctx=ren)
             if size is not x.size:
-                return Coind(x.defname, size, tuple(kids))
-        elif cls is Forall and ctx[1] != x.var:
-            return Forall(ctx[1], kids[0])
+                return (Coind(x.defname, size, tuple(kids)) if cls is Coind
+                        else SizeApp(kids[0], size))
+        elif cls is Lam or cls is Fix:
+            ty = fold(x.ty, node, enter=enter, ctx=ren)
+            if ty is not x.ty:
+                return cls(x.var, ty, kids[0])
+        elif cls is Cofix:
+            v = ren.get(x.size_var)
+            ty = fold(x.ty, node, enter=enter, ctx=ren)
+            if v is not None or ty is not x.ty:
+                return Cofix(x.size_var if v is None else v.name, x.var, ty,
+                             kids[0])
         return rebuilt(x, kids)
 
-    return fold(t, node, enter=enter, ctx=(steps, None))
+    return fold(t, node, enter=enter, ctx=dict(sizes))
 
 
 def subst_term(t: Term, replacement: Term, var: str) -> Term:
@@ -1048,34 +1026,18 @@ def substitute(t, pairs):
             first.setdefault(y, v)
     if not first:
         return t
-    steps = tuple(first.items())
-    one = len(steps) == 1  # the shortcuts below serve a single pair
-    var, value = steps[0]
-    free = value.fv
     vals: list = [t]  # the result, in vals[0]
     nodes: list = []  # (node, its children's values, out, i), pre-order
-    work: list = [(t, steps, vals, 0)]
+    work: list = [(t, tuple(first.items()), vals, 0)]
     while work:
         x, s, out, i = work.pop()
         kids = x._kids()
         if not kids:  # a variable
-            out[i] = value if one and s is steps else _subst_var(x, s)
+            out[i] = _subst_var(x, s)
             continue
         new = list(kids)
         nodes.append((x, new, out, i))
-        binds = x._binds() if isinstance(x, _Binder) else None
-        if one and s is steps and (binds is None
-                                   or all(map(free.isdisjoint, binds))):
-            # it goes as is into each child var is free in
-            for j, k in enumerate(kids):
-                if var not in k.fv or binds and var in binds[j]:
-                    continue
-                if isinstance(k, _VarShape):  # var itself
-                    new[j] = value
-                else:
-                    work.append((k, s, new, j))
-            continue
-        binds = binds or x._binds()
+        binds = x._binds()
         renamed = None
         for j, (k, names) in enumerate(zip(kids, binds)):
             c, names2 = _steps_into(s, k.fv, names)
@@ -1170,32 +1132,12 @@ def uniquify_size_binders(t: Term, avoid: Iterable[str] = ()) -> Term:
         return t  # no size binder to rename
     used: set[str] = set(fsv_term(t)) | _annotation_binders(t) | set(avoid)
 
-    def rename_type(ty: Type, ren: dict[str, str]) -> Type:
-        return subst_type_sizes(ty, tuple((SVar(new), old)
-                                          for old, new in ren.items()))
+    def binder(v: str) -> str:
+        v = fresh_name(v, used)
+        used.add(v)
+        return v
 
-    def enter(x: Term, ren: dict[str, str]):
-        # the node with its size binder and annotation renamed, and the
-        # renaming its children get
-        cls = type(x)
-        if cls is SizeLam or cls is Cofix:
-            old = x.var if cls is SizeLam else x.size_var
-            nv = fresh_name(old, used)
-            used.add(nv)
-            ren = {**ren, old: nv}
-            x = SizeLam(nv, x.body) if cls is SizeLam else Cofix(
-                nv, x.var, rename_type(x.ty, ren), x.body)
-        elif ren:
-            if cls is Lam or cls is Fix:
-                x = cls(x.var, rename_type(x.ty, ren), x.body)
-            elif cls is SizeApp:
-                size = x.size
-                for old, new in ren.items():
-                    size = subst_size(size, SVar(new), old)
-                x = SizeApp(x.fun, size)
-        return x, ren
-
-    return fold(t, rebuilt, enter=enter, ctx={})
+    return subst_type_sizes(t, {}, binder=binder)
 
 
 def rename_binders_apart(t: Type, avoid: Iterable[str]) -> Type:
@@ -1205,29 +1147,14 @@ def rename_binders_apart(t: Type, avoid: Iterable[str]) -> Type:
     takes the next free name of its family (i, i_1, i_2, ...)."""
     used = set(avoid) | fsv(t)
 
-    def enter(x, ren: dict[str, str]):
-        if type(x) is not Forall:
-            return x, ren
-        nv = x.var
-        if nv in used:
-            base, _, n = nv.rpartition("_")
-            nv = fresh_name(base if base and n.isdigit() else nv, used)
-        used.add(nv)
-        return x, {**ren, x.var: nv}
+    def binder(v: str) -> str:
+        if v in used:
+            base, _, n = v.rpartition("_")
+            v = fresh_name(base if base and n.isdigit() else v, used)
+        used.add(v)
+        return v
 
-    def node(x, kids, ren: dict[str, str]):
-        cls = type(x)
-        if cls is Forall and ren[x.var] != x.var:
-            return Forall(ren[x.var], kids[0])
-        if cls is Coind and ren:
-            size = fold(x.size, lambda s, ks, _c: SVar(ren[s.name])
-                        if type(s) is SVar and s.name in ren
-                        else rebuilt(s, ks))
-            if size is not x.size:
-                return Coind(x.defname, size, tuple(kids))
-        return rebuilt(x, kids)
-
-    return fold(t, node, enter=enter, ctx={})
+    return subst_type_sizes(t, {}, binder=binder)
 
 
 def _annotation_binders(t: Term) -> frozenset[str]:

@@ -36,7 +36,7 @@ from .syntax import (
     Fix, Forall, Infty, Lam, SMax, SMin, SVar, SizeApp, SizeExpr, SizeLam,
     Succ, Term, TyVar, Type, Var, Con, Zero, _Record, depth_first_order, fold,
     forall_binders, fsv, nodes, rebuilt, size_const, smax, smin,
-    subst_type_multi, subst_type_size, subst_type_sizes, sv, tv,
+    subst_type_size, subst_type_sizes, sv, tv,
     uniquify_size_binders,
 )
 
@@ -106,13 +106,6 @@ class _Infer:
             at = at[:57] + "..."
         self.trail.append(f"({rule}) {why}, at: {at}")
         return None
-
-    @staticmethod
-    def show(ty: Type) -> str:
-        try:
-            return print_type(ty)
-        except TypeError:
-            return repr(ty)
 
     # -- constraint helpers ----------------------------------------------
 
@@ -186,8 +179,7 @@ class _Infer:
         for d in dep:
             self.u[ren[d].name] = expand(ren, self.u[d])
         self.u[ren[binder].name] = s
-        return subst_type_sizes(body, tuple((new, old)
-                                            for old, new in ren.items()))
+        return subst_type_sizes(body, ren)
 
     # -- constructor decomposition ----------------------------------------
     #
@@ -373,7 +365,7 @@ class _Infer:
                 return None
             if not isinstance(fun, Forall):
                 return self.fail("inst", t, "size application needs a "
-                                 "quantified type, got " + self.show(fun))
+                                 "quantified type, got " + print_type(fun))
             out = self.instantiate(fun.var, fun.body, t.size)
             if out is None:
                 return self.fail("inst", t,
@@ -401,7 +393,7 @@ class _Infer:
         if not isinstance(fun_ty, Arrow):
             return self.fail("app", at,
                              "application of a non-arrow type "
-                             + self.show(fun_ty))
+                             + print_type(fun_ty))
         arg_ty = yield arg, gamma
         if arg_ty is None:
             return None
@@ -424,7 +416,7 @@ class _Infer:
             if dec is None:
                 return self.fail(
                     "con", at, f"argument of {cname} does not match its "
-                    f"declared shape (got {self.show(theta)})")
+                    f"declared shape (got {print_type(theta)})")
             per_arg.append(dec)
             sizes.append(dec.size if dec.size is not None else neutral)
             if dec.sigma_prime is not sigma:
@@ -453,7 +445,7 @@ class _Infer:
             return None
         if not isinstance(scrut, Coind):
             return self.fail("case", t, "scrutinee has non-data type "
-                             + self.show(scrut))
+                             + print_type(scrut))
         d = self.reg.definition(scrut.defname)
         if not t.branches:
             return self.fail("case", t, "empty case")
@@ -486,7 +478,7 @@ class _Infer:
             sig = self.reg.constructor(b.con)
             g2 = dict(gamma)
             for x, sigma in zip(b.binders, sig.arg_types):
-                delta = subst_type_multi(sigma, subst_map)
+                delta = subst_type_sizes(sigma, {}, subst_map)
                 self.store_type(delta)
                 g2[x] = delta
             tk = yield b.body, g2
@@ -646,7 +638,7 @@ _NICE = ("i", "j", "k", "l", "m", "n") + tuple(f"i{k}" for k in range(1, 100))
 def _prettify(t: Type) -> Type:
     used = sv(t)
     supply = (nm for nm in _NICE if nm not in used)
-    t = subst_type_sizes(t, (), binder=lambda v: (
+    t = subst_type_sizes(t, {}, binder=lambda v: (
         next(supply) if v.startswith(("$", "?")) else None))
 
     def node(x, kids, _ctx):

@@ -979,22 +979,32 @@ def check_term_wf_reference(t, reg) -> list:
 
 
 def uniquify_size_binders_reference(t, avoid=()):
-    from slam import (
-        Branch, Case, Cofix, Con, Fix, Lam, SizeApp, SizeLam, subst_size,
-        subst_type_size,
-    )
+    """The renaming `ren` of the size binders in scope is applied to
+    sizes and annotations at once, each old name to its new one.  The
+    new names avoid every annotation binder, so no forall of an
+    annotation captures one."""
     from slam.syntax import fsv_term
 
     used = set(fsv_term(t)) | annotation_binders_reference(t) | set(avoid)
 
     def size(s, ren):
-        for old, new in ren.items():
-            s = subst_size(s, SVar(new), old)
+        if isinstance(s, SVar):
+            return SVar(ren.get(s.name, s.name))
+        if isinstance(s, Succ):
+            return Succ(size(s.arg, ren))
+        if isinstance(s, (SMin, SMax)):
+            return type(s)(size(s.left, ren), size(s.right, ren))
         return s
 
     def ty(x, ren):
-        for old, new in ren.items():
-            x = subst_type_size(x, SVar(new), old)
+        if isinstance(x, Forall):
+            inner = {k: v for k, v in ren.items() if k != x.var}
+            return Forall(x.var, ty(x.body, inner))
+        if isinstance(x, Arrow):
+            return Arrow(ty(x.dom, ren), ty(x.cod, ren))
+        if isinstance(x, Coind):
+            return Coind(x.defname, size(x.size, ren),
+                         tuple(ty(p, ren) for p in x.params))
         return x
 
     def go(t, ren):
@@ -1222,7 +1232,7 @@ def _recursive_infer_class():
     )
     from slam.sizes import size_ge_const, underline
     from slam.subtyping import chgtgt, tgt
-    from slam.syntax import SizeExpr, smax, smin, subst_type_multi
+    from slam.syntax import SizeExpr, smax, smin, subst_type_sizes
     from slam.typecheck import Decomposed, _Infer
 
     class RecursiveInfer(_Infer):
@@ -1278,7 +1288,7 @@ def _recursive_infer_class():
                     return None
                 if not isinstance(fun, Forall):
                     return self.fail("inst", t, "size application needs a "
-                                     "quantified type, got " + self.show(fun))
+                                     "quantified type, got " + print_type(fun))
                 out = self.instantiate(fun.var, fun.body, t.size)
                 if out is None:
                     return self.fail("inst", t,
@@ -1306,7 +1316,7 @@ def _recursive_infer_class():
             if not isinstance(fun_ty, Arrow):
                 return self.fail("app", at,
                                  "application of a non-arrow type "
-                                 + self.show(fun_ty))
+                                 + print_type(fun_ty))
             arg_ty = self.infer(arg, gamma)
             if arg_ty is None:
                 return None
@@ -1329,7 +1339,7 @@ def _recursive_infer_class():
                 if dec is None:
                     return self.fail(
                         "con", at, f"argument of {cname} does not match its "
-                        f"declared shape (got {self.show(theta)})")
+                        f"declared shape (got {print_type(theta)})")
                 per_arg.append(dec)
                 sizes.append(dec.size if dec.size is not None else neutral)
                 self.add_sub(dec.sigma_prime, sigma)
@@ -1355,7 +1365,7 @@ def _recursive_infer_class():
                 return None
             if not isinstance(scrut, Coind):
                 return self.fail("case", t, "scrutinee has non-data type "
-                                 + self.show(scrut))
+                                 + print_type(scrut))
             d = self.reg.definition(scrut.defname)
             if not t.branches:
                 return self.fail("case", t, "empty case")
@@ -1388,7 +1398,7 @@ def _recursive_infer_class():
                 sig = self.reg.constructor(b.con)
                 g2 = dict(gamma)
                 for x, sigma in zip(b.binders, sig.arg_types):
-                    delta = subst_type_multi(sigma, subst_map)
+                    delta = subst_type_sizes(sigma, {}, subst_map)
                     self.store_type(delta)
                     g2[x] = delta
                 tk = self.infer(b.body, g2)

@@ -736,3 +736,24 @@ def test_infer_an_annotation_with_a_long_run(capsys):
                          "\\x : Nat^((999999)+999999). x")
     assert (code, out, err) == (0, "Nat^1999998 -> Nat^1999998\n", "")
     assert time.perf_counter() - start < 2.0
+
+
+def test_check_and_infer_do_not_depend_on_size_binder_spelling(capsys):
+    # beside the annotation's `i`, the term's `/\i` becomes i_1 and its
+    # `/\i_1` becomes i_1_1; the annotation `Nat^i` must follow the outer
+    # binder to i_1, not both renamings on to i_1_1
+    from slam import alpha_eq_type, parse_slam, parse_type
+
+    reg = parse_slam(open(STREAMS).read()).registry
+    want = "(forall i. Nat^i -> Nat^i) -> forall i. forall j. Nat^i -> Nat^i"
+    types = []
+    for ann, inner in (("i", "i_1"), ("k", "i_1"), ("i", "k")):
+        term = (f"\\y : forall {ann}. Nat^{ann} -> Nat^{ann}. "
+                f"/\\i. /\\{inner}. \\x : Nat^i. x")
+        assert run(capsys, "check", STREAMS, term, ":", want) == \
+            (0, "yes\n", ""), term
+        code, out, err = run(capsys, "infer", STREAMS, term)
+        assert (code, err) == (0, ""), term
+        types.append(parse_type(out, reg))
+    assert all(alpha_eq_type(types[0], ty) for ty in types), types
+    assert alpha_eq_type(types[0], parse_type(want, reg))

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,12 +8,14 @@ from slam import (
     Arrow, Coind, Forall, INFTY, SMax, SMin, SVar, Succ, TyVar, ZERO,
     alpha_eq_term, alpha_eq_type, fsv, parse_defs, parse_size, parse_slam,
     parse_term, parse_type, print_size, print_term, print_type,
-    strictly_positive, subst_size, subst_type, subst_type_size, sv, tv,
+    strictly_positive, subst_size, subst_type_size, sv, tv,
     validate_registry,
 )
+from slam.constraints import expand
 from slam.parser import MAX_SIZE_NUMERAL, ParseError
 from slam.syntax import (
     RegistryError, check_term_wf, node_count, nodes, size_plus,
+    subst_type_sizes, uniquify_size_binders,
 )
 
 I, J, K = SVar("i"), SVar("j"), SVar("k")
@@ -162,7 +165,7 @@ def test_subst_examples(trees):
     reg = trees.registry
     lst = Coind("List", INFTY, (TyVar("B"),))
     nat = parse_type("Nat", reg)
-    assert subst_type(lst, nat, "B") == Coind("List", INFTY, (nat,))
+    assert subst_type_sizes(lst, {}, {"B": nat}) == Coind("List", INFTY, (nat,))
     t = Forall("i", Coind("Strm", I, ()))
     assert subst_type_size(t, Succ(I), "i") == t  # bound: no change
     assert subst_type_size(Coind("Strm", I, ()), SMin(J, K), "i") == \
@@ -176,6 +179,36 @@ def test_subst_capture_avoidance():
     assert isinstance(out, Forall) and out.var != "j"
     assert alpha_eq_type(
         out, Forall("a", Coind("Strm", SMin(Succ(J), SVar("a")), ())))
+
+
+def test_subst_type_sizes_puts_every_size_at_once():
+    t = Forall("k", Coind("Strm", SMin(I, SMax(J, K)), ()))
+    got = subst_type_sizes(t, {"i": J, "j": I})
+    assert got == Forall("k", Coind("Strm", SMin(J, SMax(I, K)), ()))
+
+
+def test_uniquify_renames_with_the_whole_renaming_at_once(streams):
+    # the outer i becomes i_1, the name of the inner binder, which
+    # becomes i_1_1: the annotation and the size argument follow the
+    # outer binder only
+    t = parse_term("/\\i. /\\i_1. \\x : Strm^i. tl [i] x", streams.registry)
+    assert print_term(uniquify_size_binders(t, {"i"})) == \
+        "/\\i_1. /\\i_1_1. \\x : Strm^i_1. tl [i_1] x"
+
+
+def test_sizes_that_share_subtrees_compare_each_pair_once():
+    # expanded, a0 is a DAG of n levels whose tree has 2^n leaves:
+    # a_k = max(a_(k+1), a_(k+1)+1); two copies built apart compare in
+    # time linear in n (before pairs were kept: 5 s at n = 22)
+    n = 22
+    u = {f"a{k}": SMax(SVar(f"a{k + 1}"), Succ(SVar(f"a{k + 1}")))
+         for k in range(n)}
+    a, b = expand(u, SVar("a0")), expand(u, SVar("a0"))
+    assert a is not b and hash(a) == hash(b)
+    start = time.perf_counter()
+    assert a == b and not a != b
+    assert a != expand(u, SVar("a1"))
+    assert time.perf_counter() - start < 1.0
 
 
 # -- printing round-trips -----------------------------------------------------------

@@ -3,14 +3,15 @@ import re
 
 from helpers import (
     CORPUS_DIR, EXTRA_TERMS, context_terms, corpus_terms, link_all,
-    linked_reference, rand_cnf, subtype_of, supertype_of, truth_table_sat,
+    linked_reference, rand_cnf, render_type_reference, subtype_of,
+    supertype_of, truth_table_sat,
 )
 from slam import (
     App, Arrow, Branch, Case, Coind, Con, INFTY, ONE, SMax, SVar, SizeApp,
     SizeLam, Succ, TyVar, Var, ZERO, alpha_eq_type, node_count, parse_slam,
     parse_term, parse_type, subtype,
 )
-from slam.cli import _render_type, _typing_problem, main
+from slam.cli import _typing_problem, main
 from slam.constraints import encode_3cnf
 from slam.subtyping import BOT
 from slam.typecheck import (
@@ -140,9 +141,9 @@ def test_decompose_examples(trees):
     assert dec.size == SVar("m") and dec.rec_params == ()
     assert dec.sigma_prime == Coind("List", K, (TyVar("FTree"),))
     # substituting the instance back reproduces theta
-    from slam import subst_type
-    assert subst_type(dec.sigma_prime, Coind("FTree", SVar("m"), ()),
-                      "FTree") == theta
+    from slam.syntax import subst_type_sizes
+    assert subst_type_sizes(dec.sigma_prime, {},
+                            {"FTree": Coind("FTree", SVar("m"), ())}) == theta
     # shape mismatch fails
     bad = Arrow(Coind("Nat", INFTY, ()), Coind("Nat", INFTY, ()))
     assert decompose_constructor_arg(reg, bad, TyVar("Nat"), "Nat") is None
@@ -486,7 +487,8 @@ def test_context_typing_matches_inlining(tmp_path, capsys):
         reg = sf.registry
         m = minimal_type(reg, {}, link_all(sf, parse_term(src, reg)))
         code = main(["infer", str(path), src])
-        want = (1, "untypable\n") if m is None else (0, _render_type(m) + "\n")
+        want = (1, "untypable\n") if m is None \
+            else (0, render_type_reference(m) + "\n")
         assert (code, capsys.readouterr().out) == want, (path.name, src)
         types = ["Nat", "Nat^1"]
         if m is not None and "_|_" not in want[1]:
