@@ -16,14 +16,14 @@ from .parser import (
     ParseError, SlamFile, parse_defs, parse_size, parse_slam, parse_term,
     parse_type,
 )
-from .printer import print_plain, print_size, print_term, print_type
+from .printer import print_size, print_term, print_type
 from .rewrite import (
     Approximant, Bottom, Constr, EvalBudget, NonObservableType, Opaque,
     OMEGA, ProductivityReport, Y_COMBINATOR, approximant, erase, member,
     observable, productivity_check, refines, whnf,
 )
 from .sizes import (
-    SizeValuation, eval_size, normalize_succ, overline, simplify_infty,
+    eval_size, normalize_succ, overline, simplify_infty,
     size_ge_const, size_leq, underline,
 )
 from .subtyping import (
@@ -34,9 +34,9 @@ from .syntax import (
     Definition, Diagnostic, Fix, Forall, INFTY, Lam, ONE, PApp, PBranch,
     PCase, PCon, PLam, PVar, PlainTerm, RegistryError,
     SMax, SMin, SVar, SizeApp, SizeExpr, SizeLam, Succ, Term, TyVar, Type,
-    Var, ZERO, alpha_eq_plain,  alpha_eq_term, alpha_eq_type, check_term_wf,
+    Var, ZERO, alpha_eq, check_term_wf,
     check_type_wf, fsv, node_count, size_const, strictly_positive,
-    subst_size, subst_term, subst_type_size, sv, tv,
+    subst_term, subst_type_sizes, sv, tv,
     validate_registry,
 )
 from .typecheck import (

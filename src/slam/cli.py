@@ -28,7 +28,7 @@ from .rewrite import (
 from .sizes import INF
 from .syntax import (
     Coind, DefRegistry, PLam, RegistryError, Succ, Term, Type, check_term_wf,
-    check_type_wf, depth_first_order, fsv, fsv_term, rename_binders_apart,
+    check_type_wf, depth_first_order, fsv, rename_binders_apart,
     size_names, substitute, tv, uniquify_size_binders, validate_registry,
 )
 from .typecheck import check, minimal_type
@@ -98,7 +98,7 @@ def _typing_problem(sf: SlamFile, src: str) -> tuple[dict[str, Type], Term]:
     inlined: dict[str, Term] = {}
     for name in order:
         body = _inline(sf.bindings[name], sf.refs(name), inlined)
-        shared = fsv_term(body)
+        shared = fsv(body)
         if shared:
             shared &= _names_around(sf, q, name, named)
         ty = None if shared else minimal_type(sf.registry,
@@ -339,9 +339,7 @@ def _cmd_solve(args) -> int:
         print("verdict: valid" if args.porcelain else "valid")
         return 0
     print("verdict: invalid" if args.porcelain else "invalid")
-    witness = res.witness.mapping if res.witness else {}
-    for name in sorted(witness):
-        value = witness[name]
+    for name, value in sorted(res.witness.items()):
         shown = "oo" if value == INF else int(value)
         if args.porcelain:
             print(f"witness.{name}: {shown}")

@@ -24,7 +24,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .sizes import (
-    INF, ExtNat, SizeValuation, eval_size, normalize_succ, simplify_infty,
+    INF, ExtNat, eval_size, normalize_succ, simplify_infty,
 )
 from .syntax import (
     INFTY, ONE, Coind, CyclicDefMap, SMax, SMin, SVar, Succ, SizeExpr, Type,
@@ -447,7 +447,8 @@ def _solve(g: DifferenceGraph,
 class Validity(_Record):
     _fields = ("valid", "witness", "violated")
 
-    def __init__(self, valid: bool, witness: Optional[SizeValuation] = None,
+    def __init__(self, valid: bool,
+                 witness: Optional[dict[str, ExtNat]] = None,
                  violated: Optional[Pair] = None) -> None:
         self.valid = valid
         self.witness = witness
@@ -464,23 +465,22 @@ def is_valid(c: SizeConstraint) -> Validity:
     if order is None:
         raise CyclicDefMap(f"cyclic definition map: {sorted(c.u)}")
 
-    u = {i: simplify_infty(s) for i, s in c.u.items()}
-    pairs: list[tuple[Pair, Pair]] = [
-        ((simplify_infty(a), simplify_infty(b)), (a, b)) for a, b in c.pairs]
-    inf_vars: set[str] = set()
-    while True:
-        now = [i for i, s in u.items() if s == INFTY]
-        if not now:
-            break
-        inf_vars.update(now)
-        for i in now:
-            del u[i]
+    # remove oo from U in one pass, dependencies first: each entry is
+    # expanded under the variables already found to be oo
+    inf: dict[str, SizeExpr] = {}
+    finite: dict[str, SizeExpr] = {}
 
-        def drop(s: SizeExpr) -> SizeExpr:
-            return simplify_infty(expand(dict.fromkeys(now, INFTY), s))
+    def drop(s: SizeExpr) -> SizeExpr:
+        return simplify_infty(expand(inf, s) if inf else s)
 
-        u = {i: drop(s) for i, s in u.items()}
-        pairs = [((drop(a), drop(b)), orig) for (a, b), orig in pairs]
+    for i in order:
+        s = drop(c.u[i])
+        if s == INFTY:
+            inf[i] = INFTY
+        else:
+            finite[i] = s
+    u = {i: finite[i] for i in c.u if i in finite}  # `deps` reads positions
+    pairs = [((drop(a), drop(b)), (a, b)) for a, b in c.pairs]
 
     kept: list[tuple[Pair, Pair]] = []
     for (a, b), orig in pairs:
@@ -488,7 +488,7 @@ def is_valid(c: SizeConstraint) -> Validity:
             continue  # s <= oo always holds
         if a == INFTY:
             # every valuation keeps b finite, so the pair fails at once
-            witness = _assemble_witness(c, order, {}, inf_vars)
+            witness = _assemble_witness(c, order, {}, inf)
             return Validity(False, witness, orig)
         kept.append(((a, b), orig))
 
@@ -500,7 +500,7 @@ def is_valid(c: SizeConstraint) -> Validity:
         conj = eqs + [(Succ(b), a)]  # negation: a >= b + 1
         model = _sat_conjunction(conj)
         if model is not None:
-            witness = _assemble_witness(c, order, model, inf_vars)
+            witness = _assemble_witness(c, order, model, inf)
             return Validity(False, witness, orig)
     return Validity(True)
 
@@ -526,7 +526,7 @@ def _relevant_equalities(u: Mapping[str, SizeExpr],
 
 def _assemble_witness(c: SizeConstraint, order: list[str],
                       model: dict[str, int],
-                      inf_vars: set[str]) -> SizeValuation:
+                      inf_vars: Iterable[str]) -> dict[str, ExtNat]:
     values: dict[str, ExtNat] = {}
     for name, v in model.items():
         if not name.startswith("?e"):
@@ -542,8 +542,8 @@ def _assemble_witness(c: SizeConstraint, order: list[str],
         values.setdefault(name, 0)
     # force exact agreement with the original definition map
     for i in order:
-        values[i] = eval_size(SizeValuation(values), c.u[i])
-    return SizeValuation(values)
+        values[i] = eval_size(values, c.u[i])
+    return values
 
 
 # ---------------------------------------------------------------------------

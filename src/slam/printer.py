@@ -21,7 +21,7 @@ from .syntax import (
     SVar, Term, TyVar, Type, Var, Con, Zero, fold,
 )
 
-__all__ = ["print_size", "print_type", "print_term", "print_plain"]
+__all__ = ["print_size", "print_type", "print_term"]
 
 
 def print_size(s: SizeExpr) -> str:
@@ -75,9 +75,6 @@ def _print_type(t: Type, kids: list[str], _ctx) -> str:
 def print_term(t: Union[Term, PlainTerm]) -> str:
     """A decorated or plain term as source text."""
     return fold(t, _print_term)[0]
-
-
-print_plain = print_term
 
 
 # A term prints as (text, precedence): an atom (a variable or constructor)

@@ -51,11 +51,11 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Union
 
-from .sizes import INF, ExtNat, SizeValuation, eval_size
+from .sizes import INF, ExtNat, eval_size
 from .syntax import (
     App, Case, Coind, Con, DefRegistry, Lam, PApp, PBranch, PCase, PCon,
     PLam, PVar, PlainTerm, SizeApp, SizeLam, SVar, Term, TyVar, Type, Var,
-    _Frozen, _Record, _compare_as_trees, _set, alpha_eq_plain, fold, nodes,
+    _Frozen, _Record, _compare_as_trees, _set, alpha_eq, fold, nodes,
     substitute,
 )
 
@@ -210,21 +210,13 @@ def _force(th: _Thunk, fuel: int) -> tuple[str, int, bool, Optional[tuple]]:
     """Reduce th under `fuel`: (kind, steps charged, stuck, final state),
     as `whnf` has them, the state being (term, env, args, frames).  A
     reduced thunk costs no work; one known to need more than `fuel`
-    costs none either, and has no state.  Reduced alone, th needs no
-    update frame: a constructor head or an abstraction it ends in is its
-    value, which saves a constructor spine a frame."""
+    costs none either, and has no state.  th is reduced on an update
+    frame, as `_run` enters a thunk, which gives it its value and cost
+    or records the fuel it ran out under."""
     if th.value is None and fuel > th.cost:
-        kind, steps, stuck, state, _ = _run(th.term, th.env, [], [], fuel)
-        term, env, args, frames = state
-        if kind == "head" or kind == "value" and type(term) is PLam \
-                and not frames:
-            th.value = (term, _NO_ENV if kind == "head" else env,
-                        tuple(args), ())
-            th.cost = steps
-        else:
-            if kind == "fuel":
-                th.cost = max(th.cost, fuel)
-            return kind, steps, stuck, state
+        out = _run(th.term, th.env, [], [(th, [], 0)], fuel)
+        if th.value is None:
+            return out[:4]
     v = th.value
     if v is None or th.cost > fuel:
         return "fuel", fuel, False, None
@@ -699,7 +691,7 @@ def refines(a1: Approximant, a2: Approximant) -> bool:
                     seen.add(pair)
                     todo.extend(zip(kids, a2.children))
         elif not (isinstance(a1, Opaque) and isinstance(a2, Opaque)
-                  and alpha_eq_plain(a1.term, a2.term)):
+                  and alpha_eq(a1.term, a2.term)):
             return False
     return True
 
@@ -735,7 +727,7 @@ def _need_observable(tau: Type, reg: DefRegistry) -> None:
 
 
 def member(a: Approximant, tau: Type, reg: DefRegistry,
-           v: SizeValuation | Mapping[str, ExtNat] | None = None,
+           v: Mapping[str, ExtNat] | None = None,
            strict: bool = False, tables: Optional[tuple] = None) -> bool:
     """Membership of an approximant in the valuation approximation of an
     observable type.
@@ -759,9 +751,7 @@ def member(a: Approximant, tau: Type, reg: DefRegistry,
         _need_observable(tau, reg)
         tables = ({}, {}, set())
     if v is None:
-        v = SizeValuation({})
-    elif not isinstance(v, SizeValuation):
-        v = SizeValuation(v)
+        v = {}
     if not isinstance(tau, Coind):
         raise NonObservableType("membership needs a (co)inductive type")
     level = eval_size(v, tau.size)
@@ -936,8 +926,7 @@ def productivity_check(t: PlainTerm | _Thunk, tau: Type, reg: DefRegistry,
                 chain_ok = False
                 if fail_at is None:
                     fail_at = n
-        ok = member(a, tau_n, reg, SizeValuation({level_var: n}),
-                    tables=tables)
+        ok = member(a, tau_n, reg, {level_var: n}, tables=tables)
         prev = DepthVerdict(n, ok, nodes, steps, limited, a)
         verdicts.append(prev)
         if not ok and fail_at is None:

@@ -17,7 +17,7 @@ from .syntax import (
 )
 
 __all__ = [
-    "ExtNat", "SizeValuation", "eval_size", "simplify_infty",
+    "ExtNat", "eval_size", "simplify_infty",
     "normalize_succ", "overline", "underline", "size_leq", "size_ge_const",
     "SizeError",
 ]
@@ -30,29 +30,10 @@ class SizeError(Exception):
     pass
 
 
-class SizeValuation:
-    """A total map from size variables to natural numbers or infinity."""
-
-    def __init__(self, mapping: Mapping[str, ExtNat] | None = None,
-                 default: ExtNat = 0):
-        self.mapping = dict(mapping or {})
-        self.default = default
-
-    def __getitem__(self, name: str) -> ExtNat:
-        return self.mapping.get(name, self.default)
-
-    def updated(self, name: str, value: ExtNat) -> "SizeValuation":
-        return SizeValuation({**self.mapping, name: value}, self.default)
-
-    def __repr__(self) -> str:
-        return f"SizeValuation({self.mapping!r}, default={self.default!r})"
-
-
-def eval_size(v: SizeValuation | Mapping[str, ExtNat], s: SizeExpr) -> ExtNat:
-    """Evaluate a size expression; arithmetic saturates at infinity."""
-    get = v.__getitem__ if isinstance(v, SizeValuation) else \
-        (lambda n: v.get(n, 0))
-    return _evaluate(s, get)
+def eval_size(v: Mapping[str, ExtNat], s: SizeExpr) -> ExtNat:
+    """Evaluate a size expression under a valuation, a mapping in which
+    a variable it leaves out is 0; arithmetic saturates at infinity."""
+    return _evaluate(s, lambda n: v.get(n, 0))
 
 
 def _evaluate(s: SizeExpr, get, defs: Mapping[str, SizeExpr] | None = None

@@ -25,7 +25,7 @@ from typing import Optional, Protocol
 
 from .syntax import (
     BOT, Arrow, Bot, Coind, DefRegistry, Forall, SMax, SMin, SVar, SizeExpr,
-    TyVar, Type, forall_binders, subst_type_size, sv,
+    TyVar, Type, forall_binders, subst_type_sizes, sv,
 )
 
 __all__ = [
@@ -86,8 +86,8 @@ def _align(b1: str, body1: Type, b2: str, body2: Type,
         env.u[b1] = SVar(b2)
         return b2, body1, body2
     f = env.fresh_binder()
-    return (f, subst_type_size(body1, SVar(f), b1),
-            subst_type_size(body2, SVar(f), b2))
+    return (f, subst_type_sizes(body1, {b1: SVar(f)}),
+            subst_type_sizes(body2, {b2: SVar(f)}))
 
 
 def gen_sub_constraints(t1, t2, reg: DefRegistry,

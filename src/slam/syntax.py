@@ -28,11 +28,11 @@ __all__ = [
     "PlainTerm", "PVar", "PCon", "PLam", "PApp", "PCase", "PBranch",
     "ConstructorSig", "Definition", "DefRegistry",
     "Diagnostic", "RegistryError",
-    "sv", "fsv", "tv", "fsv_term", "forall_binders",
+    "sv", "fsv", "tv", "forall_binders",
     "size_names",
-    "subst_size", "subst_type_size", "subst_type_sizes",
+    "subst_type_sizes",
     "subst_term", "substitute",
-    "alpha_eq", "alpha_eq_type", "alpha_eq_term", "alpha_eq_plain",
+    "alpha_eq",
     "strictly_positive", "validate_registry", "check_type_wf",
     "check_term_wf", "fresh_name", "node_count", "uniquify_size_binders",
     "rename_binders_apart",
@@ -852,9 +852,6 @@ def fsv(x) -> frozenset[str]:
     return fold(x, _fsv_node)
 
 
-fsv_term = fsv
-
-
 def _fsv_node(x, kids: list, _c) -> frozenset[str]:
     cls = type(x)
     if cls is SVar:
@@ -911,15 +908,6 @@ def fresh_name(base: str, avoid: Iterable[str]) -> str:
 
 # ---------------------------------------------------------------------------
 # Substitution
-
-def subst_size(s: SizeExpr, by: SizeExpr, var: str) -> SizeExpr:
-    return subst_type_sizes(s, {var: by})
-
-
-def subst_type_size(t: Type, by: SizeExpr, var: str) -> Type:
-    """t[by/var], capture-avoiding for forall-bound size variables."""
-    return subst_type_sizes(t, {var: by})
-
 
 def subst_type_sizes(t, sizes: Mapping[str, SizeExpr],
                      mapping: Optional[Mapping[str, Type]] = None,
@@ -1130,7 +1118,7 @@ def uniquify_size_binders(t: Term, avoid: Iterable[str] = ()) -> Term:
             break
     else:
         return t  # no size binder to rename
-    used: set[str] = set(fsv_term(t)) | _annotation_binders(t) | set(avoid)
+    used: set[str] = set(fsv(t)) | _annotation_binders(t) | set(avoid)
 
     def binder(v: str) -> str:
         v = fresh_name(v, used)
@@ -1233,9 +1221,6 @@ _LABELS = {
 }
 
 
-alpha_eq_type = alpha_eq_term = alpha_eq_plain = alpha_eq
-
-
 # ---------------------------------------------------------------------------
 # Definitions and the registry
 
@@ -1331,19 +1316,9 @@ class DefRegistry:
         """The definition a constructor belongs to and its signature."""
         return self._cons.get(con)
 
-    def def_of_constructor(self, con: str) -> Optional[Definition]:
-        entry = self._cons.get(con)
-        return None if entry is None else entry[0]
-
     def constructor(self, con: str) -> Optional[ConstructorSig]:
         entry = self._cons.get(con)
         return None if entry is None else entry[1]
-
-    def arity(self, con: str) -> int:
-        sig = self.constructor(con)
-        if sig is None:
-            raise KeyError(con)
-        return len(sig.arg_types)
 
     def constructors(self, defname: str) -> tuple[ConstructorSig, ...]:
         return self.defs[defname].constructors

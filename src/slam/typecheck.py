@@ -36,7 +36,7 @@ from .syntax import (
     Fix, Forall, Infty, Lam, SMax, SMin, SVar, SizeApp, SizeExpr, SizeLam,
     Succ, Term, TyVar, Type, Var, Con, Zero, _Record, depth_first_order, fold,
     forall_binders, fsv, nodes, rebuilt, size_const, smax, smin,
-    subst_type_size, subst_type_sizes, sv, tv,
+    subst_type_sizes, sv, tv,
     uniquify_size_binders,
 )
 
@@ -163,7 +163,7 @@ class _Infer:
         if binder not in self.linear:
             r = self.fresh_size()
             self.u[r] = s
-            return subst_type_size(body, SVar(r), binder)
+            return subst_type_sizes(body, {binder: SVar(r)})
         if binder in self.u:
             return None  # consumed before; cannot instantiate again soundly
         self.linear.discard(binder)
@@ -451,11 +451,11 @@ class _Infer:
             return self.fail("case", t, "empty case")
         seen: set[str] = set()
         for b in t.branches:
-            sig = self.reg.constructor(b.con)
-            if sig is None or self.reg.def_of_constructor(b.con).name != d.name:
+            entry = self.reg.constructor_entry(b.con)
+            if entry is None or entry[0].name != d.name:
                 return self.fail("case", t,
                                  f"branch {b.con} is not a constructor of {d.name}")
-            if b.con in seen or len(sig.arg_types) != len(b.binders):
+            if b.con in seen or len(entry[1].arg_types) != len(b.binders):
                 return self.fail("case", t, f"malformed branch for {b.con}")
             seen.add(b.con)
         if d.coinductive:
@@ -636,7 +636,7 @@ _NICE = ("i", "j", "k", "l", "m", "n") + tuple(f"i{k}" for k in range(1, 100))
 
 
 def _prettify(t: Type) -> Type:
-    used = sv(t)
+    used = sv(t) | forall_binders(t)
     supply = (nm for nm in _NICE if nm not in used)
     t = subst_type_sizes(t, {}, binder=lambda v: (
         next(supply) if v.startswith(("$", "?")) else None))

@@ -16,7 +16,7 @@ from slam import (
 from slam.constraints import CyclicDefMap, check_acyclic, expand
 from slam.parser import SlamFile
 from slam.rewrite import WhnfResult
-from slam.sizes import INF, SizeValuation
+from slam.sizes import INF
 from slam.syntax import (
     Infty, PApp, PBranch, PCase, PCon, PLam, PVar, Zero, alpha_eq,
     forall_binders, fresh_name,
@@ -81,14 +81,14 @@ def rand_size_ge1(rng: random.Random, depth: int = 3,
 
 def rand_valuation(rng: random.Random,
                    vars: tuple[str, ...] = DEFAULT_VARS,
-                   bound: int = 5, with_inf: bool = True) -> SizeValuation:
+                   bound: int = 5, with_inf: bool = True) -> dict:
     vals = {}
     for v in vars:
         if with_inf and rng.random() < 0.15:
             vals[v] = INF
         else:
             vals[v] = rng.randint(0, bound)
-    return SizeValuation(vals)
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +358,7 @@ def brute_force_valid(c, bound: int) -> bool:
     pairs = [(expand(c.u, a), expand(c.u, b)) for a, b in c.pairs]
     vs = sorted(set().union(*[sv(a) | sv(b) for a, b in pairs]) if pairs else set())
     if not vs:
-        v0 = SizeValuation({})
-        return all(eval_size(v0, a) <= eval_size(v0, b) for a, b in pairs)
+        return all(eval_size({}, a) <= eval_size({}, b) for a, b in pairs)
     values = np.array(list(range(bound + 1)) + [np.inf])
     grids = np.meshgrid(*[values] * len(vs), indexing="ij")
     env = dict(zip(vs, grids))
@@ -983,9 +982,9 @@ def uniquify_size_binders_reference(t, avoid=()):
     sizes and annotations at once, each old name to its new one.  The
     new names avoid every annotation binder, so no forall of an
     annotation captures one."""
-    from slam.syntax import fsv_term
+    from slam.syntax import fsv
 
-    used = set(fsv_term(t)) | annotation_binders_reference(t) | set(avoid)
+    used = set(fsv(t)) | annotation_binders_reference(t) | set(avoid)
 
     def size(s, ren):
         if isinstance(s, SVar):
@@ -1162,9 +1161,8 @@ def approx_reference(t, depth, fuel, reg, gas, memo=None):
     if reg is None:
         depths = [depth - 1] * n
     else:
-        d = reg.def_of_constructor(r.head)
-        sig = reg.constructor(r.head)
-        if d is None or sig is None or len(sig.arg_types) != n:
+        d, sig = reg.constructor_entry(r.head) or (None, None)
+        if sig is None or len(sig.arg_types) != n:
             depths = None if depth <= 0 else [depth - 1] * n
         elif d.coinductive and depth <= 0:
             depths = None
@@ -1325,9 +1323,9 @@ def _recursive_infer_class():
 
         def con_rule(self, cname: str, args: list[Term],
                      gamma: dict[str, Type], at: Term) -> Optional[Type]:
-            d = self.reg.def_of_constructor(cname)
-            sig = self.reg.constructor(cname)
-            assert d is not None and sig is not None
+            entry = self.reg.constructor_entry(cname)
+            assert entry is not None
+            d, sig = entry
             neutral: SizeExpr = INFTY if d.coinductive else ZERO
             sizes: list[SizeExpr] = []
             per_arg: list[Decomposed] = []
@@ -1371,11 +1369,11 @@ def _recursive_infer_class():
                 return self.fail("case", t, "empty case")
             seen: set[str] = set()
             for b in t.branches:
-                sig = self.reg.constructor(b.con)
-                if sig is None or self.reg.def_of_constructor(b.con).name != d.name:
+                entry = self.reg.constructor_entry(b.con)
+                if entry is None or entry[0].name != d.name:
                     return self.fail("case", t,
                                      f"branch {b.con} is not a constructor of {d.name}")
-                if b.con in seen or len(sig.arg_types) != len(b.binders):
+                if b.con in seen or len(entry[1].arg_types) != len(b.binders):
                     return self.fail("case", t, f"malformed branch for {b.con}")
                 seen.add(b.con)
             if d.coinductive:
@@ -1560,9 +1558,7 @@ def fold_reference(x, fn, into=None, enter=None, ctx=None):
 
 
 def eval_size_reference(v, s):
-    get = v.__getitem__ if isinstance(v, SizeValuation) else \
-        (lambda n: v.get(n, 0))
-    return _eval_reference(get, s)
+    return _eval_reference(lambda n: v.get(n, 0), s)
 
 
 def _eval_reference(get, s):
@@ -2080,7 +2076,7 @@ _NICE_REFERENCE = ["i", "j", "k", "l", "m", "n"]
 
 
 def prettify_reference(t):
-    used = set(sv_reference(t))
+    used = set(sv_reference(t)) | forall_binders_reference(t)
     supply = (nm for nm in _NICE_REFERENCE + [f"i{k}" for k in range(1, 100)]
               if nm not in used)
 
@@ -2360,7 +2356,7 @@ def observable_reference(tau, reg):
 
 
 def refines_reference(a1, a2):
-    from slam import Bottom, Constr, Opaque, alpha_eq_plain
+    from slam import Bottom, Constr, Opaque, alpha_eq
 
     if isinstance(a2, Bottom):
         return True
@@ -2370,7 +2366,7 @@ def refines_reference(a1, a2):
                 and all(refines_reference(x, y)
                         for x, y in zip(a1.children, a2.children)))
     if isinstance(a1, Opaque) and isinstance(a2, Opaque):
-        return alpha_eq_plain(a1.term, a2.term)
+        return alpha_eq(a1.term, a2.term)
     return False
 
 
@@ -2381,9 +2377,7 @@ def member_reference(a, tau, reg, v=None, strict=False):
         raise NonObservableType(
             f"type is not observable: {print_type_reference(tau)}")
     if v is None:
-        v = SizeValuation({})
-    elif not isinstance(v, SizeValuation):
-        v = SizeValuation(v)
+        v = {}
     if not isinstance(tau, Coind):
         raise NonObservableType("membership needs a (co)inductive type")
     level = eval_size_reference(v, tau.size)

@@ -13,7 +13,7 @@ from helpers import (
     subtype_of, supertype_of, truth_table_sat,
 )
 from slam import (
-    App, Arrow, Coind, SMax, SMin, SVar, Succ, Var, ZERO, alpha_eq_type,
+    App, Arrow, Coind, SMax, SMin, SVar, Succ, Var, ZERO, alpha_eq,
     eval_size, join, meet, overline, parse_term, parse_type, size_leq,
     subtype, underline,
 )
@@ -24,7 +24,7 @@ from slam.rewrite import (
     Bottom, Constr, EvalBudget, OMEGA, approximant, erase, member,
     observable, productivity_check, refines,
 )
-from slam.sizes import INF, SizeValuation
+from slam.sizes import INF
 from slam.typecheck import check, minimal_type
 
 
@@ -55,7 +55,7 @@ def test_criterion_1_golden_typings():
         dt = time.monotonic() - t0
         worst = max(worst, dt)
         ok = ok and got is not None \
-            and alpha_eq_type(got, parse_type(expected, sf.registry)) \
+            and alpha_eq(got, parse_type(expected, sf.registry)) \
             and dt < 1.0
     _report(1, ok, "golden typings tl/hd/run/cofix-Strm^0",
             f"worst {worst * 1000:.0f} ms")
@@ -250,7 +250,7 @@ def test_criterion_7_empirical_soundness():
         m = minimal_type(reg, {}, term)
         if not (isinstance(m, Coind)
                 and reg.definition(m.defname).coinductive
-                and eval_size(SizeValuation({}, default=0), m.size) == INF
+                and eval_size({}, m.size) == INF
                 and observable(m, reg)):
             continue
         rep = productivity_check(erase(term), m, reg,

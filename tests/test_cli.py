@@ -742,7 +742,7 @@ def test_check_and_infer_do_not_depend_on_size_binder_spelling(capsys):
     # beside the annotation's `i`, the term's `/\i` becomes i_1 and its
     # `/\i_1` becomes i_1_1; the annotation `Nat^i` must follow the outer
     # binder to i_1, not both renamings on to i_1_1
-    from slam import alpha_eq_type, parse_slam, parse_type
+    from slam import alpha_eq, parse_slam, parse_type
 
     reg = parse_slam(open(STREAMS).read()).registry
     want = "(forall i. Nat^i -> Nat^i) -> forall i. forall j. Nat^i -> Nat^i"
@@ -755,5 +755,5 @@ def test_check_and_infer_do_not_depend_on_size_binder_spelling(capsys):
         code, out, err = run(capsys, "infer", STREAMS, term)
         assert (code, err) == (0, ""), term
         types.append(parse_type(out, reg))
-    assert all(alpha_eq_type(types[0], ty) for ty in types), types
-    assert alpha_eq_type(types[0], parse_type(want, reg))
+    assert all(alpha_eq(types[0], ty) for ty in types), types
+    assert alpha_eq(types[0], parse_type(want, reg))

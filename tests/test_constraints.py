@@ -16,7 +16,7 @@ from slam.constraints import (
     check_acyclic, encode_3cnf, expand, format_constraint, is_valid,
     parse_constraint_file, sat_atoms,
 )
-from slam.sizes import INF, SizeValuation
+from slam.sizes import INF
 from slam.syntax import size_const, smax, smin
 from slam.typecheck import infer
 
@@ -57,10 +57,9 @@ def test_expand_eval_agreement():
         expanded = expand(u, s)
         for _ in range(10):
             m = {"k": rng.randint(0, 4), "l": rng.randint(0, 4)}
-            v = SizeValuation(m)
-            vj = eval_size(v, u["j"])
-            vi = eval_size(v.updated("j", vj), u["i"])
-            full = SizeValuation({**m, "i": vi, "j": vj})
+            vj = eval_size(m, u["j"])
+            vi = eval_size({**m, "j": vj}, u["i"])
+            full = {**m, "i": vi, "j": vj}
             assert eval_size(full, s) == eval_size(full, expanded)
 
 
@@ -321,7 +320,7 @@ def test_witness_has_no_existential_variables():
     c = SizeConstraint({}, [(SMax(SMin(I, J), SMin(J, K)), SMin(I, K))])
     res = is_valid(c)
     assert not res.valid
-    assert all(not name.startswith("?") for name in res.witness.mapping)
+    assert all(not name.startswith("?") for name in res.witness)
     assert any(eval_size(res.witness, a) > eval_size(res.witness, b)
                for a, b in c.pairs)
 
@@ -373,7 +372,7 @@ def _search_inputs() -> list[SizeConstraint]:
 
 def _outcome(res):
     witness = None if res.witness is None \
-        else list(res.witness.mapping.items())
+        else list(res.witness.items())
     return res.valid, witness, res.violated
 
 

@@ -18,7 +18,7 @@ from slam import (
     validate_registry,
 )
 from slam.rewrite import EvalBudget, _approx, member, observable
-from slam.sizes import INF, SizeValuation
+from slam.sizes import INF
 from slam.typecheck import check, infer, minimal_type
 
 SRC = """
@@ -59,11 +59,11 @@ def _typed(rng, reg, gamma, depth):
                 return SizeLam(v, body), _Forall(v, bty)
         return body, bty
     if kind == "inst":
-        from slam import SizeApp, subst_type_size
+        from slam import SizeApp, subst_type_sizes
         t, ty = _typed(rng, reg, gamma, depth - 1)
         if isinstance(ty, Forall):
             s = rand_size(rng, 1)
-            return SizeApp(t, s), subst_type_size(ty.body, s, ty.var)
+            return SizeApp(t, s), subst_type_sizes(ty.body, {ty.var: s})
         return t, ty
     if kind == "sub":
         from helpers import supertype_of
@@ -239,7 +239,7 @@ def test_inductive_size_bounds_are_honoured():
         if not (isinstance(m, Coind) and not reg.definition(m.defname).coinductive
                 and not m.params and observable(m, reg)):
             continue
-        level = eval_size(SizeValuation({}), m.size)
+        level = eval_size({}, m.size)
         gas = [200000]
         a, _steps, limited, _nodes = _approx(erase(term), 1, 100000, reg,
                                              gas)

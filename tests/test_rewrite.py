@@ -10,7 +10,7 @@ from helpers import (
 )
 from slam import (
     App, Coind, INFTY, PApp, PBranch, PCase, PCon, PLam, PVar, SVar, ZERO,
-    alpha_eq_plain, parse_term, parse_type,
+    alpha_eq, parse_term, parse_type,
 )
 from slam.rewrite import (
     Bottom, Constr, EvalBudget, NonObservableType, OMEGA, Opaque,
@@ -18,7 +18,6 @@ from slam.rewrite import (
     productivity_check, psubst, refines, whnf,
 )
 from slam.syntax import DefRegistry, nodes, substitute
-from slam.sizes import SizeValuation
 
 def _nat_tree(n):
     a = Constr("zero")
@@ -37,7 +36,7 @@ def test_erase_examples(streams):
     t2 = parse_term("tl [oo]", reg)
     from slam import subst_term
     t2 = subst_term(t2, linked_reference(streams, "tl"), "tl")
-    assert alpha_eq_plain(erase(t2),
+    assert alpha_eq(erase(t2),
                           erase(linked_reference(streams, "tl")))
     cz = erase(parse_term("cofix[j] f : Strm . cons zero f", reg))
     assert cz == PApp(Y_COMBINATOR, PLam("f", PApp(
@@ -79,7 +78,7 @@ def _binders(t):
 
 def _check_subst(t, var, value):
     got = psubst(t, var, value)
-    assert alpha_eq_plain(got, psubst_reference(t, var, value)), (t, var, value)
+    assert alpha_eq(got, psubst_reference(t, var, value)), (t, var, value)
     assert got.fv == plain_free_vars_reference(got)
     if var not in t.fv:
         assert got is t
@@ -166,7 +165,7 @@ def test_multi_pair_substitute_matches_reference():
                  for _ in range(rng.randint(2, 4))]
         got = substitute(t, pairs)
         want = _multi_subst_reference(t, pairs)
-        assert alpha_eq_plain(got, want), (t, pairs)
+        assert alpha_eq(got, want), (t, pairs)
         assert got.fv == plain_free_vars_reference(got)
         if t.fv.isdisjoint(y for y, _v in pairs):
             assert got is t
@@ -240,7 +239,7 @@ def test_y_unfolds():
         if nxt is None:
             break
         unfolded = nxt
-        if alpha_eq_plain(unfolded, PApp(u, PApp(Y_COMBINATOR, u))):
+        if alpha_eq(unfolded, PApp(u, PApp(Y_COMBINATOR, u))):
             return
     raise AssertionError("Y t did not reduce to t (Y t)")
 
@@ -707,7 +706,7 @@ def test_whnf_memo_matches_fresh_approximants():
                                      budget=EvalBudget(fuel=fuel, depth=8))
             for v, (a, steps, lim, nodes) in zip(rep.verdicts, fresh):
                 ok = member(a, Coind(tau.defname, SVar("n"), tau.params), reg,
-                            SizeValuation({"n": v.depth}))
+                            {"n": v.depth})
                 assert (v.ok, v.nodes, v.fuel_used, v.fuel_limited) == \
                     (ok, _nodes(a), steps, lim), (src, fuel, v.depth)
                 assert nodes == v.nodes
@@ -796,7 +795,7 @@ def test_shared_observations_read_as_tree_walks(fname, src, tyname,
             n = v.depth
             a, steps, lim, nodes = approx(_Thunk(t), n, fuel, reg,
                                           [fuel * (n + 2)])
-            ok = member(a, level, reg, SizeValuation({"n": n}))
+            ok = member(a, level, reg, {"n": n})
             assert (v.ok, v.nodes, v.fuel_used, v.fuel_limited) == \
                 (ok, nodes, steps, lim), (src, fuel, n)
             assert v.approx == a and repr(v.approx) == repr(a), (src, fuel, n)
@@ -864,7 +863,7 @@ def test_shared_observations_keep_gas_exact(fname, src, tyname):
             fresh.append(got)
         rep = productivity_check(t, tau, reg, EvalBudget(fuel=fuel, depth=8))
         for v, (a, steps, lim, nodes) in zip(rep.verdicts, fresh):
-            ok = member(a, level, reg, SizeValuation({"n": v.depth}))
+            ok = member(a, level, reg, {"n": v.depth})
             assert (v.ok, v.nodes, v.fuel_used, v.fuel_limited) == \
                 (ok, nodes, steps, lim), (fuel, v.depth)
             assert repr(v.approx) == repr(a), (fuel, v.depth)

@@ -7,9 +7,10 @@ from hypothesis import given
 from helpers import rand_size, rand_size_ge1
 from slam import (
     INFTY, ONE, SMax, SMin, SVar, Succ, ZERO, eval_size, normalize_succ,
-    overline, simplify_infty, size_ge_const, size_leq, subst_size, underline,
+    overline, simplify_infty, size_ge_const, size_leq, subst_type_sizes,
+    underline,
 )
-from slam.sizes import INF, SizeError, SizeValuation
+from slam.sizes import INF, SizeError
 from slam.syntax import Infty, Zero
 
 I, J, K = SVar("i"), SVar("j"), SVar("k")
@@ -30,24 +31,24 @@ vals = st.fixed_dictionaries(
 # -- eval ------------------------------------------------------------------
 
 def test_eval_examples():
-    v = SizeValuation({"i": 3})
+    v = {"i": 3}
     assert eval_size(v, SMin(Succ(I), INFTY)) == 4
-    assert eval_size(SizeValuation({}), Succ(INFTY)) == INF
-    v2 = SizeValuation({"i": 0, "j": 2})
+    assert eval_size({}, Succ(INFTY)) == INF
+    v2 = {"i": 0, "j": 2}
     assert eval_size(v2, SMax(Succ(I), SMin(I, Succ(J)))) == 1
 
 
 def test_eval_default():
-    v = SizeValuation({}, default=7)
-    assert eval_size(v, I) == 7
+    # a variable the valuation leaves out is 0
+    assert eval_size({}, I) == 0
+    assert eval_size({"j": 7}, SMax(Succ(I), J)) == 7
 
 
 @given(sizes, sizes, vals)
 def test_eval_subst_commutes(s, s2, m):
-    v = SizeValuation(m)
-    inner = eval_size(v, s2)
-    assert eval_size(v, subst_size(s, s2, "i")) == \
-        eval_size(v.updated("i", inner), s)
+    inner = eval_size(m, s2)
+    assert eval_size(m, subst_type_sizes(s, {"i": s2})) == \
+        eval_size({**m, "i": inner}, s)
 
 
 # -- simplify_infty ---------------------------------------------------------
@@ -62,8 +63,7 @@ def test_simplify_infty_examples():
 def test_simplify_infty_shape_and_meaning(s, m):
     out = simplify_infty(s)
     assert out == INFTY or not _mentions_inf(out)
-    v = SizeValuation(m)
-    assert eval_size(v, out) == eval_size(v, s)
+    assert eval_size(m, out) == eval_size(m, s)
 
 
 def _mentions_inf(s):
@@ -84,8 +84,7 @@ def test_normalize_succ_examples():
     out = normalize_succ(Succ(Succ(SMin(I, ZERO))))
     assert out == SMin(Succ(Succ(I)), Succ(Succ(ZERO)))
     for n in range(4):
-        v = SizeValuation({"i": n})
-        assert eval_size(v, out) == min(n + 2, 2)
+        assert eval_size({"i": n}, out) == min(n + 2, 2)
     assert normalize_succ(Succ(I)) == Succ(I)
 
 
@@ -94,8 +93,7 @@ def test_normalize_succ_shape(s, m):
     s = simplify_infty(s)
     out = normalize_succ(s)
     assert _succ_below_ok(out)
-    v = SizeValuation(m)
-    assert eval_size(v, out) == eval_size(v, s)
+    assert eval_size(m, out) == eval_size(m, s)
 
 
 def _succ_below_ok(s):
@@ -117,8 +115,7 @@ def test_overline_examples():
     out = overline(s)
     for vi in range(4):
         for vj in range(4):
-            v = SizeValuation({"i": vi, "j": vj})
-            assert eval_size(v, out) == vi
+            assert eval_size({"i": vi, "j": vj}, out) == vi
     assert size_leq(Succ(out), s)
 
 
@@ -227,5 +224,7 @@ def test_monotone_substitution():
         s1 = rand_size(rng)
         s2 = SMax(s1, rand_size(rng))
         s = rand_size(rng)
-        assert size_leq(subst_size(s, s1, "i"), subst_size(s, s2, "i"))
-        assert size_leq(subst_size(s1, s, "i"), subst_size(s2, s, "i"))
+        assert size_leq(subst_type_sizes(s, {"i": s1}),
+                        subst_type_sizes(s, {"i": s2}))
+        assert size_leq(subst_type_sizes(s1, {"i": s}),
+                        subst_type_sizes(s2, {"i": s}))

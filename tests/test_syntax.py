@@ -6,16 +6,16 @@ import pytest
 from helpers import rand_size, rand_type
 from slam import (
     Arrow, Coind, Forall, INFTY, SMax, SMin, SVar, Succ, TyVar, ZERO,
-    alpha_eq_term, alpha_eq_type, fsv, parse_defs, parse_size, parse_slam,
+    alpha_eq, fsv, parse_defs, parse_size, parse_slam,
     parse_term, parse_type, print_size, print_term, print_type,
-    strictly_positive, subst_size, subst_type_size, sv, tv,
+    strictly_positive, subst_type_sizes, sv, tv,
     validate_registry,
 )
 from slam.constraints import expand
 from slam.parser import MAX_SIZE_NUMERAL, ParseError
 from slam.syntax import (
     RegistryError, check_term_wf, node_count, nodes, size_plus,
-    subst_type_sizes, uniquify_size_binders,
+    uniquify_size_binders,
 )
 
 I, J, K = SVar("i"), SVar("j"), SVar("k")
@@ -155,7 +155,7 @@ def test_fsv_subst_property():
     for _ in range(300):
         s = rand_size(rng)
         s2 = rand_size(rng)
-        out = subst_size(s, s2, "i")
+        out = subst_type_sizes(s, {"i": s2})
         assert sv(out) <= (sv(s) - {"i"}) | sv(s2)
 
 
@@ -167,17 +167,17 @@ def test_subst_examples(trees):
     nat = parse_type("Nat", reg)
     assert subst_type_sizes(lst, {}, {"B": nat}) == Coind("List", INFTY, (nat,))
     t = Forall("i", Coind("Strm", I, ()))
-    assert subst_type_size(t, Succ(I), "i") == t  # bound: no change
-    assert subst_type_size(Coind("Strm", I, ()), SMin(J, K), "i") == \
+    assert subst_type_sizes(t, {"i": Succ(I)}) == t  # bound: no change
+    assert subst_type_sizes(Coind("Strm", I, ()), {"i": SMin(J, K)}) == \
         Coind("Strm", SMin(J, K), ())
 
 
 def test_subst_capture_avoidance():
     # substituting j+1 under forall j renames the binder
     t = Forall("j", Coind("Strm", SMin(I, J), ()))
-    out = subst_type_size(t, Succ(J), "i")
+    out = subst_type_sizes(t, {"i": Succ(J)})
     assert isinstance(out, Forall) and out.var != "j"
-    assert alpha_eq_type(
+    assert alpha_eq(
         out, Forall("a", Coind("Strm", SMin(Succ(J), SVar("a")), ())))
 
 
@@ -241,7 +241,7 @@ def test_roundtrip_types(trees):
 def test_roundtrip_terms(streams, sp, trees):
     for sf in (streams, sp, trees):
         for name, t in sf.bindings.items():
-            assert alpha_eq_term(parse_term(print_term(t), sf.registry), t), name
+            assert alpha_eq(parse_term(print_term(t), sf.registry), t), name
 
 
 def test_roundtrip_generated_terms(streams):
@@ -251,7 +251,7 @@ def test_roundtrip_generated_terms(streams):
     for _ in range(250):
         t = rand_term(rng, reg)
         back = parse_term(print_term(t), reg)
-        assert alpha_eq_term(back, t), print_term(t)
+        assert alpha_eq(back, t), print_term(t)
 
 
 def test_parse_error_positions():
@@ -357,3 +357,19 @@ def test_runs_repr_print_and_parse_as_written():
         assert back == s and hash(back) == hash(s)
         assert print_size(back) == printed
     assert long_runs > 100
+
+
+# -- public names -------------------------------------------------------------
+
+def test_no_module_exports_one_object_under_two_names():
+    import importlib
+    import pkgutil
+
+    import slam
+
+    for info in pkgutil.iter_modules(slam.__path__):
+        mod = importlib.import_module(f"slam.{info.name}")
+        names: dict[int, str] = {}
+        for name in getattr(mod, "__all__", ()):
+            first = names.setdefault(id(getattr(mod, name)), name)
+            assert first == name, (info.name, first, name)

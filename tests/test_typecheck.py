@@ -7,15 +7,15 @@ from helpers import (
     supertype_of, truth_table_sat,
 )
 from slam import (
-    App, Arrow, Branch, Case, Coind, Con, INFTY, ONE, SMax, SVar, SizeApp,
-    SizeLam, Succ, TyVar, Var, ZERO, alpha_eq_type, node_count, parse_slam,
-    parse_term, parse_type, subtype,
+    App, Arrow, Branch, Case, Coind, Con, Forall, INFTY, ONE, SMax, SVar,
+    SizeApp, SizeLam, Succ, TyVar, Var, ZERO, alpha_eq, node_count,
+    parse_slam, parse_term, parse_type, print_type, subtype,
 )
 from slam.cli import _typing_problem, main
 from slam.constraints import encode_3cnf
 from slam.subtyping import BOT
 from slam.typecheck import (
-    check, decompose_constructor_arg, infer, minimal_type,
+    _prettify, check, decompose_constructor_arg, infer, minimal_type,
 )
 
 I, J, K = SVar("i"), SVar("j"), SVar("k")
@@ -26,7 +26,7 @@ def _golden(sf, name, expected_src):
     got = minimal_type(reg, {}, linked_reference(sf, name))
     assert got is not None, name
     want = parse_type(expected_src, reg)
-    assert alpha_eq_type(got, want), (name, got, want)
+    assert alpha_eq(got, want), (name, got, want)
 
 
 # -- golden typings -----------------------------------------------------------
@@ -53,17 +53,17 @@ def test_golden_cofix_size_zero(streams):
     reg = streams.registry
     t = parse_term("cofix[j] f : Strm^0 . f", reg)
     got = minimal_type(reg, {}, t)
-    assert alpha_eq_type(got, parse_type("Strm^0", reg))
+    assert alpha_eq(got, parse_type("Strm^0", reg))
 
 
 def test_constructor_sizes(streams):
     reg = streams.registry
-    assert alpha_eq_type(minimal_type(reg, {}, Con("zero")),
+    assert alpha_eq(minimal_type(reg, {}, Con("zero")),
                          Coind("Nat", ONE, ()))
     two = minimal_type(reg, {}, App(Con("succ"), Con("zero")))
     # empty max is 0, so zero : Nat^1 and succ zero : Nat^2
-    assert alpha_eq_type(two, Coind("Nat", Succ(SMax(ONE, ONE)), ())) or \
-        alpha_eq_type(two, Coind("Nat", Succ(ONE), ()))
+    assert alpha_eq(two, Coind("Nat", Succ(SMax(ONE, ONE)), ())) or \
+        alpha_eq(two, Coind("Nat", Succ(ONE), ()))
 
 
 def test_nullary_of_parameterised_def(trees):
@@ -99,7 +99,7 @@ def test_non_decreasing_recursion_rejected(streams):
     good = parse_term(
         "fix f : Nat -> Nat . \\a : Nat^(k+1). "
         "case a of { zero => zero; succ b => succ (f b) }", reg)
-    assert alpha_eq_type(minimal_type(reg, {}, good),
+    assert alpha_eq(minimal_type(reg, {}, good),
                          parse_type("Nat -> Nat", reg))
 
 
@@ -239,7 +239,7 @@ def test_inference_deterministic(sp):
     t1 = infer(reg, {}, t)
     t2 = infer(reg, {}, t)
     assert t1.u == t2.u and t1.pairs == t2.pairs
-    assert alpha_eq_type(t1.tau, t2.tau)
+    assert alpha_eq(t1.tau, t2.tau)
 
 
 def test_size_binder_shadowing_annotation_quantifier(streams):
@@ -250,7 +250,7 @@ def test_size_binder_shadowing_annotation_quantifier(streams):
     got = minimal_type(reg, {}, t)
     want = parse_type(
         "(forall i. Nat^i -> Nat^i) -> forall j. Nat^(j+1) -> Nat^(j+1)", reg)
-    assert got is not None and alpha_eq_type(got, want), got
+    assert got is not None and alpha_eq(got, want), got
 
 
 def test_nested_shadowed_size_lambdas(streams):
@@ -258,7 +258,7 @@ def test_nested_shadowed_size_lambdas(streams):
     t = parse_term("/\\i. /\\i. \\s : Strm^i. s", reg)
     got = minimal_type(reg, {}, t)
     want = parse_type("forall j. forall i. Strm^i -> Strm^i", reg)
-    assert got is not None and alpha_eq_type(got, want), got
+    assert got is not None and alpha_eq(got, want), got
 
 
 def test_shadowing_binder_cannot_capture_context_variable(streams):
@@ -340,7 +340,7 @@ def test_fix_reused_after_linking(streams):
     from slam import subst_term
     t = subst_term(t, linked_reference(streams, "plus"), "plus")
     m = minimal_type(reg, {}, t)
-    assert m is not None and alpha_eq_type(m, parse_type("Nat", reg))
+    assert m is not None and alpha_eq(m, parse_type("Nat", reg))
 
 
 def test_fix_premise_variable_not_free_in_context(streams):
@@ -369,7 +369,7 @@ def test_instantiation_specializes_type_not_inequalities(streams):
     t = subst_term(t, linked_reference(streams, "tl"), "tl")
     m = minimal_type(reg, gamma, t)
     assert m is not None
-    assert alpha_eq_type(m, parse_type("Strm^6 -> Strm^5", reg))
+    assert alpha_eq(m, parse_type("Strm^6 -> Strm^5", reg))
     # a body that only types for i >= 1 is not rescued by instantiating
     # the quantifier at 5: generalization demands every i
     bad = parse_term(
@@ -384,7 +384,7 @@ def test_context_quantifier_instantiated_twice(streams):
     gamma = {"g": parse_type("forall a. Nat^a -> Nat^a", reg)}
     t = parse_term("g [2] (g [1] zero)", reg)
     m = minimal_type(reg, gamma, t)
-    assert m is not None and alpha_eq_type(m, parse_type("Nat^2", reg))
+    assert m is not None and alpha_eq(m, parse_type("Nat^2", reg))
     # incompatible double use is still caught
     bad = parse_term("g [1] (g [2] (succ zero))", reg)
     assert minimal_type(reg, gamma, bad) is None
@@ -402,7 +402,7 @@ def test_context_quantifier_named_like_term_binder(streams):
                        f"(tl [{size}] zs)", reg)
         m = minimal_type(reg, gamma, t)
         assert m is not None, size
-        assert alpha_eq_type(m, parse_type("forall i. Nat^i -> Nat^i", reg))
+        assert alpha_eq(m, parse_type("forall i. Nat^i -> Nat^i", reg))
 
 
 def test_case_bound_quantified_variable_reused(trees):
@@ -514,7 +514,7 @@ def test_context_typing_names_quantifiers_apart(tmp_path, capsys):
                    "Strm^(i_2+1) -> Strm^i_2\n")
     reg = sf.registry
     m = minimal_type(reg, {}, link_all(sf, parse_term(src, reg)))
-    assert alpha_eq_type(parse_type(out, reg), m)
+    assert alpha_eq(parse_type(out, reg), m)
 
 
 def test_context_typing_keeps_capturing_bindings_inlined(tmp_path):
@@ -533,3 +533,10 @@ def test_context_typing_keeps_capturing_bindings_inlined(tmp_path):
     # and so it is when run comes first in the file
     rsp = parse_slam(_reversed_file(tmp_path, "sp.slam").read_text())
     assert _typing_problem(rsp, "run odd nats")[0] == gamma
+
+
+def test_prettify_keeps_an_inner_user_binder_name():
+    # a machine binder's nice name avoids every forall binder of the
+    # type, so the user's inner `i` is not renamed by the capture check
+    t = Forall("$b1", Forall("i", Coind("Nat", SVar("$b1"), ())))
+    assert print_type(_prettify(t)) == "forall j. forall i. Nat^j"
