@@ -397,48 +397,49 @@ def _solve(g: DifferenceGraph,
            splits: list[_Split]) -> Optional[dict[str, int]]:
     """Search the disjuncts over the committed atoms in `g`.
 
-    An arm is feasible when `g` admits its atoms without a negative
-    cycle; the check only reads `g`, and only commits (`extend`) write
-    its potentials, edges and undo trail.  Each split carries the arms
-    not yet refused on the current branch: `g` only grows along a
-    branch, so a refused arm stays refused, and only the others are
-    checked again.  The search drops infeasible arms and commits forced
-    (single-arm) splits into `g` to a fixpoint, then branches on the
-    smallest split, arms in order; each child starts from a copy of the
-    lists, so a backtrack finds them as they were.  A model is read off
-    the potential of `g` once no split is left.  On None, `g` may hold
-    commits of this call, which the caller undoes to its own mark.
-    The call works on `splits` in place, so each caller passes its own.
+    An arm is feasible when `g` admits its atoms, which only reads `g`.
+    Each split carries its arms not yet refused on the current branch:
+    `g` only grows along a branch, so a refused arm stays refused.  The
+    search commits forced (single-arm) splits to a fixpoint, then
+    branches on the smallest split, arms in order: `stack` holds the
+    split, an iterator over its live arms, the mark of `g` and the other
+    splits.  After a branch or a conflict, the innermost entry with an
+    arm left undoes `g` to its mark and commits that arm.  A model is
+    read off `g` once no split is left.  The search owns `g` and `splits`.
     """
-    k = 0
-    while k < len(splits):
-        d, live = splits[k]
-        live = [i for i in live
-                if (delta := d.delta(i)) is not None and g.admits(delta[0])]
-        if not live:
+    stack: list[tuple[_Disj, Iterator[int], int, list[_Split]]] = []
+    while True:
+        k = 0
+        while k < len(splits):
+            d, live = splits[k]
+            live = [i for i in live if (delta := d.delta(i)) is not None
+                    and g.admits(delta[0])]
+            if not live:
+                break  # a conflict
+            if len(live) == 1:
+                da, dd = d.delta(live[0])
+                g.extend(da)  # just admitted
+                del splits[k]
+                splits += _all_arms(dd)
+                k = 0  # the graph grew: check every split again
+                continue
+            splits[k] = d, live
+            k += 1
+        else:  # no conflict: done, or branch
+            if not splits:
+                return g.model()
+            k = min(range(len(splits)), key=lambda j: len(splits[j][1]))
+            d, live = splits.pop(k)
+            stack.append((d, iter(live), g.mark(), splits))
+        while stack and (i := next(stack[-1][1], None)) is None:
+            stack.pop()
+        if not stack:
             return None
-        if len(live) == 1:
-            da, dd = d.delta(live[0])
-            g.extend(da)  # just admitted
-            del splits[k]
-            splits += _all_arms(dd)
-            k = 0  # the graph grew: check every split again
-            continue
-        splits[k] = d, live
-        k += 1
-    if not splits:
-        return g.model()
-    k = min(range(len(splits)), key=lambda j: len(splits[j][1]))
-    d, live = splits.pop(k)
-    for i in live:
-        da, dd = d.delta(i)
-        mark = g.mark()
-        g.extend(da)  # admitted in the last pass, with g as it is now
-        model = _solve(g, splits + _all_arms(dd))
-        if model is not None:
-            return model
+        d, _, mark, rest = stack[-1]
         g.undo(mark)
-    return None
+        da, dd = d.delta(i)
+        g.extend(da)  # admitted in the last pass, with g as it was at mark
+        splits = rest + _all_arms(dd)
 
 
 # ---------------------------------------------------------------------------

@@ -195,8 +195,3 @@ def size_ge_const(u: Mapping[str, SizeExpr], s: SizeExpr, k: int) -> bool:
     evaluated once, no syntactic expansion).
     """
     return _evaluate(s, lambda name: 0, u) >= k
-
-
-def const_value(s: SizeExpr) -> ExtNat | None:
-    """The constant value of a variable-free expression, else None."""
-    return _evaluate(s, lambda name: None)

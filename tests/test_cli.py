@@ -265,8 +265,8 @@ def test_size_numeral_at_the_limit(tmp_path, capsys, monkeypatch):
 
 
 def test_too_deep_input_exit_2(capsys, monkeypatch):
-    # no input is known to nest too deeply for `infer` any more; the net
-    # that maps RecursionError to exit 2 stays, for input that does
+    # no input for any command is known to reach a RecursionError: no
+    # function in src/ calls itself; the net that maps one to exit 2 stays
     def too_deep(args):
         raise RecursionError("maximum recursion depth exceeded")
 

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -381,35 +383,55 @@ def test_search_matches_reference_and_never_rechecks_refused_arms(
     # the search with refused arms remembered against the one that checks
     # every arm after every commit: the same verdict, witness (in order)
     # and violated pair, never more arm checks, and no arm refused at a
-    # search node checked again at that node or below it
+    # search node checked again at that node or below it.  The nodes are
+    # read off the graph's trail: the search opens one when it commits an
+    # arm after `undo(mark)`, and it closes at the next undo to that mark
+    # or below; a `_solve` call is the root node.
     checks = [0]
-    refused: list[set[int]] = []  # per open search node: arms refused there
+    nodes: list[tuple[int, set[int]]] = []  # open nodes: (mark, refused)
+    undone = [None]  # the mark of the last undo, until the next commit
     arms = []  # keeps every refused arm's atom list alive, so ids stay put
-    admits = DifferenceGraph.admits
+    admits, extend, undo = (DifferenceGraph.admits, DifferenceGraph.extend,
+                            DifferenceGraph.undo)
 
     def counting_admits(g, atoms):
         checks[0] += 1
-        assert not any(id(atoms) in r for r in refused), atoms
+        assert not any(id(atoms) in r for _, r in nodes), atoms
         ok = admits(g, atoms)
-        if not ok and refused:
-            refused[-1].add(id(atoms))
+        if not ok and nodes:
+            nodes[-1][1].add(id(atoms))
             arms.append(atoms)
         return ok
+
+    def tracking_undo(g, mark):
+        while nodes and nodes[-1][0] >= mark:
+            nodes.pop()
+        undone[0] = mark
+        return undo(g, mark)
+
+    def tracking_extend(g, atoms):
+        if nodes and undone[0] is not None:
+            nodes.append((undone[0], set()))
+        undone[0] = None
+        return extend(g, atoms)
 
     solve = constraints._solve
 
     def tracked(g, splits):
-        refused.append(set())
+        nodes.append((-1, set()))
+        undone[0] = None
         try:
             return solve(g, splits)
         finally:
-            refused.pop()
+            nodes.clear()
 
     def reference(g, splits):
         assert all(live == list(range(len(d.arms))) for d, live in splits)
         return solve_reference(g, [d for d, _ in splits])
 
     monkeypatch.setattr(DifferenceGraph, "admits", counting_admits)
+    monkeypatch.setattr(DifferenceGraph, "extend", tracking_extend)
+    monkeypatch.setattr(DifferenceGraph, "undo", tracking_undo)
     inputs = _search_inputs()
     saved = 0
     for c in inputs:
@@ -423,6 +445,28 @@ def test_search_matches_reference_and_never_rechecks_refused_arms(
         assert got_checks <= want_checks, c
         saved += want_checks - got_checks
     assert sum(bool(c.u) for c in inputs) >= 5 and arms and saved
+
+
+def test_search_deeper_than_the_stack_decides():
+    # a satisfiable ratio-1.0 formula over 200 variables branches on a
+    # few hundred splits along one path; the search keeps its own stack,
+    # so it decides with only 150 Python frames to spare
+    rng = random.Random(7)  # the sampler of bench/oracles.random_3cnf
+    clauses = []
+    for _ in range(200):
+        vs = rng.sample(range(1, 201), 3)
+        clauses.append([(f"x{v}", rng.random() < 0.5) for v in vs])
+    s1, s2 = encode_3cnf(clauses)
+    c = SizeConstraint({}, [(Succ(s2), s1)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    try:
+        res = is_valid(c)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert not res.valid
+    w = res.witness  # a variable at 0 is true
+    assert all(any((w[x] == 0) == pos for x, pos in cl) for cl in clauses)
 
 
 def test_format_and_parse_round_trip_a_large_encoding():
