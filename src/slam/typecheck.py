@@ -87,6 +87,7 @@ class _Infer:
     def __init__(self, reg: DefRegistry, u0: Mapping[str, SizeExpr]):
         self.reg = reg
         self.u: dict[str, SizeExpr] = dict(u0)
+        self.gamma: dict[str, Type] = {}
         self.pairs: list[Pair] = []
         self.linear: set[str] = set()
         self._counter = itertools.count(1)
@@ -292,15 +293,16 @@ class _Infer:
 
     # -- the algorithm -----------------------------------------------------
     #
-    # The rules are generators: each premise is yielded as (term, context)
-    # and its type (None on failure) is sent back.  `infer` runs them on a
-    # stack of its own, so the depth of the term costs heap, not Python
-    # stack, and the premises are inferred in the order the rules yield
-    # them.
+    # The rules are generators: each premise is yielded as a term and its
+    # type (None on failure) is sent back.  `infer` runs them on a stack of
+    # its own, so the depth of the term costs heap, not Python stack.  The
+    # context is one dict of the run, and only `_under` extends and
+    # restores it, so a binder costs the same at any depth.
 
     def infer(self, t: Term, gamma: dict[str, Type]) -> Optional[Type]:
+        self.gamma = gamma
         stack: list = []
-        rule = self._infer(t, gamma)
+        rule = self._infer(t)
         value = None
         while True:
             try:
@@ -312,12 +314,26 @@ class _Infer:
                 value = done.value
                 continue
             stack.append(rule)
-            rule = self._infer(*premise)
+            rule = self._infer(premise)
             value = None
 
-    def _infer(self, t: Term, gamma: dict[str, Type]):
+    def _under(self, binds: dict[str, Type], body: Term):
+        """The premise body in the context extended by binds (Γ, x : T);
+        each name gets back what it had before."""
+        gamma = self.gamma
+        before = [(x, gamma.get(x)) for x in binds]
+        gamma.update(binds)
+        ty = yield body
+        for x, old in before:
+            if old is None:
+                del gamma[x]
+            else:
+                gamma[x] = old
+        return ty
+
+    def _infer(self, t: Term):
         if isinstance(t, Var):
-            ty = gamma.get(t.name)
+            ty = self.gamma.get(t.name)
             if ty is None:
                 return self.fail("ax", t, f"unbound variable {t.name}")
             return ty
@@ -328,7 +344,7 @@ class _Infer:
             if sig.arg_types:
                 return self.fail("con", t,
                                  f"constructor {t.name} is not fully applied")
-            return (yield from self.con_rule(t.name, [], gamma, t))
+            return (yield from self.con_rule(t.name, [], t))
         if isinstance(t, App):
             head = t
             spine: list[Term] = []
@@ -346,21 +362,21 @@ class _Infer:
                     return self.fail(
                         "con", t, f"constructor {head.name} expects {ar} "
                         f"argument(s), got {len(spine)}")
-                res = yield from self.con_rule(head.name, spine[:ar], gamma, t)
+                res = yield from self.con_rule(head.name, spine[:ar], t)
                 rest = spine[ar:]
             else:
-                res = yield head, gamma
+                res = yield head
                 rest = spine
             for arg in rest:
                 if res is None:
                     return None
-                res = yield from self.app_rule(res, arg, gamma, t)
+                res = yield from self.app_rule(res, arg, t)
             return res
         if isinstance(t, Lam):
-            body = yield t.body, {**gamma, t.var: t.ty}
+            body = yield from self._under({t.var: t.ty}, t.body)
             return None if body is None else Arrow(t.ty, body)
         if isinstance(t, SizeApp):
-            fun = yield t.fun, gamma
+            fun = yield t.fun
             if fun is None:
                 return None
             if not isinstance(fun, Forall):
@@ -372,36 +388,34 @@ class _Infer:
                                  "quantifier was already instantiated")
             return out
         if isinstance(t, SizeLam):
-            if t.var in self._fsv_u_context(gamma):
+            if t.var in self._fsv_u_context(self.gamma):
                 return self.fail("gen", t,
                                  f"size variable {t.var} occurs in the context")
-            body = yield t.body, gamma
+            body = yield t.body
             if body is None:
                 return None
             self.linear.add(t.var)
             return Forall(t.var, body)
         if isinstance(t, Case):
-            return (yield from self.case_rule(t, gamma))
+            return (yield from self.case_rule(t))
         if isinstance(t, Fix):
-            return (yield from self.fix_rule(t, gamma))
+            return (yield from self.fix_rule(t))
         if isinstance(t, Cofix):
-            return (yield from self.cofix_rule(t, gamma))
+            return (yield from self.cofix_rule(t))
         raise TypeError(t)
 
-    def app_rule(self, fun_ty: Type, arg: Term, gamma: dict[str, Type],
-                 at: Term):
+    def app_rule(self, fun_ty: Type, arg: Term, at: Term):
         if not isinstance(fun_ty, Arrow):
             return self.fail("app", at,
                              "application of a non-arrow type "
                              + print_type(fun_ty))
-        arg_ty = yield arg, gamma
+        arg_ty = yield arg
         if arg_ty is None:
             return None
         self.add_sub(arg_ty, fun_ty.dom)
         return fun_ty.cod
 
-    def con_rule(self, cname: str, args: list[Term],
-                 gamma: dict[str, Type], at: Term):
+    def con_rule(self, cname: str, args: list[Term], at: Term):
         entry = self.reg.constructor_entry(cname)
         assert entry is not None
         d, sig = entry
@@ -409,7 +423,7 @@ class _Infer:
         sizes: list[SizeExpr] = []
         per_arg: list[Decomposed] = []
         for arg, sigma in zip(args, sig.arg_types):
-            theta = yield arg, gamma
+            theta = yield arg
             if theta is None:
                 return None
             dec = self.decompose(theta, sigma, d.name)
@@ -439,8 +453,8 @@ class _Infer:
             if sizes else neutral
         return Coind(d.name, Succ(agg), tuple(taus))
 
-    def case_rule(self, t: Case, gamma: dict[str, Type]):
-        scrut = yield t.scrutinee, gamma
+    def case_rule(self, t: Case):
+        scrut = yield t.scrutinee
         if scrut is None:
             return None
         if not isinstance(scrut, Coind):
@@ -476,12 +490,12 @@ class _Infer:
         result: Optional[Type] = None
         for b in t.branches:
             sig = self.reg.constructor(b.con)
-            g2 = dict(gamma)
+            binds: dict[str, Type] = {}
             for x, sigma in zip(b.binders, sig.arg_types):
                 delta = subst_type_sizes(sigma, {}, subst_map)
                 self.store_type(delta)
-                g2[x] = delta
-            tk = yield b.body, g2
+                binds[x] = delta
+            tk = yield from self._under(binds, b.body)
             if tk is None:
                 return None
             if result is None:
@@ -492,7 +506,7 @@ class _Infer:
                     return self.fail("case", t, "branch types have no join")
         return result
 
-    def fix_rule(self, t: Fix, gamma: dict[str, Type]):
+    def fix_rule(self, t: Fix):
         js: list[str] = []
         core = t.ty
         while isinstance(core, Forall):
@@ -517,17 +531,17 @@ class _Infer:
 
         prem = wrap(SVar(iv))
         self.store_type(prem)
-        theta = yield t.body, {**gamma, t.var: prem}
+        theta = yield from self._under({t.var: prem}, t.body)
         if theta is None:
             return None
-        k = self._premise_var(theta, len(js), dom.defname, gamma, t.ty)
+        k = self._premise_var(theta, len(js), dom.defname, t.ty)
         if k is not None:
             self.u[iv] = SVar(k)
         self.add_sub(theta, wrap(Succ(SVar(iv))))
         return t.ty
 
     def _premise_var(self, theta: Type, n_foralls: int, dname: str,
-                     gamma: dict[str, Type], ann: Type) -> Optional[str]:
+                     ann: Type) -> Optional[str]:
         """The size variable the body actually recursed on, when its
         inferred domain has the literal shape d^(k+1) for a suitable k."""
         core = theta
@@ -544,18 +558,18 @@ class _Infer:
         k = s.arg.name
         if k.startswith(("$", "?")) or k in self.u or k in sv(ann):
             return None
-        if k in self._fsv_u_context(gamma):
+        if k in self._fsv_u_context(self.gamma):
             return None
         return k
 
-    def cofix_rule(self, t: Cofix, gamma: dict[str, Type]):
+    def cofix_rule(self, t: Cofix):
         target = tgt(t.ty)
         if not isinstance(target, Coind) or \
                 not self.reg.definition(target.defname).coinductive:
             return self.fail("cofix", t,
                              "annotation target must be coinductive")
         j = t.size_var
-        if j in self._fsv_u_context(gamma):
+        if j in self._fsv_u_context(self.gamma):
             return self.fail("cofix", t,
                              f"size variable {j} occurs in the context")
         if j in sv(t.ty):
@@ -565,7 +579,7 @@ class _Infer:
         prem = chgtgt(t.ty, Coind(target.defname, SMin(s, SVar(j)),
                                   target.params))
         self.store_type(prem)
-        theta = yield t.body, {**gamma, t.var: prem}
+        theta = yield from self._under({t.var: prem}, t.body)
         if theta is None:
             return None
         self.add_sub(theta, chgtgt(t.ty, Coind(
@@ -576,8 +590,7 @@ class _Infer:
 # ---------------------------------------------------------------------------
 # Public interface
 
-def infer(reg: DefRegistry, gamma: Context, t: Term,
-          u0: Mapping[str, SizeExpr] | None = None) -> InferenceTriple:
+def infer(reg: DefRegistry, gamma: Context, t: Term) -> InferenceTriple:
     """Compute the inference triple (U, S, tau) for a term in a context.
 
     Failure to apply any rule yields the sentinel triple with an
@@ -589,12 +602,9 @@ def infer(reg: DefRegistry, gamma: Context, t: Term,
     ambient: set[str] = set()
     for ty in gamma.values():
         ambient |= fsv(ty) | forall_binders(ty)
-    for s in (u0 or {}).values():
-        ambient |= sv(s)
     t = uniquify_size_binders(t, ambient)
-    st = _Infer(reg, u0 or {})
-    g = dict(gamma)
-    tau = st.infer(t, g)
+    st = _Infer(reg, {})
+    tau = st.infer(t, dict(gamma))
     pairs = list(dict.fromkeys(st.pairs))
     if tau is None:
         pairs.append(_FALSE_PAIR)

@@ -557,6 +557,15 @@ CONTEXT_TERMS = [
      "case x of { zero => zero; succ y => y }"),
     ("trees", [("xs", "List^(k+1)(Nat)")],
      "case xs of { nil => zero; cons h t => h }"),
+    # binders that shadow a context name, which is read again after them;
+    # the fix recurses on `a` because a context that mentions its premise
+    # variable refuses it, and the stronger contexts that
+    # test_context_monotonicity draws mention i, j, k and l
+    ("streams", [("x", "Strm")], "cons ((\\x : Nat. x) zero) x"),
+    ("streams", [("x", "Nat")], "case x of { succ x => x; zero => x }"),
+    ("streams", [("f", "Nat -> Nat"), ("s", "Strm")],
+     "cons ((fix f : Nat -> Nat . \\n : Nat^(a+1). case n of "
+     "{ zero => zero; succ m => f m }) zero) (cons (f zero) s)"),
 ]
 
 

@@ -332,6 +332,25 @@ def test_no_blowup_nested_case_family():
     assert sizes[-1] <= 60 * 20
 
 
+def test_memory_linear_in_binder_depth(streams):
+    # the context is extended and restored in place, so a chain of n
+    # binders keeps one context alive, not one per binder
+    import tracemalloc
+
+    reg = streams.registry
+    peaks = []
+    for n in (1500, 3000):
+        t = parse_term("".join(f"\\x{k} : Nat. " for k in range(n)) + "x0",
+                       reg)
+        tracemalloc.start()
+        try:
+            assert minimal_type(reg, {}, t) is not None, n
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.5 * peaks[0], peaks
+
+
 def test_fix_reused_after_linking(streams):
     # linking duplicates the fix body, and with it the free size variable
     # its lambda annotation names; both copies must recover their premise
