@@ -155,11 +155,7 @@ def _parse_checked_type(sf: SlamFile, src: str):
 # Approximant rendering
 
 def render_approximant(a: Approximant, reg: DefRegistry) -> str:
-    return _render(a, reg)[0]
-
-
-def _render(a: Approximant, reg: DefRegistry) -> tuple[str, bool]:
-    """The text of an approximant, and whether fuel cut some branch.
+    """The text of an approximant.
 
     A node that occurs more than once is rendered once: where its text
     begins and ends in `out` is kept, and the text is joined into one
@@ -191,7 +187,6 @@ def _render(a: Approximant, reg: DefRegistry) -> tuple[str, bool]:
     out: list[str] = []
     begins: dict[int, object] = {}  # key -> index in out, or its text
     ends: dict[int, int] = {}
-    limited = False
     work: list = [(a, False)]
     push = work.append
     while work:
@@ -205,7 +200,6 @@ def _render(a: Approximant, reg: DefRegistry) -> tuple[str, bool]:
         a, atom = item
         if type(a) is Bottom:
             out.append("_|_")
-            limited = limited or a.fuel_limited
             continue
         if type(a) is Opaque:
             out.append("<fun>" if isinstance(a.term, PLam) else "<stuck>")
@@ -247,7 +241,7 @@ def _render(a: Approximant, reg: DefRegistry) -> tuple[str, bool]:
             push(con)
         if atom:
             push("(")
-    return "".join(out), limited
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +285,12 @@ def _cmd_eval(args) -> int:
     sf = _load_slam(args.file)
     t = _resolve_term(sf, args.term)
     a = approximant(t, budget, sf.registry)
-    rendered, limited = _render(a, sf.registry)
+    rendered = render_approximant(a, sf.registry)
     if args.porcelain:
         print(f"report.0: {rendered}")
     else:
         print(rendered)
-        if limited:
+        if a.limited:
             print("note: some branches were cut by the fuel limit "
                   "(fuel-limited)")
     return 0

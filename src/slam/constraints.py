@@ -175,12 +175,11 @@ class DifferenceGraph:
     An edge w -> u of weight b that the potential already satisfies
     (pi[w] + b >= pi[u]) cannot close a cycle; one that lowers u relaxes
     only from u, over the reduced costs of the potential (Cotton &
-    Maler, SAT 2006).  `admits` runs that relaxation on the side and
-    never writes the graph: an arm's later atoms see its earlier atoms'
-    edges and lowered potentials in private copies.  `extend` is the
-    only writer: it adds the edge and the distances the relaxation
-    returns, and puts every change on an undo trail, so a search can
-    commit atoms and take them back.
+    Maler, SAT 2006).  `extend` is the only writer: it adds the edge and
+    the distances the relaxation returns, and puts every change on an
+    undo trail, so a search can commit atoms and take them back.
+    `admits` runs the relaxation of one atom on the side, and checks
+    several by extending the graph and undoing.
     """
 
     def __init__(self) -> None:
@@ -228,21 +227,14 @@ class DifferenceGraph:
         return True
 
     def admits(self, atoms: Sequence[DifferenceAtom]) -> bool:
-        """Whether the atoms can be added; the graph is only read."""
-        pi, adj = self._pi, self._adj
-        if len(atoms) == 1:  # nearly every arm: no copies
+        """Whether the atoms can be added; the graph is left as it was."""
+        if len(atoms) == 1:  # nearly every arm: only read
             w, u, b = atoms[0].edge
-            return _lowered(pi, adj, w, u, b) is not None
-        pi, adj = dict(pi), dict(adj)
-        for a in atoms:
-            w, u, b = a.edge
-            lowered = _lowered(pi, adj, w, u, b)
-            if lowered is None:
-                return False
-            pi.setdefault(w, 0)
-            pi.setdefault(u, 0)
-            pi.update(lowered)
-            adj[w] = [*adj.get(w, _FRESH), (u, b)]
+            return _lowered(self._pi, self._adj, w, u, b) is not None
+        m = self.mark()
+        if not self.extend(atoms):
+            return False
+        self.undo(m)
         return True
 
     def model(self) -> dict[str, int]:
@@ -397,7 +389,7 @@ def _solve(g: DifferenceGraph,
            splits: list[_Split]) -> Optional[dict[str, int]]:
     """Search the disjuncts over the committed atoms in `g`.
 
-    An arm is feasible when `g` admits its atoms, which only reads `g`.
+    An arm is feasible when `g` admits its atoms, and `g` stays as it was.
     Each split carries its arms not yet refused on the current branch:
     `g` only grows along a branch, so a refused arm stays refused.  The
     search commits forced (single-arm) splits to a fixpoint, then

@@ -39,12 +39,16 @@ where the gas tank cannot bind, it grows depth n+1 from depth n
 A thunk observed more than once keeps its finished observations by
 depth, which a later visit reuses as the same object.  An approximant
 is thus a DAG (`cofix t. bnode zero t t` has 3*2^n - 2 nodes at depth n
-but 4n + 2 distinct ones), and membership, refinement and the node
-count visit each distinct node, or pair of nodes, once.  Sharing saves time only: a
-reused result charges the steps it stands for, and a kept observation
-is reused only where the gas tank would give each of its forcings the
-full fuel limit, so fuel use and fuel-limited results are those of
-reducing afresh.
+but 4n + 2 distinct ones), and membership and refinement visit each
+distinct node, or pair of nodes, once.  Each node counts the tree it
+stands for when it is built, from its children's counts, as a term
+caches `fv`: `nodes`; `steps`, the reduction steps charged for its
+own head and its children's; and `limited`, whether fuel cut it or a
+child.  A report reads them off the approximant.  Sharing saves time
+only: a reused result charges the steps it stands for, and a kept
+observation is reused only where the gas tank would give each of its
+forcings the full fuel limit, so fuel use and fuel-limited results are
+those of reducing afresh.
 """
 
 from __future__ import annotations
@@ -390,10 +394,18 @@ def _readback(th: _Thunk, memo: dict) -> PlainTerm:
 class Constr(_Frozen):
     _fields = ("con", "children")
 
-    def __init__(self, con: str,
-                 children: tuple["Approximant", ...] = ()) -> None:
+    def __init__(self, con: str, children: tuple["Approximant", ...] = (),
+                 steps: int = 0) -> None:
         _set(self, "con", con)
         _set(self, "children", children)
+        nodes, limited = 1, False
+        for k in children:
+            nodes += k.nodes
+            steps += k.steps
+            limited = limited or k.limited
+        _set(self, "nodes", nodes)
+        _set(self, "steps", steps)
+        _set(self, "limited", limited)
 
     def _kids(self) -> tuple:
         return self.children
@@ -421,8 +433,11 @@ class Constr(_Frozen):
 class Bottom(_Frozen):
     _fields = ("fuel_limited",)
 
-    def __init__(self, fuel_limited: bool = False) -> None:
+    def __init__(self, fuel_limited: bool = False, steps: int = 0) -> None:
         _set(self, "fuel_limited", fuel_limited)
+        _set(self, "nodes", 1)
+        _set(self, "steps", steps)
+        _set(self, "limited", fuel_limited)
 
     def _kids(self) -> tuple:
         return ()
@@ -431,8 +446,11 @@ class Bottom(_Frozen):
 class Opaque(_Frozen):
     _fields = ("term",)
 
-    def __init__(self, term: PlainTerm) -> None:
+    def __init__(self, term: PlainTerm, steps: int = 0) -> None:
         _set(self, "term", term)
+        _set(self, "nodes", 1)
+        _set(self, "steps", steps)
+        _set(self, "limited", False)
 
     def _kids(self) -> tuple:
         return (self.term,)
@@ -441,7 +459,7 @@ class Opaque(_Frozen):
 Approximant = Union[Constr, Bottom, Opaque]
 
 # compared and hashed in one loop over the nodes, as terms are; a bottom's
-# `fuel_limited` takes no part
+# `fuel_limited` and the counts take no part
 _compare_as_trees({Constr: lambda a: (a.con, len(a.children)),
                    Bottom: None, Opaque: None})
 
@@ -474,7 +492,7 @@ def approximant(t: PlainTerm | _Thunk, budget: EvalBudget,
     descents.
     """
     gas = [budget.fuel * (budget.depth + 2)]
-    return _approx(t, budget.depth, budget.fuel, reg, gas)[0]
+    return _approx(t, budget.depth, budget.fuel, reg, gas)
 
 
 _FULL_DEPTH = float("inf")
@@ -482,29 +500,27 @@ _ONCE = object()  # `_Thunk.kept` of a thunk observed once
 
 
 class _Node:
-    """A constructor node of `_approx` whose children are being observed;
-    `done` is its thunk's table of full observations by depth when this
-    one is to be kept there, else None."""
-    __slots__ = ("head", "args", "depths", "kids", "steps", "limited",
-                 "nodes", "done", "depth", "cut")
+    """A constructor node of `_approx` whose children are being observed,
+    with the steps charged for its head; `done` is its thunk's table of
+    full observations by depth when this one is to be kept there, else
+    None."""
+    __slots__ = ("head", "args", "depths", "kids", "steps", "done", "depth",
+                 "cut")
 
     def __init__(self, head: str, args: tuple, depths: list, steps: int,
                  done: Optional[dict], depth):
         self.head, self.args, self.depths = head, args, depths
         self.kids: list[Approximant] = []
         self.steps = steps
-        self.limited = False
-        self.nodes = 1
         self.done, self.depth = done, depth
         self.cut = False
 
 
 def _approx(t: PlainTerm | _Thunk, depth, fuel: int,
             reg: Optional[DefRegistry], gas: list[int],
-            cuts: Optional[dict] = None
-            ) -> tuple[Approximant, int, bool, int]:
-    """The approximant of `t`, the reduction steps it was charged,
-    whether fuel cut it, and its number of nodes counted as a tree.
+            cuts: Optional[dict] = None) -> Approximant:
+    """The approximant of `t`, which counts the reduction steps it was
+    charged, whether fuel cut it and its nodes.
 
     `t` is a term, or a thunk that earlier observations, under the same
     fuel and registry, have reduced in part.  Each thunk is reduced once
@@ -522,17 +538,17 @@ def _approx(t: PlainTerm | _Thunk, depth, fuel: int,
     the next, on a stack of open constructor nodes.
 
     With a `cuts` table, each leaf cut at a coinductive layer of depth 0
-    is entered as id(leaf) -> (leaf, its thunk, the steps charged), and
-    each constructor node with such a leaf below it as
-    id(node) -> (node, None, 0); `_extend` reads them."""
+    is entered as id(leaf) -> (leaf, its thunk), and each constructor
+    node with such a leaf below it as id(node) -> (node, None); `_extend`
+    reads them."""
     th = t if type(t) is _Thunk else _Thunk(t)
     path: list[_Node] = []
     while True:
         # observe th at `depth`: either a leaf result or a new open node
         if reg is None and depth <= 0:
-            res = (Bottom(), 0, False, 1)
+            res = Bottom()
         elif gas[0] <= 0:
-            res = (Bottom(fuel_limited=True), 0, True, 1)
+            res = Bottom(True)
         else:
             kind, steps, _, v = _force(th, min(fuel, gas[0]))
             res = done = None
@@ -544,25 +560,25 @@ def _approx(t: PlainTerm | _Thunk, depth, fuel: int,
                         th.kept = {}
                     done = th.kept
                     res = done.get(depth)
-                    if res is not None and gas[0] - res[1] < fuel:
+                    if res is not None and gas[0] - res.steps < fuel:
                         res = None
             if res is not None:
-                gas[0] -= res[1]
+                gas[0] -= res.steps
             else:
                 gas[0] -= steps
                 if kind == "fuel":
-                    res = (Bottom(fuel_limited=True), steps, True, 1)
+                    res = Bottom(True, steps)
                 elif kind != "head":
-                    res = (Opaque(_readback_state(v, {})), steps, False, 1)
+                    res = Opaque(_readback_state(v, {}), steps)
                 else:
                     head, args = v[0].name, v[2]
                     depths = _child_depths(head, len(args), depth, reg)
                     if depths is None:  # a coinductive (or unknown) layer at 0
-                        res = (Bottom(), steps, False, 1)
+                        res = Bottom(False, steps)
                         if cuts is not None:
-                            cuts[id(res[0])] = (res[0], th, steps)
+                            cuts[id(res)] = (res, th)
                     elif not args:
-                        res = (Constr(head, ()), steps, False, 1)
+                        res = Constr(head, (), steps)
                     else:
                         args = args[::-1]
                         path.append(_Node(head, args, depths, steps, done,
@@ -572,21 +588,17 @@ def _approx(t: PlainTerm | _Thunk, depth, fuel: int,
         # hand the result to the open nodes it completes
         while path:
             node = path[-1]
-            node.kids.append(res[0])
-            node.steps += res[1]
-            node.limited = node.limited or res[2]
-            node.nodes += res[3]
-            if cuts is not None and id(res[0]) in cuts:
+            node.kids.append(res)
+            if cuts is not None and id(res) in cuts:
                 node.cut = True
             i = len(node.kids)
             if i < len(node.args):
                 th, depth = node.args[i], node.depths[i]
                 break
             path.pop()
-            res = (Constr(node.head, tuple(node.kids)), node.steps,
-                   node.limited, node.nodes)
+            res = Constr(node.head, tuple(node.kids), node.steps)
             if node.cut:
-                cuts[id(res[0])] = (res[0], None, 0)
+                cuts[id(res)] = (res, None)
             if node.done is not None and gas[0] >= fuel:
                 node.done[node.depth] = res
         else:
@@ -594,14 +606,13 @@ def _approx(t: PlainTerm | _Thunk, depth, fuel: int,
 
 
 def _extend(a: Approximant, cuts: dict, fuel: int, reg: DefRegistry,
-            gas: list[int]) -> Optional[tuple[Approximant, int, bool, int]]:
+            gas: list[int]) -> Optional[Approximant]:
     """The approximant one depth deeper than `a`, whose cut leaves and the
     nodes above them `_approx` entered in `cuts`: each cut leaf becomes
     its thunk observed at depth 1, each node above a cut is rebuilt on
-    the new children, and every other subtree is shared.  Also the steps
-    this adds, whether what it adds is fuel-limited and the nodes it
-    adds, counted as a tree: a node reached by k paths adds its change k
-    times.
+    the new children, with the steps of its own head, and every other
+    subtree is shared.  The rebuilt nodes count themselves from their
+    children, so the counts are those of the deeper tree.
 
     A walk one depth deeper meets the same thunks, cut leaves observed
     one layer further, so while every forcing has the full `fuel` this is
@@ -609,21 +620,21 @@ def _extend(a: Approximant, cuts: dict, fuel: int, reg: DefRegistry,
     `fuel`, where the walk may be pressured.  Nodes are rebuilt after
     their children, on a stack, each once."""
     if id(a) not in cuts:
-        return a, 0, False, 0
-    new: dict[int, tuple] = {}  # id(old node) -> its result
+        return a
+    new: dict[int, Approximant] = {}  # id(old node) -> its replacement
     todo = [a]
     while todo:
         x = todo[-1]
         if id(x) in new:
             todo.pop()
             continue
-        _, th, steps = cuts[id(x)]
-        if th is not None:  # a cut leaf, charged `steps` already
-            gas[0] += steps
-            b, s, limited, nodes = _approx(th, 1, fuel, reg, gas, cuts)
+        th = cuts[id(x)][1]
+        if th is not None:  # a cut leaf, charged its steps already
+            gas[0] += x.steps
+            b = _approx(th, 1, fuel, reg, gas, cuts)
             if gas[0] < fuel:
                 return None
-            new[id(x)] = (b, s - steps, limited, nodes - 1)
+            new[id(x)] = b
             todo.pop()
             continue
         below = [k for k in x.children if id(k) in cuts and id(k) not in new]
@@ -631,21 +642,16 @@ def _extend(a: Approximant, cuts: dict, fuel: int, reg: DefRegistry,
             todo.extend(below)
             continue
         todo.pop()
-        kids, steps, nodes, limited, cut = [], 0, 0, False, False
+        kids, own, cut = [], x.steps, False
         for k in x.children:
-            r = new.get(id(k))
-            if r is None:
-                kids.append(k)
-                continue
-            kids.append(r[0])
-            steps += r[1]
-            limited = limited or r[2]
-            nodes += r[3]
-            cut = cut or id(r[0]) in cuts
-        b = Constr(x.con, tuple(kids))
+            own -= k.steps
+            k = new.get(id(k), k)
+            kids.append(k)
+            cut = cut or id(k) in cuts
+        b = Constr(x.con, tuple(kids), own)
         if cut:
-            cuts[id(b)] = (b, None, 0)
-        new[id(x)] = (b, steps, limited, nodes)
+            cuts[id(b)] = (b, None)
+        new[id(x)] = b
     return new[id(a)]
 
 
@@ -883,7 +889,7 @@ def productivity_check(t: PlainTerm | _Thunk, tau: Type, reg: DefRegistry,
 
     Depth n+1 grows from depth n (`_extend`) when neither walk can be
     pressured: depth n's walk ended with at least `fuel` gas left, and
-    so would n+1's, with the steps the extension counts.  Any other
+    so would n+1's, with the steps the grown approximant counts.  Any other
     depth is observed from the root (`_approx`), as `approximant` does,
     and only then checked to refine the depth before, which an extension
     does by construction.  Membership keeps its goals and the (node,
@@ -907,27 +913,19 @@ def productivity_check(t: PlainTerm | _Thunk, tau: Type, reg: DefRegistry,
     tables: tuple = ({}, {}, set())
     for n in range(budget.depth + 1):
         tank = fuel * (n + 2)
-        grown = None
+        a = None
         if prev is not None and tank - fuel - prev.fuel_used >= fuel:
-            grown = _extend(prev.approx, cuts, fuel, reg,
-                            [tank - prev.fuel_used])
-            if grown is not None and \
-                    tank - prev.fuel_used - grown[1] < fuel:
-                grown = None
-        if grown is not None:
-            a, steps, limited, nodes = grown
-            steps += prev.fuel_used
-            limited = limited or prev.fuel_limited
-            nodes += prev.nodes
-        else:
-            a, steps, limited, nodes = _approx(root, n, fuel, reg, [tank],
-                                               cuts)
+            a = _extend(prev.approx, cuts, fuel, reg, [tank - prev.fuel_used])
+            if a is not None and tank - a.steps < fuel:
+                a = None
+        if a is None:
+            a = _approx(root, n, fuel, reg, [tank], cuts)
             if prev is not None and not refines(a, prev.approx):
                 chain_ok = False
                 if fail_at is None:
                     fail_at = n
         ok = member(a, tau_n, reg, {level_var: n}, tables=tables)
-        prev = DepthVerdict(n, ok, nodes, steps, limited, a)
+        prev = DepthVerdict(n, ok, a.nodes, a.steps, a.limited, a)
         verdicts.append(prev)
         if not ok and fail_at is None:
             fail_at = n

@@ -744,7 +744,8 @@ def test_check_and_infer_do_not_depend_on_size_binder_spelling(capsys):
     # binder to i_1, not both renamings on to i_1_1
     from slam import alpha_eq, parse_slam, parse_type
 
-    reg = parse_slam(open(STREAMS).read()).registry
+    with open(STREAMS) as f:
+        reg = parse_slam(f.read()).registry
     want = "(forall i. Nat^i -> Nat^i) -> forall i. forall j. Nat^i -> Nat^i"
     types = []
     for ann, inner in (("i", "i_1"), ("k", "i_1"), ("i", "k")):

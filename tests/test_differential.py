@@ -241,9 +241,8 @@ def test_inductive_size_bounds_are_honoured():
             continue
         level = eval_size({}, m.size)
         gas = [200000]
-        a, _steps, limited, _nodes = _approx(erase(term), 1, 100000, reg,
-                                             gas)
-        if limited:
+        a = _approx(erase(term), 1, 100000, reg, gas)
+        if a.limited:
             continue
         assert member(a, Coind(m.defname, SVar("n"), ()), reg,
                       {"n": level if level != INF else INF}), (label, level)

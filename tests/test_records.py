@@ -4,6 +4,7 @@ sees of them (immutability, copying, pickling, hashing, equality)."""
 import copy
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -84,7 +85,7 @@ def _frozen_instances() -> list:
 @pytest.mark.parametrize("x", _frozen_instances(),
                          ids=lambda x: type(x).__name__)
 def test_frozen_nodes_refuse_changes_and_copy_and_pickle(x):
-    derived = ("fv", "closed", "edge")
+    derived = ("fv", "closed", "edge", "nodes", "steps", "limited")
     for name in FIELDS.get(type(x).__name__, ()) + derived:
         if not hasattr(x, name):
             continue
@@ -108,11 +109,55 @@ def test_derived_fields_survive_copies():
     lam = Lam("x", TyVar("A"), App(Var("x"), Var("y")))
     sig = ConstructorSig("cons", (TyVar("A"), Coind("Nat", INFTY)))
     atom = VarVar("x", 2, "y")
+    tree = Constr("cons", (Bottom(True, 5), Opaque(PVar("f"), 2)), 3)
     for y in (copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
         assert y(lam).fv == lam.fv == frozenset({"y"})
         assert y(sig).closed == sig.closed == (False, True)
         assert y(atom).edge == atom.edge == ("y", "x", -2)
         assert y(Con("z")).fv == frozenset()
+        assert (y(tree).nodes, y(tree).steps, y(tree).limited) == \
+            (tree.nodes, tree.steps, tree.limited) == (3, 10, True)
+
+
+def _counts_by_tree_walk(a, own: dict) -> tuple:
+    # (nodes, steps, limited) of the tree `a` stands for, a shared subtree
+    # counted once per path; `own` maps id(node) to the steps it was
+    # given for its own head
+    nodes, steps, limited, todo = 0, 0, False, [a]
+    while todo:
+        x = todo.pop()
+        nodes += 1
+        steps += own[id(x)]
+        limited = limited or type(x) is Bottom and x.fuel_limited
+        if type(x) is Constr:
+            todo.extend(x.children)
+    return nodes, steps, limited
+
+
+def test_approximants_count_themselves_as_trees():
+    # each node counts its tree from its children's counts; a node shared
+    # by k parents counts k times, and the counts take no part in ==,
+    # hash or repr
+    cut, stuck = Bottom(True, 4), Opaque(PApp(PVar("f"), PVar("x")), 1)
+    pair = Constr("pair", (cut, stuck), 2)
+    top = Constr("node", (pair, pair, Constr("zero", (), 3)), 1)
+    assert (top.nodes, top.steps, top.limited) == (8, 18, True)
+    plain = Constr("node", (Constr("pair", (Bottom(True), Opaque(
+        PApp(PVar("f"), PVar("x"))))),) * 2 + (Constr("zero"),))
+    assert (plain.nodes, plain.steps, plain.limited) == (8, 0, True)
+    assert top == plain and hash(top) == hash(plain) and \
+        repr(top) == repr(plain)
+    rng = random.Random(5)
+    pool = [Bottom(), Bottom(True, 3), Opaque(PVar("x"), 2), Constr("zero")]
+    own = {id(pool[0]): 0, id(pool[1]): 3, id(pool[2]): 2, id(pool[3]): 0}
+    for _ in range(60):
+        kids = tuple(rng.choice(pool[-6:]) for _ in range(rng.randint(0, 3)))
+        steps = rng.randint(0, 9)
+        a = Constr(rng.choice(("succ", "cons", "node")), kids, steps)
+        pool.append(a)
+        own[id(a)] = steps
+        assert (a.nodes, a.steps, a.limited) == _counts_by_tree_walk(a, own)
+    assert max(a.nodes for a in pool) > len(pool)  # shared subtrees
 
 
 def test_equality_compares_fields_of_one_class():

@@ -753,7 +753,8 @@ def test_shared_observations_read_as_tree_walks(fname, src, tyname,
         fresh = []
         for n in depths:
             gas, gas0 = [fuel * (n + 2)], [fuel * (n + 2)]
-            got = _approx(root, n, fuel, reg, gas)
+            a = _approx(root, n, fuel, reg, gas)
+            got = (a, a.steps, a.limited, a.nodes)
             if fuel == 20:
                 want = approx_reference(t, n, fuel, reg, gas0, _NoMemo())
             else:
@@ -793,8 +794,8 @@ def test_shared_observations_read_as_tree_walks(fname, src, tyname,
             assert ran["walk"] > 1, (src, fuel, ran)
         for v in rep.verdicts:
             n = v.depth
-            a, steps, lim, nodes = approx(_Thunk(t), n, fuel, reg,
-                                          [fuel * (n + 2)])
+            a = approx(_Thunk(t), n, fuel, reg, [fuel * (n + 2)])
+            steps, lim, nodes = a.steps, a.limited, a.nodes
             ok = member(a, level, reg, {"n": n})
             assert (v.ok, v.nodes, v.fuel_used, v.fuel_limited) == \
                 (ok, nodes, steps, lim), (src, fuel, n)
@@ -856,7 +857,8 @@ def test_shared_observations_keep_gas_exact(fname, src, tyname):
         fresh = []
         for n in range(9):
             gas, gas0 = [fuel * (n + 2)], [fuel * (n + 2)]
-            got = _approx(root, n, fuel, reg, gas)
+            a = _approx(root, n, fuel, reg, gas)
+            got = (a, a.steps, a.limited, a.nodes)
             want = approx_reference(t, n, fuel, reg, gas0, _NoMemo())
             assert repr(got) == repr(want) and gas == gas0, (fuel, n)
             limited += got[2]

@@ -2,8 +2,8 @@ import random
 import re
 
 from helpers import (
-    CORPUS_DIR, EXTRA_TERMS, context_terms, corpus_terms, link_all,
-    linked_reference, rand_cnf, render_type_reference, subtype_of,
+    CORPUS_DIR, EXTRA_TERMS, context_terms, corpus_terms, infer_state,
+    link_all, linked_reference, rand_cnf, render_type_reference, subtype_of,
     supertype_of, truth_table_sat,
 )
 from slam import (
@@ -559,3 +559,46 @@ def test_prettify_keeps_an_inner_user_binder_name():
     # type, so the user's inner `i` is not renamed by the capture check
     t = Forall("$b1", Forall("i", Coind("Nat", SVar("$b1"), ())))
     assert print_type(_prettify(t)) == "forall j. forall i. Nat^j"
+
+
+# Typing paths no other test or sweep command runs: `fresh_binder`, the
+# forall branch of `decompose` and its join of several recursive
+# instances, `_overline_u`'s fallback through `_expand_superfluous`,
+# `fix_rule`'s leading foralls and `_premise_var`'s loop over them, and
+# `_align` aliasing a linear second binder
+PATH_DEFS = """inductive P(A, B) { mk : A -> B -> P(A, B) }
+coinductive PT { pt : P(PT, PT) -> PT }
+coinductive HT { hn : (forall i. Nat^i -> HT) -> HT }
+coinductive GT(A) { gn : (forall i. Nat^i -> A) -> GT(A) }
+"""
+PATH_PROBES = [
+    ("\\g : forall k. Nat^k -> Nat^k. (\\f : forall i. Nat^i -> Nat^i. f) g",
+     "(forall k. Nat^k -> Nat^k) -> forall i. Nat^i -> Nat^i"),
+    ("/\\i. \\s : Strm^(i+2). case s of { cons x t => "
+     "case t of { cons y u => u } }", "forall i. Strm^(i+2) -> Strm^i"),
+    ("fix f : forall i. Nat -> Strm^i -> Strm^i . /\\i. \\n : Nat^(k+1). "
+     "\\s : Strm^i. case n of { zero => s; succ m => f [i] m s }",
+     "forall i. Nat -> Strm^i -> Strm^i"),
+    ("cofix[j] x : PT . pt (mk x x)", "PT"),
+    ("cofix[j] t : HT . hn (/\\i. \\n : Nat^i. t)", "HT"),
+    ("gn (/\\i. \\n : Nat^i. zero)", "GT(Nat^1)"),
+    ("\\n : Nat. case n of { zero => /\\i. \\x : Nat^i. x; "
+     "succ m => /\\j. \\y : Nat^j. y }", "Nat -> forall i. Nat^i -> Nat^i"),
+    ("\\n : Nat. case n of { zero => \\f : forall i. Nat^i -> Nat^i. f; "
+     "succ m => \\g : forall j. Nat^j -> Nat^j. g }",
+     "Nat -> (forall i. Nat^i -> Nat^i) -> forall j. Nat^j -> Nat^j"),
+]
+
+
+def test_rarely_taken_typing_paths():
+    # each probe prints its minimal type, checks against it, and infers
+    # the same state with the iterative rules as with the recursive ones
+    with open(CORPUS_DIR / "streams.slam") as f:
+        reg = parse_slam(PATH_DEFS + f.read()).registry
+    for src, want in PATH_PROBES:
+        t = parse_term(src, reg)
+        assert print_type(minimal_type(reg, {}, t)) == want, src
+        assert check(reg, {}, t, parse_type(want, reg)), src
+        assert infer_state(reg, {}, t, recursive=False) == \
+            infer_state(reg, {}, t, recursive=True), src
+

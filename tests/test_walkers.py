@@ -332,7 +332,8 @@ def test_approx_matches_reference():
                 budget = EvalBudget(fuel=fuel, depth=depth)
                 gas1 = [budget.fuel * (budget.depth + 2)]
                 gas2 = list(gas1)
-                got = _approx(t, depth, fuel, reg, gas1)
+                a = _approx(t, depth, fuel, reg, gas1)
+                got = (a, a.steps, a.limited, a.nodes)
                 want = approx_reference(t, depth, fuel, reg, gas2)
                 assert repr(got) == repr(want) and gas1 == gas2, \
                     (t, reg is None, fuel, depth)
