@@ -11,14 +11,17 @@ resulting disjuncts over difference atoms.  The atoms live in one
 incremental shortest-path graph: a disjunct arm is refuted when its few
 edges would close a negative cycle, which is checked without writing
 the graph; only the arms the search commits are added, and a model is
-read off the graph's exact shortest distances.  The 3-CNF hardness
-encoder lives here too.
+read off the graph's exact shortest distances.  An admitted arm is
+checked again only once the potential of its tail falls or a node its
+check lowered gains an out-edge.  The 3-CNF hardness encoder lives here
+too.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections import deque
 from heapq import heappop, heappush
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -125,6 +128,10 @@ _UNCHANGED: Mapping[str, int] = MappingProxyType({})
 # undo-trail entry kinds of DifferenceGraph
 _POTENTIAL, _EDGE, _NODE = 0, 1, 2
 
+# what `DifferenceGraph.admits` saw of an admitted check: (clock, tail,
+# lowered nodes) for one atom, True for several
+Watch = Union[tuple[int, str, Mapping[str, int]], bool]
+
 
 def _lowered(pi: Mapping[str, int],
              adj: Mapping[str, Sequence[tuple[str, int]]],
@@ -180,12 +187,34 @@ class DifferenceGraph:
     undo trail, so a search can commit atoms and take them back.
     `admits` runs the relaxation of one atom on the side, and checks
     several by extending the graph and undoing.
+
+    Watches.  `extend` ticks a clock and stamps a node with it twice
+    over: when the node's potential falls and when it gains an out-edge.
+    `undo` lowers no stamp, which errs on the safe side.  An atom
+    w -> u, b admitted on a graph G with potential pi, where the
+    relaxation lowered the nodes R, stays admitted on every G' that
+    contains G and has a potential pi' <= pi (a later graph along one
+    branch), as long as (i) pi'[w] = pi[w] and (ii) no node of R has
+    gained an out-edge.  Proof: the atom is refused on G' when G' has a
+    path P from u to w of weight < -b.  As pi' is feasible on G', every
+    node x of P, at weight c_x along P from u, has
+    pi[w] + b + c_x = pi'[w] + b + c_x < pi'[x] <= pi[x].  If all of P
+    lies in G, this makes G refuse the atom.  Otherwise let p -> q be
+    the first edge of P not in G: the part of P up to p lies in G, each
+    of its nodes x has a distance from u in G of at most c_x, so the
+    relaxation on G lowered it, and p is in R, against (ii).  A node new
+    to G' is no new edge: the relaxation already gave a missing node its
+    edge to the zero node.  `moved` tests (i) and (ii) by the stamps of
+    w and of R.
     """
 
     def __init__(self) -> None:
         self._pi: dict[str, int] = {_ZERO_NODE: 0}
         self._adj: dict[str, list[tuple[str, int]]] = {_ZERO_NODE: []}
         self._trail: list[tuple[int, str, int]] = []
+        self._fell: dict[str, int] = {}  # node -> clock of its last fall
+        self._grew: dict[str, int] = {}  # and of its last new out-edge
+        self._clock = 0
 
     def mark(self) -> int:
         """A point on the undo trail, for `undo`."""
@@ -206,8 +235,9 @@ class DifferenceGraph:
     def extend(self, atoms: Iterable[DifferenceAtom]) -> bool:
         """Add atoms; on a negative cycle leave the graph as it was and
         return False."""
-        pi, adj, trail = self._pi, self._adj, self._trail
+        pi, adj, trail, fell = self._pi, self._adj, self._trail, self._fell
         mark = len(trail)
+        self._clock = clock = self._clock + 1
         for a in atoms:
             w, u, b = a.edge
             for x in (w, u):
@@ -222,20 +252,50 @@ class DifferenceGraph:
             for s, d in lowered.items():
                 trail.append((_POTENTIAL, s, pi[s]))
                 pi[s] = d
+                fell[s] = clock
             adj[w].append((u, b))
             trail.append((_EDGE, w, 0))
+            self._grew[w] = clock
         return True
 
-    def admits(self, atoms: Sequence[DifferenceAtom]) -> bool:
-        """Whether the atoms can be added; the graph is left as it was."""
+    def admits(self, atoms: Sequence[DifferenceAtom]) -> Optional[Watch]:
+        """Whether the atoms can be added: None if not, else the watch of
+        this check.  The graph is left as it was.
+
+        The watch of one atom w -> u is (clock, w, R): the clock of the
+        check, the tail, and the nodes R the relaxation lowered (none for
+        the O(1) accept); `moved` says when it may no longer hold.
+        Several atoms give True, a watch that never holds.
+        """
         if len(atoms) == 1:  # nearly every arm: only read
             w, u, b = atoms[0].edge
-            return _lowered(self._pi, self._adj, w, u, b) is not None
+            reach = _lowered(self._pi, self._adj, w, u, b)
+            return None if reach is None else (self._clock, w, reach)
         m = self.mark()
         if not self.extend(atoms):
-            return False
+            return None
         self.undo(m)
         return True
+
+    def moved(self, watch: Watch) -> bool:
+        """Whether the graph may have changed where the check that gave
+        `watch` looked: the potential of its tail fell or a node of its R
+        gained an out-edge since, or it is a watch of several atoms."""
+        if watch is True:
+            return True
+        clock, w, reach = watch
+        if self._fell.get(w, 0) > clock:
+            return True
+        grew = self._grew
+        for x in reach:
+            if grew.get(x, 0) > clock:
+                return True
+        return False
+
+    def moved_since(self, mark: int) -> set[str]:
+        """The nodes whose potential fell or that gained an out-edge since
+        `mark`."""
+        return {x for kind, x, _ in self._trail[mark:] if kind != _NODE}
 
     def model(self) -> dict[str, int]:
         """The shortest-distance model, variables in order of appearance."""
@@ -326,8 +386,6 @@ def _absorb(pending: list[Pair], fresh: Iterator[str]):
     fresh existential; min on the left and max on the right become
     disjunctive splits over their flattened arms.
     """
-    from collections import deque
-
     work = deque(pending)
     atoms: list[DifferenceAtom] = []
     disjs: list[_Disj] = []
@@ -378,11 +436,24 @@ def _sat_conjunction(ineqs: list[Pair]) -> Optional[dict[str, int]]:
     return _solve(g, _all_arms(disjs))
 
 
-_Split = tuple[_Disj, list[int]]  # a split and its arms not yet refused
+class _Split:
+    """A split on the search's branch: its arms not yet refused, in order,
+    the watch of each arm's last check (True before the first), and
+    whether a node that one of them watches has moved since.  The search
+    never changes a split except to set `dirty`."""
+    __slots__ = ("disj", "live", "watches", "dirty")
+
+    def __init__(self, disj: _Disj, live: list[int],
+                 watches: list[Watch]) -> None:
+        self.disj = disj
+        self.live = live
+        self.watches = watches
+        self.dirty = True in watches
 
 
 def _all_arms(disjs: list[_Disj]) -> list[_Split]:
-    return [(d, list(range(len(d.arms)))) for d in disjs]
+    return [_Split(d, list(range(len(d.arms))), [True] * len(d.arms))
+            for d in disjs]
 
 
 def _solve(g: DifferenceGraph,
@@ -394,44 +465,80 @@ def _solve(g: DifferenceGraph,
     `g` only grows along a branch, so a refused arm stays refused.  The
     search commits forced (single-arm) splits to a fixpoint, then
     branches on the smallest split, arms in order: `stack` holds the
-    split, an iterator over its live arms, the mark of `g` and the other
-    splits.  After a branch or a conflict, the innermost entry with an
-    arm left undoes `g` to its mark and commits that arm.  A model is
-    read off `g` once no split is left.  The search owns `g` and `splits`.
+    split, an iterator over its live arms, the mark of `g`, the length
+    of `log` and the other splits.  After a branch or a conflict, the
+    innermost entry with an arm left undoes `g` to its mark and commits
+    that arm.  A model is read off `g` once no split is left.  The search
+    owns `g` and `splits`.
+
+    An admitted arm stays admitted until `g` moves where its check looked
+    (see `DifferenceGraph`).  `watchers` maps a node to the clean splits
+    whose arms watch it; a commit reads the nodes it moved off the trail
+    and marks their watchers dirty, dropping them from the map.  A pass
+    skips a clean split, and in a dirty one checks again only the arms
+    whose watch has moved.  A split saved on the stack was clean at its
+    mark or is marked dirty, so after `undo(mark)` a clean one's watches
+    hold again.  `log` holds the `watchers` list of each registration, so
+    going back to a mark also drops what the branch registered.
     """
-    stack: list[tuple[_Disj, Iterator[int], int, list[_Split]]] = []
+    watchers: dict[str, list[_Split]] = {}
+    log: list[list[_Split]] = []
+    moved, admits = g.moved, g.admits
+    watchers_of, note = watchers.setdefault, log.append
+
+    def commit(d: _Disj, i: int) -> list[_Split]:
+        da, dd = d.delta(i)
+        m = g.mark()
+        g.extend(da)  # admitted in the last pass, on g as it is now
+        for x in g.moved_since(m):
+            for e in watchers.pop(x, ()):
+                e.dirty = True
+        return _all_arms(dd)
+
+    stack: list[tuple[_Disj, Iterator[int], int, int, list[_Split]]] = []
     while True:
         k = 0
         while k < len(splits):
-            d, live = splits[k]
-            live = [i for i in live if (delta := d.delta(i)) is not None
-                    and g.admits(delta[0])]
+            e = splits[k]
+            if not e.dirty:
+                k += 1
+                continue
+            d, live, watches = e.disj, [], []
+            for i, w in zip(e.live, e.watches):
+                if moved(w) and ((delta := d.delta(i)) is None
+                                 or not (w := admits(delta[0]))):
+                    continue  # refused
+                live.append(i)
+                watches.append(w)
             if not live:
                 break  # a conflict
             if len(live) == 1:
-                da, dd = d.delta(live[0])
-                g.extend(da)  # just admitted
                 del splits[k]
-                splits += _all_arms(dd)
-                k = 0  # the graph grew: check every split again
+                splits += commit(d, live[0])
+                k = 0  # the graph grew: pass again over every split
                 continue
-            splits[k] = d, live
+            splits[k] = e = _Split(d, live, watches)
+            if not e.dirty:
+                for _, w, reach in watches:
+                    for x in (w, *reach):
+                        (to := watchers_of(x, [])).append(e)
+                        note(to)
             k += 1
         else:  # no conflict: done, or branch
             if not splits:
                 return g.model()
-            k = min(range(len(splits)), key=lambda j: len(splits[j][1]))
-            d, live = splits.pop(k)
-            stack.append((d, iter(live), g.mark(), splits))
+            k = min(range(len(splits)), key=lambda j: len(splits[j].live))
+            e = splits.pop(k)
+            stack.append((e.disj, iter(e.live), g.mark(), len(log), splits))
         while stack and (i := next(stack[-1][1], None)) is None:
             stack.pop()
         if not stack:
             return None
-        d, _, mark, rest = stack[-1]
+        d, _, mark, logged, rest = stack[-1]
         g.undo(mark)
-        da, dd = d.delta(i)
-        g.extend(da)  # admitted in the last pass, with g as it was at mark
-        splits = rest + _all_arms(dd)
+        while len(log) > logged:
+            log.pop().pop()
+        splits = rest + commit(d, i)
 
 
 # ---------------------------------------------------------------------------

@@ -622,11 +622,10 @@ def _extend(a: Approximant, cuts: dict, fuel: int, reg: DefRegistry,
     if id(a) not in cuts:
         return a
     new: dict[int, Approximant] = {}  # id(old node) -> its replacement
-    todo = [a]
+    todo = [(a, False)]  # a node, and whether its children were pushed
     while todo:
-        x = todo[-1]
+        x, pushed = todo.pop()
         if id(x) in new:
-            todo.pop()
             continue
         th = cuts[id(x)][1]
         if th is not None:  # a cut leaf, charged its steps already
@@ -635,13 +634,14 @@ def _extend(a: Approximant, cuts: dict, fuel: int, reg: DefRegistry,
             if gas[0] < fuel:
                 return None
             new[id(x)] = b
-            todo.pop()
             continue
-        below = [k for k in x.children if id(k) in cuts and id(k) not in new]
-        if below:
-            todo.extend(below)
-            continue
-        todo.pop()
+        if not pushed:
+            below = [(k, False) for k in x.children
+                     if id(k) in cuts and id(k) not in new]
+            if below:
+                todo.append((x, True))
+                todo += below
+                continue
         kids, own, cut = [], x.steps, False
         for k in x.children:
             own -= k.steps

@@ -148,7 +148,7 @@ def _check_admits(g: DifferenceGraph, done: list, chunk: list):
     # the potentials, the edges or the undo trail
     before = _graph_state(g)
     expected = _items(sat_atoms_reference(done + chunk))
-    assert g.admits(chunk) == (expected is not None), (done, chunk)
+    assert (g.admits(chunk) is None) == (expected is None), (done, chunk)
     assert _graph_state(g) == before, (done, chunk)
     return expected
 
@@ -357,10 +357,31 @@ def _random_3cnf_constraint(rng: random.Random, n: int) -> SizeConstraint:
     return SizeConstraint({}, [(Succ(s2), s1)])  # valid iff unsatisfiable
 
 
-def _search_inputs() -> list[SizeConstraint]:
+def _cnf_inputs() -> list[SizeConstraint]:
     rng = random.Random(1808)
-    out = [_random_3cnf_constraint(rng, n)
-           for n in range(4, 11) for _ in range(2)]
+    return [_random_3cnf_constraint(rng, n)
+            for n in range(4, 11) for _ in range(2)]
+
+
+def _nested_min_max_inputs() -> list[SizeConstraint]:
+    # constraints over four size variables whose nested min/max give
+    # disjunct arms of several atoms, drawn like the random constraint
+    # files of tools/output_sweep.py: each let uses only later variables
+    rng = random.Random(31)
+    names = ("i", "j", "k", "l")
+    out = []
+    for _ in range(60):
+        u = {x: rand_size(rng, 2, names[k + 1:], allow_inf=False)
+             for k, x in enumerate(names[:rng.randint(0, 2)])}
+        pairs = [(rand_size(rng, 3, names, allow_inf=False),
+                  rand_size(rng, 3, names, allow_inf=False))
+                 for _ in range(rng.randint(1, 3))]
+        out.append(SizeConstraint(u, pairs))
+    return out
+
+
+def _search_inputs() -> list[SizeConstraint]:
+    out = _cnf_inputs()
     out.append(parse_constraint_file((CORPUS_DIR / "bad.sc").read_text()))
     for fname in ("streams", "sp", "trees"):
         sf = load(fname)
@@ -382,12 +403,14 @@ def test_search_matches_reference_and_never_rechecks_refused_arms(
         monkeypatch):
     # the search with refused arms remembered against the one that checks
     # every arm after every commit: the same verdict, witness (in order)
-    # and violated pair, never more arm checks, and no arm refused at a
-    # search node checked again at that node or below it.  The nodes are
-    # read off the graph's trail: the search opens one when it commits an
-    # arm after `undo(mark)`, and it closes at the next undo to that mark
-    # or below; a `_solve` call is the root node.
+    # and violated pair, the same atoms committed in the same order,
+    # never more arm checks, and no arm refused at a search node checked
+    # again at that node or below it.  The nodes are read off the graph's
+    # trail: the search opens one when it commits an arm after
+    # `undo(mark)`, and it closes at the next undo to that mark or below;
+    # a `_solve` call is the root node.
     checks = [0]
+    commits = []  # the edges of each extend, but those made inside admits
     nodes: list[tuple[int, set[int]]] = []  # open nodes: (mark, refused)
     undone = [None]  # the mark of the last undo, until the next commit
     arms = []  # keeps every refused arm's atom list alive, so ids stay put
@@ -410,6 +433,8 @@ def test_search_matches_reference_and_never_rechecks_refused_arms(
         return undo(g, mark)
 
     def tracking_extend(g, atoms):
+        if sys._getframe(1).f_code is not admits.__code__:
+            commits.append([a.edge for a in atoms])
         if nodes and undone[0] is not None:
             nodes.append((undone[0], set()))
         undone[0] = None
@@ -426,8 +451,8 @@ def test_search_matches_reference_and_never_rechecks_refused_arms(
             nodes.clear()
 
     def reference(g, splits):
-        assert all(live == list(range(len(d.arms))) for d, live in splits)
-        return solve_reference(g, [d for d, _ in splits])
+        assert all(e.live == list(range(len(e.disj.arms))) for e in splits)
+        return solve_reference(g, [e.disj for e in splits])
 
     monkeypatch.setattr(DifferenceGraph, "admits", counting_admits)
     monkeypatch.setattr(DifferenceGraph, "extend", tracking_extend)
@@ -439,12 +464,58 @@ def test_search_matches_reference_and_never_rechecks_refused_arms(
         for fn in (reference, tracked):
             monkeypatch.setattr(constraints, "_solve", fn)
             checks[0] = 0
-            runs.append((_outcome(is_valid(c)), checks[0]))
-        (want, want_checks), (got, got_checks) = runs
+            commits.clear()
+            runs.append((_outcome(is_valid(c)), checks[0], commits[:]))
+        (want, want_checks, want_commits), (got, got_checks, got_commits) \
+            = runs
         assert got == want, c
+        assert got_commits == want_commits, c
         assert got_checks <= want_checks, c
         saved += want_checks - got_checks
     assert sum(bool(c.u) for c in inputs) >= 5 and arms and saved
+
+
+def test_search_checks_again_only_the_arms_whose_watch_moved(monkeypatch):
+    # against the same search given watches that never hold, which checks
+    # every live arm after every commit: the same verdict, witness and
+    # violated pair, and the same arms refused.  On the 3-CNF inputs it
+    # makes at most a third of the arm checks of the reference search,
+    # which checks every arm; the nested min/max inputs check arms of
+    # several atoms, whose watch never holds
+    counts = [0, 0, 0]  # arm checks, refusals, checks of several atoms
+    watching = [True]
+    admits, solve = DifferenceGraph.admits, constraints._solve
+
+    def counting_admits(g, atoms):
+        counts[0] += 1
+        counts[2] += len(atoms) != 1
+        watch = admits(g, atoms)
+        counts[1] += watch is None
+        return watch if watching[0] or watch is None else True
+
+    def run(c, watch=True, search=solve):
+        monkeypatch.setattr(constraints, "_solve", search)
+        watching[0] = watch
+        counts[:] = [0, 0, 0]
+        return _outcome(is_valid(c)), tuple(counts)
+
+    def reference(g, splits):
+        return solve_reference(g, [e.disj for e in splits])
+
+    monkeypatch.setattr(DifferenceGraph, "admits", counting_admits)
+    inputs = [(c, True) for c in _cnf_inputs()]
+    inputs += [(c, False) for c in _nested_min_max_inputs()]
+    several = 0
+    for c, is_cnf in inputs:
+        got, (checks, refused, of_several) = run(c)
+        want, (all_checks, all_refused, _) = run(c, watch=False)
+        assert got == want, c
+        assert refused == all_refused and checks <= all_checks, c
+        several += of_several > 0
+        if is_cnf:
+            _, (ref_checks, _, _) = run(c, search=reference)
+            assert 3 * checks <= ref_checks, c
+    assert several >= 10
 
 
 def test_search_deeper_than_the_stack_decides():
