@@ -5,9 +5,9 @@ expression) together with inequalities S; it is valid when every valuation
 respecting U satisfies every inequality.  Validity is decided by
 eliminating infinity, then refuting each inequality separately: the
 conjunction of the U-equalities with the negated inequality is tested for
-satisfiability over the naturals by pushing +1 below min/max, splitting
-min/max away through fresh existential variables, and searching the
-resulting disjuncts over difference atoms.  The atoms live in one
+satisfiability over the naturals by pushing +1 below min/max, naming
+each n-ary min or max by one fresh existential variable, and searching
+the resulting disjuncts over difference atoms.  The atoms live in one
 incremental shortest-path graph: a disjunct arm is refuted when its few
 edges would close a negative cycle, which is checked without writing
 the graph; only the arms the search commits are added, and a model is
@@ -354,16 +354,16 @@ class _Disj(_Record):
     kind "le" means arm <= n (from min(arms) <= c, with n <= c already
     recorded); kind "ge" means n <= arm (from c <= max(arms)).  Each
     arm's absorbed atom/split deltas are cached for reuse; `fresh` names
-    the existentials they introduce.
+    the existentials they introduce, one per maximal min or max.
     """
     _fields = ("kind", "n", "arms", "deltas", "fresh")
 
     def __init__(self, kind: str, n: str, arms: tuple[SizeExpr, ...],
-                 deltas: list, fresh: Iterator[str]) -> None:
+                 fresh: Iterator[str]) -> None:
         self.kind = kind
         self.n = n
         self.arms = arms
-        self.deltas = deltas
+        self.deltas = [()] * len(arms)
         self.fresh = fresh
 
     def delta(self, i: int):
@@ -381,32 +381,31 @@ def _flatten(s: SizeExpr, cls) -> list[SizeExpr]:
 def _absorb(pending: list[Pair], fresh: Iterator[str]):
     """Absorb the conjunctive structure of inequalities.
 
-    Returns (atoms, disjs) or None on a trivially false leaf.  Max on
-    the left and min on the right decompose conjunctively through a
-    fresh existential; min on the left and max on the right become
-    disjunctive splits over their flattened arms.
+    Returns (atoms, disjs) or None on a trivially false leaf.  Each
+    maximal n-ary min or max is flattened once and named by one fresh
+    existential n, which the other side bounds: max on the left and min
+    on the right relate every arm to n; the other two split over them.
     """
     work = deque(pending)
     atoms: list[DifferenceAtom] = []
     disjs: list[_Disj] = []
     while work:
         lhs, rhs = work.popleft()
-        if isinstance(lhs, SMax):
+        if isinstance(lhs, SMax) or isinstance(rhs, SMin):
             n = SVar(next(fresh))
-            work.extendleft([(n, rhs), (lhs.right, n), (lhs.left, n)])
-        elif isinstance(rhs, SMin):
-            n = SVar(next(fresh))
-            work.extendleft([(n, rhs.right), (n, rhs.left), (lhs, n)])
+            if isinstance(lhs, SMax):  # every arm <= n <= rhs
+                pend = [(a, n) for a in _flatten(lhs, SMax)] + [(n, rhs)]
+            else:  # lhs <= n <= every arm
+                pend = [(lhs, n)] + [(n, a) for a in _flatten(rhs, SMin)]
+            work.extendleft(reversed(pend))  # taken in the order of pend
         elif isinstance(lhs, SMin):
             n = next(fresh)
             work.appendleft((SVar(n), rhs))
-            arms = tuple(_flatten(lhs, SMin))
-            disjs.append(_Disj("le", n, arms, [()] * len(arms), fresh))
+            disjs.append(_Disj("le", n, tuple(_flatten(lhs, SMin)), fresh))
         elif isinstance(rhs, SMax):
             n = next(fresh)
             work.appendleft((lhs, SVar(n)))
-            arms = tuple(_flatten(rhs, SMax))
-            disjs.append(_Disj("ge", n, arms, [()] * len(arms), fresh))
+            disjs.append(_Disj("ge", n, tuple(_flatten(rhs, SMax)), fresh))
         else:
             atom = _leaf(lhs, rhs)
             if atom is False:
@@ -420,7 +419,7 @@ def _sat_conjunction(ineqs: list[Pair]) -> Optional[dict[str, int]]:
     """Satisfiability over the naturals of a conjunction s1 <= s2 of
     oo-free inequalities.
 
-    Min/max are split away through fresh existential variables, named
+    `_absorb` names each maximal min or max by one fresh existential,
     ?e1, ?e2, ... afresh in each call.  The atoms without a choice go
     into one difference graph, and `_solve` searches the disjuncts on it.
     """

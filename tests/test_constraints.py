@@ -15,10 +15,10 @@ from slam import (
 from slam import constraints
 from slam.constraints import (
     CyclicDefMap, DifferenceGraph, SizeConstraint, VarConst, VarVar,
-    check_acyclic, encode_3cnf, expand, format_constraint, is_valid,
-    parse_constraint_file, sat_atoms,
+    _absorb, check_acyclic, encode_3cnf, expand, format_constraint,
+    is_valid, parse_constraint_file, sat_atoms,
 )
-from slam.sizes import INF
+from slam.sizes import INF, normalize_succ
 from slam.syntax import size_const, smax, smin
 from slam.typecheck import infer
 
@@ -345,6 +345,163 @@ def test_infinity_propagates_through_definitions():
     assert res.witness["i"] == INF and res.witness["j"] == INF
     assert is_valid(SizeConstraint({"i": J, "j": INFTY}, [(ZERO, I)])).valid
     assert is_valid(SizeConstraint({"i": J, "j": INFTY}, [(K, I)])).valid
+
+
+# -- one existential per n-ary min or max ---------------------------------------
+
+class _Fresh:
+    """The existential names `_absorb` draws, recorded in order."""
+
+    def __init__(self):
+        self.names = []
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.names.append(f"?e{len(self.names) + 1}")
+        return self.names[-1]
+
+
+def _wide(rng: random.Random, cls, arms: list):
+    # a min or max over the arms, nested to the left, to the right or
+    # split at random
+    if len(arms) == 1:
+        return arms[0]
+    h = rng.randint(1, len(arms) - 1)
+    return cls(_wide(rng, cls, arms[:h]), _wide(rng, cls, arms[h:]))
+
+
+def test_an_n_ary_min_or_max_takes_one_existential():
+    # max(a1..ak) <= x and x <= min(a1..ak), nested to the left (as smax
+    # and smin build them) or at random: every arm relates to one fresh
+    # existential, which x bounds, so k + 1 atoms; against a min or max
+    # on the other side, two existentials
+    rng = random.Random(5)
+    x = SVar("x")
+    for k in range(2, 7):
+        arms = [SVar(f"a{m}") for m in range(k)]
+        other = [SVar(f"b{m}") for m in range(k)]
+        for mx, mn in ((smax(*arms), smin(*arms)),
+                       (_wide(rng, SMax, arms), _wide(rng, SMin, arms))):
+            for pair in ((mx, x), (x, mn)):
+                fresh = _Fresh()
+                atoms, disjs = _absorb([pair], fresh)
+                assert len(fresh.names) == 1 and not disjs, (k, pair)
+                assert len(atoms) == k + 1, (k, pair)
+            fresh = _Fresh()
+            atoms, disjs = _absorb([(mx, smin(*other))], fresh)
+            assert len(fresh.names) == 2 and not disjs, k
+            assert len(atoms) == 2 * k + 1, k
+
+
+def test_a_disjunct_arm_takes_one_existential_per_n_ary_node():
+    # min(max(a1..ak), y) <= x splits over max(a1..ak) <= n and y <= n;
+    # absorbing the first arm draws one more name and gives k + 1 atoms,
+    # and so does n <= min(a1..ak) from x <= max(min(a1..ak), y)
+    x, y = SVar("x"), SVar("y")
+    for k in range(2, 7):
+        arms = [SVar(f"a{m}") for m in range(k)]
+        for pair in ((SMin(smax(*arms), y), x), (x, SMax(smin(*arms), y))):
+            fresh = _Fresh()
+            atoms, (d,) = _absorb([pair], fresh)
+            assert len(fresh.names) == 1 and len(atoms) == 1, (k, pair)
+            arm_atoms, arm_disjs = d.delta(0)
+            assert len(fresh.names) == 2 and not arm_disjs, (k, pair)
+            assert len(arm_atoms) == k + 1, (k, pair)
+
+
+def _maximal_min_max(s) -> int:
+    # the min and max nodes whose parent is not a node of the same class
+    count, stack = 0, [(s, None)]
+    while stack:
+        x, up = stack.pop()
+        count += type(x) in (SMin, SMax) and type(x) is not up
+        stack += [(kid, type(x)) for kid in x._kids()]
+    return count
+
+
+def test_the_absorbed_3cnf_encoding_has_one_existential_per_node():
+    # the negated pair of the gen-hard encoding of random_3cnf(Random(7),
+    # 24, 4.26), with every arm of every split absorbed: one existential
+    # per maximal min or max node
+
+    rng = random.Random(7)  # the sampler of bench/oracles.random_3cnf
+    clauses = []
+    for _ in range(round(4.26 * 24)):
+        vs = rng.sample(range(1, 25), 3)
+        clauses.append([(f"x{v}", rng.random() < 0.5) for v in vs])
+    s1, s2 = encode_3cnf(clauses)
+    pair = (normalize_succ(Succ(s1)), normalize_succ(Succ(s2)))
+    fresh = _Fresh()
+    _, disjs = _absorb([pair], fresh)
+    splits = arms = 0
+    while disjs:
+        d = disjs.pop()
+        splits += 1
+        for i in range(len(d.arms)):
+            arms += 1
+            disjs += d.delta(i)[1]
+    assert splits == 150 and arms == 402
+    assert len(fresh.names) == sum(map(_maximal_min_max, pair)) == 152
+
+
+def _wide_min_max_inputs() -> list[SizeConstraint]:
+    # 4-8-arm max on the left and min on the right, beside each other and
+    # inside the arms of splits, over three variables and constants up to
+    # 2, so the oracle's completeness bound is at most 9; an arm may be a
+    # min or max of two leaves of the other class, and k may be defined
+    # in U by one over i and j
+    rng = random.Random(53)
+    names = ("i", "j", "k")
+    other = {SMax: SMin, SMin: SMax}
+
+    def leaf(vs=names):
+        s = rng.choice((ZERO, ONE, SVar(rng.choice(vs))))
+        return Succ(s) if rng.random() < 0.3 else s
+
+    def arm(cls, vs):
+        if rng.random() < 0.25:
+            return other[cls](leaf(vs), leaf(vs))
+        return leaf(vs)
+
+    def wide(cls, vs=names):
+        k = rng.randint(4, 8)
+        return _wide(rng, cls, [arm(cls, vs) for _ in range(k)])
+
+    out = []
+    for _ in range(40):
+        shape = rng.randrange(4)
+        if shape == 0:
+            pairs = [(wide(SMax), leaf()), (leaf(), wide(SMin))]
+        elif shape == 1:
+            pairs = [(wide(SMax), wide(SMin))]
+        elif shape == 2:
+            pairs = [(SMin(wide(SMax), leaf()), leaf())]
+        else:
+            pairs = [(leaf(), SMax(wide(SMin), leaf()))]
+        u = {"k": wide(rng.choice((SMin, SMax)), names[:2])} \
+            if rng.random() < 0.3 else {}
+        out.append(SizeConstraint(u, pairs))
+    return out
+
+
+def test_wide_min_max_match_oracle_and_witnesses_check():
+    verdicts = set()
+    for c in _wide_min_max_inputs():
+        res = is_valid(c)
+        bound = completeness_bound(c)
+        assert bound <= 9, c
+        assert res.valid == brute_force_valid(c, bound), c
+        verdicts.add(res.valid)
+        if not res.valid:
+            w = res.witness
+            for i in c.u:
+                assert eval_size(w, SVar(i)) == eval_size(w, c.u[i]), c
+            assert res.violated in c.pairs, c
+            a, b = res.violated
+            assert eval_size(w, a) > eval_size(w, b), c
+    assert verdicts == {True, False}
 
 
 # -- the disjunct search against its reference ---------------------------------

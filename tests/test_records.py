@@ -187,7 +187,7 @@ def _mutable_records() -> list:
     return [
         SizeConstraint({"i": ZERO}, [(ZERO, SVar("i"))]),
         is_valid(SizeConstraint({}, [(Succ(ZERO), ZERO)])),
-        _Disj("le", "n", (ZERO,), [()], iter(())),
+        _Disj("le", "n", (ZERO,), iter(())),
         tokenize("x")[0], _TypeEnv(sf.registry), sf,
         whnf(erase(t), 10), infer(sf.registry, {}, t),
         Decomposed(None, None, {}, TyVar("A")),

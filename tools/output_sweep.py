@@ -39,8 +39,10 @@ bindings of CYCLE, which reach a binding cycle.
 A change that should not alter any output gives the same digests as its
 parent: run the script once with the change's `src/` and once with the
 parent's (`--src`).  `tools/sweep_digests.txt` holds what it prints for
-the checked-in `src/`, and CI diffs the script's output against it; a
-change that means to alter the output updates that file.  With --dump, each command's record is also written
+the checked-in `src/`, and CI diffs the script's output against it,
+once as is and once under PYTHONHASHSEED=12345, so a digest that
+depends on the hash seed fails there; a change that means to alter the
+output updates that file.  With --dump, each command's record is also written
 to FILE, one per line, so two runs can be compared line by line.
 """
 
