@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import attrgetter, is_
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import (Callable, Container, Iterable, Iterator, Mapping,
+                    Optional, Union)
 
 __all__ = [
     "SizeExpr", "Zero", "Infty", "SVar", "Succ", "SMin", "SMax",
@@ -895,9 +896,8 @@ def size_names(t: Term) -> frozenset[str]:
     return frozenset(out)
 
 
-def fresh_name(base: str, avoid: Iterable[str]) -> str:
+def fresh_name(base: str, avoid: Container[str]) -> str:
     """First of base, base_1, base_2, ... not in avoid."""
-    avoid = set(avoid)
     if base not in avoid:
         return base
     n = 1
@@ -1119,11 +1119,17 @@ def uniquify_size_binders(t: Term, avoid: Iterable[str] = ()) -> Term:
     else:
         return t  # no size binder to rename
     used: set[str] = set(fsv(t)) | _annotation_binders(t) | set(avoid)
+    last: dict[str, int] = {}  # per name, the suffix it last took
 
     def binder(v: str) -> str:
-        v = fresh_name(v, used)
-        used.add(v)
-        return v
+        # as fresh_name(v, used), resumed: used only grows
+        nv, n = v, last.get(v, 0)
+        while nv in used:
+            n += 1
+            nv = f"{v}_{n}"
+        last[v] = n
+        used.add(nv)
+        return nv
 
     return subst_type_sizes(t, {}, binder=binder)
 

@@ -16,6 +16,10 @@ consumed at most once, and consuming one either binds it directly in U
 or copies the slice of U that depends on it (keeping the inequalities
 universally quantified while the returned type gets the instantiated
 copy).
+
+Size binders are fresh by construction (see `infer`), so generalisation
+and cofix check nothing against the context; only the fix premise reads
+it, for a variable that an annotation names rather than binds.
 """
 
 from __future__ import annotations
@@ -135,12 +139,6 @@ class _Infer:
         reach, _ = depth_first_order(
             fsv(x), lambda v: sv(self.u[v]) if v in self.u else ())
         return {v for v in reach if v not in self.u}
-
-    def _fsv_u_context(self, gamma: Context) -> set[str]:
-        out: set[str] = set()
-        for ty in gamma.values():
-            out |= self._fsv_u(ty)
-        return out
 
     # -- linear binder management ----------------------------------------
 
@@ -388,9 +386,6 @@ class _Infer:
                                  "quantifier was already instantiated")
             return out
         if isinstance(t, SizeLam):
-            if t.var in self._fsv_u_context(self.gamma):
-                return self.fail("gen", t,
-                                 f"size variable {t.var} occurs in the context")
             body = yield t.body
             if body is None:
                 return None
@@ -556,9 +551,8 @@ class _Infer:
         if not (isinstance(s, Succ) and isinstance(s.arg, SVar)):
             return None
         k = s.arg.name
-        if k.startswith(("$", "?")) or k in self.u or k in sv(ann):
-            return None
-        if k in self._fsv_u_context(self.gamma):
+        if k.startswith(("$", "?")) or k in self.u or k in sv(ann) \
+                or any(k in self._fsv_u(ty) for ty in self.gamma.values()):
             return None
         return k
 
@@ -569,9 +563,6 @@ class _Infer:
             return self.fail("cofix", t,
                              "annotation target must be coinductive")
         j = t.size_var
-        if j in self._fsv_u_context(self.gamma):
-            return self.fail("cofix", t,
-                             f"size variable {j} occurs in the context")
         if j in sv(t.ty):
             return self.fail("cofix", t,
                              f"size variable {j} occurs in the annotation")
@@ -596,13 +587,15 @@ def infer(reg: DefRegistry, gamma: Context, t: Term) -> InferenceTriple:
     Failure to apply any rule yields the sentinel triple with an
     unsatisfiable inequality and a diagnostic trail.
     """
-    # the term's binders avoid the context's bound names too: a context
-    # quantifier of the same name as a linear binder would be consumed
-    # as that binder
-    ambient: set[str] = set()
-    for ty in gamma.values():
-        ambient |= fsv(ty) | forall_binders(ty)
-    t = uniquify_size_binders(t, ambient)
+    # Renaming makes each /\v and cofix[v] binder fresh, so no rule checks
+    # that v is not in fsv_U(context).  After it, v is free neither in t
+    # nor in a context type; no other binder of t, forall of t's
+    # annotations or forall of the context binds it (so a context
+    # quantifier is never consumed as a linear v); and every context and
+    # U entry that exists when v's rule runs was built from parts of t
+    # outside v's scope.
+    t = uniquify_size_binders(t, [v for ty in gamma.values()
+                                  for v in fsv(ty) | forall_binders(ty)])
     st = _Infer(reg, {})
     tau = st.infer(t, dict(gamma))
     pairs = list(dict.fromkeys(st.pairs))

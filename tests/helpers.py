@@ -1245,6 +1245,14 @@ def _recursive_infer_class():
     class RecursiveInfer(_Infer):
         """The inference rules as plain recursive methods."""
 
+        def context_fsv_u(self, gamma: dict[str, Type]) -> set[str]:
+            """The free size variables of the context through U, by
+            `fsv_u_reference`: the walk `_Infer` no longer makes for the
+            size abstraction and cofix rules, kept here as their side
+            condition."""
+            return set().union(*(fsv_u_reference(self.u, ty)
+                                 for ty in gamma.values()))
+
         def infer(self, t: Term, gamma: dict[str, Type]) -> Optional[Type]:
             if isinstance(t, Var):
                 ty = gamma.get(t.name)
@@ -1302,7 +1310,7 @@ def _recursive_infer_class():
                                      "quantifier was already instantiated")
                 return out
             if isinstance(t, SizeLam):
-                if t.var in self._fsv_u_context(gamma):
+                if t.var in self.context_fsv_u(gamma):
                     return self.fail("gen", t,
                                      f"size variable {t.var} occurs in the context")
                 body = self.infer(t.body, gamma)
@@ -1471,7 +1479,7 @@ def _recursive_infer_class():
             k = s.arg.name
             if k.startswith(("$", "?")) or k in self.u or k in sv(ann):
                 return None
-            if k in self._fsv_u_context(gamma):
+            if k in self.context_fsv_u(gamma):
                 return None
             return k
 
@@ -1482,7 +1490,7 @@ def _recursive_infer_class():
                 return self.fail("cofix", t,
                                  "annotation target must be coinductive")
             j = t.size_var
-            if j in self._fsv_u_context(gamma):
+            if j in self.context_fsv_u(gamma):
                 return self.fail("cofix", t,
                                  f"size variable {j} occurs in the context")
             if j in sv(t.ty):

@@ -1,5 +1,7 @@
 import random
 import re
+import sys
+import time
 
 from helpers import (
     CORPUS_DIR, EXTRA_TERMS, context_terms, corpus_terms, infer_state,
@@ -349,6 +351,44 @@ def test_memory_linear_in_binder_depth(streams):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 2.5 * peaks[0], peaks
+
+
+def _lines_run(fn, *args):
+    """fn(*args) and the number of Python lines it ran: a measure of
+    work that, unlike time, does not depend on the load of the host."""
+    count = 0
+
+    def line(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return line
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line)
+    try:
+        return fn(*args), count
+    finally:
+        sys.settrace(before)
+
+
+def test_size_binders_cost_linear_in_their_number(streams):
+    # renaming makes each /\ binder fresh, so no rule reads the context
+    # for it, and renaming resumes each name's suffixes where it stopped:
+    # a chain of n `/\i. \x : Nat^i.` pairs types in linear time, whether
+    # its binders have n names or one
+    reg = streams.registry
+    for name in ("i{}", "i"):
+        chains = {n: parse_term("".join(
+            f"/\\{name.format(k)}. \\x{k} : Nat^{name.format(k)}. "
+            for k in range(n)) + "x0", reg) for n in (1000, 2000)}
+        seconds = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            assert not infer(reg, {}, chains[2000]).failed
+            seconds.append(time.perf_counter() - t0)
+        assert min(seconds) < 0.5, (name, seconds)
+        work = [_lines_run(infer, reg, {}, chains[n])[1] for n in (1000, 2000)]
+        assert work[1] <= 2.5 * work[0], (name, work)
 
 
 def test_fix_reused_after_linking(streams):

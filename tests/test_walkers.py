@@ -267,6 +267,32 @@ def test_infer_matches_recursive_reference():
     assert 0 < failed < len(problems)
 
 
+def test_size_binders_are_fresh_for_the_context():
+    # `_Infer` checks no /\v or cofix[v] against the context: renaming
+    # the term's size binders makes v fresh.  The recursive reference
+    # keeps both side conditions.  The contexts here name the i and j
+    # the terms bind, and i_1, a name renaming picks, free and under
+    # forall, so a binder that renaming left in place would be refused
+    # by the reference alone.
+    rng = random.Random(29)
+    reg = load("streams").registry
+    names = ("i", "j", "k", "i_1")
+    clashes = typed = 0
+    for _ in range(2500):
+        gamma = {x: rand_type(rng, reg, 2, names)
+                 for x in rng.sample(("x", "y"), rng.randint(1, 2))}
+        t = rand_term(rng, reg, rng.randint(1, 5), tuple(gamma))
+        got = infer_state(reg, gamma, t, recursive=False)
+        want = infer_state(reg, gamma, t, recursive=True)
+        assert repr(got) == repr(want), (gamma, print_term(t))
+        if got[0] is not None:
+            typed += 1
+            bound = {x.var if type(x) is SizeLam else x.size_var
+                     for x in nodes(t) if type(x) in (SizeLam, Cofix)}
+            clashes += any(bound & fsv(ty) for ty in gamma.values())
+    assert typed > 500 and clashes > 40, (typed, clashes)
+
+
 # ---------------------------------------------------------------------------
 # Size walkers
 
