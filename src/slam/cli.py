@@ -27,9 +27,9 @@ from .rewrite import (
 )
 from .sizes import INF
 from .syntax import (
-    Coind, DefRegistry, PLam, RegistryError, Succ, Term, Type, check_term_wf,
-    check_type_wf, depth_first_order, fsv, rename_binders_apart,
-    size_names, substitute, tv, uniquify_size_binders, validate_registry,
+    DefRegistry, PLam, RegistryError, Succ, Term, Type, check_term_wf,
+    check_type_wf, depth_first_order, fsv, size_names, substitute, tv,
+    validate_registry,
 )
 from .typecheck import check, minimal_type
 
@@ -102,12 +102,18 @@ def _typing_problem(sf: SlamFile, src: str) -> tuple[dict[str, Type], Term]:
         if shared:
             shared &= _names_around(sf, q, name, named)
         ty = None if shared else minimal_type(sf.registry,
-                                              *_apart(gamma, body))
+                                              _referred(gamma, body), body)
         if ty is None or fsv(ty):
             inlined[name] = body
         else:
             gamma[name] = ty
-    return _apart(gamma, _inline(q, sorted(q.fv), inlined))
+    q = _inline(q, sorted(q.fv), inlined)
+    return _referred(gamma, q), q
+
+
+def _referred(gamma: dict[str, Type], t: Term) -> dict[str, Type]:
+    """The entries t refers to: inference walks every entry it gets."""
+    return {n: gamma[n] for n in t.fv if n in gamma}
 
 
 def _inline(t: Term, refs: list[str], inlined: dict[str, Term]) -> Term:
@@ -127,20 +133,6 @@ def _names_around(sf: SlamFile, q: Term, name: str,
         if n not in named:
             named[n] = size_names(q if n is None else sf.bindings[n])
     return frozenset().union(*(named[n] for n in around))
-
-
-def _apart(gamma: dict[str, Type], t: Term) -> tuple[dict[str, Type], Term]:
-    """t with unique size binders, and the context entries t refers to
-    with their quantifiers renamed apart from every size variable t
-    names, as linking renames the binders of an inlined body.  A term
-    that refers to none is returned as it is: inference makes its size
-    binders unique."""
-    if gamma.keys().isdisjoint(t.fv):
-        return {}, t
-    t = uniquify_size_binders(t)
-    avoid = size_names(t)
-    return {n: rename_binders_apart(gamma[n], avoid)
-            for n in t.fv if n in gamma}, t
 
 
 def _parse_checked_type(sf: SlamFile, src: str):
@@ -301,8 +293,6 @@ def _cmd_productivity(args) -> int:
     sf = _load_slam(args.file)
     t = _resolve_term(sf, args.term)
     ty = _parse_checked_type(sf, args.type)
-    if not isinstance(ty, Coind):
-        raise CliError("--type must name a coinductive type")
     try:
         report = productivity_check(t, ty, sf.registry, budget)
     except NonObservableType as e:

@@ -896,14 +896,13 @@ def size_names(t: Term) -> frozenset[str]:
     return frozenset(out)
 
 
-def fresh_name(base: str, avoid: Container[str]) -> str:
-    """First of base, base_1, base_2, ... not in avoid."""
-    if base not in avoid:
-        return base
-    n = 1
-    while f"{base}_{n}" in avoid:
+def fresh_name(base: str, *avoid: Container[str]) -> str:
+    """First of base, base_1, base_2, ... in none of `avoid`."""
+    v, n = base, 0
+    while any(v in a for a in avoid):
         n += 1
-    return f"{base}_{n}"
+        v = f"{base}_{n}"
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -1109,8 +1108,9 @@ def uniquify_size_binders(t: Term, avoid: Iterable[str] = ()) -> Term:
     Names are kept when already unique, so pretty output is untouched for
     well-named sources.  Free size variables are never renamed; binders
     also avoid the forall-bound names of annotation types (distinct
-    binding sites) and any extra names the caller supplies (typically
-    every size variable the typing context names, bound ones included).
+    binding sites) and any extra names the caller supplies (`infer`
+    passes the typing context's free size variables, and then renames
+    the context's quantifiers apart from the term's names).
     Binders are named in pre-order, left to right, as they are met.
     """
     for x in nodes(t):
@@ -1134,17 +1134,19 @@ def uniquify_size_binders(t: Term, avoid: Iterable[str] = ()) -> Term:
     return subst_type_sizes(t, {}, binder=binder)
 
 
-def rename_binders_apart(t: Type, avoid: Iterable[str]) -> Type:
+def rename_binders_apart(t: Type, avoid: Container[str]) -> Type:
     """The type with its forall binders renamed apart from `avoid` and
     from each other, as `uniquify_size_binders` renames a term's: a
     binder keeps its name when no earlier one took it, and otherwise
-    takes the next free name of its family (i, i_1, i_2, ...)."""
-    used = set(avoid) | fsv(t)
+    takes the next free name of its family (i, i_1, i_2, ...).  `avoid`
+    is read in place, not copied, so renaming many types apart from one
+    set costs no copy of it per type."""
+    used = set(fsv(t))  # and the names t's binders took
 
     def binder(v: str) -> str:
-        if v in used:
+        if v in avoid or v in used:
             base, _, n = v.rpartition("_")
-            v = fresh_name(base if base and n.isdigit() else v, used)
+            v = fresh_name(base if base and n.isdigit() else v, avoid, used)
         used.add(v)
         return v
 

@@ -17,7 +17,7 @@ or copies the slice of U that depends on it (keeping the inequalities
 universally quantified while the returned type gets the instantiated
 copy).
 
-Size binders are fresh by construction (see `infer`), so generalisation
+`infer` names every typing problem apart (see there), so generalisation
 and cofix check nothing against the context; only the fix premise reads
 it, for a variable that an annotation names rather than binds.
 """
@@ -40,7 +40,7 @@ from .syntax import (
     Fix, Forall, Infty, Lam, SMax, SMin, SVar, SizeApp, SizeExpr, SizeLam,
     Succ, Term, TyVar, Type, Var, Con, Zero, _Record, depth_first_order, fold,
     forall_binders, fsv, nodes, rebuilt, size_const, smax, smin,
-    subst_type_sizes, sv, tv,
+    rename_binders_apart, size_names, subst_type_sizes, sv, tv,
     uniquify_size_binders,
 )
 
@@ -525,7 +525,6 @@ class _Infer:
             return ty
 
         prem = wrap(SVar(iv))
-        self.store_type(prem)
         theta = yield from self._under({t.var: prem}, t.body)
         if theta is None:
             return None
@@ -569,7 +568,6 @@ class _Infer:
         s = target.size
         prem = chgtgt(t.ty, Coind(target.defname, SMin(s, SVar(j)),
                                   target.params))
-        self.store_type(prem)
         theta = yield from self._under({t.var: prem}, t.body)
         if theta is None:
             return None
@@ -587,17 +585,26 @@ def infer(reg: DefRegistry, gamma: Context, t: Term) -> InferenceTriple:
     Failure to apply any rule yields the sentinel triple with an
     unsatisfiable inequality and a diagnostic trail.
     """
-    # Renaming makes each /\v and cofix[v] binder fresh, so no rule checks
-    # that v is not in fsv_U(context).  After it, v is free neither in t
-    # nor in a context type; no other binder of t, forall of t's
-    # annotations or forall of the context binds it (so a context
-    # quantifier is never consumed as a linear v); and every context and
-    # U entry that exists when v's rule runs was built from parts of t
-    # outside v's scope.
-    t = uniquify_size_binders(t, [v for ty in gamma.values()
-                                  for v in fsv(ty) | forall_binders(ty)])
+    # The variable convention, made true here for the library and the CLI
+    # alike: t's /\v and cofix[v] binders are renamed apart from each
+    # other and from the context's free size variables, then the
+    # quantifiers of the entries t refers to (no other entry reaches U or
+    # the result) apart from every size name of t.  So no rule checks
+    # that v is not in fsv_U(context), and no verdict depends on how the
+    # context spells its quantifiers.  Then v is free neither in t nor in
+    # a context type; no other binder of t, and no forall of t's
+    # annotations or of an entry t refers to, binds it (so no given
+    # context type and no fix or cofix premise has a linear forall); and
+    # every context and U entry that exists when v's rule runs was built
+    # from parts of t outside v's scope.
+    t = uniquify_size_binders(t, {v for ty in gamma.values()
+                                  for v in fsv(ty)})
+    refs = t.fv & gamma.keys()
+    avoid = size_names(t) if refs else ()
+    gamma = {**gamma, **{x: rename_binders_apart(gamma[x], avoid)
+                         for x in refs}}
     st = _Infer(reg, {})
-    tau = st.infer(t, dict(gamma))
+    tau = st.infer(t, gamma)
     pairs = list(dict.fromkeys(st.pairs))
     if tau is None:
         pairs.append(_FALSE_PAIR)

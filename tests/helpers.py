@@ -1513,15 +1513,17 @@ def _recursive_infer_class():
 def infer_state(reg, gamma, t, recursive: bool):
     """Run inference as `typecheck.infer` does, with the iterative rules
     or with the recursive reference; returns every piece of the state."""
-    from slam.syntax import forall_binders, fsv, uniquify_size_binders
+    from slam.syntax import (
+        fsv, rename_binders_apart, size_names, uniquify_size_binders,
+    )
     from slam.typecheck import _Infer
 
-    ambient = set()
-    for ty in gamma.values():
-        ambient |= fsv(ty) | forall_binders(ty)
-    t = uniquify_size_binders(t, ambient)
+    t = uniquify_size_binders(t, {v for ty in gamma.values() for v in fsv(ty)})
+    avoid = size_names(t)
+    gamma = {x: rename_binders_apart(ty, avoid) if x in t.fv else ty
+             for x, ty in gamma.items()}
     st = (_recursive_infer_class() if recursive else _Infer)(reg, {})
-    tau = st.infer(t, dict(gamma))
+    tau = st.infer(t, gamma)
     return tau, st.u, st.pairs, st.linear, st.trail
 
 

@@ -217,6 +217,26 @@ def test_gen_hard_empty_clause_exit_2(tmp_path, capsys):
     assert err.startswith("error: 1:5: ") and "empty clause" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "MISSING", "tl", ":", "Strm"),
+    ("solve", "MISSING"),
+    ("gen-hard", "MISSING"),
+    ("check", STREAMS, "tl", "=", "Strm -> Strm"),
+    ("productivity", STREAMS, "zeros", "--type", "Nat -> Nat"),
+    ("productivity", STREAMS, "zeros", "--type", "Nat"),
+    ("gen-hard", "NO_CLAUSES"),
+])
+def test_error_paths_exit_2(tmp_path, capsys, argv):
+    # a missing file, `check` without its `:`, a type productivity cannot
+    # observe and a CNF with no clause are errors, not verdicts
+    cnf = tmp_path / "empty.cnf"
+    cnf.write_text("c no clause follows\np cnf 3 0\n")
+    files = {"MISSING": str(tmp_path / "missing"), "NO_CLAUSES": str(cnf)}
+    code, out, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_gen_hard_reads_satlib_trailer(tmp_path, capsys):
     # SATLIB files end in a '%' line and a lone 0: the clause list ends
     # at the '%', so the 0 is no empty clause
@@ -656,20 +676,25 @@ def test_infer_finds_the_reach_sets_once_per_query(tmp_path, capsys,
 
 
 def test_infer_makes_size_binders_unique_once(capsys, monkeypatch):
-    # a query that refers to no context entry keeps its size binders for
-    # inference to make unique: one walk of the numeral, not two
-    from slam import cli, typecheck
+    # inference makes a query's size binders unique in one walk of the
+    # numeral; a query that refers to no context entry costs no walk for
+    # its size names and renames no context quantifier
+    from slam import typecheck
 
-    calls = []
-    for module in (cli, typecheck):
-        monkeypatch.setattr(module, "uniquify_size_binders",
-                            lambda t, *a, f=module.uniquify_size_binders:
-                            calls.append(t) or f(t, *a))
+    calls = {}
+    for name in ("uniquify_size_binders", "size_names",
+                 "rename_binders_apart"):
+        calls[name] = []
+        monkeypatch.setattr(typecheck, name,
+                            lambda t, *a, f=getattr(typecheck, name),
+                            seen=calls[name]: seen.append(t) or f(t, *a))
     k = 1600
     code, out, err = run(capsys, "infer", STREAMS,
                          "succ (" * k + "zero" + ")" * k)
     assert (code, out, err) == (0, f"Nat^{k + 1}\n", "")
-    assert len(calls) == 1
+    assert {name: len(seen) for name, seen in calls.items()} == \
+        {"uniquify_size_binders": 1, "size_names": 0,
+         "rename_binders_apart": 0}
 
 
 def test_infer_joins_deep_branch_types(capsys):

@@ -5,17 +5,18 @@ import time
 
 from helpers import (
     CORPUS_DIR, EXTRA_TERMS, context_terms, corpus_terms, infer_state,
-    link_all, linked_reference, rand_cnf, render_type_reference, subtype_of,
-    supertype_of, truth_table_sat,
+    link_all, linked_reference, load, rand_cnf, rand_term, rand_type,
+    render_type_reference, subtype_of, supertype_of, truth_table_sat,
 )
 from slam import (
     App, Arrow, Branch, Case, Coind, Con, Forall, INFTY, ONE, SMax, SVar,
-    SizeApp, SizeLam, Succ, TyVar, Var, ZERO, alpha_eq, node_count,
-    parse_slam, parse_term, parse_type, print_type, subtype,
+    SizeApp, SizeLam, Succ, TyVar, Var, ZERO, alpha_eq, fsv, node_count,
+    parse_slam, parse_term, parse_type, print_type, subst_type_sizes, subtype,
 )
 from slam.cli import _typing_problem, main
 from slam.constraints import encode_3cnf
 from slam.subtyping import BOT
+from slam.syntax import forall_binders, size_names
 from slam.typecheck import (
     _prettify, check, decompose_constructor_arg, infer, minimal_type,
 )
@@ -574,6 +575,65 @@ def test_context_typing_names_quantifiers_apart(tmp_path, capsys):
     reg = sf.registry
     m = minimal_type(reg, {}, link_all(sf, parse_term(src, reg)))
     assert alpha_eq(parse_type(out, reg), m)
+
+
+# f's quantifier, spelled as the term's free i, must not capture it: the
+# result is forall k. Nat^k -> Nat^(max(k, i)) however f spells it
+SPELLING_PROBE = ("\\x : Nat^i. \\b : Nat. case b of { zero => f; "
+                  "succ m => /\\j. \\y : Nat^j. x }")
+
+
+def _respellings(ty, names):
+    """ty with one forall binder spelled as one of names, for each forall
+    and each name; a spelling that captures is no alpha-variant of ty."""
+    if isinstance(ty, Forall):
+        for n in names:
+            yield Forall(n, subst_type_sizes(ty.body, {ty.var: SVar(n)}))
+        yield from (Forall(ty.var, b) for b in _respellings(ty.body, names))
+    elif isinstance(ty, Arrow):
+        yield from (Arrow(d, ty.cod) for d in _respellings(ty.dom, names))
+        yield from (Arrow(ty.dom, c) for c in _respellings(ty.cod, names))
+    elif isinstance(ty, Coind):
+        for k, p in enumerate(ty.params):
+            for q in _respellings(p, names):
+                yield Coind(ty.defname, ty.size,
+                            ty.params[:k] + (q,) + ty.params[k + 1:])
+
+
+def test_verdicts_do_not_depend_on_context_quantifier_names():
+    # each quantifier of a context entry the term refers to is respelled
+    # as each size name of the term and as a fresh one: every spelling
+    # gives the same minimal type and the same check verdicts
+    rng = random.Random(30)
+    reg = load("streams").registry
+    problems = [(reg, {"f": parse_type("forall k. Nat^k -> Nat^k", reg)},
+                 parse_term(SPELLING_PROBE, reg),
+                 [parse_type("Nat^i -> Nat -> forall k. Nat^k -> Nat^k",
+                             reg)])]
+    problems += [(r, gamma, t, []) for _, r, gamma, t in context_terms()
+                 if any(forall_binders(gamma[x]) for x in t.fv & gamma.keys())]
+    while len(problems) < 200:
+        gamma = {x: rand_type(rng, reg, 3) for x in ("f", "g")}
+        t = rand_term(rng, reg, 3, bound=("f", "g"))
+        if fsv(t) and any(forall_binders(gamma[x])
+                          for x in t.fv & gamma.keys()):
+            problems.append((reg, gamma, t, []))
+    typed = 0
+    for reg, gamma, t, types in problems:
+        names = sorted(size_names(t)) + ["z"]
+        spellings = [gamma] + [
+            {**gamma, x: v} for x in sorted(t.fv & gamma.keys())
+            for v in _respellings(gamma[x], names) if alpha_eq(v, gamma[x])]
+        m = minimal_type(reg, gamma, t)
+        for g in spellings[1:]:
+            m2 = minimal_type(reg, g, t)
+            assert (m2 is None) == (m is None) and \
+                (m is None or alpha_eq(m2, m)), (g, t, m, m2)
+        typed += m is not None
+        for ty in types + ([m] if m is not None else []):
+            assert len({check(reg, g, t, ty) for g in spellings}) == 1, \
+                (gamma, t, ty)
+    assert typed >= 10
 
 
 def test_context_typing_keeps_capturing_bindings_inlined(tmp_path):

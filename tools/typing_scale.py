@@ -12,7 +12,11 @@ at n = 1,000, 2,000 and 4,000:
   of one name, which typing renames apart as i, i_1, i_2, ...;
 - lambdas: `\\x0 : Nat. \\x1 : Nat. ... x0`, the chain in the README;
 - nested: `(/\\i. \\x : Nat^i. x) [oo] ((/\\i. \\x : Nat^i. x) [oo] (...
-  zero))`, n instantiations of a quantified type.
+  zero))`, n instantiations of a quantified type;
+- context: `\\x0 : Nat^i0. ... \\x(n-1) : Nat^i(n-1). f0 [oo] (f1 [oo]
+  (... zero))` in a context of n entries `fk : forall ik. Nat^ik ->
+  Nat^ik`: the query refers to every entry and names every ik free, so
+  typing renames each entry's quantifier apart.
 
 For each it prints whether the term typed, the median seconds of the
 five runs and the ratio of that median to the one at half the n.  A
@@ -43,6 +47,9 @@ def chain(kind: str, n: int) -> str:
         return "".join(f"/\\i. \\x{k} : Nat^i. " for k in range(n)) + "x0"
     if kind == "lambdas":
         return "".join(f"\\x{k} : Nat. " for k in range(n)) + "x0"
+    if kind == "context":
+        return "".join(f"\\x{k} : Nat^i{k}. " for k in range(n)) \
+            + "".join(f"f{k} [oo] (" for k in range(n)) + "zero" + ")" * n
     src = "zero"
     for _ in range(n):
         src = f"(/\\i. \\x : Nat^i. x) [oo] ({src})"
@@ -55,19 +62,22 @@ def main() -> int:
                     help="the directory slam is imported from")
     args = ap.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
-    from slam import parse_slam, parse_term
+    from slam import parse_slam, parse_term, parse_type
     from slam.typecheck import infer
 
     reg = parse_slam((ROOT / "corpus" / "streams.slam").read_text()).registry
     print(f"{'chain':<9} {'n':>5}  {'typed':<5}  {'seconds':>7}  ratio")
-    for kind in ("distinct", "one-name", "lambdas", "nested"):
+    for kind in ("distinct", "one-name", "lambdas", "nested", "context"):
         last = None
         for n in SIZES:
             t = parse_term(chain(kind, n), reg)
+            gamma = {f"f{k}": parse_type(f"forall i{k}. Nat^i{k} -> "
+                                         f"Nat^i{k}", reg)
+                     for k in range(n)} if kind == "context" else {}
             seconds = []
             for _ in range(RUNS):
                 t0 = time.perf_counter()
-                failed = infer(reg, {}, t).failed
+                failed = infer(reg, gamma, t).failed
                 seconds.append(time.perf_counter() - t0)
             median = statistics.median(seconds)
             ratio = f"{median / last:.1f}" if last else "-"
