@@ -39,9 +39,6 @@ from .syntax import (
     subst_term, subst_type_sizes, sv, tv,
     validate_registry,
 )
-from .typecheck import (
-    InferenceTriple, check, decompose_constructor_arg, infer,
-    minimal_type,
-)
+from .typecheck import InferenceTriple, check, infer, minimal_type
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ results.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Protocol
+from typing import Callable, Optional, Protocol
 
 from .syntax import (
     BOT, Arrow, Bot, Coind, DefRegistry, Forall, SMax, SMin, SVar, SizeExpr,
@@ -29,11 +29,13 @@ from .syntax import (
 )
 
 __all__ = [
-    "Bot", "BOT", "BinderEnv", "gen_sub_constraints", "subtype",
+    "Bot", "BOT", "BinderEnv", "gen_sub_constraints",
+    "gen_shape_constraints", "subtype",
     "join", "meet", "tgt", "chgtgt",
 ]
 
 Pair = tuple[SizeExpr, SizeExpr]
+Hole = Callable[[Type, TyVar, tuple[str, ...]], bool]
 
 
 class BinderEnv(Protocol):
@@ -67,27 +69,28 @@ def _align(b1: str, body1: Type, b2: str, body2: Type,
     """A common binder for two forall bodies, or None when impossible.
 
     Linear binders are aliased through the definition map so occurrences
-    hidden inside shared definitions stay correct; a pair of plain
-    binders is renamed to a fresh common name.  A linear binder that was
-    already consumed cannot be aligned again.
+    hidden inside shared definitions stay correct: a second linear binder
+    to the first, and a lone linear binder to a fresh linear binder that
+    the plain side is renamed to, since a plain name may be shared.  A
+    pair of plain binders is renamed to a fresh common name.  A linear
+    binder that was already consumed cannot be aligned again.
     """
     if b1 == b2:
         return b1, body1, body2
-    if b2 in env.linear:
-        if b2 in env.u:
-            return None
+    lin = [b for b in (b1, b2) if b in env.linear]
+    if lin and lin[-1] in env.u:
+        return None
+    if len(lin) == 2:
         env.linear.discard(b2)
         env.u[b2] = SVar(b1)
         return b1, body1, body2
-    if b1 in env.linear:
-        if b1 in env.u:
-            return None
-        env.linear.discard(b1)
-        env.u[b1] = SVar(b2)
-        return b2, body1, body2
     f = env.fresh_binder()
-    return (f, subst_type_sizes(body1, {b1: SVar(f)}),
-            subst_type_sizes(body2, {b2: SVar(f)}))
+    if lin:
+        env.linear.discard(lin[0])
+        env.linear.add(f)
+        env.u[lin[0]] = SVar(f)
+    return (f, body1 if b1 in lin else subst_type_sizes(body1, {b1: SVar(f)}),
+            body2 if b2 in lin else subst_type_sizes(body2, {b2: SVar(f)}))
 
 
 def gen_sub_constraints(t1, t2, reg: DefRegistry,
@@ -95,17 +98,36 @@ def gen_sub_constraints(t1, t2, reg: DefRegistry,
                         ) -> Optional[list[Pair]]:
     """Size inequalities equivalent to t1 <= t2, or None when the shapes
     are incompatible (no forall instantiation, no structural mismatch)."""
-    if env is None:
-        env = _Fresh(t1, t2)
+    return _relate(t1, t2, reg, _Fresh(t1, t2) if env is None else env)
+
+
+def gen_shape_constraints(theta: Type, sigma: Type, reg: DefRegistry,
+                          env: BinderEnv, hole: Hole) -> Optional[list[Pair]]:
+    """The size inequalities of theta <= sigma with the type variables of
+    sigma, a declared constructor-argument shape, as holes, or None when
+    a hole refuses or the shapes are incompatible.
+
+    At each hole x, `hole(th, x, bound)` gets the part th of theta met
+    there and the common names of the binders aligned above it, and
+    returns whether th fits; nothing else is related there."""
+    return _relate(theta, sigma, reg, env, hole)
+
+
+def _relate(t1, t2, reg: DefRegistry, env: BinderEnv,
+            hole: Optional[Hole] = None) -> Optional[list[Pair]]:
     out: dict[Pair, None] = {}
-    # the pairs still to relate, popped in the order a recursive walk
-    # would meet them, since aligning binders updates `env`
-    todo = [(t1, t2)]
+    # the pairs still to relate, with the binders aligned above them,
+    # popped in the order a recursive walk would meet them, since
+    # aligning binders updates `env`
+    todo = [(t1, t2, ())]
     while todo:
-        a, b = todo.pop()
-        if isinstance(a, Bot):
+        a, b, bound = todo.pop()
+        if hole is not None and isinstance(b, TyVar):
+            if not hole(a, b, bound):
+                return None
+        elif isinstance(a, Bot):
             continue
-        if isinstance(a, TyVar) and isinstance(b, TyVar):
+        elif isinstance(a, TyVar) and isinstance(b, TyVar):
             if a.name != b.name:
                 return None
         elif isinstance(a, Coind) and isinstance(b, Coind):
@@ -115,15 +137,17 @@ def gen_sub_constraints(t1, t2, reg: DefRegistry,
                 out[(b.size, a.size)] = None
             else:
                 out[(a.size, b.size)] = None
-            todo.extend(reversed(list(zip(a.params, b.params))))
+            todo.extend(reversed([(p, q, bound)
+                                  for p, q in zip(a.params, b.params)]))
         elif isinstance(a, Arrow) and isinstance(b, Arrow):
-            todo.append((a.cod, b.cod))
-            todo.append((b.dom, a.dom))
+            todo.append((a.cod, b.cod, bound))
+            todo.append((b.dom, a.dom, bound))
         elif isinstance(a, Forall) and isinstance(b, Forall):
             aligned = _align(a.var, a.body, b.var, b.body, env)
             if aligned is None:
                 return None
-            todo.append(aligned[1:])
+            v, abody, bbody = aligned
+            todo.append((abody, bbody, bound + (v,)))
         else:
             return None
     return list(out)

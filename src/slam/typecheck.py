@@ -17,6 +17,11 @@ or copies the slice of U that depends on it (keeping the inequalities
 universally quantified while the returned type gets the instantiated
 copy).
 
+A constructor argument is matched against its declared shape by the
+subtyping walk itself, with the shape's type variables as holes where
+the instances are read (`decompose`), so each quantifier of the shape is
+aligned once.
+
 `infer` names every typing problem apart (see there), so generalisation
 and cofix check nothing against the context; only the fix premise reads
 it, for a variable that an annotation names rather than binds.
@@ -33,20 +38,20 @@ from .sizes import (
     INF, SizeError, overline, size_ge_const, size_value, underline,
 )
 from .subtyping import (
-    BOT, Bot, _align, chgtgt, gen_sub_constraints, join, subtype, tgt,
+    BOT, Bot, chgtgt, gen_shape_constraints, gen_sub_constraints, join,
+    subtype, tgt,
 )
 from .syntax import (
     INFTY, ONE, ZERO, App, Arrow, Case, Coind, Cofix, Definition, DefRegistry,
     Fix, Forall, Infty, Lam, SMax, SMin, SVar, SizeApp, SizeExpr, SizeLam,
     Succ, Term, TyVar, Type, Var, Con, Zero, _Record, depth_first_order, fold,
     forall_binders, fsv, nodes, rebuilt, size_const, smax, smin,
-    rename_binders_apart, size_names, subst_type_sizes, sv, tv,
+    rename_binders_apart, size_names, subst_type_sizes, sv,
     uniquify_size_binders,
 )
 
 __all__ = [
-    "InferenceTriple", "infer", "minimal_type", "check",
-    "decompose_constructor_arg", "Decomposed",
+    "InferenceTriple", "infer", "minimal_type", "check", "Decomposed",
 ]
 
 Pair = tuple[SizeExpr, SizeExpr]
@@ -74,14 +79,14 @@ class InferenceTriple(_Record):
 
 class Decomposed(_Record):
     """A constructor-argument type matched against its declared shape."""
-    _fields = ("size", "rec_params", "param_insts", "sigma_prime")
+    _fields = ("size", "rec_params", "param_insts", "pairs")
 
     def __init__(self, size: Optional[SizeExpr], rec_params: Optional[tuple],
-                 param_insts: dict[str, Type], sigma_prime: Type) -> None:
+                 param_insts: dict[str, Type], pairs: list[Pair]) -> None:
         self.size = size  # joined size of the recursive instances
         self.rec_params = rec_params  # their joined parameters
         self.param_insts = param_insts  # joined instance per parameter var
-        self.sigma_prime = sigma_prime  # the matched shape with holes kept
+        self.pairs = pairs  # size inequalities outside the variables
 
 
 class _Infer:
@@ -185,9 +190,7 @@ class _Infer:
     # An argument type theta is matched against the declared shape sigma
     # of its position, reading off the instances of the recursive variable
     # and of the parameters.  Most positions are a bare variable (`Nat`'s
-    # `succ : Nat -> Nat`); those are answered by `_var_arg` alone, and
-    # the walk in `decompose` calls it at each variable it meets inside a
-    # larger shape.
+    # `succ : Nat -> Nat`); those are answered by `_var_arg` alone.
 
     def _var_arg(self, th: Type, sg: TyVar, d: Definition
                  ) -> Optional[Decomposed]:
@@ -197,81 +200,53 @@ class _Infer:
         nothing."""
         if sg.name == d.rec_var:
             if isinstance(th, Bot):
-                return Decomposed(None, None, {}, sg)
+                return Decomposed(None, None, {}, [])
             if isinstance(th, Coind) and th.defname == d.name:
-                return Decomposed(th.size, th.params, {}, sg)
+                return Decomposed(th.size, th.params, {}, [])
             return None
         if sg.name in d.params:
             return Decomposed(None, None,
-                              {} if isinstance(th, Bot) else {sg.name: th}, sg)
+                              {} if isinstance(th, Bot) else {sg.name: th}, [])
         return None
 
     def decompose(self, theta: Type, sigma: Type, dname: str) -> Optional[Decomposed]:
         """theta matched against sigma, the declared shape of an argument
-        position of a constructor of dname, or None when it does not fit."""
+        position of a constructor of dname, or None when it does not fit.
+
+        One subtyping walk of theta <= sigma hands `_var_arg` the part of
+        theta met at each type variable of sigma, and the instances of a
+        variable are joined as they are read; `pairs` are the size
+        inequalities the walk needs everywhere else.  An instance that
+        mentions, through U, a binder aligned above it would let that
+        binder escape its scope: it is expanded, and the binder replaced
+        by its bound (see `_bounded`)."""
         d = self.reg.definition(dname)
         if isinstance(sigma, TyVar):
             return self._var_arg(theta, sigma, d)
-        a_insts: list[Coind] = []
-        b_insts: dict[str, list[Type]] = {}
-        # Pairs (th, sg) are matched depth-first, left to right, and the
-        # matched shapes of the children of a node go to `out`; a marker
-        # (node, k) rebuilds node over the last k of them.
-        out: list[Type] = []
-        work: list = [(theta, sigma)]
-        while work:
-            th, sg = work.pop()
-            if type(sg) is int:
-                kids = out[len(out) - sg:]
-                del out[len(out) - sg:]
-                out.append(th._with(kids))
-            elif isinstance(sg, TyVar):
-                got = self._var_arg(th, sg, d)
-                if got is None:
-                    return None
-                if got.size is not None:
-                    a_insts.append(th)
-                for bname, inst in got.param_insts.items():
-                    b_insts.setdefault(bname, []).append(inst)
-                out.append(sg)
-            elif not tv(sg):
-                # a closed position: the final subtyping covers it
-                out.append(th)
-            elif isinstance(sg, Arrow) and isinstance(th, Arrow):
-                out.append(th.dom)
-                work += [(th, 2), (th.cod, sg.cod)]
-            elif isinstance(sg, Forall) and isinstance(th, Forall):
-                aligned = _align(th.var, th.body, sg.var, sg.body, self)
-                if aligned is None:
-                    return None
-                v, thb, sgb = aligned
-                work += [(Forall(v, thb), 1), (thb, sgb)]
-            elif isinstance(sg, Coind) and isinstance(th, Coind) \
-                    and th.defname == sg.defname \
-                    and len(th.params) == len(sg.params):
-                work.append((th, len(sg.params)))
-                work.extend(reversed(list(zip(th.params, sg.params))))
-            else:
-                return None
-        sigma_prime = out[0]
-        size = rec_params = None
-        if a_insts:
-            acc: Type = a_insts[0]
-            for x in a_insts[1:]:
-                acc = join(acc, x, self.reg, env=self)
-                if acc is None:
-                    return None
-            assert isinstance(acc, Coind)
-            size, rec_params = acc.size, acc.params
-        joined: dict[str, Type] = {}
-        for bname, lst in b_insts.items():
-            acc = lst[0]
-            for x in lst[1:]:
-                acc = join(acc, x, self.reg, env=self)
-                if acc is None:
-                    return None
-            joined[bname] = acc
-        return Decomposed(size, rec_params, joined, sigma_prime)
+        if not self.linear.isdisjoint(forall_binders(sigma)):
+            # a binder of the shape is not the term's linear binder of
+            # the same name, which `_align` would alias through U
+            sigma = rename_binders_apart(sigma, self.linear)
+        insts: dict[str, Type] = {}
+
+        def hole(th: Type, x: TyVar, bound: tuple[str, ...]) -> bool:
+            if bound and not self._fsv_u(th).isdisjoint(bound):
+                th = _bounded(expand_type(self.u, th), bound, self.reg)
+            if self._var_arg(th, x, d) is None:
+                return False
+            if isinstance(th, Bot):
+                return True
+            acc = join(insts.get(x.name, BOT), th, self.reg, env=self)
+            insts[x.name] = acc
+            return acc is not None
+
+        pairs = gen_shape_constraints(theta, sigma, self.reg, self, hole)
+        if pairs is None:
+            return None
+        rec = insts.pop(d.rec_var, None)
+        if rec is None:
+            return Decomposed(None, None, insts, pairs)
+        return Decomposed(rec.size, rec.params, insts, pairs)
 
     # -- peeled sizes -------------------------------------------------------
 
@@ -428,10 +403,7 @@ class _Infer:
                     f"declared shape (got {print_type(theta)})")
             per_arg.append(dec)
             sizes.append(dec.size if dec.size is not None else neutral)
-            if dec.sigma_prime is not sigma:
-                # a bare variable is matched as itself, and X <= X holds
-                # with no pair and no binder aligned
-                self.add_sub(dec.sigma_prime, sigma)
+            self.pairs.extend(dec.pairs)
         taus: list[Type] = []
         for j, bname in enumerate(d.params):
             acc: Type = BOT
@@ -633,12 +605,32 @@ def check(reg: DefRegistry, gamma: Context, t: Term, tau: Type) -> bool:
     return m is not None and subtype(m, tau, reg)
 
 
-def decompose_constructor_arg(reg: DefRegistry, theta: Type, sigma: Type,
-                              dname: str) -> Optional[Decomposed]:
-    """Match an inferred argument type against a constructor's declared
-    argument shape, reading off instances of the recursive and parameter
-    variables (multiple occurrences are joined)."""
-    return _Infer(reg, {}).decompose(theta, sigma, dname)
+def _bounded(t: Type, bound: tuple[str, ...], reg: DefRegistry) -> Type:
+    """t, met at a positive position under the binders `bound`, with each
+    of them replaced by its bound there: oo at a positive position of an
+    inductive type or a negative one of a coinductive type, where a
+    larger size gives a larger type, and 0 elsewhere.  Sizes are
+    monotone, so this is the least type above t at every value of the
+    binders."""
+    def enter(x, live):
+        # a forall of t that binds a name of `bound` again hides it below
+        return x, live - {x.var} if type(x) is Forall else live
+
+    def node(x, kids, live):
+        # (x at a positive position, x at a negative one)
+        if type(x) is Arrow:
+            (dom_pos, dom_neg), (cod_pos, cod_neg) = kids
+            return Arrow(dom_neg, cod_pos), Arrow(dom_pos, cod_neg)
+        pos, neg = [k[0] for k in kids], [k[1] for k in kids]
+        if type(x) is Coind:
+            top, bottom = dict.fromkeys(live, INFTY), dict.fromkeys(live, ZERO)
+            hi, lo = (bottom, top) if reg.definition(x.defname).coinductive \
+                else (top, bottom)
+            return (Coind(x.defname, subst_type_sizes(x.size, hi), tuple(pos)),
+                    Coind(x.defname, subst_type_sizes(x.size, lo), tuple(neg)))
+        return rebuilt(x, pos), rebuilt(x, neg)
+
+    return fold(t, node, enter=enter, ctx=frozenset(bound))[0]
 
 
 # the names `_prettify` gives machine-made binders, in order

@@ -1357,7 +1357,7 @@ def _recursive_infer_class():
                         f"declared shape (got {print_type(theta)})")
                 per_arg.append(dec)
                 sizes.append(dec.size if dec.size is not None else neutral)
-                self.add_sub(dec.sigma_prime, sigma)
+                self.pairs.extend(dec.pairs)
             taus: list[Type] = []
             for j, bname in enumerate(d.params):
                 acc: Type = BOT
@@ -2895,7 +2895,7 @@ DATACLASS_REPR_FIELDS = {
     "ProductivityReport": ("verdicts", "chain_ok", "passed", "fail_at"),
     "WhnfResult": ("kind", "term", "head", "args", "stuck", "steps"),
     "InferenceTriple": ("u", "pairs", "tau", "failed", "trail"),
-    "Decomposed": ("size", "rec_params", "param_insts", "sigma_prime"),
+    "Decomposed": ("size", "rec_params", "param_insts", "pairs"),
     "Token": ("kind", "text", "line", "col"),
 }
 

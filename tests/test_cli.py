@@ -783,3 +783,28 @@ def test_check_and_infer_do_not_depend_on_size_binder_spelling(capsys):
         types.append(parse_type(out, reg))
     assert all(alpha_eq(types[0], ty) for ty in types), types
     assert alpha_eq(types[0], parse_type(want, reg))
+
+
+def test_a_case_of_quantified_branches_instantiates_both(tmp_path, capsys):
+    # the branches' join has one binder, aliased from both sides, so the
+    # size application reaches each; inline or as a binding, the same
+    f = tmp_path / "pick.slam"
+    f.write_text((CORPUS_DIR / "streams.slam").read_text()
+                 + "idn = /\\k. \\y : Nat^k. y;\n"
+                 "pick = \\b : Nat. case b of { zero => /\\i. \\x : Nat^i. x;"
+                 " succ m => idn };\n")
+    for term in ("(\\b : Nat. case b of { zero => /\\i. \\x : Nat^i. x; "
+                 "succ m => idn }) zero [2] (succ zero)",
+                 "pick zero [2] (succ zero)"):
+        assert run(capsys, "infer", str(f), term) == (0, "Nat^2\n", ""), term
+
+
+def test_a_shape_quantifier_does_not_escape_into_the_type(tmp_path, capsys):
+    f = tmp_path / "gt.slam"
+    f.write_text("inductive Nat { zero : Nat; succ : Nat -> Nat }\n"
+                 "coinductive GT(A) { gn : (forall i. Nat^i -> A) -> GT(A) }\n"
+                 "g = /\\i. \\m : Nat^i. gn (/\\k. \\n : Nat^k. n);\n")
+    assert run(capsys, "infer", str(f), "g") == \
+        (0, "forall i. Nat^i -> GT(Nat)\n", "")
+    assert run(capsys, "check", str(f), "g", ":",
+               "forall i. Nat^i -> GT(Nat^i)") == (1, "no\n", "")

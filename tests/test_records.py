@@ -190,7 +190,7 @@ def _mutable_records() -> list:
         _Disj("le", "n", (ZERO,), iter(())),
         tokenize("x")[0], _TypeEnv(sf.registry), sf,
         whnf(erase(t), 10), infer(sf.registry, {}, t),
-        Decomposed(None, None, {}, TyVar("A")),
+        Decomposed(None, None, {}, []),
         DepthVerdict(0, True, 1, 0, False, Bottom()),
         ProductivityReport([], True, True, None),
     ]

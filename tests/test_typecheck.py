@@ -9,17 +9,15 @@ from helpers import (
     render_type_reference, subtype_of, supertype_of, truth_table_sat,
 )
 from slam import (
-    App, Arrow, Branch, Case, Coind, Con, Forall, INFTY, ONE, SMax, SVar,
-    SizeApp, SizeLam, Succ, TyVar, Var, ZERO, alpha_eq, fsv, node_count,
+    App, Arrow, Branch, Case, Coind, Con, Forall, INFTY, ONE, SMax, SMin,
+    SVar, SizeApp, SizeLam, Succ, TyVar, Var, ZERO, alpha_eq, fsv, node_count,
     parse_slam, parse_term, parse_type, print_type, subst_type_sizes, subtype,
 )
 from slam.cli import _typing_problem, main
 from slam.constraints import encode_3cnf
 from slam.subtyping import BOT
 from slam.syntax import forall_binders, size_names
-from slam.typecheck import (
-    _prettify, check, decompose_constructor_arg, infer, minimal_type,
-)
+from slam.typecheck import _Infer, _prettify, check, infer, minimal_type
 
 I, J, K = SVar("i"), SVar("j"), SVar("k")
 
@@ -132,37 +130,55 @@ def test_sentinel_triple(streams):
 
 def test_decompose_examples(trees):
     reg = trees.registry
-    # theta = Nat^1 against sigma = A for Nat
-    dec = decompose_constructor_arg(reg, Coind("Nat", ONE, ()), TyVar("Nat"),
+    # theta = Nat^1 against sigma = A for Nat: no pair at a bare variable
+    dec = _Infer(reg, {}).decompose(Coind("Nat", ONE, ()), TyVar("Nat"),
                                     "Nat")
-    assert dec is not None and dec.size == ONE and dec.sigma_prime == TyVar("Nat")
-    # theta = List^k(FTree^m) against sigma = List(A) for FTree
+    assert dec is not None and dec.size == ONE and dec.pairs == []
+    # theta = List^k(FTree^m) against sigma = List(A) for FTree: the
+    # instance is read at the hole, and List^k <= List^oo is the one pair
     theta = Coind("List", K, (Coind("FTree", SVar("m"), ()),))
     sigma = Coind("List", INFTY, (TyVar("FTree"),))
-    dec = decompose_constructor_arg(reg, theta, sigma, "FTree")
+    dec = _Infer(reg, {}).decompose(theta, sigma, "FTree")
     assert dec is not None
     assert dec.size == SVar("m") and dec.rec_params == ()
-    assert dec.sigma_prime == Coind("List", K, (TyVar("FTree"),))
-    # substituting the instance back reproduces theta
-    from slam.syntax import subst_type_sizes
-    assert subst_type_sizes(dec.sigma_prime, {},
-                            {"FTree": Coind("FTree", SVar("m"), ())}) == theta
+    assert dec.pairs == [(K, INFTY)]
     # shape mismatch fails
     bad = Arrow(Coind("Nat", INFTY, ()), Coind("Nat", INFTY, ()))
-    assert decompose_constructor_arg(reg, bad, TyVar("Nat"), "Nat") is None
+    assert _Infer(reg, {}).decompose(bad, TyVar("Nat"), "Nat") is None
 
 
 def test_decompose_joins_repeated_occurrences(trees):
     reg = trees.registry
-    # sigma mentioning B twice: both instances join
+    # the instance of B is read in List's cons shape (B, A)
     sigma = Arrow(Coind("Nat", INFTY, ()),
                   Coind("List", INFTY, (TyVar("B"),)))
-    # build the declared shape used by List's cons: (B, A)
     theta = Arrow(Coind("Nat", INFTY, ()),
                   Coind("List", ONE, (Coind("Nat", ONE, ()),)))
-    dec = decompose_constructor_arg(reg, theta, sigma, "List")
+    dec = _Infer(reg, {}).decompose(theta, sigma, "List")
     assert dec is not None
     assert dec.param_insts["B"] == Coind("Nat", ONE, ())
+    assert dec.pairs == [(INFTY, INFTY), (ONE, INFTY)]
+    # PT's shape P(PT, PT) mentions the recursive variable twice: both
+    # instances join, at the least of their sizes since PT is coinductive
+    reg = _path_registry()
+    theta = Coind("P", ONE, (Coind("PT", J, ()), Coind("PT", K, ())))
+    sigma = Coind("P", INFTY, (TyVar("PT"), TyVar("PT")))
+    dec = _Infer(reg, {}).decompose(theta, sigma, "PT")
+    assert dec is not None
+    assert dec.size == SMin(J, K) and dec.pairs == [(ONE, INFTY)]
+
+
+def test_decompose_fails_at_a_closed_mismatch(trees):
+    # a closed position is related by the same walk as the holes, so a
+    # mismatch there fails the match; Bot at an open position that is no
+    # hole is below every type and fits
+    reg = trees.registry
+    sigma = Arrow(Coind("Nat", INFTY, ()), TyVar("Tree"))
+    bad = Arrow(Coind("List", INFTY, (Coind("Nat", INFTY, ()),)),
+                Coind("Tree", ONE, ()))
+    assert _Infer(reg, {}).decompose(bad, sigma, "Tree") is None
+    dec = _Infer(reg, {}).decompose(BOT, sigma, "Tree")
+    assert dec is not None and dec.size is None and dec.pairs == []
 
 
 # -- checking ---------------------------------------------------------------------
@@ -416,6 +432,22 @@ def test_fix_premise_variable_not_free_in_context(streams):
         "\\g : Nat^k -> Nat. fix f : Nat -> Nat . \\a : Nat^(k2+1). "
         "case a of { zero => zero; succ b => f b }", reg)
     assert minimal_type(reg, {}, t2) is not None
+
+
+def test_fix_premise_needs_a_peeled_domain_of_the_recursive_type(trees):
+    # the premise names k only for a domain d^(k+1) of the annotation's
+    # type d: an undecorated domain, a constant size or another inductive
+    # type leave the fix's size undefined in U
+    reg = trees.registry
+    for src, typable in [
+            ("fix f : Nat -> Nat . \\n : Nat. zero", True),
+            ("fix f : Nat -> Nat . \\n : Nat. f n", False),
+            ("fix f : Nat -> Nat . \\n : Nat^1. zero", False),
+            ("fix f : Nat -> Nat . \\l : List^(k+1)(Nat). zero", False)]:
+        t = parse_term(src, reg)
+        trip = infer(reg, {}, t)
+        assert not trip.failed and trip.u == {}, src
+        assert (minimal_type(reg, {}, t) is not None) == typable, src
 
 
 def test_instantiation_specializes_type_not_inequalities(streams):
@@ -690,11 +722,15 @@ PATH_PROBES = [
 ]
 
 
+def _path_registry():
+    with open(CORPUS_DIR / "streams.slam") as f:
+        return parse_slam(PATH_DEFS + f.read()).registry
+
+
 def test_rarely_taken_typing_paths():
     # each probe prints its minimal type, checks against it, and infers
     # the same state with the iterative rules as with the recursive ones
-    with open(CORPUS_DIR / "streams.slam") as f:
-        reg = parse_slam(PATH_DEFS + f.read()).registry
+    reg = _path_registry()
     for src, want in PATH_PROBES:
         t = parse_term(src, reg)
         assert print_type(minimal_type(reg, {}, t)) == want, src
@@ -702,3 +738,89 @@ def test_rarely_taken_typing_paths():
         assert infer_state(reg, {}, t, recursive=False) == \
             infer_state(reg, {}, t, recursive=True), src
 
+
+
+def _calls_of(fn, target, *args):
+    """fn(*args) and the number of calls of the function `target` it
+    made, however the caller names it."""
+    code, count = target.__code__, 0
+
+    def call(frame, event, arg):
+        nonlocal count
+        count += event == "call" and frame.f_code is code
+
+    before = sys.getprofile()
+    sys.setprofile(call)
+    try:
+        return fn(*args), count
+    finally:
+        sys.setprofile(before)
+
+
+def test_each_quantifier_of_a_declared_shape_is_aligned_once():
+    # an argument is matched against a quantified declared shape by one
+    # subtyping walk, which aligns the shape's quantifier once
+    from slam.subtyping import _align
+
+    reg = _path_registry()
+    for src in ("cofix[j] t : HT . hn (/\\i. \\n : Nat^i. t)",
+                "gn (/\\i. \\n : Nat^i. zero)",
+                "gn (/\\k. \\n : Nat^k. n)"):
+        trip, aligned = _calls_of(infer, _align, reg, {}, parse_term(src, reg))
+        assert not trip.failed and aligned == 1, (src, aligned)
+
+
+# -- bound size variables stay in their scope ---------------------------------
+
+def test_an_instance_under_a_shape_quantifier_does_not_escape():
+    # the instance of A read under `forall i.` of gn's shape may mention
+    # the aligned binder; it is then bounded (Nat^i at a positive
+    # position becomes Nat^oo), never returned with the binder free
+    reg = _path_registry()
+    for src, want in [
+            ("/\\i. \\m : Nat^i. gn (/\\k. \\n : Nat^k. n)",
+             "forall i. Nat^i -> GT(Nat)"),
+            ("gn (/\\k. \\n : Nat^k. n)", "GT(Nat)"),
+            ("\\g : forall i. Nat^i -> Nat^i. gn g",
+             "(forall i. Nat^i -> Nat^i) -> GT(Nat)"),
+            ("\\m : Nat^i. gn (/\\k. \\n : Nat^k. m)", "Nat^i -> GT(Nat^i)"),
+            # a negative position of an inductive type and a positive one
+            # of a coinductive type take 0, and a forall of the instance
+            # that binds i again keeps its own
+            ("\\g : forall i. Nat^i -> Strm^i. gn g",
+             "(forall i. Nat^i -> Strm^i) -> GT(Strm^0)"),
+            ("\\g : forall i. Nat^i -> Nat^(i+1) -> Nat^i. gn g",
+             "(forall i. Nat^i -> Nat^(i+1) -> Nat^i) -> GT(Nat^1 -> Nat)"),
+            ("\\g : forall i. Nat^i -> Nat^i -> forall i. Nat^i. gn g",
+             "(forall i. Nat^i -> Nat^i -> forall i. Nat^i) -> "
+             "GT(Nat^0 -> forall i. Nat^i)")]:
+        t = parse_term(src, reg)
+        assert print_type(minimal_type(reg, {}, t)) == want, src
+        assert check(reg, {}, t, parse_type(want, reg)), src
+    g = parse_term("/\\i. \\m : Nat^i. gn (/\\k. \\n : Nat^k. n)", reg)
+    assert not check(reg, {}, g, parse_type(
+        "forall i. Nat^i -> GT(Nat^i)", reg))
+
+
+def test_a_join_keeps_a_plain_binder_name_to_itself(streams):
+    # joining a /\i (linear) with f's plain `forall j` aliases i to a
+    # fresh binder, so instantiating j later reaches what U routes
+    # through i; aliasing i to the shared name j would leave j free
+    reg = streams.registry
+    gamma = {"f": parse_type("forall j. Nat^j -> Nat^j", reg),
+             "b": parse_type("Nat", reg)}
+    t = parse_term("(case b of { zero => /\\i. \\x : Nat^i. x; "
+                   "succ m => f }) [2]", reg)
+    assert print_type(minimal_type(reg, gamma, t)) == "Nat^2 -> Nat^2"
+
+
+def test_a_shape_binder_is_apart_from_a_term_binder_of_its_name():
+    # mk's first argument leaves the term's /\i linear; gn's shape binds
+    # its own i, which aliased through U as if it were that one would
+    # make U cyclic or leave the first type's i free
+    reg = _path_registry()
+    t = parse_term("mk (/\\i. \\y : Nat^i. y) (gn (/\\k. \\n : Nat^k. n))",
+                   reg)
+    want = "P^1(forall i. Nat^i -> Nat^i, GT(Nat))"
+    assert print_type(minimal_type(reg, {}, t)) == want
+    assert check(reg, {}, t, parse_type(want, reg))

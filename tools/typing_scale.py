@@ -2,9 +2,9 @@
 
     python3 tools/typing_scale.py [--src DIR]
 
-Parses each chain over `corpus/streams.slam` and runs an in-process
-`typecheck.infer` on it five times; the parse is not timed.  The chains,
-at n = 1,000, 2,000 and 4,000:
+Parses each chain over `corpus/streams.slam`, or the file its entry
+names, and runs an in-process `typecheck.infer` on it five times; the
+parse is not timed.  The chains, at n = 1,000, 2,000 and 4,000:
 
 - distinct: `/\\i0. \\x0 : Nat^i0. /\\i1. \\x1 : Nat^i1. ... x0`, n size
   binders of n names;
@@ -16,7 +16,13 @@ at n = 1,000, 2,000 and 4,000:
 - context: `\\x0 : Nat^i0. ... \\x(n-1) : Nat^i(n-1). f0 [oo] (f1 [oo]
   (... zero))` in a context of n entries `fk : forall ik. Nat^ik ->
   Nat^ik`: the query refers to every entry and names every ik free, so
-  typing renames each entry's quantifier apart.
+  typing renames each entry's quantifier apart;
+- cons: `\\s : Strm. cons zero (cons zero (... s))`, n constructor
+  applications whose first argument has the closed declared shape `Nat`,
+  matched by a subtyping walk rather than at a bare variable;
+- fnode: `\\t : FTree. fnode zero (cons (fnode zero (cons (... t) nil))
+  nil)` over `corpus/trees.slam`, n `fnode` applications whose second
+  argument has the declared shape `List(FTree)`, with a hole.
 
 For each it prints whether the term typed, the median seconds of the
 five runs and the ratio of that median to the one at half the n.  A
@@ -50,6 +56,11 @@ def chain(kind: str, n: int) -> str:
     if kind == "context":
         return "".join(f"\\x{k} : Nat^i{k}. " for k in range(n)) \
             + "".join(f"f{k} [oo] (" for k in range(n)) + "zero" + ")" * n
+    if kind == "cons":
+        return "\\s : Strm. " + "cons zero (" * n + "s" + ")" * n
+    if kind == "fnode":
+        return "\\t : FTree. " + "fnode zero (cons (" * n + "t" \
+            + ") nil)" * n
     src = "zero"
     for _ in range(n):
         src = f"(/\\i. \\x : Nat^i. x) [oo] ({src})"
@@ -65,9 +76,12 @@ def main() -> int:
     from slam import parse_slam, parse_term, parse_type
     from slam.typecheck import infer
 
-    reg = parse_slam((ROOT / "corpus" / "streams.slam").read_text()).registry
+    regs = {name: parse_slam((ROOT / "corpus" / f"{name}.slam").read_text())
+            .registry for name in ("streams", "trees")}
     print(f"{'chain':<9} {'n':>5}  {'typed':<5}  {'seconds':>7}  ratio")
-    for kind in ("distinct", "one-name", "lambdas", "nested", "context"):
+    for kind in ("distinct", "one-name", "lambdas", "nested", "context",
+                 "cons", "fnode"):
+        reg = regs["trees" if kind == "fnode" else "streams"]
         last = None
         for n in SIZES:
             t = parse_term(chain(kind, n), reg)
