@@ -7,15 +7,15 @@ deciding sizes inline, `gen_sub_constraints` collects the size
 inequalities a subtyping requires; `subtype` hands them to the validity
 solver.
 
-Binder alignment: types produced by inference may reference shared size
-definitions, so renaming their forall binder syntactically would be
-wrong.  Callers that own a definition map pass a `BinderEnv`; binders
-registered as linear (single-consumer) are then aliased through the map
-rather than renamed.  Without an environment both binders are renamed to
-a fresh common name, which is correct for self-contained types; the
-names are counted from `$a1` anew per call, apart from every size
-variable and forall binder of the two types, so equal calls give equal
-results.
+Binder alignment: two foralls with different binders are related under
+a fresh common binder that each side is renamed to.  Types produced by
+inference may reference shared size definitions, so renaming their
+binder syntactically would be wrong: callers that own a definition map
+pass a `BinderEnv`, which opens each side through that map.  Without an
+environment both binders are renamed by substitution, which is correct
+for self-contained types; the names are counted from `$a1` anew per
+call, apart from every size variable and forall binder of the two types,
+so equal calls give equal results.
 """
 
 from __future__ import annotations
@@ -39,20 +39,17 @@ Hole = Callable[[Type, TyVar, tuple[str, ...]], bool]
 
 
 class BinderEnv(Protocol):
-    u: dict[str, SizeExpr]
-    linear: set[str]
-
     def fresh_binder(self) -> str: ...
+
+    def rename(self, binder: str, body: Type, to: str) -> Type: ...
 
 
 class _Fresh:
-    """The binder environment of a call made without one: no definition
-    map, no linear binders, and binder names `$a1`, `$a2`, ... apart
-    from the size names of the types the call relates."""
+    """The binder environment of a call made without one: binder names
+    `$a1`, `$a2`, ... apart from the size names of the types the call
+    relates, and renaming by substitution."""
 
     def __init__(self, *types: Type):
-        self.u: dict[str, SizeExpr] = {}
-        self.linear: set[str] = set()
         self._taken = frozenset().union(
             *(sv(t) | forall_binders(t) for t in types))
         self._counter = itertools.count(1)
@@ -63,34 +60,18 @@ class _Fresh:
             f = f"$a{next(self._counter)}"
         return f
 
+    def rename(self, binder: str, body: Type, to: str) -> Type:
+        return subst_type_sizes(body, {binder: SVar(to)})
+
 
 def _align(b1: str, body1: Type, b2: str, body2: Type,
-           env: BinderEnv) -> Optional[tuple[str, Type, Type]]:
-    """A common binder for two forall bodies, or None when impossible.
-
-    Linear binders are aliased through the definition map so occurrences
-    hidden inside shared definitions stay correct: a second linear binder
-    to the first, and a lone linear binder to a fresh linear binder that
-    the plain side is renamed to, since a plain name may be shared.  A
-    pair of plain binders is renamed to a fresh common name.  A linear
-    binder that was already consumed cannot be aligned again.
-    """
+           env: BinderEnv) -> tuple[str, Type, Type]:
+    """A common binder for two forall bodies: their binder, when they
+    share it, or else a fresh one that `env` renames each side to."""
     if b1 == b2:
         return b1, body1, body2
-    lin = [b for b in (b1, b2) if b in env.linear]
-    if lin and lin[-1] in env.u:
-        return None
-    if len(lin) == 2:
-        env.linear.discard(b2)
-        env.u[b2] = SVar(b1)
-        return b1, body1, body2
     f = env.fresh_binder()
-    if lin:
-        env.linear.discard(lin[0])
-        env.linear.add(f)
-        env.u[lin[0]] = SVar(f)
-    return (f, body1 if b1 in lin else subst_type_sizes(body1, {b1: SVar(f)}),
-            body2 if b2 in lin else subst_type_sizes(body2, {b2: SVar(f)}))
+    return f, env.rename(b1, body1, f), env.rename(b2, body2, f)
 
 
 def gen_sub_constraints(t1, t2, reg: DefRegistry,
@@ -143,10 +124,7 @@ def _relate(t1, t2, reg: DefRegistry, env: BinderEnv,
             todo.append((a.cod, b.cod, bound))
             todo.append((b.dom, a.dom, bound))
         elif isinstance(a, Forall) and isinstance(b, Forall):
-            aligned = _align(a.var, a.body, b.var, b.body, env)
-            if aligned is None:
-                return None
-            v, abody, bbody = aligned
+            v, abody, bbody = _align(a.var, a.body, b.var, b.body, env)
             todo.append((abody, bbody, bound + (v,)))
         else:
             return None
@@ -212,10 +190,7 @@ def _lattice(a, b, reg, env, up: bool):
         elif isinstance(a, Arrow) and isinstance(b, Arrow):
             work += [(a, 2, up), (a.cod, b.cod, up), (a.dom, b.dom, not up)]
         elif isinstance(a, Forall) and isinstance(b, Forall):
-            aligned = _align(a.var, a.body, b.var, b.body, env)
-            if aligned is None:
-                return None
-            v, abody, bbody = aligned
+            v, abody, bbody = _align(a.var, a.body, b.var, b.body, env)
             work += [(Forall(v, abody), 1, up), (abody, bbody, up)]
         else:
             return None

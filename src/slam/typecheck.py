@@ -10,12 +10,15 @@ U exists to share size expressions: substituting them eagerly into types
 and inequalities can blow up exponentially (instantiate a quantified type
 whose body mentions its variable twice, and repeat).  The price of
 sharing is that a quantified inferred type may reference U-entries that
-mention its own binder.  Such binders are tracked as "linear": they are
-consumed at most once, and consuming one either binds it directly in U
-(when no recorded inequality mentions it, so nothing universal is lost)
-or copies the slice of U that depends on it (keeping the inequalities
-universally quantified while the returned type gets the instantiated
-copy).
+mention its own binder, so a quantifier is opened through U: on a copy
+of the slice of U that depends on its binder, which is right however
+often the type is used.  A binder whose type has exactly one consumer
+(a `/\\` just generalised, or a binder made to align two quantifiers) is
+"owned", and is bound in U in place on that one use instead, when no
+recorded inequality mentions its slice, so nothing universal is lost.
+A type that enters the context gives up ownership of its binders.
+Since slices and ownership go by name, a declared shape's foralls are
+named apart from every size name of the problem before it is opened.
 
 A constructor argument is matched against its declared shape by the
 subtyping walk itself, with the shape's type variables as holes where
@@ -29,8 +32,9 @@ it, for a variable that an annotation names rather than binds.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .constraints import SizeConstraint, expand, expand_type, is_valid
 from .printer import print_term, print_type
@@ -45,7 +49,7 @@ from .syntax import (
     INFTY, ONE, ZERO, App, Arrow, Case, Coind, Cofix, Definition, DefRegistry,
     Fix, Forall, Infty, Lam, SMax, SMin, SVar, SizeApp, SizeExpr, SizeLam,
     Succ, Term, TyVar, Type, Var, Con, Zero, _Record, depth_first_order, fold,
-    forall_binders, fsv, nodes, rebuilt, size_const, smax, smin,
+    forall_binders, fsv, rebuilt, size_const, smax, smin,
     rename_binders_apart, size_names, subst_type_sizes, sv,
     uniquify_size_binders,
 )
@@ -90,17 +94,28 @@ class Decomposed(_Record):
 
 
 class _Infer:
-    """One inference run; also serves as the binder environment for
-    subtyping alignment (attributes `u`, `linear`, `fresh_binder`)."""
+    """One inference run, and the binder environment that subtyping
+    aligns quantifiers in (`fresh_binder`, `rename`).
 
-    def __init__(self, reg: DefRegistry, u0: Mapping[str, SizeExpr]):
+    The binders in `linear` are owned (see the module docstring), and
+    `names` gives the size names of the typing problem.  Only `define`
+    writes U, and it keeps U's reverse index, so the slice of U
+    that depends on a binder costs its own size to read."""
+
+    def __init__(self, reg: DefRegistry, u0: Mapping[str, SizeExpr],
+                 names: Callable[[], Iterable[str]] = tuple):
         self.reg = reg
-        self.u: dict[str, SizeExpr] = dict(u0)
+        self._names = names
+        self.u: dict[str, SizeExpr] = {}
+        self._users: dict[str, list[str]] = {}  # U's reverse index
+        self._at: dict[str, int] = {}  # each U-variable's place in U
         self.gamma: dict[str, Type] = {}
         self.pairs: list[Pair] = []
         self.linear: set[str] = set()
         self._counter = itertools.count(1)
         self.trail: list[str] = []
+        for v, s in u0.items():
+            self.define(v, s)
 
     # -- fresh names ----------------------------------------------------
 
@@ -108,7 +123,9 @@ class _Infer:
         return f"$s{next(self._counter)}"
 
     def fresh_binder(self) -> str:
-        return f"$b{next(self._counter)}"
+        f = f"$b{next(self._counter)}"
+        self.linear.add(f)
+        return f
 
     def fail(self, rule: str, t: Term, why: str) -> None:
         at = print_term(t)
@@ -126,18 +143,18 @@ class _Infer:
         else:
             self.pairs.extend(ps)
 
-    def _u_mentions(self, name: str) -> bool:
-        return any(name in sv(s) for s in self.u.values())
+    def define(self, v: str, s: SizeExpr) -> None:
+        """U[v] = s, kept in U's reverse index: the one write to U."""
+        self._at[v] = len(self.u)
+        self.u[v] = s
+        for w in sv(s):
+            self._users.setdefault(w, []).append(v)
 
     def _dependents(self, name: str) -> list[str]:
-        """U-variables whose expansion mentions `name`."""
-        users: dict[str, list[str]] = {}
-        for v, s in self.u.items():
-            for w in sv(s):
-                users.setdefault(w, []).append(v)
-        hit = set(depth_first_order(users.get(name, ()),
-                                    lambda v: users.get(v, ()))[0])
-        return [v for v in self.u if v in hit]
+        """U-variables whose expansion mentions `name`, in U's order."""
+        users = self._users.get
+        hit = depth_first_order(users(name, ()), lambda v: users(v, ()))[0]
+        return sorted(hit, key=self._at.__getitem__)
 
     def _fsv_u(self, x) -> set[str]:
         """Free size variables of x after expansion through u."""
@@ -145,45 +162,55 @@ class _Infer:
             fsv(x), lambda v: sv(self.u[v]) if v in self.u else ())
         return {v for v in reach if v not in self.u}
 
-    # -- linear binder management ----------------------------------------
+    # -- opening quantifiers ---------------------------------------------
 
-    def store_type(self, ty: Type) -> None:
-        """Called when a type is put into the context.
-
-        Context types may be looked up many times, which breaks the
-        one-consumer assumption for linear binders.  Binders without
-        hidden U-references are simply demoted to plain (renameable)
-        binders; the rare binder with hidden references stays linear and
-        a second consumption fails the inference rather than guess.
-        """
-        for x in nodes(ty):
-            if type(x) is Forall and x.var in self.linear \
-                    and not self._u_mentions(x.var):
-                self.linear.discard(x.var)
-
-    def instantiate(self, binder: str, body: Type, s: SizeExpr) -> Optional[Type]:
+    def instantiate(self, binder: str, body: Type, s: SizeExpr) -> Type:
         """Consume a quantifier: the returned body sees binder = s, while
-        inequalities recorded under the quantifier stay universal."""
-        if binder not in self.linear:
-            r = self.fresh_size()
-            self.u[r] = s
-            return subst_type_sizes(body, {binder: SVar(r)})
-        if binder in self.u:
-            return None  # consumed before; cannot instantiate again soundly
-        self.linear.discard(binder)
-        dep = self._dependents(binder)
-        touched = set(dep) | {binder}
-        if not any((sv(a) | sv(b)) & touched for a, b in self.pairs):
-            self.u[binder] = s
+        inequalities recorded under the quantifier stay universal.  An
+        owned binder whose slice of U no pair of S mentions is bound in
+        place; any other is renamed to a fresh size defined as s."""
+        if binder in self.linear:
+            self.linear.discard(binder)
+            touched = set(self._dependents(binder)) | {binder}
+            if not any((sv(a) | sv(b)) & touched for a, b in self.pairs):
+                self.define(binder, s)
+                return body
+        r = self.fresh_size()
+        body = self.rename(binder, body, r)
+        self.define(r, s)
+        return body
+
+    def rename(self, binder: str, body: Type, to: str) -> Type:
+        """body with binder renamed to `to`: an owned binder is bound to
+        it in place, any other is opened on a copy of its slice of U,
+        each U-variable of the slice a fresh copy defined over `to`."""
+        if binder in self.linear:
+            self.linear.discard(binder)
+            self.define(binder, SVar(to))
             return body
-        # inequalities quantify over the binder: instantiate a copy instead
-        ren = {binder: SVar(self.fresh_size())}
+        ren = {binder: SVar(to)}
+        dep = self._dependents(binder)
         for d in dep:
             ren[d] = SVar(self.fresh_size())
         for d in dep:
-            self.u[ren[d].name] = expand(ren, self.u[d])
-        self.u[ren[binder].name] = s
+            self.define(ren[d].name, expand(ren, self.u[d]))
         return subst_type_sizes(body, ren)
+
+    @functools.cached_property
+    def taken(self) -> frozenset[str]:
+        """Every size name of the typing problem (see `infer`), read the
+        first time a declared shape binds a size."""
+        return frozenset(self._names())
+
+    def _shape(self, sigma: Type) -> Type:
+        """A declared shape with its foralls named apart from `taken`.
+        Besides machine names, U mentions no other name, so opening such
+        a binder copies no slice of U, and no binder of the shape is
+        taken for an owned binder of its name."""
+        binders = forall_binders(sigma)
+        if not binders or self.taken.isdisjoint(binders):
+            return sigma
+        return rename_binders_apart(sigma, self.taken)
 
     # -- constructor decomposition ----------------------------------------
     #
@@ -223,10 +250,7 @@ class _Infer:
         d = self.reg.definition(dname)
         if isinstance(sigma, TyVar):
             return self._var_arg(theta, sigma, d)
-        if not self.linear.isdisjoint(forall_binders(sigma)):
-            # a binder of the shape is not the term's linear binder of
-            # the same name, which `_align` would alias through U
-            sigma = rename_binders_apart(sigma, self.linear)
+        sigma = self._shape(sigma)
         insts: dict[str, Type] = {}
 
         def hole(th: Type, x: TyVar, bound: tuple[str, ...]) -> bool:
@@ -355,11 +379,7 @@ class _Infer:
             if not isinstance(fun, Forall):
                 return self.fail("inst", t, "size application needs a "
                                  "quantified type, got " + print_type(fun))
-            out = self.instantiate(fun.var, fun.body, t.size)
-            if out is None:
-                return self.fail("inst", t,
-                                 "quantifier was already instantiated")
-            return out
+            return self.instantiate(fun.var, fun.body, t.size)
         if isinstance(t, SizeLam):
             body = yield t.body
             if body is None:
@@ -450,7 +470,7 @@ class _Infer:
         else:
             peeled = underline(scrut.size)
         iv = self.fresh_size()
-        self.u[iv] = peeled
+        self.define(iv, peeled)
         rec_inst = Coind(d.name, SVar(iv), scrut.params)
         subst_map: dict[str, Type] = {d.rec_var: rec_inst}
         subst_map.update({bn: p for bn, p in zip(d.params, scrut.params)})
@@ -459,8 +479,9 @@ class _Infer:
             sig = self.reg.constructor(b.con)
             binds: dict[str, Type] = {}
             for x, sigma in zip(b.binders, sig.arg_types):
-                delta = subst_type_sizes(sigma, {}, subst_map)
-                self.store_type(delta)
+                delta = subst_type_sizes(self._shape(sigma), {}, subst_map)
+                # a context type may be used any number of times
+                self.linear -= forall_binders(delta)
                 binds[x] = delta
             tk = yield from self._under(binds, b.body)
             if tk is None:
@@ -502,7 +523,7 @@ class _Infer:
             return None
         k = self._premise_var(theta, len(js), dom.defname, t.ty)
         if k is not None:
-            self.u[iv] = SVar(k)
+            self.define(iv, SVar(k))
         self.add_sub(theta, wrap(Succ(SVar(iv))))
         return t.ty
 
@@ -566,7 +587,7 @@ def infer(reg: DefRegistry, gamma: Context, t: Term) -> InferenceTriple:
     # context spells its quantifiers.  Then v is free neither in t nor in
     # a context type; no other binder of t, and no forall of t's
     # annotations or of an entry t refers to, binds it (so no given
-    # context type and no fix or cofix premise has a linear forall); and
+    # context type and no fix or cofix premise has an owned forall); and
     # every context and U entry that exists when v's rule runs was built
     # from parts of t outside v's scope.
     t = uniquify_size_binders(t, {v for ty in gamma.values()
@@ -575,7 +596,9 @@ def infer(reg: DefRegistry, gamma: Context, t: Term) -> InferenceTriple:
     avoid = size_names(t) if refs else ()
     gamma = {**gamma, **{x: rename_binders_apart(gamma[x], avoid)
                          for x in refs}}
-    st = _Infer(reg, {})
+    # U mentions no size name but machine names and these
+    st = _Infer(reg, {}, lambda: (avoid if refs else size_names(t)).union(
+        *(fsv(gamma[x]) for x in refs)))
     tau = st.infer(t, gamma)
     pairs = list(dict.fromkeys(st.pairs))
     if tau is None:

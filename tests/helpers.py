@@ -1304,11 +1304,7 @@ def _recursive_infer_class():
                 if not isinstance(fun, Forall):
                     return self.fail("inst", t, "size application needs a "
                                      "quantified type, got " + print_type(fun))
-                out = self.instantiate(fun.var, fun.body, t.size)
-                if out is None:
-                    return self.fail("inst", t,
-                                     "quantifier was already instantiated")
-                return out
+                return self.instantiate(fun.var, fun.body, t.size)
             if isinstance(t, SizeLam):
                 if t.var in self.context_fsv_u(gamma):
                     return self.fail("gen", t,
@@ -1404,7 +1400,7 @@ def _recursive_infer_class():
             else:
                 peeled = underline(scrut.size)
             iv = self.fresh_size()
-            self.u[iv] = peeled
+            self.define(iv, peeled)
             rec_inst = Coind(d.name, SVar(iv), scrut.params)
             subst_map: dict[str, Type] = {d.rec_var: rec_inst}
             subst_map.update({bn: p for bn, p in zip(d.params, scrut.params)})
@@ -1413,8 +1409,10 @@ def _recursive_infer_class():
                 sig = self.reg.constructor(b.con)
                 g2 = dict(gamma)
                 for x, sigma in zip(b.binders, sig.arg_types):
-                    delta = subst_type_sizes(sigma, {}, subst_map)
-                    self.store_type(delta)
+                    delta = subst_type_sizes(self._shape(sigma), {},
+                                             subst_map)
+                    # a context type may be used any number of times
+                    self.linear -= forall_binders_reference(delta)
                     g2[x] = delta
                 tk = self.infer(b.body, g2)
                 if tk is None:
@@ -1451,13 +1449,12 @@ def _recursive_infer_class():
                 return ty
 
             prem = wrap(SVar(iv))
-            self.store_type(prem)
             theta = self.infer(t.body, {**gamma, t.var: prem})
             if theta is None:
                 return None
             k = self._premise_var(theta, len(js), dom.defname, gamma, t.ty)
             if k is not None:
-                self.u[iv] = SVar(k)
+                self.define(iv, SVar(k))
             self.add_sub(theta, wrap(Succ(SVar(iv))))
             return t.ty
 
@@ -1499,7 +1496,6 @@ def _recursive_infer_class():
             s = target.size
             prem = chgtgt(t.ty, Coind(target.defname, SMin(s, SVar(j)),
                                       target.params))
-            self.store_type(prem)
             theta = self.infer(t.body, {**gamma, t.var: prem})
             if theta is None:
                 return None
@@ -1522,7 +1518,9 @@ def infer_state(reg, gamma, t, recursive: bool):
     avoid = size_names(t)
     gamma = {x: rename_binders_apart(ty, avoid) if x in t.fv else ty
              for x, ty in gamma.items()}
-    st = (_recursive_infer_class() if recursive else _Infer)(reg, {})
+    refs = t.fv & gamma.keys()
+    st = (_recursive_infer_class() if recursive else _Infer)(
+        reg, {}, lambda: avoid.union(*(fsv(gamma[x]) for x in refs)))
     tau = st.infer(t, gamma)
     return tau, st.u, st.pairs, st.linear, st.trail
 
@@ -2022,20 +2020,6 @@ def expand_type_reference(u, t):
     return t
 
 
-def store_type_reference(st, ty):
-    """`_Infer.store_type`, with the inference state passed in."""
-    if isinstance(ty, Forall):
-        if ty.var in st.linear and not st._u_mentions(ty.var):
-            st.linear.discard(ty.var)
-        store_type_reference(st, ty.body)
-    elif isinstance(ty, Arrow):
-        store_type_reference(st, ty.dom)
-        store_type_reference(st, ty.cod)
-    elif isinstance(ty, Coind):
-        for p in ty.params:
-            store_type_reference(st, p)
-
-
 def expand_superfluous_reference(u, s, under):
     """`_Infer._expand_superfluous`, with U passed in."""
     if isinstance(s, SVar) and not under and s.name in u:
@@ -2154,11 +2138,11 @@ def fold_size_reference(s):
 
 class FreshNamesReference:
     """The binder environment `gen_sub_constraints` makes for a call
-    without one: nothing linear, and names $a1, $a2, ... that neither
-    type holds as a size variable or a forall binder."""
+    without one: names $a1, $a2, ... that neither type holds as a size
+    variable or a forall binder, and renaming by substitution."""
 
     def __init__(self, *types):
-        self.u, self.linear, self.n = {}, set(), 0
+        self.n = 0
         self.taken = set()
         for t in types:
             self.taken |= sv_reference(t) | forall_binders_reference(t)
@@ -2168,6 +2152,9 @@ class FreshNamesReference:
         while f"$a{self.n}" in self.taken:
             self.n += 1
         return f"$a{self.n}"
+
+    def rename(self, binder, body, to):
+        return subst_type_size_reference(body, SVar(to), binder)
 
 
 def gen_sub_constraints_reference(t1, t2, reg, env=None):
@@ -2194,10 +2181,7 @@ def gen_sub_constraints_reference(t1, t2, reg, env=None):
         if isinstance(a, Arrow) and isinstance(b, Arrow):
             return go(b.dom, a.dom) and go(a.cod, b.cod)
         if isinstance(a, Forall) and isinstance(b, Forall):
-            aligned = _align(a.var, a.body, b.var, b.body, env)
-            if aligned is None:
-                return False
-            _, abody, bbody = aligned
+            _, abody, bbody = _align(a.var, a.body, b.var, b.body, env)
             return go(abody, bbody)
         return False
 
@@ -2237,10 +2221,7 @@ def lattice_reference(t1, t2, reg, up=True, env=None):
             cod = go(a.cod, b.cod, up)
             return None if dom is None or cod is None else Arrow(dom, cod)
         if isinstance(a, Forall) and isinstance(b, Forall):
-            aligned = _align(a.var, a.body, b.var, b.body, env)
-            if aligned is None:
-                return None
-            v, abody, bbody = aligned
+            v, abody, bbody = _align(a.var, a.body, b.var, b.body, env)
             body = go(abody, bbody, up)
             return None if body is None else Forall(v, body)
         return None

@@ -808,3 +808,27 @@ def test_a_shape_quantifier_does_not_escape_into_the_type(tmp_path, capsys):
         (0, "forall i. Nat^i -> GT(Nat)\n", "")
     assert run(capsys, "check", str(f), "g", ":",
                "forall i. Nat^i -> GT(Nat^i)") == (1, "no\n", "")
+
+
+def test_a_quantifier_stored_in_a_pair_is_instantiated_afresh(tmp_path,
+                                                              capsys):
+    # f's type enters the context from a case binder, so each size
+    # application opens its quantifier on a copy of U; reading the first
+    # application's size at the second gave `Strm^5` for snd, which fails
+    # to be productive at n=1
+    f = tmp_path / "reuse.slam"
+    f.write_text("inductive P(A, B) { mk : A -> B -> P(A, B) }\n"
+                 + (CORPUS_DIR / "streams.slam").read_text()
+                 + "one = cons zero stuckstream;\n"
+                 "both = case mk (/\\i. \\s : Strm^(i+1). case s of "
+                 "{ cons x t => t }) zero of "
+                 "{ mk f y => mk (f [5] zeros) (f [0] one) };\n"
+                 "snd = case both of { mk a b => b };\n")
+    assert run(capsys, "infer", str(f), "both") == \
+        (0, "P^1(Strm^5, Strm^0)\n", "")
+    assert run(capsys, "check", str(f), "snd", ":", "Strm^5") == \
+        (1, "no\n", "")
+    assert run(capsys, "check", str(f), "snd", ":", "Strm^0") == \
+        (0, "yes\n", "")
+    code, out, _ = run(capsys, "productivity", str(f), "snd", "--type", "Strm")
+    assert code == 1 and out.endswith("FAIL at n=1\n")

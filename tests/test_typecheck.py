@@ -697,7 +697,7 @@ def test_prettify_keeps_an_inner_user_binder_name():
 # forall branch of `decompose` and its join of several recursive
 # instances, `_overline_u`'s fallback through `_expand_superfluous`,
 # `fix_rule`'s leading foralls and `_premise_var`'s loop over them, and
-# `_align` aliasing a linear second binder
+# `_align` renaming two owned binders
 PATH_DEFS = """inductive P(A, B) { mk : A -> B -> P(A, B) }
 coinductive PT { pt : P(PT, PT) -> PT }
 coinductive HT { hn : (forall i. Nat^i -> HT) -> HT }
@@ -770,6 +770,26 @@ def test_each_quantifier_of_a_declared_shape_is_aligned_once():
         assert not trip.failed and aligned == 1, (src, aligned)
 
 
+def test_nested_instantiations_cost_linear_in_their_number(streams):
+    # U's reverse index is kept as U grows, so opening a quantifier reads
+    # the slice of U that depends on it, not all of U: n nested
+    # `(/\i. \x : Nat^i. x) [oo] (...)` make a number of `sv` calls
+    # linear in n
+    from slam import syntax
+
+    reg = streams.registry
+    work = []
+    for n in (250, 500):
+        src = "zero"
+        for _ in range(n):
+            src = f"(/\\i. \\x : Nat^i. x) [oo] ({src})"
+        trip, calls = _calls_of(infer, syntax.sv, reg, {},
+                                parse_term(src, reg))
+        assert not trip.failed, n
+        work.append(calls)
+    assert work[1] <= 2.5 * work[0], work
+
+
 # -- bound size variables stay in their scope ---------------------------------
 
 def test_an_instance_under_a_shape_quantifier_does_not_escape():
@@ -803,7 +823,7 @@ def test_an_instance_under_a_shape_quantifier_does_not_escape():
 
 
 def test_a_join_keeps_a_plain_binder_name_to_itself(streams):
-    # joining a /\i (linear) with f's plain `forall j` aliases i to a
+    # joining a /\i (owned) with f's plain `forall j` aliases i to a
     # fresh binder, so instantiating j later reaches what U routes
     # through i; aliasing i to the shared name j would leave j free
     reg = streams.registry
@@ -815,7 +835,7 @@ def test_a_join_keeps_a_plain_binder_name_to_itself(streams):
 
 
 def test_a_shape_binder_is_apart_from_a_term_binder_of_its_name():
-    # mk's first argument leaves the term's /\i linear; gn's shape binds
+    # mk's first argument leaves the term's /\i owned; gn's shape binds
     # its own i, which aliased through U as if it were that one would
     # make U cyclic or leave the first type's i free
     reg = _path_registry()
@@ -824,3 +844,44 @@ def test_a_shape_binder_is_apart_from_a_term_binder_of_its_name():
     want = "P^1(forall i. Nat^i -> Nat^i, GT(Nat))"
     assert print_type(minimal_type(reg, {}, t)) == want
     assert check(reg, {}, t, parse_type(want, reg))
+
+
+def test_a_quantifier_stored_in_a_pair_is_opened_at_each_use():
+    # F's quantifier enters the context with f, so each use of f opens
+    # it on a copy of U: an application leaves the stored type as it
+    # was, and a second application sees its own size, not the first's
+    reg = _path_registry()
+    F = "/\\i. \\x : Nat^i. case x of { zero => zero; succ m => m }"
+    for body, want in [
+            ("mk (f [2] (succ zero)) f",
+             "P^1(Nat^2, forall i. Nat^i -> Nat^(max(1, i)))"),
+            ("mk (f [2] (succ zero)) (f [1] zero)", "P^1(Nat^2, Nat^1)")]:
+        t = parse_term(f"case mk ({F}) zero of {{ mk f y => {body} }}", reg)
+        assert print_type(minimal_type(reg, {}, t)) == want, body
+        assert infer_state(reg, {}, t, recursive=False) == \
+            infer_state(reg, {}, t, recursive=True), body
+
+
+def test_a_case_binder_shape_is_apart_from_the_sizes_u_mentions():
+    # g gets the shape's `forall i` over a size that U defines through
+    # the term's own i (a peeled scrutinee, a parameter, or an owned
+    # binder bound to i later); opening the shape's i must not copy that
+    # slice of U, which would read the term's i as 3 or 5
+    reg = _path_registry()
+    for src, want, wrong in [
+            ("/\\i. \\h : HT^(i+1). case h of { hn g => g [3] zero }",
+             "forall i. HT^(i+1) -> HT^i", "forall i. HT^(i+1) -> HT^3"),
+            ("/\\i. \\h : HT^(i+1). (/\\j. \\k : HT^(j+1). "
+             "case k of { hn g => g }) [i] h [5] zero",
+             "forall i. HT^(i+1) -> HT^i", "forall i. HT^(i+1) -> HT^5"),
+            ("/\\i. \\x : Nat^(i+1). case x of { succ m => "
+             "case gn (/\\k. \\n : Nat^k. m) of { gn g => g [3] zero } }",
+             "forall i. Nat^(i+1) -> Nat^i", "forall i. Nat^(i+1) -> Nat^3"),
+            ("\\x : Nat^i. case x of { succ m => "
+             "case gn (/\\k. \\n : Nat^k. m) of { gn g => g [3] zero } }",
+             "Nat^i -> Nat^i", "Nat^i -> Nat^3")]:
+        t = parse_term(src, reg)
+        assert print_type(minimal_type(reg, {}, t)) == want, src
+        assert not check(reg, {}, t, parse_type(wrong, reg)), src
+        assert infer_state(reg, {}, t, recursive=False) == \
+            infer_state(reg, {}, t, recursive=True), src

@@ -42,7 +42,7 @@ from helpers import (
     render_approximant_reference, render_type_reference, reshape_sizes,
     simplify_infty_reference, size_ge_const_reference,
     size_names_reference,
-    store_type_reference, strictly_positive_reference,
+    strictly_positive_reference,
     subst_size_reference, subst_type_multi_reference,
     subst_term_reference, subst_type_size_reference, subtype_of,
     supertype_of, sv_reference,
@@ -704,6 +704,7 @@ def test_size_walks_match_reference():
 
 
 def test_size_walks_through_u_match_reference():
+    aliased = 0
     for reg, trip in CORPUS_TRIPLES:
         u = trip.u
         for s in list(u.values()) + [s for pair in trip.pairs for s in pair]:
@@ -716,8 +717,21 @@ def test_size_walks_through_u_match_reference():
             assert expand(u, s) == expand_reference(u, s), s
         for name in u:
             st = typecheck._Infer(reg, u)
-            assert st._dependents(name) == dependents_reference(u, name)
             assert st._fsv_u(SVar(name)) == fsv_u_reference(u, SVar(name))
+        # U built entry by entry through `define`, as typing builds it,
+        # then a free size variable of U aliased to a fresh binder, as an
+        # owned binder is aligned: the dependents read off the maintained
+        # reverse index agree with a walk of all of U
+        st = typecheck._Infer(reg, {})
+        for v, s in u.items():
+            st.define(v, s)
+        free = sorted(set().union(*map(sv, u.values())) - u.keys())
+        if free:
+            st.define(free[0], SVar("$b0"))
+            aliased += 1
+        for name in [*st.u, *free, "$b0"]:
+            assert st._dependents(name) == dependents_reference(st.u, name)
+    assert aliased > 10
 
 
 def test_type_walks_match_reference():
@@ -764,14 +778,6 @@ def test_type_walks_through_u_match_reference():
             expand_type_reference(trip.u, trip.tau)
         out = expand_type(trip.u, trip.tau)
         assert _prettify(out) == prettify_reference(out)
-        binders = forall_binders(trip.tau)
-        for linear in (set(), binders, binders | {"$s1", "i"}):
-            got, want = typecheck._Infer(reg, trip.u), \
-                typecheck._Infer(reg, trip.u)
-            got.linear, want.linear = set(linear), set(linear)
-            got.store_type(trip.tau)
-            store_type_reference(want, trip.tau)
-            assert got.linear == want.linear, trip.tau
         checked += 1
     assert checked > 20
 
@@ -813,7 +819,7 @@ def test_gen_sub_constraints_matches_reference():
 
 
 def test_gen_sub_constraints_with_env_matches_reference():
-    # with a binder environment, alignment updates U and the linear
+    # with a binder environment, alignment updates U and the owned
     # binders as it goes: both walks must make the same updates in the
     # same order
     for reg, trip in CORPUS_TRIPLES:
@@ -851,7 +857,7 @@ def test_join_and_meet_match_reference():
 
 def test_join_and_meet_with_env_match_reference():
     # aligning binders through a binder environment updates U and the
-    # linear binders as it goes: both walks must make the same updates
+    # owned binders as it goes: both walks must make the same updates
     for reg, trip in CORPUS_TRIPLES:
         if trip.tau is None:
             continue

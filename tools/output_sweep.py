@@ -33,8 +33,9 @@ extra term, `check` of each against every `--type` of its file and every
 type `check`ed in that file below, and `infer` of the numeral
 `succ (... zero)` at the depths in NUMERALS.  It also runs them on
 copies of the files in REVERSED with their bindings in reverse order, so
-that every reference between bindings points forward, and on the
-bindings of CYCLE, which reach a binding cycle.
+that every reference between bindings points forward, on the bindings
+of CYCLE, which reach a binding cycle, and on the bindings of REUSE,
+which apply one inferred quantifier twice.
 
 A change that should not alter any output gives the same digests as its
 parent: run the script once with the change's `src/` and once with the
@@ -99,6 +100,16 @@ NUMERALS = [0, 1, 100, 1600]
 REVERSED = ["sp.slam", "trees.slam"]
 CYCLE = "loop = succ loop;\nca = succ cb;\ncb = succ ca;\n"
 CYCLE_TERMS = ["loop", "ca", "cb", "plus ca zero"]
+# the pair type and bindings that make reuse.slam with streams.slam: f's
+# inferred quantifier enters the context from a case binder, and is
+# applied at two sizes
+PAIR = "inductive P(A, B) { mk : A -> B -> P(A, B) }\n"
+REUSE = ("one = cons zero stuckstream;\n"
+         "both = case mk (/\\i. \\s : Strm^(i+1). case s of "
+         "{ cons x t => t }) zero of "
+         "{ mk f y => mk (f [5] zeros) (f [0] one) };\n"
+         "snd = case both of { mk a b => b };\n")
+REUSE_TERMS = ["one", "both", "snd"]
 # solve: random constraints over four size variables
 RANDOM_CONSTRAINTS = 300
 RANDOM_SEED = 31
@@ -126,7 +137,7 @@ def commands(parse_slam) -> list[list[str]]:
 
 def typing_files() -> dict[str, str]:
     """The text of each file the typing sweep makes, by file name: the
-    REVERSED copies and cycle.slam."""
+    REVERSED copies, cycle.slam and reuse.slam."""
     files = {}
     for file in REVERSED:
         src = (CORPUS / file).read_text()
@@ -134,6 +145,7 @@ def typing_files() -> dict[str, str]:
         chunks = [src[a:b] for a, b in zip(starts, starts[1:] + [len(src)])]
         files[f"reversed_{file}"] = src[:starts[0]] + "".join(reversed(chunks))
     files["cycle.slam"] = (CORPUS / "streams.slam").read_text() + CYCLE
+    files["reuse.slam"] = PAIR + (CORPUS / "streams.slam").read_text() + REUSE
     return files
 
 
@@ -156,6 +168,7 @@ def typing_commands(parse_slam) -> list[list[str]]:
         sf = parse_slam((CORPUS / file).read_text())
         add(f"reversed_{file}", file, [*sf.bindings, *EXTRA_TERMS[file]])
     add("cycle.slam", "streams.slam", CYCLE_TERMS)
+    add("reuse.slam", "streams.slam", REUSE_TERMS)
     return [[*flag, *argv] for argv in runs for flag in ([], ["--porcelain"])]
 
 
