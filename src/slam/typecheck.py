@@ -17,8 +17,9 @@ often the type is used.  A binder whose type has exactly one consumer
 "owned", and is bound in U in place on that one use instead, when no
 recorded inequality mentions its slice, so nothing universal is lost.
 A type that enters the context gives up ownership of its binders.
-Since slices and ownership go by name, a declared shape's foralls are
-named apart from every size name of the problem before it is opened.
+Slices and ownership go by name, but a declared shape is closed, so its
+foralls take fresh machine names, unowned, each time it is opened; no
+shape binder then meets a name that U mentions or that a binder owns.
 
 A constructor argument is matched against its declared shape by the
 subtyping walk itself, with the shape's type variables as holes where
@@ -32,9 +33,8 @@ it, for a variable that an annotation names rather than binds.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .constraints import SizeConstraint, expand, expand_type, is_valid
 from .printer import print_term, print_type
@@ -55,7 +55,7 @@ from .syntax import (
 )
 
 __all__ = [
-    "InferenceTriple", "infer", "minimal_type", "check", "Decomposed",
+    "InferenceTriple", "infer", "minimal_type", "check",
 ]
 
 Pair = tuple[SizeExpr, SizeExpr]
@@ -81,31 +81,16 @@ class InferenceTriple(_Record):
         return SizeConstraint(self.u, self.pairs)
 
 
-class Decomposed(_Record):
-    """A constructor-argument type matched against its declared shape."""
-    _fields = ("size", "rec_params", "param_insts", "pairs")
-
-    def __init__(self, size: Optional[SizeExpr], rec_params: Optional[tuple],
-                 param_insts: dict[str, Type], pairs: list[Pair]) -> None:
-        self.size = size  # joined size of the recursive instances
-        self.rec_params = rec_params  # their joined parameters
-        self.param_insts = param_insts  # joined instance per parameter var
-        self.pairs = pairs  # size inequalities outside the variables
-
-
 class _Infer:
     """One inference run, and the binder environment that subtyping
     aligns quantifiers in (`fresh_binder`, `rename`).
 
-    The binders in `linear` are owned (see the module docstring), and
-    `names` gives the size names of the typing problem.  Only `define`
-    writes U, and it keeps U's reverse index, so the slice of U
+    The binders in `linear` are owned (see the module docstring).  Only
+    `define` writes U, and it keeps U's reverse index, so the slice of U
     that depends on a binder costs its own size to read."""
 
-    def __init__(self, reg: DefRegistry, u0: Mapping[str, SizeExpr],
-                 names: Callable[[], Iterable[str]] = tuple):
+    def __init__(self, reg: DefRegistry):
         self.reg = reg
-        self._names = names
         self.u: dict[str, SizeExpr] = {}
         self._users: dict[str, list[str]] = {}  # U's reverse index
         self._at: dict[str, int] = {}  # each U-variable's place in U
@@ -114,8 +99,6 @@ class _Infer:
         self.linear: set[str] = set()
         self._counter = itertools.count(1)
         self.trail: list[str] = []
-        for v, s in u0.items():
-            self.define(v, s)
 
     # -- fresh names ----------------------------------------------------
 
@@ -196,67 +179,48 @@ class _Infer:
             self.define(ren[d].name, expand(ren, self.u[d]))
         return subst_type_sizes(body, ren)
 
-    @functools.cached_property
-    def taken(self) -> frozenset[str]:
-        """Every size name of the typing problem (see `infer`), read the
-        first time a declared shape binds a size."""
-        return frozenset(self._names())
-
     def _shape(self, sigma: Type) -> Type:
-        """A declared shape with its foralls named apart from `taken`.
-        Besides machine names, U mentions no other name, so opening such
-        a binder copies no slice of U, and no binder of the shape is
-        taken for an owned binder of its name."""
-        binders = forall_binders(sigma)
-        if not binders or self.taken.isdisjoint(binders):
+        """A declared shape opened afresh: each forall takes a fresh
+        machine name, unowned, so opening it copies no slice of U and no
+        binder of the shape is taken for an owned binder.  A shape with
+        no forall is used as it is."""
+        if not forall_binders(sigma):
             return sigma
-        return rename_binders_apart(sigma, self.taken)
+        return subst_type_sizes(sigma, {},
+                                binder=lambda _v: self.fresh_size())
 
     # -- constructor decomposition ----------------------------------------
     #
     # An argument type theta is matched against the declared shape sigma
     # of its position, reading off the instances of the recursive variable
     # and of the parameters.  Most positions are a bare variable (`Nat`'s
-    # `succ : Nat -> Nat`); those are answered by `_var_arg` alone.
+    # `succ : Nat -> Nat`); those need no walk.
 
-    def _var_arg(self, th: Type, sg: TyVar, d: Definition
-                 ) -> Optional[Decomposed]:
-        """th matched at a position declared as the type variable sg of d:
-        the recursive variable takes an instance of d, a parameter any
-        type, and Bot, the least type, stands for either and imposes
-        nothing."""
-        if sg.name == d.rec_var:
-            if isinstance(th, Bot):
-                return Decomposed(None, None, {}, [])
-            if isinstance(th, Coind) and th.defname == d.name:
-                return Decomposed(th.size, th.params, {}, [])
-            return None
-        if sg.name in d.params:
-            return Decomposed(None, None,
-                              {} if isinstance(th, Bot) else {sg.name: th}, [])
-        return None
-
-    def decompose(self, theta: Type, sigma: Type, dname: str) -> Optional[Decomposed]:
+    def decompose(self, theta: Type, sigma: Type, dname: str
+                  ) -> Optional[tuple[dict[str, Type], list[Pair]]]:
         """theta matched against sigma, the declared shape of an argument
-        position of a constructor of dname, or None when it does not fit.
+        position of a constructor of dname, or None when it does not fit:
+        the joined instance of each type variable of sigma that theta
+        gives one, and the size inequalities the match needs elsewhere.
 
-        One subtyping walk of theta <= sigma hands `_var_arg` the part of
+        One subtyping walk of theta <= sigma hands `_fits` the part of
         theta met at each type variable of sigma, and the instances of a
-        variable are joined as they are read; `pairs` are the size
-        inequalities the walk needs everywhere else.  An instance that
+        variable are joined as they are read.  An instance that
         mentions, through U, a binder aligned above it would let that
         binder escape its scope: it is expanded, and the binder replaced
         by its bound (see `_bounded`)."""
         d = self.reg.definition(dname)
         if isinstance(sigma, TyVar):
-            return self._var_arg(theta, sigma, d)
+            if not _fits(theta, sigma, d):
+                return None
+            return {} if isinstance(theta, Bot) else {sigma.name: theta}, []
         sigma = self._shape(sigma)
         insts: dict[str, Type] = {}
 
         def hole(th: Type, x: TyVar, bound: tuple[str, ...]) -> bool:
             if bound and not self._fsv_u(th).isdisjoint(bound):
                 th = _bounded(expand_type(self.u, th), bound, self.reg)
-            if self._var_arg(th, x, d) is None:
+            if not _fits(th, x, d):
                 return False
             if isinstance(th, Bot):
                 return True
@@ -265,12 +229,7 @@ class _Infer:
             return acc is not None
 
         pairs = gen_shape_constraints(theta, sigma, self.reg, self, hole)
-        if pairs is None:
-            return None
-        rec = insts.pop(d.rec_var, None)
-        if rec is None:
-            return Decomposed(None, None, insts, pairs)
-        return Decomposed(rec.size, rec.params, insts, pairs)
+        return None if pairs is None else (insts, pairs)
 
     # -- peeled sizes -------------------------------------------------------
 
@@ -411,7 +370,7 @@ class _Infer:
         d, sig = entry
         neutral: SizeExpr = INFTY if d.coinductive else ZERO
         sizes: list[SizeExpr] = []
-        per_arg: list[Decomposed] = []
+        per_arg: list[dict[str, Type]] = []
         for arg, sigma in zip(args, sig.arg_types):
             theta = yield arg
             if theta is None:
@@ -421,16 +380,18 @@ class _Infer:
                 return self.fail(
                     "con", at, f"argument of {cname} does not match its "
                     f"declared shape (got {print_type(theta)})")
-            per_arg.append(dec)
-            sizes.append(dec.size if dec.size is not None else neutral)
-            self.pairs.extend(dec.pairs)
+            insts, pairs = dec
+            per_arg.append(insts)
+            rec = insts.get(d.rec_var)
+            sizes.append(neutral if rec is None else rec.size)
+            self.pairs.extend(pairs)
         taus: list[Type] = []
         for j, bname in enumerate(d.params):
             acc: Type = BOT
-            for dec in per_arg:
-                for cand in ([dec.rec_params[j]] if dec.rec_params else []) \
-                        + ([dec.param_insts[bname]]
-                           if bname in dec.param_insts else []):
+            for insts in per_arg:
+                rec = insts.get(d.rec_var)
+                for cand in ([] if rec is None else [rec.params[j]]) \
+                        + ([insts[bname]] if bname in insts else []):
                     acc = join(acc, cand, self.reg, env=self)
                     if acc is None:
                         return self.fail("con", at,
@@ -596,9 +557,7 @@ def infer(reg: DefRegistry, gamma: Context, t: Term) -> InferenceTriple:
     avoid = size_names(t) if refs else ()
     gamma = {**gamma, **{x: rename_binders_apart(gamma[x], avoid)
                          for x in refs}}
-    # U mentions no size name but machine names and these
-    st = _Infer(reg, {}, lambda: (avoid if refs else size_names(t)).union(
-        *(fsv(gamma[x]) for x in refs)))
+    st = _Infer(reg)
     tau = st.infer(t, gamma)
     pairs = list(dict.fromkeys(st.pairs))
     if tau is None:
@@ -626,6 +585,16 @@ def check(reg: DefRegistry, gamma: Context, t: Term, tau: Type) -> bool:
     """Whether the term can be assigned the (closed) type tau."""
     m = minimal_type(reg, gamma, t)
     return m is not None and subtype(m, tau, reg)
+
+
+def _fits(th: Type, x: TyVar, d: Definition) -> bool:
+    """Whether th fits at a position declared as the type variable x of
+    d: the recursive variable takes an instance of d, a parameter any
+    type, and Bot, the least type, either."""
+    if x.name == d.rec_var:
+        return isinstance(th, Bot) or (isinstance(th, Coind)
+                                       and th.defname == d.name)
+    return x.name in d.params
 
 
 def _bounded(t: Type, bound: tuple[str, ...], reg: DefRegistry) -> Type:

@@ -1240,7 +1240,7 @@ def _recursive_infer_class():
     from slam.sizes import size_ge_const, underline
     from slam.subtyping import chgtgt, tgt
     from slam.syntax import SizeExpr, smax, smin, subst_type_sizes
-    from slam.typecheck import Decomposed, _Infer
+    from slam.typecheck import _Infer
 
     class RecursiveInfer(_Infer):
         """The inference rules as plain recursive methods."""
@@ -1341,7 +1341,7 @@ def _recursive_infer_class():
             d, sig = entry
             neutral: SizeExpr = INFTY if d.coinductive else ZERO
             sizes: list[SizeExpr] = []
-            per_arg: list[Decomposed] = []
+            per_arg: list[dict[str, Type]] = []
             for arg, sigma in zip(args, sig.arg_types):
                 theta = self.infer(arg, gamma)
                 if theta is None:
@@ -1351,16 +1351,18 @@ def _recursive_infer_class():
                     return self.fail(
                         "con", at, f"argument of {cname} does not match its "
                         f"declared shape (got {print_type(theta)})")
-                per_arg.append(dec)
-                sizes.append(dec.size if dec.size is not None else neutral)
-                self.pairs.extend(dec.pairs)
+                insts, pairs = dec
+                per_arg.append(insts)
+                rec = insts.get(d.rec_var)
+                sizes.append(neutral if rec is None else rec.size)
+                self.pairs.extend(pairs)
             taus: list[Type] = []
             for j, bname in enumerate(d.params):
                 acc: Type = BOT
-                for dec in per_arg:
-                    for cand in ([dec.rec_params[j]] if dec.rec_params else []) \
-                            + ([dec.param_insts[bname]]
-                               if bname in dec.param_insts else []):
+                for insts in per_arg:
+                    rec = insts.get(d.rec_var)
+                    for cand in ([] if rec is None else [rec.params[j]]) \
+                            + ([insts[bname]] if bname in insts else []):
                         acc = join(acc, cand, self.reg, env=self)
                         if acc is None:
                             return self.fail("con", at,
@@ -1518,9 +1520,7 @@ def infer_state(reg, gamma, t, recursive: bool):
     avoid = size_names(t)
     gamma = {x: rename_binders_apart(ty, avoid) if x in t.fv else ty
              for x, ty in gamma.items()}
-    refs = t.fv & gamma.keys()
-    st = (_recursive_infer_class() if recursive else _Infer)(
-        reg, {}, lambda: avoid.union(*(fsv(gamma[x]) for x in refs)))
+    st = (_recursive_infer_class() if recursive else _Infer)(reg)
     tau = st.infer(t, gamma)
     return tau, st.u, st.pairs, st.linear, st.trail
 
@@ -2876,7 +2876,6 @@ DATACLASS_REPR_FIELDS = {
     "ProductivityReport": ("verdicts", "chain_ok", "passed", "fail_at"),
     "WhnfResult": ("kind", "term", "head", "args", "stuck", "steps"),
     "InferenceTriple": ("u", "pairs", "tau", "failed", "trail"),
-    "Decomposed": ("size", "rec_params", "param_insts", "pairs"),
     "Token": ("kind", "text", "line", "col"),
 }
 

@@ -26,7 +26,7 @@ from slam.rewrite import (
     WhnfResult, erase, whnf,
 )
 from slam.syntax import ConstructorSig, Definition, Diagnostic
-from slam.typecheck import Decomposed, InferenceTriple, infer
+from slam.typecheck import InferenceTriple, infer
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -190,7 +190,6 @@ def _mutable_records() -> list:
         _Disj("le", "n", (ZERO,), iter(())),
         tokenize("x")[0], _TypeEnv(sf.registry), sf,
         whnf(erase(t), 10), infer(sf.registry, {}, t),
-        Decomposed(None, None, {}, []),
         DepthVerdict(0, True, 1, 0, False, Bottom()),
         ProductivityReport([], True, True, None),
     ]

@@ -131,20 +131,19 @@ def test_sentinel_triple(streams):
 def test_decompose_examples(trees):
     reg = trees.registry
     # theta = Nat^1 against sigma = A for Nat: no pair at a bare variable
-    dec = _Infer(reg, {}).decompose(Coind("Nat", ONE, ()), TyVar("Nat"),
-                                    "Nat")
-    assert dec is not None and dec.size == ONE and dec.pairs == []
+    nat1 = Coind("Nat", ONE, ())
+    assert _Infer(reg).decompose(nat1, TyVar("Nat"), "Nat") == \
+        ({"Nat": nat1}, [])
     # theta = List^k(FTree^m) against sigma = List(A) for FTree: the
     # instance is read at the hole, and List^k <= List^oo is the one pair
-    theta = Coind("List", K, (Coind("FTree", SVar("m"), ()),))
+    ftree = Coind("FTree", SVar("m"), ())
+    theta = Coind("List", K, (ftree,))
     sigma = Coind("List", INFTY, (TyVar("FTree"),))
-    dec = _Infer(reg, {}).decompose(theta, sigma, "FTree")
-    assert dec is not None
-    assert dec.size == SVar("m") and dec.rec_params == ()
-    assert dec.pairs == [(K, INFTY)]
+    assert _Infer(reg).decompose(theta, sigma, "FTree") == \
+        ({"FTree": ftree}, [(K, INFTY)])
     # shape mismatch fails
     bad = Arrow(Coind("Nat", INFTY, ()), Coind("Nat", INFTY, ()))
-    assert _Infer(reg, {}).decompose(bad, TyVar("Nat"), "Nat") is None
+    assert _Infer(reg).decompose(bad, TyVar("Nat"), "Nat") is None
 
 
 def test_decompose_joins_repeated_occurrences(trees):
@@ -154,18 +153,15 @@ def test_decompose_joins_repeated_occurrences(trees):
                   Coind("List", INFTY, (TyVar("B"),)))
     theta = Arrow(Coind("Nat", INFTY, ()),
                   Coind("List", ONE, (Coind("Nat", ONE, ()),)))
-    dec = _Infer(reg, {}).decompose(theta, sigma, "List")
-    assert dec is not None
-    assert dec.param_insts["B"] == Coind("Nat", ONE, ())
-    assert dec.pairs == [(INFTY, INFTY), (ONE, INFTY)]
+    assert _Infer(reg).decompose(theta, sigma, "List") == \
+        ({"B": Coind("Nat", ONE, ())}, [(INFTY, INFTY), (ONE, INFTY)])
     # PT's shape P(PT, PT) mentions the recursive variable twice: both
     # instances join, at the least of their sizes since PT is coinductive
     reg = _path_registry()
     theta = Coind("P", ONE, (Coind("PT", J, ()), Coind("PT", K, ())))
     sigma = Coind("P", INFTY, (TyVar("PT"), TyVar("PT")))
-    dec = _Infer(reg, {}).decompose(theta, sigma, "PT")
-    assert dec is not None
-    assert dec.size == SMin(J, K) and dec.pairs == [(ONE, INFTY)]
+    assert _Infer(reg).decompose(theta, sigma, "PT") == \
+        ({"PT": Coind("PT", SMin(J, K), ())}, [(ONE, INFTY)])
 
 
 def test_decompose_fails_at_a_closed_mismatch(trees):
@@ -176,9 +172,8 @@ def test_decompose_fails_at_a_closed_mismatch(trees):
     sigma = Arrow(Coind("Nat", INFTY, ()), TyVar("Tree"))
     bad = Arrow(Coind("List", INFTY, (Coind("Nat", INFTY, ()),)),
                 Coind("Tree", ONE, ()))
-    assert _Infer(reg, {}).decompose(bad, sigma, "Tree") is None
-    dec = _Infer(reg, {}).decompose(BOT, sigma, "Tree")
-    assert dec is not None and dec.size is None and dec.pairs == []
+    assert _Infer(reg).decompose(bad, sigma, "Tree") is None
+    assert _Infer(reg).decompose(BOT, sigma, "Tree") == ({}, [])
 
 
 # -- checking ---------------------------------------------------------------------
@@ -885,3 +880,48 @@ def test_a_case_binder_shape_is_apart_from_the_sizes_u_mentions():
         assert not check(reg, {}, t, parse_type(wrong, reg)), src
         assert infer_state(reg, {}, t, recursive=False) == \
             infer_state(reg, {}, t, recursive=True), src
+
+
+def test_declared_shape_spelling_does_not_matter():
+    # a declared shape is closed: each time a case binder or a
+    # constructor argument opens it, its quantifier takes a fresh name,
+    # so no printed type depends on how the definition spells it
+    probes = ["/\\i. \\h : HT^(i+1). case h of { hn g => g }",
+              "\\h : HT. case h of { hn g => g }",
+              "\\h : GT(Nat). case h of { gn g => g }",
+              "/\\j. \\x : Nat^j. case gn (/\\k. \\n : Nat^k. x) of "
+              "{ gn g => g }"]
+    streams = (CORPUS_DIR / "streams.slam").read_text()
+    printed = {}
+    for v in "ikj":
+        defs = PATH_DEFS.replace("forall i. Nat^i", f"forall {v}. Nat^{v}")
+        assert defs.count(f"forall {v}. Nat^{v}") == 2
+        reg = parse_slam(defs + streams).registry
+        for src in probes:
+            t = parse_term(src, reg)
+            got = print_type(minimal_type(reg, {}, t))
+            assert printed.setdefault(src, got) == got, (v, src)
+            assert check(reg, {}, t, parse_type(got, reg)), (v, src)
+    assert printed[probes[0]] == "forall i. HT^(i+1) -> forall j. Nat^j -> HT^i"
+    assert printed[probes[3]] == "forall j. Nat^j -> forall i. Nat^i -> Nat^j"
+
+
+def test_quantifier_free_and_bare_shapes_take_no_walk(streams, trees):
+    # a shape with no quantifier is used as it is, never renamed; and an
+    # argument at a bare-variable position is matched without the
+    # subtyping walk or a join
+    from slam import subtyping, syntax
+
+    for reg, src in [
+            (streams.registry, "\\s : Strm. " + "cons zero (" * 200 + "s"
+             + ")" * 200),
+            (trees.registry, "\\t : FTree. " + "fnode zero (cons (" * 200
+             + "t" + ") nil)" * 200)]:
+        trip, calls = _calls_of(infer, syntax.subst_type_sizes,
+                                reg, {}, parse_term(src, reg))
+        assert not trip.failed and calls == 0, (src[:20], calls)
+    reg = streams.registry
+    numeral = parse_term("succ (" * 1600 + "zero" + ")" * 1600, reg)
+    for target in (subtyping._relate, subtyping._lattice):
+        ty, calls = _calls_of(minimal_type, target, reg, {}, numeral)
+        assert ty is not None and calls == 0, (target.__name__, calls)

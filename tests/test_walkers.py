@@ -518,6 +518,33 @@ def test_recursive_functions_are_the_allowed_ones():
     assert sorted(found) == sorted(RECURSIVE)
 
 
+def _unused_imports(tree: ast.Module) -> set[str]:
+    """The names a module imports and never reads: not as a name, nor as
+    the root of an attribute, nor in `__all__`."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return imported - used
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # `__init__` is exempt: its imports are the package's exports
+    src = CORPUS_DIR.parent / "src" / "slam"
+    found = {f"{p.stem}.{name}" for p in sorted(src.glob("*.py"))
+             if p.name != "__init__.py"
+             for name in _unused_imports(ast.parse(p.read_text()))}
+    assert sorted(found) == []
+
+
 def test_no_recursion_limit_or_thread_stack_tricks_in_src():
     # depth safety comes from explicit stacks, never from a raised
     # recursion limit or a big-stack thread
@@ -703,12 +730,21 @@ def test_size_walks_match_reference():
         assert sv(s) == sv_reference(s), s
 
 
+def _env(reg, u):
+    """An `_Infer` whose U is u, written entry by entry through `define`
+    as typing writes it."""
+    st = typecheck._Infer(reg)
+    for v, s in u.items():
+        st.define(v, s)
+    return st
+
+
 def test_size_walks_through_u_match_reference():
     aliased = 0
     for reg, trip in CORPUS_TRIPLES:
         u = trip.u
+        st = _env(reg, u)
         for s in list(u.values()) + [s for pair in trip.pairs for s in pair]:
-            st = typecheck._Infer(reg, u)
             assert st._expand_superfluous(s) == \
                 expand_superfluous_reference(u, s, False), s
             for k in (0, 1, 2):
@@ -716,15 +752,11 @@ def test_size_walks_through_u_match_reference():
                     size_ge_const_reference(u, s, k), s
             assert expand(u, s) == expand_reference(u, s), s
         for name in u:
-            st = typecheck._Infer(reg, u)
             assert st._fsv_u(SVar(name)) == fsv_u_reference(u, SVar(name))
         # U built entry by entry through `define`, as typing builds it,
         # then a free size variable of U aliased to a fresh binder, as an
         # owned binder is aligned: the dependents read off the maintained
         # reverse index agree with a walk of all of U
-        st = typecheck._Infer(reg, {})
-        for v, s in u.items():
-            st.define(v, s)
         free = sorted(set().union(*map(sv, u.values())) - u.keys())
         if free:
             st.define(free[0], SVar("$b0"))
@@ -827,7 +859,7 @@ def test_gen_sub_constraints_with_env_matches_reference():
             continue
         for a, b in ((trip.tau, trip.tau), (trip.tau,
                      rename_binders_apart(trip.tau, ("i", "j")))):
-            envs = [typecheck._Infer(reg, trip.u) for _ in range(2)]
+            envs = [_env(reg, trip.u) for _ in range(2)]
             for env in envs:
                 env.linear = set(forall_binders(a))
             got = gen_sub_constraints(a, b, reg, env=envs[0])
@@ -864,7 +896,7 @@ def test_join_and_meet_with_env_match_reference():
         for a, b in ((trip.tau, trip.tau), (trip.tau,
                      rename_binders_apart(trip.tau, ("i", "j")))):
             for up, fn in ((True, join), (False, meet)):
-                envs = [typecheck._Infer(reg, trip.u) for _ in range(2)]
+                envs = [_env(reg, trip.u) for _ in range(2)]
                 for env in envs:
                     env.linear = set(forall_binders(a))
                 got = fn(a, b, reg, env=envs[0])

@@ -34,8 +34,9 @@ type `check`ed in that file below, and `infer` of the numeral
 `succ (... zero)` at the depths in NUMERALS.  It also runs them on
 copies of the files in REVERSED with their bindings in reverse order, so
 that every reference between bindings points forward, on the bindings
-of CYCLE, which reach a binding cycle, and on the bindings of REUSE,
-which apply one inferred quantifier twice.
+of CYCLE, which reach a binding cycle, on the bindings of REUSE,
+which apply one inferred quantifier twice, and on the bindings of
+SHAPES, whose constructors take quantified functions.
 
 A change that should not alter any output gives the same digests as its
 parent: run the script once with the change's `src/` and once with the
@@ -110,6 +111,20 @@ REUSE = ("one = cons zero stuckstream;\n"
          "{ mk f y => mk (f [5] zeros) (f [0] one) };\n"
          "snd = case both of { mk a b => b };\n")
 REUSE_TERMS = ["one", "both", "snd"]
+# the types and bindings that make shapes.slam with PAIR and
+# streams.slam: constructors whose declared shapes quantify a size, read
+# back by case binders; one check type spells unh's shape quantifier
+# another way than the definition does
+HT_GT = ("coinductive HT { hn : (forall i. Nat^i -> HT) -> HT }\n"
+         "coinductive GT(A) { gn : (forall i. Nat^i -> A) -> GT(A) }\n")
+SHAPES = ("ht = cofix[j] t : HT . hn (/\\i. \\n : Nat^i. t);\n"
+          "unh = /\\i. \\h : HT^(i+1). case h of { hn g => g };\n"
+          "app3 = /\\i. \\h : HT^(i+1). case h of { hn g => g [3] zero };\n"
+          "gk = gn (/\\k. \\n : Nat^k. n);\n"
+          "ung = \\h : GT(Nat). case h of { gn g => g };\n")
+SHAPE_TERMS = ["ht", "unh", "app3", "gk", "ung", "unh [oo] ht", "ung gk"]
+SHAPE_TYPES = ["HT", "GT(Nat)", "forall i. HT^(i+1) -> forall k. Nat^k -> HT^i",
+               "forall k. Nat^k -> HT", "forall k. Nat^k -> Nat"]
 # solve: random constraints over four size variables
 RANDOM_CONSTRAINTS = 300
 RANDOM_SEED = 31
@@ -137,7 +152,7 @@ def commands(parse_slam) -> list[list[str]]:
 
 def typing_files() -> dict[str, str]:
     """The text of each file the typing sweep makes, by file name: the
-    REVERSED copies, cycle.slam and reuse.slam."""
+    REVERSED copies, cycle.slam, reuse.slam and shapes.slam."""
     files = {}
     for file in REVERSED:
         src = (CORPUS / file).read_text()
@@ -146,6 +161,8 @@ def typing_files() -> dict[str, str]:
         files[f"reversed_{file}"] = src[:starts[0]] + "".join(reversed(chunks))
     files["cycle.slam"] = (CORPUS / "streams.slam").read_text() + CYCLE
     files["reuse.slam"] = PAIR + (CORPUS / "streams.slam").read_text() + REUSE
+    files["shapes.slam"] = PAIR + HT_GT + (CORPUS / "streams.slam").read_text() \
+        + SHAPES
     return files
 
 
@@ -153,22 +170,26 @@ def typing_commands(parse_slam) -> list[list[str]]:
     """Every command of the typing sweep, with files by base name."""
     runs = []
 
-    def add(file: str, types_of: str, terms: list[str]) -> None:
-        types = TYPES[types_of] + [ty for f, _n, ty in CHECKS if f == types_of]
+    def add(file: str, types: list[str], terms: list[str]) -> None:
         for term in terms:
             runs.append(["infer", file, term])
             runs.extend(["check", file, term, ":", ty] for ty in types)
 
+    def types_of(file: str) -> list[str]:
+        return TYPES[file] + [ty for f, _n, ty in CHECKS if f == file]
+
     for file, extra in EXTRA_TERMS.items():
         sf = parse_slam((CORPUS / file).read_text())
-        add(file, file, [*sf.bindings, *extra])
+        add(file, types_of(file), [*sf.bindings, *extra])
     runs += [["infer", "streams.slam", "succ (" * k + "zero" + ")" * k]
              for k in NUMERALS]
     for file in REVERSED:
         sf = parse_slam((CORPUS / file).read_text())
-        add(f"reversed_{file}", file, [*sf.bindings, *EXTRA_TERMS[file]])
-    add("cycle.slam", "streams.slam", CYCLE_TERMS)
-    add("reuse.slam", "streams.slam", REUSE_TERMS)
+        add(f"reversed_{file}", types_of(file),
+            [*sf.bindings, *EXTRA_TERMS[file]])
+    add("cycle.slam", types_of("streams.slam"), CYCLE_TERMS)
+    add("reuse.slam", types_of("streams.slam"), REUSE_TERMS)
+    add("shapes.slam", SHAPE_TYPES, SHAPE_TERMS)
     return [[*flag, *argv] for argv in runs for flag in ([], ["--porcelain"])]
 
 
