@@ -5,16 +5,16 @@ expression) together with inequalities S; it is valid when every valuation
 respecting U satisfies every inequality.  Validity is decided by
 eliminating infinity, then refuting each inequality separately: the
 conjunction of the U-equalities with the negated inequality is tested for
-satisfiability over the naturals by pushing +1 below min/max, naming
-each n-ary min or max by one fresh existential variable, and searching
-the resulting disjuncts over difference atoms.  The atoms live in one
-incremental shortest-path graph: a disjunct arm is refuted when its few
-edges would close a negative cycle, which is checked without writing
-the graph; only the arms the search commits are added, and a model is
-read off the graph's exact shortest distances.  An admitted arm is
-checked again only once the potential of its tail falls or a node its
-check lowered gains an out-edge.  The 3-CNF hardness encoder lives here
-too.
+satisfiability over the naturals by naming each n-ary min or max by one
+fresh existential variable, pushing a +1 above it down to its arms as
+it is flattened, and searching the resulting disjuncts over difference
+atoms.  The atoms live in one incremental shortest-path graph: a
+disjunct arm is refuted when its few edges would close a negative
+cycle, which is checked without writing the graph; only the arms the
+search commits are added, and a model is read off the graph's exact
+shortest distances.  An admitted arm is checked again only once the
+potential of its tail falls or a node its check lowered gains an
+out-edge.  The 3-CNF hardness encoder lives here too.
 """
 
 from __future__ import annotations
@@ -26,13 +26,11 @@ from heapq import heappop, heappush
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .sizes import (
-    INF, ExtNat, eval_size, normalize_succ, simplify_infty,
-)
+from .sizes import INF, ExtNat, eval_size, simplify_infty
 from .syntax import (
     INFTY, ONE, Coind, CyclicDefMap, SMax, SMin, SVar, Succ, SizeExpr, Type,
-    Zero, _Frozen, _Record, _set, depth_first_order, fold, fresh_name, nodes,
-    rebuilt, smax, smin, sv,
+    Zero, _Frozen, _Record, _set, depth_first_order, fold, fresh_name,
+    rebuilt, size_plus, smax, smin, sv,
 )
 
 __all__ = [
@@ -375,34 +373,54 @@ class _Disj(_Record):
 
 
 def _flatten(s: SizeExpr, cls) -> list[SizeExpr]:
-    return [x for x in nodes(s, into=(cls,)) if type(x) is not cls]
+    """The arms of the maximal n-ary node s of class cls, left to right.
+    The walk goes through each successor run over a node of cls and adds
+    the run to every arm below it: max(a, b)+1 has the arms a+1, b+1."""
+    arms: list[SizeExpr] = []
+    stack = [(s, 0)]
+    while stack:
+        x, n = stack.pop()
+        if type(x) is Succ and type(x.base) is cls:
+            x, n = x.base, n + x.n
+        if type(x) is cls:
+            stack.append((x.right, n))
+            stack.append((x.left, n))
+        else:
+            arms.append(size_plus(x, n))
+    return arms
 
 
 def _absorb(pending: list[Pair], fresh: Iterator[str]):
-    """Absorb the conjunctive structure of inequalities.
+    """Absorb the conjunctive structure of oo-free inequalities.
 
     Returns (atoms, disjs) or None on a trivially false leaf.  Each
     maximal n-ary min or max is flattened once and named by one fresh
     existential n, which the other side bounds: max on the left and min
     on the right relate every arm to n; the other two split over them.
+    A successor run over a min or max counts as that min or max, and
+    `_flatten` adds it to each arm, so +1 is pushed below min and max
+    here, one node at a time, and no pass of its own does it first.
     """
     work = deque(pending)
     atoms: list[DifferenceAtom] = []
     disjs: list[_Disj] = []
     while work:
         lhs, rhs = work.popleft()
-        if isinstance(lhs, SMax) or isinstance(rhs, SMin):
+        # a successor run over a min or max counts as that min or max
+        left = type(lhs.base) if type(lhs) is Succ else type(lhs)
+        right = type(rhs.base) if type(rhs) is Succ else type(rhs)
+        if left is SMax or right is SMin:
             n = SVar(next(fresh))
-            if isinstance(lhs, SMax):  # every arm <= n <= rhs
+            if left is SMax:  # every arm <= n <= rhs
                 pend = [(a, n) for a in _flatten(lhs, SMax)] + [(n, rhs)]
             else:  # lhs <= n <= every arm
                 pend = [(lhs, n)] + [(n, a) for a in _flatten(rhs, SMin)]
             work.extendleft(reversed(pend))  # taken in the order of pend
-        elif isinstance(lhs, SMin):
+        elif left is SMin:
             n = next(fresh)
             work.appendleft((SVar(n), rhs))
             disjs.append(_Disj("le", n, tuple(_flatten(lhs, SMin)), fresh))
-        elif isinstance(rhs, SMax):
+        elif right is SMax:
             n = next(fresh)
             work.appendleft((lhs, SVar(n)))
             disjs.append(_Disj("ge", n, tuple(_flatten(rhs, SMax)), fresh))
@@ -419,13 +437,14 @@ def _sat_conjunction(ineqs: list[Pair]) -> Optional[dict[str, int]]:
     """Satisfiability over the naturals of a conjunction s1 <= s2 of
     oo-free inequalities.
 
-    `_absorb` names each maximal min or max by one fresh existential,
-    ?e1, ?e2, ... afresh in each call.  The atoms without a choice go
-    into one difference graph, and `_solve` searches the disjuncts on it.
+    `_absorb` takes the pairs as they are, pushing each +1 below a min
+    or max as it flattens the node, and names each maximal min or max by
+    one fresh existential, ?e1, ?e2, ... afresh in each call.  The atoms
+    without a choice go into one difference graph, and `_solve` searches
+    the disjuncts on it.
     """
     fresh = (f"?e{k}" for k in itertools.count(1))
-    normalized = [(normalize_succ(a), normalize_succ(b)) for a, b in ineqs]
-    state = _absorb(normalized, fresh)
+    state = _absorb(ineqs, fresh)
     if state is None:
         return None
     atoms, disjs = state
@@ -595,7 +614,7 @@ def is_valid(c: SizeConstraint) -> Validity:
     deps = {i: (k, [j for j in sv(s) if j in u])
             for k, (i, s) in enumerate(u.items())}
     for (a, b), orig in kept:
-        eqs = _relevant_equalities(u, deps, sv(a) | sv(b))
+        eqs = _relevant_equalities(u, deps, sv(a) | sv(b)) if u else []
         conj = eqs + [(Succ(b), a)]  # negation: a >= b + 1
         model = _sat_conjunction(conj)
         if model is not None:

@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import Mapping, Union
 
 from .syntax import (
-    INFTY, ZERO, Infty, SizeExpr, SMax, SMin, Succ, SVar, Zero, fold, rebuilt,
-    size_plus,
+    INFTY, ZERO, Infty, SizeExpr, SMax, SMin, Succ, SVar, Zero, fold, nodes,
+    rebuilt, size_plus,
 )
 
 __all__ = [
@@ -65,9 +65,12 @@ def simplify_infty(s: SizeExpr) -> SizeExpr:
     """Rewrite with oo+1 = oo, max(oo,s) = oo, min(oo,s) = s.
 
     The result is either exactly oo or contains no oo, and evaluates the
-    same as the input under every valuation.
+    same as the input under every valuation; an oo-free input is
+    returned as it is.
     """
-    return fold(s, _simplify_infty)
+    if any(type(x) is Infty for x in nodes(s)):
+        return fold(s, _simplify_infty)
+    return s
 
 
 def _simplify_infty(x: SizeExpr, kids, _c) -> SizeExpr:

@@ -1109,8 +1109,9 @@ def uniquify_size_binders(t: Term, avoid: Iterable[str] = ()) -> Term:
     well-named sources.  Free size variables are never renamed; binders
     also avoid the forall-bound names of annotation types (distinct
     binding sites) and any extra names the caller supplies (`infer`
-    passes the typing context's free size variables, and then renames
-    the context's quantifiers apart from the term's names).
+    passes the typing context's free size variables, as a generator
+    that is read only when t has a size binder, and then renames the
+    context's quantifiers apart from the term's names).
     Binders are named in pre-order, left to right, as they are met.
     """
     for x in nodes(t):
@@ -1140,7 +1141,13 @@ def rename_binders_apart(t: Type, avoid: Container[str]) -> Type:
     binder keeps its name when no earlier one took it, and otherwise
     takes the next free name of its family (i, i_1, i_2, ...).  `avoid`
     is read in place, not copied, so renaming many types apart from one
-    set costs no copy of it per type."""
+    set costs no copy of it per type.  A type with no forall is returned
+    as it is."""
+    for x in nodes(t):
+        if type(x) is Forall:
+            break
+    else:
+        return t  # no binder to rename
     used = set(fsv(t))  # and the names t's binders took
 
     def binder(v: str) -> str:

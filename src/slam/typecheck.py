@@ -551,8 +551,8 @@ def infer(reg: DefRegistry, gamma: Context, t: Term) -> InferenceTriple:
     # context type and no fix or cofix premise has an owned forall); and
     # every context and U entry that exists when v's rule runs was built
     # from parts of t outside v's scope.
-    t = uniquify_size_binders(t, {v for ty in gamma.values()
-                                  for v in fsv(ty)})
+    t = uniquify_size_binders(t, (v for ty in gamma.values()
+                                  for v in fsv(ty)))
     refs = t.fv & gamma.keys()
     avoid = size_names(t) if refs else ()
     gamma = {**gamma, **{x: rename_binders_apart(gamma[x], avoid)
@@ -630,10 +630,12 @@ _NICE = ("i", "j", "k", "l", "m", "n") + tuple(f"i{k}" for k in range(1, 100))
 
 
 def _prettify(t: Type) -> Type:
-    used = sv(t) | forall_binders(t)
-    supply = (nm for nm in _NICE if nm not in used)
-    t = subst_type_sizes(t, {}, binder=lambda v: (
-        next(supply) if v.startswith(("$", "?")) else None))
+    binders = forall_binders(t)
+    if any(v.startswith(("$", "?")) for v in binders):
+        used = sv(t) | binders
+        supply = (nm for nm in _NICE if nm not in used)
+        t = subst_type_sizes(t, {}, binder=lambda v: (
+            next(supply) if v.startswith(("$", "?")) else None))
 
     def node(x, kids, _ctx):
         if type(x) is Coind:

@@ -1707,9 +1707,17 @@ def subst_size_reference(s, by, var):
     return s
 
 
-def flatten_reference(s, cls):
+def flatten_reference(s, cls, n=0):
+    """The arms of the n-ary node s of class cls, left to right, each with
+    n added: a successor run over a node of cls is added to each arm
+    below it."""
+    if isinstance(s, Succ) and isinstance(s.base, cls):
+        return flatten_reference(s.base, cls, n + s.n)
     if isinstance(s, cls):
-        return flatten_reference(s.left, cls) + flatten_reference(s.right, cls)
+        return (flatten_reference(s.left, cls, n)
+                + flatten_reference(s.right, cls, n))
+    for _ in range(n):
+        s = Succ(s)
     return [s]
 
 

@@ -19,7 +19,7 @@ from slam.constraints import (
     is_valid, parse_constraint_file, sat_atoms,
 )
 from slam.sizes import INF, normalize_succ
-from slam.syntax import size_const, smax, smin
+from slam.syntax import size_const, size_plus, smax, smin
 from slam.typecheck import infer
 
 I, J, K = SVar("i"), SVar("j"), SVar("k")
@@ -444,6 +444,63 @@ def test_the_absorbed_3cnf_encoding_has_one_existential_per_node():
             disjs += d.delta(i)[1]
     assert splits == 150 and arms == 402
     assert len(fresh.names) == sum(map(_maximal_min_max, pair)) == 152
+
+
+def _runs_over(rng: random.Random, depth: int):
+    # an oo-free size whose min and max nodes often sit under successor
+    # runs, at every level
+    if depth == 0 or rng.random() < 0.25:
+        return size_plus(rng.choice((ZERO, I, J, K)), rng.randint(0, 2))
+    cls = rng.choice((SMin, SMax))
+    s = cls(_runs_over(rng, depth - 1), _runs_over(rng, depth - 1))
+    return size_plus(s, rng.choice((0, 0, 1, 2)))
+
+
+def _same_absorbed(raw, norm) -> None:
+    # two results of `_absorb`, and of each disjunct arm's absorption,
+    # that agree up to where +1 is pushed down
+    assert (raw is None) == (norm is None)
+    if raw is None:
+        return
+    (atoms, disjs), (n_atoms, n_disjs) = raw, norm
+    assert atoms == n_atoms
+    assert [(d.kind, d.n) for d in disjs] == [(d.kind, d.n) for d in n_disjs]
+    for d, nd in zip(disjs, n_disjs):
+        assert [normalize_succ(a) for a in d.arms] == \
+            [normalize_succ(a) for a in nd.arms]
+        for i in range(len(d.arms)):
+            _same_absorbed(d.delta(i), nd.delta(i))
+
+
+def test_absorbing_successor_runs_matches_absorbing_normalized_sizes():
+    # `_absorb` takes a successor run over a min or max as that min or
+    # max: on a pair as it is and on its `normalize_succ` it draws the
+    # same names, gives the same atoms and splits, and arms that agree
+    # once normalized; the solver's models agree, key order included
+    from slam.constraints import _sat_conjunction
+
+    rng = random.Random(34)
+    a, b, c = SVar("a"), SVar("b"), SVar("c")
+    pairs = [(SMax(Succ(SMax(a, b)), c), a), (c, SMin(Succ(SMin(a, b)), c)),
+             (SMin(Succ(SMax(a, b)), c), ZERO),
+             (Succ(a), SMax(size_plus(SMax(a, b), 2), c))]
+    while len(pairs) < 600:
+        s1, s2 = _runs_over(rng, 3), _runs_over(rng, 3)
+        pairs.append((s1, s2) if rng.random() < 0.5 else (Succ(s2), s1))
+    runs = 0
+    for pair in pairs:
+        normalized = tuple(map(normalize_succ, pair))
+        runs += normalized != pair
+        fresh, n_fresh = _Fresh(), _Fresh()
+        _same_absorbed(_absorb([pair], fresh),
+                       _absorb([normalized], n_fresh))
+        assert fresh.names == n_fresh.names, pair
+        model = _sat_conjunction([pair])
+        n_model = _sat_conjunction([normalized])
+        assert (model is None) == (n_model is None), pair
+        if model is not None:
+            assert list(model.items()) == list(n_model.items()), pair
+    assert runs >= 500
 
 
 def _wide_min_max_inputs() -> list[SizeConstraint]:

@@ -925,3 +925,20 @@ def test_quantifier_free_and_bare_shapes_take_no_walk(streams, trees):
     for target in (subtyping._relate, subtyping._lattice):
         ty, calls = _calls_of(minimal_type, target, reg, {}, numeral)
         assert ty is not None and calls == 0, (target.__name__, calls)
+
+
+def test_forall_free_typing_renames_nothing(streams):
+    # with no size binder in the term, no forall in the context and no
+    # machine-named forall in the result, neither `infer` nor `_prettify`
+    # walks a type to rename it
+    from slam import syntax
+
+    reg = streams.registry
+    gamma = {"f": parse_type("Nat -> Nat", reg), "s": parse_type("Strm", reg),
+             "g": parse_type("Strm -> Nat", reg)}
+    for src, want in [("f (succ (g s))", "Nat"), ("cons (f zero) s", "Strm"),
+                      ("\\x : Nat. f (succ x)", "Nat -> Nat"),
+                      ("g (cons zero s)", "Nat")]:
+        ty, calls = _calls_of(minimal_type, syntax.subst_type_sizes,
+                              reg, gamma, parse_term(src, reg))
+        assert print_type(ty) == want and calls == 0, (src, calls)

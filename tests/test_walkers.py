@@ -724,10 +724,22 @@ def test_size_walks_match_reference():
         for cls in (SMin, SMax):
             if isinstance(s, cls):
                 assert _flatten(s, cls) == flatten_reference(s, cls), s
+                ok, *ns = _outcome_of(normalize_succ_reference, s)
+                if ok == "ok":  # oo-free: no run over a node of cls is left
+                    assert flatten_reference(ns[0], cls) == \
+                        _plain_arms(ns[0], cls), s
         assert print_size(s) == print_size_reference(s), s
         assert _fold_size(s) == fold_size_reference(s), s
         assert node_count(s) == node_count_reference(s), s
         assert sv(s) == sv_reference(s), s
+
+
+def _plain_arms(s, cls):
+    # the largest subtrees of s that are of another class: the arms of
+    # a size with no successor run over a node of cls
+    if isinstance(s, cls):
+        return _plain_arms(s.left, cls) + _plain_arms(s.right, cls)
+    return [s]
 
 
 def _env(reg, u):
