@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import attrgetter, is_
-from typing import (Callable, Container, Iterable, Iterator, Mapping,
-                    Optional, Union)
+from typing import Callable, Container, Iterator, Mapping, Optional, Union
 
 __all__ = [
     "SizeExpr", "Zero", "Infty", "SVar", "Succ", "SMin", "SMax",
@@ -35,8 +34,7 @@ __all__ = [
     "subst_term", "substitute",
     "alpha_eq",
     "strictly_positive", "validate_registry", "check_type_wf",
-    "check_term_wf", "fresh_name", "node_count", "uniquify_size_binders",
-    "rename_binders_apart",
+    "check_term_wf", "fresh_name", "node_count",
 ]
 
 
@@ -916,20 +914,18 @@ def subst_type_sizes(t, sizes: Mapping[str, SizeExpr],
     variable of `mapping` replaced by its value, all at once.
 
     This is the one walk that renames size binders: foralls, size
-    abstractions and cofixes.  At each binder of t's own family (a
-    term's size abstractions and cofixes, not the foralls of its
-    annotations), in pre-order, `binder`, when given, names it first: it
-    returns the new name, or None to keep the binder.  A binder that
-    would then capture a free size variable of a value put under it is
-    renamed to the first name fresh_name gives that is none of the
-    values' free size variables, the names replaced and the binder's
-    free size variables.  Under a renamed binder, its old name is
-    replaced by the new one, at once with the rest.
+    abstractions and cofixes.  At each forall, in pre-order, `binder`,
+    when given, names it first: it returns the new name, or None to keep
+    the binder.  A binder that would then capture a free size variable
+    of a value put under it is renamed to the first name fresh_name
+    gives that is none of the values' free size variables, the names
+    replaced and the binder's free size variables.  Under a renamed
+    binder, its old name is replaced by the new one, at once with the
+    rest.
     """
     if not sizes and not mapping and binder is None:
         return t
     clash = frozenset().union(*map(fsv, (mapping or {}).values()))
-    named = (SizeLam, Cofix) if isinstance(t, _Term) else (Forall,)
 
     def enter(x, ren: dict):
         # at a size binder: the renaming its scope gets
@@ -941,7 +937,7 @@ def subst_type_sizes(t, sizes: Mapping[str, SizeExpr],
         else:
             return x, ren
         v = old
-        if binder is not None and cls in named \
+        if binder is not None and cls is Forall \
                 and (nv := binder(old)) is not None:
             v = nv
         if old in ren:  # bound here: the scope keeps it
@@ -1100,72 +1096,6 @@ def _subst_var(x, steps):
                 return v
             name = v
     return type(x)(name)
-
-
-def uniquify_size_binders(t: Term, avoid: Iterable[str] = ()) -> Term:
-    """Rename size binders so every SizeLam/Cofix binder name is unique.
-
-    Names are kept when already unique, so pretty output is untouched for
-    well-named sources.  Free size variables are never renamed; binders
-    also avoid the forall-bound names of annotation types (distinct
-    binding sites) and any extra names the caller supplies (`infer`
-    passes the typing context's free size variables, as a generator
-    that is read only when t has a size binder, and then renames the
-    context's quantifiers apart from the term's names).
-    Binders are named in pre-order, left to right, as they are met.
-    """
-    for x in nodes(t):
-        if type(x) is SizeLam or type(x) is Cofix:
-            break
-    else:
-        return t  # no size binder to rename
-    used: set[str] = set(fsv(t)) | _annotation_binders(t) | set(avoid)
-    last: dict[str, int] = {}  # per name, the suffix it last took
-
-    def binder(v: str) -> str:
-        # as fresh_name(v, used), resumed: used only grows
-        nv, n = v, last.get(v, 0)
-        while nv in used:
-            n += 1
-            nv = f"{v}_{n}"
-        last[v] = n
-        used.add(nv)
-        return nv
-
-    return subst_type_sizes(t, {}, binder=binder)
-
-
-def rename_binders_apart(t: Type, avoid: Container[str]) -> Type:
-    """The type with its forall binders renamed apart from `avoid` and
-    from each other, as `uniquify_size_binders` renames a term's: a
-    binder keeps its name when no earlier one took it, and otherwise
-    takes the next free name of its family (i, i_1, i_2, ...).  `avoid`
-    is read in place, not copied, so renaming many types apart from one
-    set costs no copy of it per type.  A type with no forall is returned
-    as it is."""
-    for x in nodes(t):
-        if type(x) is Forall:
-            break
-    else:
-        return t  # no binder to rename
-    used = set(fsv(t))  # and the names t's binders took
-
-    def binder(v: str) -> str:
-        if v in avoid or v in used:
-            base, _, n = v.rpartition("_")
-            v = fresh_name(base if base and n.isdigit() else v, avoid, used)
-        used.add(v)
-        return v
-
-    return subst_type_sizes(t, {}, binder=binder)
-
-
-def _annotation_binders(t: Term) -> frozenset[str]:
-    out: set[str] = set()
-    for x in nodes(t):
-        if type(x) in (Lam, Fix, Cofix):
-            out |= forall_binders(x.ty)
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

@@ -17,18 +17,19 @@ often the type is used.  A binder whose type has exactly one consumer
 "owned", and is bound in U in place on that one use instead, when no
 recorded inequality mentions its slice, so nothing universal is lost.
 A type that enters the context gives up ownership of its binders.
-Slices and ownership go by name, but a declared shape is closed, so its
-foralls take fresh machine names, unowned, each time it is opened; no
-shape binder then meets a name that U mentions or that a binder owns.
+Slices and ownership go by name, so each binder takes a fresh machine
+name as typing opens it: a `/\\v` or `cofix[v]` of the term, a forall of
+a declared shape each time it is opened, and one of a context entry the
+term refers to.  So no binder meets a name that U mentions, that a
+binder owns or that the context holds free (the variable convention, by
+construction), generalisation and cofix check nothing against the
+context, and only `_prettify` picks the binder names shown.  The fix
+premise reads the context, for a variable that an annotation names.
 
 A constructor argument is matched against its declared shape by the
 subtyping walk itself, with the shape's type variables as holes where
 the instances are read (`decompose`), so each quantifier of the shape is
 aligned once.
-
-`infer` names every typing problem apart (see there), so generalisation
-and cofix check nothing against the context; only the fix premise reads
-it, for a variable that an annotation names rather than binds.
 """
 
 from __future__ import annotations
@@ -49,9 +50,8 @@ from .syntax import (
     INFTY, ONE, ZERO, App, Arrow, Case, Coind, Cofix, Definition, DefRegistry,
     Fix, Forall, Infty, Lam, SMax, SMin, SVar, SizeApp, SizeExpr, SizeLam,
     Succ, Term, TyVar, Type, Var, Con, Zero, _Record, depth_first_order, fold,
-    forall_binders, fsv, rebuilt, size_const, smax, smin,
-    rename_binders_apart, size_names, subst_type_sizes, sv,
-    uniquify_size_binders,
+    forall_binders, fsv, rebuilt, size_const, smax, smin, subst_type_sizes,
+    sv,
 )
 
 __all__ = [
@@ -87,7 +87,9 @@ class _Infer:
 
     The binders in `linear` are owned (see the module docstring).  Only
     `define` writes U, and it keeps U's reverse index, so the slice of U
-    that depends on a binder costs its own size to read."""
+    that depends on a binder costs its own size to read.  `sizes` maps
+    each size binder of the term in scope to the name it was opened as,
+    beside the context `gamma`; `opened` holds every such name."""
 
     def __init__(self, reg: DefRegistry):
         self.reg = reg
@@ -95,6 +97,8 @@ class _Infer:
         self._users: dict[str, list[str]] = {}  # U's reverse index
         self._at: dict[str, int] = {}  # each U-variable's place in U
         self.gamma: dict[str, Type] = {}
+        self.sizes: dict[str, SizeExpr] = {}
+        self.opened: set[str] = set()
         self.pairs: list[Pair] = []
         self.linear: set[str] = set()
         self._counter = itertools.count(1)
@@ -180,10 +184,10 @@ class _Infer:
         return subst_type_sizes(body, ren)
 
     def _shape(self, sigma: Type) -> Type:
-        """A declared shape opened afresh: each forall takes a fresh
-        machine name, unowned, so opening it copies no slice of U and no
-        binder of the shape is taken for an owned binder.  A shape with
-        no forall is used as it is."""
+        """A declared shape, or a context type, opened afresh: each
+        forall takes a fresh machine name, unowned, so opening it copies
+        no slice of U and no binder of it is taken for an owned binder.
+        A type with no forall is used as it is."""
         if not forall_binders(sigma):
             return sigma
         return subst_type_sizes(sigma, {},
@@ -273,19 +277,29 @@ class _Infer:
             rule = self._infer(premise)
             value = None
 
-    def _under(self, binds: dict[str, Type], body: Term):
-        """The premise body in the context extended by binds (Γ, x : T);
-        each name gets back what it had before."""
-        gamma = self.gamma
-        before = [(x, gamma.get(x)) for x in binds]
-        gamma.update(binds)
+    def _under(self, binds: dict[str, Type], body: Term,
+               sizes: Optional[dict[str, SizeExpr]] = None):
+        """The premise body in the context extended by binds (Γ, x : T),
+        with the size binders in `sizes` opened as the names given; each
+        name gets back what it had before."""
+        scopes = [(self.gamma, binds), (self.sizes, sizes or ())]
+        before = [(d, x, d.get(x)) for d, b in scopes for x in b]
+        for d, b in scopes:
+            d.update(b)
         ty = yield body
-        for x, old in before:
+        for d, x, old in before:
             if old is None:
-                del gamma[x]
+                del d[x]
             else:
-                gamma[x] = old
+                d[x] = old
         return ty
+
+    def _read(self, x):
+        """x, a size or an annotation of the term, with each size binder
+        of the term in scope put as the name it was opened as."""
+        sizes = self.sizes
+        return subst_type_sizes(x, {v: sizes[v] for v in sv(x)
+                                    if v in sizes}) if sizes else x
 
     def _infer(self, t: Term):
         if isinstance(t, Var):
@@ -329,8 +343,9 @@ class _Infer:
                 res = yield from self.app_rule(res, arg, t)
             return res
         if isinstance(t, Lam):
-            body = yield from self._under({t.var: t.ty}, t.body)
-            return None if body is None else Arrow(t.ty, body)
+            ty = self._read(t.ty)
+            body = yield from self._under({t.var: ty}, t.body)
+            return None if body is None else Arrow(ty, body)
         if isinstance(t, SizeApp):
             fun = yield t.fun
             if fun is None:
@@ -338,13 +353,15 @@ class _Infer:
             if not isinstance(fun, Forall):
                 return self.fail("inst", t, "size application needs a "
                                  "quantified type, got " + print_type(fun))
-            return self.instantiate(fun.var, fun.body, t.size)
+            return self.instantiate(fun.var, fun.body, self._read(t.size))
         if isinstance(t, SizeLam):
-            body = yield t.body
+            v = self.fresh_size()
+            self.opened.add(v)
+            body = yield from self._under({}, t.body, {t.var: SVar(v)})
             if body is None:
                 return None
-            self.linear.add(t.var)
-            return Forall(t.var, body)
+            self.linear.add(v)
+            return Forall(v, body)
         if isinstance(t, Case):
             return (yield from self.case_rule(t))
         if isinstance(t, Fix):
@@ -456,8 +473,9 @@ class _Infer:
         return result
 
     def fix_rule(self, t: Fix):
+        ann = self._read(t.ty)
         js: list[str] = []
-        core = t.ty
+        core = ann
         while isinstance(core, Forall):
             js.append(core.var)
             core = core.body
@@ -482,16 +500,17 @@ class _Infer:
         theta = yield from self._under({t.var: prem}, t.body)
         if theta is None:
             return None
-        k = self._premise_var(theta, len(js), dom.defname, t.ty)
+        k = self._premise_var(theta, len(js), dom.defname, ann)
         if k is not None:
             self.define(iv, SVar(k))
         self.add_sub(theta, wrap(Succ(SVar(iv))))
-        return t.ty
+        return ann
 
     def _premise_var(self, theta: Type, n_foralls: int, dname: str,
                      ann: Type) -> Optional[str]:
         """The size variable the body actually recursed on, when its
-        inferred domain has the literal shape d^(k+1) for a suitable k."""
+        inferred domain has the literal shape d^(k+1) for a suitable k,
+        which is none of U's own variables."""
         core = theta
         for _ in range(n_foralls):
             if not isinstance(core, Forall):
@@ -504,30 +523,34 @@ class _Infer:
         if not (isinstance(s, Succ) and isinstance(s.arg, SVar)):
             return None
         k = s.arg.name
-        if k.startswith(("$", "?")) or k in self.u or k in sv(ann) \
+        if k.startswith(("$", "?")) and k not in self.opened \
+                or k in self.u or k in sv(ann) \
                 or any(k in self._fsv_u(ty) for ty in self.gamma.values()):
             return None
         return k
 
     def cofix_rule(self, t: Cofix):
-        target = tgt(t.ty)
+        ann = self._read(t.ty)
+        target = tgt(ann)
         if not isinstance(target, Coind) or \
                 not self.reg.definition(target.defname).coinductive:
             return self.fail("cofix", t,
                              "annotation target must be coinductive")
-        j = t.size_var
-        if j in sv(t.ty):
-            return self.fail("cofix", t,
-                             f"size variable {j} occurs in the annotation")
+        if t.size_var in fsv(t.ty):
+            return self.fail("cofix", t, f"size variable {t.size_var} "
+                             "occurs in the annotation")
+        j = self.fresh_size()
+        self.opened.add(j)
         s = target.size
-        prem = chgtgt(t.ty, Coind(target.defname, SMin(s, SVar(j)),
-                                  target.params))
-        theta = yield from self._under({t.var: prem}, t.body)
+        prem = chgtgt(ann, Coind(target.defname, SMin(s, SVar(j)),
+                                 target.params))
+        theta = yield from self._under({t.var: prem}, t.body,
+                                       {t.size_var: SVar(j)})
         if theta is None:
             return None
-        self.add_sub(theta, chgtgt(t.ty, Coind(
+        self.add_sub(theta, chgtgt(ann, Coind(
             target.defname, SMin(s, Succ(SVar(j))), target.params)))
-        return t.ty
+        return ann
 
 
 # ---------------------------------------------------------------------------
@@ -536,29 +559,14 @@ class _Infer:
 def infer(reg: DefRegistry, gamma: Context, t: Term) -> InferenceTriple:
     """Compute the inference triple (U, S, tau) for a term in a context.
 
-    Failure to apply any rule yields the sentinel triple with an
-    unsatisfiable inequality and a diagnostic trail.
+    The quantifiers of each context entry the term refers to are opened
+    afresh, in name order, as a declared shape is.  Failure to apply any
+    rule yields the sentinel triple with an unsatisfiable inequality and
+    a diagnostic trail.
     """
-    # The variable convention, made true here for the library and the CLI
-    # alike: t's /\v and cofix[v] binders are renamed apart from each
-    # other and from the context's free size variables, then the
-    # quantifiers of the entries t refers to (no other entry reaches U or
-    # the result) apart from every size name of t.  So no rule checks
-    # that v is not in fsv_U(context), and no verdict depends on how the
-    # context spells its quantifiers.  Then v is free neither in t nor in
-    # a context type; no other binder of t, and no forall of t's
-    # annotations or of an entry t refers to, binds it (so no given
-    # context type and no fix or cofix premise has an owned forall); and
-    # every context and U entry that exists when v's rule runs was built
-    # from parts of t outside v's scope.
-    t = uniquify_size_binders(t, (v for ty in gamma.values()
-                                  for v in fsv(ty)))
-    refs = t.fv & gamma.keys()
-    avoid = size_names(t) if refs else ()
-    gamma = {**gamma, **{x: rename_binders_apart(gamma[x], avoid)
-                         for x in refs}}
     st = _Infer(reg)
-    tau = st.infer(t, gamma)
+    refs = sorted(t.fv & gamma.keys())
+    tau = st.infer(t, {**gamma, **{x: st._shape(gamma[x]) for x in refs}})
     pairs = list(dict.fromkeys(st.pairs))
     if tau is None:
         pairs.append(_FALSE_PAIR)
@@ -625,24 +633,32 @@ def _bounded(t: Type, bound: tuple[str, ...], reg: DefRegistry) -> Type:
     return fold(t, node, enter=enter, ctx=frozenset(bound))[0]
 
 
-# the names `_prettify` gives machine-made binders, in order
-_NICE = ("i", "j", "k", "l", "m", "n") + tuple(f"i{k}" for k in range(1, 100))
-
-
 def _prettify(t: Type) -> Type:
-    binders = forall_binders(t)
-    if any(v.startswith(("$", "?")) for v in binders):
-        used = sv(t) | binders
-        supply = (nm for nm in _NICE if nm not in used)
-        t = subst_type_sizes(t, {}, binder=lambda v: (
-            next(supply) if v.startswith(("$", "?")) else None))
+    """t with its sizes folded for display, and each machine-named forall
+    given the next name of i, j, k, l, m, n, i1, i2, ... that t does not
+    use: the one place that picks the binder names shown."""
+    used = sv(t) | forall_binders(t)
+    supply = (nm for nm in itertools.chain(
+        "ijklmn", (f"i{k}" for k in itertools.count(1))) if nm not in used)
+    scope: dict[str, list[str]] = {}  # per machine name, innermost last
 
-    def node(x, kids, _ctx):
+    def enter(x, c):
+        if type(x) is Forall and x.var.startswith(("$", "?")):
+            scope.setdefault(x.var, []).append(next(supply))
+        return x, c
+
+    def node(x, kids, _c):
+        if type(x) is Forall and x.var in scope:
+            return Forall(scope[x.var].pop(), kids[0])
         if type(x) is Coind:
-            return Coind(x.defname, _fold_size(x.size), tuple(kids))
+            size = x.size
+            if scope:
+                size = subst_type_sizes(size, {
+                    v: SVar(ns[-1]) for v in sv(size) if (ns := scope.get(v))})
+            return Coind(x.defname, _fold_size(size), tuple(kids))
         return rebuilt(x, kids)
 
-    return fold(t, node)
+    return fold(t, node, enter=enter)
 
 
 def _fold_size(s: SizeExpr) -> SizeExpr:

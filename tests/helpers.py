@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from pathlib import Path
 
 from slam import (
@@ -25,6 +26,24 @@ from slam.syntax import (
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 _cache: dict[str, SlamFile] = {}
+
+
+def calls_of(fn, target, *args):
+    """fn(*args) and the number of calls of the function `target` it
+    made, however the caller names it; each resumption of a generator
+    counts as a call."""
+    code, count = target.__code__, 0
+
+    def call(frame, event, arg):
+        nonlocal count
+        count += event == "call" and frame.f_code is code
+
+    before = sys.getprofile()
+    sys.setprofile(call)
+    try:
+        return fn(*args), count
+    finally:
+        sys.setprofile(before)
 
 
 def load(name: str) -> SlamFile:
@@ -500,6 +519,39 @@ EXTRA_TERMS = [
 ]
 
 
+def respell_size_binders(t, names):
+    """t with each /\\ and cofix binder renamed to the next name of the
+    iterator `names`, which must be fresh for t, and its uses renamed
+    with it."""
+    from slam import subst_type_sizes
+
+    def go(t):
+        if isinstance(t, (Var, Con)):
+            return t
+        if isinstance(t, SizeLam):
+            v = next(names)
+            return SizeLam(v, go(subst_type_sizes(t.body, {t.var: SVar(v)})))
+        if isinstance(t, Cofix):
+            v = next(names)
+            ren = {t.size_var: SVar(v)}
+            return Cofix(v, t.var, subst_type_sizes(t.ty, ren),
+                         go(subst_type_sizes(t.body, ren)))
+        if isinstance(t, Lam):
+            return Lam(t.var, t.ty, go(t.body))
+        if isinstance(t, Fix):
+            return Fix(t.var, t.ty, go(t.body))
+        if isinstance(t, App):
+            return App(go(t.fun), go(t.arg))
+        if isinstance(t, SizeApp):
+            return SizeApp(go(t.fun), t.size)
+        if isinstance(t, Case):
+            return Case(go(t.scrutinee), tuple(
+                Branch(b.con, b.binders, go(b.body)) for b in t.branches))
+        raise TypeError(t)
+
+    return go(t)
+
+
 def linked_reference(sf: SlamFile, name: str):
     """Binding `name` with every earlier binding it reaches substituted
     in, capture-avoiding and in file order.  A reference to a later
@@ -909,29 +961,6 @@ def fsv_term_reference(t) -> frozenset[str]:
     raise TypeError(t)
 
 
-def annotation_binders_reference(t) -> frozenset[str]:
-    from slam import Case, Cofix, Con, Fix, Lam, SizeApp, SizeLam
-    from slam.syntax import forall_binders
-
-    if isinstance(t, (Var, Con)):
-        return frozenset()
-    if isinstance(t, (Lam, Fix, Cofix)):
-        return forall_binders(t.ty) | annotation_binders_reference(t.body)
-    if isinstance(t, App):
-        return (annotation_binders_reference(t.fun)
-                | annotation_binders_reference(t.arg))
-    if isinstance(t, SizeApp):
-        return annotation_binders_reference(t.fun)
-    if isinstance(t, SizeLam):
-        return annotation_binders_reference(t.body)
-    if isinstance(t, Case):
-        acc = annotation_binders_reference(t.scrutinee)
-        for b in t.branches:
-            acc |= annotation_binders_reference(b.body)
-        return acc
-    raise TypeError(t)
-
-
 def check_term_wf_reference(t, reg) -> list:
     from slam import (
         Case, Cofix, Con, Diagnostic, Fix, Lam, SizeApp, SizeLam,
@@ -984,64 +1013,6 @@ def check_term_wf_reference(t, reg) -> list:
 
     go(t)
     return out
-
-
-def uniquify_size_binders_reference(t, avoid=()):
-    """The renaming `ren` of the size binders in scope is applied to
-    sizes and annotations at once, each old name to its new one.  The
-    new names avoid every annotation binder, so no forall of an
-    annotation captures one."""
-    from slam.syntax import fsv
-
-    used = set(fsv(t)) | annotation_binders_reference(t) | set(avoid)
-
-    def size(s, ren):
-        if isinstance(s, SVar):
-            return SVar(ren.get(s.name, s.name))
-        if isinstance(s, Succ):
-            return Succ(size(s.arg, ren))
-        if isinstance(s, (SMin, SMax)):
-            return type(s)(size(s.left, ren), size(s.right, ren))
-        return s
-
-    def ty(x, ren):
-        if isinstance(x, Forall):
-            inner = {k: v for k, v in ren.items() if k != x.var}
-            return Forall(x.var, ty(x.body, inner))
-        if isinstance(x, Arrow):
-            return Arrow(ty(x.dom, ren), ty(x.cod, ren))
-        if isinstance(x, Coind):
-            return Coind(x.defname, size(x.size, ren),
-                         tuple(ty(p, ren) for p in x.params))
-        return x
-
-    def go(t, ren):
-        if isinstance(t, (Var, Con)):
-            return t
-        if isinstance(t, Lam):
-            return Lam(t.var, ty(t.ty, ren), go(t.body, ren))
-        if isinstance(t, App):
-            return App(go(t.fun, ren), go(t.arg, ren))
-        if isinstance(t, SizeApp):
-            return SizeApp(go(t.fun, ren), size(t.size, ren))
-        if isinstance(t, SizeLam):
-            nv = fresh_name(t.var, used)
-            used.add(nv)
-            return SizeLam(nv, go(t.body, {**ren, t.var: nv}))
-        if isinstance(t, Case):
-            return Case(go(t.scrutinee, ren),
-                        tuple(Branch(b.con, b.binders, go(b.body, ren))
-                              for b in t.branches))
-        if isinstance(t, Fix):
-            return Fix(t.var, ty(t.ty, ren), go(t.body, ren))
-        if isinstance(t, Cofix):
-            nv = fresh_name(t.size_var, used)
-            used.add(nv)
-            return Cofix(nv, t.var, ty(t.ty, {**ren, t.size_var: nv}),
-                         go(t.body, {**ren, t.size_var: nv}))
-        raise TypeError(t)
-
-    return go(t, {})
 
 
 def const_value_reference(s):
@@ -1243,17 +1214,19 @@ def _recursive_infer_class():
     from slam.typecheck import _Infer
 
     class RecursiveInfer(_Infer):
-        """The inference rules as plain recursive methods."""
+        """The inference rules as plain recursive methods.  Each takes
+        the context, and `scope`, which maps each size binder of the
+        term in scope to the name it was opened as, as arguments."""
 
         def context_fsv_u(self, gamma: dict[str, Type]) -> set[str]:
             """The free size variables of the context through U, by
-            `fsv_u_reference`: the walk `_Infer` no longer makes for the
-            size abstraction and cofix rules, kept here as their side
-            condition."""
+            `fsv_u_reference`."""
             return set().union(*(fsv_u_reference(self.u, ty)
                                  for ty in gamma.values()))
 
-        def infer(self, t: Term, gamma: dict[str, Type]) -> Optional[Type]:
+        def infer(self, t: Term, gamma: dict[str, Type],
+                  scope: Optional[dict] = None) -> Optional[Type]:
+            scope = {} if scope is None else scope
             if isinstance(t, Var):
                 ty = gamma.get(t.name)
                 if ty is None:
@@ -1266,7 +1239,7 @@ def _recursive_infer_class():
                 if sig.arg_types:
                     return self.fail("con", t,
                                      f"constructor {t.name} is not fully applied")
-                return self.con_rule(t.name, [], gamma, t)
+                return self.con_rule(t.name, [], gamma, scope, t)
             if isinstance(t, App):
                 head = t
                 spine: list[Term] = []
@@ -1284,58 +1257,61 @@ def _recursive_infer_class():
                         return self.fail(
                             "con", t, f"constructor {head.name} expects {ar} "
                             f"argument(s), got {len(spine)}")
-                    res = self.con_rule(head.name, spine[:ar], gamma, t)
+                    res = self.con_rule(head.name, spine[:ar], gamma, scope,
+                                        t)
                     rest = spine[ar:]
                 else:
-                    res = self.infer(head, gamma)
+                    res = self.infer(head, gamma, scope)
                     rest = spine
                 for arg in rest:
                     if res is None:
                         return None
-                    res = self.app_rule(res, arg, gamma, t)
+                    res = self.app_rule(res, arg, gamma, scope, t)
                 return res
             if isinstance(t, Lam):
-                body = self.infer(t.body, {**gamma, t.var: t.ty})
-                return None if body is None else Arrow(t.ty, body)
+                ty = subst_type_sizes(t.ty, scope)
+                body = self.infer(t.body, {**gamma, t.var: ty}, scope)
+                return None if body is None else Arrow(ty, body)
             if isinstance(t, SizeApp):
-                fun = self.infer(t.fun, gamma)
+                fun = self.infer(t.fun, gamma, scope)
                 if fun is None:
                     return None
                 if not isinstance(fun, Forall):
                     return self.fail("inst", t, "size application needs a "
                                      "quantified type, got " + print_type(fun))
-                return self.instantiate(fun.var, fun.body, t.size)
+                return self.instantiate(fun.var, fun.body,
+                                        subst_type_sizes(t.size, scope))
             if isinstance(t, SizeLam):
-                if t.var in self.context_fsv_u(gamma):
-                    return self.fail("gen", t,
-                                     f"size variable {t.var} occurs in the context")
-                body = self.infer(t.body, gamma)
+                v = self.fresh_size()
+                self.opened.add(v)
+                body = self.infer(t.body, gamma, {**scope, t.var: SVar(v)})
                 if body is None:
                     return None
-                self.linear.add(t.var)
-                return Forall(t.var, body)
+                self.linear.add(v)
+                return Forall(v, body)
             if isinstance(t, Case):
-                return self.case_rule(t, gamma)
+                return self.case_rule(t, gamma, scope)
             if isinstance(t, Fix):
-                return self.fix_rule(t, gamma)
+                return self.fix_rule(t, gamma, scope)
             if isinstance(t, Cofix):
-                return self.cofix_rule(t, gamma)
+                return self.cofix_rule(t, gamma, scope)
             raise TypeError(t)
 
         def app_rule(self, fun_ty: Type, arg: Term, gamma: dict[str, Type],
-                     at: Term) -> Optional[Type]:
+                     scope: dict, at: Term) -> Optional[Type]:
             if not isinstance(fun_ty, Arrow):
                 return self.fail("app", at,
                                  "application of a non-arrow type "
                                  + print_type(fun_ty))
-            arg_ty = self.infer(arg, gamma)
+            arg_ty = self.infer(arg, gamma, scope)
             if arg_ty is None:
                 return None
             self.add_sub(arg_ty, fun_ty.dom)
             return fun_ty.cod
 
         def con_rule(self, cname: str, args: list[Term],
-                     gamma: dict[str, Type], at: Term) -> Optional[Type]:
+                     gamma: dict[str, Type], scope: dict,
+                     at: Term) -> Optional[Type]:
             entry = self.reg.constructor_entry(cname)
             assert entry is not None
             d, sig = entry
@@ -1343,7 +1319,7 @@ def _recursive_infer_class():
             sizes: list[SizeExpr] = []
             per_arg: list[dict[str, Type]] = []
             for arg, sigma in zip(args, sig.arg_types):
-                theta = self.infer(arg, gamma)
+                theta = self.infer(arg, gamma, scope)
                 if theta is None:
                     return None
                 dec = self.decompose(theta, sigma, d.name)
@@ -1372,8 +1348,9 @@ def _recursive_infer_class():
                 if sizes else neutral
             return Coind(d.name, Succ(agg), tuple(taus))
 
-        def case_rule(self, t: Case, gamma: dict[str, Type]) -> Optional[Type]:
-            scrut = self.infer(t.scrutinee, gamma)
+        def case_rule(self, t: Case, gamma: dict[str, Type],
+                      scope: dict) -> Optional[Type]:
+            scrut = self.infer(t.scrutinee, gamma, scope)
             if scrut is None:
                 return None
             if not isinstance(scrut, Coind):
@@ -1416,7 +1393,7 @@ def _recursive_infer_class():
                     # a context type may be used any number of times
                     self.linear -= forall_binders_reference(delta)
                     g2[x] = delta
-                tk = self.infer(b.body, g2)
+                tk = self.infer(b.body, g2, scope)
                 if tk is None:
                     return None
                 if result is None:
@@ -1427,9 +1404,11 @@ def _recursive_infer_class():
                         return self.fail("case", t, "branch types have no join")
             return result
 
-        def fix_rule(self, t: Fix, gamma: dict[str, Type]) -> Optional[Type]:
+        def fix_rule(self, t: Fix, gamma: dict[str, Type],
+                     scope: dict) -> Optional[Type]:
+            ann = subst_type_sizes(t.ty, scope)
             js: list[str] = []
-            core = t.ty
+            core = ann
             while isinstance(core, Forall):
                 js.append(core.var)
                 core = core.body
@@ -1451,14 +1430,14 @@ def _recursive_infer_class():
                 return ty
 
             prem = wrap(SVar(iv))
-            theta = self.infer(t.body, {**gamma, t.var: prem})
+            theta = self.infer(t.body, {**gamma, t.var: prem}, scope)
             if theta is None:
                 return None
-            k = self._premise_var(theta, len(js), dom.defname, gamma, t.ty)
+            k = self._premise_var(theta, len(js), dom.defname, gamma, ann)
             if k is not None:
                 self.define(iv, SVar(k))
             self.add_sub(theta, wrap(Succ(SVar(iv))))
-            return t.ty
+            return ann
 
         def _premise_var(self, theta: Type, n_foralls: int, dname: str,
                          gamma: dict[str, Type], ann: Type) -> Optional[str]:
@@ -1476,34 +1455,37 @@ def _recursive_infer_class():
             if not (isinstance(s, Succ) and isinstance(s.arg, SVar)):
                 return None
             k = s.arg.name
-            if k.startswith(("$", "?")) or k in self.u or k in sv(ann):
+            if k.startswith(("$", "?")) and k not in self.opened:
+                return None
+            if k in self.u or k in sv(ann):
                 return None
             if k in self.context_fsv_u(gamma):
                 return None
             return k
 
-        def cofix_rule(self, t: Cofix, gamma: dict[str, Type]) -> Optional[Type]:
-            target = tgt(t.ty)
+        def cofix_rule(self, t: Cofix, gamma: dict[str, Type],
+                       scope: dict) -> Optional[Type]:
+            ann = subst_type_sizes(t.ty, scope)
+            target = tgt(ann)
             if not isinstance(target, Coind) or \
                     not self.reg.definition(target.defname).coinductive:
                 return self.fail("cofix", t,
                                  "annotation target must be coinductive")
-            j = t.size_var
-            if j in self.context_fsv_u(gamma):
-                return self.fail("cofix", t,
-                                 f"size variable {j} occurs in the context")
-            if j in sv(t.ty):
-                return self.fail("cofix", t,
-                                 f"size variable {j} occurs in the annotation")
+            if t.size_var in fsv_reference(t.ty):
+                return self.fail("cofix", t, f"size variable {t.size_var} "
+                                 "occurs in the annotation")
+            j = self.fresh_size()
+            self.opened.add(j)
             s = target.size
-            prem = chgtgt(t.ty, Coind(target.defname, SMin(s, SVar(j)),
-                                      target.params))
-            theta = self.infer(t.body, {**gamma, t.var: prem})
+            prem = chgtgt(ann, Coind(target.defname, SMin(s, SVar(j)),
+                                     target.params))
+            theta = self.infer(t.body, {**gamma, t.var: prem},
+                               {**scope, t.size_var: SVar(j)})
             if theta is None:
                 return None
-            self.add_sub(theta, chgtgt(t.ty, Coind(
+            self.add_sub(theta, chgtgt(ann, Coind(
                 target.defname, SMin(s, Succ(SVar(j))), target.params)))
-            return t.ty
+            return ann
 
     return RecursiveInfer
 
@@ -1511,16 +1493,11 @@ def _recursive_infer_class():
 def infer_state(reg, gamma, t, recursive: bool):
     """Run inference as `typecheck.infer` does, with the iterative rules
     or with the recursive reference; returns every piece of the state."""
-    from slam.syntax import (
-        fsv, rename_binders_apart, size_names, uniquify_size_binders,
-    )
     from slam.typecheck import _Infer
 
-    t = uniquify_size_binders(t, {v for ty in gamma.values() for v in fsv(ty)})
-    avoid = size_names(t)
-    gamma = {x: rename_binders_apart(ty, avoid) if x in t.fv else ty
-             for x, ty in gamma.items()}
     st = (_recursive_infer_class() if recursive else _Infer)(reg)
+    gamma = {**gamma, **{x: st._shape(gamma[x])
+                         for x in sorted(t.fv & gamma.keys())}}
     tau = st.infer(t, gamma)
     return tau, st.u, st.pairs, st.linear, st.trail
 
@@ -2088,8 +2065,9 @@ _NICE_REFERENCE = ["i", "j", "k", "l", "m", "n"]
 
 def prettify_reference(t):
     used = set(sv_reference(t)) | forall_binders_reference(t)
-    supply = (nm for nm in _NICE_REFERENCE + [f"i{k}" for k in range(1, 100)]
-              if nm not in used)
+    supply = (nm for nm in itertools.chain(
+        _NICE_REFERENCE, (f"i{k}" for k in itertools.count(1)))
+        if nm not in used)
 
     def go(t):
         if isinstance(t, Forall):

@@ -4,7 +4,8 @@ import tracemalloc
 
 import pytest
 
-from helpers import CORPUS_DIR
+from helpers import CORPUS_DIR, calls_of
+from slam import parse_term
 from slam.cli import main
 from slam.constraints import parse_constraint_file
 
@@ -675,26 +676,36 @@ def test_infer_finds_the_reach_sets_once_per_query(tmp_path, capsys,
     assert len(calls) == 1
 
 
-def test_infer_makes_size_binders_unique_once(capsys, monkeypatch):
-    # inference makes a query's size binders unique in one walk of the
-    # numeral; a query that refers to no context entry costs no walk for
-    # its size names and renames no context quantifier
-    from slam import typecheck
+def test_infer_walks_no_term_for_size_names(streams):
+    # typing names each size binder as it opens it, so a term is walked
+    # for no names first: inference of the 1,600-deep numeral resumes no
+    # `nodes` scan and makes no `subst_type_sizes` call
+    from slam import syntax, typecheck
 
-    calls = {}
-    for name in ("uniquify_size_binders", "size_names",
-                 "rename_binders_apart"):
-        calls[name] = []
-        monkeypatch.setattr(typecheck, name,
-                            lambda t, *a, f=getattr(typecheck, name),
-                            seen=calls[name]: seen.append(t) or f(t, *a))
+    reg = streams.registry
     k = 1600
-    code, out, err = run(capsys, "infer", STREAMS,
-                         "succ (" * k + "zero" + ")" * k)
-    assert (code, out, err) == (0, f"Nat^{k + 1}\n", "")
-    assert {name: len(seen) for name, seen in calls.items()} == \
-        {"uniquify_size_binders": 1, "size_names": 0,
-         "rename_binders_apart": 0}
+    t = parse_term("succ (" * k + "zero" + ")" * k, reg)
+    for target in (syntax.nodes, syntax.subst_type_sizes):
+        trip, calls = calls_of(typecheck.infer, target, reg, {}, t)
+        assert not trip.failed and calls == 0, (target.__name__, calls)
+
+
+def test_infer_names_any_number_of_machine_binders(capsys):
+    # 200 quantifiers that typing names, joined from two case branches or
+    # opened from a chain of size abstractions, print as i, j, k, l, m,
+    # n, i1, i2, ...
+    n = 200
+    names = ["i", "j", "k", "l", "m", "n"] + [f"i{k}" for k in range(1, 195)]
+    chain = "".join(f"/\\i{k}. " for k in range(n)) + "zero"
+    lams = "".join(f"/\\i{k}. \\x{k} : Nat^i{k}. " for k in range(n)) + "x0"
+    for src, want in [
+            (f"\\n : Nat. case n of {{ zero => {chain}; succ m => {chain} }}",
+             "Nat -> " + "".join(f"forall {v}. " for v in names) + "Nat^1"),
+            (lams, "".join(f"forall {v}. Nat^{v} -> " for v in names)
+             + "Nat^i")]:
+        assert run(capsys, "infer", STREAMS, src) == (0, want + "\n", "")
+        assert run(capsys, "check", STREAMS, src, ":", want) == \
+            (0, "yes\n", "")
 
 
 def test_infer_joins_deep_branch_types(capsys):
@@ -764,9 +775,9 @@ def test_infer_an_annotation_with_a_long_run(capsys):
 
 
 def test_check_and_infer_do_not_depend_on_size_binder_spelling(capsys):
-    # beside the annotation's `i`, the term's `/\i` becomes i_1 and its
-    # `/\i_1` becomes i_1_1; the annotation `Nat^i` must follow the outer
-    # binder to i_1, not both renamings on to i_1_1
+    # beside the annotation's `forall i`, the term binds `/\i` and then
+    # `/\i_1` or `/\k`; the annotation `Nat^i` must follow the outer
+    # binder, however the others are spelled
     from slam import alpha_eq, parse_slam, parse_type
 
     with open(STREAMS) as f:

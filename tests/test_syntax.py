@@ -15,7 +15,6 @@ from slam.constraints import expand
 from slam.parser import MAX_SIZE_NUMERAL, ParseError
 from slam.syntax import (
     RegistryError, check_term_wf, node_count, nodes, size_plus,
-    uniquify_size_binders,
 )
 
 I, J, K = SVar("i"), SVar("j"), SVar("k")
@@ -185,15 +184,6 @@ def test_subst_type_sizes_puts_every_size_at_once():
     t = Forall("k", Coind("Strm", SMin(I, SMax(J, K)), ()))
     got = subst_type_sizes(t, {"i": J, "j": I})
     assert got == Forall("k", Coind("Strm", SMin(J, SMax(I, K)), ()))
-
-
-def test_uniquify_renames_with_the_whole_renaming_at_once(streams):
-    # the outer i becomes i_1, the name of the inner binder, which
-    # becomes i_1_1: the annotation and the size argument follow the
-    # outer binder only
-    t = parse_term("/\\i. /\\i_1. \\x : Strm^i. tl [i] x", streams.registry)
-    assert print_term(uniquify_size_binders(t, {"i"})) == \
-        "/\\i_1. /\\i_1_1. \\x : Strm^i_1. tl [i_1] x"
 
 
 def test_sizes_that_share_subtrees_compare_each_pair_once():

@@ -1,19 +1,23 @@
+import itertools
 import random
 import re
 import sys
 import time
 
 from helpers import (
-    CORPUS_DIR, EXTRA_TERMS, context_terms, corpus_terms, infer_state,
-    link_all, linked_reference, load, rand_cnf, rand_term, rand_type,
-    render_type_reference, subtype_of, supertype_of, truth_table_sat,
+    CORPUS_DIR, EXTRA_TERMS, calls_of, context_terms, corpus_terms,
+    infer_state, link_all, linked_reference, load, rand_cnf, rand_term,
+    rand_type, render_type_reference, respell_size_binders, subtype_of,
+    supertype_of, truth_table_sat,
 )
 from slam import (
     App, Arrow, Branch, Case, Coind, Con, Forall, INFTY, ONE, SMax, SMin,
     SVar, SizeApp, SizeLam, Succ, TyVar, Var, ZERO, alpha_eq, fsv, node_count,
-    parse_slam, parse_term, parse_type, print_type, subst_type_sizes, subtype,
+    parse_slam, parse_term, parse_type, print_term, print_type,
+    subst_type_sizes, subtype,
 )
 from slam.cli import _typing_problem, main
+from slam.parser import SlamFile
 from slam.constraints import encode_3cnf
 from slam.subtyping import BOT
 from slam.syntax import forall_binders, size_names
@@ -384,10 +388,9 @@ def _lines_run(fn, *args):
 
 
 def test_size_binders_cost_linear_in_their_number(streams):
-    # renaming makes each /\ binder fresh, so no rule reads the context
-    # for it, and renaming resumes each name's suffixes where it stopped:
-    # a chain of n `/\i. \x : Nat^i.` pairs types in linear time, whether
-    # its binders have n names or one
+    # typing opens each /\ binder as a fresh name, so no rule reads the
+    # context for it: a chain of n `/\i. \x : Nat^i.` pairs types in
+    # linear time, whether its binders have n names or one
     reg = streams.registry
     for name in ("i{}", "i"):
         chains = {n: parse_term("".join(
@@ -588,20 +591,83 @@ def test_context_typing_matches_inlining(tmp_path, capsys):
 
 
 def test_context_typing_names_quantifiers_apart(tmp_path, capsys):
-    # a quantifier of a context type is renamed apart from the query's
-    # size variables and from the type's other quantifiers; its suffix
-    # can differ from full linking's, which also counts binders that
-    # were instantiated inside the binding (here h2's)
+    # a quantifier of a context type is opened afresh, apart from the
+    # query's size variables and from the type's other quantifiers, and
+    # the printer names it: context typing prints what full linking
+    # prints, however the bindings spell their binders
     path = _bindings_file(tmp_path, "shadow.slam", SHADOW)
     sf = parse_slam(path.read_text())
-    src = "\\x : Nat^i. h3"
-    assert main(["infer", str(path), src]) == 0
-    out = capsys.readouterr().out
-    assert out == ("Nat^i -> forall j. Nat^j -> forall i_1. forall i_2. "
-                   "Strm^(i_2+1) -> Strm^i_2\n")
     reg = sf.registry
-    m = minimal_type(reg, {}, link_all(sf, parse_term(src, reg)))
-    assert alpha_eq(parse_type(out, reg), m)
+    printed = {}
+    names = [b.split(" =")[0] for b in SHADOW]
+    for src in [*names, *(f"\\x : Nat^i. {n}" for n in names), "/\\i. tl"]:
+        assert main(["infer", str(path), src]) == 0, src
+        out = capsys.readouterr().out
+        m = minimal_type(reg, {}, link_all(sf, parse_term(src, reg)))
+        assert out == print_type(m) + "\n", src
+        printed[src] = out
+    assert printed["\\x : Nat^i. h3"] == (
+        "Nat^i -> forall j. Nat^j -> forall k. forall l. "
+        "Strm^(l+1) -> Strm^l\n")
+    assert alpha_eq(parse_type(printed["\\x : Nat^i. h3"], reg), parse_type(
+        "Nat^i -> forall j. Nat^j -> forall i_1. forall i_2. "
+        "Strm^(i_2+1) -> Strm^i_2", reg))
+    assert printed["/\\i. tl"] == "forall i. forall j. Strm^(j+1) -> Strm^j\n"
+
+
+def test_printed_types_do_not_depend_on_binder_spelling():
+    # every /\ and cofix binder of the corpus bindings and of the extra
+    # terms respelled to a fresh name: each term prints the same type.
+    # run in sp.slam is left as it is: its cofix[j] is meant to capture
+    # the free j of runi, which is inlined under it
+    names = (f"r{k}" for k in itertools.count())
+    terms = []
+    for fname in ("streams", "sp", "trees"):
+        sf = load(fname)
+        spelled = SlamFile(sf.registry, {
+            n: t if (fname, n) == ("sp", "run")
+            else respell_size_binders(t, names)
+            for n, t in sf.bindings.items()})
+        terms += [(sf.registry, linked_reference(sf, n),
+                   linked_reference(spelled, n)) for n in sf.bindings]
+    for fname, src in EXTRA_TERMS:
+        sf = load(fname)
+        t = parse_term(src, sf.registry)
+        terms.append((sf.registry, link_all(sf, t),
+                      link_all(sf, respell_size_binders(t, names))))
+    respelled = 0
+    for reg, t, spelled in terms:
+        if spelled == t:
+            continue
+        respelled += 1
+        m, m2 = minimal_type(reg, {}, t), minimal_type(reg, {}, spelled)
+        assert (m2 is None) == (m is None), print_term(spelled)
+        if m is not None:
+            assert print_type(m2) == print_type(m), print_term(spelled)
+    assert respelled >= 14, respelled
+
+
+def test_fix_premise_on_a_size_binder_of_the_term(streams):
+    # the fix premise may recurse on a name that a /\ of the term was
+    # opened as, outside the fix or inside its body
+    reg = streams.registry
+    want = parse_type("forall k. Nat -> Nat", reg)
+    for src in [
+            "/\\k. fix f : Nat -> Nat . \\n : Nat^(k+1). "
+            "case n of { zero => zero; succ m => f m }",
+            "fix f : forall k. Nat -> Nat . /\\k. \\n : Nat^(k+1). "
+            "case n of { zero => zero; succ m => f [k] m }"]:
+        t = parse_term(src, reg)
+        m = minimal_type(reg, {}, t)
+        assert m is not None and alpha_eq(m, want), src
+        assert check(reg, {}, t, want), src
+
+
+def test_an_annotation_follows_the_inner_size_binder(streams):
+    reg = streams.registry
+    t = parse_term("/\\i. /\\i. \\x : Nat^i. x", reg)
+    assert print_type(minimal_type(reg, {}, t)) == \
+        "forall i. forall j. Nat^j -> Nat^j"
 
 
 # f's quantifier, spelled as the term's free i, must not capture it: the
@@ -735,23 +801,6 @@ def test_rarely_taken_typing_paths():
 
 
 
-def _calls_of(fn, target, *args):
-    """fn(*args) and the number of calls of the function `target` it
-    made, however the caller names it."""
-    code, count = target.__code__, 0
-
-    def call(frame, event, arg):
-        nonlocal count
-        count += event == "call" and frame.f_code is code
-
-    before = sys.getprofile()
-    sys.setprofile(call)
-    try:
-        return fn(*args), count
-    finally:
-        sys.setprofile(before)
-
-
 def test_each_quantifier_of_a_declared_shape_is_aligned_once():
     # an argument is matched against a quantified declared shape by one
     # subtyping walk, which aligns the shape's quantifier once
@@ -761,7 +810,7 @@ def test_each_quantifier_of_a_declared_shape_is_aligned_once():
     for src in ("cofix[j] t : HT . hn (/\\i. \\n : Nat^i. t)",
                 "gn (/\\i. \\n : Nat^i. zero)",
                 "gn (/\\k. \\n : Nat^k. n)"):
-        trip, aligned = _calls_of(infer, _align, reg, {}, parse_term(src, reg))
+        trip, aligned = calls_of(infer, _align, reg, {}, parse_term(src, reg))
         assert not trip.failed and aligned == 1, (src, aligned)
 
 
@@ -778,7 +827,7 @@ def test_nested_instantiations_cost_linear_in_their_number(streams):
         src = "zero"
         for _ in range(n):
             src = f"(/\\i. \\x : Nat^i. x) [oo] ({src})"
-        trip, calls = _calls_of(infer, syntax.sv, reg, {},
+        trip, calls = calls_of(infer, syntax.sv, reg, {},
                                 parse_term(src, reg))
         assert not trip.failed, n
         work.append(calls)
@@ -903,7 +952,9 @@ def test_declared_shape_spelling_does_not_matter():
             assert printed.setdefault(src, got) == got, (v, src)
             assert check(reg, {}, t, parse_type(got, reg)), (v, src)
     assert printed[probes[0]] == "forall i. HT^(i+1) -> forall j. Nat^j -> HT^i"
-    assert printed[probes[3]] == "forall j. Nat^j -> forall i. Nat^i -> Nat^j"
+    assert printed[probes[3]] == "forall i. Nat^i -> forall j. Nat^j -> Nat^i"
+    assert alpha_eq(parse_type(printed[probes[3]], reg), parse_type(
+        "forall j. Nat^j -> forall i. Nat^i -> Nat^j", reg))
 
 
 def test_quantifier_free_and_bare_shapes_take_no_walk(streams, trees):
@@ -917,13 +968,13 @@ def test_quantifier_free_and_bare_shapes_take_no_walk(streams, trees):
              + ")" * 200),
             (trees.registry, "\\t : FTree. " + "fnode zero (cons (" * 200
              + "t" + ") nil)" * 200)]:
-        trip, calls = _calls_of(infer, syntax.subst_type_sizes,
+        trip, calls = calls_of(infer, syntax.subst_type_sizes,
                                 reg, {}, parse_term(src, reg))
         assert not trip.failed and calls == 0, (src[:20], calls)
     reg = streams.registry
     numeral = parse_term("succ (" * 1600 + "zero" + ")" * 1600, reg)
     for target in (subtyping._relate, subtyping._lattice):
-        ty, calls = _calls_of(minimal_type, target, reg, {}, numeral)
+        ty, calls = calls_of(minimal_type, target, reg, {}, numeral)
         assert ty is not None and calls == 0, (target.__name__, calls)
 
 
@@ -939,6 +990,6 @@ def test_forall_free_typing_renames_nothing(streams):
     for src, want in [("f (succ (g s))", "Nat"), ("cons (f zero) s", "Strm"),
                       ("\\x : Nat. f (succ x)", "Nat -> Nat"),
                       ("g (cons zero s)", "Nat")]:
-        ty, calls = _calls_of(minimal_type, syntax.subst_type_sizes,
+        ty, calls = calls_of(minimal_type, syntax.subst_type_sizes,
                               reg, gamma, parse_term(src, reg))
         assert print_type(ty) == want and calls == 0, (src, calls)

@@ -18,7 +18,7 @@ import pytest
 from helpers import (
     CORPUS_DIR, DEFAULT_VARS, PLAIN_VARS, aeq_size_reference,
     alpha_eq_plain_reference, alpha_eq_term_reference,
-    alpha_eq_type_reference, annotation_binders_reference, approx_reference,
+    alpha_eq_type_reference, approx_reference,
     check_arities_reference, check_term_wf_reference,
     check_type_wf_reference, chgtgt_reference,
     context_terms, corpus_terms, dataclass_repr_reference,
@@ -48,7 +48,7 @@ from helpers import (
     supertype_of, sv_reference,
     term_free_vars_reference, tgt_reference, tokenize_reference,
     topo_order_reference, topological_order_reference, tv_reference,
-    uniquify_size_binders_reference, whnf_recursive_reference,
+    whnf_recursive_reference,
     whnf_reference,
 )
 from slam import (
@@ -75,10 +75,9 @@ from slam.rewrite import (
 )
 from slam.sizes import _peel
 from slam.syntax import (
-    Infty, _annotation_binders, _check_arities, check_term_wf, check_type_wf,
+    Infty, _check_arities, check_term_wf, check_type_wf,
     fold, forall_binders, fsv, node_count, nodes, rebuilt,
-    rename_binders_apart, size_names, size_plus, subst_type_sizes,
-    uniquify_size_binders,
+    size_names, size_plus, subst_type_sizes,
 )
 from slam.typecheck import _fold_size, _prettify
 
@@ -246,12 +245,8 @@ def test_term_walkers_match_reference():
     for reg, t in terms:
         assert t.fv == term_free_vars_reference(t), t
         assert fsv(t) == fsv_term_reference(t), t
-        assert _annotation_binders(t) == annotation_binders_reference(t), t
         assert list(map(str, check_term_wf(t, reg))) == \
             list(map(str, check_term_wf_reference(t, reg))), t
-        for avoid in ((), ("i", "j", "k")):
-            assert uniquify_size_binders(t, avoid) == \
-                uniquify_size_binders_reference(t, avoid), t
         assert erase(t) == erase_reference(t), t
 
 
@@ -268,12 +263,10 @@ def test_infer_matches_recursive_reference():
 
 
 def test_size_binders_are_fresh_for_the_context():
-    # `_Infer` checks no /\v or cofix[v] against the context: renaming
-    # the term's size binders makes v fresh.  The recursive reference
-    # keeps both side conditions.  The contexts here name the i and j
-    # the terms bind, and i_1, a name renaming picks, free and under
-    # forall, so a binder that renaming left in place would be refused
-    # by the reference alone.
+    # typing opens each /\v and cofix[v] of the term as a fresh name, so
+    # no rule checks v against the context.  The contexts here name the
+    # i and j the terms bind, free and under forall, so a binder that
+    # was not opened afresh would meet a context name.
     rng = random.Random(29)
     reg = load("streams").registry
     names = ("i", "j", "k", "i_1")
@@ -801,9 +794,6 @@ def test_type_walks_match_reference():
         mapping = {"A": rand_type(rng, reg, 2), "B": TyVar("A")}
         assert subst_type_sizes(t, {}, mapping) == \
             subst_type_multi_reference(t, mapping), t
-        for avoid in ((), ("i", "j", "i_1"), tuple(sv(t))):
-            assert rename_binders_apart(t, avoid) == \
-                rename_binders_apart_reference(t, avoid), t
         assert print_type(t) == render_type_reference(t), t
         assert tgt(t) == tgt_reference(t), t
         alpha = rand_type(rng, reg, 1)
@@ -869,8 +859,9 @@ def test_gen_sub_constraints_with_env_matches_reference():
     for reg, trip in CORPUS_TRIPLES:
         if trip.tau is None:
             continue
+        apart = forall_binders(trip.tau) | {"i", "j"}
         for a, b in ((trip.tau, trip.tau), (trip.tau,
-                     rename_binders_apart(trip.tau, ("i", "j")))):
+                     rename_binders_apart_reference(trip.tau, apart))):
             envs = [_env(reg, trip.u) for _ in range(2)]
             for env in envs:
                 env.linear = set(forall_binders(a))
@@ -889,7 +880,8 @@ def test_join_and_meet_match_reference():
         twice = Arrow(t, t)
         pairs += [(reg, t, reshape_sizes(rng, t)), (reg, t, t),
                   (reg, t, rand_type(rng, reg, 2)),
-                  (reg, twice, rename_binders_apart(twice, forall_binders(t)))]
+                  (reg, twice,
+                   rename_binders_apart_reference(twice, forall_binders(t)))]
     defined = 0
     for reg, a, b in pairs:
         for up, fn in ((True, join), (False, meet)):
@@ -905,8 +897,9 @@ def test_join_and_meet_with_env_match_reference():
     for reg, trip in CORPUS_TRIPLES:
         if trip.tau is None:
             continue
+        apart = forall_binders(trip.tau) | {"i", "j"}
         for a, b in ((trip.tau, trip.tau), (trip.tau,
-                     rename_binders_apart(trip.tau, ("i", "j")))):
+                     rename_binders_apart_reference(trip.tau, apart))):
             for up, fn in ((True, join), (False, meet)):
                 envs = [_env(reg, trip.u) for _ in range(2)]
                 for env in envs:
@@ -1261,7 +1254,8 @@ def test_substituting_a_variable_not_free_returns_the_term():
 def test_alpha_eq_matches_reference_on_types_and_sizes():
     rng = random.Random(79)
     for _reg, t in TYPES:
-        variant = rename_binders_apart(t, fsv(t) | forall_binders(t))
+        variant = rename_binders_apart_reference(
+            t, fsv(t) | forall_binders(t))
         other = rng.choice(TYPES)[1]
         for a, b in ((t, t), (t, variant), (t, other), (other, variant)):
             assert alpha_eq(a, b) == alpha_eq_type_reference(a, b), \

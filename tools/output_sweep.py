@@ -35,8 +35,9 @@ type `check`ed in that file below, and `infer` of the numeral
 copies of the files in REVERSED with their bindings in reverse order, so
 that every reference between bindings points forward, on the bindings
 of CYCLE, which reach a binding cycle, on the bindings of REUSE,
-which apply one inferred quantifier twice, and on the bindings of
-SHAPES, whose constructors take quantified functions.
+which apply one inferred quantifier twice, on the bindings of
+SHAPES, whose constructors take quantified functions, and on those of
+spelled.slam, with the terms in SPELLED_TERMS.
 
 A change that should not alter any output gives the same digests as its
 parent: run the script once with the change's `src/` and once with the
@@ -125,6 +126,19 @@ SHAPES = ("ht = cofix[j] t : HT . hn (/\\i. \\n : Nat^i. t);\n"
 SHAPE_TERMS = ["ht", "unh", "app3", "gk", "ung", "unh [oo] ht", "ung gk"]
 SHAPE_TYPES = ["HT", "GT(Nat)", "forall i. HT^(i+1) -> forall k. Nat^k -> HT^i",
                "forall k. Nat^k -> HT", "forall k. Nat^k -> Nat"]
+# spelled.slam: streams.slam with each /\i respelled /\n and each
+# cofix[j] respelled cofix[q], binder and uses alike, so that the names
+# typing prints are not the ones the source spells, and these bindings:
+# size binders beside context quantifiers of the same name, one binder
+# shadowing another, and fix premises that recurse on a size binder
+SPELLED = ("g = (\\p : Strm^1. /\\i. \\x : Nat^i. x) (tl [1] zeros);\n"
+           "h = /\\i. tl;\nh2 = /\\i. h;\nh3 = /\\j. \\x : Nat^j. h2 [j];\n"
+           "sh = /\\i. /\\i. \\x : Nat^i. x;\n"
+           "fk = /\\k. fix f : Nat -> Nat . \\n : Nat^(k+1). "
+           "case n of { zero => zero; succ m => f m };\n"
+           "kf = fix f : forall k. Nat -> Nat . /\\k. \\n : Nat^(k+1). "
+           "case n of { zero => zero; succ m => f [k] m };\n")
+SPELLED_TERMS = ["\\x : Nat^i. h3", "/\\i. tl"]
 # solve: random constraints over four size variables
 RANDOM_CONSTRAINTS = 300
 RANDOM_SEED = 31
@@ -152,7 +166,8 @@ def commands(parse_slam) -> list[list[str]]:
 
 def typing_files() -> dict[str, str]:
     """The text of each file the typing sweep makes, by file name: the
-    REVERSED copies, cycle.slam, reuse.slam and shapes.slam."""
+    REVERSED copies, cycle.slam, reuse.slam, shapes.slam and
+    spelled.slam."""
     files = {}
     for file in REVERSED:
         src = (CORPUS / file).read_text()
@@ -163,6 +178,11 @@ def typing_files() -> dict[str, str]:
     files["reuse.slam"] = PAIR + (CORPUS / "streams.slam").read_text() + REUSE
     files["shapes.slam"] = PAIR + HT_GT + (CORPUS / "streams.slam").read_text() \
         + SHAPES
+    streams = (CORPUS / "streams.slam").read_text()
+    spelled = streams.replace("/\\i. \\s : Strm^(i+1)",
+                              "/\\n. \\s : Strm^(n+1)")
+    assert spelled.count("/\\n.") == 2 and "/\\i" not in spelled
+    files["spelled.slam"] = spelled.replace("cofix[j]", "cofix[q]") + SPELLED
     return files
 
 
@@ -190,6 +210,9 @@ def typing_commands(parse_slam) -> list[list[str]]:
     add("cycle.slam", types_of("streams.slam"), CYCLE_TERMS)
     add("reuse.slam", types_of("streams.slam"), REUSE_TERMS)
     add("shapes.slam", SHAPE_TYPES, SHAPE_TERMS)
+    spelled = parse_slam(typing_files()["spelled.slam"])
+    add("spelled.slam", types_of("streams.slam"),
+        [*spelled.bindings, *SPELLED_TERMS])
     return [[*flag, *argv] for argv in runs for flag in ([], ["--porcelain"])]
 
 

@@ -9,14 +9,14 @@ parse is not timed.  The chains, at n = 1,000, 2,000 and 4,000:
 - distinct: `/\\i0. \\x0 : Nat^i0. /\\i1. \\x1 : Nat^i1. ... x0`, n size
   binders of n names;
 - one-name: `/\\i. \\x0 : Nat^i. /\\i. \\x1 : Nat^i. ... x0`, n size binders
-  of one name, which typing renames apart as i, i_1, i_2, ...;
+  of one name, each of which typing opens as a fresh name;
 - lambdas: `\\x0 : Nat. \\x1 : Nat. ... x0`, the chain in the README;
 - nested: `(/\\i. \\x : Nat^i. x) [oo] ((/\\i. \\x : Nat^i. x) [oo] (...
   zero))`, n instantiations of a quantified type;
 - context: `\\x0 : Nat^i0. ... \\x(n-1) : Nat^i(n-1). f0 [oo] (f1 [oo]
   (... zero))` in a context of n entries `fk : forall ik. Nat^ik ->
-  Nat^ik`: the query refers to every entry and names every ik free, so
-  typing renames each entry's quantifier apart;
+  Nat^ik`: the query refers to every entry and names every ik free, and
+  typing opens each entry's quantifier as a fresh name;
 - cons: `\\s : Strm. cons zero (cons zero (... s))`, n constructor
   applications whose first argument has the closed declared shape `Nat`,
   matched by a subtyping walk rather than at a bare variable;
