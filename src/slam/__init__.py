@@ -36,7 +36,7 @@ from .syntax import (
     SMax, SMin, SVar, SizeApp, SizeExpr, SizeLam, Succ, Term, TyVar, Type,
     Var, ZERO, alpha_eq, check_term_wf,
     check_type_wf, fsv, node_count, size_const, strictly_positive,
-    subst_term, subst_type_sizes, sv, tv,
+    subst_term, sv, tv,
     validate_registry,
 )
 from .typecheck import InferenceTriple, check, infer, minimal_type

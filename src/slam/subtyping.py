@@ -15,7 +15,7 @@ pass a `BinderEnv`, which opens each side through that map.  Without an
 environment both binders are renamed by substitution, which is correct
 for self-contained types; the names are counted from `$a1` anew per
 call, apart from every size variable and forall binder of the two types,
-so equal calls give equal results.
+so none is captured where it is put and equal calls give equal results.
 """
 
 from __future__ import annotations

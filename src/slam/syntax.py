@@ -909,43 +909,31 @@ def fresh_name(base: str, *avoid: Container[str]) -> str:
 def subst_type_sizes(t, sizes: Mapping[str, SizeExpr],
                      mapping: Optional[Mapping[str, Type]] = None,
                      binder: Optional[Callable[[str], Optional[str]]] = None):
-    """t, a size, a type or a decorated term (its sizes and annotations
-    included), with each free size variable of `sizes` and each type
-    variable of `mapping` replaced by its value, all at once.
+    """t, a size or a type, with each free size variable of `sizes` and
+    each type variable of `mapping` replaced by its value, all at once.
+    A forall that binds a name of `sizes` again keeps it in its scope.
+    At each forall, in pre-order, `binder`, when given, returns its new
+    name, or None to keep it; the old name is then replaced by the new
+    one in its scope, at once with the rest.
 
-    This is the one walk that renames size binders: foralls, size
-    abstractions and cofixes.  At each forall, in pre-order, `binder`,
-    when given, names it first: it returns the new name, or None to keep
-    the binder.  A binder that would then capture a free size variable
-    of a value put under it is renamed to the first name fresh_name
-    gives that is none of the values' free size variables, the names
-    replaced and the binder's free size variables.  Under a renamed
-    binder, its old name is replaced by the new one, at once with the
-    rest.
+    Nothing is renamed to avoid capture: no forall of t, as named here,
+    may bind a free size variable of a value put in its scope.  Typing
+    meets this by construction, since each value it puts under a forall
+    is a name minted after that forall, a constant, a machine name under
+    a forall the user spelled, or a `$a` name that subtyping picks apart
+    from both types it relates (see `typecheck` and `subtyping`).
     """
     if not sizes and not mapping and binder is None:
         return t
-    clash = frozenset().union(*map(fsv, (mapping or {}).values()))
 
     def enter(x, ren: dict):
-        # at a size binder: the renaming its scope gets
-        cls = type(x)
-        if cls is Forall or cls is SizeLam:
-            old = x.var
-        elif cls is Cofix:
-            old = x.size_var
-        else:
-            return x, ren
-        v = old
-        if binder is not None and cls is Forall \
-                and (nv := binder(old)) is not None:
-            v = nv
-        if old in ren:  # bound here: the scope keeps it
-            ren = {y: by for y, by in ren.items() if y != old}
-        if v in clash or any(v in sv(by) for by in ren.values()):
-            v = fresh_name(v, clash.union(ren, fsv(x),
-                                          *map(sv, ren.values())))
-        return x, ren if v == old else {**ren, old: SVar(v)}
+        # at a forall: the renaming its scope gets
+        if type(x) is Forall:
+            if x.var in ren:  # bound here: the scope keeps it
+                ren = {y: by for y, by in ren.items() if y != x.var}
+            if binder is not None and (v := binder(x.var)) is not None:
+                ren = {**ren, x.var: SVar(v)}
+        return x, ren
 
     def node(x, kids, ren: dict):
         cls = type(x)
@@ -953,27 +941,12 @@ def subst_type_sizes(t, sizes: Mapping[str, SizeExpr],
             return ren.get(x.name, x)
         if cls is TyVar:
             return mapping.get(x.name, x) if mapping else x
-        if not ren:
-            return rebuilt(x, kids)
-        if cls is Forall or cls is SizeLam:
-            v = ren.get(x.var)
-            if v is not None:
-                return cls(v.name, kids[0])
-        elif cls is Coind or cls is SizeApp:
+        if cls is Forall and x.var in ren:
+            return Forall(ren[x.var].name, kids[0])
+        if cls is Coind and ren:
             size = fold(x.size, node, ctx=ren)
             if size is not x.size:
-                return (Coind(x.defname, size, tuple(kids)) if cls is Coind
-                        else SizeApp(kids[0], size))
-        elif cls is Lam or cls is Fix:
-            ty = fold(x.ty, node, enter=enter, ctx=ren)
-            if ty is not x.ty:
-                return cls(x.var, ty, kids[0])
-        elif cls is Cofix:
-            v = ren.get(x.size_var)
-            ty = fold(x.ty, node, enter=enter, ctx=ren)
-            if v is not None or ty is not x.ty:
-                return Cofix(x.size_var if v is None else v.name, x.var, ty,
-                             kids[0])
+                return Coind(x.defname, size, tuple(kids))
         return rebuilt(x, kids)
 
     return fold(t, node, enter=enter, ctx=dict(sizes))

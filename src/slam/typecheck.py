@@ -23,8 +23,10 @@ a declared shape each time it is opened, and one of a context entry the
 term refers to.  So no binder meets a name that U mentions, that a
 binder owns or that the context holds free (the variable convention, by
 construction), generalisation and cofix check nothing against the
-context, and only `_prettify` picks the binder names shown.  The fix
-premise reads the context, for a variable that an annotation names.
+context, substitution renames nothing, and only `_prettify` picks the
+binder names shown: a name that begins with `$` or `?` is the machine's,
+never the parser's.  The fix premise reads the context, for a variable
+that an annotation names.
 
 A constructor argument is matched against its declared shape by the
 subtyping walk itself, with the shape's type variables as holes where

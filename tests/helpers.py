@@ -28,22 +28,30 @@ CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 _cache: dict[str, SlamFile] = {}
 
 
-def calls_of(fn, target, *args):
-    """fn(*args) and the number of calls of the function `target` it
-    made, however the caller names it; each resumption of a generator
-    counts as a call."""
-    code, count = target.__code__, 0
+def call_arguments(fn, target, *args):
+    """fn(*args) and the arguments of each call of the function `target`
+    it made, however the caller names it, as a dict by parameter name."""
+    code, seen = target.__code__, []
+    params = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
 
     def call(frame, event, arg):
-        nonlocal count
-        count += event == "call" and frame.f_code is code
+        if event == "call" and frame.f_code is code:
+            seen.append({p: frame.f_locals[p] for p in params})
 
     before = sys.getprofile()
     sys.setprofile(call)
     try:
-        return fn(*args), count
+        return fn(*args), seen
     finally:
         sys.setprofile(before)
+
+
+def calls_of(fn, target, *args):
+    """fn(*args) and the number of calls of the function `target` it
+    made, however the caller names it; each resumption of a generator
+    counts as a call."""
+    value, seen = call_arguments(fn, target, *args)
+    return value, len(seen)
 
 
 def load(name: str) -> SlamFile:
@@ -522,34 +530,36 @@ EXTRA_TERMS = [
 def respell_size_binders(t, names):
     """t with each /\\ and cofix binder renamed to the next name of the
     iterator `names`, which must be fresh for t, and its uses renamed
-    with it."""
-    from slam import subst_type_sizes
-
-    def go(t):
+    with it, by a walk of its own."""
+    def go(t, ren):
         if isinstance(t, (Var, Con)):
             return t
         if isinstance(t, SizeLam):
             v = next(names)
-            return SizeLam(v, go(subst_type_sizes(t.body, {t.var: SVar(v)})))
+            return SizeLam(v, go(t.body, {**ren, t.var: SVar(v)}))
         if isinstance(t, Cofix):
             v = next(names)
-            ren = {t.size_var: SVar(v)}
-            return Cofix(v, t.var, subst_type_sizes(t.ty, ren),
-                         go(subst_type_sizes(t.body, ren)))
+            ren = {**ren, t.size_var: SVar(v)}
+            return Cofix(v, t.var, subst_sizes_in_turn_reference(t.ty, ren),
+                         go(t.body, ren))
         if isinstance(t, Lam):
-            return Lam(t.var, t.ty, go(t.body))
+            return Lam(t.var, subst_sizes_in_turn_reference(t.ty, ren),
+                       go(t.body, ren))
         if isinstance(t, Fix):
-            return Fix(t.var, t.ty, go(t.body))
+            return Fix(t.var, subst_sizes_in_turn_reference(t.ty, ren),
+                       go(t.body, ren))
         if isinstance(t, App):
-            return App(go(t.fun), go(t.arg))
+            return App(go(t.fun, ren), go(t.arg, ren))
         if isinstance(t, SizeApp):
-            return SizeApp(go(t.fun), t.size)
+            return SizeApp(go(t.fun, ren),
+                           subst_sizes_in_turn_reference(t.size, ren))
         if isinstance(t, Case):
-            return Case(go(t.scrutinee), tuple(
-                Branch(b.con, b.binders, go(b.body)) for b in t.branches))
+            return Case(go(t.scrutinee, ren), tuple(
+                Branch(b.con, b.binders, go(b.body, ren))
+                for b in t.branches))
         raise TypeError(t)
 
-    return go(t)
+    return go(t, {})
 
 
 def linked_reference(sf: SlamFile, name: str):
@@ -1210,7 +1220,7 @@ def _recursive_infer_class():
     )
     from slam.sizes import size_ge_const, underline
     from slam.subtyping import chgtgt, tgt
-    from slam.syntax import SizeExpr, smax, smin, subst_type_sizes
+    from slam.syntax import SizeExpr, smax, smin
     from slam.typecheck import _Infer
 
     class RecursiveInfer(_Infer):
@@ -1269,7 +1279,7 @@ def _recursive_infer_class():
                     res = self.app_rule(res, arg, gamma, scope, t)
                 return res
             if isinstance(t, Lam):
-                ty = subst_type_sizes(t.ty, scope)
+                ty = subst_sizes_in_turn_reference(t.ty, scope)
                 body = self.infer(t.body, {**gamma, t.var: ty}, scope)
                 return None if body is None else Arrow(ty, body)
             if isinstance(t, SizeApp):
@@ -1279,8 +1289,9 @@ def _recursive_infer_class():
                 if not isinstance(fun, Forall):
                     return self.fail("inst", t, "size application needs a "
                                      "quantified type, got " + print_type(fun))
-                return self.instantiate(fun.var, fun.body,
-                                        subst_type_sizes(t.size, scope))
+                return self.instantiate(
+                    fun.var, fun.body,
+                    subst_sizes_in_turn_reference(t.size, scope))
             if isinstance(t, SizeLam):
                 v = self.fresh_size()
                 self.opened.add(v)
@@ -1388,8 +1399,8 @@ def _recursive_infer_class():
                 sig = self.reg.constructor(b.con)
                 g2 = dict(gamma)
                 for x, sigma in zip(b.binders, sig.arg_types):
-                    delta = subst_type_sizes(self._shape(sigma), {},
-                                             subst_map)
+                    delta = subst_type_multi_reference(self._shape(sigma),
+                                                       subst_map)
                     # a context type may be used any number of times
                     self.linear -= forall_binders_reference(delta)
                     g2[x] = delta
@@ -1406,7 +1417,7 @@ def _recursive_infer_class():
 
         def fix_rule(self, t: Fix, gamma: dict[str, Type],
                      scope: dict) -> Optional[Type]:
-            ann = subst_type_sizes(t.ty, scope)
+            ann = subst_sizes_in_turn_reference(t.ty, scope)
             js: list[str] = []
             core = ann
             while isinstance(core, Forall):
@@ -1465,7 +1476,7 @@ def _recursive_infer_class():
 
         def cofix_rule(self, t: Cofix, gamma: dict[str, Type],
                        scope: dict) -> Optional[Type]:
-            ann = subst_type_sizes(t.ty, scope)
+            ann = subst_sizes_in_turn_reference(t.ty, scope)
             target = tgt(ann)
             if not isinstance(target, Coind) or \
                     not self.reg.definition(target.defname).coinductive:
@@ -1931,6 +1942,17 @@ def subst_type_size_reference(t, by, var):
             return Forall(nv, subst_type_size_reference(body, by, var))
         return Forall(t.var, subst_type_size_reference(t.body, by, var))
     raise TypeError(t)
+
+
+def subst_sizes_in_turn_reference(x, sizes):
+    """x, a size or a type, with each size variable of `sizes` replaced by
+    its value, one name after another.  That is substitution at once
+    when no value names a later key, as when each value is a fresh
+    name."""
+    for var, by in sizes.items():
+        x = (subst_size_reference(x, by, var) if isinstance(x, SizeExpr)
+             else subst_type_size_reference(x, by, var))
+    return x
 
 
 def subst_type_multi_reference(t, mapping):

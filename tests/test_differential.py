@@ -11,7 +11,9 @@ evaluation.
 
 import random
 
-from helpers import corpus_terms, rand_size, rand_term, rand_type
+from helpers import (
+    corpus_terms, rand_size, rand_term, rand_type, subst_type_size_reference,
+)
 from slam import (
     App, Arrow, Branch, Case, Coind, Con, Forall, INFTY, Lam, SVar, Succ,
     Var, ZERO, eval_size, join, parse_defs, subtype, underline,
@@ -59,11 +61,12 @@ def _typed(rng, reg, gamma, depth):
                 return SizeLam(v, body), _Forall(v, bty)
         return body, bty
     if kind == "inst":
-        from slam import SizeApp, subst_type_sizes
+        from slam import SizeApp
         t, ty = _typed(rng, reg, gamma, depth - 1)
         if isinstance(ty, Forall):
             s = rand_size(rng, 1)
-            return SizeApp(t, s), subst_type_sizes(ty.body, {ty.var: s})
+            return SizeApp(t, s), subst_type_size_reference(ty.body, s,
+                                                            ty.var)
         return t, ty
     if kind == "sub":
         from helpers import supertype_of

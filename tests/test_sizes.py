@@ -7,11 +7,10 @@ from hypothesis import given
 from helpers import rand_size, rand_size_ge1
 from slam import (
     INFTY, ONE, SMax, SMin, SVar, Succ, ZERO, eval_size, normalize_succ,
-    overline, simplify_infty, size_ge_const, size_leq, subst_type_sizes,
-    underline,
+    overline, simplify_infty, size_ge_const, size_leq, underline,
 )
 from slam.sizes import INF, SizeError
-from slam.syntax import Infty, Zero
+from slam.syntax import Infty, Zero, subst_type_sizes
 
 I, J, K = SVar("i"), SVar("j"), SVar("k")
 

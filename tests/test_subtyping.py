@@ -1,12 +1,14 @@
 import random
 
-from helpers import rand_type, reshape_sizes, subtype_of, supertype_of
+from helpers import (
+    rand_type, reshape_sizes, subst_type_multi_reference, subtype_of,
+    supertype_of,
+)
 from slam import (
     Arrow, BOT, Coind, Forall, INFTY, SMin, SVar, Succ, TyVar, ZERO, chgtgt,
     gen_sub_constraints, join, meet, parse_type, strictly_positive, subtype,
     sv, tgt,
 )
-from slam.syntax import subst_type_sizes
 
 I, J = SVar("i"), SVar("j")
 
@@ -208,6 +210,6 @@ def test_substitution_compatibility(trees):
         for _ in range(30):
             alpha = rand_type(rng, reg, 2)
             beta = supertype_of(rng, alpha, reg)
-            left = subst_type_sizes(tau, {}, {"A": alpha})
-            right = subst_type_sizes(tau, {}, {"A": beta})
+            left = subst_type_multi_reference(tau, {"A": alpha})
+            right = subst_type_multi_reference(tau, {"A": beta})
             assert subtype(left, right, reg)

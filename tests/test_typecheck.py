@@ -5,16 +5,16 @@ import sys
 import time
 
 from helpers import (
-    CORPUS_DIR, EXTRA_TERMS, calls_of, context_terms, corpus_terms,
-    infer_state, link_all, linked_reference, load, rand_cnf, rand_term,
-    rand_type, render_type_reference, respell_size_binders, subtype_of,
-    supertype_of, truth_table_sat,
+    CORPUS_DIR, EXTRA_TERMS, call_arguments, calls_of, context_terms,
+    corpus_terms, forall_binders_reference, fsv_reference, infer_state,
+    link_all, linked_reference, load, rand_cnf, rand_term,
+    rand_type, render_type_reference, respell_size_binders,
+    subst_type_size_reference, subtype_of, supertype_of, truth_table_sat,
 )
 from slam import (
     App, Arrow, Branch, Case, Coind, Con, Forall, INFTY, ONE, SMax, SMin,
     SVar, SizeApp, SizeLam, Succ, TyVar, Var, ZERO, alpha_eq, fsv, node_count,
-    parse_slam, parse_term, parse_type, print_term, print_type,
-    subst_type_sizes, subtype,
+    parse_slam, parse_term, parse_type, print_term, print_type, subtype,
 )
 from slam.cli import _typing_problem, main
 from slam.parser import SlamFile
@@ -681,7 +681,8 @@ def _respellings(ty, names):
     and each name; a spelling that captures is no alpha-variant of ty."""
     if isinstance(ty, Forall):
         for n in names:
-            yield Forall(n, subst_type_sizes(ty.body, {ty.var: SVar(n)}))
+            yield Forall(n, subst_type_size_reference(ty.body, SVar(n),
+                                                      ty.var))
         yield from (Forall(ty.var, b) for b in _respellings(ty.body, names))
     elif isinstance(ty, Arrow):
         yield from (Arrow(d, ty.cod) for d in _respellings(ty.dom, names))
@@ -955,6 +956,68 @@ def test_declared_shape_spelling_does_not_matter():
     assert printed[probes[3]] == "forall i. Nat^i -> forall j. Nat^j -> Nat^i"
     assert alpha_eq(parse_type(printed[probes[3]], reg), parse_type(
         "forall j. Nat^j -> forall i. Nat^i -> Nat^j", reg))
+
+
+# `case` puts the scrutinee's parameter Nat^i under the forall i of GT's
+# shape, which `_shape` has opened under a fresh name
+CAPTURE_PROBE = "\\h : GT(Nat^i). case h of { gn g => g }"
+
+
+def _convention_problems():
+    """Typing problems with a random type to check each against: every
+    corpus binding and extra term as the CLI poses them, the path probes,
+    CAPTURE_PROBE, the SHADOW bindings, and seeded random terms over each
+    corpus registry in a random context of f and g."""
+    rng = random.Random(6)
+    out = []
+    for fname, src in [(f, n) for f in ("streams", "sp", "trees")
+                       for n in load(f).bindings] + EXTRA_TERMS:
+        sf = load(fname)
+        out.append((sf.registry, *_typing_problem(sf, src),
+                    rand_type(rng, sf.registry, 2)))
+    reg = _path_registry()
+    out += [(reg, {}, parse_term(src, reg), rand_type(rng, reg, 2))
+            for src in [p for p, _ in PATH_PROBES] + [CAPTURE_PROBE]]
+    sf = parse_slam((CORPUS_DIR / "streams.slam").read_text()
+                    + "".join(SHADOW))
+    out += [(sf.registry, *_typing_problem(sf, b.split(" =")[0]),
+             rand_type(rng, sf.registry, 2)) for b in SHADOW]
+    for seed in (7, 8, 9):
+        rng = random.Random(seed)
+        for fname in ("streams", "sp", "trees"):
+            reg = load(fname).registry
+            for _ in range(300):
+                gamma = {x: rand_type(rng, reg, 3) for x in ("f", "g")}
+                t = rand_term(rng, reg, 3, bound=("f", "g"))
+                out.append((reg, gamma, t, rand_type(rng, reg, 2)))
+    return out
+
+
+def test_typing_puts_no_value_under_a_binder_of_its_names():
+    # size substitution renames nothing, and relies on the variable
+    # convention that typing keeps by construction: on every call it
+    # makes, no forall of the type is a free size variable of a value put
+    # in, while inferring a problem and checking it against its own type
+    # and a random one
+    from slam import syntax
+
+    def watched(fn, *args):
+        value, seen = call_arguments(fn, syntax.subst_type_sizes, *args)
+        for a in seen:
+            values = [*a["sizes"].values(), *(a["mapping"] or {}).values()]
+            captured = forall_binders_reference(a["t"]) & frozenset().union(
+                *map(fsv_reference, values))
+            assert not captured, (print_term(args[2]), a["t"], values)
+        return value, len(seen)
+
+    calls = typed = 0
+    for reg, gamma, t, other in _convention_problems():
+        m, n = watched(minimal_type, reg, gamma, t)
+        typed += m is not None
+        for ty in [m, other] if m is not None else [other]:
+            n += watched(check, reg, gamma, t, ty)[1]
+        calls += n
+    assert typed >= 1000 and calls >= 3000, (typed, calls)
 
 
 def test_quantifier_free_and_bare_shapes_take_no_walk(streams, trees):

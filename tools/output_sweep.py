@@ -36,8 +36,9 @@ copies of the files in REVERSED with their bindings in reverse order, so
 that every reference between bindings points forward, on the bindings
 of CYCLE, which reach a binding cycle, on the bindings of REUSE,
 which apply one inferred quantifier twice, on the bindings of
-SHAPES, whose constructors take quantified functions, and on those of
-spelled.slam, with the terms in SPELLED_TERMS.
+SHAPES, whose constructors take quantified functions, on those of
+spelled.slam, with the terms in SPELLED_TERMS, and on those of REBIND,
+whose types have a forall that binds the name of one around it again.
 
 A change that should not alter any output gives the same digests as its
 parent: run the script once with the change's `src/` and once with the
@@ -139,6 +140,18 @@ SPELLED = ("g = (\\p : Strm^1. /\\i. \\x : Nat^i. x) (tl [1] zeros);\n"
            "kf = fix f : forall k. Nat -> Nat . /\\k. \\n : Nat^(k+1). "
            "case n of { zero => zero; succ m => f [k] m };\n")
 SPELLED_TERMS = ["\\x : Nat^i. h3", "/\\i. tl"]
+# the bindings that make rebind.slam with streams.slam: a forall that
+# binds again the name of a forall around it, or of a size binder of the
+# term, where typing renames the outer name: an instance taken under it
+# (twice), an annotation read under a /\\ of its name (under), a context
+# entry opened afresh (use, through twice), and a check against such a
+# type, aligned with the minimal type
+REBIND = ("twice = \\f : forall i. forall i. Nat^i -> Nat^i. f [1] [2];\n"
+          "under = /\\i. \\f : forall i. Nat^i -> Nat^i. f [i];\n"
+          "use = twice (/\\i. /\\j. \\x : Nat^j. x);\n"
+          "sh = /\\i. /\\i. \\x : Nat^i. x;\n")
+REBIND_TERMS = ["twice", "under", "use", "sh"]
+REBIND_TYPES = ["forall k. forall k. Nat^k -> Nat^k", "Nat^2 -> Nat^2"]
 # solve: random constraints over four size variables
 RANDOM_CONSTRAINTS = 300
 RANDOM_SEED = 31
@@ -166,8 +179,8 @@ def commands(parse_slam) -> list[list[str]]:
 
 def typing_files() -> dict[str, str]:
     """The text of each file the typing sweep makes, by file name: the
-    REVERSED copies, cycle.slam, reuse.slam, shapes.slam and
-    spelled.slam."""
+    REVERSED copies, cycle.slam, reuse.slam, shapes.slam, spelled.slam
+    and rebind.slam."""
     files = {}
     for file in REVERSED:
         src = (CORPUS / file).read_text()
@@ -183,6 +196,7 @@ def typing_files() -> dict[str, str]:
                               "/\\n. \\s : Strm^(n+1)")
     assert spelled.count("/\\n.") == 2 and "/\\i" not in spelled
     files["spelled.slam"] = spelled.replace("cofix[j]", "cofix[q]") + SPELLED
+    files["rebind.slam"] = streams + REBIND
     return files
 
 
@@ -213,6 +227,7 @@ def typing_commands(parse_slam) -> list[list[str]]:
     spelled = parse_slam(typing_files()["spelled.slam"])
     add("spelled.slam", types_of("streams.slam"),
         [*spelled.bindings, *SPELLED_TERMS])
+    add("rebind.slam", REBIND_TYPES, REBIND_TERMS)
     return [[*flag, *argv] for argv in runs for flag in ([], ["--porcelain"])]
 
 
