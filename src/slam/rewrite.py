@@ -220,7 +220,7 @@ def _force(th: _Thunk, fuel: int) -> tuple[str, int, bool, Optional[tuple]]:
     if th.value is None and fuel > th.cost:
         out = _run(th.term, th.env, [], [(th, [], 0)], fuel)
         if th.value is None:
-            return out[:4]
+            return out
     v = th.value
     if v is None or th.cost > fuel:
         return "fuel", fuel, False, None
@@ -229,12 +229,12 @@ def _force(th: _Thunk, fuel: int) -> tuple[str, int, bool, Optional[tuple]]:
 
 def _run(term: PlainTerm, env: dict, args: list, frames: list, fuel: int):
     """Run the machine from a state to a constructor head, a value or the
-    end of the fuel: (kind, steps charged, stuck, final state, steps
-    taken).  The state is a closure (term, env), a stack of argument
-    thunks (the first last) and a stack of frames.  A beta step binds
-    the variable to the top argument, an iota step the branch binders to
-    the scrutinee's arguments, and a bound variable enters its thunk at
-    no step; an argument that is a bound variable is pushed as its
+    end of the fuel: (kind, steps charged, stuck, final state).  The
+    state is a closure (term, env), a stack of argument thunks (the
+    first last) and a stack of frames.  A beta step binds the variable
+    to the top argument, an iota step the branch binders to the
+    scrutinee's arguments, and a bound variable enters its thunk at no
+    step; an argument that is a bound variable is pushed as its
     thunk, so a self-application runs in constant space.  A case waits
     on a case frame while its scrutinee is reduced.  A thunk entered
     unreduced waits on an update frame, with its arguments, until a
@@ -244,7 +244,7 @@ def _run(term: PlainTerm, env: dict, args: list, frames: list, fuel: int):
     cost, if the fuel left covers that, and else as its closure, to run
     out of fuel where normal order does; one entered again while it is
     being reduced is reduced again, as by name."""
-    steps = reused = 0
+    steps = 0
     stuck = False
     while True:
         cls = type(term)
@@ -263,7 +263,6 @@ def _run(term: PlainTerm, env: dict, args: list, frames: list, fuel: int):
                     term, env, args = th.term, th.env, []
                 elif steps + th.cost <= fuel:
                     steps += th.cost
-                    reused += th.cost
                     term, env = v[0], v[1]
                     args.extend(v[2])
                 else:
@@ -322,7 +321,7 @@ def _run(term: PlainTerm, env: dict, args: list, frames: list, fuel: int):
         for th, _args, start in frames:
             if type(th) is _Thunk and th.value is None:
                 th.cost = max(th.cost, fuel - start)
-    return kind, steps, stuck, (term, env, args, frames), steps - reused
+    return kind, steps, stuck, (term, env, args, frames)
 
 
 def _scope(env: dict, t: PlainTerm, x: str, c: _Thunk) -> dict:
@@ -476,19 +475,19 @@ class EvalBudget(_Frozen):
 
 
 def approximant(t: PlainTerm | _Thunk, budget: EvalBudget,
-                reg: Optional[DefRegistry] = None) -> Approximant:
+                reg: DefRegistry) -> Approximant:
     """Observe a term, or a fresh `closure`, to the given depth.
 
-    Depth zero is bottom; otherwise head-normalize, descend under
-    constructors, and wrap non-constructor values opaquely.  Fuel
-    exhaustion becomes a bottom leaf marked fuel-limited.
+    Head-normalize, descend under constructors, and wrap
+    non-constructor values opaquely.  Fuel exhaustion becomes a bottom
+    leaf marked fuel-limited.
 
-    With a registry, the depth budget is spent on the recursive chain of
-    coinductive constructors while other components are computed in full
-    (that is what the finite approximations of a coinductive type ask
-    for: n correct layers whose non-recursive parts are complete).
-    Without one, every constructor level costs one unit of depth.  A
-    global gas tank of fuel*(depth+2) reduction steps bounds the full
+    The depth budget is spent on the recursive chain of the registry's
+    coinductive constructors, a coinductive layer met at depth zero
+    being bottom, while other components are computed in full (that is
+    what the finite approximations of a coinductive type ask for: n
+    correct layers whose non-recursive parts are complete).  A global
+    gas tank of fuel*(depth+2) reduction steps bounds the full
     descents.
     """
     gas = [budget.fuel * (budget.depth + 2)]
@@ -517,7 +516,7 @@ class _Node:
 
 
 def _approx(t: PlainTerm | _Thunk, depth, fuel: int,
-            reg: Optional[DefRegistry], gas: list[int],
+            reg: DefRegistry, gas: list[int],
             cuts: Optional[dict] = None) -> Approximant:
     """The approximant of `t`, which counts the reduction steps it was
     charged, whether fuel cut it and its nodes.
@@ -545,9 +544,7 @@ def _approx(t: PlainTerm | _Thunk, depth, fuel: int,
     path: list[_Node] = []
     while True:
         # observe th at `depth`: either a leaf result or a new open node
-        if reg is None and depth <= 0:
-            res = Bottom()
-        elif gas[0] <= 0:
+        if gas[0] <= 0:
             res = Bottom(True)
         else:
             kind, steps, _, v = _force(th, min(fuel, gas[0]))
@@ -656,15 +653,13 @@ def _extend(a: Approximant, cuts: dict, fuel: int, reg: DefRegistry,
 
 
 def _child_depths(con: str, n: int, depth,
-                  reg: Optional[DefRegistry]) -> Optional[list]:
+                  reg: DefRegistry) -> Optional[list]:
     """Per-child depth budgets, or None when the node itself is cut.
 
     Only coinductive constructors consume depth (that is what the
     approximation levels of a coinductive type count); inductive spines
     pass it through and closed components are computed in full.
     """
-    if reg is None:
-        return [depth - 1] * n
     entry = reg.constructor_entry(con)
     if entry is None or len(entry[1].arg_types) != n:
         return None if depth <= 0 else [depth - 1] * n

@@ -1298,9 +1298,9 @@ def check_type_wf(t: Type, reg: DefRegistry,
 def check_term_wf(t: Term, reg: DefRegistry) -> list[Diagnostic]:
     """Well-formedness of a decorated term.
 
-    Annotation types must be closed (no type variables) and arity-correct;
-    case branches must use known constructors, pairwise distinct, with the
-    right number of pairwise distinct binders.  Diagnostics come in source
+    Annotation types must pass `check_type_wf` with no type variables
+    allowed; case branches must use known constructors, pairwise
+    distinct, with the right number of pairwise distinct binders.  Diagnostics come in source
     order: a node's own before its children's, and a case branch's before
     its body's.
     """
@@ -1311,11 +1311,6 @@ def check_term_wf(t: Term, reg: DefRegistry) -> list[Diagnostic]:
             out.append(Diagnostic(f"unknown constructor {t.name}"))
         elif cls is Lam or cls is Fix or cls is Cofix:
             out += check_type_wf(t.ty, reg)
-            extra = tv(t.ty)
-            if extra:
-                out.append(Diagnostic(
-                    f"annotation type must be closed, has type variable(s) "
-                    f"{', '.join(sorted(extra))}"))
         elif cls is Case:
             out += kids[0]
             kids = kids[1:]
@@ -1349,12 +1344,12 @@ def validate_registry(reg: DefRegistry) -> list[Diagnostic]:
     """Run all registry well-formedness checks.
 
     Checks, per definition: at least one constructor; every constructor
-    argument type strictly positive, with type variables among the
-    recursive and parameter variables and no free size variables; every
-    parameter variable used by some constructor.  Globally: the
-    definition-dependency relation must be acyclic (the cycle is named
-    otherwise).  On success the registry is frozen and a topological
-    order of definitions is recorded.
+    argument type well-formed by `check_type_wf`, with the recursive and
+    parameter variables as its type variables, strictly positive and
+    without free size variables; every parameter variable used by some
+    constructor.  Globally: the definition-dependency relation must be
+    acyclic (the cycle is named otherwise).  On success the registry is
+    frozen and a topological order of definitions is recorded.
     """
     out: list[Diagnostic] = []
     for d in reg.defs.values():
@@ -1364,21 +1359,16 @@ def validate_registry(reg: DefRegistry) -> list[Diagnostic]:
         used_params: set[str] = set()
         for c in d.constructors:
             for i, a in enumerate(c.arg_types):
-                bad_names = tv(a) - allowed
-                if bad_names:
-                    out.append(Diagnostic(
-                        f"{d.name}.{c.name}: argument {i + 1} mentions "
-                        f"unknown type variable(s) {', '.join(sorted(bad_names))}",
-                        c.span))
+                at = f"{d.name}.{c.name}: argument {i + 1}"
+                out += [Diagnostic(f"{at}: {w.message}", c.span)
+                        for w in check_type_wf(a, reg, allowed)]
                 if fsv(a):
                     out.append(Diagnostic(
-                        f"{d.name}.{c.name}: argument {i + 1} has free size "
-                        f"variable(s) {', '.join(sorted(fsv(a)))}", c.span))
+                        f"{at} has free size variable(s) "
+                        f"{', '.join(sorted(fsv(a)))}", c.span))
                 if not strictly_positive(a, reg):
                     out.append(Diagnostic(
-                        f"{d.name}.{c.name}: argument {i + 1} is not strictly "
-                        f"positive", c.span))
-                out.extend(_check_arities(a, reg, c, d))
+                        f"{at} is not strictly positive", c.span))
                 used_params |= tv(a)
         for p in d.params:
             if p not in used_params:
@@ -1394,23 +1384,6 @@ def validate_registry(reg: DefRegistry) -> list[Diagnostic]:
     if not out:
         reg.order = tuple(order)
         reg.validated = True
-    return out
-
-
-def _check_arities(t: Type, reg: DefRegistry, c: ConstructorSig,
-                   d: Definition) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
-    for x in nodes(t):
-        if type(x) is not Coind:
-            continue
-        other = reg.defs.get(x.defname)
-        if other is None:
-            out.append(Diagnostic(
-                f"{d.name}.{c.name}: unknown type {x.defname}", c.span))
-        elif len(other.params) != len(x.params):
-            out.append(Diagnostic(
-                f"{d.name}.{c.name}: {x.defname} expects "
-                f"{len(other.params)} parameter(s)", c.span))
     return out
 
 

@@ -974,18 +974,13 @@ def fsv_term_reference(t) -> frozenset[str]:
 def check_term_wf_reference(t, reg) -> list:
     from slam import (
         Case, Cofix, Con, Diagnostic, Fix, Lam, SizeApp, SizeLam,
-        check_type_wf, tv,
+        check_type_wf,
     )
 
     out = []
 
     def check_ann(ty):
         out.extend(check_type_wf(ty, reg))
-        extra = tv(ty)
-        if extra:
-            out.append(Diagnostic(
-                f"annotation type must be closed, has type variable(s) "
-                f"{', '.join(sorted(extra))}"))
 
     def go(t):
         if isinstance(t, (Var, Con)):
@@ -1128,8 +1123,6 @@ def approx_reference(t, depth, fuel, reg, gas, memo=None):
     from slam import tv
     from slam.rewrite import Bottom, Constr, Opaque, _FULL_DEPTH, whnf
 
-    if reg is None and depth <= 0:
-        return Bottom(), 0, False, 1
     if gas[0] <= 0:
         return Bottom(fuel_limited=True), 0, True, 1
     if memo is None:
@@ -1148,18 +1141,15 @@ def approx_reference(t, depth, fuel, reg, gas, memo=None):
     if r.kind != "head":
         return Opaque(r.term), r.steps, False, 1
     n = len(r.args)
-    if reg is None:
-        depths = [depth - 1] * n
+    d, sig = reg.constructor_entry(r.head) or (None, None)
+    if sig is None or len(sig.arg_types) != n:
+        depths = None if depth <= 0 else [depth - 1] * n
+    elif d.coinductive and depth <= 0:
+        depths = None
     else:
-        d, sig = reg.constructor_entry(r.head) or (None, None)
-        if sig is None or len(sig.arg_types) != n:
-            depths = None if depth <= 0 else [depth - 1] * n
-        elif d.coinductive and depth <= 0:
-            depths = None
-        else:
-            depths = [_FULL_DEPTH if not tv(sigma)
-                      else depth - 1 if d.coinductive else depth
-                      for sigma in sig.arg_types]
+        depths = [_FULL_DEPTH if not tv(sigma)
+                  else depth - 1 if d.coinductive else depth
+                  for sigma in sig.arg_types]
     if depths is None:
         return Bottom(), r.steps, False, 1
     kids, total, limited, nodes = [], r.steps, False, 1
@@ -1894,29 +1884,6 @@ def check_type_wf_reference(t, reg, tyvars=frozenset()):
         out.extend(check_type_wf_reference(t.cod, reg, tyvars))
     elif isinstance(t, Forall):
         out.extend(check_type_wf_reference(t.body, reg, tyvars))
-    return out
-
-
-def check_arities_reference(t, reg, c, d):
-    from slam import Diagnostic
-
-    out = []
-    if isinstance(t, Coind):
-        other = reg.defs.get(t.defname)
-        if other is None:
-            out.append(Diagnostic(
-                f"{d.name}.{c.name}: unknown type {t.defname}", c.span))
-        elif len(other.params) != len(t.params):
-            out.append(Diagnostic(
-                f"{d.name}.{c.name}: {t.defname} expects "
-                f"{len(other.params)} parameter(s)", c.span))
-        for p in t.params:
-            out.extend(check_arities_reference(p, reg, c, d))
-    elif isinstance(t, Arrow):
-        out.extend(check_arities_reference(t.dom, reg, c, d))
-        out.extend(check_arities_reference(t.cod, reg, c, d))
-    elif isinstance(t, Forall):
-        out.extend(check_arities_reference(t.body, reg, c, d))
     return out
 
 

@@ -250,6 +250,54 @@ def test_gen_hard_reads_satlib_trailer(tmp_path, capsys):
     assert outs[0] == outs[1] and outs[0][0] == 0
 
 
+def test_gen_hard_keeps_a_last_clause_with_no_closing_0(tmp_path, capsys):
+    outs = []
+    for name, text in (("open", "p cnf 3 2\n1 -2 0\n2 3\n"),
+                       ("closed", "p cnf 3 2\n1 -2 0\n2 3 0\n"),
+                       ("first", "p cnf 3 1\n1 -2 0\n")):
+        cnf = tmp_path / f"{name}.cnf"
+        cnf.write_text(text)
+        outs.append(run(capsys, "gen-hard", str(cnf)))
+    assert outs[0] == outs[1] != outs[2] and outs[0][0] == 0
+
+
+def test_check_porcelain_verdicts(capsys):
+    code, out, _ = run(capsys, "--porcelain", "check", STREAMS, "tl", ":",
+                       "forall i. Strm^(i+1) -> Strm^i")
+    assert (code, out) == (0, "verdict: ok\n")
+    code, out, _ = run(capsys, "--porcelain", "check", STREAMS, "tl", ":",
+                       "Strm -> Strm")
+    assert (code, out) == (1, "verdict: fail\n")
+
+
+@pytest.mark.parametrize("cmd, name, text, want", [
+    ("infer", "dup.slam", "inductive Nat { zero : Nat }\n"
+     "x = zero;\nx = zero;\n", "3:1: duplicate binding x"),
+    ("infer", "param.slam", "inductive P(A, A) { mk : A -> P(A, A) }\n",
+     "1:11: duplicate parameter name in P"),
+    ("infer", "end.slam", "inductive Nat { zero : Nat }\n"
+     "inductive D { c : Nat -> Nat }\n",
+     "2:15: constructor c must end in the defined type D"),
+    ("infer", "sized.slam",
+     "inductive Nat { zero : Nat; succ : Nat^i -> Nat }\n",
+     "1:36: recursive occurrence of Nat cannot carry a size"),
+    ("infer", "args.slam",
+     "inductive L(B) { nil : L(B); c : B(B) -> L(B) }\n",
+     "1:34: type variable B takes no arguments"),
+    ("solve", "dup.sc", "let i = 0;\nlet i = 1;\nassert i <= i;\n",
+     "2:7: duplicate let for i"),
+    ("solve", "word.sc", "assert i <= i;\nwhat i;\n",
+     "2:1: expected 'let' or 'assert'"),
+])
+def test_parse_errors_name_their_place(tmp_path, capsys, cmd, name, text,
+                                       want):
+    f = tmp_path / name
+    f.write_text(text)
+    code, out, err = run(capsys, cmd, str(f), *(["zero"] if cmd == "infer"
+                                                else []))
+    assert (code, out, err) == (2, "", f"error: {want}\n")
+
+
 @pytest.mark.parametrize("size", ["1000001", "99999999999999999999",
                                   "9" * 5000])
 def test_huge_size_numeral_exit_2(tmp_path, capsys, size):

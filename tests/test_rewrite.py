@@ -405,8 +405,8 @@ def test_approximant_zeros(streams):
                                 Constr("cons", (Constr("zero"), Bottom()))))
 
 
-def test_approximant_omega():
-    a = approximant(OMEGA, EvalBudget(fuel=200, depth=5))
+def test_approximant_omega(streams):
+    a = approximant(OMEGA, EvalBudget(fuel=200, depth=5), streams.registry)
     assert a == Bottom()
     assert a.fuel_limited
 
@@ -418,12 +418,19 @@ def test_approximant_partial_divergence(streams):
     assert a == Constr("cons", (Constr("zero"), Bottom()))
 
 
-def test_approximant_depth_zero():
-    assert approximant(PCon("zero"), EvalBudget(fuel=10, depth=0)) == Bottom()
+def test_approximant_depth_zero(streams):
+    # depth counts coinductive layers only: an inductive constructor is
+    # observed at depth 0, a coinductive one is cut
+    reg = streams.registry
+    budget = EvalBudget(fuel=10, depth=0)
+    assert approximant(PCon("zero"), budget, reg) == Constr("zero")
+    assert approximant(PApp(PApp(PCon("cons"), PCon("zero")), OMEGA),
+                       budget, reg) == Bottom()
 
 
-def test_approximant_value():
-    a = approximant(PLam("x", PVar("x")), EvalBudget(fuel=10, depth=3))
+def test_approximant_value(streams):
+    a = approximant(PLam("x", PVar("x")), EvalBudget(fuel=10, depth=3),
+                    streams.registry)
     assert isinstance(a, Opaque)
 
 
@@ -634,19 +641,20 @@ def test_productivity_run_odd_nats(sp):
 def test_run_odd_nats_takes_steps_linear_in_depth(sp, monkeypatch, observe):
     # fuel is charged by name, so fuelUsed grows with the square of the
     # depth (element k alone is charged 12k + 6 steps); reduced by need,
-    # each thunk once, the steps the machine takes grow linearly.  Steps
-    # are counted, not timed.
+    # each thunk once, the steps the machine takes grow linearly.  Each
+    # beta or iota step binds its variables through `_scope`, so the
+    # calls of `_scope` count the steps taken; they are counted, not
+    # timed.
     from slam import rewrite
 
     taken = []
-    run = rewrite._run
+    scope = rewrite._scope
 
     def counted(*args):
-        out = run(*args)
-        taken.append(out[-1])
-        return out
+        taken.append(1)
+        return scope(*args)
 
-    monkeypatch.setattr(rewrite, "_run", counted)
+    monkeypatch.setattr(rewrite, "_scope", counted)
     reg = sp.registry
     t = erase(App(App(linked_reference(sp, "run"),
                       linked_reference(sp, "odd")),

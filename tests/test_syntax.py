@@ -14,8 +14,8 @@ from slam import (
 from slam.constraints import expand
 from slam.parser import MAX_SIZE_NUMERAL, ParseError
 from slam.syntax import (
-    RegistryError, check_term_wf, node_count, nodes, size_plus,
-    subst_type_sizes,
+    RegistryError, check_term_wf, check_type_wf, node_count, nodes,
+    size_plus, subst_type_sizes,
 )
 
 I, J, K = SVar("i"), SVar("j"), SVar("k")
@@ -281,6 +281,121 @@ def test_long_definition_chain_validates():
     reg = parse_defs(src)
     assert validate_registry(reg) == []
     assert reg.order == tuple(f"D{k}" for k in range(n, -1, -1))
+
+
+def test_hand_built_types_get_one_diagnostic_each():
+    # a registry or term built without the parser is checked by
+    # `check_type_wf` alone: each ill-formed node is named once
+    import slam.syntax as sx
+    from slam import Lam, Var
+    reg = sx.DefRegistry()
+    nat = Coind("Nat", INFTY, ())
+    reg.add(sx.Definition("Nat", False, (), (
+        sx.ConstructorSig("zero", ()),
+        sx.ConstructorSig("succ", (TyVar("Nat"),)))))
+    reg.add(sx.Definition("D", False, ("B",), (
+        sx.ConstructorSig("c", (TyVar("B"), TyVar("A"))),
+        sx.ConstructorSig("d", (Coind("E", INFTY, ()),
+                                Coind("Nat", INFTY, (nat,)))))))
+    assert [str(d) for d in validate_registry(reg)] == [
+        "D.c: argument 2: unknown type variable A",
+        "D.d: argument 1: unknown (co)inductive type E",
+        "D.d: argument 2: Nat expects 0 parameter(s), got 1"]
+    assert not reg.validated
+    t = Lam("x", Arrow(TyVar("A"), nat), Var("x"))
+    assert [str(d) for d in check_term_wf(t, reg)] == [
+        "unknown type variable A"]
+
+
+# the types a query names: the `--type`s of the corpus files and the
+# types `check`ed against their bindings
+QUERY_TYPES = {
+    "streams": ["Strm", "Nat", "forall i. Strm^(i+1) -> Strm^i",
+                "Nat -> Nat -> Nat"],
+    "sp": ["Strm", "SP", "Nat", "SP -> Strm -> Strm"],
+    "trees": ["BTree", "FTree", "Tree", "Nat", "Even", "Nat -> List(Nat)",
+              "Tree^oo"],
+}
+# texts the parser must refuse: an unknown name, a known one at the wrong
+# arity, a type variable given arguments, one outside its definition
+REFUSED_TYPES = ["NoSuch", "Nat -> A", "List", "List(Nat, Nat)",
+                 "Nat(Nat)", "forall i. B^i -> Nat"]
+REFUSED_DEFS = ["inductive D { c : E -> D }",
+                "inductive D { c : Nat(Nat) -> D }",
+                "inductive D(B) { c : B(Nat) -> D(B) }",
+                "inductive D(B) { c : B -> D(B) }\n"
+                "inductive E { e : B -> E }"]
+REFUSED_BINDINGS = ["bad = \\x : NoSuch. x;", "bad = \\x : A. x;",
+                    "bad = fix f : Nat(Nat) . f;"]
+
+
+def _token_mutations(src: str) -> list[str]:
+    """src with one token dropped, doubled or swapped with the next,
+    token by token."""
+    from slam.parser import tokenize
+    starts = [0]
+    for line in src.split("\n"):
+        starts.append(starts[-1] + len(line) + 1)
+    toks = [(starts[t.line - 1] + t.col - 1, t.text)
+            for t in tokenize(src) if t.kind != "eof"]
+    out = []
+    for i, (at, text) in enumerate(toks):
+        end = at + len(text)
+        out.append(src[:at] + src[end:])
+        out.append(src[:end] + " " + text + src[end:])
+        if i + 1 < len(toks):
+            at2, text2 = toks[i + 1]
+            out.append(src[:at] + text2 + src[end:at2] + text
+                       + src[at2 + len(text2):])
+    return out
+
+
+def _parsed(parse, src):
+    try:
+        return parse(src)
+    except (ParseError, RegistryError):
+        return None
+
+
+def test_every_parsed_type_is_well_formed():
+    # `check_type_wf` is the one checker of a type tree, and the parser
+    # of type text: whatever parses names known definitions at their
+    # arity and only the type variables allowed where it stands.  So
+    # a query type, an annotation and a constructor argument that parse
+    # get no diagnostic, also when the text is one token off
+    from helpers import CORPUS_DIR
+    from slam import Cofix, Fix, Lam
+    types = files = 0
+    for name, queries in QUERY_TYPES.items():
+        src = (CORPUS_DIR / f"{name}.slam").read_text()
+        defs = src.partition("\n\n")[0]
+        reg = parse_slam(src).registry
+        texts = queries + REFUSED_TYPES
+        for text in [*texts, *(m for q in queries
+                               for m in _token_mutations(q))]:
+            ty = _parsed(lambda s: parse_type(s, reg), text)
+            if ty is not None:
+                types += 1
+                assert check_type_wf(ty, reg) == [], text
+        sources = [src, *_token_mutations(src),
+                   *(f"{defs}\n{bad}\n" for bad in REFUSED_BINDINGS),
+                   *(f"{defs}\n{bad}\n" for bad in REFUSED_DEFS)]
+        for text in sources:
+            sf = _parsed(parse_slam, text)
+            if sf is None:
+                continue
+            files += 1
+            for d in sf.registry.defs.values():
+                allowed = frozenset({d.rec_var, *d.params})
+                for c in d.constructors:
+                    for a in c.arg_types:
+                        assert check_type_wf(a, sf.registry, allowed) == [], \
+                            (text, c.name)
+            for t in sf.bindings.values():
+                for x in nodes(t):
+                    if type(x) in (Lam, Fix, Cofix):
+                        assert check_type_wf(x.ty, sf.registry) == [], text
+    assert types > 15 and files > 300
 
 
 # -- a run of successors is one node ------------------------------------------

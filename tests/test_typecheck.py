@@ -4,6 +4,8 @@ import re
 import sys
 import time
 
+import pytest
+
 from helpers import (
     CORPUS_DIR, EXTRA_TERMS, call_arguments, calls_of, context_terms,
     corpus_terms, forall_binders_reference, fsv_reference, infer_state,
@@ -21,7 +23,9 @@ from slam.parser import SlamFile
 from slam.constraints import encode_3cnf
 from slam.subtyping import BOT
 from slam.syntax import forall_binders, size_names
-from slam.typecheck import _Infer, _prettify, check, infer, minimal_type
+from slam.typecheck import (
+    _Infer, _fits, _prettify, check, infer, minimal_type,
+)
 
 I, J, K = SVar("i"), SVar("j"), SVar("k")
 
@@ -87,6 +91,33 @@ def test_untypable_terms(streams):
     # case on a non-recursive size-0 coinductive scrutinee
     t = parse_term("\\s : Strm^0. case s of { cons x t => x }", reg)
     assert minimal_type(reg, {}, t) is None
+
+
+@pytest.mark.parametrize("file, src, trail", [
+    ("streams", "cons (\\x : Nat. x) zeros",
+     "(con) argument of cons does not match its declared shape "
+     "(got Nat -> Nat)"),
+    ("trees", "cons zero (cons (\\x : Nat. x) nil)",
+     "(con) parameter instances have no join"),
+    ("trees", "fnode zero (cons zero nil)",
+     "(con) argument of fnode does not match its declared shape "
+     "(got List^(max(0, 1)+1)(Nat^1))"),
+    ("streams", "case zero of { }", "(case) empty case"),
+])
+def test_rejections_name_their_rule(capsys, file, src, trail):
+    # each is untypable at the CLI, and the trail says which premise of
+    # which rule refused it
+    code = main(["infer", str(CORPUS_DIR / f"{file}.slam"), src])
+    assert (code, capsys.readouterr().out) == (1, "untypable\n")
+    sf = load(file)
+    gamma, t = _typing_problem(sf, src)
+    trip, fits = call_arguments(infer, _fits, sf.registry, gamma, t)
+    assert trip.failed and len(trip.trail) == 1
+    assert trip.trail[0].startswith(trail + ", at: "), trip.trail
+    if src.startswith("fnode"):
+        # the hole of `decompose` refused a Nat where FTree is declared
+        assert any(type(c["th"]) is Coind and c["th"].defname == "Nat"
+                   and c["x"] == TyVar("FTree") for c in fits)
 
 
 def test_non_decreasing_recursion_rejected(streams):

@@ -19,7 +19,7 @@ from helpers import (
     CORPUS_DIR, DEFAULT_VARS, PLAIN_VARS, aeq_size_reference,
     alpha_eq_plain_reference, alpha_eq_term_reference,
     alpha_eq_type_reference, approx_reference,
-    check_arities_reference, check_term_wf_reference,
+    check_term_wf_reference,
     check_type_wf_reference, chgtgt_reference,
     context_terms, corpus_terms, dataclass_repr_reference,
     dependency_cycle_reference, dependents_reference, erase_reference,
@@ -75,7 +75,7 @@ from slam.rewrite import (
 )
 from slam.sizes import _peel
 from slam.syntax import (
-    Infty, _check_arities, check_term_wf, check_type_wf,
+    Infty, check_term_wf, check_type_wf,
     fold, forall_binders, fsv, node_count, nodes, rebuilt,
     size_names, size_plus, subst_type_sizes,
 )
@@ -342,8 +342,7 @@ def test_approx_matches_reference():
         cases.append((erase(link_all(sf, parse_term(src, sf.registry))),
                       sf.registry))
     rng = random.Random(6)
-    cases += [(rand_plain(rng, 5), rng.choice([None, load("sp").registry]))
-              for _ in range(300)]
+    cases += [(rand_plain(rng, 5), load("sp").registry) for _ in range(300)]
     limited = 0
     for t, reg in cases:
         for fuel in (20, 200, 10000):
@@ -355,7 +354,7 @@ def test_approx_matches_reference():
                 got = (a, a.steps, a.limited, a.nodes)
                 want = approx_reference(t, depth, fuel, reg, gas2)
                 assert repr(got) == repr(want) and gas1 == gas2, \
-                    (t, reg is None, fuel, depth)
+                    (t, fuel, depth)
                 limited += got[2]
     assert limited
 
@@ -784,10 +783,6 @@ def test_type_walks_match_reference():
         for tyvars in (frozenset(), frozenset({"A"})):
             assert list(map(str, check_type_wf(t, reg, tyvars))) == \
                 list(map(str, check_type_wf_reference(t, reg, tyvars))), t
-        d = next(iter(reg.defs.values()))
-        c = d.constructors[0]
-        assert list(map(str, _check_arities(t, reg, c, d))) == \
-            list(map(str, check_arities_reference(t, reg, c, d))), t
         # substitution renames no binder, so it is compared only where
         # no forall of t binds a size variable of a value
         binders = forall_binders_reference(t)
