@@ -27,8 +27,8 @@ from .rewrite import (
 )
 from .sizes import INF
 from .syntax import (
-    DefRegistry, PLam, RegistryError, Succ, Term, Type, check_term_wf,
-    depth_first_order, fsv, size_names, substitute, validate_registry,
+    DefRegistry, PLam, RegistryError, Succ, Term, Type, depth_first_order,
+    fsv, size_names, substitute, validate_registry,
 )
 from .typecheck import check, minimal_type
 
@@ -37,34 +37,32 @@ class CliError(Exception):
     pass
 
 
-def _load_slam(path: str) -> SlamFile:
+def _read(path: str) -> str:
+    """The text of the file at path, read as UTF-8 whatever the locale."""
     try:
-        with open(path) as f:
-            src = f.read()
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as e:
-        raise CliError(str(e))
-    sf = parse_slam(src)
+        raise CliError(str(e)) from None
+    except UnicodeDecodeError as e:
+        raise CliError(f"{path}: {e}") from None
+
+
+def _load_slam(path: str) -> SlamFile:
+    sf = parse_slam(_read(path))
     diags = validate_registry(sf.registry)
     if diags:
         raise CliError("\n".join(f"{path}: {d}" for d in diags))
     return sf
 
 
-def _check_wf(ts: list[Term], reg: DefRegistry) -> None:
-    diags = [d for t in ts for d in check_term_wf(t, reg)]
-    if diags:
-        raise CliError("\n".join(map(str, diags)))
-
-
 def _resolve(sf: SlamFile, src: str) -> tuple[Term, list[str]]:
     """The query and the bindings it reaches, each after the bindings it
-    refers to.  The bindings are checked in file order, then the query,
-    and all their diagnostics are listed at once.  A cycle among them is
-    an error."""
+    refers to.  The parser has checked them, as it checks every term it
+    reads, so they are not walked again here.  A cycle among them is an
+    error."""
     t = parse_term(src, sf.registry)
-    reached = sf.reached(t)
-    _check_wf([*(sf.bindings[n] for n in reached), t], sf.registry)
-    order, cycle = depth_first_order(reached, sf.refs)
+    order, cycle = depth_first_order(sf.reached(t), sf.refs)
     if cycle is not None:
         raise CliError("binding cycle: " + " -> ".join(cycle))
     return t, order
@@ -300,12 +298,7 @@ def _cmd_productivity(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        with open(args.constraints) as f:
-            src = f.read()
-    except OSError as e:
-        raise CliError(str(e))
-    c = parse_constraint_file(src)
+    c = parse_constraint_file(_read(args.constraints))
     try:
         res = is_valid(c)
     except CyclicDefMap as e:
@@ -324,12 +317,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gen_hard(args) -> int:
-    try:
-        with open(args.cnffile) as f:
-            src = f.read()
-    except OSError as e:
-        raise CliError(str(e))
-    clauses = parse_cnf_dimacs(src)
+    clauses = parse_cnf_dimacs(_read(args.cnffile))
     if not clauses:
         raise CliError("no clauses in CNF input")
     s1, s2 = encode_3cnf(clauses)

@@ -25,6 +25,10 @@ variable of the terms that use it.  Evaluation gives each binding one
 shared thunk (`rewrite.closure`), and typing types a binding once or
 inlines it; nothing substitutes every binding into a term.
 
+A term that parses passes `syntax.check_term_wf`: its annotation types
+are resolved as they are read, and so is each case branch, so no caller
+walks a parsed term to check it again.
+
 Line comments start with `--` or `#`.  `min`/`max` accept two or more
 arguments and nest to the left.
 """
@@ -307,7 +311,10 @@ class _P:
     #   ("scrutinee",)            case _ of { ... }
     #   ("branch", scrut, branches, seen, con, binders)
     # The names a frame binds are in scope from its opening to its end.
-    # Tokens are read, and errors raised, in the order of the grammar.
+    # Tokens are read, and errors raised, in the order of the grammar.  A
+    # case branch names a constructor no earlier branch of its case names;
+    # once its `=>` is read, the constructor must be known, with one
+    # binder per argument and no binder twice.
 
     def term(self, env: "_TermEnv") -> Term:
         toks = self.toks
@@ -423,6 +430,18 @@ class _P:
             while (b := toks[self.pos]) >= "A" and b not in _SYMBOLS:
                 binders.append(self.name("variable"))
             self.eat("=>")
+            sig = env.reg.constructor(con)
+            if sig is None:
+                raise self.fail(f"unknown constructor {con} in case", at)
+            if len(sig.arg_types) != len(binders):
+                raise self.fail(
+                    f"branch for {con} binds {len(binders)} variable(s), "
+                    f"constructor has {len(sig.arg_types)} argument(s)", at)
+            if len(set(binders)) != len(binders):
+                i = next(i for i, x in enumerate(binders)
+                         if x in binders[:i])
+                raise self.fail(f"branch for {con} binds {binders[i]} twice",
+                                at + 1 + i)
             frames.append(("branch", scrut, branches, seen, con,
                            tuple(binders)))
             for b in binders:

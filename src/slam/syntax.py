@@ -1296,13 +1296,15 @@ def check_type_wf(t: Type, reg: DefRegistry,
 
 
 def check_term_wf(t: Term, reg: DefRegistry) -> list[Diagnostic]:
-    """Well-formedness of a decorated term.
+    """Well-formedness of a decorated term built without the parser.
 
     Annotation types must pass `check_type_wf` with no type variables
     allowed; case branches must use known constructors, pairwise
-    distinct, with the right number of pairwise distinct binders.  Diagnostics come in source
-    order: a node's own before its children's, and a case branch's before
-    its body's.
+    distinct, with the right number of pairwise distinct binders.
+    Diagnostics come in source order: a node's own before its children's,
+    and a case branch's before its body's.  The parser refuses the same
+    faults as it reads term text, with the first one's line:col, so a
+    parsed term needs no call here.
     """
     def node(t: Term, kids: list, _c) -> list[Diagnostic]:
         cls = type(t)

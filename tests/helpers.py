@@ -850,10 +850,27 @@ def parse_term_reference(src: str, reg):
                             f"duplicate case branch for {ctok.text}",
                             ctok.line, ctok.col)
                     seen.add(ctok.text)
-                    binders = []
+                    btoks = []
                     while self.peek().kind == "ident" and not self.at_sym("=>"):
-                        binders.append(self.eat_ident("variable").text)
+                        btoks.append(self.eat_ident("variable"))
                     self.eat_sym("=>")
+                    binders = [b.text for b in btoks]
+                    sig = env.reg.constructor(ctok.text)
+                    if sig is None:
+                        raise ParseError(
+                            f"unknown constructor {ctok.text} in case",
+                            ctok.line, ctok.col)
+                    if len(sig.arg_types) != len(binders):
+                        raise ParseError(
+                            f"branch for {ctok.text} binds {len(binders)} "
+                            f"variable(s), constructor has "
+                            f"{len(sig.arg_types)} argument(s)",
+                            ctok.line, ctok.col)
+                    for i, b in enumerate(btoks):
+                        if b.text in binders[:i]:
+                            raise ParseError(
+                                f"branch for {ctok.text} binds {b.text} "
+                                f"twice", b.line, b.col)
                     benv = env
                     for b in binders:
                         benv = benv.bind(b)

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -9,6 +12,7 @@ from slam import parse_term
 from slam.cli import main
 from slam.constraints import parse_constraint_file
 
+SRC = CORPUS_DIR.parent / "src"
 STREAMS = str(CORPUS_DIR / "streams.slam")
 SP = str(CORPUS_DIR / "sp.slam")
 TREES = str(CORPUS_DIR / "trees.slam")
@@ -435,18 +439,63 @@ def test_a_binding_cycle_is_an_error(tmp_path, capsys, cmd, defs, cycle):
 
 @pytest.mark.parametrize("cmd", RESOLVED_COMMANDS)
 def test_an_ill_formed_binding_is_reported_once(tmp_path, capsys, cmd):
-    # each reached binding is checked once, in file order, then the query
+    # the parser refuses the file at its first ill-formed branch
     f = tmp_path / "bad.slam"
-    f.write_text((CORPUS_DIR / "streams.slam").read_text()
-                 + "\nworse = case zero of { nada => zero };\n"
-                 + "bad = case zero of { zero => zero; nope => zero };\n"
-                 + "twice = plus (plus bad bad) worse;\n")
+    src = ((CORPUS_DIR / "streams.slam").read_text()
+           + "\nworse = case zero of { nada => zero };\n"
+           + "bad = case zero of { zero => zero; nope => zero };\n"
+           + "twice = plus (plus bad bad) worse;\n")
+    f.write_text(src)
+    line = src[:src.index("nada")].count("\n") + 1
     code, out, err = run(capsys, cmd[0], str(f),
                          "case twice of { zip => twice }", *cmd[1:])
     assert (code, out) == (2, "")
-    assert err == "error: " + "\n".join(
-        f"unknown constructor {c} in case" for c in ("nada", "nope", "zip")
-    ) + "\n"
+    assert err == f"error: {line}:24: unknown constructor nada in case\n"
+
+
+@pytest.mark.parametrize("cmd", RESOLVED_COMMANDS)
+def test_an_ill_formed_binding_fails_unreached(tmp_path, capsys, cmd):
+    # a branch is checked where it is read, whether the query reaches its
+    # binding or not; the query's own branches are checked alike
+    f = tmp_path / "bad.slam"
+    src = ((CORPUS_DIR / "streams.slam").read_text()
+           + "\nbad = \\s : Strm. case s of { cons x x => x };\n")
+    f.write_text(src)
+    line = src.count("\n")
+    code, out, err = run(capsys, cmd[0], str(f), "zero", *cmd[1:])
+    assert (code, out, err) == (
+        2, "", f"error: {line}:37: branch for cons binds x twice\n")
+    code, out, err = run(capsys, cmd[0], STREAMS,
+                         "case zero of { succ => zero }", *cmd[1:])
+    assert (code, out, err) == (
+        2, "", "error: 1:16: branch for succ binds 0 variable(s), "
+               "constructor has 1 argument(s)\n")
+
+
+def test_files_are_read_as_utf8_in_any_locale(tmp_path):
+    f = tmp_path / "utf8.slam"
+    f.write_text((CORPUS_DIR / "streams.slam").read_text()
+                 + "\n\u03b1 = succ zero; ab = succ \u03b1;\n",
+                 encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(SRC), LC_ALL="C",
+               PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    done = subprocess.run(
+        [sys.executable, "-m", "slam.cli", "infer", str(f), "ab"],
+        env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "Nat^3\n", "")
+
+
+@pytest.mark.parametrize("cmd", [
+    ("check", "zero", ":", "Nat"), ("infer", "zero"), ("eval", "zero"),
+    ("productivity", "zeros", "--type", "Strm"), ("solve",), ("gen-hard",)])
+def test_a_file_that_is_not_utf8_is_an_error(tmp_path, capsys, cmd):
+    f = tmp_path / "bad.txt"
+    f.write_bytes(b"x = succ \xff zero;\n")
+    code, out, err = run(capsys, cmd[0], str(f), *cmd[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {f}: 'utf-8' codec can't decode byte "
+                          f"0xff in position 9"), err
+    assert "internal error" not in err
 
 
 def test_non_ascii_digit_is_a_parse_error(capsys):

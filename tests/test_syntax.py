@@ -253,8 +253,10 @@ def test_parse_error_positions():
 # -- term well-formedness -------------------------------------------------------------
 
 def test_check_term_wf(streams):
+    # built by hand: the parser refuses such a branch
+    from slam import Branch, Case, Con
     reg = streams.registry
-    t = parse_term("case zero of { succ => zero }", reg)
+    t = Case(Con("zero"), (Branch("succ", (), Con("zero")),))
     diags = check_term_wf(t, reg)
     assert any("binds 0" in str(d) for d in diags)
     t2 = parse_term("\\x : Strm^(i+1). x", reg)
@@ -265,6 +267,27 @@ def test_case_duplicate_branch_rejected(streams):
     with pytest.raises(ParseError, match="duplicate case branch"):
         parse_term("case zero of { zero => zero; zero => zero }",
                    streams.registry)
+
+
+@pytest.mark.parametrize("src, error", [
+    ("case zero of { zero => zero;\n nada x => x }",
+     "2:2: unknown constructor nada in case"),
+    ("case zero of { zero => zero; succ => zero }",
+     "1:30: branch for succ binds 0 variable(s), constructor has 1 "
+     "argument(s)"),
+    ("case zero of { zero x => x }",
+     "1:16: branch for zero binds 1 variable(s), constructor has 0 "
+     "argument(s)"),
+    ("\\s : Strm. case s of { cons x x => x }",
+     "1:31: branch for cons binds x twice"),
+    # a duplicate branch is found at its name, before its binders
+    ("case zero of { zero => zero; zero n n => n }",
+     "1:30: duplicate case branch for zero"),
+])
+def test_case_branch_refused_where_it_stands(streams, src, error):
+    with pytest.raises(ParseError) as e:
+        parse_term(src, streams.registry)
+    assert str(e.value) == error
 
 
 def test_node_count():
@@ -317,7 +340,9 @@ QUERY_TYPES = {
               "Tree^oo"],
 }
 # texts the parser must refuse: an unknown name, a known one at the wrong
-# arity, a type variable given arguments, one outside its definition
+# arity, a type variable given arguments, one outside its definition; and
+# a case branch naming an unknown constructor, binding too few variables
+# or one variable twice
 REFUSED_TYPES = ["NoSuch", "Nat -> A", "List", "List(Nat, Nat)",
                  "Nat(Nat)", "forall i. B^i -> Nat"]
 REFUSED_DEFS = ["inductive D { c : E -> D }",
@@ -326,7 +351,22 @@ REFUSED_DEFS = ["inductive D { c : E -> D }",
                 "inductive D(B) { c : B -> D(B) }\n"
                 "inductive E { e : B -> E }"]
 REFUSED_BINDINGS = ["bad = \\x : NoSuch. x;", "bad = \\x : A. x;",
-                    "bad = fix f : Nat(Nat) . f;"]
+                    "bad = fix f : Nat(Nat) . f;",
+                    "bad = case zero of { nada => zero };",
+                    "bad = case zero of { succ => zero };",
+                    "bad = \\n : Nat. case n of { succ m m => m };"]
+# bindings appended to each corpus file, with their one-token mutations:
+# terms the output sweep queries beyond the bindings, and functions by cases
+EXTRA_BINDINGS = {
+    "streams": "pred = \\n : Nat. case n of { zero => zero; succ m => m };\n"
+               "three = plus (succ (succ zero)) (succ zero);\n"
+               "tail = tl [oo] zeros;\n",
+    "sp": "head = \\s : Strm. case s of { cons x t => x };\n"
+          "racer = run odd nats;\n",
+    "trees": "len = fix l : List(Nat) -> Nat . \\xs : List(Nat).\n"
+             "  case xs of { nil => zero; cons x r => succ (l r) };\n"
+             "lone = cons zero (cons (succ zero) nil);\n",
+}
 
 
 def _token_mutations(src: str) -> list[str]:
@@ -357,6 +397,25 @@ def _parsed(parse, src):
         return None
 
 
+def _parsed_files():
+    """(text, file) for each corpus file, its one-token mutations, the
+    refused bindings and definitions after its definitions, and its
+    extra bindings and their mutations after it, that parses."""
+    from helpers import CORPUS_DIR
+    for name in QUERY_TYPES:
+        src = (CORPUS_DIR / f"{name}.slam").read_text()
+        defs = src.partition("\n\n")[0]
+        extra = EXTRA_BINDINGS[name]
+        for text in [src, *_token_mutations(src),
+                     *(f"{defs}\n{bad}\n" for bad in REFUSED_BINDINGS),
+                     *(f"{defs}\n{bad}\n" for bad in REFUSED_DEFS),
+                     *(f"{src}\n{b}" for b in [extra,
+                                               *_token_mutations(extra)])]:
+            sf = _parsed(parse_slam, text)
+            if sf is not None:
+                yield text, sf
+
+
 def test_every_parsed_type_is_well_formed():
     # `check_type_wf` is the one checker of a type tree, and the parser
     # of type text: whatever parses names known definitions at their
@@ -367,9 +426,7 @@ def test_every_parsed_type_is_well_formed():
     from slam import Cofix, Fix, Lam
     types = files = 0
     for name, queries in QUERY_TYPES.items():
-        src = (CORPUS_DIR / f"{name}.slam").read_text()
-        defs = src.partition("\n\n")[0]
-        reg = parse_slam(src).registry
+        reg = parse_slam((CORPUS_DIR / f"{name}.slam").read_text()).registry
         texts = queries + REFUSED_TYPES
         for text in [*texts, *(m for q in queries
                                for m in _token_mutations(q))]:
@@ -377,25 +434,31 @@ def test_every_parsed_type_is_well_formed():
             if ty is not None:
                 types += 1
                 assert check_type_wf(ty, reg) == [], text
-        sources = [src, *_token_mutations(src),
-                   *(f"{defs}\n{bad}\n" for bad in REFUSED_BINDINGS),
-                   *(f"{defs}\n{bad}\n" for bad in REFUSED_DEFS)]
-        for text in sources:
-            sf = _parsed(parse_slam, text)
-            if sf is None:
-                continue
-            files += 1
-            for d in sf.registry.defs.values():
-                allowed = frozenset({d.rec_var, *d.params})
-                for c in d.constructors:
-                    for a in c.arg_types:
-                        assert check_type_wf(a, sf.registry, allowed) == [], \
-                            (text, c.name)
-            for t in sf.bindings.values():
-                for x in nodes(t):
-                    if type(x) in (Lam, Fix, Cofix):
-                        assert check_type_wf(x.ty, sf.registry) == [], text
+    for text, sf in _parsed_files():
+        files += 1
+        for d in sf.registry.defs.values():
+            allowed = frozenset({d.rec_var, *d.params})
+            for c in d.constructors:
+                for a in c.arg_types:
+                    assert check_type_wf(a, sf.registry, allowed) == [], \
+                        (text, c.name)
+        for t in sf.bindings.values():
+            for x in nodes(t):
+                if type(x) in (Lam, Fix, Cofix):
+                    assert check_type_wf(x.ty, sf.registry) == [], text
     assert types > 15 and files > 300
+
+
+def test_every_parsed_term_is_well_formed():
+    # the parser checks term text as it reads it, so no command walks a
+    # parsed term with `check_term_wf`: every binding of a file that
+    # parses gets no diagnostic, also when the text is one token off
+    files = 0
+    for text, sf in _parsed_files():
+        files += 1
+        for t in sf.bindings.values():
+            assert check_term_wf(t, sf.registry) == [], text
+    assert files > 300
 
 
 # -- a run of successors is one node ------------------------------------------

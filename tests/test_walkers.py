@@ -196,13 +196,27 @@ def test_parse_term_matches_reference():
                 j = rng.randrange(len(t2))
                 t2[i], t2[j] = t2[j], t2[i]
             mutated.append(" ".join(t2))
-    errors = 0
+    # cases around the terms with branches drawn from well-formed ones
+    # and ones that name an unknown constructor, bind the wrong number of
+    # variables or bind one twice
+    arms = ["zero => zero", "succ n => n", "cons x s => x", "nada => zero",
+            "succ => zero", "zero n => n", "cons x s t => x",
+            "cons x x => x", "succ n n => n"]
+    for src in sources[:300]:
+        drawn = rng.sample(arms, rng.randint(1, 3))
+        body = f"({src})" if rng.random() < 0.5 else "zero"
+        mutated.append(f"case {body} of {{ {'; '.join(drawn)} }}")
+    errors, branch_faults = 0, set()
     for src in sources + mutated:
         want = _outcome(parse_term_reference, src, reg)
         got = _outcome(parse_term, src, reg)
         assert got == want, src
-        errors += want[0] == "error"
-    assert errors > 100
+        if want[0] == "error":
+            errors += 1
+            branch_faults |= {f for f in ("unknown constructor",
+                                          "argument(s)", "twice")
+                              if f in want[1][0]}
+    assert errors > 100 and len(branch_faults) == 3
 
 
 @pytest.mark.parametrize("src", [
