@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from typing import Optional
 
@@ -31,6 +32,14 @@ from .syntax import (
     fsv, size_names, substitute, validate_registry,
 )
 from .typecheck import check, minimal_type
+
+
+# The generation-0 threshold a command runs with.  A verdict is built
+# over trees that live until it is printed (the decorated term, its
+# types, its erasure, its approximants), so young collections walk them
+# and free almost nothing; reference cycles of reduced thunks and
+# closure environments still need a collection now and then.
+GC_GEN0_THRESHOLD = 50_000
 
 
 class CliError(Exception):
@@ -375,9 +384,19 @@ def _budget_options(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    The command runs with the collector's generation-0 threshold raised
+    to `GC_GEN0_THRESHOLD`, unless the caller's is higher or 0 (automatic
+    collection off); the caller's thresholds are restored on every exit.
+    Collector settings are process-wide, so `main` is not for concurrent
+    calls from several threads."""
     args = _parser().parse_args(argv)
     # looked up by name at each call, not kept in the cached parser
     command = globals()["_cmd_" + args.cmd.replace("-", "_")]
+    thresholds = gc.get_threshold()
+    if 0 < thresholds[0] < GC_GEN0_THRESHOLD:
+        gc.set_threshold(GC_GEN0_THRESHOLD, *thresholds[1:])
     try:
         return command(args)
     except (ParseError, RegistryError, CliError, NonObservableType) as e:
@@ -390,6 +409,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: internal error: {type(e).__name__}: {e}",
               file=sys.stderr)
         return 2
+    finally:
+        gc.set_threshold(*thresholds)
 
 
 if __name__ == "__main__":

@@ -123,8 +123,12 @@ _SHAPE_INF = "inf"
 _SHAPE_SUCC = "succ"
 
 
-def _peel(s: SizeExpr, *, bump: bool) -> tuple[str, SizeExpr | None]:
-    """Shape of the replaced expression: zero, inf, or (succ, w) with w+1."""
+def _peel(s: SizeExpr, *, bump: bool,
+          defs: Mapping[str, SizeExpr] | None = None
+          ) -> tuple[str, SizeExpr | None]:
+    """Shape of the replaced expression: zero, inf, or (succ, w) with w+1.
+    With `defs`, a superfluous variable it defines stands for its
+    definition, peeled once however often it occurs."""
     def node(x: SizeExpr, kids, _c) -> tuple[str, SizeExpr | None]:
         cls = type(x)
         if cls is Zero:
@@ -154,17 +158,20 @@ def _peel(s: SizeExpr, *, bump: bool) -> tuple[str, SizeExpr | None]:
             return ls, lw
         return _SHAPE_SUCC, SMax(lw, rw)
 
-    return fold(s, node, into=(SMin, SMax))
+    return fold(s, node, into=(SMin, SMax), defs=defs)
 
 
-def overline(s: SizeExpr) -> SizeExpr:
+def overline(s: SizeExpr,
+             defs: Mapping[str, SizeExpr] | None = None) -> SizeExpr:
     """The canonical expression with s >= overline(s)+1.
 
     Precondition: s >= 1 under every valuation.  Superfluous variable
-    occurrences are replaced by 0; if the result does not take the shape
-    w+1 (or oo) the precondition was violated and SizeError is raised.
+    occurrences are replaced by 0, except that with `defs` one of a
+    variable it defines stands for its definition; if the result does
+    not take the shape w+1 (or oo) the precondition was violated and
+    SizeError is raised.
     """
-    shape, w = _peel(s, bump=False)
+    shape, w = _peel(s, bump=False, defs=defs)
     if shape == _SHAPE_INF:
         return INFTY
     if shape == _SHAPE_SUCC:

@@ -245,13 +245,9 @@ class _Infer:
         except SizeError:
             pass
         try:
-            return overline(self._expand_superfluous(s))
+            return overline(s, self.u)
         except SizeError:
             return None
-
-    def _expand_superfluous(self, s: SizeExpr) -> SizeExpr:
-        """Substitute U-definitions at occurrences not under a successor."""
-        return fold(s, rebuilt, into=(SMin, SMax), defs=self.u)
 
     # -- the algorithm -----------------------------------------------------
     #

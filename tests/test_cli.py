@@ -1,3 +1,7 @@
+import ast
+import contextlib
+import gc
+import io
 import os
 import random
 import subprocess
@@ -8,7 +12,7 @@ import tracemalloc
 import pytest
 
 from helpers import CORPUS_DIR, calls_of
-from slam import parse_term
+from slam import cli, parse_term
 from slam.cli import main
 from slam.constraints import parse_constraint_file
 
@@ -940,3 +944,127 @@ def test_a_quantifier_stored_in_a_pair_is_instantiated_afresh(tmp_path,
         (0, "yes\n", "")
     code, out, _ = run(capsys, "productivity", str(f), "snd", "--type", "Strm")
     assert code == 1 and out.endswith("FAIL at n=1\n")
+
+
+# -- the collector ------------------------------------------------------------
+#
+# A command runs with a wider young generation (`cli.GC_GEN0_THRESHOLD`):
+# what it allocates lives until the verdict is printed.  Collector
+# settings are the process's, so `main` leaves them as it found them.
+
+def _collector():
+    return gc.get_threshold(), gc.isenabled()
+
+
+@pytest.fixture(params=["default", "threshold 50", "disabled",
+                        "threshold above the constant"])
+def caller_collector(request):
+    """The collector as a caller set it, restored after the test."""
+    before = _collector()
+    thresholds = before[0]
+    if request.param == "threshold 50":
+        gc.set_threshold(50, *thresholds[1:])
+    elif request.param == "disabled":
+        gc.disable()
+    elif request.param == "threshold above the constant":
+        gc.set_threshold(2 * cli.GC_GEN0_THRESHOLD, *thresholds[1:])
+    yield _collector()
+    gc.set_threshold(*thresholds)
+    if before[1]:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _raises(exc):
+    def command(args):
+        raise exc
+
+    return command
+
+
+@pytest.mark.parametrize("argv, patch, outcome", [
+    (["infer", STREAMS, "tl"], None, 0),
+    (["infer", STREAMS, "omega"], None, 1),
+    (["infer", STREAMS, "succ ("], None, 2),  # a ParseError
+    (["infer", "/nonexistent/x.slam", "tl"], None, 2),  # a CliError
+    (["infer", STREAMS, "tl"], ValueError("bad state"), 2),
+    (["infer", STREAMS, "tl"], KeyboardInterrupt(), KeyboardInterrupt),
+    (["infer"], None, SystemExit),  # argparse: too few arguments
+], ids=["exit-0", "exit-1", "parse-error", "cli-error", "internal-error",
+        "base-exception", "bad-arguments"])
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch,
+                                                  caller_collector, argv,
+                                                  patch, outcome):
+    if patch is not None:
+        monkeypatch.setattr("slam.cli._cmd_infer", _raises(patch))
+    if isinstance(outcome, int):
+        assert main(argv) == outcome
+    else:
+        with pytest.raises(outcome):
+            main(argv)
+    capsys.readouterr()
+    assert _collector() == caller_collector
+
+
+def test_a_command_runs_with_the_wider_young_generation(capsys, monkeypatch,
+                                                        caller_collector):
+    # a positive threshold below the constant is raised to it; a higher
+    # one, or 0 (automatic collection off), is kept, as are the other two
+    seen = []
+    monkeypatch.setattr("slam.cli._cmd_infer",
+                        lambda args: seen.append(_collector()) or 0)
+    assert main(["infer", STREAMS, "tl"]) == 0
+    (first, *rest), enabled = caller_collector
+    want = first if first == 0 or first >= cli.GC_GEN0_THRESHOLD \
+        else cli.GC_GEN0_THRESHOLD
+    assert seen == [((want, *rest), enabled)]
+    assert _collector() == caller_collector
+
+
+def _collections(argv):
+    """The exit code of main(argv) and the collections it ran."""
+    runs = []
+
+    def count(phase, info):
+        if phase == "start":
+            runs.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        gc.callbacks.remove(count)
+    return code, len(runs)
+
+
+NUMERAL_ARGV = [["infer", STREAMS, "succ (" * 1600 + "zero" + ")" * 1600],
+                ["eval", STREAMS, "succ (" * 1600 + "zero" + ")" * 1600]]
+
+
+def test_a_command_runs_no_collection(monkeypatch):
+    # a count, so host noise cannot move it; the control at the
+    # interpreter's own threshold shows the count can see a collection
+    assert gc.isenabled()
+    for argv in NUMERAL_ARGV:
+        assert _collections(argv) == (0, 0), argv[0]
+    monkeypatch.setattr(cli, "GC_GEN0_THRESHOLD", gc.get_threshold()[0])
+    for argv in NUMERAL_ARGV:
+        code, runs = _collections(argv)
+        assert code == 0 and runs >= 1, argv[0]
+
+
+def test_only_the_cli_imports_gc():
+    # the library leaves the process's collector settings alone
+    importers = []
+    for path in sorted((SRC / "slam").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] \
+                if isinstance(node, ast.Import) else \
+                [node.module] if isinstance(node, ast.ImportFrom) else []
+            if "gc" in names:
+                importers.append(path.name)
+    assert importers == ["cli.py"]

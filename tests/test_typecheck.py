@@ -788,7 +788,7 @@ def test_prettify_keeps_an_inner_user_binder_name():
 
 # Typing paths no other test or sweep command runs: `fresh_binder`, the
 # forall branch of `decompose` and its join of several recursive
-# instances, `_overline_u`'s fallback through `_expand_superfluous`,
+# instances, `_overline_u`'s fallback that peels through U,
 # `fix_rule`'s leading foralls and `_premise_var`'s loop over them, and
 # `_align` renaming two owned binders
 PATH_DEFS = """inductive P(A, B) { mk : A -> B -> P(A, B) }
@@ -862,6 +862,31 @@ def test_nested_instantiations_cost_linear_in_their_number(streams):
         trip, calls = calls_of(infer, syntax.sv, reg, {},
                                 parse_term(src, reg))
         assert not trip.failed, n
+        work.append(calls)
+    assert work[1] <= 2.5 * work[0], work
+
+
+def test_peel_through_a_u_chain_costs_linear_in_its_length(streams):
+    # on the chain a_0 = i+1, a_k = max(a_(k-1), a_(k-1)) the expansion
+    # of a_n through U is a tree of 2^n leaves; the peel reads each U
+    # entry once, so its node calls at 2n are about twice those at n
+    from types import SimpleNamespace
+
+    from slam.sizes import _peel
+
+    # `calls_of` counts the calls of a code object: here `_peel`'s `node`
+    node = SimpleNamespace(__code__=next(
+        c for c in _peel.__code__.co_consts
+        if getattr(c, "co_name", None) == "node"))
+    work = []
+    for n in (8, 16):
+        st = _Infer(streams.registry)
+        st.define("a0", Succ(I))
+        for k in range(1, n + 1):
+            a = SVar(f"a{k - 1}")
+            st.define(f"a{k}", SMax(a, a))
+        peeled, calls = calls_of(st._overline_u, node, SVar(f"a{n}"))
+        assert peeled is not None, n
         work.append(calls)
     assert work[1] <= 2.5 * work[0], work
 

@@ -757,14 +757,32 @@ def _env(reg, u):
     return st
 
 
+def _overline_u_reference(u, s):
+    """`_Infer._overline_u` on trees: s peeled as it stands, else with
+    its superfluous occurrences expanded through u, and peeled."""
+    from slam.sizes import _SHAPE_INF, _SHAPE_SUCC
+    for x in (s, expand_superfluous_reference(u, s, False)):
+        shape, w = peel_reference(x, bump=False)
+        if shape == _SHAPE_INF:
+            return INFTY
+        if shape == _SHAPE_SUCC:
+            return w
+    return None
+
+
+def _peel_through_u_matches_reference(st, u, s):
+    assert _peel(s, bump=False, defs=u) == peel_reference(
+        expand_superfluous_reference(u, s, False), bump=False), (u, s)
+    assert st._overline_u(s) == _overline_u_reference(u, s), (u, s)
+
+
 def test_size_walks_through_u_match_reference():
     aliased = 0
     for reg, trip in CORPUS_TRIPLES:
         u = trip.u
         st = _env(reg, u)
         for s in list(u.values()) + [s for pair in trip.pairs for s in pair]:
-            assert st._expand_superfluous(s) == \
-                expand_superfluous_reference(u, s, False), s
+            _peel_through_u_matches_reference(st, u, s)
             for k in (0, 1, 2):
                 assert size_ge_const(u, s, k) == \
                     size_ge_const_reference(u, s, k), s
@@ -782,6 +800,21 @@ def test_size_walks_through_u_match_reference():
         for name in [*st.u, *free, "$b0"]:
             assert st._dependents(name) == dependents_reference(st.u, name)
     assert aliased > 10
+
+
+def test_peel_through_random_u_matches_reference():
+    # seeded random (U, size) pairs, U acyclic with up to four entries
+    rng = random.Random(5)
+    reg = load("streams").registry
+    peeled = 0
+    for _ in range(2000):
+        names = [f"a{k}" for k in range(rng.randint(0, 4))]
+        u = _rand_defs(rng, names, acyclic=True)
+        s = rand_size(rng, 3, vars=tuple(names) + ("free",))
+        st = _env(reg, u)
+        _peel_through_u_matches_reference(st, u, s)
+        peeled += st._overline_u(s) is not None
+    assert 200 < peeled < 2000, peeled
 
 
 def test_type_walks_match_reference():
